@@ -13,7 +13,7 @@ use faq_core::FaqError;
 use faq_factor::{Domains, Factor};
 use faq_hypergraph::ordering::fhtw;
 use faq_hypergraph::{Hypergraph, TreeDecomposition, Var, VarSet};
-use faq_join::{multiway_join, JoinInput};
+use faq_join::{multiway_join_range_rep, JoinInput, JoinRep};
 use faq_semiring::Semiring;
 
 /// A calibrated junction tree over an arbitrary commutative semiring.
@@ -227,10 +227,12 @@ fn join_over<S: Semiring>(
 ) -> Factor<S::E> {
     let join_inputs: Vec<JoinInput<'_, S::E>> = inputs.iter().map(JoinInput::value).collect();
     let mut rows: Vec<(Vec<u32>, S::E)> = Vec::new();
-    multiway_join(
+    multiway_join_range_rep(
+        JoinRep::Trie,
         domains,
         bag,
         &join_inputs,
+        (0, u32::MAX),
         s.one(),
         |a, b| s.mul(a, b),
         |binding, val| {

@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use faq_bench::{example_5_6_good_order, example_5_6_input_order, example_5_6_query};
-use faq_core::insideout_with_order;
+use faq_core::Engine;
 
 fn bench_orderings(c: &mut Criterion) {
     let mut group = c.benchmark_group("ex56_ordering");
@@ -16,10 +16,10 @@ fn bench_orderings(c: &mut Criterion) {
         let input = example_5_6_input_order();
         let good = example_5_6_good_order();
         group.bench_with_input(BenchmarkId::new("input_order", n), &n, |b, _| {
-            b.iter(|| insideout_with_order(&q, &input).unwrap())
+            b.iter(|| Engine::sequential().evaluate_with_order(&q, &input).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("good_order", n), &n, |b, _| {
-            b.iter(|| insideout_with_order(&q, &good).unwrap())
+            b.iter(|| Engine::sequential().evaluate_with_order(&q, &good).unwrap())
         });
     }
     group.finish();

@@ -15,7 +15,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use faq_bench::hot_path;
-use faq_core::{insideout_with_order, ExecPolicy};
+use faq_core::{Engine, ExecPolicy};
 
 fn bench_triangle(c: &mut Criterion) {
     let mut group = c.benchmark_group("hot_path/triangle_random");
@@ -47,7 +47,7 @@ fn bench_pgm(c: &mut Criterion) {
     // ~d² rows — the allocation-per-row regime the flat pipeline targets.
     let (q, sigma) = hot_path::pgm_chain_marginal(48, 48);
     group.bench_with_input(BenchmarkId::from_parameter("marginal_n48_d48"), &(), |b, _| {
-        b.iter(|| insideout_with_order(&q, &sigma).unwrap())
+        b.iter(|| Engine::sequential().evaluate_with_order(&q, &sigma).unwrap())
     });
     group.finish();
 }

@@ -18,7 +18,7 @@ use faq_bench::rng;
 use faq_core::{ExecPolicy, JoinRep};
 
 fn policy(rep: JoinRep) -> ExecPolicy {
-    ExecPolicy::sequential().with_rep(rep)
+    ExecPolicy::sequential().rep(rep)
 }
 
 fn check_and_report(name: &str, q: &NaturalJoin) {

@@ -15,7 +15,7 @@ use faq_bench::{example_5_6_good_order, example_5_6_input_order, example_5_6_que
 use faq_bench::{rng, scaling_exponent, time_median};
 use faq_cnf as cnf;
 use faq_core::width::{faqw_exact, faqw_of_ordering};
-use faq_core::{insideout_with_order, ExecPolicy, JoinRep, QueryShape, Tag};
+use faq_core::{Engine, ExecPolicy, JoinRep, QueryShape, Tag};
 use faq_hypergraph::{compose, ordering as hord, Var, VarSet};
 use faq_join::pairwise_hash_join;
 use faq_semiring::{AggId, Complex64};
@@ -241,14 +241,11 @@ fn ex56(iters: usize, fast: bool) {
     let mut good_pts = Vec::new();
     for &n in sizes {
         let q = example_5_6_query(n, 99);
-        let t_in =
-            time_median(iters, || insideout_with_order(&q, &example_5_6_input_order()).unwrap());
-        let t_good =
-            time_median(iters, || insideout_with_order(&q, &example_5_6_good_order()).unwrap());
-        let s_in =
-            insideout_with_order(&q, &example_5_6_input_order()).unwrap().stats.total_seeks();
-        let s_good =
-            insideout_with_order(&q, &example_5_6_good_order()).unwrap().stats.total_seeks();
+        let run = |order: Vec<Var>| Engine::sequential().evaluate_with_order(&q, &order).unwrap();
+        let t_in = time_median(iters, || run(example_5_6_input_order()));
+        let t_good = time_median(iters, || run(example_5_6_good_order()));
+        let s_in = run(example_5_6_input_order()).stats.total_seeks();
+        let s_good = run(example_5_6_good_order()).stats.total_seeks();
         println!("| {n} | {t_in:.5} | {t_good:.5} | {s_in} | {s_good} |");
         in_pts.push((n as f64, t_in.max(1e-7)));
         good_pts.push((n as f64, t_good.max(1e-7)));
@@ -269,8 +266,8 @@ fn rep_table(iters: usize, fast: bool) {
     println!("| N (edges) | listing (s) | trie (s) | speedup | seeks | identical |");
     println!("|---|---|---|---|---|---|");
     let sizes: &[usize] = if fast { &[1000, 2000] } else { &[2000, 8000, 20000] };
-    let listing = ExecPolicy::sequential().with_rep(JoinRep::Listing);
-    let trie = ExecPolicy::sequential().with_rep(JoinRep::Trie);
+    let listing = ExecPolicy::sequential().rep(JoinRep::Listing);
+    let trie = ExecPolicy::sequential().rep(JoinRep::Trie);
     let mut r = rng(19);
     for &m in sizes {
         let nodes = (4 * (m as f64).sqrt() as u32).max(8);
@@ -347,12 +344,13 @@ fn plan_table(iters: usize, fast: bool) {
         let width_order = faqw_exact(&faq.shape(), 50_000).unwrap().order;
         let prepared = q.prepare_with(&planner).unwrap();
         let cost_order = prepared.plan().order.clone();
-        let wo = insideout_with_order(&faq, &width_order).unwrap();
+        let run = |order: &[Var]| Engine::sequential().evaluate_with_order(&faq, order).unwrap();
+        let wo = run(&width_order);
         let cp = prepared.evaluate().unwrap();
         let identical = wo.factor == cp.factor;
         assert!(identical, "cost-based plan diverged at N={}", edges.len());
-        let t_width = time_median(iters, || insideout_with_order(&faq, &width_order).unwrap());
-        let t_cost = time_median(iters, || insideout_with_order(&faq, &cost_order).unwrap());
+        let t_width = time_median(iters, || run(&width_order));
+        let t_cost = time_median(iters, || run(&cost_order));
         let t_cold = time_median(iters, || {
             planner.prepare(&q.to_faq().unwrap()).unwrap().evaluate().unwrap()
         });
@@ -469,8 +467,8 @@ fn hot_table(
     // chain's own ordering so the seek counter is observable.
     let (n, d) = if fast { (16usize, 12u32) } else { (48, 48) };
     let (q, sigma) = faq_bench::hot_path::pgm_chain_marginal(n, d);
-    let out = insideout_with_order(&q, &sigma).unwrap();
-    let t = time_median(iters, || insideout_with_order(&q, &sigma).unwrap());
+    let out = Engine::sequential().evaluate_with_order(&q, &sigma).unwrap();
+    let t = time_median(iters, || Engine::sequential().evaluate_with_order(&q, &sigma).unwrap());
     entries.push((
         format!("pgm_chain_n{n}_d{d}"),
         t * 1e3,

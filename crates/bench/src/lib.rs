@@ -272,7 +272,7 @@ pub fn example_5_6_input_order() -> Vec<Var> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faq_core::{insideout_with_order, naive_eval};
+    use faq_core::{naive_eval, Engine};
 
     #[test]
     fn scaling_exponent_of_square_law() {
@@ -284,8 +284,8 @@ mod tests {
     #[test]
     fn example_5_6_orders_agree() {
         let q = example_5_6_query(6, 1);
-        let a = insideout_with_order(&q, &example_5_6_input_order()).unwrap();
-        let b = insideout_with_order(&q, &example_5_6_good_order()).unwrap();
+        let a = Engine::sequential().evaluate_with_order(&q, &example_5_6_input_order()).unwrap();
+        let b = Engine::sequential().evaluate_with_order(&q, &example_5_6_good_order()).unwrap();
         assert_eq!(a.factor, b.factor);
         let n = naive_eval(&q);
         assert_eq!(a.factor, n);

@@ -15,7 +15,7 @@
 //! expected count is known at *any* scale without an in-memory oracle —
 //! [`run`] asserts it, along with the resident-memory cap itself.
 
-use faq_core::{insideout_par_with_order, ExecPolicy, FaqQuery, VarAgg};
+use faq_core::{Engine, ExecPolicy, FaqQuery, VarAgg};
 use faq_factor::{
     chunk_reads, peak_pinned_bytes, reset_peak_pinned_bytes, Domains, Factor, FactorBuilder,
     SpillConfig,
@@ -195,7 +195,8 @@ pub fn count_triangles(data: &OocData, threads: usize) -> u64 {
     .expect("triangle query is a valid FAQ");
     let sigma: Vec<Var> = vec![v(0), v(1), v(2)];
     let policy = ExecPolicy::with_threads(threads).min_chunk_rows(1024);
-    let out = insideout_par_with_order(&q, &sigma, &policy).expect("evaluation succeeds");
+    let out =
+        Engine::with_policy(policy).evaluate_with_order(&q, &sigma).expect("evaluation succeeds");
     out.factor.get(&[]).copied().unwrap_or(0)
 }
 

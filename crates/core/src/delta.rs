@@ -7,18 +7,17 @@
 //!
 //! # How it works
 //!
-//! The first incremental call runs a **traced** evaluation: the same phases as
-//! [`mod@crate::insideout`] — bound-variable elimination (paper eq. (7)/(8)), the
-//! free-variable guard phase (eqs. (10)–(11)), and the final OutsideIn output
-//! join (eq. (12)) — but every input, intermediate, guard, and materialized
-//! filter projection is parked in a node arena, and every step records which
-//! nodes it reads and writes. The trace reuses the engine's own compute
-//! kernels ([`crate::exec`] grouped joins, the shared product rewrite), so the
-//! cached intermediates are bit-identical to what a fresh evaluation builds.
+//! The first incremental call runs the query's compiled step list
+//! ([`mod@crate::insideout`]) exactly as a fresh evaluation does — same
+//! steps, same executor, same kernels — but keeps every node the steps write
+//! (intermediates, guards, materialized filter projections, the output)
+//! instead of dropping each after its last reader. That kept arena plus the
+//! step list is the `DeltaCache`; the cached intermediates are what a fresh
+//! evaluation builds because they *are* a fresh evaluation's.
 //!
 //! A delta ([`DeltaFactor`]) then merges into its slot's factor, reporting the
 //! changed values of the factor's **first column** as sorted half-open ranges.
-//! Replay walks the trace once, propagating a per-node dirty state:
+//! Replay walks the step list once more, propagating a per-node dirty state:
 //!
 //! * `Clean` — node unchanged, step output reused from cache;
 //! * `Ranges(rs)` — node rows changed only where its first column lies in
@@ -40,95 +39,22 @@
 //!
 //! The public surface is [`crate::plan::PreparedQuery::apply_delta`] /
 //! [`apply_delta_with`](crate::plan::PreparedQuery::apply_delta_with); the
-//! differential test suite (`tests/delta_equivalence.rs`) proves the replayed
+//! differential test suite (`tests/delta_equivalence.rs`) checks the replayed
 //! output bit-identical to a from-scratch re-evaluation across semirings and
 //! thread counts.
 
 pub use faq_factor::{DeltaFactor, DeltaOp};
 
-use crate::exec::{grouped_join, grouped_join_range, ExecPolicy, PolicySource};
-use crate::insideout::{prefix_filter_depth, product_rewrite, ElimStats, FaqOutput, StepStat};
-use crate::query::{FaqError, FaqQuery, VarAgg};
-use faq_factor::{Domains, Factor, FactorBuilder};
-use faq_hypergraph::{Var, VarSet};
-use faq_join::{JoinInput, JoinStats};
-use faq_semiring::{AggDomain, AggId, SemiringElem};
+use crate::exec::PolicySource;
+use crate::insideout::{run_fresh, run_steps, FaqOutput, Program, Slots};
+use crate::query::{FaqError, FaqQuery};
+use faq_factor::Factor;
+use faq_hypergraph::Var;
+use faq_semiring::{AggDomain, SemiringElem};
 
-/// How a traced join step folds consecutive bindings of one group.
-#[derive(Debug, Clone, Copy)]
-enum FoldKind {
-    /// `⊕⁽ᵒᵖ⁾`-fold of eq. (7); groups folding to zero are dropped.
-    Semiring(AggId),
-    /// Guard join (eqs. (10)–(11)): every binding is its own group, nothing
-    /// is dropped.
-    Guard,
-    /// Final output join (eq. (12)): every binding its own group, zero
-    /// products dropped.
-    Output,
-}
-
-/// One filter input of a traced join step.
+/// How a node differs from its cached value while a step list runs.
 #[derive(Debug, Clone)]
-enum TraceFilter {
-    /// Lazy depth-capped prefix filter over `node`'s own trie.
-    Prefix { node: usize, depth: usize },
-    /// Materialized indicator projection: arena node `proj` is derived from
-    /// `source` and refreshed whenever `source` is dirty.
-    Proj { source: usize, proj: usize },
-    /// Plain filter over `node` (the output join's guards).
-    Plain { node: usize },
-}
-
-impl TraceFilter {
-    /// The arena node the join kernel actually reads.
-    fn input_node(&self) -> usize {
-        match *self {
-            TraceFilter::Prefix { node, .. } => node,
-            TraceFilter::Proj { proj, .. } => proj,
-            TraceFilter::Plain { node } => node,
-        }
-    }
-}
-
-/// A traced grouped join: a phase-1 semiring step, a phase-2 guard step, or
-/// the phase-3 output join.
-#[derive(Debug, Clone)]
-struct JoinStepTrace {
-    /// Eliminated variable; `None` for the final output join.
-    var: Option<Var>,
-    join_order: Vec<Var>,
-    group_arity: usize,
-    build_trie: bool,
-    fold: FoldKind,
-    /// Value inputs (arena nodes), in engine order.
-    values: Vec<usize>,
-    /// Filter inputs, in engine order (after the values).
-    filters: Vec<TraceFilter>,
-    /// Arena node the join writes.
-    output: usize,
-    /// Phase-2 only: the reduced edge `ψ_{U_k − {k}}` — the indicator
-    /// projection of the guard output onto these variables — and its node.
-    reduced: Option<(usize, Vec<Var>)>,
-}
-
-/// One step of the traced evaluation.
-#[derive(Debug, Clone)]
-enum TraceStep {
-    Join(JoinStepTrace),
-    /// A bound semiring variable with no incident edge: its scalar depends
-    /// only on the domain size, never on factor data, so replay skips it.
-    Scalar,
-    /// A product-aggregate step (eq. (8)): each live edge is rewritten
-    /// independently, `(input, output)` arena node pairs.
-    Product {
-        var: Var,
-        rewrites: Vec<(usize, usize)>,
-    },
-}
-
-/// Per-node dirty state during replay.
-#[derive(Debug, Clone)]
-enum Dirty {
+pub(crate) enum Dirty {
     Clean,
     /// Rows changed only where the node's first column lies in these sorted,
     /// disjoint, half-open ranges.
@@ -136,30 +62,59 @@ enum Dirty {
     Full,
 }
 
-/// The cached trace of one prepared query: the node arena (inputs,
-/// intermediates, guards, materialized projections, output) plus the step
-/// list that rebuilds any node from its inputs.
+/// One prepared query's kept run: the compiled step list plus every node its
+/// steps wrote (intermediates, guards, materialized projections, output).
+/// The query's own factors are not copied; steps read them by reference.
 #[derive(Debug, Clone)]
 pub(crate) struct DeltaCache<E: SemiringElem> {
-    nodes: Vec<Factor<E>>,
-    /// Arena node of each input factor slot.
-    input_nodes: Vec<usize>,
-    steps: Vec<TraceStep>,
-    /// Arena node of the output factor.
-    output: usize,
+    prog: Program,
+    slots: Slots<E>,
 }
 
 impl<E: SemiringElem> DeltaCache<E> {
+    /// Evaluate `q` along `sigma` as a fresh run does, keeping every node.
+    pub(crate) fn prime<D: AggDomain<E = E> + Sync, P: PolicySource>(
+        q: &FaqQuery<D>,
+        sigma: &[Var],
+        policies: &P,
+    ) -> Result<Self, FaqError> {
+        let (prog, slots, _) =
+            run_fresh(q, sigma, policies, /* keep */ true, /* with_output */ true)?;
+        Ok(DeltaCache { prog, slots })
+    }
+
     /// The cached output factor (the result of the latest replayed — or
     /// initial — evaluation).
     pub(crate) fn output_factor(&self) -> &Factor<E> {
-        &self.nodes[self.output]
+        self.slots[self.prog.output_step().output].as_ref().expect("primed by a full run")
+    }
+
+    /// Re-run the steps reached by a change of the factor in `slot` within
+    /// first-column `ranges` (the updated factor is already installed in
+    /// `q`). Returns the new output plus statistics of the work the replay
+    /// actually performed — skipped (clean) steps contribute nothing, which
+    /// is the whole point. A failure leaves the arena half-updated: the
+    /// caller drops the cache.
+    pub(crate) fn replay<D: AggDomain<E = E> + Sync, P: PolicySource>(
+        &mut self,
+        q: &FaqQuery<D>,
+        policies: &P,
+        slot: usize,
+        ranges: Vec<(u32, u32)>,
+    ) -> Result<FaqOutput<E>, FaqError> {
+        debug_assert!(!ranges.is_empty(), "empty deltas are handled before replay");
+        let mut dirty = vec![Dirty::Clean; self.prog.nodes];
+        dirty[slot] =
+            if q.factors[slot].arity() == 0 { Dirty::Full } else { Dirty::Ranges(ranges) };
+        let upto = self.prog.steps.len();
+        let stats = run_steps(q, policies, &self.prog, upto, &mut self.slots, &mut dirty, true)?;
+        Ok(FaqOutput { factor: self.output_factor().clone(), stats })
     }
 }
 
 /// Union of two sorted, disjoint, coalesced half-open range lists — sorted,
 /// disjoint, and coalesced again (adjacent ranges merge).
-fn union_ranges(a: &[(u32, u32)], b: &[(u32, u32)]) -> Vec<(u32, u32)> {
+pub(crate) fn union_ranges(a: &[(u32, u32)], b: &[(u32, u32)]) -> Vec<(u32, u32)> {
     let mut out: Vec<(u32, u32)> = Vec::with_capacity(a.len() + b.len());
     let (mut i, mut j) = (0usize, 0usize);
     let push = |out: &mut Vec<(u32, u32)>, r: (u32, u32)| match out.last_mut() {
@@ -227,562 +182,19 @@ fn diff_first_ranges<E: SemiringElem>(old: &Factor<E>, new: &Factor<E>) -> Vec<(
     out
 }
 
-/// The dirtiness of replacing `old` by `new`: `Clean` when identical,
-/// first-column [`Dirty::Ranges`] where they differ, `Full` for scalars
-/// (nothing to anchor a range on).
-fn narrowed_dirty<E: SemiringElem>(old: &Factor<E>, new: &Factor<E>) -> Dirty {
-    if new.arity() == 0 || old.schema() != new.schema() {
+/// The dirtiness of replacing the cached `old` by `new`: `Clean` when
+/// identical, first-column [`Dirty::Ranges`] where they differ, `Full` for
+/// scalars (nothing to anchor a range on) and when nothing was cached.
+pub(crate) fn narrowed_dirty<E: SemiringElem>(old: Option<&Factor<E>>, new: &Factor<E>) -> Dirty {
+    let Some(old) = old.filter(|old| new.arity() > 0 && old.schema() == new.schema()) else {
         return Dirty::Full;
-    }
+    };
     let rs = diff_first_ranges(old, new);
     if rs.is_empty() {
         Dirty::Clean
     } else {
         Dirty::Ranges(rs)
     }
-}
-
-/// Run the traced evaluation: the same elimination as
-/// [`crate::insideout::insideout_with_order`] along `sigma`, but with every
-/// factor the engine touches parked in the arena and every step recorded.
-///
-/// Bit-identity with the untraced engine holds because both run the *same*
-/// kernels ([`grouped_join`], [`product_rewrite`]) over the same inputs in
-/// the same order; the differential suite in `tests/delta_equivalence.rs`
-/// checks it across semirings and thread counts.
-pub(crate) fn traced_eval<D: AggDomain + Sync, P: PolicySource>(
-    q: &FaqQuery<D>,
-    sigma: &[Var],
-    policies: &P,
-) -> Result<DeltaCache<D::E>, FaqError> {
-    q.validate()?;
-    q.check_ordering(sigma)?;
-    let f = q.free.len();
-    let dom = &q.domain;
-    let sigma_pos = |v: Var| -> usize { sigma.iter().position(|&s| s == v).expect("var in sigma") };
-
-    let mut nodes: Vec<Factor<D::E>> = q.factors.clone();
-    let input_nodes: Vec<usize> = (0..nodes.len()).collect();
-    let mut live: Vec<usize> = (0..nodes.len()).collect();
-    let mut steps: Vec<TraceStep> = Vec::new();
-
-    // ---- Phase 1: bound variables, innermost first (mirrors
-    // `run_elimination_with_source`).
-    for k in (f..sigma.len()).rev() {
-        let var = sigma[k];
-        match q.agg_of(var).expect("bound variable has an aggregate") {
-            VarAgg::Semiring(op) => {
-                let (incident, rest): (Vec<usize>, Vec<usize>) =
-                    live.iter().partition(|&&i| nodes[i].schema().contains(&var));
-                if incident.is_empty() {
-                    // ⊕-sum of |Dom| ones: data-independent, replay skips it.
-                    let size = q.domains.size(var);
-                    let mut acc = dom.one();
-                    for _ in 1..size {
-                        acc = dom.add(op, &acc, &dom.one());
-                    }
-                    let scalar = if dom.is_zero(&acc) || size == 0 {
-                        Factor::nullary(None)
-                    } else {
-                        Factor::nullary(Some(acc))
-                    };
-                    let out = nodes.len();
-                    nodes.push(scalar);
-                    live = rest;
-                    live.push(out);
-                    steps.push(TraceStep::Scalar);
-                    continue;
-                }
-                let mut u: VarSet = VarSet::new();
-                for &i in &incident {
-                    u.extend(nodes[i].schema().iter().copied());
-                }
-                let mut join_order: Vec<Var> = u.iter().copied().filter(|&x| x != var).collect();
-                join_order.sort_by_key(|&v| sigma_pos(v));
-                let group_arity = join_order.len();
-                join_order.push(var);
-
-                let filters = trace_filters(&mut nodes, &rest, &u, &join_order, dom);
-                let inputs = trace_inputs(&nodes, &incident, &filters);
-                let (new_factor, _) = grouped_join(
-                    policies.policy_for(var),
-                    &q.domains,
-                    &join_order,
-                    &inputs,
-                    &dom.one(),
-                    group_arity,
-                    true,
-                    &|a, b| dom.mul(a, b),
-                    &|a, b| dom.add(op, a, b),
-                    &|x| dom.is_zero(x),
-                )?;
-                drop(inputs);
-                let out = nodes.len();
-                nodes.push(new_factor);
-                live = rest;
-                live.push(out);
-                steps.push(TraceStep::Join(JoinStepTrace {
-                    var: Some(var),
-                    join_order,
-                    group_arity,
-                    build_trie: true,
-                    fold: FoldKind::Semiring(op),
-                    values: incident,
-                    filters,
-                    output: out,
-                    reduced: None,
-                }));
-            }
-            VarAgg::Product => {
-                let mut rewrites: Vec<(usize, usize)> = Vec::with_capacity(live.len());
-                let mut new_live: Vec<usize> = Vec::with_capacity(live.len());
-                for &i in &live {
-                    let rewritten = product_rewrite(q, var, &nodes[i]);
-                    let out = nodes.len();
-                    nodes.push(rewritten);
-                    rewrites.push((i, out));
-                    new_live.push(out);
-                }
-                live = new_live;
-                steps.push(TraceStep::Product { var, rewrites });
-            }
-        }
-    }
-
-    // ---- Phase 2: free variables under 01-OR, recording guards.
-    let ef_nodes: Vec<usize> = live.clone();
-    let mut guard_nodes: Vec<usize> = Vec::new();
-    for k in (0..f).rev() {
-        let var = sigma[k];
-        let incident: Vec<usize> =
-            live.iter().copied().filter(|&i| nodes[i].schema().contains(&var)).collect();
-        if incident.is_empty() {
-            continue;
-        }
-        let mut u: VarSet = VarSet::new();
-        for &i in &incident {
-            u.extend(nodes[i].schema().iter().copied());
-        }
-        let mut join_order: Vec<Var> = u.iter().copied().collect();
-        join_order.sort_by_key(|&v| sigma_pos(v));
-
-        // Every live edge touching U joins the guard as a filter.
-        let filters = trace_filters(&mut nodes, &live, &u, &join_order, dom);
-        let inputs = trace_inputs(&nodes, &[], &filters);
-        let (guard, _) = grouped_join(
-            policies.policy_for(var),
-            &q.domains,
-            &join_order,
-            &inputs,
-            &dom.one(),
-            join_order.len(),
-            true,
-            &|a, b| dom.mul(a, b),
-            &|a: &D::E, _: &D::E| a.clone(),
-            &|_| false,
-        )?;
-        drop(inputs);
-        let reduced_vars: Vec<Var> = join_order.iter().copied().filter(|&x| x != var).collect();
-        let new_edge = guard.indicator_projection(&reduced_vars, dom.one());
-        let guard_node = nodes.len();
-        nodes.push(guard);
-        let reduced_node = nodes.len();
-        nodes.push(new_edge);
-        guard_nodes.push(guard_node);
-        let group_arity = join_order.len();
-        steps.push(TraceStep::Join(JoinStepTrace {
-            var: Some(var),
-            join_order,
-            group_arity,
-            build_trie: true,
-            fold: FoldKind::Guard,
-            values: Vec::new(),
-            filters,
-            output: guard_node,
-            reduced: Some((reduced_node, reduced_vars)),
-        }));
-        live = live
-            .iter()
-            .copied()
-            .filter(|i| !incident.contains(i))
-            .chain(std::iter::once(reduced_node))
-            .collect();
-    }
-
-    // ---- Phase 3: the final OutsideIn join over eq. (12).
-    let free_order: Vec<Var> = sigma[..f].to_vec();
-    let filters: Vec<TraceFilter> =
-        guard_nodes.iter().map(|&node| TraceFilter::Plain { node }).collect();
-    let inputs = trace_inputs(&nodes, &ef_nodes, &filters);
-    let (factor, _) = grouped_join(
-        policies.output_policy(),
-        &q.domains,
-        &free_order,
-        &inputs,
-        &dom.one(),
-        free_order.len(),
-        false,
-        &|a, b| dom.mul(a, b),
-        &|a: &D::E, _: &D::E| a.clone(),
-        &|x| dom.is_zero(x),
-    )?;
-    drop(inputs);
-    let output = nodes.len();
-    let group_arity = free_order.len();
-    nodes.push(factor);
-    steps.push(TraceStep::Join(JoinStepTrace {
-        var: None,
-        join_order: free_order,
-        group_arity,
-        build_trie: false,
-        fold: FoldKind::Output,
-        values: ef_nodes,
-        filters,
-        output,
-        reduced: None,
-    }));
-
-    Ok(DeltaCache { nodes, input_nodes, steps, output })
-}
-
-/// Plan the filter inputs of a traced step over `edges` (arena node ids),
-/// mirroring [`crate::insideout::plan_filters`]: edges overlapping `u` join
-/// lazily where their surviving columns are a join-order-compatible prefix,
-/// and materialize an indicator projection — parked as a fresh arena node so
-/// replay can refresh it — otherwise.
-fn trace_filters<D: AggDomain>(
-    nodes: &mut Vec<Factor<D::E>>,
-    edges: &[usize],
-    u: &VarSet,
-    join_order: &[Var],
-    dom: &D,
-) -> Vec<TraceFilter> {
-    let mut filters: Vec<TraceFilter> = Vec::new();
-    for &i in edges {
-        let e = &nodes[i];
-        if e.arity() == 0 || !e.schema().iter().any(|v| u.contains(v)) {
-            continue;
-        }
-        match prefix_filter_depth(e.schema(), join_order) {
-            Some(depth) => filters.push(TraceFilter::Prefix { node: i, depth }),
-            None => {
-                let proj = e.indicator_projection(join_order, dom.one());
-                let pid = nodes.len();
-                nodes.push(proj);
-                filters.push(TraceFilter::Proj { source: i, proj: pid });
-            }
-        }
-    }
-    filters
-}
-
-/// Realize a traced step's inputs against the arena: value inputs first, then
-/// filters, matching the engine's input order exactly.
-fn trace_inputs<'a, E: SemiringElem>(
-    nodes: &'a [Factor<E>],
-    values: &[usize],
-    filters: &[TraceFilter],
-) -> Vec<JoinInput<'a, E>> {
-    let mut inputs: Vec<JoinInput<'a, E>> = Vec::with_capacity(values.len() + filters.len());
-    for &i in values {
-        inputs.push(JoinInput::value(&nodes[i]));
-    }
-    for f in filters {
-        inputs.push(match *f {
-            TraceFilter::Prefix { node, depth } => JoinInput::prefix_filter(&nodes[node], depth),
-            TraceFilter::Proj { proj, .. } => JoinInput::filter(&nodes[proj]),
-            TraceFilter::Plain { node } => JoinInput::filter(&nodes[node]),
-        });
-    }
-    inputs
-}
-
-/// Execute one traced join step, either in full (over the whole domain of the
-/// first join variable, via the plan's own policy — chunked across threads
-/// exactly like the initial run) or restricted to the given anchor ranges
-/// (sequential, one kernel invocation per range, streamed into one builder —
-/// bit-identical to the matching slice of a full run because no fold group
-/// spans a first-column boundary).
-#[allow(clippy::too_many_arguments)]
-fn exec_join<E: SemiringElem>(
-    policy: &ExecPolicy,
-    domains: &Domains,
-    join_order: &[Var],
-    group_arity: usize,
-    build_trie: bool,
-    inputs: &[JoinInput<'_, E>],
-    one: &E,
-    mul: &(impl Fn(&E, &E) -> E + Sync),
-    fold: &(impl Fn(&E, &E) -> E + Sync),
-    is_zero: &(impl Fn(&E) -> bool + Sync),
-    restriction: Option<&[(u32, u32)]>,
-) -> Result<(Factor<E>, JoinStats), FaqError> {
-    match restriction {
-        None => grouped_join(
-            policy,
-            domains,
-            join_order,
-            inputs,
-            one,
-            group_arity,
-            build_trie,
-            mul,
-            fold,
-            is_zero,
-        ),
-        Some(ranges) => {
-            let schema: Vec<Var> = join_order[..group_arity].to_vec();
-            let mut out = FactorBuilder::new(schema).expect("join-order variables are distinct");
-            let mut stats = JoinStats::default();
-            for &range in ranges {
-                let s = grouped_join_range(
-                    policy.rep,
-                    domains,
-                    join_order,
-                    inputs,
-                    range,
-                    one,
-                    group_arity,
-                    |a, b| mul(a, b),
-                    |a, b| fold(a, b),
-                    |x| is_zero(x),
-                    &mut out,
-                );
-                stats.matches += s.matches;
-                stats.seeks += s.seeks;
-                stats.nodes += s.nodes;
-            }
-            Ok((out.finish(), stats))
-        }
-    }
-}
-
-/// Replay the trace after the factor in `slot` changed within `ranges` (the
-/// updated factor is already installed in `q`). Returns the new output plus
-/// statistics of the work the replay actually performed — skipped (clean)
-/// steps contribute nothing, which is the whole point.
-pub(crate) fn replay<D: AggDomain + Sync, P: PolicySource>(
-    cache: &mut DeltaCache<D::E>,
-    q: &FaqQuery<D>,
-    policies: &P,
-    slot: usize,
-    ranges: Vec<(u32, u32)>,
-) -> Result<FaqOutput<D::E>, FaqError> {
-    debug_assert!(!ranges.is_empty(), "empty deltas are handled before replay");
-    let dom = &q.domain;
-    let mut stats = ElimStats::default();
-    let mut dirty: Vec<Dirty> = vec![Dirty::Clean; cache.nodes.len()];
-
-    let in_node = cache.input_nodes[slot];
-    cache.nodes[in_node] = q.factors[slot].clone();
-    dirty[in_node] =
-        if cache.nodes[in_node].arity() == 0 { Dirty::Full } else { Dirty::Ranges(ranges) };
-
-    let steps = std::mem::take(&mut cache.steps);
-    for step in &steps {
-        match step {
-            TraceStep::Scalar => {} // data-independent, never dirty
-            TraceStep::Product { var, rewrites } => {
-                let mut rows_out = 0usize;
-                let mut touched = false;
-                for &(input, output) in rewrites {
-                    if matches!(dirty[input], Dirty::Clean) {
-                        continue;
-                    }
-                    touched = true;
-                    let rewritten = product_rewrite(q, *var, &cache.nodes[input]);
-                    rows_out = rows_out.max(rewritten.len());
-                    // Marginalization drops the (last) eliminated column and
-                    // powering is point-wise, so first-column ranges carry —
-                    // unless the output collapsed to a scalar.
-                    let d = match (&dirty[input], rewritten.arity()) {
-                        (Dirty::Ranges(rs), a) if a > 0 => Dirty::Ranges(rs.clone()),
-                        // Fully-dirty input: fall back to diffing the
-                        // rewritten node against its cached predecessor.
-                        _ => narrowed_dirty(&cache.nodes[output], &rewritten),
-                    };
-                    dirty[output] = d;
-                    cache.nodes[output] = rewritten;
-                }
-                if touched {
-                    stats.record(StepStat {
-                        var: *var,
-                        semiring: false,
-                        u_size: 0,
-                        rows_out,
-                        join: None,
-                    });
-                }
-            }
-            TraceStep::Join(js) => {
-                // Refresh materialized projections whose source changed; the
-                // projection keeps its source's leading column whenever that
-                // column survives, so range dirtiness carries over.
-                for f in &js.filters {
-                    if let TraceFilter::Proj { source, proj } = *f {
-                        if matches!(dirty[source], Dirty::Clean) {
-                            continue;
-                        }
-                        let new_proj =
-                            cache.nodes[source].indicator_projection(&js.join_order, dom.one());
-                        let d = match &dirty[source] {
-                            Dirty::Ranges(rs)
-                                if cache.nodes[source].schema().first()
-                                    == js.join_order.first()
-                                    && new_proj.arity() > 0 =>
-                            {
-                                Dirty::Ranges(rs.clone())
-                            }
-                            // Source ranges don't carry: diff the refreshed
-                            // projection against the cached one instead of
-                            // pessimizing to `Full`.
-                            _ => narrowed_dirty(&cache.nodes[proj], &new_proj),
-                        };
-                        cache.nodes[proj] = new_proj;
-                        dirty[proj] = d;
-                    }
-                }
-
-                let in_nodes: Vec<usize> = js
-                    .values
-                    .iter()
-                    .copied()
-                    .chain(js.filters.iter().map(TraceFilter::input_node))
-                    .collect();
-                if in_nodes.iter().all(|&n| matches!(dirty[n], Dirty::Clean)) {
-                    continue; // cached output is still exact
-                }
-
-                // Restriction: legal only when every dirty input's changes
-                // anchor on the step's first join variable.
-                let j0 = js.join_order.first();
-                let mut restriction: Option<Vec<(u32, u32)>> =
-                    if js.group_arity == 0 { None } else { Some(Vec::new()) };
-                for &n in &in_nodes {
-                    match &dirty[n] {
-                        Dirty::Clean => {}
-                        Dirty::Full => restriction = None,
-                        Dirty::Ranges(rs) => {
-                            if cache.nodes[n].schema().first() == j0 {
-                                if let Some(acc) = restriction.as_mut() {
-                                    *acc = union_ranges(acc, rs);
-                                }
-                            } else {
-                                restriction = None;
-                            }
-                        }
-                    }
-                    if restriction.is_none() {
-                        break;
-                    }
-                }
-
-                let inputs = trace_inputs(&cache.nodes, &js.values, &js.filters);
-                let policy = match js.var {
-                    Some(v) => policies.policy_for(v),
-                    None => policies.output_policy(),
-                };
-                let (new_out, join_stats) = match js.fold {
-                    FoldKind::Semiring(op) => exec_join(
-                        policy,
-                        &q.domains,
-                        &js.join_order,
-                        js.group_arity,
-                        js.build_trie,
-                        &inputs,
-                        &dom.one(),
-                        &|a, b| dom.mul(a, b),
-                        &|a, b| dom.add(op, a, b),
-                        &|x| dom.is_zero(x),
-                        restriction.as_deref(),
-                    )?,
-                    FoldKind::Guard => exec_join(
-                        policy,
-                        &q.domains,
-                        &js.join_order,
-                        js.group_arity,
-                        js.build_trie,
-                        &inputs,
-                        &dom.one(),
-                        &|a, b| dom.mul(a, b),
-                        &|a: &D::E, _: &D::E| a.clone(),
-                        &|_| false,
-                        restriction.as_deref(),
-                    )?,
-                    FoldKind::Output => exec_join(
-                        policy,
-                        &q.domains,
-                        &js.join_order,
-                        js.group_arity,
-                        js.build_trie,
-                        &inputs,
-                        &dom.one(),
-                        &|a, b| dom.mul(a, b),
-                        &|a: &D::E, _: &D::E| a.clone(),
-                        &|x| dom.is_zero(x),
-                        restriction.as_deref(),
-                    )?,
-                };
-                drop(inputs);
-
-                match restriction {
-                    None => {
-                        // Whole-step recompute — but a delta anchored on a
-                        // non-leading column usually leaves most of this
-                        // step's output unchanged. Diff new against cached on
-                        // the first column so downstream steps can splice the
-                        // changed ranges instead of recomputing in full too
-                        // (the final output step has no downstream reader, so
-                        // skip the diff there).
-                        if let Some((rnode, rvars)) = &js.reduced {
-                            let r_new = new_out.indicator_projection(rvars, dom.one());
-                            dirty[*rnode] = narrowed_dirty(&cache.nodes[*rnode], &r_new);
-                            cache.nodes[*rnode] = r_new;
-                        }
-                        dirty[js.output] = if matches!(js.fold, FoldKind::Output) {
-                            Dirty::Full
-                        } else {
-                            narrowed_dirty(&cache.nodes[js.output], &new_out)
-                        };
-                        cache.nodes[js.output] = new_out;
-                    }
-                    Some(rs) => {
-                        // The recomputed slice covers exactly the dirty
-                        // ranges; splice it over the cached rows. The reduced
-                        // edge is a prefix projection, so the same ranges
-                        // anchor its splice too.
-                        if let Some((rnode, rvars)) = &js.reduced {
-                            let r_repl = new_out.indicator_projection(rvars, dom.one());
-                            let spliced = cache.nodes[*rnode].splice_by_first(&rs, &r_repl);
-                            cache.nodes[*rnode] = spliced;
-                            dirty[*rnode] = Dirty::Ranges(rs.clone());
-                        }
-                        let spliced = cache.nodes[js.output].splice_by_first(&rs, &new_out);
-                        cache.nodes[js.output] = spliced;
-                        dirty[js.output] = Dirty::Ranges(rs);
-                    }
-                }
-
-                let rows_out = cache.nodes[js.output].len();
-                match js.var {
-                    Some(var) => stats.record(StepStat {
-                        var,
-                        semiring: true,
-                        u_size: js.join_order.len(),
-                        rows_out,
-                        join: Some(join_stats),
-                    }),
-                    None => {
-                        stats.max_intermediate = stats.max_intermediate.max(rows_out);
-                        stats.output_join = Some(join_stats);
-                    }
-                }
-            }
-        }
-    }
-    cache.steps = steps;
-
-    Ok(FaqOutput { factor: cache.nodes[cache.output].clone(), stats })
 }
 
 #[cfg(test)]
@@ -808,9 +220,10 @@ mod tests {
         let new = f(vec![(vec![0, 0], 1), (vec![2, 1], 6), (vec![4, 2], 8), (vec![5, 0], 9)]);
         assert_eq!(diff_first_ranges(&old, &new), vec![(2, 3), (4, 6)]);
         assert!(diff_first_ranges(&old, &old).is_empty());
-        assert!(matches!(narrowed_dirty(&old, &old), Dirty::Clean));
-        assert!(matches!(narrowed_dirty(&old, &new), Dirty::Ranges(_)));
+        assert!(matches!(narrowed_dirty(Some(&old), &old), Dirty::Clean));
+        assert!(matches!(narrowed_dirty(Some(&old), &new), Dirty::Ranges(_)));
         let s = Factor::nullary(Some(3u64));
-        assert!(matches!(narrowed_dirty(&s, &s), Dirty::Full));
+        assert!(matches!(narrowed_dirty(Some(&s), &s), Dirty::Full));
+        assert!(matches!(narrowed_dirty(None, &old), Dirty::Full));
     }
 }

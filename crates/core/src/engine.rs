@@ -1,12 +1,11 @@
-//! The unified evaluation facade: one [`Engine`] in front of every way to run
-//! a query.
+//! The evaluation facade: one [`Engine`] in front of every way to run a
+//! query.
 //!
-//! Historically the crate grew four public entry points — [`crate::insideout::insideout`],
-//! [`crate::insideout::insideout_with_order`], [`crate::exec::insideout_par`] /
-//! [`crate::exec::insideout_par_with_order`] — plus the planned serving path
-//! ([`crate::plan::Planner`] → [`PreparedQuery`]). They are all the same
-//! engine under different amounts of configuration, so this module collapses
-//! them behind one builder-style handle:
+//! One-shot evaluation (sequential or on a worker pool) and the planned
+//! serving path ([`crate::plan::Planner`] → [`PreparedQuery`]) are the same
+//! engine — the compiled step list of [`mod@crate::insideout`] — under
+//! different amounts of configuration, so one builder-style handle fronts
+//! them all:
 //!
 //! ```
 //! use faq_core::{Engine, FaqQuery, VarAgg};
@@ -34,13 +33,9 @@
 //! let prepared = Engine::new().threads(2).prepare(&q).unwrap();
 //! assert_eq!(prepared.evaluate().unwrap().factor, out.factor);
 //! ```
-//!
-//! The legacy free functions remain as thin delegating wrappers (their docs
-//! say so), so existing callers keep working; new code should construct an
-//! `Engine`.
 
 use crate::exec::ExecPolicy;
-use crate::insideout::{insideout_with_policy, FaqOutput};
+use crate::insideout::FaqOutput;
 use crate::plan::{PlanCache, Planner, PreparedQuery, QueryPlan};
 use crate::query::{FaqError, FaqQuery};
 use faq_hypergraph::Var;
@@ -78,8 +73,7 @@ impl Engine {
 
     /// An engine pinned to sequential execution (one thread everywhere) —
     /// exactly the paper's Algorithm 1. Constructed without probing the
-    /// host's parallelism, so the legacy sequential wrappers stay free of
-    /// per-call syscalls.
+    /// host's parallelism.
     pub fn sequential() -> Engine {
         Engine {
             policy: ExecPolicy::sequential(),
@@ -141,7 +135,10 @@ impl Engine {
 
     /// Evaluate `q` with its own variable ordering under the engine's policy.
     ///
-    /// Bit-identical to the sequential engine for every thread count.
+    /// Bit-identical to the sequential engine for every thread count. The
+    /// factors of `q` are borrowed, not copied: a trie index a join builds
+    /// lazily lands on (and stays cached in) the caller's factors, exactly as
+    /// [`Planner::plan`] leaves it there on purpose.
     pub fn evaluate<D: AggDomain + Sync>(
         &self,
         q: &FaqQuery<D>,
@@ -150,15 +147,20 @@ impl Engine {
         self.evaluate_with_order(q, &sigma)
     }
 
-    /// Evaluate `q` along a caller-chosen ordering `sigma` (same contract as
-    /// [`crate::insideout::insideout_with_order`]: a permutation of the
-    /// query's variables, free variables first, ϕ-equivalent).
+    /// Evaluate `q` along a caller-chosen ordering `sigma`, borrowing the
+    /// factors like [`Engine::evaluate`].
+    ///
+    /// `sigma` must be a permutation of the query's variables with the free
+    /// variables first. **Semantic** equivalence of the ordering (membership
+    /// in `EVO(ϕ)`, paper §5.4) is the caller's contract — validate with
+    /// [`crate::evo::is_equivalent_ordering`] or obtain orderings from
+    /// [`crate::width`].
     pub fn evaluate_with_order<D: AggDomain + Sync>(
         &self,
         q: &FaqQuery<D>,
         sigma: &[Var],
     ) -> Result<FaqOutput<D::E>, FaqError> {
-        insideout_with_policy(q, sigma, &self.policy)
+        crate::insideout::evaluate(q, sigma, &self.policy)
     }
 
     /// Plan `q` with the engine's planner (no prepared inputs — use
@@ -185,7 +187,6 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::insideout::insideout;
     use crate::query::VarAgg;
     use faq_factor::{Domains, Factor};
     use faq_hypergraph::v;
@@ -216,22 +217,16 @@ mod tests {
     }
 
     #[test]
-    fn engine_matches_legacy_entry_points() {
+    fn engine_policy_variants_agree() {
         let q = triangle(1, 70);
-        let reference = insideout(&q).unwrap();
+        let reference = Engine::sequential().evaluate(&q).unwrap();
         for engine in [
-            Engine::sequential(),
             Engine::new().threads(4).min_chunk_rows(1),
             Engine::with_policy(ExecPolicy::with_threads(2)),
             Engine::new().rep(JoinRep::Listing),
         ] {
             assert_eq!(engine.evaluate(&q).unwrap().factor, reference.factor);
         }
-        let sigma = q.ordering();
-        assert_eq!(
-            Engine::sequential().evaluate_with_order(&q, &sigma).unwrap().factor,
-            reference.factor
-        );
     }
 
     #[test]
@@ -244,7 +239,13 @@ mod tests {
         let pb = engine.prepare(&b).unwrap();
         assert_eq!(cache.len(), 1, "same shape + size class → one cached plan");
         assert!(Arc::ptr_eq(&pa.plan_arc(), &pb.plan_arc()));
-        assert_eq!(pa.evaluate().unwrap().factor, insideout(&a).unwrap().factor);
-        assert_eq!(pb.evaluate().unwrap().factor, insideout(&b).unwrap().factor);
+        assert_eq!(
+            pa.evaluate().unwrap().factor,
+            Engine::sequential().evaluate(&a).unwrap().factor
+        );
+        assert_eq!(
+            pb.evaluate().unwrap().factor,
+            Engine::sequential().evaluate(&b).unwrap().factor
+        );
     }
 }

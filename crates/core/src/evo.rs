@@ -428,7 +428,7 @@ mod tests {
     /// accepted side, which is the soundness-critical one).
     #[test]
     fn accepted_orderings_evaluate_identically() {
-        use crate::insideout::insideout_with_order;
+        use crate::engine::Engine;
         use crate::query::{FaqQuery, VarAgg};
         use faq_factor::{Domains, Factor};
         use faq_semiring::CountDomain;
@@ -469,7 +469,7 @@ mod tests {
             let reference = crate::naive::naive_eval(&q);
             for p in permutations(&[1, 2, 3]) {
                 if is_equivalent_ordering(&shape, &p) {
-                    let got = insideout_with_order(&q, &p).unwrap();
+                    let got = Engine::sequential().evaluate_with_order(&q, &p).unwrap();
                     assert_eq!(got.factor, reference, "accepted order {p:?} differs");
                 }
             }

@@ -37,13 +37,12 @@
 //! searches each visit their own root, so node/seek totals can exceed the
 //! sequential counts.
 
-use crate::insideout::FaqOutput;
-use crate::query::{FaqError, FaqQuery};
+use crate::query::FaqError;
 use faq_factor::fault::{self, AbortCtl, QueryAbort};
 use faq_factor::{Domains, Factor, FactorBuilder};
 use faq_hypergraph::Var;
 use faq_join::{multiway_join_range_rep, JoinInput, JoinStats};
-use faq_semiring::{AggDomain, SemiringElem};
+use faq_semiring::SemiringElem;
 
 pub use faq_factor::{CancelToken, Deadline};
 pub use faq_join::JoinRep;
@@ -112,12 +111,6 @@ impl ExecPolicy {
         }
     }
 
-    /// This policy with the join kernels walking `rep`.
-    pub fn with_rep(mut self, rep: JoinRep) -> ExecPolicy {
-        self.rep = rep;
-        self
-    }
-
     /// This policy with up to `n` worker threads (clamped to ≥ 1).
     pub fn threads(mut self, n: usize) -> ExecPolicy {
         self.threads = n.max(1);
@@ -144,8 +137,7 @@ impl ExecPolicy {
         self
     }
 
-    /// This policy with the join kernels walking `rep` (alias of
-    /// [`ExecPolicy::with_rep`], matching the other builder setters).
+    /// This policy with the join kernels walking `rep`.
     pub fn rep(mut self, rep: JoinRep) -> ExecPolicy {
         self.rep = rep;
         self
@@ -221,36 +213,6 @@ impl PolicySource for ExecPolicy {
     fn output_policy(&self) -> &ExecPolicy {
         self
     }
-}
-
-/// Run InsideOut under an execution policy with the query's own ordering.
-///
-/// Bit-identical to [`crate::insideout::insideout`] for every semiring and
-/// thread count; only run statistics may differ.
-///
-/// **Legacy entry point**: a thin wrapper over
-/// [`Engine::with_policy(..).evaluate(q)`](crate::engine::Engine).
-pub fn insideout_par<D: AggDomain + Sync>(
-    q: &FaqQuery<D>,
-    policy: &ExecPolicy,
-) -> Result<FaqOutput<D::E>, FaqError> {
-    let sigma = q.ordering();
-    insideout_par_with_order(q, &sigma, policy)
-}
-
-/// Run InsideOut under an execution policy along a caller-chosen ordering.
-///
-/// `sigma` carries the same contract as
-/// [`crate::insideout::insideout_with_order`].
-///
-/// **Legacy entry point**: a thin wrapper over
-/// [`Engine::with_policy(..).evaluate_with_order(q, sigma)`](crate::engine::Engine).
-pub fn insideout_par_with_order<D: AggDomain + Sync>(
-    q: &FaqQuery<D>,
-    sigma: &[Var],
-    policy: &ExecPolicy,
-) -> Result<FaqOutput<D::E>, FaqError> {
-    crate::insideout::insideout_with_policy(q, sigma, policy)
 }
 
 /// One elimination-step join: enumerate matches of `inputs` under `order`,
@@ -466,8 +428,8 @@ pub(crate) fn grouped_join<E: SemiringElem>(
 /// outputs — emitted straight into the caller's flat builder. The only
 /// per-group state is one reusable key buffer; nothing is allocated per row.
 ///
-/// `pub(crate)` because the incremental engine ([`crate::delta`]) replays
-/// elimination steps over just the delta's anchor ranges: it invokes this
+/// `pub(crate)` because a restricted step replay ([`crate::delta`]) runs an
+/// elimination step over just the delta's anchor ranges: it invokes this
 /// kernel once per changed range, in ascending range order, into one builder
 /// — which is bit-identical to the matching slice of a full run, since no
 /// fold group ever spans two ranges.
@@ -523,8 +485,8 @@ pub(crate) fn grouped_join_range<E: SemiringElem>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::insideout::insideout;
-    use crate::query::VarAgg;
+    use crate::engine::Engine;
+    use crate::query::{FaqQuery, VarAgg};
     use faq_factor::{Domains, Factor};
     use faq_hypergraph::v;
     use faq_semiring::{CountDomain, RealDomain};
@@ -569,7 +531,7 @@ mod tests {
     fn parallel_matches_sequential_counting() {
         for seed in 0..8 {
             let q = random_query(seed, 60);
-            let seq = insideout(&q).unwrap();
+            let seq = Engine::sequential().evaluate(&q).unwrap();
             for threads in [1usize, 2, 4] {
                 for min_chunk in [0usize, 1, 7, usize::MAX] {
                     let policy = ExecPolicy {
@@ -579,7 +541,7 @@ mod tests {
                         deadline: None,
                         cancel: None,
                     };
-                    let par = insideout_par(&q, &policy).unwrap();
+                    let par = Engine::with_policy(policy).evaluate(&q).unwrap();
                     assert_eq!(
                         par.factor, seq.factor,
                         "seed {seed} threads {threads} min_chunk {min_chunk}"
@@ -615,18 +577,16 @@ mod tests {
             vec![mk(0, 1), mk(1, 2), mk(0, 2)],
         )
         .unwrap();
-        let seq = insideout(&q).unwrap();
+        let seq = Engine::sequential().evaluate(&q).unwrap();
         for threads in [2usize, 3, 4] {
-            let par = insideout_par(
-                &q,
-                &ExecPolicy {
-                    threads,
-                    min_chunk_rows: 1,
-                    rep: JoinRep::default(),
-                    deadline: None,
-                    cancel: None,
-                },
-            )
+            let par = Engine::with_policy(ExecPolicy {
+                threads,
+                min_chunk_rows: 1,
+                rep: JoinRep::default(),
+                deadline: None,
+                cancel: None,
+            })
+            .evaluate(&q)
             .unwrap();
             assert_eq!(par.factor, seq.factor, "threads {threads}");
         }
@@ -653,17 +613,15 @@ mod tests {
             .unwrap()],
         )
         .unwrap();
-        let seq = insideout(&q).unwrap();
-        let par = insideout_par(
-            &q,
-            &ExecPolicy {
-                threads: 4,
-                min_chunk_rows: 1,
-                rep: JoinRep::default(),
-                deadline: None,
-                cancel: None,
-            },
-        )
+        let seq = Engine::sequential().evaluate(&q).unwrap();
+        let par = Engine::with_policy(ExecPolicy {
+            threads: 4,
+            min_chunk_rows: 1,
+            rep: JoinRep::default(),
+            deadline: None,
+            cancel: None,
+        })
+        .evaluate(&q)
         .unwrap();
         assert_eq!(par.factor, seq.factor);
         assert_eq!(par.scalar(), seq.scalar());

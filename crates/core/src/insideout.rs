@@ -1,4 +1,4 @@
-//! InsideOut — Algorithm 1 of the paper.
+//! InsideOut — Algorithm 1 of the paper, as one compiled step list.
 //!
 //! Variable elimination, innermost aggregate first. For a semiring aggregate
 //! `⊕⁽ᵏ⁾` the intermediate factor
@@ -24,14 +24,35 @@
 //! final OutsideIn joins the surviving value factors with all guards, so every
 //! backtracking branch extends to a real output tuple (Yannakakis' algorithm
 //! re-emerges; the output phase costs `O~(‖ϕ‖)`).
+//!
+//! # One program, three readers
+//!
+//! Which factors a step joins, in which column order, which survivors join as
+//! lazy prefix filters and which as materialized projections, and what schema
+//! the step writes are all decided by the factor schemas, the aggregates and
+//! σ — no row is read to decide them. `compile` makes that decision once,
+//! as a `Program`: a list of `Step`s over arena node ids (the input factors
+//! first, then every factor a step writes). `exec_step` executes one step.
+//! Everything else reads the list:
+//!
+//! * a fresh evaluation ([`crate::Engine::evaluate`],
+//!   [`crate::PreparedQuery::evaluate`]) runs every step and drops each node
+//!   after its last reader;
+//! * [`crate::PreparedQuery::apply_delta`] keeps the nodes of that same run
+//!   ([`crate::delta`]) and re-runs only the steps a change reaches — a fresh
+//!   run is the replay in which every input is wholly dirty and no node is
+//!   cached yet;
+//! * [`run_elimination`] is the run stopped before the output step;
+//! * the planner's cost model ([`crate::plan`]) reads each join step's
+//!   variable and join order off the list.
 
-use crate::exec::{grouped_join, ExecPolicy, PolicySource};
+use crate::delta::{narrowed_dirty, union_ranges, Dirty};
+use crate::exec::{grouped_join, grouped_join_range, ExecPolicy, PolicySource};
 use crate::query::{FaqError, FaqQuery, VarAgg};
-use faq_factor::fault;
-use faq_factor::Factor;
-use faq_hypergraph::{Var, VarSet};
+use faq_factor::{fault, Factor, FactorBuilder};
+use faq_hypergraph::Var;
 use faq_join::{JoinInput, JoinStats};
-use faq_semiring::{AggDomain, AggId};
+use faq_semiring::{AggDomain, AggId, SemiringElem};
 
 /// Per-elimination-step statistics.
 #[derive(Debug, Clone)]
@@ -52,7 +73,9 @@ pub struct StepStat {
     /// the same currency so [`ElimStats::total_seeks`] covers every step:
     /// `seeks` = listing rows read (marginalization group scans plus
     /// point-wise powering reads), `nodes` = rows written across the
-    /// rewritten factors, `matches` = rows of the largest rewritten factor.
+    /// rewritten factors, `matches` = rows of the largest marginalized
+    /// factor. After a delta only the factors the step actually rewrote
+    /// count.
     pub join: Option<JoinStats>,
 }
 
@@ -68,7 +91,7 @@ pub struct ElimStats {
 }
 
 impl ElimStats {
-    pub(crate) fn record(&mut self, s: StepStat) {
+    fn record(&mut self, s: StepStat) {
         self.max_intermediate = self.max_intermediate.max(s.rows_out);
         self.steps.push(s);
     }
@@ -85,7 +108,7 @@ impl ElimStats {
 
 /// The result of an InsideOut run.
 #[derive(Debug, Clone)]
-pub struct FaqOutput<E: faq_semiring::SemiringElem> {
+pub struct FaqOutput<E: SemiringElem> {
     /// The output function over the free variables, in listing representation
     /// (nullary when the query has no free variables).
     pub factor: Factor<E>,
@@ -93,7 +116,7 @@ pub struct FaqOutput<E: faq_semiring::SemiringElem> {
     pub stats: ElimStats,
 }
 
-impl<E: faq_semiring::SemiringElem> FaqOutput<E> {
+impl<E: SemiringElem> FaqOutput<E> {
     /// The scalar value of a query with no free variables. `None` encodes the
     /// semiring zero (empty listing).
     pub fn scalar(&self) -> Option<&E> {
@@ -106,24 +129,11 @@ impl<E: faq_semiring::SemiringElem> FaqOutput<E> {
     }
 }
 
-/// Run InsideOut with the query's own variable ordering.
-///
-/// Sequential execution; [`crate::exec::insideout_par`] is the parallel
-/// engine (bit-identical output). `D: Sync` is required because both paths
-/// share one implementation — every domain in this workspace satisfies it.
-///
-/// **Legacy entry point**: a thin wrapper over
-/// [`Engine::sequential().evaluate(q)`](crate::engine::Engine) — new code
-/// should construct an [`crate::engine::Engine`].
-pub fn insideout<D: AggDomain + Sync>(q: &FaqQuery<D>) -> Result<FaqOutput<D::E>, FaqError> {
-    crate::engine::Engine::sequential().evaluate(q)
-}
-
 /// Everything InsideOut has computed after the bound- and free-variable
 /// elimination phases, i.e. the factorized form of the output (paper §8.4):
 /// the surviving value factors `E_f` plus the guard factors `ψ_{U_k}`.
 #[derive(Debug, Clone)]
-pub struct EliminationArtifacts<E: faq_semiring::SemiringElem> {
+pub struct EliminationArtifacts<E: SemiringElem> {
     /// The free variables in output order.
     pub free_order: Vec<Var>,
     /// The value factors remaining after bound-variable elimination.
@@ -134,429 +144,301 @@ pub struct EliminationArtifacts<E: faq_semiring::SemiringElem> {
     pub stats: ElimStats,
 }
 
-/// Run InsideOut along a caller-chosen variable ordering `sigma`.
-///
-/// `sigma` must be a permutation of the query's variables with the free
-/// variables first. **Semantic** equivalence of the ordering (membership in
-/// `EVO(ϕ)`, paper §5.4) is the caller's contract — validate with
-/// [`crate::evo::is_equivalent_ordering`] or obtain orderings from
-/// [`crate::width`].
-///
-/// **Legacy entry point**: a thin wrapper over
-/// [`Engine::sequential().evaluate_with_order(q, sigma)`](crate::engine::Engine).
-pub fn insideout_with_order<D: AggDomain + Sync>(
-    q: &FaqQuery<D>,
-    sigma: &[Var],
-) -> Result<FaqOutput<D::E>, FaqError> {
-    crate::engine::Engine::sequential().evaluate_with_order(q, sigma)
-}
-
-/// Run InsideOut along `sigma` under an execution policy — the shared
-/// implementation behind [`insideout_with_order`] (sequential policy) and
-/// [`crate::exec::insideout_par_with_order`].
-pub(crate) fn insideout_with_policy<D: AggDomain + Sync>(
-    q: &FaqQuery<D>,
-    sigma: &[Var],
-    policy: &ExecPolicy,
-) -> Result<FaqOutput<D::E>, FaqError> {
-    insideout_with_source(q, sigma, policy)
-}
-
-/// Run `f` with the policy source's abort controls (deadline / cancel token)
-/// installed on this thread, converting a raised [`fault::QueryAbort`] —
-/// storage failure, deadline, cancellation — into the matching typed
-/// [`FaqError`]. Every evaluation entry point funnels through this guard, so
-/// no abort unwinds past the engine boundary. Nested installs are fine: the
-/// inner guard restores the outer controls on drop.
-pub(crate) fn with_abort_guard<P: PolicySource, R>(
-    policies: &P,
-    f: impl FnOnce() -> Result<R, FaqError>,
-) -> Result<R, FaqError> {
-    let _g = fault::install_ctl(policies.abort_ctl());
-    match fault::catch_abort(f) {
-        Ok(r) => r,
-        Err(abort) => Err(abort.into()),
-    }
-}
-
-/// [`insideout_with_policy`] over an arbitrary per-step [`PolicySource`] —
-/// the entry point of plan-driven execution ([`crate::plan::QueryPlan`]).
-pub(crate) fn insideout_with_source<D: AggDomain + Sync, P: PolicySource>(
-    q: &FaqQuery<D>,
-    sigma: &[Var],
-    policies: &P,
-) -> Result<FaqOutput<D::E>, FaqError> {
-    with_abort_guard(policies, || insideout_with_source_inner(q, sigma, policies))
-}
-
-fn insideout_with_source_inner<D: AggDomain + Sync, P: PolicySource>(
-    q: &FaqQuery<D>,
-    sigma: &[Var],
-    policies: &P,
-) -> Result<FaqOutput<D::E>, FaqError> {
-    let art = run_elimination_with_source(q, sigma, policies)?;
-    let dom = &q.domain;
-    let mut stats = art.stats;
-
-    // ---- Phase 3: final OutsideIn over expression (12): value factors of E_f
-    // joined with all guards (filters).
-    let mut inputs: Vec<JoinInput<'_, D::E>> = Vec::new();
-    for e in &art.ef_edges {
-        inputs.push(JoinInput::value(e));
-    }
-    for g in &art.guards {
-        inputs.push(JoinInput::filter(g));
-    }
-    // The output factor is not an intermediate — nothing joins it next — so
-    // no streaming trie: the flat builder path alone replaces the former
-    // sort-and-dedup (`Factor::new` + expect) construction.
-    let (factor, join_stats) = grouped_join(
-        policies.output_policy(),
-        &q.domains,
-        &art.free_order,
-        &inputs,
-        &dom.one(),
-        art.free_order.len(),
-        false,
-        &|a, b| dom.mul(a, b),
-        &|a: &D::E, _: &D::E| a.clone(),
-        &|x| dom.is_zero(x),
-    )?;
-    stats.output_join = Some(join_stats);
-    Ok(FaqOutput { factor, stats })
-}
-
-/// Run phases 1–2 of InsideOut: eliminate bound variables, then free
-/// variables under the 01-OR semiring, returning the factorized artifacts.
-pub fn run_elimination<D: AggDomain + Sync>(
-    q: &FaqQuery<D>,
-    sigma: &[Var],
-) -> Result<EliminationArtifacts<D::E>, FaqError> {
-    run_elimination_with_policy(q, sigma, &ExecPolicy::sequential())
-}
-
-/// [`run_elimination`] under an execution policy: every elimination join —
-/// semiring steps and the free-variable guard joins — is chunked across the
-/// policy's worker pool. Artifacts are bit-identical to the sequential run.
-pub fn run_elimination_with_policy<D: AggDomain + Sync>(
-    q: &FaqQuery<D>,
-    sigma: &[Var],
-    policy: &ExecPolicy,
-) -> Result<EliminationArtifacts<D::E>, FaqError> {
-    run_elimination_with_source(q, sigma, policy)
-}
-
-/// [`run_elimination_with_policy`] over an arbitrary per-step
-/// [`PolicySource`], so a [`crate::plan::QueryPlan`] can fix every step's
-/// policy individually.
-pub(crate) fn run_elimination_with_source<D: AggDomain + Sync, P: PolicySource>(
-    q: &FaqQuery<D>,
-    sigma: &[Var],
-    policies: &P,
-) -> Result<EliminationArtifacts<D::E>, FaqError> {
-    with_abort_guard(policies, || run_elimination_with_source_inner(q, sigma, policies))
-}
-
-fn run_elimination_with_source_inner<D: AggDomain + Sync, P: PolicySource>(
-    q: &FaqQuery<D>,
-    sigma: &[Var],
-    policies: &P,
-) -> Result<EliminationArtifacts<D::E>, FaqError> {
-    q.validate()?;
-    q.check_ordering(sigma)?;
-    let f = q.free.len();
-    let dom = &q.domain;
-    let mut stats = ElimStats::default();
-
-    let sigma_pos = |v: Var| -> usize { sigma.iter().position(|&s| s == v).expect("var in sigma") };
-
-    // Current edge set: one factor per live hyperedge.
-    let mut edges: Vec<Factor<D::E>> = q.factors.clone();
-
-    // ---- Phase 1: eliminate bound variables, innermost (last in sigma) first.
-    for k in (f..sigma.len()).rev() {
-        let var = sigma[k];
-        let agg = q.agg_of(var).expect("bound variable has an aggregate");
-        match agg {
-            VarAgg::Semiring(op) => {
-                let step = eliminate_semiring(
-                    q,
-                    policies.policy_for(var),
-                    &mut edges,
-                    var,
-                    op,
-                    &sigma_pos,
-                )?;
-                stats.record(step);
-            }
-            VarAgg::Product => {
-                let step = eliminate_product(q, &mut edges, var);
-                stats.record(step);
-            }
-        }
-    }
-
-    // ---- Phase 2: eliminate free variables under the 01-OR semiring,
-    // recording guards (paper eqs. (10)–(11)).
-    let ef_edges: Vec<Factor<D::E>> = edges.clone();
-    let mut guards: Vec<Factor<D::E>> = Vec::new();
-    for k in (0..f).rev() {
-        let var = sigma[k];
-        let incident: Vec<usize> =
-            (0..edges.len()).filter(|&i| edges[i].schema().contains(&var)).collect();
-        if incident.is_empty() {
-            continue; // free variable constrained by nothing
-        }
-        let mut u: VarSet = VarSet::new();
-        for &i in &incident {
-            u.extend(edges[i].schema().iter().copied());
-        }
-        let mut join_order: Vec<Var> = u.iter().copied().collect();
-        join_order.sort_by_key(|&v| sigma_pos(v));
-
-        // ψ_{U_k}: join of the indicator projections of every edge touching
-        // U. Edges whose surviving columns are a sigma-compatible prefix of
-        // their schema join lazily (a depth-capped cursor over their own
-        // cached trie); only the rest materialize a projection.
-        let (filters, projections) = plan_filters(&edges, &u, &join_order, dom);
-        let inputs = filter_inputs(&filters, &edges, &projections);
-        // All inputs are filters, so every match's value is `1`: the grouped
-        // join (group = full binding, no zero filter) lists the join support.
-        // The guard is joined again by the final output phase, so its trie is
-        // grown while its rows stream out.
-        let (guard, join_stats) = grouped_join(
-            policies.policy_for(var),
-            &q.domains,
-            &join_order,
-            &inputs,
-            &dom.one(),
-            join_order.len(),
-            true,
-            &|a, b| dom.mul(a, b),
-            &|a: &D::E, _: &D::E| a.clone(),
-            &|_| false,
-        )?;
-        let reduced: Vec<Var> = join_order.iter().copied().filter(|&x| x != var).collect();
-        let new_edge = guard.indicator_projection(&reduced, dom.one());
-        stats.record(StepStat {
-            var,
-            semiring: true,
-            u_size: u.len(),
-            rows_out: guard.len(),
-            join: Some(join_stats),
-        });
-        guards.push(guard);
-
-        // E_{k−1} = (E_k − ∂(k)) ∪ {U_k − {k}}.
-        let mut kept: Vec<Factor<D::E>> = Vec::with_capacity(edges.len());
-        for (i, e) in edges.drain(..).enumerate() {
-            if !incident.contains(&i) {
-                kept.push(e);
-            }
-        }
-        kept.push(new_edge);
-        edges = kept;
-    }
-
-    Ok(EliminationArtifacts { free_order: sigma[..f].to_vec(), ef_edges, guards, stats })
-}
-
-/// Eliminate a semiring-aggregated variable (paper eq. (7)).
-fn eliminate_semiring<D: AggDomain + Sync>(
-    q: &FaqQuery<D>,
-    policy: &ExecPolicy,
-    edges: &mut Vec<Factor<D::E>>,
-    var: Var,
-    op: AggId,
-    sigma_pos: &dyn Fn(Var) -> usize,
-) -> Result<StepStat, FaqError> {
-    let dom = &q.domain;
-    let (incident, rest): (Vec<_>, Vec<_>) =
-        edges.drain(..).partition(|e: &Factor<D::E>| e.schema().contains(&var));
-
-    if incident.is_empty() {
-        // ⊕⁽ᵏ⁾ over x_k of an expression not involving x_k multiplies the
-        // query by the |Dom|-fold ⊕-sum of 1.
-        let size = q.domains.size(var);
-        let mut acc = dom.one();
-        for _ in 1..size {
-            acc = dom.add(op, &acc, &dom.one());
-        }
-        let scalar = if dom.is_zero(&acc) || size == 0 {
-            Factor::nullary(None)
-        } else {
-            Factor::nullary(Some(acc))
-        };
-        *edges = rest;
-        edges.push(scalar);
-        return Ok(StepStat { var, semiring: true, u_size: 0, rows_out: 1, join: None });
-    }
-
-    let mut u: VarSet = VarSet::new();
-    for e in &incident {
-        u.extend(e.schema().iter().copied());
-    }
-    // Join order: U − {var} by sigma position, the eliminated variable last.
-    let mut join_order: Vec<Var> = u.iter().copied().filter(|&x| x != var).collect();
-    join_order.sort_by_key(|&v| sigma_pos(v));
-    let group_arity = join_order.len();
-    join_order.push(var);
-
-    // Indicator projections of surviving edges that overlap U (eq. (7)) —
-    // lazy depth-capped cursors over the edges' own tries wherever the
-    // surviving columns form a sigma-compatible prefix, materialized
-    // projections otherwise.
-    let (filters, projections) = plan_filters(&rest, &u, &join_order, dom);
-
-    let mut inputs: Vec<JoinInput<'_, D::E>> = Vec::new();
-    for e in &incident {
-        inputs.push(JoinInput::value(e));
-    }
-    inputs.extend(filter_inputs(&filters, &rest, &projections));
-
-    // Stream-aggregate over the innermost variable: the join emits bindings in
-    // lexicographic order of `join_order`, so rows sharing the group prefix
-    // are consecutive — per chunk under a parallel policy, with chunk outputs
-    // appended back in sorted order. The intermediate is joined by the next
-    // elimination step, so its trie index is grown while rows stream out.
-    let (new_factor, join_stats) = grouped_join(
-        policy,
-        &q.domains,
-        &join_order,
-        &inputs,
-        &dom.one(),
-        group_arity,
-        true,
-        &|a, b| dom.mul(a, b),
-        &|a, b| dom.add(op, a, b),
-        &|x| dom.is_zero(x),
-    )?;
-    let rows_out = new_factor.len();
-
-    *edges = rest;
-    edges.push(new_factor);
-    Ok(StepStat { var, semiring: true, u_size: u.len(), rows_out, join: Some(join_stats) })
-}
-
-/// How one surviving edge participates in an elimination join as a filter.
+/// How a join step folds consecutive bindings of one group.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum FilterPlan {
-    /// `Lazy(i, k)`: edge `i` joins through [`JoinInput::prefix_filter`] at
-    /// depth `k` — its first `k` columns are exactly the columns surviving
-    /// the indicator projection, already in join order, so its own (cached)
-    /// trie doubles as the projection's index.
-    Lazy(usize, usize),
-    /// `Materialized(j)`: the projection had to be materialized; `j` indexes
-    /// the side table of materialized projections.
-    Materialized(usize),
+pub(crate) enum FoldKind {
+    /// `⊕⁽ᵒᵖ⁾`-fold of eq. (7); groups folding to zero are dropped.
+    Semiring(AggId),
+    /// Guard join (eqs. (10)–(11)): every binding is its own group, nothing
+    /// is dropped.
+    Guard,
+    /// Final output join (eq. (12)): every binding its own group, zero
+    /// products dropped.
+    Output,
 }
 
-/// Split the edges overlapping `u` into lazy prefix filters and materialized
-/// indicator projections, preserving edge order (cursor order is part of the
-/// engine's deterministic seek accounting).
-pub(crate) fn plan_filters<D: AggDomain>(
-    edges: &[Factor<D::E>],
-    u: &VarSet,
-    join_order: &[Var],
-    dom: &D,
-) -> (Vec<FilterPlan>, Vec<Factor<D::E>>) {
-    let mut filters: Vec<FilterPlan> = Vec::new();
-    let mut projections: Vec<Factor<D::E>> = Vec::new();
-    for (i, e) in edges.iter().enumerate() {
-        if e.arity() == 0 || !e.schema().iter().any(|v| u.contains(v)) {
-            continue;
-        }
-        match prefix_filter_depth(e.schema(), join_order) {
-            Some(depth) => filters.push(FilterPlan::Lazy(i, depth)),
-            None => {
-                filters.push(FilterPlan::Materialized(projections.len()));
-                projections.push(e.indicator_projection(join_order, dom.one()));
-            }
+/// One filter input of a join step.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum StepFilter {
+    /// Lazy depth-capped prefix filter over `node`'s own trie: its first
+    /// `depth` columns are exactly the columns surviving the indicator
+    /// projection, already in join order.
+    Prefix { node: usize, depth: usize },
+    /// Materialized indicator projection: node `proj` is derived from
+    /// `source` by this step, and refreshed whenever `source` is dirty.
+    Proj { source: usize, proj: usize },
+    /// Plain filter over `node` (the output join's guards).
+    Plain { node: usize },
+}
+
+impl StepFilter {
+    /// The node the join kernel reads.
+    pub(crate) fn input_node(&self) -> usize {
+        match *self {
+            StepFilter::Prefix { node, .. } | StepFilter::Plain { node } => node,
+            StepFilter::Proj { proj, .. } => proj,
         }
     }
-    (filters, projections)
+
+    /// The node an earlier step (or the query) wrote.
+    fn source_node(&self) -> usize {
+        match *self {
+            StepFilter::Proj { source, .. } => source,
+            _ => self.input_node(),
+        }
+    }
 }
 
-/// Realize planned filters as join inputs, in plan order — the one place the
-/// [`FilterPlan`] variants map onto [`JoinInput`] constructors.
-pub(crate) fn filter_inputs<'a, E: faq_semiring::SemiringElem>(
-    filters: &[FilterPlan],
-    edges: &'a [Factor<E>],
-    projections: &'a [Factor<E>],
-) -> Vec<JoinInput<'a, E>> {
-    filters
-        .iter()
-        .map(|f| match *f {
-            FilterPlan::Lazy(i, depth) => JoinInput::prefix_filter(&edges[i], depth),
-            FilterPlan::Materialized(j) => JoinInput::filter(&projections[j]),
+/// A grouped join: a bound semiring step, a free-variable guard step, or the
+/// final output join.
+#[derive(Debug, Clone)]
+pub(crate) struct JoinStep {
+    /// Eliminated variable; `None` for the final output join.
+    pub(crate) var: Option<Var>,
+    /// `U_k` by σ position; the eliminated variable is innermost in σ among
+    /// the live variables, so it comes last.
+    pub(crate) join_order: Vec<Var>,
+    /// Leading columns of `join_order` that key a fold group (and form the
+    /// schema of `output`).
+    pub(crate) group_arity: usize,
+    pub(crate) fold: FoldKind,
+    /// Value inputs, in edge order.
+    pub(crate) values: Vec<usize>,
+    /// Filter inputs, in edge order (after the values): cursor order is part
+    /// of the engine's deterministic seek accounting.
+    pub(crate) filters: Vec<StepFilter>,
+    /// Node the join writes.
+    pub(crate) output: usize,
+    /// Guard steps only: the node of the reduced edge `ψ_{U_k − {k}}`, the
+    /// indicator projection of `output` onto `join_order` minus its last
+    /// variable.
+    pub(crate) reduced: Option<usize>,
+}
+
+/// One step of the compiled elimination.
+#[derive(Debug, Clone)]
+pub(crate) enum Step {
+    /// A grouped join.
+    Join(JoinStep),
+    /// A bound semiring variable in no live edge: `⊕⁽ᵒᵖ⁾` over `x_k` of an
+    /// expression not involving `x_k` multiplies the query by the
+    /// `|Dom|`-fold `⊕`-sum of `1` — a scalar that depends on no factor data.
+    Scalar { var: Var, op: AggId, output: usize },
+    /// A product-aggregate step (eq. (8)): every live edge is rewritten on
+    /// its own, `(input, output)` node pairs.
+    Product { var: Var, rewrites: Vec<(usize, usize)> },
+}
+
+impl Step {
+    /// Every node the step reads: what earlier steps (or the query) wrote,
+    /// plus the projections it materializes for itself.
+    fn reads(&self) -> Vec<usize> {
+        match self {
+            Step::Scalar { .. } => Vec::new(),
+            Step::Product { rewrites, .. } => rewrites.iter().map(|&(input, _)| input).collect(),
+            Step::Join(js) => js
+                .values
+                .iter()
+                .copied()
+                .chain(js.filters.iter().flat_map(|f| [f.source_node(), f.input_node()]))
+                .collect(),
+        }
+    }
+}
+
+/// σ compiled against a query's schemas: the steps of Algorithm 1 in
+/// execution order, the final output join last.
+#[derive(Debug, Clone)]
+pub(crate) struct Program {
+    pub(crate) steps: Vec<Step>,
+    /// Arena size: the query's factors (node `i` is `q.factors[i]`, read by
+    /// reference) followed by every node a step writes.
+    pub(crate) nodes: usize,
+}
+
+impl Program {
+    /// The join steps, in execution order.
+    pub(crate) fn joins(&self) -> impl Iterator<Item = &JoinStep> {
+        self.steps.iter().filter_map(|s| match s {
+            Step::Join(js) => Some(js),
+            _ => None,
         })
-        .collect()
+    }
+
+    /// The final output join (eq. (12)): its values are `E_f`, its filters
+    /// the guards.
+    pub(crate) fn output_step(&self) -> &JoinStep {
+        match self.steps.last() {
+            Some(Step::Join(js)) => js,
+            _ => unreachable!("compile ends every program with the output join"),
+        }
+    }
 }
 
 /// The depth `k` at which joining `schema[..k]` as a lazy prefix filter is
 /// equivalent to materializing the indicator projection onto `join_order`:
 /// the schema columns surviving the projection must be exactly `schema[..k]`
 /// (a prefix), already in `join_order`-relative order. `None` otherwise — the
-/// caller falls back to materialization.
-pub(crate) fn prefix_filter_depth(schema: &[Var], join_order: &[Var]) -> Option<usize> {
+/// step materializes the projection.
+fn prefix_filter_depth(schema: &[Var], join_order: &[Var]) -> Option<usize> {
     let pos = |v: &Var| join_order.iter().position(|o| o == v);
     let k = schema.iter().take_while(|v| pos(v).is_some()).count();
     if k == 0 || schema[k..].iter().any(|v| pos(v).is_some()) {
         return None; // surviving columns are not a schema prefix
     }
-    let mut prev: Option<usize> = None;
-    for v in &schema[..k] {
-        let p = pos(v).expect("validated by the prefix scan");
-        if prev.is_some_and(|q| q >= p) {
-            return None; // prefix not in join-order-relative order
-        }
-        prev = Some(p);
-    }
-    Some(k)
+    let in_order = schema[..k].windows(2).all(|w| pos(&w[0]) < pos(&w[1]));
+    in_order.then_some(k)
 }
 
-/// Eliminate a product-aggregated variable (paper eq. (8)).
-fn eliminate_product<D: AggDomain>(
-    q: &FaqQuery<D>,
-    edges: &mut Vec<Factor<D::E>>,
-    var: Var,
-) -> StepStat {
-    let mut u_size = 0usize;
-    let mut rows_out = 0usize;
-    // Oracle-model work of the step (see [`StepStat::join`]): every listing
-    // row the step reads counts as one conditional query, so product steps
-    // contribute to `ElimStats::total_seeks` like every other step.
-    let mut work = JoinStats::default();
-    let old = std::mem::take(edges);
-    for e in old {
-        work.seeks += e.len() as u64;
-        if e.schema().contains(&var) {
-            u_size = u_size.max(e.arity());
-            let m = product_rewrite(q, var, &e);
-            rows_out = rows_out.max(m.len());
-            work.nodes += m.len() as u64;
-            edges.push(m);
-        } else {
-            let powered = product_rewrite(q, var, &e);
-            work.nodes += powered.len() as u64;
-            edges.push(powered);
+/// Compile Algorithm 1 along `sigma` (a checked ordering of `q`): one walk
+/// over σ, innermost variable first, with the three branches of the paper's
+/// loop — semiring step eq. (7), product step eq. (8), free-variable guard
+/// eqs. (10)–(11) — and the output join eq. (12).
+///
+/// Reads the factor *schemas*, the free count and the aggregates only, so it
+/// is cheap enough for the planner to call per candidate ordering.
+pub(crate) fn compile<D: AggDomain>(q: &FaqQuery<D>, sigma: &[Var]) -> Program {
+    let f = q.free.len();
+    let pos = |v: Var| sigma.iter().position(|&s| s == v).expect("var in sigma");
+    // Schema of every node so far, and the nodes of the current edge set.
+    let mut schemas: Vec<Vec<Var>> = q.factors.iter().map(|fac| fac.schema().to_vec()).collect();
+    let mut live: Vec<usize> = (0..schemas.len()).collect();
+    let mut steps: Vec<Step> = Vec::with_capacity(sigma.len() + 1);
+
+    // U_k of the edges `incident` to the variable being eliminated, by σ
+    // position. Every variable after it in σ is already gone from the live
+    // edges, so the eliminated variable sorts last.
+    let join_order_of = |schemas: &[Vec<Var>], incident: &[usize]| {
+        let mut order: Vec<Var> = Vec::new();
+        for &i in incident {
+            for &v in &schemas[i] {
+                if !order.contains(&v) {
+                    order.push(v);
+                }
+            }
+        }
+        order.sort_by_key(|&v| pos(v));
+        order
+    };
+    // The indicator projections `ψ_{S/U_k}` of `edges` overlapping U_k, in
+    // edge order: lazy wherever the surviving columns form a σ-compatible
+    // prefix, a materialized projection (a fresh node) otherwise.
+    let filters_of = |schemas: &mut Vec<Vec<Var>>, edges: &[usize], join_order: &[Var]| {
+        let mut filters: Vec<StepFilter> = Vec::new();
+        for &node in edges {
+            if !schemas[node].iter().any(|v| join_order.contains(v)) {
+                continue;
+            }
+            filters.push(match prefix_filter_depth(&schemas[node], join_order) {
+                Some(depth) => StepFilter::Prefix { node, depth },
+                None => {
+                    let kept =
+                        schemas[node].iter().copied().filter(|v| join_order.contains(v)).collect();
+                    schemas.push(kept);
+                    StepFilter::Proj { source: node, proj: schemas.len() - 1 }
+                }
+            });
+        }
+        filters
+    };
+
+    // Bound variables, innermost (last in σ) first.
+    for k in (f..sigma.len()).rev() {
+        let var = sigma[k];
+        match q.agg_of(var).expect("bound variable has an aggregate") {
+            VarAgg::Semiring(op) => {
+                let (incident, rest): (Vec<usize>, Vec<usize>) =
+                    live.iter().partition(|&&i| schemas[i].contains(&var));
+                live = rest;
+                if incident.is_empty() {
+                    steps.push(Step::Scalar { var, op, output: schemas.len() });
+                    schemas.push(Vec::new());
+                } else {
+                    let join_order = join_order_of(&schemas, &incident);
+                    let filters = filters_of(&mut schemas, &live, &join_order);
+                    let group_arity = join_order.len() - 1;
+                    schemas.push(join_order[..group_arity].to_vec());
+                    steps.push(Step::Join(JoinStep {
+                        var: Some(var),
+                        join_order,
+                        group_arity,
+                        fold: FoldKind::Semiring(op),
+                        values: incident,
+                        filters,
+                        output: schemas.len() - 1,
+                        reduced: None,
+                    }));
+                }
+                live.push(schemas.len() - 1);
+            }
+            VarAgg::Product => {
+                // Marginalization drops the variable's column, powering keeps
+                // the schema.
+                let mut rewrites: Vec<(usize, usize)> = Vec::with_capacity(live.len());
+                for node in &mut live {
+                    let kept = schemas[*node].iter().copied().filter(|&v| v != var).collect();
+                    schemas.push(kept);
+                    rewrites.push((*node, schemas.len() - 1));
+                    *node = schemas.len() - 1;
+                }
+                steps.push(Step::Product { var, rewrites });
+            }
         }
     }
-    work.matches = rows_out as u64;
-    StepStat { var, semiring: false, u_size, rows_out, join: Some(work) }
+
+    // Free variables under the 01-OR semiring, recording guards. Every live
+    // edge touching U_k joins the guard as a filter, so every match's value
+    // is `1` and the join lists the support of `ψ_{U_k}`.
+    let ef = live.clone();
+    let mut guards: Vec<StepFilter> = Vec::new();
+    for k in (0..f).rev() {
+        let var = sigma[k];
+        let incident: Vec<usize> =
+            live.iter().copied().filter(|&i| schemas[i].contains(&var)).collect();
+        if incident.is_empty() {
+            continue; // free variable constrained by nothing
+        }
+        let join_order = join_order_of(&schemas, &incident);
+        let filters = filters_of(&mut schemas, &live, &join_order);
+        let output = schemas.len();
+        schemas.push(join_order.clone());
+        schemas.push(join_order[..join_order.len() - 1].to_vec());
+        guards.push(StepFilter::Plain { node: output });
+        // E_{k−1} = (E_k − ∂(k)) ∪ {U_k − {k}}.
+        live.retain(|i| !incident.contains(i));
+        live.push(output + 1);
+        steps.push(Step::Join(JoinStep {
+            var: Some(var),
+            group_arity: join_order.len(),
+            join_order,
+            fold: FoldKind::Guard,
+            values: Vec::new(),
+            filters,
+            output,
+            reduced: Some(output + 1),
+        }));
+    }
+
+    // The final OutsideIn over expression (12): the value factors of E_f
+    // joined with all guards.
+    schemas.push(sigma[..f].to_vec());
+    steps.push(Step::Join(JoinStep {
+        var: None,
+        join_order: sigma[..f].to_vec(),
+        group_arity: f,
+        fold: FoldKind::Output,
+        values: ef,
+        filters: guards,
+        output: schemas.len() - 1,
+        reduced: None,
+    }));
+    Program { steps, nodes: schemas.len() }
 }
 
 /// The per-edge rewrite of a product-aggregate step (eq. (8)): marginalize
 /// edges containing `var`, power the rest point-wise by `|Dom(X_k)|` (skipping
 /// `⊗`-idempotent values — Definition 5.2 / Algorithm 1 line 17).
-///
-/// Shared by [`eliminate_product`] and the incremental replay engine
-/// ([`crate::delta`]), so both paths rewrite an edge bit-identically.
-pub(crate) fn product_rewrite<D: AggDomain>(
-    q: &FaqQuery<D>,
-    var: Var,
-    e: &Factor<D::E>,
-) -> Factor<D::E> {
+fn product_rewrite<D: AggDomain>(q: &FaqQuery<D>, var: Var, e: &Factor<D::E>) -> Factor<D::E> {
     let dom = &q.domain;
     if e.schema().contains(&var) {
         e.marginalize_product(var, q.domains.size(var), |a, b| dom.mul(a, b), |x| dom.is_zero(x))
@@ -569,9 +451,384 @@ pub(crate) fn product_rewrite<D: AggDomain>(
     }
 }
 
+/// The `|Dom(X_k)|`-fold `⊕⁽ᵒᵖ⁾`-sum of `1` of a [`Step::Scalar`].
+fn scalar_sum<D: AggDomain>(q: &FaqQuery<D>, var: Var, op: AggId) -> Factor<D::E> {
+    let dom = &q.domain;
+    let size = q.domains.size(var);
+    let mut acc = dom.one();
+    for _ in 1..size {
+        acc = dom.add(op, &acc, &dom.one());
+    }
+    Factor::nullary((size > 0 && !dom.is_zero(&acc)).then_some(acc))
+}
+
+/// The node arena of one run: `None` until a step writes the node, and for
+/// the query's own factors, which [`node`] reads by reference.
+pub(crate) type Slots<E> = Vec<Option<Factor<E>>>;
+
+fn node<'a, E: SemiringElem>(
+    inputs: &'a [Factor<E>],
+    slots: &'a [Option<Factor<E>>],
+    i: usize,
+) -> &'a Factor<E> {
+    inputs.get(i).unwrap_or_else(|| slots[i].as_ref().expect("steps read nodes already written"))
+}
+
+/// Run one join step's kernel over `inputs`: in full (over the whole domain
+/// of the first join variable, under `policy` — chunked across threads) or
+/// restricted to the given anchor ranges (sequential, one kernel invocation
+/// per range, streamed into one builder — bit-identical to the matching slice
+/// of a full run because no fold group spans a first-column boundary).
+fn run_join<D: AggDomain + Sync>(
+    q: &FaqQuery<D>,
+    policy: &ExecPolicy,
+    js: &JoinStep,
+    inputs: &[JoinInput<'_, D::E>],
+    restriction: Option<&[(u32, u32)]>,
+) -> Result<(Factor<D::E>, JoinStats), FaqError> {
+    let dom = &q.domain;
+    let one = dom.one();
+    let kind = js.fold;
+    let mul = |a: &D::E, b: &D::E| dom.mul(a, b);
+    let fold = |a: &D::E, b: &D::E| match kind {
+        FoldKind::Semiring(op) => dom.add(op, a, b),
+        _ => a.clone(),
+    };
+    let is_zero = |x: &D::E| !matches!(kind, FoldKind::Guard) && dom.is_zero(x);
+    let Some(ranges) = restriction else {
+        // Every intermediate is joined again by a later step, so its trie
+        // index is grown while its rows stream out; nothing joins the output.
+        let build_trie = !matches!(kind, FoldKind::Output);
+        return grouped_join(
+            policy,
+            &q.domains,
+            &js.join_order,
+            inputs,
+            &one,
+            js.group_arity,
+            build_trie,
+            &mul,
+            &fold,
+            &is_zero,
+        );
+    };
+    let schema = js.join_order[..js.group_arity].to_vec();
+    let mut out = FactorBuilder::new(schema).expect("join-order variables are distinct");
+    let mut stats = JoinStats::default();
+    for &range in ranges {
+        let s = grouped_join_range(
+            policy.rep,
+            &q.domains,
+            &js.join_order,
+            inputs,
+            range,
+            &one,
+            js.group_arity,
+            mul,
+            fold,
+            is_zero,
+            &mut out,
+        );
+        stats.matches += s.matches;
+        stats.seeks += s.seeks;
+        stats.nodes += s.nodes;
+    }
+    Ok((out.finish(), stats))
+}
+
+/// Execute one step against the arena — the one place a compiled step turns
+/// into factor work.
+///
+/// `dirty` says how each node differs from what `slots` cached: a step whose
+/// inputs are all clean is skipped, a join whose dirty inputs all anchor on
+/// its first join variable re-runs restricted to those ranges and splices the
+/// slice into its cached output, and anything else re-runs in full (see
+/// [`crate::delta`] for why that is sound). A fresh evaluation is the case
+/// where every input is wholly dirty and nothing is cached, so every step
+/// runs in full. Work performed is recorded in `stats`; skipped steps record
+/// nothing.
+fn exec_step<D: AggDomain + Sync, P: PolicySource>(
+    q: &FaqQuery<D>,
+    policies: &P,
+    step: &Step,
+    slots: &mut [Option<Factor<D::E>>],
+    dirty: &mut [Dirty],
+    stats: &mut ElimStats,
+) -> Result<(), FaqError> {
+    let dom = &q.domain;
+    let js = match step {
+        Step::Scalar { var, op, output } => {
+            if slots[*output].is_none() {
+                slots[*output] = Some(scalar_sum(q, *var, *op));
+                dirty[*output] = Dirty::Full;
+                stats.record(StepStat {
+                    var: *var,
+                    semiring: true,
+                    u_size: 0,
+                    rows_out: 1,
+                    join: None,
+                });
+            }
+            return Ok(());
+        }
+        Step::Product { var, rewrites } => {
+            let (mut u_size, mut rows_out, mut touched) = (0usize, 0usize, false);
+            let mut work = JoinStats::default();
+            for &(input, output) in rewrites {
+                if matches!(dirty[input], Dirty::Clean) {
+                    continue;
+                }
+                touched = true;
+                let e = node(&q.factors, slots, input);
+                let rewritten = product_rewrite(q, *var, e);
+                work.seeks += e.len() as u64;
+                work.nodes += rewritten.len() as u64;
+                if e.schema().contains(var) {
+                    u_size = u_size.max(e.arity());
+                    rows_out = rows_out.max(rewritten.len());
+                }
+                // Marginalization drops the (last) eliminated column and
+                // powering is point-wise, so first-column ranges carry —
+                // unless the output collapsed to a scalar.
+                dirty[output] = match (&dirty[input], rewritten.arity()) {
+                    (Dirty::Ranges(rs), a) if a > 0 => Dirty::Ranges(rs.clone()),
+                    _ => narrowed_dirty(slots[output].as_ref(), &rewritten),
+                };
+                slots[output] = Some(rewritten);
+            }
+            if touched {
+                work.matches = rows_out as u64;
+                stats.record(StepStat {
+                    var: *var,
+                    semiring: false,
+                    u_size,
+                    rows_out,
+                    join: Some(work),
+                });
+            }
+            return Ok(());
+        }
+        Step::Join(js) => js,
+    };
+
+    // Materialize the projections whose source changed; a projection keeps
+    // its source's leading column whenever that column survives, so range
+    // dirtiness carries over.
+    for f in &js.filters {
+        if let StepFilter::Proj { source, proj } = *f {
+            if matches!(dirty[source], Dirty::Clean) {
+                continue;
+            }
+            let src = node(&q.factors, slots, source);
+            let new_proj = src.indicator_projection(&js.join_order, dom.one());
+            dirty[proj] = match &dirty[source] {
+                Dirty::Ranges(rs)
+                    if src.schema().first() == js.join_order.first() && new_proj.arity() > 0 =>
+                {
+                    Dirty::Ranges(rs.clone())
+                }
+                // Source ranges don't carry: diff against the cached
+                // projection instead of pessimizing to `Full`.
+                _ => narrowed_dirty(slots[proj].as_ref(), &new_proj),
+            };
+            slots[proj] = Some(new_proj);
+        }
+    }
+
+    let in_nodes: Vec<usize> =
+        js.values.iter().copied().chain(js.filters.iter().map(StepFilter::input_node)).collect();
+    let cached = slots[js.output].is_some();
+    if cached && in_nodes.iter().all(|&n| matches!(dirty[n], Dirty::Clean)) {
+        return Ok(()); // cached output is still exact
+    }
+
+    // Restriction: legal only when there is a cached output to splice into
+    // and every dirty input's changes anchor on the step's first join
+    // variable.
+    let j0 = js.join_order.first();
+    let mut restriction: Option<Vec<(u32, u32)>> = (cached && js.group_arity > 0).then(Vec::new);
+    for &n in &in_nodes {
+        let Some(acc) = restriction.as_mut() else { break };
+        match &dirty[n] {
+            Dirty::Clean => {}
+            Dirty::Ranges(rs) if node(&q.factors, slots, n).schema().first() == j0 => {
+                *acc = union_ranges(acc, rs);
+            }
+            _ => restriction = None,
+        }
+    }
+
+    // Value inputs first, then filters.
+    let mut inputs: Vec<JoinInput<'_, D::E>> = Vec::with_capacity(in_nodes.len());
+    inputs.extend(js.values.iter().map(|&n| JoinInput::value(node(&q.factors, slots, n))));
+    inputs.extend(js.filters.iter().map(|f| {
+        let fac = node(&q.factors, slots, f.input_node());
+        match *f {
+            StepFilter::Prefix { depth, .. } => JoinInput::prefix_filter(fac, depth),
+            _ => JoinInput::filter(fac),
+        }
+    }));
+    let policy = js.var.map_or(policies.output_policy(), |v| policies.policy_for(v));
+    let (new_out, join_stats) = run_join(q, policy, js, &inputs, restriction.as_deref())?;
+    drop(inputs);
+
+    // The reduced edge of a guard step is a prefix projection of the guard,
+    // so whatever anchors the guard's change anchors the reduced edge's too.
+    let reduced = js.reduced.map(|rnode| {
+        let vars = &js.join_order[..js.join_order.len() - 1];
+        (rnode, new_out.indicator_projection(vars, dom.one()))
+    });
+    let is_output = matches!(js.fold, FoldKind::Output);
+    for (n, new) in reduced.into_iter().chain(std::iter::once((js.output, new_out))) {
+        (slots[n], dirty[n]) = match &restriction {
+            // Whole-step recompute — but a delta anchored on a non-leading
+            // column usually leaves most of this step's output unchanged.
+            // Diff new against cached on the first column so downstream steps
+            // can splice the changed ranges instead of recomputing in full
+            // too (nothing reads the final output, so skip the diff there).
+            None if is_output => (Some(new), Dirty::Full),
+            None => {
+                let d = narrowed_dirty(slots[n].as_ref(), &new);
+                (Some(new), d)
+            }
+            // The recomputed slice covers exactly the dirty ranges; splice it
+            // over the cached rows.
+            Some(rs) => {
+                let old = slots[n].as_ref().expect("restricted steps splice a cached node");
+                (Some(old.splice_by_first(rs, &new)), Dirty::Ranges(rs.clone()))
+            }
+        };
+    }
+
+    let rows_out = slots[js.output].as_ref().map_or(0, Factor::len);
+    match js.var {
+        Some(var) => stats.record(StepStat {
+            var,
+            semiring: true,
+            u_size: js.join_order.len(),
+            rows_out,
+            join: Some(join_stats),
+        }),
+        None => stats.output_join = Some(join_stats),
+    }
+    Ok(())
+}
+
+/// Run `prog.steps[..upto]` in order. With `keep` every node stays in `slots`
+/// for later replays; without, a node is dropped after the last step of the
+/// whole program that reads it, so a one-shot run holds only the live edges,
+/// `E_f` and the guards.
+pub(crate) fn run_steps<D: AggDomain + Sync, P: PolicySource>(
+    q: &FaqQuery<D>,
+    policies: &P,
+    prog: &Program,
+    upto: usize,
+    slots: &mut [Option<Factor<D::E>>],
+    dirty: &mut [Dirty],
+    keep: bool,
+) -> Result<ElimStats, FaqError> {
+    let mut stats = ElimStats::default();
+    let mut last_reader = vec![usize::MAX; prog.nodes];
+    if !keep {
+        for (k, step) in prog.steps.iter().enumerate() {
+            for n in step.reads() {
+                last_reader[n] = k;
+            }
+        }
+    }
+    for (k, step) in prog.steps[..upto].iter().enumerate() {
+        exec_step(q, policies, step, slots, dirty, &mut stats)?;
+        if !keep {
+            for n in step.reads() {
+                if last_reader[n] == k {
+                    slots[n] = None;
+                }
+            }
+        }
+    }
+    Ok(stats)
+}
+
+/// Run `f` with the policy source's abort controls (deadline / cancel token)
+/// installed on this thread, converting a raised [`fault::QueryAbort`] —
+/// storage failure, deadline, cancellation — into the matching typed
+/// [`FaqError`]. Every evaluation entry point funnels through this guard, so
+/// no abort unwinds past the engine boundary. Nested installs are fine: the
+/// inner guard restores the outer controls on drop.
+fn with_abort_guard<P: PolicySource, R>(
+    policies: &P,
+    f: impl FnOnce() -> Result<R, FaqError>,
+) -> Result<R, FaqError> {
+    let _g = fault::install_ctl(policies.abort_ctl());
+    match fault::catch_abort(f) {
+        Ok(r) => r,
+        Err(abort) => Err(abort.into()),
+    }
+}
+
+/// Compile `sigma` and run it from an empty arena with every input wholly
+/// dirty — every step in full — stopping before the output join when
+/// `with_output` is false. Returns the program, the arena and the statistics.
+pub(crate) fn run_fresh<D: AggDomain + Sync, P: PolicySource>(
+    q: &FaqQuery<D>,
+    sigma: &[Var],
+    policies: &P,
+    keep: bool,
+    with_output: bool,
+) -> Result<(Program, Slots<D::E>, ElimStats), FaqError> {
+    q.validate()?;
+    q.check_ordering(sigma)?;
+    let prog = compile(q, sigma);
+    let mut slots: Slots<D::E> = Vec::new();
+    slots.resize_with(prog.nodes, || None);
+    let mut dirty = vec![Dirty::Clean; prog.nodes];
+    dirty[..q.factors.len()].fill(Dirty::Full);
+    let upto = prog.steps.len() - usize::from(!with_output);
+    let stats = with_abort_guard(policies, || {
+        run_steps(q, policies, &prog, upto, &mut slots, &mut dirty, keep)
+    })?;
+    Ok((prog, slots, stats))
+}
+
+/// Evaluate `q` along `sigma` under a per-step [`PolicySource`]: the one
+/// evaluation behind [`crate::Engine`] and [`crate::PreparedQuery`].
+pub(crate) fn evaluate<D: AggDomain + Sync, P: PolicySource>(
+    q: &FaqQuery<D>,
+    sigma: &[Var],
+    policies: &P,
+) -> Result<FaqOutput<D::E>, FaqError> {
+    let (prog, mut slots, stats) =
+        run_fresh(q, sigma, policies, /* keep */ false, /* with_output */ true)?;
+    let factor = slots[prog.output_step().output].take().expect("the output join ran");
+    Ok(FaqOutput { factor, stats })
+}
+
+/// Eliminate the bound variables, then the free variables under the 01-OR
+/// semiring, and stop before the output join: the factorized artifacts of
+/// paper §8.4. Sequential; `sigma` carries the contract of
+/// [`crate::Engine::evaluate_with_order`].
+pub fn run_elimination<D: AggDomain + Sync>(
+    q: &FaqQuery<D>,
+    sigma: &[Var],
+) -> Result<EliminationArtifacts<D::E>, FaqError> {
+    let policy = ExecPolicy::sequential();
+    let (prog, mut slots, stats) =
+        run_fresh(q, sigma, &policy, /* keep */ false, /* with_output */ false)?;
+    let out = prog.output_step();
+    // Inputs that survive to E_f are the caller's factors: copy those.
+    let mut take = |n: usize| match q.factors.get(n) {
+        Some(input) => input.clone(),
+        None => slots[n].take().expect("kept for the output join"),
+    };
+    let ef_edges = out.values.iter().map(|&n| take(n)).collect();
+    let guards = out.filters.iter().map(|f| take(f.input_node())).collect();
+    Ok(EliminationArtifacts { free_order: out.join_order.clone(), ef_edges, guards, stats })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Engine;
     use faq_factor::Domains;
     use faq_hypergraph::v;
     use faq_semiring::{BoolDomain, CountDomain, RealDomain};
@@ -582,6 +839,55 @@ mod tests {
             rows.iter().map(|(r, val)| (r.to_vec(), *val)).collect(),
         )
         .unwrap()
+    }
+
+    /// Example 5.6 along its input order, derived by hand from Algorithm 1:
+    /// which `U_k` each step joins, in which column order, and which
+    /// survivors need a materialized projection.
+    #[test]
+    fn compile_example_5_6_input_order() {
+        let fac = |schema: &[u32]| {
+            Factor::new(schema.iter().map(|&i| v(i)).collect(), Vec::<(Vec<u32>, f64)>::new())
+                .unwrap()
+        };
+        let max = VarAgg::Semiring(RealDomain::MAX);
+        let q = FaqQuery::new(
+            RealDomain,
+            Domains::uniform(7, 2),
+            vec![],
+            vec![
+                (v(1), max),
+                (v(2), max),
+                (v(3), VarAgg::Product),
+                (v(4), VarAgg::Semiring(RealDomain::SUM)),
+                (v(5), max),
+                (v(6), max),
+            ],
+            vec![fac(&[1, 5]), fac(&[2, 5]), fac(&[1, 3, 4]), fac(&[2, 3, 6])],
+        )
+        .unwrap();
+        let prog = compile(&q, &q.ordering());
+        let vars = |ids: &[u32]| ids.iter().map(|&i| v(i)).collect::<Vec<Var>>();
+        let shape: Vec<_> = prog
+            .joins()
+            .map(|js| (js.var, js.join_order.clone(), js.values.len(), js.filters.clone()))
+            .collect();
+        // Nodes 0–3 are ψ15 ψ25 ψ134 ψ236; 4 and 7 are projections; 5, 6, 8
+        // the intermediates of x6, x5, x4; 9–11 the rewrites of Π₃.
+        let prefix = |node, depth| StepFilter::Prefix { node, depth };
+        let proj = |source, proj| StepFilter::Proj { source, proj };
+        let expect = vec![
+            (Some(v(6)), vars(&[2, 3, 6]), 1, vec![prefix(1, 1), proj(2, 4)]),
+            (Some(v(5)), vars(&[1, 2, 5]), 2, vec![prefix(2, 1), prefix(5, 1)]),
+            (Some(v(4)), vars(&[1, 3, 4]), 1, vec![proj(5, 7), prefix(6, 1)]),
+            (Some(v(2)), vars(&[1, 2]), 2, vec![prefix(11, 1)]),
+            (Some(v(1)), vars(&[1]), 2, vec![]),
+            (None, vars(&[]), 1, vec![]),
+        ];
+        assert_eq!(shape, expect);
+        assert!(matches!(&prog.steps[3], Step::Product { var, rewrites }
+            if *var == v(3) && rewrites == &[(5, 9), (6, 10), (8, 11)]));
+        assert_eq!(prog.nodes, 15);
     }
 
     #[test]
@@ -603,7 +909,7 @@ mod tests {
         )
         .unwrap();
         let expect = crate::naive::naive_eval(&q);
-        let got = insideout(&q).unwrap();
+        let got = Engine::sequential().evaluate(&q).unwrap();
         assert_eq!(got.factor, expect);
     }
 
@@ -625,7 +931,7 @@ mod tests {
         )
         .unwrap();
         let expect = crate::naive::naive_eval(&q);
-        let got = insideout(&q).unwrap();
+        let got = Engine::sequential().evaluate(&q).unwrap();
         assert_eq!(got.factor, expect);
     }
 
@@ -641,7 +947,7 @@ mod tests {
         )
         .unwrap();
         // x0=0: 2*3=6 ; x0=1: 4*1=4 ⇒ Σ = 10.
-        let got = insideout(&q).unwrap();
+        let got = Engine::sequential().evaluate(&q).unwrap();
         assert_eq!(got.scalar(), Some(&10));
         assert_eq!(got.factor, crate::naive::naive_eval(&q));
     }
@@ -658,7 +964,7 @@ mod tests {
         )
         .unwrap();
         // Σ_x0 ψ0(x0)^3 = 8 + 1 = 9.
-        let got = insideout(&q).unwrap();
+        let got = Engine::sequential().evaluate(&q).unwrap();
         assert_eq!(got.scalar(), Some(&9));
         assert_eq!(got.factor, crate::naive::naive_eval(&q));
     }
@@ -679,7 +985,7 @@ mod tests {
             vec![r, s],
         )
         .unwrap();
-        assert_eq!(insideout(&q).unwrap().scalar(), Some(&true));
+        assert_eq!(Engine::sequential().evaluate(&q).unwrap().scalar(), Some(&true));
     }
 
     #[test]
@@ -694,7 +1000,7 @@ mod tests {
             vec![r, s],
         )
         .unwrap();
-        let out = insideout(&q).unwrap();
+        let out = Engine::sequential().evaluate(&q).unwrap();
         assert_eq!(out.scalar(), None);
     }
 
@@ -711,7 +1017,7 @@ mod tests {
             vec![fac_u(&[0], &[(&[0], 1), (&[1], 1)])],
         )
         .unwrap();
-        assert_eq!(insideout(&q).unwrap().scalar(), Some(&6));
+        assert_eq!(Engine::sequential().evaluate(&q).unwrap().scalar(), Some(&6));
     }
 
     #[test]
@@ -734,7 +1040,7 @@ mod tests {
         .unwrap();
         let expect = crate::naive::naive_eval(&q);
         for order in [[v(0), v(1), v(2)], [v(2), v(0), v(1)], [v(1), v(2), v(0)]] {
-            let got = insideout_with_order(&q, &order).unwrap();
+            let got = Engine::sequential().evaluate_with_order(&q, &order).unwrap();
             assert_eq!(got.factor, expect, "order {order:?}");
         }
     }
@@ -764,7 +1070,7 @@ mod tests {
         )
         .unwrap();
         let expect = crate::naive::naive_eval(&q);
-        let got = insideout(&q).unwrap();
+        let got = Engine::sequential().evaluate(&q).unwrap();
         assert_eq!(got.factor, expect);
     }
 
@@ -785,7 +1091,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let out = insideout(&q).unwrap();
+        let out = Engine::sequential().evaluate(&q).unwrap();
         assert_eq!(out.stats.steps.len(), 3);
         assert!(out.stats.total_seeks() > 0);
         assert!(out.stats.max_intermediate >= 1);

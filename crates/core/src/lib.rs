@@ -10,13 +10,15 @@
 //! `(D, ⊕⁽ⁱ⁾, ⊗)` a commutative semiring) or the product `⊗` itself.
 //!
 //! Modules:
-//! * [`mod@engine`] — [`Engine`]: the unified builder-style evaluation
-//!   facade in front of the sequential engine, the parallel engine, and the
-//!   planning/serving path (the legacy free functions delegate to it);
+//! * [`mod@engine`] — [`Engine`]: the builder-style evaluation facade in
+//!   front of sequential and parallel one-shot evaluation and the
+//!   planning/serving path;
 //! * [`query`] — [`FaqQuery`]: aggregates, free variables, factors, validation;
 //! * [`naive`] — brute-force evaluation of eq. (1), the test oracle;
-//! * [`mod@insideout`] — Algorithm 1: variable elimination with indicator
-//!   projections, product aggregates, and the free-variable guard phase;
+//! * [`mod@insideout`] — Algorithm 1, once: σ compiled to a step list
+//!   (semiring, product and free-variable guard steps, the output join) and
+//!   the one executor that evaluation, delta replay and the planner's cost
+//!   model all read;
 //! * [`exprtree`] — expression trees and the precedence poset (§6);
 //! * [`evo`] — equivalent variable orderings: LinEx enumeration and the
 //!   component-wise-equivalence membership test (§6);
@@ -27,7 +29,7 @@
 //! * [`plan`] — the cost-based adaptive planner: data-driven ordering choice
 //!   (AGM bounds × factor statistics), per-step execution policies,
 //!   [`PreparedQuery`] serving handles, and a schema-keyed [`PlanCache`];
-//! * [`delta`] — incremental delta evaluation: traced intermediates plus
+//! * [`delta`] — incremental delta evaluation: the kept nodes of a run plus
 //!   range-restricted step replay behind
 //!   [`PreparedQuery::apply_delta`](plan::PreparedQuery::apply_delta);
 //! * [`output`] — factorized output representations (§8.4).
@@ -49,15 +51,9 @@ pub mod width;
 
 pub use delta::{DeltaFactor, DeltaOp};
 pub use engine::Engine;
-pub use exec::{
-    insideout_par, insideout_par_with_order, CancelToken, Deadline, ExecPolicy, JoinRep,
-    PolicySource,
-};
+pub use exec::{CancelToken, Deadline, ExecPolicy, JoinRep, PolicySource};
 pub use exprtree::{ExprTree, QueryShape, Tag};
-pub use insideout::{
-    insideout, insideout_with_order, run_elimination, run_elimination_with_policy, ElimStats,
-    FaqOutput, StepStat,
-};
+pub use insideout::{run_elimination, ElimStats, FaqOutput, StepStat};
 pub use naive::naive_eval;
 pub use plan::{PlanCache, Planner, PreparedQuery, QueryPlan, StepPlan};
 pub use query::{FaqError, FaqQuery, VarAgg};

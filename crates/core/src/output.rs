@@ -17,7 +17,7 @@ use crate::insideout::{run_elimination, EliminationArtifacts};
 use crate::query::{FaqError, FaqQuery};
 use faq_factor::{Domains, Factor};
 use faq_hypergraph::Var;
-use faq_join::{multiway_join, JoinInput};
+use faq_join::{multiway_join_range_rep, JoinInput, JoinRep};
 use faq_semiring::{AggDomain, SemiringElem};
 
 /// The factorized output of a FAQ query (guards + value factors).
@@ -125,11 +125,20 @@ impl<E: SemiringElem> FactorizedOutput<E> {
         for g in &self.guards {
             inputs.push(JoinInput::filter(g));
         }
-        multiway_join(&self.domains, &self.free_order, &inputs, one, &mut mul, |b, val| {
-            if !is_zero(&val) {
-                cb(b, val);
-            }
-        });
+        multiway_join_range_rep(
+            JoinRep::Trie,
+            &self.domains,
+            &self.free_order,
+            &inputs,
+            (0, u32::MAX),
+            one,
+            &mut mul,
+            |b, val| {
+                if !is_zero(&val) {
+                    cb(b, val);
+                }
+            },
+        );
     }
 
     /// Materialize the listing representation.
@@ -328,7 +337,7 @@ impl<'a, E: SemiringElem> Iterator for SupportIter<'a, E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::insideout::insideout;
+    use crate::engine::Engine;
     use crate::query::VarAgg;
     use faq_hypergraph::v;
     use faq_semiring::CountDomain;
@@ -357,7 +366,7 @@ mod tests {
     #[test]
     fn factorized_matches_materialized() {
         let q = sample();
-        let direct = insideout(&q).unwrap().factor;
+        let direct = Engine::sequential().evaluate(&q).unwrap().factor;
         let fo = FactorizedOutput::compute(&q).unwrap();
         let mat = fo.materialize(1u64, |a, b| a * b, |&x| x == 0);
         assert_eq!(mat, direct);
@@ -367,7 +376,7 @@ mod tests {
     fn value_queries() {
         let q = sample();
         let fo = FactorizedOutput::compute(&q).unwrap();
-        let direct = insideout(&q).unwrap().factor;
+        let direct = Engine::sequential().evaluate(&q).unwrap().factor;
         for x0 in 0..3u32 {
             for x1 in 0..2u32 {
                 let expect = direct.get(&[x0, x1]).copied();
@@ -381,7 +390,7 @@ mod tests {
     fn support_queries_match() {
         let q = sample();
         let fo = FactorizedOutput::compute(&q).unwrap();
-        let direct = insideout(&q).unwrap().factor;
+        let direct = Engine::sequential().evaluate(&q).unwrap().factor;
         for x0 in 0..3u32 {
             for x1 in 0..2u32 {
                 assert_eq!(
@@ -402,7 +411,7 @@ mod tests {
         let mut sorted = keys.clone();
         sorted.sort();
         assert_eq!(keys, sorted);
-        assert_eq!(keys.len(), insideout(&q).unwrap().factor.len());
+        assert_eq!(keys.len(), Engine::sequential().evaluate(&q).unwrap().factor.len());
     }
 
     #[test]

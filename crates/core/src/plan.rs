@@ -33,12 +33,12 @@
 //! Plan choices affect performance only, never results: every candidate
 //! ordering is ϕ-equivalent and both join representations (and every thread
 //! count) are bit-identical by construction, so a plan-driven run equals
-//! [`crate::insideout::insideout`] bit for bit.
+//! [`crate::Engine::evaluate`] bit for bit.
 
 use crate::delta::DeltaCache;
 use crate::exec::{ExecPolicy, PolicySource};
-use crate::insideout::{insideout_with_source, ElimStats, FaqOutput};
-use crate::query::{FaqError, FaqQuery, VarAgg};
+use crate::insideout::{compile, evaluate, ElimStats, FaqOutput};
+use crate::query::{FaqError, FaqQuery};
 use faq_factor::fault;
 use faq_factor::{DeltaFactor, Factor, FactorStats};
 use faq_hypergraph::ordering::best_ordering;
@@ -257,7 +257,7 @@ impl Planner {
         let steps = model.step_plans(q, &order, &stats, self);
         let by_var: BTreeMap<Var, usize> =
             steps.iter().enumerate().map(|(i, s)| (s.var, i)).collect();
-        let output = self.policy_from_estimate(model.output_rows(q, &order));
+        let output = self.policy_from_estimate(model.est_rows(&order[..q.free.len()]));
         Ok(QueryPlan {
             order,
             width,
@@ -315,19 +315,22 @@ impl<'a> CostModel<'a> {
         CostModel { h, sizes, space, memo: HashMap::new() }
     }
 
-    /// Estimated rows a join over `u` enumerates: `AGM(u)` under the input
-    /// sizes, capped by `Π |Dom|`; the domain cross-product alone when `u`
-    /// is uncoverable (degenerate queries never error the planner).
-    fn est_rows(&mut self, u: &VarSet) -> f64 {
+    /// Estimated rows a join over the variables `u` enumerates: `AGM(u)`
+    /// under the input sizes, capped by `Π |Dom|`; the domain cross-product
+    /// alone when `u` is uncoverable (degenerate queries never error the
+    /// planner).
+    fn est_rows(&mut self, u: &[Var]) -> f64 {
         if u.is_empty() {
             return 1.0;
         }
-        let key: Vec<Var> = u.iter().copied().collect();
+        let mut key: Vec<Var> = u.to_vec();
+        key.sort_unstable();
         if let Some(&c) = self.memo.get(&key) {
             return c;
         }
-        let cross: f64 = u.iter().map(|v| self.space.get(v).copied().unwrap_or(1.0)).product();
-        let est = match agm_bound(self.h, u, self.sizes) {
+        let cross: f64 = key.iter().map(|v| self.space.get(v).copied().unwrap_or(1.0)).product();
+        let set: VarSet = key.iter().copied().collect();
+        let est = match agm_bound(self.h, &set, self.sizes) {
             Some(a) => a.min(cross),
             None => cross,
         };
@@ -335,95 +338,15 @@ impl<'a> CostModel<'a> {
         est
     }
 
-    /// Total estimated cost of eliminating along `sigma`: the sum of every
-    /// fold step's estimated sub-join rows plus the output join's.
+    /// Total estimated cost of eliminating along `sigma`: the sum of the
+    /// estimated sub-join rows of every join step of the compiled program —
+    /// the fold and guard steps, then the output join.
     fn ordering_cost<D: AggDomain>(&mut self, q: &FaqQuery<D>, sigma: &[Var]) -> f64 {
-        let mut total = 0.0;
-        self.replay(q, sigma, |model, _var, u, _join_order| {
-            total += model.est_rows(u);
-        });
-        total + self.output_rows(q, sigma)
+        compile(q, sigma).joins().map(|js| self.est_rows(&js.join_order)).sum()
     }
 
-    /// Estimated rows of the final output join (the free variables).
-    fn output_rows<D: AggDomain>(&mut self, q: &FaqQuery<D>, sigma: &[Var]) -> f64 {
-        let free: VarSet = sigma[..q.free.len()].iter().copied().collect();
-        self.est_rows(&free)
-    }
-
-    /// Replay InsideOut's edge-set evolution along `sigma` symbolically
-    /// (schemas only), invoking `on_step` for every fold step with a
-    /// non-empty incident set — mirroring `run_elimination`'s phases 1–2.
-    fn replay<D: AggDomain>(
-        &mut self,
-        q: &FaqQuery<D>,
-        sigma: &[Var],
-        mut on_step: impl FnMut(&mut Self, Var, &VarSet, &[Var]),
-    ) {
-        let f = q.free.len();
-        let sigma_pos =
-            |v: Var| -> usize { sigma.iter().position(|&s| s == v).expect("var in sigma") };
-        let mut edges: Vec<VarSet> =
-            q.factors.iter().map(|fac| fac.schema().iter().copied().collect()).collect();
-        // Phase 1: bound variables, innermost first.
-        for k in (f..sigma.len()).rev() {
-            let var = sigma[k];
-            match q.agg_of(var).expect("bound variable has an aggregate") {
-                VarAgg::Semiring(_) => {
-                    let (incident, mut rest): (Vec<VarSet>, Vec<VarSet>) =
-                        edges.drain(..).partition(|e| e.contains(&var));
-                    if incident.is_empty() {
-                        edges = rest;
-                        edges.push(VarSet::new());
-                        continue;
-                    }
-                    let mut u = VarSet::new();
-                    for e in &incident {
-                        u.extend(e.iter().copied());
-                    }
-                    let mut join_order: Vec<Var> =
-                        u.iter().copied().filter(|&x| x != var).collect();
-                    join_order.sort_by_key(|&v| sigma_pos(v));
-                    join_order.push(var);
-                    on_step(self, var, &u, &join_order);
-                    let reduced: VarSet = u.iter().copied().filter(|&x| x != var).collect();
-                    rest.push(reduced);
-                    edges = rest;
-                }
-                VarAgg::Product => {
-                    for e in &mut edges {
-                        e.remove(&var);
-                    }
-                }
-            }
-        }
-        // Phase 2: free variables under 01-OR, innermost first.
-        for k in (0..f).rev() {
-            let var = sigma[k];
-            let incident: Vec<usize> =
-                (0..edges.len()).filter(|&i| edges[i].contains(&var)).collect();
-            if incident.is_empty() {
-                continue;
-            }
-            let mut u = VarSet::new();
-            for &i in &incident {
-                u.extend(edges[i].iter().copied());
-            }
-            let mut join_order: Vec<Var> = u.iter().copied().collect();
-            join_order.sort_by_key(|&v| sigma_pos(v));
-            on_step(self, var, &u, &join_order);
-            let mut kept: Vec<VarSet> = Vec::with_capacity(edges.len());
-            for (i, e) in edges.drain(..).enumerate() {
-                if !incident.contains(&i) {
-                    kept.push(e);
-                }
-            }
-            kept.push(u.iter().copied().filter(|&x| x != var).collect());
-            edges = kept;
-        }
-    }
-
-    /// Per-step execution choices along the chosen ordering, combining the
+    /// Per-step execution choices along the chosen ordering, one per join
+    /// step of the compiled program that eliminates a variable, combining the
     /// step's AGM estimate with the input factors' trie statistics (root
     /// distinct counts bound the chunkable parallelism of input-rooted
     /// joins).
@@ -445,20 +368,18 @@ impl<'a> CostModel<'a> {
             }
         }
         let mut steps: Vec<StepPlan> = Vec::new();
-        self.replay(q, sigma, |model, var, u, join_order| {
-            let est = model.est_rows(u);
+        for js in compile(q, sigma).joins() {
+            let Some(var) = js.var else { continue };
+            let est = self.est_rows(&js.join_order);
             let mut policy = planner.policy_from_estimate(est);
-            if let Some(&first) = join_order.first() {
-                if let Some(&d) = root_distinct.get(&first) {
-                    if d < 2 {
-                        // Provably unchunkable at the first join variable.
-                        policy.threads = 1;
-                        policy.min_chunk_rows = usize::MAX;
-                    }
-                }
+            let lead = js.join_order.first().and_then(|first| root_distinct.get(first));
+            if lead.is_some_and(|&d| d < 2) {
+                // Provably unchunkable at the first join variable.
+                policy.threads = 1;
+                policy.min_chunk_rows = usize::MAX;
             }
-            steps.push(StepPlan { var, u_vars: join_order.to_vec(), est_rows: est, policy });
-        });
+            steps.push(StepPlan { var, u_vars: js.join_order.clone(), est_rows: est, policy });
+        }
         steps
     }
 }
@@ -486,7 +407,7 @@ impl<'a> CostModel<'a> {
 pub struct PreparedQuery<D: AggDomain> {
     query: FaqQuery<D>,
     plan: Arc<QueryPlan>,
-    /// Traced intermediates for incremental replay; primed lazily by the
+    /// Kept intermediates for incremental replay; primed lazily by the
     /// first [`PreparedQuery::apply_delta`], invalidated by
     /// [`PreparedQuery::update_factor`].
     cache: Option<DeltaCache<D::E>>,
@@ -517,10 +438,10 @@ impl<D: AggDomain + Clone + Sync> PreparedQuery<D> {
 
     /// Evaluate the prepared query under its plan.
     ///
-    /// Bit-identical to [`crate::insideout::insideout`] on the same inputs;
-    /// no re-planning, re-alignment, or re-indexing happens here.
+    /// Bit-identical to [`crate::Engine::evaluate`] on the same inputs; no
+    /// re-planning, re-alignment, or re-indexing happens here.
     pub fn evaluate(&self) -> Result<FaqOutput<D::E>, FaqError> {
-        insideout_with_source(&self.query, &self.plan.order, &*self.plan)
+        evaluate(&self.query, &self.plan.order, &*self.plan)
     }
 
     /// Evaluate under an admission budget: the plan's per-step policies
@@ -530,7 +451,7 @@ impl<D: AggDomain + Clone + Sync> PreparedQuery<D> {
     /// no re-planning.
     pub fn evaluate_budgeted(&self, cap: &ExecPolicy) -> Result<FaqOutput<D::E>, FaqError> {
         let capped = self.plan.capped(cap);
-        insideout_with_source(&self.query, &capped.order, &capped)
+        evaluate(&self.query, &capped.order, &capped)
     }
 
     /// Replace the values of input factor `slot` (position in the original
@@ -594,8 +515,8 @@ impl<D: AggDomain + Clone + Sync> PreparedQuery<D> {
     /// (`AggId(0)` — ordinary addition under counting, `max` under
     /// max-tropical, `or` under boolean); use
     /// [`PreparedQuery::apply_delta_with`] to pick another operator. The
-    /// first call primes a cache of per-step intermediates with a traced
-    /// evaluation; subsequent calls replay only the steps whose inputs
+    /// first call primes a cache of per-step intermediates with an ordinary
+    /// evaluation whose nodes are kept; subsequent calls replay only the steps whose inputs
     /// changed, restricted to the touched key ranges where the step's join
     /// order allows it (see [`crate::delta`] for the machinery and its
     /// soundness argument). The returned output is **bit-identical** to
@@ -643,11 +564,7 @@ impl<D: AggDomain + Clone + Sync> PreparedQuery<D> {
         }
 
         if self.cache.is_none() {
-            let traced = fault::catch_abort(|| {
-                crate::delta::traced_eval(&self.query, &self.plan.order, &*self.plan)
-            })
-            .unwrap_or_else(|abort| Err(abort.into()))?;
-            self.cache = Some(traced);
+            self.cache = Some(DeltaCache::prime(&self.query, &self.plan.order, &*self.plan)?);
         }
 
         // The merge (including the spilled splice path, which does chunk I/O
@@ -678,30 +595,19 @@ impl<D: AggDomain + Clone + Sync> PreparedQuery<D> {
         })
         .map_err(FaqError::from)?;
 
-        // Replay mutates the trace's cached node factors in place, so a
-        // mid-replay failure cannot leave the trace consistent: roll the
-        // factor back and drop the cache (the next delta re-primes it via a
-        // fresh traced evaluation). Earlier failure points never reach this.
+        // Replay mutates the cached nodes in place, so a mid-replay failure
+        // cannot leave the cache consistent: roll the factor back and drop
+        // the cache (the next delta re-primes it with a fresh kept run).
+        // Earlier failure points never reach this.
         let prev = std::mem::replace(&mut self.query.factors[slot], merged);
-        let replayed = {
-            let cache = self.cache.as_mut().expect("cache primed above");
-            fault::catch_abort(|| {
-                crate::delta::replay(cache, &self.query, &*self.plan, slot, ranges)
-            })
-        };
-        match replayed {
-            Ok(Ok(out)) => Ok(out),
-            Ok(Err(e)) => {
-                self.query.factors[slot] = prev;
-                self.cache = None;
-                Err(e)
-            }
-            Err(abort) => {
-                self.query.factors[slot] = prev;
-                self.cache = None;
-                Err(abort.into())
-            }
+        let cache = self.cache.as_mut().expect("cache primed above");
+        let replayed = fault::catch_abort(|| cache.replay(&self.query, &*self.plan, slot, ranges))
+            .unwrap_or_else(|abort| Err(abort.into()));
+        if replayed.is_err() {
+            self.query.factors[slot] = prev;
+            self.cache = None;
         }
+        replayed
     }
 
     /// The plan this handle executes.
@@ -821,7 +727,9 @@ impl PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::insideout::insideout;
+    use crate::engine::Engine;
+    use crate::insideout::Step;
+    use crate::query::VarAgg;
     use faq_factor::Domains;
     use faq_hypergraph::v;
     use faq_semiring::{CountDomain, RealDomain};
@@ -850,6 +758,116 @@ mod tests {
         .unwrap()
     }
 
+    /// Example 5.6: `max₁ max₂ Π₃ Σ₄ max₅ max₆ ψ15 ψ25 ψ134 ψ236`, `{0,1}`-valued.
+    fn example_5_6() -> FaqQuery<RealDomain> {
+        let fac = |schema: &[u32], rows: &[&[u32]]| {
+            let tuples = rows.iter().map(|r| (r.to_vec(), 1.0f64)).collect();
+            Factor::new(schema.iter().map(|&i| v(i)).collect(), tuples).unwrap()
+        };
+        let max = VarAgg::Semiring(RealDomain::MAX);
+        FaqQuery::new(
+            RealDomain,
+            Domains::new(vec![2, 3, 3, 2, 3, 3, 3]),
+            vec![],
+            vec![
+                (v(1), max),
+                (v(2), max),
+                (v(3), VarAgg::Product),
+                (v(4), VarAgg::Semiring(RealDomain::SUM)),
+                (v(5), max),
+                (v(6), max),
+            ],
+            vec![
+                fac(&[1, 5], &[&[0, 1], &[1, 1], &[2, 0]]),
+                fac(&[2, 5], &[&[0, 1], &[1, 0], &[2, 1]]),
+                fac(&[1, 3, 4], &[&[0, 0, 1], &[0, 1, 1], &[1, 0, 2], &[1, 1, 2]]),
+                fac(&[2, 3, 6], &[&[0, 0, 0], &[0, 1, 0], &[2, 0, 1], &[2, 1, 1]]),
+            ],
+        )
+        .unwrap()
+    }
+
+    /// `ϕ(x0, x1) = Σ₂ max₃ Π₄ ψ02 ψ123 ψ34 ψ01` over counting.
+    fn mixed_two_free() -> FaqQuery<CountDomain> {
+        let mut r = StdRng::seed_from_u64(11);
+        let mut mk = |schema: &[u32]| {
+            Factor::dense(
+                schema.iter().map(|&i| v(i)).collect(),
+                &vec![3; schema.len()],
+                |_| r.gen_range(0..3u64),
+                |&x| x == 0,
+            )
+            .unwrap()
+        };
+        FaqQuery::new(
+            CountDomain,
+            Domains::uniform(5, 3),
+            vec![v(0), v(1)],
+            vec![
+                (v(2), VarAgg::Semiring(CountDomain::SUM)),
+                (v(3), VarAgg::Semiring(CountDomain::MAX)),
+                (v(4), VarAgg::Product),
+            ],
+            vec![mk(&[0, 2]), mk(&[1, 2, 3]), mk(&[3, 4]), mk(&[0, 1])],
+        )
+        .unwrap()
+    }
+
+    /// A plan along `order`, built as [`Planner::plan`] builds the winner's.
+    fn plan_along<D: AggDomain>(q: &FaqQuery<D>, order: &[Var]) -> QueryPlan {
+        let h = q.hypergraph();
+        let sizes: Vec<u64> = q.factors.iter().map(|f| f.len() as u64).collect();
+        let stats: Vec<FactorStats> = q.factors.iter().map(|f| f.stats()).collect();
+        let steps =
+            CostModel::new(&h, &sizes, q).step_plans(q, order, &stats, &Planner::sequential());
+        QueryPlan {
+            order: order.to_vec(),
+            width: None,
+            est_cost: 0.0,
+            by_var: steps.iter().enumerate().map(|(i, s)| (s.var, i)).collect(),
+            steps,
+            output: ExecPolicy::sequential(),
+            default_policy: ExecPolicy::sequential(),
+        }
+    }
+
+    /// The compiled step list is what the plan's steps and a run's statistics
+    /// are both indexed by: `QueryPlan.steps[i]` is the i-th variable-
+    /// eliminating join step, and `ElimStats.steps` follows the compiled
+    /// order step for step (the pairing `est_rows` ↔ `rows_out` relies on).
+    fn assert_plan_and_stats_follow_program<D: AggDomain + Clone + Sync>(q: &FaqQuery<D>) {
+        let planned = Planner::sequential().plan(q).unwrap();
+        for plan in [plan_along(q, &q.ordering()), planned] {
+            let prog = compile(q, &plan.order);
+            let compiled: Vec<(Var, &[Var])> = prog
+                .joins()
+                .filter_map(|js| js.var.map(|var| (var, js.join_order.as_slice())))
+                .collect();
+            let in_plan: Vec<(Var, &[Var])> =
+                plan.steps.iter().map(|s| (s.var, s.u_vars.as_slice())).collect();
+            assert_eq!(compiled, in_plan, "order {:?}", plan.order);
+
+            let eliminated: Vec<Var> = prog.steps[..prog.steps.len() - 1]
+                .iter()
+                .map(|step| match step {
+                    Step::Join(js) => js.var.expect("only the last join is the output join"),
+                    Step::Scalar { var, .. } | Step::Product { var, .. } => *var,
+                })
+                .collect();
+            let prepared = PreparedQuery::with_plan(q, Arc::new(plan)).unwrap();
+            let out = prepared.evaluate().unwrap();
+            let ran: Vec<Var> = out.stats.steps.iter().map(|s| s.var).collect();
+            assert_eq!(ran, eliminated);
+            assert_eq!(out.factor, crate::naive::naive_eval(q));
+        }
+    }
+
+    #[test]
+    fn plan_steps_and_run_stats_follow_the_compiled_program() {
+        assert_plan_and_stats_follow_program(&example_5_6());
+        assert_plan_and_stats_follow_program(&mixed_two_free());
+    }
+
     #[test]
     fn plan_is_equivalent_and_executable() {
         let q = triangle_query(1, 80);
@@ -859,7 +877,10 @@ mod tests {
         assert!(plan.est_cost.is_finite() && plan.est_cost > 0.0);
         assert!(!plan.steps.is_empty());
         let prepared = Planner::sequential().prepare(&q).unwrap();
-        assert_eq!(prepared.evaluate().unwrap().factor, insideout(&q).unwrap().factor);
+        assert_eq!(
+            prepared.evaluate().unwrap().factor,
+            Engine::sequential().evaluate(&q).unwrap().factor
+        );
     }
 
     #[test]
@@ -887,15 +908,24 @@ mod tests {
         for (i, fac) in q2.factors.iter().enumerate() {
             prepared.update_factor(i, fac.clone()).unwrap();
         }
-        assert_eq!(prepared.evaluate().unwrap().factor, insideout(&q2).unwrap().factor);
+        assert_eq!(
+            prepared.evaluate().unwrap().factor,
+            Engine::sequential().evaluate(&q2).unwrap().factor
+        );
         // Schema mismatch is rejected and leaves the handle intact.
         let bad = Factor::new(vec![v(0)], vec![(vec![1], 1u64)]).unwrap();
         assert!(prepared.update_factor(0, bad).is_err());
-        assert_eq!(prepared.evaluate().unwrap().factor, insideout(&q2).unwrap().factor);
+        assert_eq!(
+            prepared.evaluate().unwrap().factor,
+            Engine::sequential().evaluate(&q2).unwrap().factor
+        );
         // Out-of-domain values are rejected with a rollback.
         let out = Factor::new(vec![v(0), v(1)], vec![(vec![99, 0], 1u64)]).unwrap();
         assert!(matches!(prepared.update_factor(0, out), Err(FaqError::ValueOutOfDomain { .. })));
-        assert_eq!(prepared.evaluate().unwrap().factor, insideout(&q2).unwrap().factor);
+        assert_eq!(
+            prepared.evaluate().unwrap().factor,
+            Engine::sequential().evaluate(&q2).unwrap().factor
+        );
     }
 
     #[test]
@@ -909,7 +939,10 @@ mod tests {
         assert_eq!(cache.len(), 1, "same schema → one cached plan");
         assert!(Arc::ptr_eq(&pa, &pb));
         let prepared = cache.prepare(&planner, &b).unwrap();
-        assert_eq!(prepared.evaluate().unwrap().factor, insideout(&b).unwrap().factor);
+        assert_eq!(
+            prepared.evaluate().unwrap().factor,
+            Engine::sequential().evaluate(&b).unwrap().factor
+        );
         // A much larger instance lands in a different size class.
         let big = triangle_query(7, 2000);
         let _ = cache.get_or_plan(&planner, &big).unwrap();
@@ -941,13 +974,16 @@ mod tests {
         let plan = Planner::sequential().plan(&q).unwrap();
         assert!(plan.est_cost <= 2.0 * 400.0 + 8.0, "cost {} ignores data", plan.est_cost);
         let prepared = Planner::sequential().prepare(&q).unwrap();
-        assert_eq!(prepared.evaluate().unwrap().factor, insideout(&q).unwrap().factor);
+        assert_eq!(
+            prepared.evaluate().unwrap().factor,
+            Engine::sequential().evaluate(&q).unwrap().factor
+        );
     }
 
     #[test]
     fn planned_threads_match_sequential_bitwise() {
         let q = triangle_query(9, 400);
-        let seq = insideout(&q).unwrap();
+        let seq = Engine::sequential().evaluate(&q).unwrap();
         for threads in [1usize, 2, 4] {
             let mut planner = Planner::with_threads(threads);
             planner.min_chunk_rows = 1; // force chunking decisions on

@@ -101,7 +101,7 @@ pub fn nested_loop_join<E: SemiringElem>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::leapfrog::{multiway_join, JoinInput};
+    use crate::leapfrog::{multiway_join_range_rep, JoinInput, JoinRep};
     use faq_hypergraph::v;
 
     fn fac(schema: &[u32], rows: &[(&[u32], u64)]) -> Factor<u64> {
@@ -161,10 +161,12 @@ mod tests {
             let order = [v(0), v(1), v(2)];
 
             let mut lftj = Vec::new();
-            multiway_join(
+            multiway_join_range_rep(
+                JoinRep::Trie,
                 &domains,
                 &order,
                 &[JoinInput::value(&f1), JoinInput::value(&f2), JoinInput::value(&f3)],
+                (0, u32::MAX),
                 1u64,
                 |a, b| a * b,
                 |b, val| lftj.push((b.to_vec(), val)),

@@ -32,7 +32,7 @@ use std::borrow::Cow;
 pub struct JoinInput<'a, E> {
     /// The factor; its schema must be a subsequence of the join's variable
     /// ordering restricted to its variables (call [`Factor::align_to`] first —
-    /// [`multiway_join`] does this automatically, except for
+    /// [`multiway_join_range_rep`] does this automatically, except for
     /// [`JoinInput::prefix_filter`] inputs, whose column order is the
     /// caller's contract).
     pub factor: &'a Factor<E>,
@@ -97,7 +97,7 @@ pub enum JoinRep {
     Trie,
 }
 
-/// Counters reported by [`multiway_join`], used by the benchmark harness to
+/// Counters reported by [`multiway_join_range_rep`], used by the benchmark harness to
 /// verify the AGM-bound shape of Theorem 5.1.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct JoinStats {
@@ -198,63 +198,24 @@ impl<'b, E: SemiringElem> Cursor<'b, E> {
     }
 }
 
-/// Enumerate all assignments to `order` consistent with every input factor, in
-/// lexicographic order of `order`. For each match, `on_match` receives the
+/// Enumerate all assignments to `order` consistent with every input factor
+/// and whose *first* variable lies in the half-open value range
+/// `first_range = [lo, hi)`, in lexicographic order of `order`, walking the
+/// factor representation `rep`. For each match, `on_match` receives the
 /// binding and the `⊗`-product of the values of the `use_value` inputs.
 ///
 /// Variables of `order` not constrained by any factor iterate over their full
 /// domain (hence `domains`). Nullary factors act as global scalars: an empty
 /// one annihilates the join.
 ///
-/// Walks the trie representation; see [`multiway_join_rep`] to choose.
-/// Returns search statistics.
-pub fn multiway_join<E: SemiringElem>(
-    domains: &Domains,
-    order: &[Var],
-    inputs: &[JoinInput<'_, E>],
-    one: E,
-    mul: impl FnMut(&E, &E) -> E,
-    on_match: impl FnMut(&[u32], E),
-) -> JoinStats {
-    multiway_join_range(domains, order, inputs, (0, u32::MAX), one, mul, on_match)
-}
-
-/// [`multiway_join`] under an explicit factor representation.
-pub fn multiway_join_rep<E: SemiringElem>(
-    rep: JoinRep,
-    domains: &Domains,
-    order: &[Var],
-    inputs: &[JoinInput<'_, E>],
-    one: E,
-    mul: impl FnMut(&E, &E) -> E,
-    on_match: impl FnMut(&[u32], E),
-) -> JoinStats {
-    multiway_join_range_rep(rep, domains, order, inputs, (0, u32::MAX), one, mul, on_match)
-}
-
-/// [`multiway_join`] restricted to bindings whose *first* variable lies in the
-/// half-open value range `first_range = [lo, hi)`.
-///
-/// This is the chunk kernel of the parallel InsideOut engine: value ranges
-/// partitioning `Dom(order[0])` yield disjoint slices of the search tree whose
-/// outputs, concatenated in range order, reproduce the unrestricted join's
-/// output stream exactly (the enumeration below `order[0]` is untouched).
 /// `(0, u32::MAX)` is the full join: domain values are at most
-/// `u32::MAX - 1` because domain *sizes* are `u32`.
-pub fn multiway_join_range<E: SemiringElem>(
-    domains: &Domains,
-    order: &[Var],
-    inputs: &[JoinInput<'_, E>],
-    first_range: (u32, u32),
-    one: E,
-    mul: impl FnMut(&E, &E) -> E,
-    on_match: impl FnMut(&[u32], E),
-) -> JoinStats {
-    multiway_join_range_rep(JoinRep::Trie, domains, order, inputs, first_range, one, mul, on_match)
-}
-
-/// [`multiway_join_range`] under an explicit factor representation — the
-/// shared kernel behind every other entry point.
+/// `u32::MAX - 1` because domain *sizes* are `u32`. A narrower range is the
+/// chunk kernel of the parallel InsideOut engine: value ranges partitioning
+/// `Dom(order[0])` yield disjoint slices of the search tree whose outputs,
+/// concatenated in range order, reproduce the unrestricted join's output
+/// stream exactly (the enumeration below `order[0]` is untouched).
+///
+/// Returns search statistics.
 #[allow(clippy::too_many_arguments)]
 pub fn multiway_join_range_rep<E: SemiringElem>(
     rep: JoinRep,
@@ -484,10 +445,12 @@ mod tests {
         inputs: &[JoinInput<'_, u64>],
     ) -> Vec<(Vec<u32>, u64)> {
         let mut out = Vec::new();
-        multiway_join(
+        multiway_join_range_rep(
+            JoinRep::Trie,
             domains,
             order,
             inputs,
+            (0, u32::MAX),
             1u64,
             |a, b| a * b,
             |b, val| {
@@ -591,10 +554,12 @@ mod tests {
         let r = fac(&[0, 1], &[(&[0, 0], 1), (&[1, 1], 1)]);
         let d = Domains::uniform(2, 2);
         let mut out = Vec::new();
-        let stats = multiway_join(
+        let stats = multiway_join_range_rep(
+            JoinRep::Trie,
             &d,
             &[v(0), v(1)],
             &[JoinInput::value(&r)],
+            (0, u32::MAX),
             1u64,
             |a, b| a * b,
             |b, val| out.push((b.to_vec(), val)),
@@ -670,7 +635,8 @@ mod tests {
         let d = Domains::new(vec![4, 2]);
         // v(0) is unconstrained: full join iterates its whole domain.
         let mut out = Vec::new();
-        multiway_join_range(
+        multiway_join_range_rep(
+            JoinRep::Trie,
             &d,
             &[v(0), v(1)],
             &[JoinInput::value(&r)],
@@ -765,11 +731,12 @@ mod tests {
             let inputs = [JoinInput::value(&f1), JoinInput::value(&f2), JoinInput::filter(&f3)];
             let run = |rep: JoinRep| {
                 let mut out = Vec::new();
-                let stats = multiway_join_rep(
+                let stats = multiway_join_range_rep(
                     rep,
                     &d,
                     &order,
                     &inputs,
+                    (0, u32::MAX),
                     1u64,
                     |a, b| a * b,
                     |b, val| out.push((b.to_vec(), val)),

@@ -7,7 +7,9 @@
 //! algorithms, and Theorem 5.1 bounds its runtime by
 //! `O(mn · AGM(V) · log N)`.
 //!
-//! * [`multiway_join`] — the optimal backtracking join; enumerates satisfying
+//! * [`multiway_join_range_rep`] — the optimal backtracking join, the one
+//!   join entry point (a first-variable range plus a representation);
+//!   enumerates satisfying
 //!   assignments in lexicographic order of the variable ordering, which is
 //!   what lets InsideOut stream-aggregate the innermost variable. The cursors
 //!   walk either the columnar trie index or the raw sorted listing
@@ -22,7 +24,4 @@ pub mod baseline;
 pub mod leapfrog;
 
 pub use baseline::{nested_loop_join, pairwise_hash_join};
-pub use leapfrog::{
-    multiway_join, multiway_join_range, multiway_join_range_rep, multiway_join_rep, JoinInput,
-    JoinRep, JoinStats,
-};
+pub use leapfrog::{multiway_join_range_rep, JoinInput, JoinRep, JoinStats};

@@ -27,11 +27,9 @@
 //! assert_eq!(out.factor.len(), 3);
 //! ```
 //!
-//! [`Engine`] is the unified entry point (one-shot evaluation, thread
-//! budgets, planning/serving via [`PreparedQuery`]); [`serve`] hosts the
-//! multi-tenant serving runtime ([`FaqServer`]). The legacy free functions
-//! (`insideout`, `insideout_par`, …) still work and delegate to the same
-//! machinery.
+//! [`Engine`] is the entry point (one-shot evaluation, thread budgets,
+//! planning/serving via [`PreparedQuery`]); [`serve`] hosts the multi-tenant
+//! serving runtime ([`FaqServer`]).
 //!
 //! The full crates remain available under their module names:
 //!

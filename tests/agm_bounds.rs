@@ -3,7 +3,7 @@
 //! output phase is output-sensitive (Yannakakis behaviour on acyclic joins).
 
 use faq::apps::joins;
-use faq::core::{insideout, FaqQuery, VarAgg};
+use faq::core::{Engine, FaqQuery, VarAgg};
 use faq::factor::{Domains, Factor};
 use faq::hypergraph::widths::agm_bound;
 use faq::hypergraph::{Var, VarSet};
@@ -72,7 +72,7 @@ fn chain_intermediates_within_stepwise_agm() {
         )
         .unwrap();
         let h = q.hypergraph();
-        let out = insideout(&q).unwrap();
+        let out = Engine::sequential().evaluate(&q).unwrap();
         // Eliminating from the back, U_k = {x_{k-1}, x_k} ∪ (fold residue):
         // for a chain the U-sets are pairs/triples always covered by original
         // edges; check each recorded step against AGM of its U.

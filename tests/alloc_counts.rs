@@ -11,7 +11,7 @@
 //! counts) so they don't flake across allocator or std versions, while
 //! staying far below one allocation per output row.
 
-use faq::core::{insideout_par_with_order, insideout_with_order, ExecPolicy, FaqQuery, Planner};
+use faq::core::{Engine, ExecPolicy, FaqQuery, Planner};
 use faq::factor::{DeltaFactor, DeltaOp, Domains, Factor};
 use faq::hypergraph::Var;
 use faq::semiring::{CountSumProd, SingleSemiringDomain};
@@ -20,6 +20,11 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
+
+/// `allocation_count()` is process-global and the test harness runs this
+/// file's tests on parallel threads: each test holds this lock for its whole
+/// body so the other's allocations never land inside a measured window.
+static MEASURING: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// A triangle join (all variables free: guard steps + output join) over a
 /// random graph — the hot-path shape the benchmarks measure.
@@ -51,21 +56,23 @@ fn triangle(m: usize) -> FaqQuery<SingleSemiringDomain<CountSumProd>> {
 
 #[test]
 fn elimination_allocates_per_step_not_per_row() {
+    let _alone = MEASURING.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     let q = triangle(1500);
     let sigma = q.ordering();
-    // Pre-build the input indexes (the serving path does this in `prepare`);
-    // clones carry built tries, so the runs below never pay the input build.
+    // Pre-build the input indexes (the serving path does this in `prepare`),
+    // so the runs below never pay the input build.
     for f in &q.factors {
         f.trie();
     }
 
     // Warm once outside the measurement (lazy statics, thread-local setup).
-    let warm = insideout_with_order(&q, &sigma).unwrap();
+    let engine = Engine::sequential();
+    let warm = engine.evaluate_with_order(&q, &sigma).unwrap();
     let total_rows: usize = q.factors.iter().map(|f| f.len()).sum::<usize>() + warm.factor.len();
     assert!(total_rows > 4_000, "workload too small to witness O(rows) allocation");
 
     let before = allocation_count();
-    let out = insideout_with_order(&q, &sigma).unwrap();
+    let out = engine.evaluate_with_order(&q, &sigma).unwrap();
     let sequential_allocs = allocation_count() - before;
     assert_eq!(out.factor, warm.factor);
 
@@ -82,9 +89,9 @@ fn elimination_allocates_per_step_not_per_row() {
 
     // Chunked execution adds O(chunks) per step (worker builders, spawn
     // bookkeeping), not O(rows).
-    let policy = ExecPolicy::sequential().threads(4).min_chunk_rows(64);
+    let engine = Engine::with_policy(ExecPolicy::sequential().threads(4).min_chunk_rows(64));
     let before = allocation_count();
-    let par = insideout_par_with_order(&q, &sigma, &policy).unwrap();
+    let par = engine.evaluate_with_order(&q, &sigma).unwrap();
     let parallel_allocs = allocation_count() - before;
     assert_eq!(par.factor, warm.factor);
     assert!(
@@ -95,6 +102,7 @@ fn elimination_allocates_per_step_not_per_row() {
 
 #[test]
 fn delta_path_allocates_within_budget() {
+    let _alone = MEASURING.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     let q = triangle(1500);
     let mut prepared = Planner::sequential().prepare(&q).unwrap();
     let total_rows: usize = q.factors.iter().map(|f| f.len()).sum::<usize>()

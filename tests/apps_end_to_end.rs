@@ -189,7 +189,7 @@ fn sharp_sat_agrees_with_faq_counting() {
 /// #SAT via the generic FAQ engine with clause factors in listing form
 /// (exponential in clause width — fine for width ≤ 3).
 fn cnf_as_faq_count(f: &cnf::Cnf) -> u64 {
-    use faq::core::{insideout, FaqQuery, VarAgg};
+    use faq::core::{Engine, FaqQuery, VarAgg};
     use faq::factor::{Domains, Factor};
     use faq::semiring::CountDomain;
     let mut factors = Vec::new();
@@ -219,5 +219,5 @@ fn cnf_as_faq_count(f: &cnf::Cnf) -> u64 {
         factors,
     )
     .unwrap();
-    insideout(&q).unwrap().scalar().copied().unwrap_or(0)
+    Engine::sequential().evaluate(&q).unwrap().scalar().copied().unwrap_or(0)
 }

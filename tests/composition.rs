@@ -3,7 +3,7 @@
 //! the outer one must agree with the monolithic flat query, and the composed
 //! hypergraph's width behaves per Proposition 8.5.
 
-use faq::core::{insideout, FaqQuery, VarAgg};
+use faq::core::{Engine, FaqQuery, VarAgg};
 use faq::factor::{Domains, Factor};
 use faq::hypergraph::compose::{compose, star_of_stars_gap};
 use faq::hypergraph::ordering::fhtw;
@@ -60,7 +60,7 @@ fn composed_evaluation_equals_flat_query() {
             vec![r.clone(), s.clone()],
         )
         .unwrap();
-        let psi_prime = insideout(&inner).unwrap().factor;
+        let psi_prime = Engine::sequential().evaluate(&inner).unwrap().factor;
 
         // Outer: scalar over ψ' and T.
         let outer = FaqQuery::new(
@@ -75,7 +75,8 @@ fn composed_evaluation_equals_flat_query() {
             vec![psi_prime, t.clone()],
         )
         .unwrap();
-        let composed = insideout(&outer).unwrap().scalar().copied().unwrap_or(0);
+        let composed =
+            Engine::sequential().evaluate(&outer).unwrap().scalar().copied().unwrap_or(0);
 
         // Flat query.
         let flat = FaqQuery::new(
@@ -86,7 +87,7 @@ fn composed_evaluation_equals_flat_query() {
             vec![r, s, t],
         )
         .unwrap();
-        let expect = insideout(&flat).unwrap().scalar().copied().unwrap_or(0);
+        let expect = Engine::sequential().evaluate(&flat).unwrap().scalar().copied().unwrap_or(0);
         assert_eq!(composed, expect);
     }
 }

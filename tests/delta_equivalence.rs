@@ -255,6 +255,43 @@ fn empty_delta_serves_cached_output() {
     assert!(out.stats.steps.is_empty());
 }
 
+/// A replayed product step (eq. (8)) reports its work in the same currency
+/// as a fresh run's — `join: Some(_)`, one `seek` per row read — counting
+/// only the factors the delta actually reached, so `total_seeks` does not
+/// lose product-step work after a delta.
+#[test]
+fn replayed_product_step_reports_rows_rewritten() {
+    // ϕ = Σ_{x0} Π_{x1} ψ(x0, x1) · χ(x0), ψ full over x1.
+    let psi = pairs_factor(0, 1, &[1; (DOM * DOM) as usize], |i| i as u64 % 3 + 1);
+    let chi = Factor::new(vec![Var(0)], (0..DOM).map(|a| (vec![a], 2u64)).collect()).unwrap();
+    let q = FaqQuery::new(
+        CountDomain,
+        Domains::uniform(2, DOM),
+        vec![],
+        vec![(Var(0), VarAgg::Semiring(CountDomain::SUM)), (Var(1), VarAgg::Product)],
+        vec![psi, chi],
+    )
+    .unwrap();
+    let mut prepared = Planner::sequential().prepare(&q).unwrap();
+    let fresh = prepared.evaluate().unwrap();
+    let product = |stats: &faq::core::ElimStats| {
+        let step = stats.steps.iter().find(|s| !s.semiring).expect("a product step ran");
+        (step.var, step.join.expect("product steps report their reads"))
+    };
+    let rows = |p: &PreparedQuery<CountDomain>, slot: usize| p.query().factors[slot].len() as u64;
+    // Fresh: both factors are rewritten (ψ marginalized, χ powered).
+    assert_eq!(product(&fresh.stats).1.seeks, rows(&prepared, 0) + rows(&prepared, 1));
+
+    // A delta to ψ reaches only ψ's rewrite: χ's powered copy is reused.
+    let delta = DeltaFactor::new(vec![Var(0), Var(1)], vec![(vec![2, 1], DeltaOp::Put(5u64))]);
+    let replayed = prepared.apply_delta(0, &delta.unwrap()).unwrap();
+    assert_eq!(replayed.factor, prepared.evaluate().unwrap().factor);
+    let (var, work) = product(&replayed.stats);
+    assert_eq!(var, Var(1));
+    assert_eq!(work.seeks, rows(&prepared, 0), "one read per row of the rewritten factor");
+    assert!(replayed.stats.total_seeks() >= work.seeks);
+}
+
 #[test]
 fn delta_touching_every_row_equals_recompute() {
     let q = counting_triangle();
@@ -530,7 +567,7 @@ fn failed_apply_delta_on_spilled_slot_preserves_factor_and_trace() {
     assert_eq!(prepared.evaluate().unwrap().factor, baseline);
     // ...and the cached trace survived: a no-op delta is served from the
     // cache without a single chunk fault. (A dropped cache would re-prime
-    // here with a full traced evaluation over the spilled slot.)
+    // here with a full kept evaluation over the spilled slot.)
     let reads_before = prepared.query().factors[0].spill_stats().unwrap().reads;
     assert_eq!(prepared.apply_delta(0, &empty).unwrap().factor, baseline);
     assert_eq!(

@@ -4,7 +4,7 @@
 
 use faq::core::evo::is_equivalent_ordering;
 use faq::core::width::faqw_optimize;
-use faq::core::{insideout, insideout_with_order, naive_eval, FaqQuery, VarAgg};
+use faq::core::{naive_eval, Engine, FaqQuery, VarAgg};
 use faq::factor::{Domains, Factor};
 use faq::hypergraph::Var;
 use faq::semiring::{BoolDomain, CountDomain, RealDomain};
@@ -77,7 +77,7 @@ fn random_count_queries_all_aggregate_mixes() {
         }
         let q = FaqQuery::new(CountDomain, domains, free, bound, factors).unwrap();
         let expect = naive_eval(&q);
-        let got = insideout(&q).unwrap();
+        let got = Engine::sequential().evaluate(&q).unwrap();
         assert_eq!(got.factor, expect, "round {round}: {q:?}");
     }
 }
@@ -109,7 +109,7 @@ fn random_real_queries_with_free_variables() {
         )
         .unwrap();
         let expect = naive_eval(&q);
-        let got = insideout(&q).unwrap();
+        let got = Engine::sequential().evaluate(&q).unwrap();
         assert_eq!(got.factor.len(), expect.len());
         for (row, val) in expect.iter() {
             let g = got.factor.get(row).unwrap_or_else(|| panic!("missing {row:?}"));
@@ -143,7 +143,7 @@ fn width_optimized_orderings_stay_correct() {
             "optimizer returned non-equivalent ordering {:?}",
             best.order
         );
-        let got = insideout_with_order(&q, &best.order).unwrap();
+        let got = Engine::sequential().evaluate_with_order(&q, &best.order).unwrap();
         assert_eq!(got.factor, expect);
     }
 }
@@ -176,7 +176,7 @@ fn every_linex_ordering_evaluates_identically() {
         let (linex, complete) = faq::core::evo::linear_extensions(&q.shape(), 1_000);
         assert!(complete);
         for sigma in linex {
-            let got = insideout_with_order(&q, &sigma).unwrap();
+            let got = Engine::sequential().evaluate_with_order(&q, &sigma).unwrap();
             assert_eq!(got.factor, expect, "ordering {sigma:?}");
         }
     }
@@ -242,12 +242,16 @@ fn example_6_19_shape_random_instances() {
         .unwrap();
         let expect = naive_eval(&q);
         // Original order.
-        assert_eq!(insideout(&q).unwrap().factor, expect, "round {round}: input order");
+        assert_eq!(
+            Engine::sequential().evaluate(&q).unwrap().factor,
+            expect,
+            "round {round}: input order"
+        );
         // A handful of LinEx orderings under the idempotent promise.
         let shape = q.shape_promising_idempotent_inputs();
         let (linex, _) = faq::core::evo::linear_extensions(&shape, 12);
         for sigma in linex {
-            let got = insideout_with_order(&q, &sigma).unwrap();
+            let got = Engine::sequential().evaluate_with_order(&q, &sigma).unwrap();
             assert_eq!(got.factor, expect, "round {round}: ordering {sigma:?}");
         }
     }
@@ -271,6 +275,6 @@ fn boolean_queries_roundtrip() {
             factors,
         )
         .unwrap();
-        assert_eq!(insideout(&q).unwrap().factor, naive_eval(&q));
+        assert_eq!(Engine::sequential().evaluate(&q).unwrap().factor, naive_eval(&q));
     }
 }

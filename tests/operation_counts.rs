@@ -1,7 +1,7 @@
 //! Theorem 8.1 shape checks: InsideOut's cost measured in semiring
 //! *operations* (the oracle-model currency of §8.1) rather than time.
 
-use faq::core::{insideout, insideout_with_order, FaqQuery, VarAgg};
+use faq::core::{Engine, FaqQuery, VarAgg};
 use faq::factor::{Domains, Factor};
 use faq::hypergraph::Var;
 use faq::semiring::{CountDomain, InstrumentedDomain};
@@ -63,7 +63,7 @@ fn chain_ops_scale_linearly() {
             q.factors.clone(),
         )
         .unwrap();
-        insideout(&q2).unwrap();
+        Engine::sequential().evaluate(&q2).unwrap();
         totals.push((n_tuples as f64, (ops.adds() + ops.muls()) as f64));
     }
     // Linear growth: quadrupling the input should not even triple-square ops.
@@ -136,10 +136,10 @@ fn example_5_6_ops_gap() {
     let mut seek_gaps = Vec::new();
     for n in [200u32, 400] {
         let (q, ops) = build(n, 3);
-        let bad_run = insideout_with_order(&q, &input_order).unwrap();
+        let bad_run = Engine::sequential().evaluate_with_order(&q, &input_order).unwrap();
         let bad_ops = ops.adds() + ops.muls();
         ops.reset();
-        let good_run = insideout_with_order(&q, &good_order).unwrap();
+        let good_run = Engine::sequential().evaluate_with_order(&q, &good_order).unwrap();
         let good_ops = ops.adds() + ops.muls();
         assert!(good_ops > 0 && bad_ops > 0);
         let bad_seeks = bad_run.stats.total_seeks() as f64;

@@ -3,13 +3,13 @@
 //!
 //! Random queries over three semiring families — counting (`ℕ, +, ×`),
 //! max-tropical (`ℝ ∪ {−∞}, max, +`) and boolean (`∨, ∧`) — are evaluated
-//! with `insideout` and with `insideout_par` under every combination of
+//! with `Engine::sequential()` and with `Engine::with_policy` under every combination of
 //! thread count ∈ {1, 2, 4} and adversarial `min_chunk_rows` ∈
 //! {0, 1, 3, usize::MAX}; the output factors must be equal bit for bit.
 //! Aggregate mixes include product (`⊗`) variables and free variables, so the
 //! guard phase and the final output join are exercised too.
 
-use faq::core::{insideout, insideout_par, ExecPolicy, FaqQuery, VarAgg};
+use faq::core::{Engine, ExecPolicy, FaqQuery, VarAgg};
 use faq::factor::{Domains, Factor};
 use faq::hypergraph::Var;
 use faq::semiring::{AggDomain, BoolDomain, CountDomain, MaxPlus, SingleSemiringDomain};
@@ -28,11 +28,11 @@ fn policies() -> Vec<ExecPolicy> {
     out
 }
 
-/// Assert `insideout_par ≡ insideout` for every policy.
+/// Assert a parallel engine ≡ the sequential engine for every policy.
 fn assert_par_equivalent<D: AggDomain + Sync>(q: &FaqQuery<D>) {
-    let seq = insideout(q).unwrap();
+    let seq = Engine::sequential().evaluate(q).unwrap();
     for policy in policies() {
-        let par = insideout_par(q, &policy).unwrap();
+        let par = Engine::with_policy(policy.clone()).evaluate(q).unwrap();
         assert_eq!(
             par.factor, seq.factor,
             "parallel output diverged under threads={} min_chunk_rows={}",
@@ -186,9 +186,9 @@ fn large_counting_query_chunks_for_real() {
         vec![mk(0, 1), mk(1, 2), mk(0, 2)],
     )
     .unwrap();
-    let seq = insideout(&q).unwrap();
+    let seq = Engine::sequential().evaluate(&q).unwrap();
     for threads in [2usize, 4, 8] {
-        let par = insideout_par(&q, &ExecPolicy::with_threads(threads)).unwrap();
+        let par = Engine::with_policy(ExecPolicy::with_threads(threads)).evaluate(&q).unwrap();
         assert_eq!(par.factor, seq.factor, "threads {threads}");
     }
 }

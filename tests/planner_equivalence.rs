@@ -6,7 +6,7 @@
 //!
 //! 1. **Proptests** — random triangle-shaped queries over the counting,
 //!    max-tropical, and boolean semirings: `PreparedQuery::evaluate` under
-//!    planners with threads ∈ {1, 2, 4} equals `insideout` bit for bit
+//!    planners with threads ∈ {1, 2, 4} equals `Engine::sequential()` bit for bit
 //!    (mirroring `tests/trie_equivalence.rs`).
 //! 2. **Edge cases** — empty factors, single-row factors, single-variable
 //!    queries, and repeated evaluation/updating through one handle.
@@ -16,7 +16,7 @@
 //!    sequential, parallel, and planned — keeps working.
 
 use faq::core::width::{faqw_exact, faqw_of_ordering};
-use faq::core::{insideout, insideout_par, naive_eval};
+use faq::core::{naive_eval, Engine};
 use faq::core::{ExecPolicy, FaqError, FaqQuery, PlanCache, Planner, VarAgg};
 use faq::factor::{Domains, Factor};
 use faq::hypergraph::Var;
@@ -38,9 +38,9 @@ fn planners() -> Vec<Planner> {
         .collect()
 }
 
-/// Assert every planner's prepared evaluation equals plain `insideout`.
+/// Assert every planner's prepared evaluation equals the sequential engine's.
 fn assert_plan_equivalent<D: AggDomain + Clone + Sync>(q: &FaqQuery<D>) {
-    let reference = insideout(q).unwrap();
+    let reference = Engine::sequential().evaluate(q).unwrap();
     for planner in planners() {
         let prepared = planner.prepare(q).unwrap();
         let out = prepared.evaluate().unwrap();
@@ -208,7 +208,7 @@ fn single_row_factors_plan_and_evaluate() {
     )
     .unwrap();
     assert_plan_equivalent(&q);
-    assert_eq!(naive_eval(&q), insideout(&q).unwrap().factor);
+    assert_eq!(naive_eval(&q), Engine::sequential().evaluate(&q).unwrap().factor);
 }
 
 #[test]
@@ -266,7 +266,10 @@ fn thread_counts_choose_plans_not_results() {
         "a 4-thread planner should schedule at least one parallel step on 1500-row inputs"
     );
     assert_eq!(seq_plan.evaluate().unwrap().factor, par_plan.evaluate().unwrap().factor);
-    assert_eq!(seq_plan.evaluate().unwrap().factor, insideout(&q).unwrap().factor);
+    assert_eq!(
+        seq_plan.evaluate().unwrap().factor,
+        Engine::sequential().evaluate(&q).unwrap().factor
+    );
 }
 
 #[test]
@@ -298,7 +301,10 @@ fn plan_cache_serves_many_instances() {
         )
         .unwrap();
         let prepared = cache.prepare(&planner, &q).unwrap();
-        assert_eq!(prepared.evaluate().unwrap().factor, insideout(&q).unwrap().factor);
+        assert_eq!(
+            prepared.evaluate().unwrap().factor,
+            Engine::sequential().evaluate(&q).unwrap().factor
+        );
         let order = prepared.plan().order.clone();
         match &reference {
             None => reference = Some(order),
@@ -339,10 +345,10 @@ fn free_variable_in_no_edge_errs_instead_of_panicking() {
     assert!(matches!(faqw_of_ordering(&shape, &[Var(0), Var(1)]), Err(FaqError::Uncoverable(_))));
     // Evaluation is well-defined: the free variable iterates its domain.
     let expect = naive_eval(&q);
-    assert_eq!(insideout(&q).unwrap().factor, expect);
+    assert_eq!(Engine::sequential().evaluate(&q).unwrap().factor, expect);
     for threads in [1usize, 2, 4] {
         let policy = ExecPolicy::sequential().threads(threads).min_chunk_rows(1);
-        assert_eq!(insideout_par(&q, &policy).unwrap().factor, expect);
+        assert_eq!(Engine::with_policy(policy).evaluate(&q).unwrap().factor, expect);
     }
     // The planner degrades gracefully (cost falls back to domain products)
     // and records that no width is defined.
@@ -358,10 +364,10 @@ fn all_nullary_inputs_err_instead_of_panicking() {
     assert!(matches!(faqw_exact(&shape, 100), Err(FaqError::Uncoverable(_))));
     assert!(matches!(faqw_of_ordering(&shape, &[Var(0)]), Err(FaqError::Uncoverable(_))));
     // Σ_{x0∈Dom(3)} 2·3 = 18, from every engine and from a plan.
-    assert_eq!(insideout(&q).unwrap().scalar(), Some(&18));
+    assert_eq!(Engine::sequential().evaluate(&q).unwrap().scalar(), Some(&18));
     for threads in [1usize, 4] {
         let policy = ExecPolicy::sequential().threads(threads).min_chunk_rows(1);
-        assert_eq!(insideout_par(&q, &policy).unwrap().scalar(), Some(&18));
+        assert_eq!(Engine::with_policy(policy).evaluate(&q).unwrap().scalar(), Some(&18));
     }
     let prepared = Planner::with_threads(4).prepare(&q).unwrap();
     assert_eq!(prepared.plan().width, None);

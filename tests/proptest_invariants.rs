@@ -1,7 +1,7 @@
 //! Property-based tests (proptest) on the core data structures and the
 //! engine's algebraic invariants.
 
-use faq::core::{insideout, naive_eval, FaqQuery, VarAgg};
+use faq::core::{naive_eval, Engine, FaqQuery, VarAgg};
 use faq::factor::{Domains, Factor};
 use faq::hypergraph::elim::EliminationSequence;
 use faq::hypergraph::{Hypergraph, Var};
@@ -53,7 +53,7 @@ proptest! {
             vec![(Var(0), pick(0)), (Var(1), pick(1)), (Var(2), pick(2))],
             vec![f01, f12],
         ).unwrap();
-        prop_assert_eq!(insideout(&q).unwrap().factor, naive_eval(&q));
+        prop_assert_eq!(Engine::sequential().evaluate(&q).unwrap().factor, naive_eval(&q));
     }
 
     /// Factor projection then re-projection is idempotent on the support.

@@ -2,7 +2,7 @@
 //! databases connection, §2.2/§8.4) and non-semiring aggregates via carrier
 //! lifting (Appendix B: `average` as the (sum, count) pair semiring).
 
-use faq::core::{insideout, FaqQuery, VarAgg};
+use faq::core::{Engine, FaqQuery, VarAgg};
 use faq::factor::{Domains, Factor};
 use faq::hypergraph::Var;
 use faq::semiring::ext::{avg_of, PairSemiring};
@@ -39,7 +39,7 @@ fn provenance_polynomials_through_insideout() {
         vec![r, s],
     )
     .unwrap();
-    let out = insideout(&q).unwrap().factor;
+    let out = Engine::sequential().evaluate(&q).unwrap().factor;
     assert_eq!(out.len(), 1);
     let p = out.get(&[0]).unwrap();
     // Derivations: x0·x2 (via x1=0) + x1·x3 (via x1=1).
@@ -85,7 +85,7 @@ fn average_aggregate_via_pair_semiring() {
         vec![scores],
     )
     .unwrap();
-    let out = insideout(&q).unwrap().factor;
+    let out = Engine::sequential().evaluate(&q).unwrap().factor;
     assert_eq!(avg_of(out.get(&[0]).unwrap()), Some(90.0));
     assert_eq!(avg_of(out.get(&[1]).unwrap()), Some(65.0));
 }
@@ -115,7 +115,7 @@ fn pair_semiring_totals_match_components() {
         vec![f],
     )
     .unwrap();
-    let out = insideout(&q).unwrap();
+    let out = Engine::sequential().evaluate(&q).unwrap();
     let (sum, count) = out.scalar().copied().unwrap();
     let expect_sum: f64 = data.iter().map(|(_, (s, _))| s).sum();
     assert!((sum - expect_sum).abs() < 1e-9);
@@ -142,6 +142,6 @@ fn set_semiring_union_intersection() {
         vec![r, t],
     )
     .unwrap();
-    let out = insideout(&q).unwrap();
+    let out = Engine::sequential().evaluate(&q).unwrap();
     assert_eq!(out.scalar().cloned(), Some(set(&[1, 2, 4])));
 }

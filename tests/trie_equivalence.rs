@@ -23,7 +23,7 @@
 //!    C+1 (rows straddling every boundary alignment), at identical 1-thread
 //!    seek counts.
 
-use faq::core::{insideout_par, insideout_par_with_order, ExecPolicy, FaqQuery, JoinRep, VarAgg};
+use faq::core::{Engine, ExecPolicy, FaqQuery, JoinRep, VarAgg};
 use faq::factor::{Domains, Factor, LevelStorage, SpillConfig, TrieCursor, VecStorage};
 use faq::hypergraph::Var;
 use faq::semiring::{AggDomain, BoolDomain, CountDomain, MaxPlus, SingleSemiringDomain};
@@ -244,13 +244,14 @@ const THREADS: [usize; 3] = [1, 2, 4];
 /// outputs are bit-identical (listing 1-thread is the reference).
 fn assert_rep_equivalent<D: AggDomain + Sync>(q: &FaqQuery<D>) {
     let reference =
-        insideout_par(q, &ExecPolicy::sequential().min_chunk_rows(1).rep(JoinRep::Listing))
+        Engine::with_policy(ExecPolicy::sequential().min_chunk_rows(1).rep(JoinRep::Listing))
+            .evaluate(q)
             .unwrap();
     for threads in THREADS {
         let mut seeks: Option<u64> = None;
         for rep in [JoinRep::Listing, JoinRep::Trie] {
             let policy = ExecPolicy::sequential().threads(threads).min_chunk_rows(1).rep(rep);
-            let out = insideout_par(q, &policy).unwrap();
+            let out = Engine::with_policy(policy).evaluate(q).unwrap();
             assert_eq!(
                 out.factor, reference.factor,
                 "diverged under rep={rep:?} threads={threads}"
@@ -437,7 +438,8 @@ fn eval_triangle_order<D: AggDomain + Sync>(
     let mut one_thread = None;
     for threads in THREADS {
         let policy = ExecPolicy::sequential().threads(threads).min_chunk_rows(1);
-        let out = insideout_par_with_order(q, &[Var(0), Var(1), Var(2)], &policy).unwrap();
+        let out =
+            Engine::with_policy(policy).evaluate_with_order(q, &[Var(0), Var(1), Var(2)]).unwrap();
         if let Some(r) = reference {
             assert_eq!(&out.factor, r, "diverged at threads={threads}");
         }

@@ -6,7 +6,7 @@
 //! is broken, without depending on any of the deeper paper-reproduction
 //! machinery the other integration tests exercise.
 
-use faq::core::{insideout, naive_eval, FaqQuery, VarAgg};
+use faq::core::{naive_eval, Engine, FaqQuery, VarAgg};
 use faq::factor::{Domains, Factor};
 use faq::hypergraph::{Hypergraph, Var, VarSet};
 use faq::semiring::{CountDomain, Semiring};
@@ -39,7 +39,7 @@ fn facade_pipeline_insideout_equals_naive() {
     .unwrap();
 
     let expect = naive_eval(&q);
-    let got = insideout(&q).unwrap();
+    let got = Engine::sequential().evaluate(&q).unwrap();
     assert_eq!(got.factor, expect);
     assert!(got.scalar().is_some(), "non-trivial instance must not evaluate to zero");
 }
