@@ -197,6 +197,25 @@ pub(crate) fn narrowed_dirty<E: SemiringElem>(old: Option<&Factor<E>>, new: &Fac
     }
 }
 
+/// Whether `new` differs from `old` (same schema) only in rows whose
+/// first-column value lies inside `ranges` — the contract of
+/// [`crate::plan::PreparedQuery::install_merged`]. Vacuously true where the
+/// row diff has nothing to say: scalars, and spilled listings (it walks rows
+/// in memory).
+pub(crate) fn differs_only_within<E: SemiringElem>(
+    old: &Factor<E>,
+    new: &Factor<E>,
+    ranges: &[(u32, u32)],
+) -> bool {
+    if old.is_spilled() || new.is_spilled() {
+        return true;
+    }
+    match narrowed_dirty(Some(old), new) {
+        Dirty::Clean | Dirty::Full => true,
+        Dirty::Ranges(rs) => rs.iter().all(|r| ranges.iter().any(|o| o.0 <= r.0 && r.1 <= o.1)),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -389,8 +389,9 @@ impl<'a> CostModel<'a> {
 ///
 /// Construction pays for ordering search, factor alignment to the plan
 /// order, and trie-index builds exactly once; every [`PreparedQuery::evaluate`]
-/// after that runs straight into the join kernels (factor clones keep their
-/// built tries). *Intermediate* factors need no index build either: each
+/// after that runs straight into the join kernels (an input the plan order
+/// leaves aligned stays a handle on the caller's factor body, index
+/// included). *Intermediate* factors need no index build either: each
 /// elimination step's output streams into its trie as rows are emitted
 /// (see [`faq_factor::FactorBuilder::with_streaming_trie`]), so the serving
 /// path never re-indexes a listing — inputs are indexed here, intermediates
@@ -466,11 +467,7 @@ impl<D: AggDomain + Clone + Sync> PreparedQuery<D> {
     /// swap drops the delta cache (it described the old values) and the next
     /// [`PreparedQuery::apply_delta`] re-primes it.
     pub fn update_factor(&mut self, slot: usize, factor: Factor<D::E>) -> Result<(), FaqError> {
-        let current = self
-            .query
-            .factors
-            .get(slot)
-            .ok_or_else(|| FaqError::BadOrdering(format!("factor slot {slot} out of range")))?;
+        let current = self.slot_factor(slot)?;
         Self::check_slot_schema(slot, current, factor.schema())?;
         let aligned = factor.align_to(&self.plan.order);
         let old = std::mem::replace(&mut self.query.factors[slot], aligned);
@@ -481,6 +478,15 @@ impl<D: AggDomain + Clone + Sync> PreparedQuery<D> {
         self.query.factors[slot].trie();
         self.cache = None;
         Ok(())
+    }
+
+    /// The prepared factor in `slot`, or the error every slot-taking method
+    /// reports for a position outside the factor list.
+    fn slot_factor(&self, slot: usize) -> Result<&Factor<D::E>, FaqError> {
+        self.query
+            .factors
+            .get(slot)
+            .ok_or_else(|| FaqError::BadOrdering(format!("factor slot {slot} out of range")))
     }
 
     /// Errors with [`FaqError::FactorSchemaMismatch`] — naming `slot` and a
@@ -545,11 +551,7 @@ impl<D: AggDomain + Clone + Sync> PreparedQuery<D> {
         op: faq_semiring::AggId,
     ) -> Result<FaqOutput<D::E>, FaqError> {
         // Validate everything BEFORE mutating: slot, operator, schema, keys.
-        let current = self
-            .query
-            .factors
-            .get(slot)
-            .ok_or_else(|| FaqError::BadOrdering(format!("factor slot {slot} out of range")))?;
+        let current = self.slot_factor(slot)?;
         if op.index() >= self.query.domain.num_ops() {
             return Err(FaqError::UnknownAggregate(op));
         }
@@ -563,14 +565,10 @@ impl<D: AggDomain + Clone + Sync> PreparedQuery<D> {
             }
         }
 
-        if self.cache.is_none() {
-            self.cache = Some(DeltaCache::prime(&self.query, &self.plan.order, &*self.plan)?);
-        }
-
         // The merge (including the spilled splice path, which does chunk I/O
-        // on this thread) and the trie rebuild run BEFORE anything is
-        // installed: a storage abort here surfaces as a typed error with the
-        // handle — factor and cached trace — completely untouched.
+        // on this thread) runs BEFORE anything is installed: a storage abort
+        // here surfaces as a typed error with the handle — factor and cached
+        // trace — completely untouched.
         let dom = &self.query.domain;
         let (merged, ranges) = fault::catch_abort(|| {
             aligned.apply_to(
@@ -580,6 +578,57 @@ impl<D: AggDomain + Clone + Sync> PreparedQuery<D> {
             )
         })
         .map_err(FaqError::from)?;
+        self.install_merged(slot, merged, ranges)
+    }
+
+    /// The install half of [`PreparedQuery::apply_delta`]: put an
+    /// already-merged factor into `slot` and replay the elimination steps the
+    /// change reaches, returning the query's new output.
+    ///
+    /// `apply_delta` is "validate, merge, then this". A caller that keeps the
+    /// same relation in several handles — a serving writer with one catalog
+    /// slot read by many registered queries — merges the delta *once*
+    /// ([`DeltaFactor::apply_to`]) and installs the result in each: `merged`
+    /// is a handle on one shared body, so the listing is assembled once and
+    /// its trie index is built once, by whichever handle asks first.
+    ///
+    /// # Contract
+    ///
+    /// `merged` is the slot's current factor with a delta applied: same
+    /// column order, keys inside the query's domains, and different from the
+    /// current factor only in rows whose first-column value lies inside
+    /// `ranges` (sorted, disjoint, half-open — what `apply_to` reports; empty
+    /// means nothing changed, and the cached output is served without a
+    /// replay). The column order is checked; the rest is the caller's
+    /// promise, asserted in debug builds for in-memory factors.
+    ///
+    /// Errors — a slot out of range, a schema or column-order mismatch, a
+    /// failed priming run, a storage abort while indexing — leave the handle
+    /// untouched. A failure *during* replay rolls the factor back and drops
+    /// the replay cache (the next delta re-primes it).
+    pub fn install_merged(
+        &mut self,
+        slot: usize,
+        merged: Factor<D::E>,
+        ranges: Vec<(u32, u32)>,
+    ) -> Result<FaqOutput<D::E>, FaqError> {
+        let current = self.slot_factor(slot)?;
+        Self::check_slot_schema(slot, current, merged.schema())?;
+        if current.schema() != merged.schema() {
+            return Err(FaqError::BadOrdering(format!(
+                "factor slot {slot}: merged columns {:?} are not in the prepared order {:?}",
+                merged.schema(),
+                current.schema()
+            )));
+        }
+        debug_assert!(
+            crate::delta::differs_only_within(current, &merged, &ranges),
+            "merged factor differs from slot {slot} outside the reported ranges"
+        );
+
+        if self.cache.is_none() {
+            self.cache = Some(DeltaCache::prime(&self.query, &self.plan.order, &*self.plan)?);
+        }
         if ranges.is_empty() {
             // The batch was a no-op (e.g. deletes of absent keys): serve the
             // cached output, no replay.
@@ -589,7 +638,8 @@ impl<D: AggDomain + Clone + Sync> PreparedQuery<D> {
                 stats: ElimStats::default(),
             });
         }
-        // keep the handle serving-ready, like update_factor
+        // Keep the handle serving-ready, like update_factor; a no-op when a
+        // sibling handle of the same body has indexed it already.
         fault::catch_abort(|| {
             merged.trie();
         })
@@ -627,14 +677,16 @@ impl<D: AggDomain + Clone + Sync> PreparedQuery<D> {
     }
 }
 
-/// Cloning a prepared handle yields an independent serving replica: the
-/// aligned factors (with their built trie indexes — [`Factor`]'s `Clone`
-/// preserves them) and the `Arc`-shared plan are cloned, while the
-/// incremental-replay trace is **not** — it is per-handle state that the
-/// replica's first [`PreparedQuery::apply_delta`] re-primes lazily. This is
-/// the publish primitive of epoch-snapshot serving: a writer mutates its
-/// master handle via deltas, then clones read-only replicas for the next
-/// epoch.
+/// Cloning a prepared handle yields an independent serving replica in
+/// `O(number of factors)`: the aligned factors are handles on shared,
+/// immutable bodies ([`Factor`]'s `Clone` copies no row, value or index) and
+/// the plan is `Arc`-shared, so nothing proportional to the data is copied.
+/// The incremental-replay trace is **not** carried over — it is per-handle
+/// state that the replica's first [`PreparedQuery::apply_delta`] re-primes
+/// lazily. This is the publish primitive of epoch-snapshot serving: a writer
+/// advances its master handle via deltas (each replacing one factor handle,
+/// never writing through it), then takes read-only replicas for the next
+/// epoch; replicas of older epochs keep the bodies they were taken with.
 impl<D: AggDomain + Clone> Clone for PreparedQuery<D> {
     fn clone(&self) -> PreparedQuery<D> {
         PreparedQuery { query: self.query.clone(), plan: Arc::clone(&self.plan), cache: None }

@@ -1118,6 +1118,12 @@ impl FileChunkedLevel {
         self.inner.len
     }
 
+    /// The resident head samples plus the level chunks currently pinned.
+    fn resident_bytes(&self) -> usize {
+        let cache = self.inner.cache.lock().unwrap_or_else(PoisonError::into_inner);
+        self.inner.heads.len() * 4 + cache.map.values().map(|(_, c)| c.bytes).sum::<usize>()
+    }
+
     fn value(&self, j: usize) -> u32 {
         self.val(j)
     }
@@ -1242,6 +1248,13 @@ impl LevelStorage for FactorLevel {
         match self {
             FactorLevel::Mem(s) => s.row_at(j),
             FactorLevel::Disk(s) => s.row_at(j),
+        }
+    }
+
+    fn resident_bytes(&self) -> usize {
+        match self {
+            FactorLevel::Mem(s) => s.resident_bytes(),
+            FactorLevel::Disk(s) => s.resident_bytes(),
         }
     }
 

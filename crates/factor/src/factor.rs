@@ -8,7 +8,7 @@ use faq_hypergraph::Var;
 use faq_semiring::SemiringElem;
 use std::fmt;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Errors raised by factor constructors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -75,15 +75,29 @@ impl FactorStats {
 /// The row-major storage is private; consumers read rows through the accessor
 /// API ([`Factor::row`], [`Factor::value`], [`Factor::iter`]) or through the
 /// columnar trie index ([`Factor::trie`]), which is built lazily on first use
-/// and cached for the factor's lifetime.
+/// and cached for the body's lifetime.
+///
+/// # Sharing
+///
+/// A `Factor` is a handle on one immutable, `Arc`-shared body: nothing in the
+/// API writes to a finished factor (every operation emits a *new* one, only
+/// [`FactorBuilder`] mutates), so `Clone` is a reference-count bump for both
+/// backings and copies no row, value or index. The trie slot lives *in* the
+/// body, so an index built through any handle is seen by all of them — a
+/// catalog relation read by several prepared queries and every epoch
+/// snapshot of it is listed once and indexed once.
+#[derive(Clone)]
 pub struct Factor<E> {
+    body: Arc<Body<E>>,
+}
+
+/// What every handle of one factor shares.
+struct Body<E> {
     schema: Vec<Var>,
     cols: Columns<E>,
     len: usize,
     /// Lazily-built columnar trie index (see [`crate::trie`]). Not part of
-    /// the factor's identity: equality ignores it. The index is immutable
-    /// relative to `rows`/`vals`, so clones carry it over instead of
-    /// re-paying the build.
+    /// the factor's identity: equality ignores it.
     trie: OnceLock<FactorTrie>,
     /// Point lookups served off the cold (trie-less) listing so far; once it
     /// reaches [`Factor::GETS_BEFORE_TRIE`], [`Factor::get`] builds the index.
@@ -96,19 +110,6 @@ pub struct Factor<E> {
 enum Columns<E> {
     Mem { rows: Vec<u32>, vals: Vec<E> },
     Spill(FileChunkedColumns<E>),
-}
-
-impl<E: Clone> Clone for Columns<E> {
-    fn clone(&self) -> Self {
-        match self {
-            Columns::Mem { rows, vals } => Columns::Mem { rows: rows.clone(), vals: vals.clone() },
-            // Spilled listings clone by handle: the clone shares the chunks,
-            // the pinned-window cache and the spill directory — cold data is
-            // never copied (this is what makes epoch snapshots of spilled
-            // catalogs O(1)).
-            Columns::Spill(c) => Columns::Spill(c.clone()),
-        }
-    }
 }
 
 /// A value read from a factor that may live on disk: borrowed from the heap
@@ -151,31 +152,15 @@ impl<E> std::ops::Deref for ValRef<'_, E> {
     }
 }
 
-impl<E: Clone> Clone for Factor<E> {
-    fn clone(&self) -> Self {
-        // The trie is a pure function of (schema, rows), both cloned verbatim,
-        // so a built index stays valid for the clone — dropping it here would
-        // silently re-pay the O(arity × len) build on every cloned factor.
-        let trie = OnceLock::new();
-        if let Some(t) = self.trie.get() {
-            let _ = trie.set(t.clone());
-        }
-        Factor {
-            schema: self.schema.clone(),
-            cols: self.cols.clone(),
-            len: self.len,
-            trie,
-            gets: AtomicU32::new(self.gets.load(Ordering::Relaxed)),
-        }
-    }
-}
-
 impl<E: PartialEq> PartialEq for Factor<E> {
     fn eq(&self, other: &Self) -> bool {
-        if self.schema != other.schema || self.len != other.len {
+        if Arc::ptr_eq(&self.body, &other.body) {
+            return true;
+        }
+        if self.body.schema != other.body.schema || self.body.len != other.body.len {
             return false;
         }
-        match (&self.cols, &other.cols) {
+        match (&self.body.cols, &other.body.cols) {
             (Columns::Mem { rows: ra, vals: va }, Columns::Mem { rows: rb, vals: vb }) => {
                 ra == rb && va == vb
             }
@@ -189,10 +174,10 @@ impl<E: PartialEq> PartialEq for Factor<E> {
 impl<E: SemiringElem> fmt::Debug for Factor<E> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let tag = if self.is_spilled() { ", spilled" } else { "" };
-        write!(f, "Factor{:?}[{} rows{tag}]", self.schema, self.len)?;
-        if self.len <= 16 && !self.is_spilled() {
+        write!(f, "Factor{:?}[{} rows{tag}]", self.body.schema, self.body.len)?;
+        if self.body.len <= 16 && !self.is_spilled() {
             write!(f, " {{")?;
-            for i in 0..self.len {
+            for i in 0..self.body.len {
                 if i > 0 {
                     write!(f, ", ")?;
                 }
@@ -208,12 +193,12 @@ impl<E> Factor<E> {
     /// Whether the listing lives on disk (file-chunked) rather than on the
     /// heap.
     pub fn is_spilled(&self) -> bool {
-        matches!(self.cols, Columns::Spill(_))
+        matches!(self.body.cols, Columns::Spill(_))
     }
 
     #[track_caller]
     fn mem_rows(&self) -> &[u32] {
-        match &self.cols {
+        match &self.body.cols {
             Columns::Mem { rows, .. } => rows,
             Columns::Spill(_) => {
                 panic!("this operation requires an in-memory listing, but the factor is spilled")
@@ -223,7 +208,7 @@ impl<E> Factor<E> {
 
     #[track_caller]
     fn mem_vals(&self) -> &[E] {
-        match &self.cols {
+        match &self.body.cols {
             Columns::Mem { vals, .. } => vals,
             Columns::Spill(_) => {
                 panic!("this operation requires an in-memory listing, but the factor is spilled")
@@ -294,13 +279,21 @@ impl<E: SemiringElem> Factor<E> {
             rows.extend_from_slice(&t);
             vals.push(v);
         }
-        Factor {
-            schema,
-            cols: Columns::Mem { rows, vals },
-            len,
-            trie: OnceLock::new(),
-            gets: AtomicU32::new(0),
+        Factor::from_parts(schema, Columns::Mem { rows, vals }, len, None)
+    }
+
+    /// The one place a body is made: the listing is moved in, never copied.
+    fn from_parts(
+        schema: Vec<Var>,
+        cols: Columns<E>,
+        len: usize,
+        trie: Option<FactorTrie>,
+    ) -> Self {
+        let slot = OnceLock::new();
+        if let Some(trie) = trie {
+            let _ = slot.set(trie);
         }
+        Factor { body: Arc::new(Body { schema, cols, len, trie: slot, gets: AtomicU32::new(0) }) }
     }
 
     /// Build a factor directly from column-flat storage whose rows are
@@ -343,13 +336,7 @@ impl<E: SemiringElem> Factor<E> {
                     .all(|(a, b)| a < b),
             "from_sorted_distinct requires strictly ascending rows"
         );
-        Ok(Factor {
-            schema,
-            cols: Columns::Mem { rows, vals },
-            len,
-            trie: OnceLock::new(),
-            gets: AtomicU32::new(0),
-        })
+        Ok(Factor::from_parts(schema, Columns::Mem { rows, vals }, len, None))
     }
 
     /// A nullary (constant) factor: `Some(v)` is the scalar `v`, `None` is the
@@ -357,13 +344,7 @@ impl<E: SemiringElem> Factor<E> {
     pub fn nullary(value: Option<E>) -> Self {
         let vals = value.into_iter().collect::<Vec<E>>();
         let len = vals.len();
-        Factor {
-            schema: Vec::new(),
-            cols: Columns::Mem { rows: Vec::new(), vals },
-            len,
-            trie: OnceLock::new(),
-            gets: AtomicU32::new(0),
-        }
+        Factor::from_parts(Vec::new(), Columns::Mem { rows: Vec::new(), vals }, len, None)
     }
 
     /// Tabulate `f` over the full cross product of the schema's domains,
@@ -406,22 +387,22 @@ impl<E: SemiringElem> Factor<E> {
 
     /// The column order of this factor.
     pub fn schema(&self) -> &[Var] {
-        &self.schema
+        &self.body.schema
     }
 
     /// Number of columns.
     pub fn arity(&self) -> usize {
-        self.schema.len()
+        self.body.schema.len()
     }
 
     /// Number of non-zero rows — the factor size `‖ψ_S‖` of the paper.
     pub fn len(&self) -> usize {
-        self.len
+        self.body.len
     }
 
     /// Whether the factor is identically zero.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.body.len == 0
     }
 
     /// The `i`-th row. Requires an in-memory listing (panics on a spilled
@@ -440,7 +421,7 @@ impl<E: SemiringElem> Factor<E> {
     /// The key value of row `i`, column `d` — works over both backings; a
     /// spilled factor pins (at most) one chunk.
     pub fn col(&self, i: usize, d: usize) -> u32 {
-        match &self.cols {
+        match &self.body.cols {
             Columns::Mem { rows, .. } => rows[i * self.arity() + d],
             Columns::Spill(c) => c.col(i, d),
         }
@@ -449,7 +430,7 @@ impl<E: SemiringElem> Factor<E> {
     /// The `i`-th value over either backing: borrowed from the heap listing,
     /// or decoded out of a pinned spill chunk.
     pub fn value_at(&self, i: usize) -> ValRef<'_, E> {
-        match &self.cols {
+        match &self.body.cols {
             Columns::Mem { vals, .. } => ValRef::Borrowed(&vals[i]),
             Columns::Spill(c) => ValRef::Owned(c.value_owned(i)),
         }
@@ -461,10 +442,10 @@ impl<E: SemiringElem> Factor<E> {
     /// After a delta splice with deletions this is an upper bound for a
     /// spilled factor, never an underestimate.
     pub fn max_in_column(&self, d: usize) -> Option<u32> {
-        match &self.cols {
+        match &self.body.cols {
             Columns::Mem { rows, .. } => {
                 let a = self.arity();
-                (0..self.len).map(|i| rows[i * a + d]).max()
+                (0..self.body.len).map(|i| rows[i * a + d]).max()
             }
             Columns::Spill(c) => c.col_max(d),
         }
@@ -473,7 +454,7 @@ impl<E: SemiringElem> Factor<E> {
     /// Iterate `(row, value)` pairs in sorted row order. Requires an
     /// in-memory listing (panics on a spilled factor).
     pub fn iter(&self) -> impl Iterator<Item = (&[u32], &E)> + '_ {
-        (0..self.len).map(move |i| (self.row(i), self.value(i)))
+        (0..self.body.len).map(move |i| (self.row(i), self.value(i)))
     }
 
     /// Copy this factor's listing into a file-chunked spill (see
@@ -488,25 +469,19 @@ impl<E: SemiringElem> Factor<E> {
         for (row, val) in self.iter() {
             w.push(row, val.clone());
         }
-        Factor::from_spill(self.schema.clone(), w.finish_cols())
+        Factor::from_spill(self.body.schema.clone(), w.finish_cols())
     }
 
     /// Wrap an already-written spilled listing (rows strictly ascending) in a
     /// factor.
     pub(crate) fn from_spill(schema: Vec<Var>, cols: FileChunkedColumns<E>) -> Factor<E> {
         let len = cols.len();
-        Factor {
-            schema,
-            cols: Columns::Spill(cols),
-            len,
-            trie: OnceLock::new(),
-            gets: AtomicU32::new(0),
-        }
+        Factor::from_parts(schema, Columns::Spill(cols), len, None)
     }
 
     /// Read access to the spilled listing, when there is one.
     pub(crate) fn spill_cols(&self) -> Option<&FileChunkedColumns<E>> {
-        match &self.cols {
+        match &self.body.cols {
             Columns::Spill(c) => Some(c),
             Columns::Mem { .. } => None,
         }
@@ -518,14 +493,23 @@ impl<E: SemiringElem> Factor<E> {
         self.spill_cols().map(FileChunkedColumns::stats)
     }
 
-    /// Heap bytes this factor's listing currently keeps resident: the full
-    /// flat arrays for an in-memory factor, only the pinned chunk window for
-    /// a spilled one.
+    /// Heap bytes this factor's body currently keeps resident: the listing
+    /// (the full flat arrays of an in-memory factor, only the pinned chunk
+    /// window of a spilled one) plus the trie index once it is built. Every
+    /// handle of one body reports the same bytes — count a body once (see
+    /// [`Factor::shares_body`]).
     pub fn resident_bytes(&self) -> usize {
-        match &self.cols {
+        let listing = match &self.body.cols {
             Columns::Mem { rows, vals } => rows.len() * 4 + vals.len() * std::mem::size_of::<E>(),
             Columns::Spill(c) => c.stats().resident_bytes,
-        }
+        };
+        listing + self.trie_if_built().map_or(0, FactorTrie::resident_bytes)
+    }
+
+    /// Whether `self` and `other` are handles on the same body — clones of
+    /// one factor, sharing listing and index.
+    pub fn shares_body(&self, other: &Factor<E>) -> bool {
+        Arc::ptr_eq(&self.body, &other.body)
     }
 
     /// First-column partition whose cuts align to this factor's spill-chunk
@@ -539,13 +523,15 @@ impl<E: SemiringElem> Factor<E> {
 
     /// The columnar trie index over this factor's rows (see [`crate::trie`]).
     ///
-    /// Built on first use — `O(arity × len)` — and cached for the factor's
-    /// lifetime, so joins, lookups and chunk partitioning that touch the same
+    /// Built on first use — `O(arity × len)` — and cached in the shared body,
+    /// so joins, lookups and chunk partitioning through any handle of the
     /// factor share one index. Thread-safe: concurrent first callers race
     /// benignly on a [`OnceLock`].
     pub fn trie(&self) -> &FactorTrie {
-        self.trie.get_or_init(|| match &self.cols {
-            Columns::Mem { rows, .. } => FactorTrie::build(self.schema.len(), rows, self.len),
+        self.body.trie.get_or_init(|| match &self.body.cols {
+            Columns::Mem { rows, .. } => {
+                FactorTrie::build(self.body.schema.len(), rows, self.body.len)
+            }
             // Spilled listings stream their index straight back to disk: one
             // pass over the chunks, spilled levels out (see
             // [`crate::colstore`]).
@@ -555,7 +541,7 @@ impl<E: SemiringElem> Factor<E> {
 
     /// The trie index if it has already been built, without forcing a build.
     pub fn trie_if_built(&self) -> Option<&FactorTrie> {
-        self.trie.get()
+        self.body.trie.get()
     }
 
     /// Per-factor statistics for cost-based planning: row count plus the
@@ -568,7 +554,7 @@ impl<E: SemiringElem> Factor<E> {
     pub fn stats(&self) -> FactorStats {
         let trie = self.trie();
         FactorStats {
-            rows: self.len,
+            rows: self.body.len,
             arity: self.arity(),
             level_distinct: (0..trie.arity()).map(|d| trie.level(d).len()).collect(),
         }
@@ -597,9 +583,9 @@ impl<E: SemiringElem> Factor<E> {
             return self.mem_vals().first();
         }
         if self.trie_if_built().is_none() {
-            let cold_gets = self.gets.fetch_add(1, Ordering::Relaxed) + 1;
+            let cold_gets = self.body.gets.fetch_add(1, Ordering::Relaxed) + 1;
             if cold_gets < Self::GETS_BEFORE_TRIE && !self.is_spilled() {
-                let mut range = (0usize, self.len);
+                let mut range = (0usize, self.body.len);
                 for (depth, &value) in tuple.iter().enumerate() {
                     range = self.prefix_range(range, depth, value);
                     if range.0 == range.1 {
@@ -672,14 +658,14 @@ impl<E: SemiringElem> Factor<E> {
         let perm: Vec<usize> = new_schema
             .iter()
             .map(|v| {
-                self.schema
+                self.schema()
                     .iter()
                     .position(|s| s == v)
-                    .unwrap_or_else(|| panic!("{v} not in schema {:?}", self.schema))
+                    .unwrap_or_else(|| panic!("{v} not in schema {:?}", self.body.schema))
             })
             .collect();
-        // Identity permutation: nothing to reorder, clone (keeping the built
-        // trie) instead of re-sorting.
+        // Identity permutation: nothing to reorder — hand out another handle
+        // on the same body (listing and index shared, nothing copied).
         if perm.iter().enumerate().all(|(i, &p)| i == p) {
             return self.clone();
         }
@@ -689,7 +675,7 @@ impl<E: SemiringElem> Factor<E> {
         // identity branch above and `align_to_cow`'s borrow), so this
         // fallback only sees factors small enough to hold on the heap.
         if self.is_spilled() {
-            let mut pairs: Vec<(Vec<u32>, E)> = Vec::with_capacity(self.len);
+            let mut pairs: Vec<(Vec<u32>, E)> = Vec::with_capacity(self.body.len);
             self.for_each_row_grouped(true, &[], &mut |row, val| {
                 pairs.push((perm.iter().map(|&p| row[p]).collect(), val.clone()));
             });
@@ -702,15 +688,11 @@ impl<E: SemiringElem> Factor<E> {
             }
             return out.finish();
         }
-        // Sort row *indices* under the permuted comparison, then write the
-        // permuted rows column-flat — no per-row tuple is ever allocated.
-        let mut idx: Vec<usize> = (0..self.len).collect();
-        idx.sort_unstable_by(|&a, &b| {
-            let (ra, rb) = (self.row(a), self.row(b));
-            perm.iter().map(|&p| ra[p]).cmp(perm.iter().map(|&p| rb[p]))
-        });
+        // Order row *indices* under the permuted key, then write the permuted
+        // rows column-flat — no per-row tuple is ever allocated.
+        let idx = self.order_by_columns(&perm);
         let mut out = FactorBuilder::new(new_schema.to_vec()).expect("permuted schema stays valid");
-        out.reserve(self.len);
+        out.reserve(self.body.len);
         let mut buf = vec![0u32; self.arity()];
         for &i in &idx {
             let row = self.row(i);
@@ -734,15 +716,15 @@ impl<E: SemiringElem> Factor<E> {
     /// must not clone the factor.
     pub fn align_to_cow(&self, global: &[Var]) -> std::borrow::Cow<'_, Factor<E>> {
         let new_schema: Vec<Var> =
-            global.iter().copied().filter(|v| self.schema.contains(v)).collect();
+            global.iter().copied().filter(|v| self.body.schema.contains(v)).collect();
         assert_eq!(
             new_schema.len(),
             self.arity(),
             "global order {:?} does not cover schema {:?}",
             global,
-            self.schema
+            self.body.schema
         );
-        if new_schema == self.schema {
+        if new_schema == self.body.schema {
             std::borrow::Cow::Borrowed(self)
         } else {
             std::borrow::Cow::Owned(self.reorder(&new_schema))
@@ -760,7 +742,7 @@ impl<E: SemiringElem> Factor<E> {
         is_zero: impl FnMut(&E) -> bool,
     ) -> Factor<E> {
         let positions: Vec<usize> =
-            (0..self.arity()).filter(|&i| keep.contains(&self.schema[i])).collect();
+            (0..self.arity()).filter(|&i| keep.contains(&self.body.schema[i])).collect();
         self.project_fold(&positions, |v| v.clone(), |a, b| combine(a, b), is_zero)
     }
 
@@ -768,7 +750,7 @@ impl<E: SemiringElem> Factor<E> {
     /// onto `keep ∩ schema` and map every surviving tuple to `one`.
     pub fn indicator_projection(&self, keep: &[Var], one: E) -> Factor<E> {
         let positions: Vec<usize> =
-            (0..self.arity()).filter(|&i| keep.contains(&self.schema[i])).collect();
+            (0..self.arity()).filter(|&i| keep.contains(&self.body.schema[i])).collect();
         self.project_fold(&positions, |_| one.clone(), |a, _| a.clone(), |_| false)
     }
 
@@ -780,10 +762,10 @@ impl<E: SemiringElem> Factor<E> {
     /// When `positions` is a prefix of the column order, the input's
     /// sortedness already groups equal keys consecutively — one streaming
     /// pass, which spilled listings serve chunk by chunk without ever
-    /// materializing. Otherwise row *indices* are stably sorted under the
-    /// projected key (ties keep row order, so non-commutative folds match the
-    /// previous sort-of-pairs behaviour bit for bit). Neither path allocates
-    /// per row.
+    /// materializing. Otherwise row *indices* are ordered under the projected
+    /// key by [`Factor::order_by_columns`] (ties keep row order, so
+    /// non-commutative folds see each group's rows in listing order). Neither
+    /// path allocates per row.
     fn project_fold(
         &self,
         positions: &[usize],
@@ -791,7 +773,7 @@ impl<E: SemiringElem> Factor<E> {
         mut combine: impl FnMut(&E, &E) -> E,
         mut is_zero: impl FnMut(&E) -> bool,
     ) -> Factor<E> {
-        let new_schema: Vec<Var> = positions.iter().map(|&i| self.schema[i]).collect();
+        let new_schema: Vec<Var> = positions.iter().map(|&i| self.body.schema[i]).collect();
         let k = positions.len();
         let mut out = FactorBuilder::new(new_schema).expect("projected schema stays valid");
         let is_prefix = positions.iter().enumerate().all(|(i, &p)| i == p);
@@ -852,17 +834,17 @@ impl<E: SemiringElem> Factor<E> {
 
     /// Drive `feed` over every `(row, value)` pair: in listing order when
     /// `grouped` (the projection key is already consecutive), otherwise in
-    /// stable projected-key order via an index sort. Spilled listings stream
-    /// one chunk at a time and therefore support only the `grouped` order —
-    /// which is the order every σ-aligned elimination step uses, since such
-    /// steps always project away a suffix of the schema.
+    /// stable projected-key order ([`Factor::order_by_columns`]). Spilled
+    /// listings stream one chunk at a time and therefore support only the
+    /// `grouped` order — which is the order every σ-aligned elimination step
+    /// uses, since such steps always project away a suffix of the schema.
     fn for_each_row_grouped(
         &self,
         grouped: bool,
         positions: &[usize],
         feed: &mut impl FnMut(&[u32], &E),
     ) {
-        if let Columns::Spill(cols) = &self.cols {
+        if let Columns::Spill(cols) = &self.body.cols {
             assert!(
                 grouped,
                 "reordering projections of a spilled factor require an in-memory listing"
@@ -876,19 +858,75 @@ impl<E: SemiringElem> Factor<E> {
                 });
             }
         } else if grouped {
-            for i in 0..self.len {
+            for i in 0..self.body.len {
                 feed(self.row(i), &self.mem_vals()[i]);
             }
         } else {
-            let mut idx: Vec<usize> = (0..self.len).collect();
-            idx.sort_by(|&a, &b| {
-                let (ra, rb) = (self.row(a), self.row(b));
-                positions.iter().map(|&p| ra[p]).cmp(positions.iter().map(|&p| rb[p]))
-            });
-            for i in idx {
+            for i in self.order_by_columns(positions) {
                 feed(self.row(i), &self.mem_vals()[i]);
             }
         }
+    }
+
+    /// Below this many rows [`Factor::order_by_columns`] always compares: a
+    /// 16-row potential gains nothing from a histogram and the comparison
+    /// sort allocates less.
+    const COUNTING_SORT_MIN_ROWS: usize = 64;
+
+    /// The indices of an in-memory listing's rows ordered by the key columns
+    /// `keys` (most significant first), ties in listing order — exactly what
+    /// a stable comparison sort of the indices under the projected key
+    /// yields, which is the order non-commutative folds rely on.
+    ///
+    /// The listing is already sorted by the full row, so trailing keys that
+    /// spell a prefix of the column order (`.., 0, 1`) are in place before
+    /// anything runs. Each remaining key is one stable counting pass over
+    /// whole column values (least significant key first, `max + 1` buckets):
+    /// two sequential sweeps of the rows instead of `log₂ len` random row
+    /// reads per row. A sparse column — maximum at least `2 × len` — would
+    /// pay more for its histogram than for the comparisons, so such a
+    /// listing, and any tiny one, keeps the comparison sort; the choice reads
+    /// only `len` and the column maxima.
+    fn order_by_columns(&self, keys: &[usize]) -> Vec<usize> {
+        let (rows, len, arity) = (self.mem_rows(), self.len(), self.arity());
+        let mut idx: Vec<usize> = (0..len).collect();
+        let presorted = (0..=keys.len())
+            .rev()
+            .find(|&j| keys[keys.len() - j..].iter().copied().eq(0..j))
+            .expect("the empty suffix always matches");
+        let passes = &keys[..keys.len() - presorted];
+        let maxes = (len >= Self::COUNTING_SORT_MIN_ROWS)
+            .then(|| passes.iter().map(|&c| self.max_in_column(c).map_or(0, |m| m as usize)))
+            .map(Iterator::collect::<Vec<usize>>)
+            .filter(|maxes| maxes.iter().all(|&m| m < 2 * len));
+        let Some(maxes) = maxes else {
+            idx.sort_by(|&a, &b| {
+                let (ra, rb) = (&rows[a * arity..], &rows[b * arity..]);
+                passes.iter().map(|&c| ra[c]).cmp(passes.iter().map(|&c| rb[c]))
+            });
+            return idx;
+        };
+        let mut next = vec![0usize; len];
+        let mut starts: Vec<usize> = Vec::new();
+        for (&c, &max) in passes.iter().zip(&maxes).rev() {
+            // starts[v + 1] counts value v; the running sum turns starts[v]
+            // into the first output position of v's bucket.
+            starts.clear();
+            starts.resize(max + 2, 0);
+            for i in 0..len {
+                starts[rows[i * arity + c] as usize + 1] += 1;
+            }
+            for v in 1..starts.len() {
+                starts[v] += starts[v - 1];
+            }
+            for &i in &idx {
+                let at = &mut starts[rows[i * arity + c] as usize];
+                next[*at] = i;
+                *at += 1;
+            }
+            std::mem::swap(&mut idx, &mut next);
+        }
+        idx
     }
 
     /// Product marginalization (paper Assumption 2):
@@ -905,12 +943,12 @@ impl<E: SemiringElem> Factor<E> {
         mut is_zero: impl FnMut(&E) -> bool,
     ) -> Factor<E> {
         let vpos = self
-            .schema
+            .schema()
             .iter()
             .position(|&s| s == var)
-            .unwrap_or_else(|| panic!("{var} not in schema {:?}", self.schema));
+            .unwrap_or_else(|| panic!("{var} not in schema {:?}", self.body.schema));
         let positions: Vec<usize> = (0..self.arity()).filter(|&i| i != vpos).collect();
-        let new_schema: Vec<Var> = positions.iter().map(|&i| self.schema[i]).collect();
+        let new_schema: Vec<Var> = positions.iter().map(|&i| self.body.schema[i]).collect();
 
         // Dropping the *last* column keeps rows grouped already (the order
         // spilled listings stream in); any other column pays for a stable
@@ -957,9 +995,9 @@ impl<E: SemiringElem> Factor<E> {
         mut f: impl FnMut(&E) -> E,
         mut is_zero: impl FnMut(&E) -> bool,
     ) -> Factor<E> {
-        let mut out = FactorBuilder::new(self.schema.clone()).expect("schema already valid");
-        out.reserve(self.len);
-        for i in 0..self.len {
+        let mut out = FactorBuilder::new(self.body.schema.clone()).expect("schema already valid");
+        out.reserve(self.body.len);
+        for i in 0..self.body.len {
             let nv = f(&self.mem_vals()[i]);
             if !is_zero(&nv) {
                 out.push(self.row(i), nv);
@@ -983,12 +1021,12 @@ impl<E: SemiringElem> Factor<E> {
     /// admits only one chunk (callers fall back to a sequential run).
     pub fn column_partition(&self, col: usize, max_chunks: usize) -> Vec<(u32, u32)> {
         assert!(col < self.arity(), "column {col} out of range for arity {}", self.arity());
-        if max_chunks <= 1 || self.len < 2 {
+        if max_chunks <= 1 || self.body.len < 2 {
             return Vec::new();
         }
         // Spilled listings partition on resident chunk metadata only —
         // faulting every chunk to scan a column would defeat the point.
-        if let Columns::Spill(c) = &self.cols {
+        if let Columns::Spill(c) = &self.body.cols {
             assert_eq!(col, 0, "spilled factors partition only on the first column");
             return c.partition_first(max_chunks);
         }
@@ -1001,11 +1039,11 @@ impl<E: SemiringElem> Factor<E> {
         }
         // Column values in ascending order. Column 0 is already sorted (rows
         // are lexicographic); other columns need a sort.
-        let mut values: Vec<u32> = (0..self.len).map(|i| self.row(i)[col]).collect();
+        let mut values: Vec<u32> = (0..self.body.len).map(|i| self.row(i)[col]).collect();
         if col != 0 {
             values.sort_unstable();
         }
-        let target = self.len.div_ceil(max_chunks);
+        let target = self.body.len.div_ceil(max_chunks);
         let mut cuts: Vec<u32> = Vec::new();
         let mut taken = 0usize;
         let mut i = 0usize;
@@ -1050,9 +1088,9 @@ impl<E: SemiringElem> Factor<E> {
         mut is_zero: impl FnMut(&E) -> bool,
     ) -> Factor<E> {
         assert!(!parts.is_empty(), "merge_sorted needs at least one part");
-        let schema = parts[0].schema.clone();
+        let schema = parts[0].body.schema.clone();
         for p in &parts {
-            assert_eq!(p.schema, schema, "merge_sorted requires identical schemas");
+            assert_eq!(p.body.schema, schema, "merge_sorted requires identical schemas");
         }
         let chunks: Vec<Vec<(Vec<u32>, E)>> = parts
             .into_iter()
@@ -1076,33 +1114,33 @@ impl<E: SemiringElem> Factor<E> {
     /// A nullary factor has no first column to anchor on; the result is then
     /// simply `replacement` itself.
     pub fn splice_by_first(&self, ranges: &[(u32, u32)], replacement: &Factor<E>) -> Factor<E> {
-        assert_eq!(self.schema, replacement.schema, "splice requires identical schemas");
+        assert_eq!(self.body.schema, replacement.body.schema, "splice requires identical schemas");
         if self.arity() == 0 {
             return replacement.clone();
         }
         debug_assert!(ranges.windows(2).all(|w| w[0].1 <= w[1].0), "ranges sorted and disjoint");
-        let mut out = FactorBuilder::new(self.schema.clone()).expect("schema already valid");
-        out.reserve(self.len + replacement.len);
+        let mut out = FactorBuilder::new(self.body.schema.clone()).expect("schema already valid");
+        out.reserve(self.body.len + replacement.body.len);
         let (mut i, mut j) = (0usize, 0usize);
         for &(lo, hi) in ranges {
-            while i < self.len && self.row(i)[0] < lo {
+            while i < self.body.len && self.row(i)[0] < lo {
                 out.push(self.row(i), self.mem_vals()[i].clone());
                 i += 1;
             }
-            while i < self.len && self.row(i)[0] < hi {
+            while i < self.body.len && self.row(i)[0] < hi {
                 i += 1; // cached rows inside the range are superseded
             }
-            while j < replacement.len && replacement.row(j)[0] < hi {
+            while j < replacement.body.len && replacement.row(j)[0] < hi {
                 debug_assert!(replacement.row(j)[0] >= lo, "replacement row outside ranges");
                 out.push(replacement.row(j), replacement.mem_vals()[j].clone());
                 j += 1;
             }
         }
-        while i < self.len {
+        while i < self.body.len {
             out.push(self.row(i), self.mem_vals()[i].clone());
             i += 1;
         }
-        debug_assert_eq!(j, replacement.len, "replacement row outside ranges");
+        debug_assert_eq!(j, replacement.body.len, "replacement row outside ranges");
         out.finish()
     }
 
@@ -1110,18 +1148,18 @@ impl<E: SemiringElem> Factor<E> {
     /// the conditional factor `ψ_S(· | x_v)` used by naive evaluation.
     pub fn condition(&self, var: Var, value: u32) -> Factor<E> {
         let vpos = self
-            .schema
+            .schema()
             .iter()
             .position(|&s| s == var)
-            .unwrap_or_else(|| panic!("{var} not in schema {:?}", self.schema));
+            .unwrap_or_else(|| panic!("{var} not in schema {:?}", self.body.schema));
         let positions: Vec<usize> = (0..self.arity()).filter(|&i| i != vpos).collect();
-        let new_schema: Vec<Var> = positions.iter().map(|&i| self.schema[i]).collect();
+        let new_schema: Vec<Var> = positions.iter().map(|&i| self.body.schema[i]).collect();
         // Removing a column whose value is fixed preserves both sortedness
         // and distinctness: any two surviving rows first differ at some other
         // column, and that comparison is unchanged — stream, don't sort.
         let mut out = FactorBuilder::new(new_schema).expect("reduced schema stays valid");
         let mut buf: Vec<u32> = vec![0; positions.len()];
-        for i in 0..self.len {
+        for i in 0..self.body.len {
             let row = self.row(i);
             if row[vpos] != value {
                 continue;
@@ -1342,21 +1380,11 @@ impl<E: SemiringElem> FactorBuilder<E> {
     /// enabled) to the factor without copying or re-sorting anything. A
     /// spilled builder flushes its tail chunk and yields a spilled factor.
     pub fn finish(self) -> Factor<E> {
-        let trie_slot = OnceLock::new();
-        if let Some(trie) = self.trie {
-            let _ = trie_slot.set(trie.finish());
-        }
         let cols = match self.cols {
             BuilderCols::Mem { rows, vals } => Columns::Mem { rows, vals },
             BuilderCols::Spill(w) => Columns::Spill(w.finish_cols()),
         };
-        Factor {
-            schema: self.schema,
-            cols,
-            len: self.len,
-            trie: trie_slot,
-            gets: AtomicU32::new(0),
-        }
+        Factor::from_parts(self.schema, cols, self.len, self.trie.map(TrieBuilder::finish))
     }
 }
 

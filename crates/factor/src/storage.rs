@@ -70,6 +70,9 @@ pub trait LevelStorage: Clone + std::fmt::Debug + PartialEq + Eq + Send + Sync {
     /// The `j`-th row offset (`j ≤ len`).
     fn row_at(&self, j: usize) -> usize;
 
+    /// Heap bytes the level currently keeps resident.
+    fn resident_bytes(&self) -> usize;
+
     /// The first index in `[lo, hi)` whose value is `≥ bound`, or `hi` when
     /// there is none — bit-identical to
     /// `lo + values[lo..hi].partition_point(|v| v < bound)`.
@@ -171,6 +174,11 @@ impl LevelStorage for VecStorage {
 
     fn row_at(&self, j: usize) -> usize {
         self.rows[j]
+    }
+
+    fn resident_bytes(&self) -> usize {
+        (self.values.len() + self.heads.len()) * 4
+            + (self.child.len() + self.rows.len()) * std::mem::size_of::<usize>()
     }
 
     #[inline]

@@ -231,6 +231,11 @@ impl<S: LevelStorage> FactorTrie<S> {
         &self.levels[d]
     }
 
+    /// Heap bytes the index currently keeps resident, all levels together.
+    pub fn resident_bytes(&self) -> usize {
+        self.levels.iter().map(|l| l.storage.resident_bytes()).sum()
+    }
+
     /// The root entry window: all of level 0.
     pub fn root(&self) -> (usize, usize) {
         (0, self.levels.first().map_or(0, TrieLevel::len))

@@ -30,19 +30,32 @@
 //!  register/publish_delta          workers                    clients
 //!  ───────────────────────         ───────────────────────    ─────────────
 //!  lock writer state               own Arc<Snapshot> (e)      submit → job
-//!  apply delta incrementally       answer jobs against (e)      ⋱ round-robin
-//!  clone touched replicas          recv Epoch(e+1) → swap     Ticket::wait
-//!  fold worker feedback            answer against (e+1)
+//!  merge delta into the slot,      answer jobs against (e)      ⋱ round-robin
+//!    index it — once               recv Epoch(e+1) → swap     Ticket::wait
+//!  install + replay per query      answer against (e+1)
+//!  take replicas (handles)
+//!  fold worker feedback
 //!  broadcast Snapshot(e+1)
 //! ```
 //!
-//! The writer applies deltas through `PreparedQuery::apply_delta` — the
-//! incremental replay machinery of the core crate is the *publish
-//! primitive* here — and seeds each new epoch's result cache with the
-//! incrementally refreshed outputs. One caveat inherited from that
-//! machinery: deltas anchored on a non-leading column of a step's join
-//! order fall back to recomputing the whole step, so publish cost for such
-//! deltas approaches a full (but still single-query) evaluation.
+//! A factor is a handle on one immutable, `Arc`-shared body (listing plus
+//! trie index), so the catalog, every registered query that reads a slot in
+//! the catalog's column order, and every epoch snapshot hold *handles* on
+//! the same data: registering a query, taking the next epoch's replicas or
+//! a rollback copy duplicates no row. What a `publish_delta` builds is
+//! the new version of the one slot it touches — merged
+//! (`DeltaFactor::apply_to`) and indexed once per column order the slot is
+//! held in (the catalog's, plus the order of any copy a planner reordered),
+//! whatever the number of queries reading it — plus, per query, the
+//! elimination steps the change reaches (`PreparedQuery::install_merged`,
+//! the install half of `apply_delta`: the incremental replay machinery of
+//! the core crate is the *publish primitive* here).
+//! The refreshed outputs seed the new epoch's result cache; readers of an
+//! older epoch keep the bodies it was published with — a publish replaces
+//! handles, it never writes through one. One caveat inherited from the
+//! replay machinery: deltas anchored on a non-leading column of a step's
+//! join order fall back to recomputing the whole step, so publish cost for
+//! such deltas approaches a full (but still single-query) evaluation.
 //!
 //! # Pool sizing
 //!

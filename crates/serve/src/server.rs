@@ -26,8 +26,8 @@
 //! tagged with its epoch; at the next publish the writer folds still-valid
 //! results (those computed at or after the query's last invalidation) into
 //! the new snapshot's result cache. A delta publish refreshes the cached
-//! output of every affected query itself, through the incremental
-//! [`PreparedQuery::apply_delta`] path — so cached entries are *never*
+//! output of every affected query itself, through the incremental replay
+//! of [`PreparedQuery::install_merged`] — so cached entries are *never*
 //! stale: a cache hit at epoch `e` is bit-identical to a fresh evaluation
 //! at epoch `e`. Workers additionally keep a tiny lock-free local memo
 //! (latest result per query, valid only for their current epoch) so
@@ -345,9 +345,16 @@ pub struct ServeStats {
     /// some reader (an in-flight job, a held [`FaqServer::snapshot`]) is
     /// keeping pinned.
     pub live_epochs: usize,
-    /// Resident bytes of the factor catalog: full array bytes for in-memory
-    /// factors, currently pinned chunk-window bytes for spilled ones. Epoch
-    /// snapshots share the same backing by handle, so they add nothing here.
+    /// Resident bytes of the data the writer serves from — the catalog and
+    /// the registered queries' inputs — each distinct factor body counted
+    /// once: listing (full array bytes in memory, the currently pinned chunk
+    /// window when spilled) plus built trie index. A query that reads a slot
+    /// in the catalog's column order holds a handle on the catalog's body
+    /// and adds nothing; a copy the planner reordered is a body of its own
+    /// (one per column order once a publish has touched the slot).
+    /// The latest epoch's replicas are handles on the same bodies; an older
+    /// epoch a reader still pins keeps the bodies it was published with,
+    /// which are not counted here (see `live_epochs`).
     pub resident_bytes: usize,
     /// Shared results carried by the latest snapshot's cache.
     pub cache_entries: usize,
@@ -571,7 +578,14 @@ where
         let cache_entries = lock_unpoisoned(&self.latest).results.len();
         let resident_bytes = {
             let w = lock_unpoisoned(&self.writer);
-            w.catalog.iter().map(|f| f.resident_bytes()).sum()
+            let mut bodies: Vec<&Factor<D::E>> = Vec::new();
+            let inputs = w.masters.iter().flat_map(|m| &m.query().factors);
+            for f in w.catalog.iter().chain(inputs) {
+                if !bodies.iter().any(|b| b.shares_body(f)) {
+                    bodies.push(f);
+                }
+            }
+            bodies.iter().map(|f| f.resident_bytes()).sum()
         };
         ServeStats {
             submitted: self.stats.submitted.load(Ordering::SeqCst),
@@ -638,11 +652,14 @@ where
 
     /// Apply `delta` to catalog slot `slot` and publish the resulting epoch.
     ///
-    /// Affected queries are refreshed **incrementally** through
-    /// [`PreparedQuery::apply_delta`] — their new outputs seed the epoch's
-    /// shared result cache, so `Shared` readers of a touched query never pay
-    /// for a recomputation the writer already did. Unaffected queries keep
-    /// their prepared handles and cached results by `Arc` identity.
+    /// The delta is merged into the slot — and the result indexed — once per
+    /// column order the slot is held in, not once per query; affected queries
+    /// are then refreshed **incrementally** through
+    /// [`PreparedQuery::install_merged`] (the install-and-replay half of
+    /// `apply_delta`) — their new outputs seed the epoch's shared result
+    /// cache, so `Shared` readers of a touched query never pay for a
+    /// recomputation the writer already did. Unaffected queries keep their
+    /// prepared handles and cached results by `Arc` identity.
     ///
     /// Returns the new epoch. In-flight submissions are answered at the
     /// epoch they started under; submissions after this returns see the new
@@ -675,27 +692,46 @@ where
             return Err(ServeError::Faq(FaqError::UnknownAggregate(AggId(0))));
         }
 
-        // Merge into a staged catalog copy — NOT installed yet. The spilled
-        // splice path does chunk I/O on this thread, so a storage fault can
-        // abort mid-merge; catching it here surfaces a typed error with the
-        // catalog untouched.
-        let aligned = delta.align_to(base.schema());
+        // Merge into a staged copy — NOT installed yet — and index it. The
+        // spilled splice path and a spilled index build do chunk I/O on this
+        // thread, so a storage fault can abort either; catching it here
+        // surfaces a typed error with catalog and masters untouched.
         let dom = w.domain.clone();
-        let merged = match fault::catch_abort(|| {
-            aligned.apply_to(base, |a, b| dom.add(AggId(0), a, b), |e| dom.is_zero(e))
-        }) {
-            Ok((merged, _ranges)) => merged,
-            Err(abort) => return Err(ServeError::Faq(abort.into())),
+        let merge = |base: &Factor<D::E>| {
+            fault::catch_abort(|| {
+                let (merged, ranges) = delta.align_to(base.schema()).apply_to(
+                    base,
+                    |a, b| dom.add(AggId(0), a, b),
+                    |e| dom.is_zero(e),
+                );
+                if !ranges.is_empty() {
+                    merged.trie();
+                }
+                (merged, ranges)
+            })
+            .map_err(|abort| ServeError::Faq(abort.into()))
         };
+        // One merge and one index per column order the slot is held in: the
+        // catalog's first, then the order of any copy a planner reordered.
+        // Every master below installs a handle on the body of its order.
+        let mut merges = vec![merge(base)?];
+        for (spec, master) in w.specs.iter().zip(&w.masters) {
+            for (&s, input) in spec.slots.iter().zip(&master.query().factors) {
+                if s == slot && !merges.iter().any(|(m, _)| m.schema() == input.schema()) {
+                    merges.push(merge(input)?);
+                }
+            }
+        }
 
         // Incrementally refresh every query reading the slot, atomically:
         // outputs are staged and each touched master's pre-state is kept, so
         // any mid-apply failure (a fault on a spilled replay, say) rolls the
         // already-advanced masters back and leaves the previous epoch fully
         // intact — readers never observe a half-applied delta. The rollback
-        // clones carry no replay cache ([`PreparedQuery`]'s `Clone` drops
-        // it), so a failed publish costs the touched queries their warm
-        // caches; the next successful delta re-primes them.
+        // clones are handles on the same factor bodies (nothing is copied)
+        // but carry no replay cache ([`PreparedQuery`]'s `Clone` drops it),
+        // so a failed publish costs the touched queries their warm caches;
+        // the next successful delta re-primes them.
         let next = w.epoch + 1;
         let mut undo: Vec<(usize, PreparedQuery<D>)> = Vec::new();
         let mut staged: Vec<(usize, Arc<Factor<D::E>>)> = Vec::new();
@@ -712,7 +748,14 @@ where
             undo.push((qi, w.masters[qi].clone()));
             let mut out = None;
             for l in locals {
-                match w.masters[qi].apply_delta(l, delta) {
+                let master = &mut w.masters[qi];
+                let order = master.query().factors[l].schema();
+                let (merged, ranges) = merges
+                    .iter()
+                    .find(|(m, _)| m.schema() == order)
+                    .expect("every held order was merged above")
+                    .clone();
+                match master.install_merged(l, merged, ranges) {
                     Ok(o) => out = Some(o),
                     Err(e) => {
                         for (uqi, prev) in undo {
@@ -727,8 +770,12 @@ where
         }
 
         // Commit point: every master advanced cleanly — install the merged
-        // catalog slot and the staged results, then publish.
-        w.catalog[slot] = merged;
+        // catalog slot and the staged results, then publish. An effect-free
+        // delta keeps the slot's body (the masters kept theirs).
+        let (merged, ranges) = merges.swap_remove(0);
+        if !ranges.is_empty() {
+            w.catalog[slot] = merged;
+        }
         for (qi, factor) in staged {
             w.results[qi] = Some(factor);
             w.valid_from[qi] = next;
@@ -1156,8 +1203,33 @@ mod tests {
     fn stats_expose_memory_gauges() {
         let s = server(1, 40);
         let q = s.register(triangle_spec()).unwrap();
+        let sum = |vars: &[u32]| {
+            vars.iter().map(|&i| (v(i), VarAgg::Semiring(CountDomain::SUM))).collect::<Vec<_>>()
+        };
+        let specs = [
+            triangle_spec(),
+            QuerySpec::new(vec![v(0)], sum(&[1, 2]), vec![0, 1, 2]),
+            QuerySpec::new(vec![], sum(&[0, 1, 2]), vec![0, 1]),
+        ];
+        // Three queries over one catalog, every input read in the catalog's
+        // column order: the inputs are handles on the catalog's bodies, so
+        // the gauge is the catalog's listing plus index — once, not four
+        // times. (Expected bytes are measured on independent copies.)
+        let catalog = edge_catalog(7, 40);
+        for spec in &specs {
+            let id = s.register(spec.clone()).unwrap();
+            let snap = s.snapshot();
+            let inputs = &snap.prepared(id).unwrap().query().factors;
+            for (&slot, input) in spec.slots.iter().zip(inputs) {
+                assert_eq!(input.schema(), catalog[slot].schema(), "plan reordered slot {slot}");
+            }
+        }
+        let indexed_bytes = |f: &Factor<u64>| {
+            f.trie();
+            f.resident_bytes()
+        };
         let st = s.stats();
-        assert!(st.resident_bytes > 0, "catalog factors are resident");
+        assert_eq!(st.resident_bytes, catalog.iter().map(indexed_bytes).sum::<usize>());
         assert!(st.live_epochs >= 1, "the published snapshot is alive");
         assert_eq!(st.cache_entries, 0);
         let t = s.tenant("t", 4);
@@ -1177,6 +1249,71 @@ mod tests {
         .unwrap();
         assert!(s.stats().live_epochs >= 2, "held snapshot + latest are both live");
         drop(held);
+        // Publishing leaves no second copy of a relation behind: after 100
+        // insert/delete pairs the catalog holds its previous rows and the
+        // gauge its previous value.
+        let before = s.stats().resident_bytes;
+        let current = s.snapshot().prepared(q).unwrap().query().factors[0].clone();
+        let key = (0..D)
+            .flat_map(|a| (0..D).map(move |b| vec![a, b]))
+            .find(|k| current.get(k).is_none())
+            .expect("a ~40-row relation over 12 × 12 has absent pairs");
+        let put = DeltaFactor::inserts(vec![v(0), v(1)], vec![(key.clone(), 1u64)]).unwrap();
+        let del = DeltaFactor::deletes(vec![v(0), v(1)], vec![key.clone()]).unwrap();
+        for _ in 0..100 {
+            s.publish_delta(0, &put).unwrap();
+            s.publish_delta(0, &del).unwrap();
+        }
+        assert_eq!(s.stats().resident_bytes, before);
+    }
+
+    /// A free variable leads every plan order, so two queries with `x1` free
+    /// both hold slot 0 — `(x0, x1)` in the catalog — as `(x1, x0)`. A publish
+    /// merges and indexes that order once: afterwards both read one body, and
+    /// their answers match a from-scratch evaluation of the merged catalog.
+    #[test]
+    fn reordered_masters_share_one_merge_per_order() {
+        let s = server(1, 40);
+        let sum = |i: u32| (v(i), VarAgg::Semiring(CountDomain::SUM));
+        let specs = [
+            QuerySpec::new(vec![v(1)], vec![sum(0)], vec![0]),
+            QuerySpec::new(vec![v(1)], vec![sum(0), sum(2)], vec![0, 1, 2]),
+        ];
+        let ids: Vec<QueryId> = specs.iter().map(|sp| s.register(sp.clone()).unwrap()).collect();
+        let slot0 = |snap: &Snapshot<CountDomain>, id: QueryId| {
+            snap.prepared(id).unwrap().query().factors[0].clone()
+        };
+        let before = s.snapshot();
+        assert_eq!(slot0(&before, ids[0]).schema(), &[v(1), v(0)]);
+        assert!(!slot0(&before, ids[0]).shares_body(&slot0(&before, ids[1])), "reordered apart");
+
+        let delta = DeltaFactor::new(
+            vec![v(0), v(1)],
+            vec![
+                (vec![3, 4], faq_factor::DeltaOp::Merge(2u64)),
+                (vec![5, 6], faq_factor::DeltaOp::Put(1)),
+            ],
+        )
+        .unwrap();
+        s.publish_delta(0, &delta).unwrap();
+        let after = s.snapshot();
+        assert!(slot0(&after, ids[0]).shares_body(&slot0(&after, ids[1])), "one merge per order");
+
+        let mut catalog = edge_catalog(7, 40);
+        catalog[0] = delta.apply_to(&catalog[0], |a, b| a + b, |x| *x == 0).0;
+        for (spec, &id) in specs.iter().zip(&ids) {
+            let q = FaqQuery::new(
+                CountDomain,
+                Domains::uniform(3, D),
+                spec.free.clone(),
+                spec.bound.clone(),
+                spec.slots.iter().map(|&sl| catalog[sl].clone()).collect(),
+            )
+            .unwrap();
+            let want = Engine::sequential().evaluate(&q).unwrap().factor;
+            assert_eq!(**after.cached_result(id).unwrap(), want, "writer-refreshed result");
+            assert_eq!(after.prepared(id).unwrap().evaluate().unwrap().factor, want);
+        }
     }
 
     #[test]

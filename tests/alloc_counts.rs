@@ -10,12 +10,15 @@
 //! The budgets below are deliberately loose (×4-ish headroom over measured
 //! counts) so they don't flake across allocator or std versions, while
 //! staying far below one allocation per output row.
+//!
+//! The same allocator's live-byte gauge checks that a factor's body is
+//! shared, not copied, by `Factor::clone` and `PreparedQuery::clone`.
 
-use faq::core::{Engine, ExecPolicy, FaqQuery, Planner};
+use faq::core::{Engine, ExecPolicy, FaqQuery, Planner, VarAgg};
 use faq::factor::{DeltaFactor, DeltaOp, Domains, Factor};
 use faq::hypergraph::Var;
 use faq::semiring::{CountSumProd, SingleSemiringDomain};
-use faq_testalloc::{allocation_count, CountingAllocator};
+use faq_testalloc::{allocation_count, current_bytes, CountingAllocator};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 #[global_allocator]
@@ -130,4 +133,43 @@ fn delta_path_allocates_within_budget() {
 
     // And it computed the right thing: bit-identical to a fresh run.
     assert_eq!(out.factor, prepared.evaluate().unwrap().factor);
+}
+
+#[test]
+fn clones_share_one_body() {
+    let _alone = MEASURING.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    // 20 000 rows (a, b) with a < 100, b < 200: ~234 KiB of listing each,
+    // about as much again once indexed.
+    let relation = |x: u32, y: u32| {
+        let rows: Vec<u32> = (0..20_000u32).flat_map(|i| [i / 200, i % 200]).collect();
+        Factor::from_sorted_distinct(vec![Var(x), Var(y)], rows, vec![1u64; 20_000]).unwrap()
+    };
+    let f = relation(0, 1);
+
+    // The index lives in the shared body: built through one handle, it is
+    // there for a sibling cloned before the build.
+    let sibling = f.clone();
+    assert!(sibling.trie_if_built().is_none());
+    f.trie();
+    assert!(sibling.trie_if_built().is_some(), "a clone must see the index its sibling built");
+
+    let sum = VarAgg::Semiring(SingleSemiringDomain::<CountSumProd>::OP);
+    let q = FaqQuery::new(
+        SingleSemiringDomain::new(CountSumProd),
+        Domains::uniform(3, 200),
+        vec![],
+        vec![(Var(0), sum), (Var(1), sum), (Var(2), sum)],
+        vec![f.clone(), relation(1, 2), relation(0, 2)],
+    )
+    .unwrap();
+    let prepared = Planner::sequential().prepare(&q).unwrap();
+
+    // One copied listing is already four times the whole budget.
+    let before = current_bytes();
+    let factors: Vec<Factor<u64>> = (0..64).map(|_| f.clone()).collect();
+    let handles: Vec<_> = (0..64).map(|_| prepared.clone()).collect();
+    let grown = current_bytes().saturating_sub(before);
+    assert!(grown < 64 * 1024, "128 clones grew the heap by {grown} bytes");
+    assert!(factors.iter().all(|c| c.shares_body(&f)));
+    drop(handles);
 }

@@ -1,6 +1,8 @@
 //! Differential tests: `PreparedQuery::apply_delta` is bit-identical to
 //! merging the delta by hand, swapping the factor in with `update_factor`,
-//! and re-evaluating from scratch.
+//! and re-evaluating from scratch — and so is the publish seam a serving
+//! writer uses: one `DeltaFactor::apply_to` on the catalog's copy of the
+//! slot, then `PreparedQuery::install_merged` on each handle.
 //!
 //! Three proptest families — counting (sum/max/product aggregate mixes),
 //! max-tropical, boolean — each checked under planners with threads ∈
@@ -35,13 +37,13 @@ fn planners() -> Vec<Planner> {
 
 /// Apply `delta` incrementally on `prepared` and from scratch on `oracle`
 /// (manual merge + `update_factor` + `evaluate`), asserting bit-identical
-/// output factors.
+/// output factors; returns the from-scratch output.
 fn assert_delta_matches<D: AggDomain + Clone + Sync>(
     prepared: &mut PreparedQuery<D>,
     oracle: &mut PreparedQuery<D>,
     slot: usize,
     delta: &DeltaFactor<D::E>,
-) {
+) -> Factor<D::E> {
     let incr = prepared.apply_delta(slot, delta).unwrap();
     let dom = oracle.query().domain.clone();
     let order = oracle.plan().order.clone();
@@ -54,6 +56,47 @@ fn assert_delta_matches<D: AggDomain + Clone + Sync>(
     oracle.update_factor(slot, merged).unwrap();
     let fresh = oracle.evaluate().unwrap();
     assert_eq!(incr.factor, fresh.factor, "incremental output diverged from recompute");
+    fresh.factor
+}
+
+/// The publish seam, by hand: merge `delta` into a copy of the slot kept in
+/// the query's *original* column order (a serving catalog's copy), then give
+/// `(merged, ranges)` to the handle's install half. A handle whose plan
+/// reordered its copy of the slot must refuse that merge untouched — it is
+/// not a version of the factor it holds — and takes `apply_delta` instead.
+/// Returns the handle's output.
+fn publish_by_hand<D: AggDomain + Clone + Sync>(
+    catalog: &mut Factor<D::E>,
+    handle: &mut PreparedQuery<D>,
+    slot: usize,
+    delta: &DeltaFactor<D::E>,
+) -> Factor<D::E> {
+    let dom = handle.query().domain.clone();
+    let (merged, ranges) = delta.align_to(catalog.schema()).apply_to(
+        catalog,
+        |a, b| dom.add(AggId(0), a, b),
+        |x| dom.is_zero(x),
+    );
+    let input = handle.query().factors[slot].clone();
+    let out = if input.schema() == merged.schema() {
+        let unchanged = ranges.is_empty();
+        let out = handle.install_merged(slot, merged.clone(), ranges).unwrap();
+        // An effect-free batch replays nothing and keeps the body it had;
+        // otherwise the handle now reads the one merged body.
+        let kept = if unchanged { &input } else { &merged };
+        assert!(handle.query().factors[slot].shares_body(kept));
+        assert!(!unchanged || out.stats.steps.is_empty());
+        out
+    } else {
+        assert!(matches!(
+            handle.install_merged(slot, merged.clone(), ranges),
+            Err(FaqError::BadOrdering(_))
+        ));
+        assert!(handle.query().factors[slot].shares_body(&input), "a refused install mutated");
+        handle.apply_delta(slot, delta).unwrap()
+    };
+    *catalog = merged;
+    out.factor
 }
 
 /// Run one delta twice (deltas accumulate) against every planner.
@@ -66,10 +109,15 @@ fn check_delta_family<D: AggDomain + Clone + Sync>(
     for planner in planners() {
         let mut prepared = planner.prepare(q).unwrap();
         let mut oracle = planner.prepare(q).unwrap();
-        assert_delta_matches(&mut prepared, &mut oracle, slot, &delta);
+        let mut seam = planner.prepare(q).unwrap();
+        let mut catalog = q.factors[slot].clone();
         // A second application of the same batch accumulates on the cached
         // intermediates of the first.
-        assert_delta_matches(&mut prepared, &mut oracle, slot, &delta);
+        for _ in 0..2 {
+            let fresh = assert_delta_matches(&mut prepared, &mut oracle, slot, &delta);
+            let seamed = publish_by_hand(&mut catalog, &mut seam, slot, &delta);
+            assert_eq!(seamed, fresh, "merge-once-then-install diverged from recompute");
+        }
     }
 }
 
@@ -253,6 +301,41 @@ fn empty_delta_serves_cached_output() {
     let out = prepared.apply_delta(0, &absent).unwrap();
     assert_eq!(out.factor, baseline);
     assert!(out.stats.steps.is_empty());
+    // The install half alone: an unchanged factor with no ranges is the same
+    // no-op (`publish_by_hand` asserts that nothing was replayed).
+    let mut catalog = prepared.query().factors[0].clone();
+    assert_eq!(publish_by_hand(&mut catalog, &mut prepared, 0, &absent), baseline);
+}
+
+/// A free variable must lead every plan order, so a factor listed as
+/// `(x1, x0)` with `x0` free is reordered by `prepare`: the handle's copy of
+/// the slot is not in the catalog's column order, the install half refuses
+/// the catalog-order merge, and the `apply_delta` path still matches a
+/// recompute (`publish_by_hand` asserts the refusal).
+#[test]
+fn reordered_slot_takes_the_apply_delta_path() {
+    let flipped = Factor::new(
+        vec![Var(1), Var(0)],
+        vec![(vec![0, 1], 2u64), (vec![2, 0], 3), (vec![3, 3], 1)],
+    )
+    .unwrap();
+    let other = pairs_factor(0, 1, &[1; (DOM * DOM) as usize], |i| i as u64 % 3 + 1);
+    let q = FaqQuery::new(
+        CountDomain,
+        Domains::uniform(2, DOM),
+        vec![Var(0)],
+        vec![(Var(1), VarAgg::Semiring(CountDomain::SUM))],
+        vec![flipped, other],
+    )
+    .unwrap();
+    let probe = Planner::sequential().prepare(&q).unwrap();
+    assert_eq!(probe.query().factors[0].schema(), &[Var(0), Var(1)], "prepare must reorder slot 0");
+    let entries = vec![
+        (vec![0, 1], DeltaOp::Merge(4u64)),
+        (vec![1, 2], DeltaOp::Put(5)),
+        (vec![3, 3], DeltaOp::Delete),
+    ];
+    check_delta_family(&q, 0, entries);
 }
 
 /// A replayed product step (eq. (8)) reports its work in the same currency

@@ -121,16 +121,18 @@ proptest! {
         check_paths(&rows);
     }
 
-    /// Reorder (now index-sorted through the builder) matches a
-    /// reference rebuild under the permuted schema.
+    /// Reorder (index-ordered through the builder) matches a reference
+    /// rebuild under the permuted schema, on both sides of the index sort's
+    /// counting/comparison choice (see [`spread_rows`]).
     #[test]
     fn reorder_matches_reference(
-        cells in proptest::collection::vec(0u32..3, (DOM * DOM * DOM) as usize),
+        raw in proptest::collection::vec(0u32..1_000_000, 0..400),
+        dom in 2u32..24,
+        sparse in 0u32..2,
     ) {
-        let rows: Vec<(Vec<u32>, u64)> =
-            rows_of(&cells).into_iter().map(|(t, x)| (t, x as u64)).collect();
+        let rows = spread_rows(&raw, dom, sparse == 1);
         let f = Factor::new(schema3(), rows.clone()).unwrap();
-        for perm in [[2u32, 0, 1], [1, 2, 0], [2, 1, 0], [0, 1, 2]] {
+        for perm in [[2u32, 0, 1], [1, 2, 0], [2, 1, 0], [1, 0, 2], [0, 2, 1], [0, 1, 2]] {
             let new_schema: Vec<Var> = perm.iter().map(|&i| Var(i)).collect();
             let got = f.reorder(&new_schema);
             let expect = Factor::new(
@@ -143,6 +145,53 @@ proptest! {
             assert_eq!(got, expect, "perm {perm:?}");
         }
     }
+
+    /// A reordering projection matches the sort-of-pairs reference: keys in
+    /// listing order, stably sorted, each group folded left to right. The
+    /// values are floats of mixed magnitude, so a group folded in any other
+    /// order sums to different bits.
+    #[test]
+    fn projection_matches_reference(
+        raw in proptest::collection::vec(0u32..1_000_000, 0..400),
+        dom in 2u32..24,
+        sparse in 0u32..2,
+    ) {
+        let rows = spread_rows(&raw, dom, sparse == 1);
+        let f = Factor::new(schema3(), rows.clone()).unwrap();
+        for keep in [&[1usize][..], &[2], &[1, 2], &[0, 2], &[0, 1]] {
+            let keep_vars: Vec<Var> = keep.iter().map(|&i| Var(i as u32)).collect();
+            let got = f.project_combine(&keep_vars, |a, b| a + b, |&x| x == 0.0);
+            let mut pairs: Vec<(Vec<u32>, f64)> =
+                rows.iter().map(|(t, v)| (keep.iter().map(|&i| t[i]).collect(), *v)).collect();
+            pairs.sort_by(|a, b| a.0.cmp(&b.0));
+            let mut groups: Vec<(Vec<u32>, f64)> = Vec::new();
+            for (key, v) in pairs {
+                match groups.last_mut() {
+                    Some((last, sum)) if *last == key => *sum += v,
+                    _ => groups.push((key, v)),
+                }
+            }
+            let expect = Factor::new(keep_vars, groups).unwrap();
+            assert_eq!(got, expect, "keep {keep:?}");
+        }
+    }
+}
+
+/// Distinct arity-3 rows drawn from `raw` with values below `dom` — except
+/// that a `sparse` listing stretches column 1 by 2²⁰, so its maximum is far
+/// above any row count here and the index sort must keep comparing, while a
+/// dense listing of ≥ 64 rows takes the counting passes (and one of a few
+/// rows compares again). Projected keys collide freely at every size.
+fn spread_rows(raw: &[u32], dom: u32, sparse: bool) -> Vec<(Vec<u32>, f64)> {
+    let stretch = if sparse { 1 << 20 } else { 1 };
+    let rows: std::collections::BTreeMap<Vec<u32>, f64> = raw
+        .iter()
+        .map(|&h| {
+            let row = vec![h % dom, (h / dom % dom) * stretch, h / (dom * dom) % dom];
+            (row, f64::from(h % 997 + 1) * 10f64.powi((h % 31) as i32 - 15))
+        })
+        .collect();
+    rows.into_iter().collect()
 }
 
 #[test]

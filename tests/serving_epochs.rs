@@ -175,3 +175,44 @@ fn epochs_consistent_two_workers() {
 fn epochs_consistent_four_workers() {
     run_stress(4, 0xBEEF);
 }
+
+/// A snapshot is a set of handles on factor bodies; a publish replaces the
+/// writer's handles and never writes through a body. A reader holding epoch
+/// `e` therefore evaluates the same answers before and after 50 further
+/// publishes on every slot, while the latest epoch follows the serial oracle.
+#[test]
+fn held_snapshot_is_unchanged_by_later_publishes() {
+    let mut cat = vec![edge(21, 60, 0, 1), edge(22, 60, 1, 2), edge(23, 60, 0, 2)];
+    let server = FaqServer::with_config(
+        ServeConfig::default().workers(1),
+        CountDomain,
+        Domains::uniform(3, DOM),
+        cat.clone(),
+    );
+    let sum = |v: u32| (Var(v), VarAgg::Semiring(CountDomain::SUM));
+    let ids = [
+        server.register(spec()).unwrap(),
+        server.register(QuerySpec::new(vec![], vec![sum(0), sum(1), sum(2)], vec![0, 1])).unwrap(),
+    ];
+    let answers = |snap: &faq::serve::Snapshot<CountDomain>| -> Vec<Factor<u64>> {
+        ids.iter().map(|&id| snap.prepared(id).unwrap().evaluate().unwrap().factor).collect()
+    };
+    let held = server.snapshot();
+    let before = answers(&held);
+    assert_eq!(before[0], oracle_eval(&cat));
+
+    let mut r = StdRng::seed_from_u64(0x5EED);
+    for _ in 0..50 {
+        for (slot, base) in cat.iter_mut().enumerate() {
+            let delta = random_delta(&mut r, slot);
+            server.publish_delta(slot, &delta).unwrap();
+            *base = delta.apply_to(base, |a, b| a + b, |v| *v == 0).0;
+        }
+    }
+    assert_eq!(answers(&held), before, "a later publish leaked into a held epoch");
+    let latest = server.snapshot();
+    assert_eq!(latest.epoch(), held.epoch() + 150);
+    let now = answers(&latest);
+    assert_eq!(now[0], oracle_eval(&cat));
+    assert_ne!(now, before, "150 publishes must have moved the answers");
+}
