@@ -1,13 +1,10 @@
 //! The InsideOut hot path end to end: elimination joins, intermediate factor
 //! construction, and the output join on the triangle / path4 / PGM workloads.
 //!
-//! Where `trie_join.rs` compares the two cursor *representations*, this bench
-//! tracks the absolute cost of the serving path across PRs. The workloads are
-//! defined once in [`faq_bench::hot_path`] and shared with the `paper_tables`
-//! H1 table, whose `--json` output (`BENCH_9.json`) is the machine-readable
-//! perf trajectory CI archives; the triangle and path4 instances also reuse
-//! the exact seeds of `trie_join.rs`, so numbers are comparable with the
-//! PR 4 baseline.
+//! This bench tracks the absolute cost of the serving path across PRs. The
+//! workloads are defined once in [`faq_bench::hot_path`] and shared with the
+//! `paper_tables` H1 table, whose `--json` output (`BENCH_9.json`) is the
+//! machine-readable perf trajectory CI archives.
 //!
 //! Run in `--test` mode (one unmeasured pass per benchmark) via
 //! `cargo bench -p faq_bench --bench hot_path -- --test` — CI does this on

@@ -15,7 +15,7 @@ use faq_bench::{example_5_6_good_order, example_5_6_input_order, example_5_6_que
 use faq_bench::{rng, scaling_exponent, time_median};
 use faq_cnf as cnf;
 use faq_core::width::{faqw_exact, faqw_of_ordering};
-use faq_core::{Engine, ExecPolicy, JoinRep, QueryShape, Tag};
+use faq_core::{Engine, ExecPolicy, QueryShape, Tag};
 use faq_hypergraph::{compose, ordering as hord, Var, VarSet};
 use faq_join::pairwise_hash_join;
 use faq_semiring::{AggId, Complex64};
@@ -52,7 +52,6 @@ fn main() {
     t1_mcm(iters, fast);
     t1_dft(iters, fast);
     ex56(iters, fast);
-    rep_table(iters, fast);
     par_table(iters, fast, threads);
     plan_table(iters, fast);
     let delta_rows = delta_table(iters, fast);
@@ -255,39 +254,6 @@ fn ex56(iters: usize, fast: bool) {
         scaling_exponent(&in_pts),
         scaling_exponent(&good_pts)
     );
-}
-
-/// Factor representations: listing vs columnar-trie join kernels on the
-/// triangle join. Both issue the same seeks (asserted, with bit-identical
-/// outputs); the trie's per-level distinct-value searches make each seek
-/// cheaper.
-fn rep_table(iters: usize, fast: bool) {
-    println!("## R1 Factor representations — triangle join, listing vs trie kernel\n");
-    println!("| N (edges) | listing (s) | trie (s) | speedup | seeks | identical |");
-    println!("|---|---|---|---|---|---|");
-    let sizes: &[usize] = if fast { &[1000, 2000] } else { &[2000, 8000, 20000] };
-    let listing = ExecPolicy::sequential().rep(JoinRep::Listing);
-    let trie = ExecPolicy::sequential().rep(JoinRep::Trie);
-    let mut r = rng(19);
-    for &m in sizes {
-        let nodes = (4 * (m as f64).sqrt() as u32).max(8);
-        let edges = joins::random_graph(nodes, m, &mut r);
-        let q = joins::triangle_query(&edges, nodes);
-        let out_l = q.evaluate_par(&listing).unwrap();
-        let out_t = q.evaluate_par(&trie).unwrap();
-        let identical =
-            out_l.factor == out_t.factor && out_l.stats.total_seeks() == out_t.stats.total_seeks();
-        assert!(identical, "representations diverged at N={}", edges.len());
-        let t_l = time_median(iters, || q.evaluate_par(&listing).unwrap());
-        let t_t = time_median(iters, || q.evaluate_par(&trie).unwrap());
-        println!(
-            "| {} | {t_l:.5} | {t_t:.5} | {:.2}x | {} | {identical} |",
-            edges.len(),
-            t_l / t_t.max(1e-9),
-            out_t.stats.total_seeks()
-        );
-    }
-    println!();
 }
 
 /// Parallel InsideOut: chunked factor kernels vs the sequential engine on the

@@ -45,7 +45,7 @@
 
 pub use faq_factor::{DeltaFactor, DeltaOp};
 
-use crate::exec::PolicySource;
+use crate::exec::ExecPolicy;
 use crate::insideout::{run_fresh, run_steps, FaqOutput, Program, Slots};
 use crate::query::{FaqError, FaqQuery};
 use faq_factor::Factor;
@@ -73,13 +73,13 @@ pub(crate) struct DeltaCache<E: SemiringElem> {
 
 impl<E: SemiringElem> DeltaCache<E> {
     /// Evaluate `q` along `sigma` as a fresh run does, keeping every node.
-    pub(crate) fn prime<D: AggDomain<E = E> + Sync, P: PolicySource>(
+    pub(crate) fn prime<D: AggDomain<E = E> + Sync>(
         q: &FaqQuery<D>,
         sigma: &[Var],
-        policies: &P,
+        policy: &ExecPolicy,
     ) -> Result<Self, FaqError> {
         let (prog, slots, _) =
-            run_fresh(q, sigma, policies, /* keep */ true, /* with_output */ true)?;
+            run_fresh(q, sigma, policy, /* keep */ true, /* with_output */ true)?;
         Ok(DeltaCache { prog, slots })
     }
 
@@ -95,10 +95,10 @@ impl<E: SemiringElem> DeltaCache<E> {
     /// actually performed — skipped (clean) steps contribute nothing, which
     /// is the whole point. A failure leaves the arena half-updated: the
     /// caller drops the cache.
-    pub(crate) fn replay<D: AggDomain<E = E> + Sync, P: PolicySource>(
+    pub(crate) fn replay<D: AggDomain<E = E> + Sync>(
         &mut self,
         q: &FaqQuery<D>,
-        policies: &P,
+        policy: &ExecPolicy,
         slot: usize,
         ranges: Vec<(u32, u32)>,
     ) -> Result<FaqOutput<E>, FaqError> {
@@ -107,7 +107,7 @@ impl<E: SemiringElem> DeltaCache<E> {
         dirty[slot] =
             if q.factors[slot].arity() == 0 { Dirty::Full } else { Dirty::Ranges(ranges) };
         let upto = self.prog.steps.len();
-        let stats = run_steps(q, policies, &self.prog, upto, &mut self.slots, &mut dirty, true)?;
+        let stats = run_steps(q, policy, &self.prog, upto, &mut self.slots, &mut dirty, true)?;
         Ok(FaqOutput { factor: self.output_factor().clone(), stats })
     }
 }

@@ -3,9 +3,8 @@
 //!
 //! One-shot evaluation (sequential or on a worker pool) and the planned
 //! serving path ([`crate::plan::Planner`] → [`PreparedQuery`]) are the same
-//! engine — the compiled step list of [`mod@crate::insideout`] — under
-//! different amounts of configuration, so one builder-style handle fronts
-//! them all:
+//! engine — the compiled step list of [`mod@crate::insideout`] — run under
+//! the same one [`ExecPolicy`], so one builder-style handle fronts them all:
 //!
 //! ```
 //! use faq_core::{Engine, FaqQuery, VarAgg};
@@ -39,7 +38,6 @@ use crate::insideout::FaqOutput;
 use crate::plan::{PlanCache, Planner, PreparedQuery, QueryPlan};
 use crate::query::{FaqError, FaqQuery};
 use faq_hypergraph::Var;
-use faq_join::JoinRep;
 use faq_semiring::AggDomain;
 use std::sync::Arc;
 
@@ -57,16 +55,19 @@ use std::sync::Arc;
 ///
 /// Every path produces bit-identical output for the same query — policies,
 /// plans, and thread counts affect performance only.
+///
+/// The engine has one [`ExecPolicy`], kept on its planner: one-shot
+/// evaluations run under it and every plan [`Engine::prepare`] makes carries
+/// it, so both paths chunk by the same thread budget and chunk floor.
 #[derive(Debug, Clone, Default)]
 pub struct Engine {
-    policy: ExecPolicy,
     planner: Planner,
     plan_cache: Option<Arc<PlanCache>>,
 }
 
 impl Engine {
     /// An engine with the default policy: one worker per hardware thread,
-    /// default chunk floor, trie join kernels.
+    /// default chunk floor.
     pub fn new() -> Engine {
         Engine::default()
     }
@@ -75,46 +76,31 @@ impl Engine {
     /// exactly the paper's Algorithm 1. Constructed without probing the
     /// host's parallelism.
     pub fn sequential() -> Engine {
-        Engine {
-            policy: ExecPolicy::sequential(),
-            planner: Planner::sequential(),
-            plan_cache: None,
-        }
+        Engine::with_policy(ExecPolicy::sequential())
     }
 
-    /// An engine running one-shot evaluations under `policy` (plans from
-    /// [`Engine::prepare`] keep their own per-step choices, capped at the
-    /// policy's thread count through the planner).
+    /// An engine evaluating, and planning, under `policy`.
     pub fn with_policy(policy: ExecPolicy) -> Engine {
-        let planner = Planner::with_threads(policy.effective_threads());
-        Engine { policy, planner, plan_cache: None }
+        Engine { planner: Planner::with_policy(policy), plan_cache: None }
     }
 
     /// This engine with up to `n` worker threads, for both one-shot
     /// evaluation and the plans it prepares.
     pub fn threads(mut self, n: usize) -> Engine {
-        self.policy = self.policy.threads(n);
-        self.planner.threads = n.max(1);
+        self.planner.policy = self.planner.policy.threads(n);
         self
     }
 
     /// This engine with chunk floor `rows` (see
     /// [`ExecPolicy::min_chunk_rows`]).
     pub fn min_chunk_rows(mut self, rows: usize) -> Engine {
-        self.policy = self.policy.min_chunk_rows(rows);
-        self.planner.min_chunk_rows = rows;
+        self.planner.policy = self.planner.policy.min_chunk_rows(rows);
         self
     }
 
-    /// This engine with the join kernels walking `rep` on one-shot
-    /// evaluations.
-    pub fn rep(mut self, rep: JoinRep) -> Engine {
-        self.policy = self.policy.rep(rep);
-        self
-    }
-
-    /// This engine planning through `planner` (overrides the planner knobs
-    /// derived from [`Engine::threads`] / [`Engine::min_chunk_rows`]).
+    /// This engine planning through `planner` and evaluating under its
+    /// [`Planner::policy`] (replaces what [`Engine::threads`] /
+    /// [`Engine::min_chunk_rows`] set before).
     pub fn planner(mut self, planner: Planner) -> Engine {
         self.planner = planner;
         self
@@ -128,17 +114,16 @@ impl Engine {
         self
     }
 
-    /// The one-shot execution policy this engine evaluates under.
+    /// The execution policy this engine evaluates and plans under.
     pub fn policy(&self) -> &ExecPolicy {
-        &self.policy
+        &self.planner.policy
     }
 
     /// Evaluate `q` with its own variable ordering under the engine's policy.
     ///
     /// Bit-identical to the sequential engine for every thread count. The
     /// factors of `q` are borrowed, not copied: a trie index a join builds
-    /// lazily lands on (and stays cached in) the caller's factors, exactly as
-    /// [`Planner::plan`] leaves it there on purpose.
+    /// lazily lands on (and stays cached in) the caller's factors.
     pub fn evaluate<D: AggDomain + Sync>(
         &self,
         q: &FaqQuery<D>,
@@ -160,7 +145,7 @@ impl Engine {
         q: &FaqQuery<D>,
         sigma: &[Var],
     ) -> Result<FaqOutput<D::E>, FaqError> {
-        crate::insideout::evaluate(q, sigma, &self.policy)
+        crate::insideout::evaluate(q, sigma, self.policy())
     }
 
     /// Plan `q` with the engine's planner (no prepared inputs — use
@@ -223,9 +208,13 @@ mod tests {
         for engine in [
             Engine::new().threads(4).min_chunk_rows(1),
             Engine::with_policy(ExecPolicy::with_threads(2)),
-            Engine::new().rep(JoinRep::Listing),
+            Engine::with_policy(ExecPolicy::with_threads(4).min_chunk_rows(1)),
         ] {
             assert_eq!(engine.evaluate(&q).unwrap().factor, reference.factor);
+            // Plans chunk exactly as one-shot evaluations do.
+            let prepared = engine.prepare(&q).unwrap();
+            assert_eq!(&prepared.plan().policy, engine.policy());
+            assert_eq!(prepared.evaluate().unwrap().factor, reference.factor);
         }
     }
 

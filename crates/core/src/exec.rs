@@ -8,18 +8,18 @@
 //! whose outputs, concatenated in range order, are exactly the sequential
 //! output stream. This module exploits that:
 //!
-//! 1. pick the largest input factor containing the first join variable and
-//!    cut that variable's values into up to [`ExecPolicy::threads`] ranges of
-//!    roughly equal row counts, never splitting a value — under the trie
-//!    representation the cuts come straight off the root level of the
-//!    factor's cached index ([`faq_factor::FactorTrie::partition_root`]);
-//!    the listing kernel scans the column
-//!    ([`faq_factor::Factor::column_partition`]);
+//! 1. pick the largest input factor containing the first join variable and,
+//!    when it has at least `2 ×` [`ExecPolicy::min_chunk_rows`] rows, cut
+//!    that variable's values into up to [`ExecPolicy::threads`] ranges of
+//!    roughly equal row counts, never splitting a value — the cuts come
+//!    straight off the root level of the factor's cached trie index
+//!    ([`faq_factor::FactorTrie::partition_root`]). This is the only place
+//!    that decides whether a step is chunked, and it decides from the rows
+//!    of the inputs in front of it, not from an estimate;
 //! 2. run the leapfrog join kernel per chunk on a `std::thread::scope`
-//!    worker pool ([`faq_join::multiway_join_range_rep`]), each worker
-//!    stream-folding its groups column-flat into its own
-//!    [`faq_factor::FactorBuilder`] — no per-row allocations — while walking
-//!    a range-restricted view of the same cached tries;
+//!    worker pool, each worker stream-folding its groups column-flat into
+//!    its own [`faq_factor::FactorBuilder`] — no per-row allocations —
+//!    while walking a range-restricted view of the same cached tries;
 //! 3. concatenate the per-chunk builders in range order (chunk key ranges
 //!    are disjoint and ascending, so the k-way merge is an append) into the
 //!    output factor's builder, growing the output's trie index *during* the
@@ -38,29 +38,27 @@
 //! sequential counts.
 
 use crate::query::FaqError;
-use faq_factor::fault::{self, AbortCtl, QueryAbort};
+use faq_factor::fault::{self, QueryAbort};
 use faq_factor::{Domains, Factor, FactorBuilder};
 use faq_hypergraph::Var;
-use faq_join::{multiway_join_range_rep, JoinInput, JoinStats};
+use faq_join::{multiway_join_range_rep, JoinInput, JoinRep, JoinStats};
 use faq_semiring::SemiringElem;
 
 pub use faq_factor::{CancelToken, Deadline};
-pub use faq_join::JoinRep;
 
 /// Execution policy for the InsideOut engine.
 ///
-/// `threads == 1` is exactly the sequential engine. With more threads, each
-/// elimination join is chunked by first-variable value ranges and the chunks
-/// run on a scoped worker pool; the output is bit-identical regardless of
-/// thread count (see the module docs for why). `rep` selects the factor
-/// representation the join cursors walk — the columnar trie index (default)
-/// or the raw sorted listing — with bit-identical output either way.
+/// An evaluation runs under exactly one policy. `threads == 1` is exactly
+/// the sequential engine. With more threads, each elimination join whose
+/// inputs are large enough is chunked by first-variable value ranges and the
+/// chunks run on a scoped worker pool; the output is bit-identical
+/// regardless of thread count (see the module docs for why).
 ///
 /// The struct is `#[non_exhaustive]`: start from a constructor
 /// ([`ExecPolicy::sequential`], [`ExecPolicy::with_threads`], or
 /// [`ExecPolicy::default`]) and adjust knobs with the builder-style setters
-/// ([`ExecPolicy::threads`], [`ExecPolicy::min_chunk_rows`],
-/// [`ExecPolicy::rep`]), so future knobs never break downstream construction.
+/// ([`ExecPolicy::threads`], [`ExecPolicy::min_chunk_rows`]), so future
+/// knobs never break downstream construction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct ExecPolicy {
@@ -71,9 +69,6 @@ pub struct ExecPolicy {
     /// the chunk count never exceeds `basis rows / min_chunk_rows`. Guards
     /// against paying thread spawn cost on tiny intermediates.
     pub min_chunk_rows: usize,
-    /// Factor representation for the join kernels ([`JoinRep::Trie`] by
-    /// default; [`JoinRep::Listing`] is the reference / comparison kernel).
-    pub rep: JoinRep,
     /// Abort the evaluation once this instant passes. Checked cooperatively
     /// — every few thousand seeks in the join loop and at every chunk
     /// fault-in — and surfaced as [`FaqError::DeadlineExceeded`]. `None`
@@ -91,13 +86,7 @@ impl ExecPolicy {
 
     /// The sequential policy: one thread, chunking disabled.
     pub fn sequential() -> ExecPolicy {
-        ExecPolicy {
-            threads: 1,
-            min_chunk_rows: usize::MAX,
-            rep: JoinRep::default(),
-            deadline: None,
-            cancel: None,
-        }
+        ExecPolicy { threads: 1, min_chunk_rows: usize::MAX, deadline: None, cancel: None }
     }
 
     /// A parallel policy with `threads` workers and the default chunk floor.
@@ -105,7 +94,6 @@ impl ExecPolicy {
         ExecPolicy {
             threads: threads.max(1),
             min_chunk_rows: Self::DEFAULT_MIN_CHUNK_ROWS,
-            rep: JoinRep::default(),
             deadline: None,
             cancel: None,
         }
@@ -137,17 +125,10 @@ impl ExecPolicy {
         self
     }
 
-    /// This policy with the join kernels walking `rep`.
-    pub fn rep(mut self, rep: JoinRep) -> ExecPolicy {
-        self.rep = rep;
-        self
-    }
-
     /// This policy clamped by an admission budget `cap`: worker threads take
-    /// the minimum of the two, the chunk floor the maximum, and the join
-    /// representation is kept — capping affects resource use only, never
-    /// results. This is how a serving runtime imposes per-query budgets on
-    /// plans whose steps were tuned for a dedicated machine.
+    /// the minimum of the two, the chunk floor the maximum — capping affects
+    /// resource use only, never results. This is how a serving runtime
+    /// imposes per-query budgets on plans made for a dedicated machine.
     pub fn capped(&self, cap: &ExecPolicy) -> ExecPolicy {
         let mut p = self.clone();
         p.threads = p.threads.min(cap.effective_threads()).max(1);
@@ -181,40 +162,6 @@ impl Default for ExecPolicy {
     }
 }
 
-/// Supplies the execution policy for each elimination step.
-///
-/// The engine consults the source once per step, so policies can differ per
-/// eliminated variable. A bare [`ExecPolicy`] is the uniform source (every
-/// step runs the same policy); a [`crate::plan::QueryPlan`] fixes a
-/// cost-model-chosen policy — representation, thread count, chunk floor —
-/// for every step individually.
-pub trait PolicySource: Sync {
-    /// Policy for the elimination join of `var` (bound-variable semiring
-    /// steps and free-variable guard steps alike).
-    fn policy_for(&self, var: Var) -> &ExecPolicy;
-    /// Policy for the final OutsideIn join over the free variables.
-    fn output_policy(&self) -> &ExecPolicy;
-    /// The abort controls (deadline / cancel token) of a whole evaluation
-    /// under this source, installed at the evaluation entry point. The
-    /// output policy carries them: [`ExecPolicy::capped`] merges a budget's
-    /// controls into every step *and* the output policy, so reading the
-    /// latter sees everything a submission imposed.
-    fn abort_ctl(&self) -> AbortCtl {
-        let p = self.output_policy();
-        AbortCtl { deadline: p.deadline, cancel: p.cancel.clone() }
-    }
-}
-
-impl PolicySource for ExecPolicy {
-    fn policy_for(&self, _var: Var) -> &ExecPolicy {
-        self
-    }
-
-    fn output_policy(&self) -> &ExecPolicy {
-        self
-    }
-}
-
 /// One elimination-step join: enumerate matches of `inputs` under `order`,
 /// group them by the first `group_arity` binding columns, fold each group's
 /// values with `fold`, drop groups whose folded value `is_zero`, and return
@@ -233,8 +180,9 @@ impl PolicySource for ExecPolicy {
 /// are merged), so callers that join the result — every elimination step —
 /// receive a pre-indexed intermediate.
 ///
-/// The policy decides sequential vs chunked execution; both produce the same
-/// factor, bit for bit.
+/// The policy bounds the chunking (worker threads, chunk floor); whether this
+/// join is chunked is decided here, from the rows of `inputs`. Sequential and
+/// chunked runs produce the same factor, bit for bit.
 ///
 /// Errors (instead of panicking) when the chunking invariant is violated —
 /// no aligned input holds the first join variable in its leading column even
@@ -254,7 +202,6 @@ pub(crate) fn grouped_join<E: SemiringElem>(
     is_zero: &(impl Fn(&E) -> bool + Sync),
 ) -> Result<(Factor<E>, JoinStats), FaqError> {
     debug_assert!(group_arity <= order.len());
-    let rep = policy.rep;
     let schema: Vec<Var> = order[..group_arity].to_vec();
     let out_builder = || {
         let b = FactorBuilder::new(schema.clone()).expect("join-order variables are distinct");
@@ -287,7 +234,6 @@ pub(crate) fn grouped_join<E: SemiringElem>(
     if sequential || max_chunks <= 1 {
         let mut out = out_builder();
         let stats = grouped_join_range(
-            rep,
             domains,
             order,
             inputs,
@@ -318,10 +264,9 @@ pub(crate) fn grouped_join<E: SemiringElem>(
         aligned.iter().zip(inputs).map(|(f, i)| i.rebind(f.as_ref())).collect();
 
     // Cut the basis column for the first variable into value ranges. Aligned
-    // factors containing `first` hold it in column 0, so under the trie
-    // representation the cuts fall out of the trie's root level (distinct
-    // values + row counts, no scan) — and the index built here is the same
-    // cached one every chunk worker walks.
+    // factors containing `first` hold it in column 0, so the cuts fall out of
+    // the trie's root level (distinct values + row counts, no scan) — and the
+    // index built here is the same cached one every chunk worker walks.
     let basis = chunk_inputs
         .iter()
         .map(|i| i.factor)
@@ -337,20 +282,15 @@ pub(crate) fn grouped_join<E: SemiringElem>(
         .map(|i| i.factor)
         .filter(|f| f.is_spilled() && f.schema().first() == Some(&first))
         .max_by_key(|f| f.len());
-    let ranges = match spilled_basis.and_then(|f| f.chunk_aligned_partition(max_chunks)) {
-        Some(r) => r,
-        None => match rep {
-            JoinRep::Trie => basis.trie().partition_root(max_chunks),
-            JoinRep::Listing => basis.column_partition(0, max_chunks),
-        },
-    };
+    let ranges = spilled_basis
+        .and_then(|f| f.chunk_aligned_partition(max_chunks))
+        .unwrap_or_else(|| basis.trie().partition_root(max_chunks));
     if ranges.len() <= 1 {
         // Too few distinct values to chunk. Run sequentially over the inputs
         // aligned above — not the originals — so the alignment copies (and
         // the basis trie just built) are used, not discarded and redone.
         let mut out = out_builder();
         let stats = grouped_join_range(
-            rep,
             domains,
             order,
             &chunk_inputs,
@@ -385,7 +325,6 @@ pub(crate) fn grouped_join<E: SemiringElem>(
                     let mut out = FactorBuilder::new(schema.clone())
                         .expect("join-order variables are distinct");
                     let stats = grouped_join_range(
-                        rep,
                         domains,
                         order,
                         chunk_inputs,
@@ -435,7 +374,6 @@ pub(crate) fn grouped_join<E: SemiringElem>(
 /// fold group ever spans two ranges.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn grouped_join_range<E: SemiringElem>(
-    rep: JoinRep,
     domains: &Domains,
     order: &[Var],
     inputs: &[JoinInput<'_, E>],
@@ -450,7 +388,7 @@ pub(crate) fn grouped_join_range<E: SemiringElem>(
     let mut key: Vec<u32> = Vec::with_capacity(group_arity);
     let mut acc: Option<E> = None;
     let stats = multiway_join_range_rep(
-        rep,
+        JoinRep::Trie,
         domains,
         order,
         inputs,
@@ -537,7 +475,6 @@ mod tests {
                     let policy = ExecPolicy {
                         threads,
                         min_chunk_rows: min_chunk,
-                        rep: JoinRep::default(),
                         deadline: None,
                         cancel: None,
                     };
@@ -582,7 +519,6 @@ mod tests {
             let par = Engine::with_policy(ExecPolicy {
                 threads,
                 min_chunk_rows: 1,
-                rep: JoinRep::default(),
                 deadline: None,
                 cancel: None,
             })
@@ -617,7 +553,6 @@ mod tests {
         let par = Engine::with_policy(ExecPolicy {
             threads: 4,
             min_chunk_rows: 1,
-            rep: JoinRep::default(),
             deadline: None,
             cancel: None,
         })

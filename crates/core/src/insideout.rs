@@ -47,7 +47,7 @@
 //!   variable and join order off the list.
 
 use crate::delta::{narrowed_dirty, union_ranges, Dirty};
-use crate::exec::{grouped_join, grouped_join_range, ExecPolicy, PolicySource};
+use crate::exec::{grouped_join, grouped_join_range, ExecPolicy};
 use crate::query::{FaqError, FaqQuery, VarAgg};
 use faq_factor::{fault, Factor, FactorBuilder};
 use faq_hypergraph::Var;
@@ -517,7 +517,6 @@ fn run_join<D: AggDomain + Sync>(
     let mut stats = JoinStats::default();
     for &range in ranges {
         let s = grouped_join_range(
-            policy.rep,
             &q.domains,
             &js.join_order,
             inputs,
@@ -547,9 +546,9 @@ fn run_join<D: AggDomain + Sync>(
 /// where every input is wholly dirty and nothing is cached, so every step
 /// runs in full. Work performed is recorded in `stats`; skipped steps record
 /// nothing.
-fn exec_step<D: AggDomain + Sync, P: PolicySource>(
+fn exec_step<D: AggDomain + Sync>(
     q: &FaqQuery<D>,
-    policies: &P,
+    policy: &ExecPolicy,
     step: &Step,
     slots: &mut [Option<Factor<D::E>>],
     dirty: &mut [Dirty],
@@ -668,7 +667,6 @@ fn exec_step<D: AggDomain + Sync, P: PolicySource>(
             _ => JoinInput::filter(fac),
         }
     }));
-    let policy = js.var.map_or(policies.output_policy(), |v| policies.policy_for(v));
     let (new_out, join_stats) = run_join(q, policy, js, &inputs, restriction.as_deref())?;
     drop(inputs);
 
@@ -718,9 +716,9 @@ fn exec_step<D: AggDomain + Sync, P: PolicySource>(
 /// for later replays; without, a node is dropped after the last step of the
 /// whole program that reads it, so a one-shot run holds only the live edges,
 /// `E_f` and the guards.
-pub(crate) fn run_steps<D: AggDomain + Sync, P: PolicySource>(
+pub(crate) fn run_steps<D: AggDomain + Sync>(
     q: &FaqQuery<D>,
-    policies: &P,
+    policy: &ExecPolicy,
     prog: &Program,
     upto: usize,
     slots: &mut [Option<Factor<D::E>>],
@@ -737,7 +735,7 @@ pub(crate) fn run_steps<D: AggDomain + Sync, P: PolicySource>(
         }
     }
     for (k, step) in prog.steps[..upto].iter().enumerate() {
-        exec_step(q, policies, step, slots, dirty, &mut stats)?;
+        exec_step(q, policy, step, slots, dirty, &mut stats)?;
         if !keep {
             for n in step.reads() {
                 if last_reader[n] == k {
@@ -749,17 +747,20 @@ pub(crate) fn run_steps<D: AggDomain + Sync, P: PolicySource>(
     Ok(stats)
 }
 
-/// Run `f` with the policy source's abort controls (deadline / cancel token)
+/// Run `f` with the policy's abort controls (deadline / cancel token)
 /// installed on this thread, converting a raised [`fault::QueryAbort`] —
 /// storage failure, deadline, cancellation — into the matching typed
 /// [`FaqError`]. Every evaluation entry point funnels through this guard, so
 /// no abort unwinds past the engine boundary. Nested installs are fine: the
 /// inner guard restores the outer controls on drop.
-fn with_abort_guard<P: PolicySource, R>(
-    policies: &P,
+fn with_abort_guard<R>(
+    policy: &ExecPolicy,
     f: impl FnOnce() -> Result<R, FaqError>,
 ) -> Result<R, FaqError> {
-    let _g = fault::install_ctl(policies.abort_ctl());
+    let _g = fault::install_ctl(fault::AbortCtl {
+        deadline: policy.deadline,
+        cancel: policy.cancel.clone(),
+    });
     match fault::catch_abort(f) {
         Ok(r) => r,
         Err(abort) => Err(abort.into()),
@@ -769,10 +770,10 @@ fn with_abort_guard<P: PolicySource, R>(
 /// Compile `sigma` and run it from an empty arena with every input wholly
 /// dirty — every step in full — stopping before the output join when
 /// `with_output` is false. Returns the program, the arena and the statistics.
-pub(crate) fn run_fresh<D: AggDomain + Sync, P: PolicySource>(
+pub(crate) fn run_fresh<D: AggDomain + Sync>(
     q: &FaqQuery<D>,
     sigma: &[Var],
-    policies: &P,
+    policy: &ExecPolicy,
     keep: bool,
     with_output: bool,
 ) -> Result<(Program, Slots<D::E>, ElimStats), FaqError> {
@@ -784,21 +785,21 @@ pub(crate) fn run_fresh<D: AggDomain + Sync, P: PolicySource>(
     let mut dirty = vec![Dirty::Clean; prog.nodes];
     dirty[..q.factors.len()].fill(Dirty::Full);
     let upto = prog.steps.len() - usize::from(!with_output);
-    let stats = with_abort_guard(policies, || {
-        run_steps(q, policies, &prog, upto, &mut slots, &mut dirty, keep)
+    let stats = with_abort_guard(policy, || {
+        run_steps(q, policy, &prog, upto, &mut slots, &mut dirty, keep)
     })?;
     Ok((prog, slots, stats))
 }
 
-/// Evaluate `q` along `sigma` under a per-step [`PolicySource`]: the one
-/// evaluation behind [`crate::Engine`] and [`crate::PreparedQuery`].
-pub(crate) fn evaluate<D: AggDomain + Sync, P: PolicySource>(
+/// Evaluate `q` along `sigma` under `policy`: the one evaluation behind
+/// [`crate::Engine`] and [`crate::PreparedQuery`].
+pub(crate) fn evaluate<D: AggDomain + Sync>(
     q: &FaqQuery<D>,
     sigma: &[Var],
-    policies: &P,
+    policy: &ExecPolicy,
 ) -> Result<FaqOutput<D::E>, FaqError> {
     let (prog, mut slots, stats) =
-        run_fresh(q, sigma, policies, /* keep */ false, /* with_output */ true)?;
+        run_fresh(q, sigma, policy, /* keep */ false, /* with_output */ true)?;
     let factor = slots[prog.output_step().output].take().expect("the output join ran");
     Ok(FaqOutput { factor, stats })
 }

@@ -27,8 +27,8 @@
 //! * [`width`] — `faqw(σ)`, exact `faqw(ϕ)` search, and the approximation
 //!   algorithm of §7;
 //! * [`plan`] — the cost-based adaptive planner: data-driven ordering choice
-//!   (AGM bounds × factor statistics), per-step execution policies,
-//!   [`PreparedQuery`] serving handles, and a schema-keyed [`PlanCache`];
+//!   (AGM bounds under the factors' row counts), [`PreparedQuery`] serving
+//!   handles, and a schema-keyed [`PlanCache`];
 //! * [`delta`] — incremental delta evaluation: the kept nodes of a run plus
 //!   range-restricted step replay behind
 //!   [`PreparedQuery::apply_delta`](plan::PreparedQuery::apply_delta);
@@ -51,7 +51,7 @@ pub mod width;
 
 pub use delta::{DeltaFactor, DeltaOp};
 pub use engine::Engine;
-pub use exec::{CancelToken, Deadline, ExecPolicy, JoinRep, PolicySource};
+pub use exec::{CancelToken, Deadline, ExecPolicy};
 pub use exprtree::{ExprTree, QueryShape, Tag};
 pub use insideout::{run_elimination, ElimStats, FaqOutput, StepStat};
 pub use naive::naive_eval;

@@ -16,13 +16,14 @@
 //!    of [`crate::evo`], the [`crate::width`] optimizers, and a data-driven
 //!    [`faq_hypergraph::ordering::best_ordering`] search re-scored against
 //!    the EVO membership test);
-//! 2. scores every elimination step of every candidate with a cost model fed
-//!    by per-factor statistics ([`faq_factor::Factor::stats`]: row counts and
-//!    trie-level distinct counts) and the AGM bounds of the step's `U`-sets;
-//! 3. emits a [`QueryPlan`] fixing the ordering **and** per-step execution
-//!    choices — join representation ([`JoinRep`]), worker-thread count, and
-//!    chunk floor — which the engine consumes through
-//!    [`crate::exec::PolicySource`].
+//! 2. scores every elimination step of every candidate by the AGM bound of
+//!    the step's `U`-set under the input factors' row counts;
+//! 3. emits a [`QueryPlan`]: the chosen ordering, its width, the per-step
+//!    estimates, and the one [`ExecPolicy`] (thread budget and chunk floor)
+//!    every evaluation of the plan runs under. A plan chooses σ and nothing
+//!    else — whether a step is chunked across threads is decided by the
+//!    executor, per step, from the rows it is about to join
+//!    ([`mod@crate::exec`]).
 //!
 //! For repeated evaluation — the serving path — a [`PreparedQuery`] caches
 //! the plan *plus* the aligned, trie-indexed input factors, so `evaluate()`
@@ -31,25 +32,24 @@
 //! same-shaped queries share one planning pass.
 //!
 //! Plan choices affect performance only, never results: every candidate
-//! ordering is ϕ-equivalent and both join representations (and every thread
-//! count) are bit-identical by construction, so a plan-driven run equals
-//! [`crate::Engine::evaluate`] bit for bit.
+//! ordering is ϕ-equivalent and every thread count is bit-identical by
+//! construction, so a plan-driven run equals [`crate::Engine::evaluate`] bit
+//! for bit.
 
 use crate::delta::DeltaCache;
-use crate::exec::{ExecPolicy, PolicySource};
+use crate::exec::ExecPolicy;
 use crate::insideout::{compile, evaluate, ElimStats, FaqOutput};
 use crate::query::{FaqError, FaqQuery};
 use faq_factor::fault;
-use faq_factor::{DeltaFactor, Factor, FactorStats};
+use faq_factor::{DeltaFactor, Factor};
 use faq_hypergraph::ordering::best_ordering;
 use faq_hypergraph::widths::agm_bound;
 use faq_hypergraph::{Hypergraph, Var, VarSet};
-use faq_join::JoinRep;
 use faq_semiring::AggDomain;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
 
-/// The execution choices the planner fixed for one elimination step.
+/// The cost model's estimate for one elimination step.
 #[derive(Debug, Clone)]
 pub struct StepPlan {
     /// The eliminated variable (bound semiring steps and free guard steps).
@@ -59,17 +59,13 @@ pub struct StepPlan {
     /// Estimated rows the step's sub-join enumerates (its AGM bound, capped
     /// by the cross-product of the domain sizes).
     pub est_rows: f64,
-    /// The execution policy fixed for this step.
-    pub policy: ExecPolicy,
 }
 
 /// A cost-annotated, reusable evaluation plan for one query schema.
 ///
-/// Produced by [`Planner::plan`]; consumed by the engine through
-/// [`PolicySource`], so every elimination step runs under the policy the
-/// cost model chose for it. Plans depend only on the query *schema* and the
-/// input *sizes* — never on factor values — so one plan serves arbitrarily
-/// many evaluations over fresh data of similar scale.
+/// Produced by [`Planner::plan`]. Plans depend only on the query *schema* and
+/// the input *sizes* — never on factor values — so one plan serves
+/// arbitrarily many evaluations over fresh data of similar scale.
 #[derive(Debug, Clone)]
 pub struct QueryPlan {
     /// The chosen ϕ-equivalent variable ordering (free variables first).
@@ -80,47 +76,12 @@ pub struct QueryPlan {
     /// The cost model's total estimate for this ordering (sum of per-step
     /// estimated rows) — comparable across plans for the same query only.
     pub est_cost: f64,
-    /// Per-step choices, innermost elimination first.
+    /// Per-step estimates, innermost elimination first.
     pub steps: Vec<StepPlan>,
-    /// Policy of the final output join over the free variables.
-    pub output: ExecPolicy,
-    /// Fallback policy for steps the planner did not model (e.g. variables
-    /// eliminated without a join).
-    pub default_policy: ExecPolicy,
-    by_var: BTreeMap<Var, usize>,
-}
-
-impl QueryPlan {
-    /// The planned step for `var`, if the cost model produced one.
-    pub fn step_for(&self, var: Var) -> Option<&StepPlan> {
-        self.by_var.get(&var).map(|&i| &self.steps[i])
-    }
-
-    /// This plan with every per-step policy clamped by the admission budget
-    /// `cap` (see [`ExecPolicy::capped`]): thread counts take the minimum,
-    /// chunk floors the maximum, join representations are kept. Capping
-    /// affects resource use only — a capped plan's output is bit-identical to
-    /// the original's. This is how a multi-tenant runtime runs plans tuned
-    /// for a dedicated machine under a per-query budget.
-    pub fn capped(&self, cap: &ExecPolicy) -> QueryPlan {
-        let mut plan = self.clone();
-        for step in &mut plan.steps {
-            step.policy = step.policy.capped(cap);
-        }
-        plan.output = plan.output.capped(cap);
-        plan.default_policy = plan.default_policy.capped(cap);
-        plan
-    }
-}
-
-impl PolicySource for QueryPlan {
-    fn policy_for(&self, var: Var) -> &ExecPolicy {
-        self.step_for(var).map_or(&self.default_policy, |s| &s.policy)
-    }
-
-    fn output_policy(&self) -> &ExecPolicy {
-        &self.output
-    }
+    /// The policy every evaluation of this plan runs under (the planner's,
+    /// see [`Planner::policy`]); [`PreparedQuery::evaluate_budgeted`] clamps
+    /// it per call.
+    pub policy: ExecPolicy,
 }
 
 /// The cost-based adaptive planner.
@@ -134,58 +95,49 @@ pub struct Planner {
     pub linex_cap: usize,
     /// Vertex cap for exact blackbox searches (see [`crate::width::faqw_approx`]).
     pub exact_limit: usize,
-    /// Worker threads a plan may schedule per step.
-    pub threads: usize,
-    /// Chunk floor handed to parallel steps (see [`ExecPolicy::min_chunk_rows`]).
-    pub min_chunk_rows: usize,
-    /// Basis-row count below which a step keeps the listing kernel: for tiny
-    /// joins the `O(arity × n)` trie build costs more than it saves.
-    pub listing_rep_threshold: usize,
+    /// The execution policy stamped on every plan: the thread budget and
+    /// chunk floor its evaluations run under (a deadline or cancel token set
+    /// here is carried by the plans too).
+    pub policy: ExecPolicy,
 }
 
 impl Default for Planner {
     fn default() -> Planner {
-        Planner::with_threads(crate::exec::hardware_threads())
+        Planner::with_policy(ExecPolicy::default())
     }
 }
 
 impl Planner {
     /// A planner whose plans run single-threaded.
     pub fn sequential() -> Planner {
-        Planner::with_threads(1)
+        Planner::with_policy(ExecPolicy::sequential())
     }
 
     /// A planner whose plans may use up to `threads` workers per step.
     pub fn with_threads(threads: usize) -> Planner {
-        Planner {
-            linex_cap: 768,
-            exact_limit: 14,
-            threads: threads.max(1),
-            min_chunk_rows: ExecPolicy::DEFAULT_MIN_CHUNK_ROWS,
-            listing_rep_threshold: 48,
-        }
+        Planner::with_policy(ExecPolicy::with_threads(threads))
     }
 
-    /// Plan `q`: pick a ϕ-equivalent ordering by data-driven cost and fix
-    /// per-step execution choices.
+    pub(crate) fn with_policy(policy: ExecPolicy) -> Planner {
+        Planner { linex_cap: 768, exact_limit: 14, policy }
+    }
+
+    /// Plan `q`: pick a ϕ-equivalent ordering by data-driven cost.
     ///
-    /// Builds (and caches, on the factors) the trie indexes the statistics
-    /// come from — deliberate on the serving path, where the same indexes
-    /// feed every subsequent join.
+    /// Reads the factors' schemas and row counts only; no index is built.
     pub fn plan<D: AggDomain>(&self, q: &FaqQuery<D>) -> Result<QueryPlan, FaqError> {
         q.validate()?;
         let shape = q.shape();
         let h = q.hypergraph();
         let sizes: Vec<u64> = q.factors.iter().map(|f| f.len() as u64).collect();
-        let stats: Vec<FactorStats> = q.factors.iter().map(|f| f.stats()).collect();
 
-        // ---- Candidate orderings. Every candidate must be ϕ-equivalent with
-        // the free variables first; LinEx extensions are equivalent by
-        // soundness (Theorems 6.8/6.23), the rest are membership-tested.
+        // ---- Candidate orderings beside the query's own. Every candidate
+        // must be ϕ-equivalent with the free variables first; LinEx
+        // extensions are equivalent by soundness (Theorems 6.8/6.23), the
+        // rest are membership-tested.
         let mut model = CostModel::new(&h, &sizes, q);
-        let mut candidates: Vec<Vec<Var>> = vec![q.ordering()];
-        let (extensions, exhausted) = crate::evo::linear_extensions(&shape, self.linex_cap);
-        candidates.extend(extensions);
+        let own = q.ordering();
+        let (mut candidates, exhausted) = crate::evo::linear_extensions(&shape, self.linex_cap);
         // Costs computed ahead of the scoring loop (the data-driven
         // candidate annotates its own `OrderingResult::cost`); the loop
         // reuses them instead of re-walking the model.
@@ -216,14 +168,13 @@ impl Planner {
             q.check_ordering(sigma).is_ok() && crate::evo::is_equivalent_ordering(&shape, sigma)
         });
         let mut seen: std::collections::HashSet<Vec<Var>> = std::collections::HashSet::new();
+        seen.insert(own.clone());
         candidates.retain(|sigma| seen.insert(sigma.clone()));
-        if candidates.is_empty() {
-            candidates.push(q.ordering()); // always valid: the query's own order
-        }
 
         // ---- Score every candidate with the shared, memoized cost model;
         // width (expensive: one ρ* LP per U-set) breaks ties only, so it is
         // computed lazily for the cost finalists alone.
+        let own_cost = model.ordering_cost(q, &own);
         let scored: Vec<(Vec<Var>, f64)> = candidates
             .into_iter()
             .map(|sigma| {
@@ -234,39 +185,28 @@ impl Planner {
                 (sigma, cost)
             })
             .collect();
-        let min_cost = scored.iter().map(|&(_, c)| c).fold(f64::INFINITY, f64::min);
-        let mut best: Option<(Vec<Var>, f64, Option<f64>)> = None;
+        let min_cost = scored.iter().map(|&(_, c)| c).fold(own_cost, f64::min);
+        let finalist = |cost: f64| cost <= min_cost + 1e-9;
+        let width_of = |sigma: &[Var]| crate::width::faqw_of_ordering(&shape, sigma).ok();
+        // The query's own ordering is always valid, so it seeds the
+        // selection: the first finalist displaces it when it is not one
+        // itself, and after that only a strictly smaller width wins.
+        let own_width = if finalist(own_cost) { width_of(&own) } else { None };
+        let (mut order, mut est_cost, mut width) = (own, own_cost, own_width);
         for (sigma, cost) in scored {
-            if cost > min_cost + 1e-9 {
-                continue; // not a finalist — skip the width LPs entirely
+            if !finalist(cost) {
+                continue; // skip the width LPs entirely
             }
-            let width = crate::width::faqw_of_ordering(&shape, &sigma).ok();
-            let better = match &best {
-                None => true,
-                Some((_, _, bw)) => {
-                    width.unwrap_or(f64::INFINITY) < bw.unwrap_or(f64::INFINITY) - 1e-12
-                }
-            };
-            if better {
-                best = Some((sigma, cost, width));
+            let w = width_of(&sigma);
+            if !finalist(est_cost)
+                || w.unwrap_or(f64::INFINITY) < width.unwrap_or(f64::INFINITY) - 1e-12
+            {
+                (order, est_cost, width) = (sigma, cost, w);
             }
         }
-        let (order, est_cost, width) = best.expect("at least one candidate ordering");
 
-        // ---- Fix per-step execution choices along the winner.
-        let steps = model.step_plans(q, &order, &stats, self);
-        let by_var: BTreeMap<Var, usize> =
-            steps.iter().enumerate().map(|(i, s)| (s.var, i)).collect();
-        let output = self.policy_from_estimate(model.est_rows(&order[..q.free.len()]));
-        Ok(QueryPlan {
-            order,
-            width,
-            est_cost,
-            steps,
-            output,
-            default_policy: ExecPolicy::sequential(),
-            by_var,
-        })
+        let steps = model.step_plans(q, &order);
+        Ok(QueryPlan { order, width, est_cost, steps, policy: self.policy.clone() })
     }
 
     /// Plan `q` and bundle the plan with aligned, indexed inputs into a
@@ -277,25 +217,6 @@ impl Planner {
     ) -> Result<PreparedQuery<D>, FaqError> {
         let plan = Arc::new(self.plan(q)?);
         PreparedQuery::with_plan(q, plan)
-    }
-
-    /// Translate a basis-row estimate into a step policy: parallel chunked
-    /// execution when the estimated rows clear the chunk floor, trie vs
-    /// listing representation by basis size.
-    fn policy_from_estimate(&self, est_rows: f64) -> ExecPolicy {
-        let rep = if est_rows < self.listing_rep_threshold as f64 {
-            JoinRep::Listing
-        } else {
-            JoinRep::Trie
-        };
-        let parallel = self.threads > 1 && est_rows >= 2.0 * self.min_chunk_rows.max(1) as f64;
-        ExecPolicy {
-            threads: if parallel { self.threads } else { 1 },
-            min_chunk_rows: if parallel { self.min_chunk_rows } else { usize::MAX },
-            rep,
-            deadline: None,
-            cancel: None,
-        }
     }
 }
 
@@ -345,42 +266,17 @@ impl<'a> CostModel<'a> {
         compile(q, sigma).joins().map(|js| self.est_rows(&js.join_order)).sum()
     }
 
-    /// Per-step execution choices along the chosen ordering, one per join
-    /// step of the compiled program that eliminates a variable, combining the
-    /// step's AGM estimate with the input factors' trie statistics (root
-    /// distinct counts bound the chunkable parallelism of input-rooted
-    /// joins).
-    fn step_plans<D: AggDomain>(
-        &mut self,
-        q: &FaqQuery<D>,
-        sigma: &[Var],
-        stats: &[FactorStats],
-        planner: &Planner,
-    ) -> Vec<StepPlan> {
-        // Distinct-value counts of input factors' leading columns, per var:
-        // if every input holding `var` in front has one distinct value there,
-        // chunking cannot help no matter the row estimate.
-        let mut root_distinct: BTreeMap<Var, usize> = BTreeMap::new();
-        for (fac, st) in q.factors.iter().zip(stats) {
-            if let Some(&lead) = fac.schema().first() {
-                let e = root_distinct.entry(lead).or_insert(0);
-                *e = (*e).max(st.root_distinct());
-            }
-        }
-        let mut steps: Vec<StepPlan> = Vec::new();
-        for js in compile(q, sigma).joins() {
-            let Some(var) = js.var else { continue };
-            let est = self.est_rows(&js.join_order);
-            let mut policy = planner.policy_from_estimate(est);
-            let lead = js.join_order.first().and_then(|first| root_distinct.get(first));
-            if lead.is_some_and(|&d| d < 2) {
-                // Provably unchunkable at the first join variable.
-                policy.threads = 1;
-                policy.min_chunk_rows = usize::MAX;
-            }
-            steps.push(StepPlan { var, u_vars: js.join_order.clone(), est_rows: est, policy });
-        }
-        steps
+    /// The estimates along the chosen ordering, one per join step of the
+    /// compiled program that eliminates a variable.
+    fn step_plans<D: AggDomain>(&mut self, q: &FaqQuery<D>, sigma: &[Var]) -> Vec<StepPlan> {
+        compile(q, sigma)
+            .joins()
+            .filter_map(|js| {
+                let var = js.var?;
+                let est_rows = self.est_rows(&js.join_order);
+                Some(StepPlan { var, u_vars: js.join_order.clone(), est_rows })
+            })
+            .collect()
     }
 }
 
@@ -442,17 +338,14 @@ impl<D: AggDomain + Clone + Sync> PreparedQuery<D> {
     /// Bit-identical to [`crate::Engine::evaluate`] on the same inputs; no
     /// re-planning, re-alignment, or re-indexing happens here.
     pub fn evaluate(&self) -> Result<FaqOutput<D::E>, FaqError> {
-        evaluate(&self.query, &self.plan.order, &*self.plan)
+        evaluate(&self.query, &self.plan.order, &self.plan.policy)
     }
 
-    /// Evaluate under an admission budget: the plan's per-step policies
-    /// clamped by `cap` (see [`QueryPlan::capped`]). Bit-identical to
-    /// [`PreparedQuery::evaluate`]; only resource use changes. The capped
-    /// plan is derived per call — a cheap clone of the per-step policy table,
-    /// no re-planning.
+    /// Evaluate under an admission budget: the plan's policy clamped by
+    /// `cap` (see [`ExecPolicy::capped`]). Bit-identical to
+    /// [`PreparedQuery::evaluate`]; only resource use changes.
     pub fn evaluate_budgeted(&self, cap: &ExecPolicy) -> Result<FaqOutput<D::E>, FaqError> {
-        let capped = self.plan.capped(cap);
-        evaluate(&self.query, &capped.order, &capped)
+        evaluate(&self.query, &self.plan.order, &self.plan.policy.capped(cap))
     }
 
     /// Replace the values of input factor `slot` (position in the original
@@ -627,7 +520,7 @@ impl<D: AggDomain + Clone + Sync> PreparedQuery<D> {
         );
 
         if self.cache.is_none() {
-            self.cache = Some(DeltaCache::prime(&self.query, &self.plan.order, &*self.plan)?);
+            self.cache = Some(DeltaCache::prime(&self.query, &self.plan.order, &self.plan.policy)?);
         }
         if ranges.is_empty() {
             // The batch was a no-op (e.g. deletes of absent keys): serve the
@@ -651,8 +544,9 @@ impl<D: AggDomain + Clone + Sync> PreparedQuery<D> {
         // Earlier failure points never reach this.
         let prev = std::mem::replace(&mut self.query.factors[slot], merged);
         let cache = self.cache.as_mut().expect("cache primed above");
-        let replayed = fault::catch_abort(|| cache.replay(&self.query, &*self.plan, slot, ranges))
-            .unwrap_or_else(|abort| Err(abort.into()));
+        let replayed =
+            fault::catch_abort(|| cache.replay(&self.query, &self.plan.policy, slot, ranges))
+                .unwrap_or_else(|abort| Err(abort.into()));
         if replayed.is_err() {
             self.query.factors[slot] = prev;
             self.cache = None;
@@ -869,17 +763,12 @@ mod tests {
     fn plan_along<D: AggDomain>(q: &FaqQuery<D>, order: &[Var]) -> QueryPlan {
         let h = q.hypergraph();
         let sizes: Vec<u64> = q.factors.iter().map(|f| f.len() as u64).collect();
-        let stats: Vec<FactorStats> = q.factors.iter().map(|f| f.stats()).collect();
-        let steps =
-            CostModel::new(&h, &sizes, q).step_plans(q, order, &stats, &Planner::sequential());
         QueryPlan {
             order: order.to_vec(),
             width: None,
             est_cost: 0.0,
-            by_var: steps.iter().enumerate().map(|(i, s)| (s.var, i)).collect(),
-            steps,
-            output: ExecPolicy::sequential(),
-            default_policy: ExecPolicy::sequential(),
+            steps: CostModel::new(&h, &sizes, q).step_plans(q, order),
+            policy: ExecPolicy::sequential(),
         }
     }
 
@@ -1038,7 +927,7 @@ mod tests {
         let seq = Engine::sequential().evaluate(&q).unwrap();
         for threads in [1usize, 2, 4] {
             let mut planner = Planner::with_threads(threads);
-            planner.min_chunk_rows = 1; // force chunking decisions on
+            planner.policy.min_chunk_rows = 1; // chunk whenever a step can be cut
             let prepared = planner.prepare(&q).unwrap();
             assert_eq!(prepared.evaluate().unwrap().factor, seq.factor, "threads {threads}");
         }

@@ -1594,22 +1594,4 @@ mod tests {
         assert!(noise.exists(), "non-spill directories are never touched");
         std::fs::remove_dir_all(&base).unwrap();
     }
-
-    #[test]
-    fn pinned_gauge_rises_and_falls() {
-        let cfg = SpillConfig { chunk_rows: 8, window_chunks: 2, ..SpillConfig::default() };
-        let mut w: SpillWriter<u64> = SpillWriter::new(1, cfg);
-        for i in 0..64u32 {
-            w.push(&[i], 1);
-        }
-        let cols = w.finish_cols();
-        let before = pinned_bytes();
-        for i in 0..64usize {
-            let _ = cols.col(i, 0);
-        }
-        assert!(pinned_bytes() > before, "chunks pinned while reading");
-        assert!(peak_pinned_bytes() >= pinned_bytes());
-        drop(cols);
-        assert!(pinned_bytes() <= before, "dropping the listing releases its pins");
-    }
 }

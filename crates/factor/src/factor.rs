@@ -40,28 +40,6 @@ impl fmt::Display for FactorError {
 
 impl std::error::Error for FactorError {}
 
-/// Data statistics of one factor, read off its columnar trie index — the
-/// per-input signal a cost-based planner combines with AGM bounds.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FactorStats {
-    /// Number of non-zero listing rows (`‖ψ_S‖`).
-    pub rows: usize,
-    /// Number of columns.
-    pub arity: usize,
-    /// Distinct length-`d+1` row prefixes per trie level `d`; in particular
-    /// `level_distinct[0]` is the distinct-value count of the first column.
-    pub level_distinct: Vec<usize>,
-}
-
-impl FactorStats {
-    /// Distinct values of the first column (`0` for empty or nullary factors)
-    /// — an upper bound on how many chunks a parallel join keyed on this
-    /// factor's first column can be cut into.
-    pub fn root_distinct(&self) -> usize {
-        self.level_distinct.first().copied().unwrap_or(0)
-    }
-}
-
 /// A factor in the listing representation.
 ///
 /// * `schema` — the variables of the factor, in column order;
@@ -542,22 +520,6 @@ impl<E: SemiringElem> Factor<E> {
     /// The trie index if it has already been built, without forcing a build.
     pub fn trie_if_built(&self) -> Option<&FactorTrie> {
         self.body.trie.get()
-    }
-
-    /// Per-factor statistics for cost-based planning: row count plus the
-    /// distinct-prefix count of every trie level (`level_distinct[0]` is the
-    /// number of distinct first-column values — the chunkable parallelism of
-    /// a join rooted at this factor).
-    ///
-    /// Builds (and caches) the trie index, which is what a planner wants
-    /// anyway: the same index then serves every join and lookup.
-    pub fn stats(&self) -> FactorStats {
-        let trie = self.trie();
-        FactorStats {
-            rows: self.body.len,
-            arity: self.arity(),
-            level_distinct: (0..trie.arity()).map(|d| trie.level(d).len()).collect(),
-        }
     }
 
     /// The cold lookup on which [`Factor::get`] builds the trie index: the
@@ -1571,20 +1533,6 @@ mod tests {
         assert!(warm.trie_if_built().is_some(), "clone must keep the built index");
         assert_eq!(warm.trie_if_built(), f.trie_if_built());
         assert_eq!(warm, f);
-    }
-
-    #[test]
-    fn stats_report_trie_cardinalities() {
-        let f = sample(); // rows (0,0) (0,1) (1,0) (2,2): 3 distinct first values
-        let s = f.stats();
-        assert_eq!(s.rows, 4);
-        assert_eq!(s.arity, 2);
-        assert_eq!(s.level_distinct, vec![3, 4]);
-        assert_eq!(s.root_distinct(), 3);
-        assert!(f.trie_if_built().is_some(), "stats() builds and caches the index");
-        let n = Factor::nullary(Some(1u64));
-        assert_eq!(n.stats(), FactorStats { rows: 1, arity: 0, level_distinct: vec![] });
-        assert_eq!(n.stats().root_distinct(), 0);
     }
 
     #[test]

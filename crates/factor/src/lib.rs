@@ -50,7 +50,7 @@ pub use colstore::{
 };
 pub use delta::{DeltaFactor, DeltaOp};
 pub use domains::{AssignmentIter, Domains};
-pub use factor::{merge_sorted_rows, Factor, FactorBuilder, FactorError, FactorStats, ValRef};
+pub use factor::{merge_sorted_rows, Factor, FactorBuilder, FactorError, ValRef};
 pub use fault::{AbortCtl, CancelToken, Deadline, FaultPlan, QueryAbort, StorageError};
 pub use storage::{LevelStorage, VecStorage};
 pub use trie::{FactorTrie, TrieCursor, TrieLevel, TrieView};

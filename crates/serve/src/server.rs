@@ -115,8 +115,8 @@ pub struct ServeConfig {
     /// Whether workers consult and maintain the shared result cache.
     pub share_results: bool,
     /// Planner used to prepare registered queries. Defaults to the full
-    /// cost-based planner at hardware parallelism — plans record their best
-    /// per-step policies and each submission's budget caps them down.
+    /// cost-based planner at hardware parallelism — plans carry that policy
+    /// and each submission's budget caps it down.
     pub planner: Planner,
     /// Chaos-testing hook: inject deterministic worker panics. `None` (the
     /// default) injects nothing.
@@ -825,8 +825,8 @@ where
     /// Submit `query` for `tenant` with an explicit per-query budget and
     /// cache mode.
     ///
-    /// `budget` caps the prepared plan's per-step policies (thread count and
-    /// chunk floor) for this evaluation only — outputs are bit-identical
+    /// `budget` caps the prepared plan's policy (thread count and chunk
+    /// floor) for this evaluation only — outputs are bit-identical
     /// under every budget. `None` applies
     /// [`ServeConfig::default_budget`]. Admission is two-level: the global
     /// [`ServeConfig::max_in_flight`] cap, then the tenant's own; a

@@ -63,7 +63,6 @@ pub use faq_core::{
 };
 pub use faq_factor::{Domains, Factor, FactorBuilder};
 pub use faq_hypergraph::Var;
-pub use faq_join::JoinRep;
 pub use faq_semiring::{
     AggDomain, AggId, BoolDomain, CountDomain, RealDomain, SemiringElem, SingleSemiringDomain,
 };

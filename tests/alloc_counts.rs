@@ -136,6 +136,32 @@ fn delta_path_allocates_within_budget() {
 }
 
 #[test]
+fn budgeted_evaluation_allocates_like_evaluate() {
+    let _alone = MEASURING.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let q = triangle(1500);
+    let prepared = Planner::sequential().prepare(&q).unwrap();
+    let budget = ExecPolicy::sequential();
+    let warm = prepared.evaluate_budgeted(&budget).unwrap();
+
+    let before = allocation_count();
+    let plain = prepared.evaluate().unwrap();
+    let plain_allocs = allocation_count() - before;
+    let before = allocation_count();
+    let budgeted = prepared.evaluate_budgeted(&budget).unwrap();
+    let budgeted_allocs = allocation_count() - before;
+    assert_eq!(plain.factor, warm.factor);
+    assert_eq!(budgeted.factor, warm.factor);
+
+    // Both runs are sequential, so they do the same work. Admission clamps
+    // the plan's one policy; it must not copy the plan (its order, every
+    // step's U-set) per served query.
+    assert!(
+        budgeted_allocs <= plain_allocs + 4,
+        "budgeted run allocated {budgeted_allocs} times, evaluate() {plain_allocs}"
+    );
+}
+
+#[test]
 fn clones_share_one_body() {
     let _alone = MEASURING.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     // 20 000 rows (a, b) with a < 100, b < 200: ~234 KiB of listing each,

@@ -29,7 +29,7 @@ fn planners() -> Vec<Planner> {
         .into_iter()
         .map(|threads| {
             let mut p = Planner::with_threads(threads);
-            p.min_chunk_rows = 1;
+            p.policy.min_chunk_rows = 1;
             p
         })
         .collect()

@@ -16,7 +16,7 @@
 //!    sequential, parallel, and planned — keeps working.
 
 use faq::core::width::{faqw_exact, faqw_of_ordering};
-use faq::core::{naive_eval, Engine};
+use faq::core::{naive_eval, ElimStats, Engine};
 use faq::core::{ExecPolicy, FaqError, FaqQuery, PlanCache, Planner, VarAgg};
 use faq::factor::{Domains, Factor};
 use faq::hypergraph::Var;
@@ -26,19 +26,20 @@ use proptest::prelude::*;
 const DOM: u32 = 4;
 
 /// Planners under test: sequential plus parallel with an adversarial chunk
-/// floor, so thread-count plan choices actually engage on tiny inputs.
+/// floor, so planned steps are actually chunked on tiny inputs.
 fn planners() -> Vec<Planner> {
     [1usize, 2, 4]
         .into_iter()
         .map(|threads| {
             let mut p = Planner::with_threads(threads);
-            p.min_chunk_rows = 1;
+            p.policy.min_chunk_rows = 1;
             p
         })
         .collect()
 }
 
-/// Assert every planner's prepared evaluation equals the sequential engine's.
+/// Assert every planner's prepared evaluation equals the sequential engine's,
+/// under the plan's own policy and under every admission budget.
 fn assert_plan_equivalent<D: AggDomain + Clone + Sync>(q: &FaqQuery<D>) {
     let reference = Engine::sequential().evaluate(q).unwrap();
     for planner in planners() {
@@ -48,12 +49,21 @@ fn assert_plan_equivalent<D: AggDomain + Clone + Sync>(q: &FaqQuery<D>) {
             out.factor,
             reference.factor,
             "plan diverged under threads={} (order {:?})",
-            planner.threads,
+            planner.policy.threads,
             prepared.plan().order
         );
         // Serving path: a second evaluation through the same handle is
-        // equally exact.
+        // equally exact, whatever budget it is admitted under.
         assert_eq!(prepared.evaluate().unwrap().factor, reference.factor);
+        for budget in [1usize, 2, 4] {
+            let cap = ExecPolicy::with_threads(budget).min_chunk_rows(1);
+            assert_eq!(
+                prepared.evaluate_budgeted(&cap).unwrap().factor,
+                reference.factor,
+                "plan threads={} diverged under a {budget}-thread budget",
+                planner.policy.threads
+            );
+        }
     }
 }
 
@@ -235,13 +245,14 @@ fn single_variable_queries_plan_and_evaluate() {
 
 #[test]
 fn thread_counts_choose_plans_not_results() {
-    // Large enough that a parallel planner actually schedules chunked steps.
+    // Large enough (~2100 distinct rows per factor) that a 4-thread plan's
+    // steps clear the default chunk floor.
     use rand::{rngs::StdRng, Rng, SeedableRng};
     let mut r = StdRng::seed_from_u64(77);
-    let d = 32u32;
+    let d = 64u32;
     let mut mk = |a: u32, b: u32| {
         let mut tuples = std::collections::BTreeMap::new();
-        for _ in 0..1500 {
+        for _ in 0..3000 {
             tuples.insert(vec![r.gen_range(0..d), r.gen_range(0..d)], r.gen_range(1..5u64));
         }
         Factor::new(vec![Var(a), Var(b)], tuples.into_iter().collect()).unwrap()
@@ -259,17 +270,21 @@ fn thread_counts_choose_plans_not_results() {
     .unwrap();
     let seq_plan = Planner::sequential().prepare(&q).unwrap();
     let par_plan = Planner::with_threads(4).prepare(&q).unwrap();
-    assert!(seq_plan.plan().steps.iter().all(|s| s.policy.threads == 1));
+    assert_eq!(seq_plan.plan().policy.threads, 1);
+    assert_eq!(par_plan.plan().policy.threads, 4);
+    let (seq, par) = (seq_plan.evaluate().unwrap(), par_plan.evaluate().unwrap());
+    // Every chunk of a chunked step searches from a root node of its own, so
+    // a run that chunked anything visits more nodes than the sequential run.
+    let nodes = |stats: &ElimStats| {
+        let joins = stats.steps.iter().filter_map(|s| s.join).chain(stats.output_join);
+        joins.map(|j| j.nodes).sum::<u64>()
+    };
     assert!(
-        par_plan.plan().steps.iter().any(|s| s.policy.threads > 1)
-            || par_plan.plan().output.threads > 1,
-        "a 4-thread planner should schedule at least one parallel step on 1500-row inputs"
+        nodes(&par.stats) > nodes(&seq.stats),
+        "a 4-thread plan should chunk at least one step on ~2100-row inputs"
     );
-    assert_eq!(seq_plan.evaluate().unwrap().factor, par_plan.evaluate().unwrap().factor);
-    assert_eq!(
-        seq_plan.evaluate().unwrap().factor,
-        Engine::sequential().evaluate(&q).unwrap().factor
-    );
+    assert_eq!(seq.factor, par.factor);
+    assert_eq!(seq.factor, Engine::sequential().evaluate(&q).unwrap().factor);
 }
 
 #[test]

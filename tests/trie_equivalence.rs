@@ -9,9 +9,13 @@
 //!    and range-restricted root views agree with the listing's
 //!    `seek_column`/`prefix_range` oracle at every depth, and `Factor::get`
 //!    agrees with a linear scan;
-//! 3. **Joins** — InsideOut outputs are bit-identical between the listing and
-//!    trie join kernels across the counting, max-tropical, and boolean
-//!    semirings for thread counts {1, 2, 4}, at identical seek counts;
+//! 3. **Joins** — InsideOut over the trie join kernel is bit-identical to
+//!    brute force over the listings ([`faq::core::naive_eval`]) and to
+//!    [`Engine::sequential`] across the counting, max-tropical, and boolean
+//!    semirings for thread counts {1, 2, 4}, at the sequential seek count on
+//!    one thread (the listing join *kernel* ≡ the trie kernel, seek counts
+//!    included, is pinned where both live: `faq_join`'s
+//!    `listing_and_trie_agree_bit_for_bit`);
 //! 4. **Seek kernels** — the galloping/block-search `lub_from` of the default
 //!    [`faq::factor::VecStorage`] matches the `partition_point` oracle on
 //!    adversarial windows (empty, singleton, all-equal, head-sample boundary
@@ -23,7 +27,7 @@
 //!    C+1 (rows straddling every boundary alignment), at identical 1-thread
 //!    seek counts.
 
-use faq::core::{Engine, ExecPolicy, FaqQuery, JoinRep, VarAgg};
+use faq::core::{naive_eval, Engine, ExecPolicy, FaqQuery, VarAgg};
 use faq::factor::{Domains, Factor, LevelStorage, SpillConfig, TrieCursor, VecStorage};
 use faq::hypergraph::Var;
 use faq::semiring::{AggDomain, BoolDomain, CountDomain, MaxPlus, SingleSemiringDomain};
@@ -240,37 +244,21 @@ proptest! {
 /// Thread counts under test for the join-equivalence layer.
 const THREADS: [usize; 3] = [1, 2, 4];
 
-/// Evaluate under both representations for every thread count and assert the
-/// outputs are bit-identical (listing 1-thread is the reference).
-fn assert_rep_equivalent<D: AggDomain + Sync>(q: &FaqQuery<D>) {
-    let reference =
-        Engine::with_policy(ExecPolicy::sequential().min_chunk_rows(1).rep(JoinRep::Listing))
-            .evaluate(q)
-            .unwrap();
+/// Evaluate over the trie kernel for every thread count and assert the
+/// outputs are bit-identical to brute force over the listings.
+fn assert_engine_matches_listings<D: AggDomain + Sync>(q: &FaqQuery<D>) {
+    let reference = naive_eval(q);
+    let sequential = Engine::sequential().evaluate(q).unwrap();
+    assert_eq!(sequential.factor, reference, "sequential engine diverged from naive");
     for threads in THREADS {
-        let mut seeks: Option<u64> = None;
-        for rep in [JoinRep::Listing, JoinRep::Trie] {
-            let policy = ExecPolicy::sequential().threads(threads).min_chunk_rows(1).rep(rep);
-            let out = Engine::with_policy(policy).evaluate(q).unwrap();
-            assert_eq!(
-                out.factor, reference.factor,
-                "diverged under rep={rep:?} threads={threads}"
-            );
-            // Sequentially, both kernels drive the same leapfrog loop over
-            // the same full-range windows, so their seek counts must agree
-            // exactly — kernel swaps change the cost per seek, never the
-            // number of seeks. (Chunked runs slice the root windows
-            // per-representation, so counts are only pinned at 1 thread.)
-            if threads == 1 {
-                let total = out.stats.total_seeks();
-                match seeks {
-                    None => seeks = Some(total),
-                    Some(s) => assert_eq!(
-                        s, total,
-                        "seek counts diverged under rep={rep:?} threads={threads}"
-                    ),
-                }
-            }
+        let policy = ExecPolicy::sequential().threads(threads).min_chunk_rows(1);
+        let out = Engine::with_policy(policy).evaluate(q).unwrap();
+        assert_eq!(out.factor, reference, "diverged under threads={threads}");
+        // A one-thread policy is the sequential engine, whatever its chunk
+        // floor. (Chunked runs search each range from its own root, so counts
+        // are only pinned at 1 thread.)
+        if threads == 1 {
+            assert_eq!(out.stats.total_seeks(), sequential.stats.total_seeks());
         }
     }
 }
@@ -329,7 +317,7 @@ proptest! {
             bound,
             vec![f01, f12, f02],
         ).unwrap();
-        assert_rep_equivalent(&q);
+        assert_engine_matches_listings(&q);
     }
 
     /// Max-tropical semiring on an f64 carrier: bit-identity, not tolerance.
@@ -357,7 +345,7 @@ proptest! {
             bound,
             vec![f01, f12],
         ).unwrap();
-        assert_rep_equivalent(&q);
+        assert_engine_matches_listings(&q);
     }
 
     /// Boolean semiring: ∃ / ∀ quantifier mixes.
@@ -383,13 +371,12 @@ proptest! {
             bound,
             vec![f01, f12, f02],
         ).unwrap();
-        assert_rep_equivalent(&q);
+        assert_engine_matches_listings(&q);
     }
 }
 
-/// Larger single-shot case: enough rows that real chunking engages under
-/// both representations, with a free variable so the guard phase and final
-/// output join run too.
+/// Larger single-shot case: enough rows that real chunking engages, with a
+/// free variable so the guard phase and final output join run too.
 #[test]
 fn large_query_listing_equals_trie_under_chunking() {
     use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -413,7 +400,7 @@ fn large_query_listing_equals_trie_under_chunking() {
         vec![mk(0, 1), mk(1, 2), mk(0, 2)],
     )
     .unwrap();
-    assert_rep_equivalent(&q);
+    assert_engine_matches_listings(&q);
 }
 
 /// A spill geometry with `chunk_rows` rows per chunk and a deliberately tiny
