@@ -26,8 +26,8 @@
 //! seeks backwards, so building a spilled factor streams at disk bandwidth
 //! with one chunk of buffering. Reads go through a per-column LRU window
 //! ([`SpillConfig::window_chunks`]); every pinned chunk is accounted in a
-//! process-global gauge ([`pinned_bytes`] / [`peak_pinned_bytes`]) that the
-//! out-of-core benchmarks assert against their resident cap.
+//! process-global gauge ([`pinned_bytes`] / [`peak_pinned_bytes`]) that
+//! `tests/out_of_core.rs` asserts against its resident cap.
 //!
 //! Spill files live in a per-factor temporary directory that is removed when
 //! the last handle drops (`SpillDir`), so cloned factors and snapshots

@@ -191,23 +191,32 @@ pub fn catch_abort<R>(f: impl FnOnce() -> R) -> Result<R, QueryAbort> {
 /// A wall-clock point after which an evaluation should abort.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Deadline {
-    at: Instant,
+    at: Expiry,
+}
+
+/// Declared in this order so the derived `Ord` puts `Never` after every
+/// instant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Expiry {
+    At(Instant),
+    Never,
 }
 
 impl Deadline {
-    /// A deadline `budget` from now.
+    /// A deadline `budget` from now. A budget past the end of the clock's
+    /// range (`Duration::MAX`, the natural "no limit") never expires.
     pub fn after(budget: Duration) -> Deadline {
-        Deadline { at: Instant::now() + budget }
+        Deadline { at: Instant::now().checked_add(budget).map_or(Expiry::Never, Expiry::At) }
     }
 
     /// A deadline at an explicit instant.
     pub fn at(at: Instant) -> Deadline {
-        Deadline { at }
+        Deadline { at: Expiry::At(at) }
     }
 
     /// Whether the deadline has passed.
     pub fn expired(&self) -> bool {
-        Instant::now() >= self.at
+        matches!(self.at, Expiry::At(at) if Instant::now() >= at)
     }
 
     /// The earlier of two optional deadlines.
@@ -568,6 +577,15 @@ mod tests {
         assert_eq!(catch_abort(checkpoint), Err(QueryAbort::Cancelled));
         drop(g);
         checkpoint(); // controls uninstalled again
+    }
+
+    #[test]
+    fn unrepresentable_budget_never_expires() {
+        let never = Deadline::after(Duration::MAX);
+        assert!(!never.expired());
+        let finite = Deadline::after(Duration::from_secs(u64::from(u32::MAX)));
+        assert_eq!(Deadline::earliest(Some(never), Some(finite)), Some(finite));
+        assert_eq!(Deadline::earliest(Some(finite), Some(never)), Some(finite));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Theorem 8.1 shape checks: InsideOut's cost measured in semiring
 //! *operations* (the oracle-model currency of §8.1) rather than time.
 
-use faq::core::{Engine, FaqQuery, VarAgg};
+use faq::core::{naive_eval, Engine, FaqQuery, VarAgg};
 use faq::factor::{Domains, Factor};
 use faq::hypergraph::Var;
 use faq::semiring::{CountDomain, InstrumentedDomain};
@@ -77,8 +77,8 @@ fn chain_ops_scale_linearly() {
 #[test]
 fn example_5_6_ops_gap() {
     use faq::semiring::RealDomain;
-    // Rebuild the bench workload inline at two sizes over an instrumented
-    // real domain.
+    // The E5.6 workload of `examples/paper_tables.rs`, rebuilt at two sizes
+    // over an instrumented real domain.
     let build = |n: u32, seed: u64| {
         let mut r = StdRng::seed_from_u64(seed);
         let v = Var;
@@ -142,6 +142,7 @@ fn example_5_6_ops_gap() {
         let good_run = Engine::sequential().evaluate_with_order(&q, &good_order).unwrap();
         let good_ops = ops.adds() + ops.muls();
         assert!(good_ops > 0 && bad_ops > 0);
+        assert_eq!(bad_run.factor, good_run.factor, "n={n}: the orderings disagree");
         let bad_seeks = bad_run.stats.total_seeks() as f64;
         let good_seeks = good_run.stats.total_seeks() as f64;
         assert!(bad_seeks > good_seeks, "n={n}: {bad_seeks} vs {good_seeks}");
@@ -149,4 +150,11 @@ fn example_5_6_ops_gap() {
     }
     // The conditional-query gap must widen with N (quadratic vs linear).
     assert!(seek_gaps[1] > seek_gaps[0] * 1.4, "ordering seek gap did not widen: {seek_gaps:?}");
+
+    // At a size the naive oracle can enumerate, both orderings equal eq. (1).
+    let (q, _) = build(6, 1);
+    let expect = naive_eval(&q);
+    for order in [&input_order, &good_order] {
+        assert_eq!(Engine::sequential().evaluate_with_order(&q, order).unwrap().factor, expect);
+    }
 }
