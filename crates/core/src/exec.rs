@@ -70,7 +70,7 @@ pub struct ExecPolicy {
     /// against paying thread spawn cost on tiny intermediates.
     pub min_chunk_rows: usize,
     /// Abort the evaluation once this instant passes. Checked cooperatively
-    /// — every few thousand seeks in the join loop and at every chunk
+    /// — before every step, every 1024 seeks of a join and at every chunk
     /// fault-in — and surfaced as [`FaqError::DeadlineExceeded`]. `None`
     /// (the default) runs to completion.
     pub deadline: Option<Deadline>,

@@ -139,22 +139,6 @@ impl QueryShape {
             .collect()
     }
 
-    /// Whether the query fits the §6.2 inner-closed form (paper eq. (21)):
-    /// every non-closed semiring aggregate precedes every product aggregate,
-    /// so the sub-expressions below the products stay inside `D_I`.
-    pub fn fits_inner_closed_form(&self) -> bool {
-        let non_closed = self.non_closed_vars();
-        let mut seen_product = false;
-        for (v, t) in &self.seq {
-            match t {
-                Tag::Product => seen_product = true,
-                _ if non_closed.contains(v) && seen_product => return false,
-                _ => {}
-            }
-        }
-        true
-    }
-
     /// The edges used for the expression-tree construction: the original ones
     /// in the idempotent regime (or with no product aggregates), otherwise
     /// each edge extended with every product variable (Definition 6.30).

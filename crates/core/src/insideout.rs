@@ -735,6 +735,9 @@ pub(crate) fn run_steps<D: AggDomain + Sync>(
         }
     }
     for (k, step) in prog.steps[..upto].iter().enumerate() {
+        // The join polls once per 1024 seeks *of one call*; a program of many
+        // small steps would never poll, so every step boundary is a poll too.
+        fault::checkpoint();
         exec_step(q, policy, step, slots, dirty, &mut stats)?;
         if !keep {
             for n in step.reads() {

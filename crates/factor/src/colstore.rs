@@ -2,10 +2,11 @@
 //! spilled factors and spilled trie levels.
 //!
 //! A [`crate::Factor`] normally keeps its listing (`rows` + `vals`) and its
-//! trie index in memory. This module adds a second backing, built on
-//! `std::fs` only, where both live in fixed-size chunks inside unlinked-on-
-//! drop spill files and at most a small *pinned window* of chunks is resident
-//! at a time:
+//! trie index in memory. This module adds a second place for the same bytes,
+//! built on `std::fs` only: fixed-size chunks inside unlinked-on-drop spill
+//! files, of which at most a small *pinned window* is resident at a time.
+//! Nothing above this module has a spilled variant of its algorithm — an
+//! in-memory listing is the case of one chunk that is always resident.
 //!
 //! * [`FileChunkedColumns`] — the listing: row-major keys plus fixed-width
 //!   encoded values ([`FixedBytes`]), chunked by row count. Chunk metadata
@@ -17,16 +18,20 @@
 //!   resident so a cold seek narrows to one 64-entry stride — at most one
 //!   chunk fault — before touching the file (see [`crate::storage`] for the
 //!   seek contract it must match bit for bit).
-//! * [`FactorLevel`] — the enum a default [`crate::trie::FactorTrie`] is
+//! * [`FactorLevel`] — the type every [`crate::trie::FactorTrie`] level is
 //!   stored in: heap ([`crate::storage::VecStorage`]) or disk, chosen per
-//!   factor, with every in-memory consumer compiling against the same type.
+//!   factor, with every consumer compiling against the same type.
 //!
-//! Writes are strictly sequential: [`SpillWriter`] (driven by
-//! [`crate::FactorBuilder`] in spill mode) appends encoded chunks and never
-//! seeks backwards, so building a spilled factor streams at disk bandwidth
-//! with one chunk of buffering. Reads go through a per-column LRU window
-//! ([`SpillConfig::window_chunks`]); every pinned chunk is accounted in a
-//! process-global gauge ([`pinned_bytes`] / [`peak_pinned_bytes`]) that
+//! Writes are strictly sequential, one chunk of buffering each:
+//! [`SpillWriter`] (driven by [`crate::FactorBuilder`] in spill mode) appends
+//! encoded listing chunks, and the trie builder's disk sink (`LevelSpill`)
+//! appends level chunks as the index of a spilled listing streams through
+//! it; neither seeks backwards, and both record a checksum per chunk through
+//! the one `append_chunk`. Reads — of either kind of chunk — go through one
+//! `ChunkWindow`: a deadline checkpoint, then the LRU
+//! ([`SpillConfig::window_chunks`]), then one verified, retried, injectable
+//! read and a decode. Every pinned chunk is accounted in a process-global
+//! gauge ([`pinned_bytes`] / [`peak_pinned_bytes`]) that
 //! `tests/out_of_core.rs` asserts against its resident cap.
 //!
 //! Spill files live in a per-factor temporary directory that is removed when
@@ -34,7 +39,8 @@
 //! share the cold data by reference and nothing is copied on epoch publish.
 
 use crate::fault::{self, Injected, QueryAbort, StorageError};
-use crate::storage::{block_lub, LevelStorage, HEAD_STRIDE};
+use crate::storage::{block_lub, LevelStorage, VecStorage, HEAD_STRIDE};
+use crate::trie::partition_runs;
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -407,7 +413,7 @@ fn read_chunk_verified(
 }
 
 // ---------------------------------------------------------------------------
-// The pinned-window LRU
+// The pinned window
 // ---------------------------------------------------------------------------
 
 /// A tiny LRU over chunk index → pinned chunk. The window is small (a
@@ -420,10 +426,6 @@ struct Lru<T> {
 }
 
 impl<T> Lru<T> {
-    fn new(cap: usize) -> Lru<T> {
-        Lru { map: HashMap::new(), tick: 0, cap: cap.max(1) }
-    }
-
     fn get(&mut self, k: usize) -> Option<Arc<T>> {
         self.tick += 1;
         let tick = self.tick;
@@ -446,11 +448,110 @@ impl<T> Lru<T> {
             self.map.remove(&oldest);
         }
     }
+}
 
-    #[cfg(test)]
-    fn len(&self) -> usize {
-        self.map.len()
+/// One faulted chunk — decoded listing rows or trie-level entries —
+/// gauge-accounted for as long as anything holds it.
+#[derive(Debug)]
+struct Pinned<T> {
+    data: T,
+    bytes: usize,
+}
+
+impl<T> std::ops::Deref for Pinned<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.data
     }
+}
+
+impl<T> Drop for Pinned<T> {
+    fn drop(&mut self) {
+        untrack_pin(self.bytes);
+    }
+}
+
+/// Where one chunk's encoded bytes live: the file, the byte range and the
+/// checksum recorded when they were written.
+struct ChunkAt<'a> {
+    file: &'a SpillFile,
+    offset: u64,
+    bytes: usize,
+    checksum: u64,
+}
+
+/// The bounded pinned window of one spilled listing or trie level: at most
+/// [`SpillConfig::window_chunks`] decoded chunks stay resident, least
+/// recently used evicted first. The only place a chunk is faulted in.
+#[derive(Debug)]
+struct ChunkWindow<T> {
+    cache: Mutex<Lru<Pinned<T>>>,
+    /// Chunks faulted in through this window over its lifetime.
+    reads: AtomicU64,
+}
+
+impl<T> ChunkWindow<T> {
+    fn new(cap: usize) -> ChunkWindow<T> {
+        let lru = Lru { map: HashMap::new(), tick: 0, cap: cap.max(1) };
+        ChunkWindow { cache: Mutex::new(lru), reads: AtomicU64::new(0) }
+    }
+
+    /// Chunk `k`, from the window or faulted in from `at` and decoded — or
+    /// a typed storage error: one logical read with injection, checksum
+    /// verification, bounded retry and a deadline checkpoint (a chunk fault
+    /// is the natural cancellation point of an out-of-core scan).
+    fn try_pin(
+        &self,
+        k: usize,
+        at: ChunkAt<'_>,
+        decode: impl FnOnce(&[u8]) -> T,
+    ) -> Result<Arc<Pinned<T>>, StorageError> {
+        fault::checkpoint();
+        let mut cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(c) = cache.get(k) {
+            return Ok(c);
+        }
+        let mut buf = vec![0u8; at.bytes];
+        read_chunk_verified(at.file, at.offset, &mut buf, k, at.checksum)?;
+        let data = decode(&buf);
+        track_pin(at.bytes);
+        let chunk = Arc::new(Pinned { data, bytes: at.bytes });
+        self.reads.fetch_add(1, Ordering::Relaxed);
+        CHUNK_READS.fetch_add(1, Ordering::Relaxed);
+        cache.insert(k, Arc::clone(&chunk));
+        Ok(chunk)
+    }
+
+    /// [`ChunkWindow::try_pin`] at the infallible accessor boundary.
+    fn pin(&self, k: usize, at: ChunkAt<'_>, decode: impl FnOnce(&[u8]) -> T) -> Arc<Pinned<T>> {
+        ok_or_raise(self.try_pin(k, at, decode))
+    }
+
+    /// Encoded bytes of the chunks currently pinned.
+    fn resident_bytes(&self) -> usize {
+        let cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
+        cache.map.values().map(|(_, c)| c.bytes).sum()
+    }
+}
+
+/// Append one encoded chunk at `*offset`, advance the offset past it and
+/// return the checksum to verify it against on every fault-in.
+fn append_chunk(file: &SpillFile, offset: &mut u64, bytes: &[u8]) -> Result<u64, StorageError> {
+    file.append(*offset, bytes)?;
+    *offset += bytes.len() as u64;
+    Ok(fnv1a64(bytes))
+}
+
+fn le_u32s(bytes: &[u8]) -> Vec<u32> {
+    bytes.chunks_exact(4).map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes"))).collect()
+}
+
+fn le_offsets(bytes: &[u8]) -> Vec<usize> {
+    bytes
+        .chunks_exact(8)
+        .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")) as usize)
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -472,19 +573,11 @@ pub(crate) struct ChunkMeta {
     checksum: u64,
 }
 
-/// One faulted listing chunk: decoded rows and values, gauge-accounted while
-/// pinned.
+/// One decoded listing chunk: row-major keys and one value per row.
 #[derive(Debug)]
 struct DataChunk<E> {
     rows: Vec<u32>,
     vals: Vec<E>,
-    bytes: usize,
-}
-
-impl<E> Drop for DataChunk<E> {
-    fn drop(&mut self) {
-        untrack_pin(self.bytes);
-    }
 }
 
 /// Read-side statistics of one spilled listing (see
@@ -519,8 +612,7 @@ struct ColsInner<E> {
     col_maxes: Vec<u32>,
     config: SpillConfig,
     dir: Arc<SpillDir>,
-    cache: Mutex<Lru<DataChunk<E>>>,
-    reads: AtomicU64,
+    window: ChunkWindow<DataChunk<E>>,
 }
 
 impl<E> std::fmt::Debug for ColsInner<E> {
@@ -561,10 +653,6 @@ impl<E> FileChunkedColumns<E> {
         (self.inner.len > 0).then(|| self.inner.col_maxes[d])
     }
 
-    pub(crate) fn col_maxes(&self) -> &[u32] {
-        &self.inner.col_maxes
-    }
-
     #[cfg(test)]
     pub(crate) fn spill_dir(&self) -> &Arc<SpillDir> {
         &self.inner.dir
@@ -572,20 +660,11 @@ impl<E> FileChunkedColumns<E> {
 
     pub(crate) fn stats(&self) -> SpillStats {
         let i = &self.inner;
-        let resident = i
-            .cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .map
-            .values()
-            .map(|(_, c)| c.bytes)
-            .sum();
-        let row_bytes = i.arity * 4 + i.width;
         SpillStats {
             chunks: i.chunks.len(),
-            reads: i.reads.load(Ordering::Relaxed),
-            resident_bytes: resident,
-            file_bytes: i.len * row_bytes,
+            reads: i.window.reads.load(Ordering::Relaxed),
+            resident_bytes: i.window.resident_bytes(),
+            file_bytes: i.len * (i.arity * 4 + i.width),
         }
     }
 
@@ -594,39 +673,22 @@ impl<E> FileChunkedColumns<E> {
         self.inner.row_starts.partition_point(|&s| s <= i) - 1
     }
 
-    /// Fault in chunk `k` or surface a typed storage error: one logical read
-    /// with injection, checksum verification, bounded retry and a deadline
-    /// checkpoint (a chunk fault is the natural cancellation point of an
-    /// out-of-core scan).
-    fn try_pin(&self, k: usize) -> Result<Arc<DataChunk<E>>, StorageError> {
-        fault::checkpoint();
+    /// Listing chunk `k` through the pinned window: keys first, then the
+    /// fixed-width values.
+    fn pin(&self, k: usize) -> Arc<Pinned<DataChunk<E>>> {
         let inner = &self.inner;
-        let mut cache = inner.cache.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(c) = cache.get(k) {
-            return Ok(c);
-        }
         let meta = &inner.chunks[k];
         let row_bytes = meta.rows * inner.arity * 4;
-        let val_bytes = meta.rows * inner.width;
-        let mut buf = vec![0u8; row_bytes + val_bytes];
-        read_chunk_verified(&meta.file, meta.offset, &mut buf, k, meta.checksum)?;
-        let rows: Vec<u32> = buf[..row_bytes]
-            .chunks_exact(4)
-            .map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")))
-            .collect();
-        let vals: Vec<E> =
-            buf[row_bytes..].chunks_exact(inner.width.max(1)).map(inner.decode).collect();
-        let bytes = buf.len();
-        track_pin(bytes);
-        inner.reads.fetch_add(1, Ordering::Relaxed);
-        CHUNK_READS.fetch_add(1, Ordering::Relaxed);
-        let chunk = Arc::new(DataChunk { rows, vals, bytes });
-        cache.insert(k, Arc::clone(&chunk));
-        Ok(chunk)
-    }
-
-    fn pin(&self, k: usize) -> Arc<DataChunk<E>> {
-        ok_or_raise(self.try_pin(k))
+        let at = ChunkAt {
+            file: &meta.file,
+            offset: meta.offset,
+            bytes: row_bytes + meta.rows * inner.width,
+            checksum: meta.checksum,
+        };
+        inner.window.pin(k, at, |buf| DataChunk {
+            rows: le_u32s(&buf[..row_bytes]),
+            vals: buf[row_bytes..].chunks_exact(inner.width.max(1)).map(inner.decode).collect(),
+        })
     }
 
     /// Key value of row `i`, column `d`.
@@ -654,10 +716,6 @@ impl<E> FileChunkedColumns<E> {
 
     pub(crate) fn chunk_last_row(&self, k: usize) -> &[u32] {
         &self.inner.chunks[k].last_row
-    }
-
-    pub(crate) fn share_chunk_meta(&self, k: usize) -> ChunkMeta {
-        self.inner.chunks[k].clone()
     }
 }
 
@@ -727,62 +785,39 @@ impl<E> FileChunkedColumns<E> {
     /// chunked join pins only its own range's chunks. Computed entirely from
     /// resident metadata: no chunk is faulted.
     pub(crate) fn partition_first(&self, max_chunks: usize) -> Vec<(u32, u32)> {
-        let inner = &self.inner;
-        if max_chunks <= 1 || inner.len < 2 {
-            return Vec::new();
-        }
-        let target = inner.len.div_ceil(max_chunks);
-        let mut cuts: Vec<u32> = Vec::new();
-        let mut taken = 0usize;
-        for (k, meta) in inner.chunks.iter().enumerate() {
-            // A cut at this chunk's first value is legal only when the value
-            // run does not extend back into the previous chunk.
-            if taken >= target
-                && cuts.len() + 1 < max_chunks
-                && k > 0
-                && inner.chunks[k - 1].last_row[0] < meta.first_row[0]
-            {
-                cuts.push(meta.first_row[0]);
-                taken = 0;
-            }
-            taken += meta.rows;
-        }
-        if cuts.is_empty() {
-            return Vec::new();
-        }
-        let mut ranges = Vec::with_capacity(cuts.len() + 1);
-        let mut lo = 0u32;
-        for &c in &cuts {
-            ranges.push((lo, c));
-            lo = c;
-        }
-        ranges.push((lo, u32::MAX));
-        ranges
+        let chunks = &self.inner.chunks;
+        // A cut at a chunk's first value is legal only when the value run
+        // does not extend back into the previous chunk.
+        let runs = chunks.iter().enumerate().map(|(k, meta)| {
+            let first = meta.first_row[0];
+            (first, meta.rows, k > 0 && chunks[k - 1].last_row[0] < first)
+        });
+        partition_runs(self.inner.len, max_chunks, runs)
     }
 
-    /// Streaming rebuild of the factor's trie index with spilled levels:
-    /// chunks are faulted once, in order, and each level's arrays are written
-    /// straight back out in level chunks — peak residency is the pinned
+    /// One disk sink per column for this listing's trie index: fed the
+    /// listing's chunks in order, each level's arrays stream straight back
+    /// out in level chunks beside the listing — peak residency is the pinned
     /// window plus one level chunk of buffering per column.
-    pub(crate) fn build_trie(&self) -> crate::trie::FactorTrie {
-        let arity = self.inner.arity;
-        let mut builder = SpillTrieBuilder::new(
-            arity,
-            Arc::clone(&self.inner.dir),
-            self.inner.config.level_entries(),
-            self.inner.config.window_chunks,
-        );
-        let mut prev: Vec<u32> = Vec::new();
-        for k in 0..self.num_chunks() {
-            self.with_chunk(k, |_, rows, _| {
-                for row in rows.chunks_exact(arity.max(1)) {
-                    builder.push(row, if prev.is_empty() { None } else { Some(&prev) });
-                    prev.clear();
-                    prev.extend_from_slice(row);
-                }
-            });
-        }
-        builder.finish()
+    pub(crate) fn level_sinks(&self) -> Vec<LevelSpill> {
+        static LEVEL_N: AtomicU64 = AtomicU64::new(0);
+        let inner = &self.inner;
+        let n = LEVEL_N.fetch_add(1, Ordering::Relaxed);
+        (0..inner.arity)
+            .map(|d| LevelSpill {
+                file: ok_or_raise(inner.dir.new_file(&format!("trie-{n}-l{d}.bin"))),
+                dir: Arc::clone(&inner.dir),
+                entries: inner.config.level_entries(),
+                window_chunks: inner.config.window_chunks,
+                offset: 0,
+                buf_values: Vec::new(),
+                buf_child: Vec::new(),
+                buf_rows: Vec::new(),
+                total: 0,
+                heads: Vec::new(),
+                checksums: Vec::new(),
+            })
+            .collect()
     }
 }
 
@@ -792,9 +827,9 @@ impl<E> FileChunkedColumns<E> {
 
 /// Strictly-sequential writer of a [`FileChunkedColumns`]: rows arrive in
 /// ascending order, buffer one chunk at a time, and flush as encoded bytes
-/// appended to the spill file. Also the splice engine of delta application:
-/// `SpillWriter::adopt_chunk` passes an untouched chunk of an existing
-/// spilled listing through by reference — no read, no copy.
+/// appended to the spill file. A delta splice also passes the untouched
+/// chunks of an existing spilled listing through by reference — no read, no
+/// copy.
 pub struct SpillWriter<E> {
     dir: Arc<SpillDir>,
     file: Arc<SpillFile>,
@@ -821,25 +856,7 @@ impl<E: FixedBytes> SpillWriter<E> {
     /// if the directory or file cannot be created.
     pub fn new(arity: usize, config: SpillConfig) -> SpillWriter<E> {
         let dir = ok_or_raise(SpillDir::create(config.dir.as_ref()));
-        let file = ok_or_raise(
-            dir.new_file(&format!("cols-{}.bin", FILE_N.fetch_add(1, Ordering::Relaxed))),
-        );
-        SpillWriter {
-            dir,
-            file,
-            offset: 0,
-            arity,
-            width: E::WIDTH,
-            decode: decode_fn::<E>,
-            encode: encode_fn::<E>,
-            config,
-            buf_rows: Vec::new(),
-            buf_vals: Vec::new(),
-            chunks: Vec::new(),
-            row_starts: vec![0],
-            len: 0,
-            col_maxes: vec![0; arity],
-        }
+        SpillWriter::in_dir(dir, arity, E::WIDTH, decode_fn::<E>, encode_fn::<E>, config)
     }
 }
 
@@ -849,20 +866,31 @@ impl<E> SpillWriter<E> {
     /// delta application — no `FixedBytes` bound, the codec was captured when
     /// `base` was built.
     pub(crate) fn new_like(base: &FileChunkedColumns<E>) -> SpillWriter<E> {
-        let dir = Arc::clone(&base.inner.dir);
+        let b = &base.inner;
+        let dir = Arc::clone(&b.dir);
+        SpillWriter::in_dir(dir, b.arity, b.width, b.decode, b.encode, b.config.clone())
+    }
+
+    fn in_dir(
+        dir: Arc<SpillDir>,
+        arity: usize,
+        width: usize,
+        decode: fn(&[u8]) -> E,
+        encode: fn(&E, &mut Vec<u8>),
+        config: SpillConfig,
+    ) -> SpillWriter<E> {
         let file = ok_or_raise(
             dir.new_file(&format!("cols-{}.bin", FILE_N.fetch_add(1, Ordering::Relaxed))),
         );
-        let arity = base.inner.arity;
         SpillWriter {
             dir,
             file,
             offset: 0,
             arity,
-            width: base.inner.width,
-            decode: base.inner.decode,
-            encode: base.inner.encode,
-            config: base.inner.config.clone(),
+            width,
+            decode,
+            encode,
+            config,
             buf_rows: Vec::new(),
             buf_vals: Vec::new(),
             chunks: Vec::new(),
@@ -871,9 +899,7 @@ impl<E> SpillWriter<E> {
             col_maxes: vec![0; arity],
         }
     }
-}
 
-impl<E> SpillWriter<E> {
     /// Rows written so far.
     pub fn len(&self) -> usize {
         self.len
@@ -921,51 +947,43 @@ impl<E> SpillWriter<E> {
         for v in &self.buf_vals {
             (self.encode)(v, &mut bytes);
         }
-        self.file.append(self.offset, &bytes)?;
+        let offset = self.offset;
+        let checksum = append_chunk(&self.file, &mut self.offset, &bytes)?;
         self.chunks.push(ChunkMeta {
             file: Arc::clone(&self.file),
-            offset: self.offset,
+            offset,
             rows: n,
             first_row: self.buf_rows[..self.arity].to_vec(),
             last_row: self.buf_rows[(n - 1) * self.arity..].to_vec(),
-            checksum: fnv1a64(&bytes),
+            checksum,
         });
-        self.offset += bytes.len() as u64;
         self.row_starts.push(self.len);
         self.buf_rows.clear();
         self.buf_vals.clear();
         Ok(())
     }
 
-    /// Adopt an untouched chunk of an existing spilled listing by reference:
-    /// its rows slot in after everything written so far without any I/O.
-    /// Pending buffered rows are flushed first (chunk row counts may vary).
-    pub(crate) fn adopt_chunk(&mut self, meta: &ChunkMeta) {
+    /// Adopt untouched chunk `k` of `base` by reference: its rows slot in
+    /// after everything written so far without any I/O. Pending buffered
+    /// rows are flushed first (chunk row counts may vary). An adopted chunk
+    /// only reveals its first/last tuples, so the per-column maxima take
+    /// `base`'s wholesale — an upper bound after deletions (see
+    /// [`crate::Factor::max_in_column`]).
+    pub(crate) fn adopt_chunk(&mut self, base: &FileChunkedColumns<E>, k: usize) {
         ok_or_raise(self.flush());
-        for (m, &v) in self.col_maxes.iter_mut().zip(&meta.first_row) {
+        for (m, &v) in self.col_maxes.iter_mut().zip(&base.inner.col_maxes) {
             *m = (*m).max(v);
         }
-        for (m, &v) in self.col_maxes.iter_mut().zip(&meta.last_row) {
-            *m = (*m).max(v);
-        }
+        let meta = &base.inner.chunks[k];
         self.len += meta.rows;
         self.row_starts.push(self.len);
         self.chunks.push(meta.clone());
     }
 
-    /// Raise the resident per-column maxima to at least `maxes` (adopted
-    /// chunks only reveal their first/last tuples, so a splice folds in the
-    /// base listing's maxima wholesale — an upper bound after deletions).
-    pub(crate) fn raise_col_maxes(&mut self, maxes: &[u32]) {
-        for (m, &v) in self.col_maxes.iter_mut().zip(maxes) {
-            *m = (*m).max(v);
-        }
-    }
-
     /// Seal the listing.
     pub(crate) fn finish_cols(mut self) -> FileChunkedColumns<E> {
         ok_or_raise(self.flush());
-        let window = self.config.window_chunks;
+        let window = ChunkWindow::new(self.config.window_chunks);
         FileChunkedColumns {
             inner: Arc::new(ColsInner {
                 arity: self.arity,
@@ -978,8 +996,7 @@ impl<E> SpillWriter<E> {
                 col_maxes: self.col_maxes,
                 config: self.config,
                 dir: self.dir,
-                cache: Mutex::new(Lru::new(window)),
-                reads: AtomicU64::new(0),
+                window,
             }),
         }
     }
@@ -989,19 +1006,12 @@ impl<E> SpillWriter<E> {
 // FileChunkedLevel: spilled trie levels
 // ---------------------------------------------------------------------------
 
-/// One faulted trie-level chunk, gauge-accounted while pinned.
+/// One decoded trie-level chunk: the three parallel entry arrays.
 #[derive(Debug)]
 struct LevelChunk {
     values: Vec<u32>,
     child: Vec<usize>,
     rows: Vec<usize>,
-    bytes: usize,
-}
-
-impl Drop for LevelChunk {
-    fn drop(&mut self) {
-        untrack_pin(self.bytes);
-    }
 }
 
 #[derive(Debug)]
@@ -1020,7 +1030,7 @@ struct LevelInner {
     rows_end: usize,
     /// Per-chunk checksums, verified on fault-in.
     checksums: Vec<u64>,
-    cache: Mutex<Lru<LevelChunk>>,
+    window: ChunkWindow<LevelChunk>,
 }
 
 /// A trie level spilled to disk in uniform entry chunks, with the
@@ -1037,95 +1047,43 @@ pub struct FileChunkedLevel {
 const LEVEL_ENTRY_BYTES: usize = 4 + 8 + 8;
 
 impl FileChunkedLevel {
-    /// Fault in level chunk `k` or surface a typed storage error — same
-    /// injection/retry/checksum/deadline discipline as the listing path.
-    fn try_pin(&self, k: usize) -> Result<Arc<LevelChunk>, StorageError> {
-        fault::checkpoint();
+    /// Run `f` over the level chunk holding entry `j` and `j`'s index in it
+    /// — same injection/retry/checksum/deadline discipline as the listing
+    /// path, through the same [`ChunkWindow`].
+    fn with_entry<R>(&self, j: usize, f: impl FnOnce(&LevelChunk, usize) -> R) -> R {
         let inner = &self.inner;
-        let mut cache = inner.cache.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(c) = cache.get(k) {
-            return Ok(c);
-        }
+        let k = j / inner.entries;
         let start = k * inner.entries;
         let n = inner.entries.min(inner.len - start);
-        let mut buf = vec![0u8; n * LEVEL_ENTRY_BYTES];
-        read_chunk_verified(
-            &inner.file,
-            (start * LEVEL_ENTRY_BYTES) as u64,
-            &mut buf,
-            k,
-            inner.checksums[k],
-        )?;
-        let (vb, rest) = buf.split_at(n * 4);
-        let (cb, rb) = rest.split_at(n * 8);
-        let values =
-            vb.chunks_exact(4).map(|b| u32::from_le_bytes(b.try_into().unwrap())).collect();
-        let child = cb
-            .chunks_exact(8)
-            .map(|b| u64::from_le_bytes(b.try_into().unwrap()) as usize)
-            .collect();
-        let rows = rb
-            .chunks_exact(8)
-            .map(|b| u64::from_le_bytes(b.try_into().unwrap()) as usize)
-            .collect();
-        let bytes = buf.len();
-        track_pin(bytes);
-        CHUNK_READS.fetch_add(1, Ordering::Relaxed);
-        let chunk = Arc::new(LevelChunk { values, child, rows, bytes });
-        cache.insert(k, Arc::clone(&chunk));
-        Ok(chunk)
+        let at = ChunkAt {
+            file: &inner.file,
+            offset: (start * LEVEL_ENTRY_BYTES) as u64,
+            bytes: n * LEVEL_ENTRY_BYTES,
+            checksum: inner.checksums[k],
+        };
+        let chunk = inner.window.pin(k, at, |buf| {
+            let (vb, rest) = buf.split_at(n * 4);
+            let (cb, rb) = rest.split_at(n * 8);
+            LevelChunk { values: le_u32s(vb), child: le_offsets(cb), rows: le_offsets(rb) }
+        });
+        f(&chunk, j - start)
     }
 
-    fn pin(&self, k: usize) -> Arc<LevelChunk> {
-        ok_or_raise(self.try_pin(k))
-    }
-
-    fn with_entry<R>(&self, j: usize, f: impl FnOnce(&LevelChunk, usize) -> R) -> R {
-        let k = j / self.inner.entries;
-        let chunk = self.pin(k);
-        f(&chunk, j - k * self.inner.entries)
-    }
-
-    fn val(&self, j: usize) -> u32 {
-        // Head-aligned entries are resident; everything else is one chunk.
-        if j.is_multiple_of(HEAD_STRIDE) {
-            return self.inner.heads[j / HEAD_STRIDE];
-        }
-        self.with_entry(j, |c, l| c.values[l])
-    }
-}
-
-impl PartialEq for FileChunkedLevel {
-    fn eq(&self, other: &Self) -> bool {
-        if Arc::ptr_eq(&self.inner, &other.inner) {
-            return true;
-        }
-        self.inner.len == other.inner.len
-            && (0..self.inner.len).all(|j| {
-                self.value(j) == other.value(j)
-                    && self.child_at(j) == other.child_at(j)
-                    && self.row_at(j) == other.row_at(j)
-            })
-            && self.child_at(self.inner.len) == other.child_at(self.inner.len)
-            && self.row_at(self.inner.len) == other.row_at(self.inner.len)
-    }
-}
-
-impl Eq for FileChunkedLevel {}
-
-impl FileChunkedLevel {
     fn len(&self) -> usize {
         self.inner.len
     }
 
     /// The resident head samples plus the level chunks currently pinned.
     fn resident_bytes(&self) -> usize {
-        let cache = self.inner.cache.lock().unwrap_or_else(PoisonError::into_inner);
-        self.inner.heads.len() * 4 + cache.map.values().map(|(_, c)| c.bytes).sum::<usize>()
+        self.inner.heads.len() * 4 + self.inner.window.resident_bytes()
     }
 
     fn value(&self, j: usize) -> u32 {
-        self.val(j)
+        // Head-aligned entries are resident; everything else is one chunk.
+        if j.is_multiple_of(HEAD_STRIDE) {
+            return self.inner.heads[j / HEAD_STRIDE];
+        }
+        self.with_entry(j, |c, l| c.values[l])
     }
 
     fn child_at(&self, j: usize) -> usize {
@@ -1163,7 +1121,7 @@ impl FileChunkedLevel {
         let (mut l, mut h) = (nlo, nhi);
         while l < h {
             let mid = (l + h) / 2;
-            if self.val(mid) < bound {
+            if self.value(mid) < bound {
                 l = mid + 1;
             } else {
                 h = mid;
@@ -1174,17 +1132,15 @@ impl FileChunkedLevel {
 }
 
 // ---------------------------------------------------------------------------
-// FactorLevel: the pluggable default level storage
+// FactorLevel: where one trie level's arrays live
 // ---------------------------------------------------------------------------
 
-use crate::storage::VecStorage;
-
-/// The storage of one default [`crate::trie::FactorTrie`] level: heap-backed
+/// The storage of one [`crate::trie::FactorTrie`] level: heap-backed
 /// ([`VecStorage`], what [`LevelStorage::from_parts`] builds) or spilled to
-/// disk ([`FileChunkedLevel`], built only by the streaming spill path of a
-/// spilled factor's index). Every delegated call is a single enum dispatch
-/// in front of the heap kernel, so code that never spills pays one
-/// well-predicted branch per storage probe.
+/// disk ([`FileChunkedLevel`], what the index of a spilled factor streams
+/// into). Every delegated call is a single enum dispatch in front of the
+/// heap kernel, so code that never spills pays one well-predicted branch per
+/// storage probe.
 #[derive(Debug, Clone)]
 pub enum FactorLevel {
     /// Heap-backed arrays with the branch-free galloping kernel.
@@ -1197,13 +1153,14 @@ impl PartialEq for FactorLevel {
     fn eq(&self, other: &Self) -> bool {
         match (self, other) {
             (FactorLevel::Mem(a), FactorLevel::Mem(b)) => a == b,
-            (FactorLevel::Disk(a), FactorLevel::Disk(b)) => a == b,
-            // Mixed backings compare semantically, entry by entry.
+            (FactorLevel::Disk(a), FactorLevel::Disk(b)) if Arc::ptr_eq(&a.inner, &b.inner) => true,
+            // Any other pair of backings compares semantically, entry by
+            // entry, end sentinels included.
             (a, b) => {
                 let n = a.len();
                 n == b.len()
                     && (0..=n).all(|j| {
-                        (j == n || (a.value(j) == b.value(j) && a.row_at(j) == b.row_at(j)))
+                        (j == n || a.value(j) == b.value(j))
                             && a.child_at(j) == b.child_at(j)
                             && a.row_at(j) == b.row_at(j)
                     })
@@ -1268,13 +1225,18 @@ impl LevelStorage for FactorLevel {
 }
 
 // ---------------------------------------------------------------------------
-// SpillTrieBuilder: streaming construction of spilled trie levels
+// LevelSpill: the disk sink of the trie builder
 // ---------------------------------------------------------------------------
 
-/// One spilled level under streaming construction: a chunk of buffered
-/// entries plus the growing resident heads.
-struct LevelSpill {
+/// One spilled trie level under construction — the disk
+/// [`LevelSink`](crate::trie::LevelSink): one chunk of buffered entries
+/// that flushes to the level's file as it fills, plus the growing resident
+/// heads. Made by [`FileChunkedColumns::level_sinks`].
+pub(crate) struct LevelSpill {
     file: Arc<SpillFile>,
+    dir: Arc<SpillDir>,
+    entries: usize,
+    window_chunks: usize,
     offset: u64,
     buf_values: Vec<u32>,
     buf_child: Vec<usize>,
@@ -1285,19 +1247,6 @@ struct LevelSpill {
 }
 
 impl LevelSpill {
-    fn push_entry(&mut self, value: u32, child_start: usize, row_start: usize, entries: usize) {
-        if self.total.is_multiple_of(HEAD_STRIDE) {
-            self.heads.push(value);
-        }
-        self.buf_values.push(value);
-        self.buf_child.push(child_start);
-        self.buf_rows.push(row_start);
-        self.total += 1;
-        if self.buf_values.len() >= entries {
-            ok_or_raise(self.flush());
-        }
-    }
-
     fn flush(&mut self) -> Result<(), StorageError> {
         let n = self.buf_values.len();
         if n == 0 {
@@ -1307,15 +1256,10 @@ impl LevelSpill {
         for &v in &self.buf_values {
             bytes.extend_from_slice(&v.to_le_bytes());
         }
-        for &c in &self.buf_child {
+        for &c in self.buf_child.iter().chain(&self.buf_rows) {
             bytes.extend_from_slice(&(c as u64).to_le_bytes());
         }
-        for &r in &self.buf_rows {
-            bytes.extend_from_slice(&(r as u64).to_le_bytes());
-        }
-        self.file.append(self.offset, &bytes)?;
-        self.checksums.push(fnv1a64(&bytes));
-        self.offset += bytes.len() as u64;
+        self.checksums.push(append_chunk(&self.file, &mut self.offset, &bytes)?);
         self.buf_values.clear();
         self.buf_child.clear();
         self.buf_rows.clear();
@@ -1323,96 +1267,40 @@ impl LevelSpill {
     }
 }
 
-/// The streaming twin of the crate-internal `TrieBuilder` for spilled
-/// factors: rows arrive in ascending order (one faulted chunk at a time) and
-/// every level's arrays stream straight back to disk — only the head samples
-/// and one chunk of buffering per level stay resident.
-pub(crate) struct SpillTrieBuilder {
-    levels: Vec<LevelSpill>,
-    num_rows: usize,
-    dir: Arc<SpillDir>,
-    entries: usize,
-    window_chunks: usize,
-}
-
-impl SpillTrieBuilder {
-    pub(crate) fn new(
-        arity: usize,
-        dir: Arc<SpillDir>,
-        entries: usize,
-        window_chunks: usize,
-    ) -> SpillTrieBuilder {
-        static LEVEL_N: AtomicU64 = AtomicU64::new(0);
-        let levels = (0..arity)
-            .map(|d| LevelSpill {
-                file: ok_or_raise(dir.new_file(&format!(
-                    "trie-{}-l{d}.bin",
-                    LEVEL_N.fetch_add(1, Ordering::Relaxed)
-                ))),
-                offset: 0,
-                buf_values: Vec::new(),
-                buf_child: Vec::new(),
-                buf_rows: Vec::new(),
-                total: 0,
-                heads: Vec::new(),
-                checksums: Vec::new(),
-            })
-            .collect();
-        SpillTrieBuilder { levels, num_rows: 0, dir, entries, window_chunks }
+impl crate::trie::LevelSink for LevelSpill {
+    fn len(&self) -> usize {
+        self.total
     }
 
-    /// Mirror of `TrieBuilder::push`: the row's first difference from its
-    /// predecessor opens one entry at every level at or below that column.
-    pub(crate) fn push(&mut self, row: &[u32], prev: Option<&[u32]>) {
-        let arity = self.levels.len();
-        debug_assert_eq!(row.len(), arity);
-        let start = match prev {
-            None => 0,
-            Some(p) => {
-                debug_assert!(p < row, "spilled trie rows must be strictly ascending");
-                row.iter().zip(p).position(|(a, b)| a != b).expect("rows are distinct")
-            }
-        };
-        for (d, &value) in row.iter().enumerate().skip(start) {
-            let child_start = if d + 1 < arity { self.levels[d + 1].total } else { self.num_rows };
-            let entries = self.entries;
-            self.levels[d].push_entry(value, child_start, self.num_rows, entries);
+    fn push_entry(&mut self, value: u32, child_start: usize, row_start: usize) {
+        if self.total.is_multiple_of(HEAD_STRIDE) {
+            self.heads.push(value);
         }
-        self.num_rows += 1;
+        self.buf_values.push(value);
+        self.buf_child.push(child_start);
+        self.buf_rows.push(row_start);
+        self.total += 1;
+        if self.buf_values.len() >= self.entries {
+            ok_or_raise(self.flush());
+        }
     }
 
-    /// Seal the trie: flush every level's tail chunk and assemble
-    /// [`FileChunkedLevel`]s (the end sentinels stay resident, never on
-    /// disk).
-    pub(crate) fn finish(self) -> crate::trie::FactorTrie {
-        let num_rows = self.num_rows;
-        let arity = self.levels.len();
-        let next_len: Vec<usize> = (0..arity)
-            .map(|d| if d + 1 < arity { self.levels[d + 1].total } else { num_rows })
-            .collect();
-        let levels = self
-            .levels
-            .into_iter()
-            .zip(next_len)
-            .map(|(mut ls, end)| {
-                ok_or_raise(ls.flush());
-                let storage = FactorLevel::Disk(FileChunkedLevel {
-                    inner: Arc::new(LevelInner {
-                        len: ls.total,
-                        entries: self.entries,
-                        file: ls.file,
-                        dir: Arc::clone(&self.dir),
-                        heads: ls.heads,
-                        child_end: end,
-                        rows_end: num_rows,
-                        checksums: ls.checksums,
-                        cache: Mutex::new(Lru::new(self.window_chunks)),
-                    }),
-                });
-                crate::trie::TrieLevel::from_storage(storage)
-            })
-            .collect();
-        crate::trie::FactorTrie::from_levels(levels, num_rows)
+    /// Flush the tail chunk; the end sentinels stay resident, never on disk.
+    fn seal(mut self, child_end: usize, rows_end: usize) -> FactorLevel {
+        ok_or_raise(self.flush());
+        FactorLevel::Disk(FileChunkedLevel {
+            inner: Arc::new(LevelInner {
+                len: self.total,
+                entries: self.entries,
+                file: self.file,
+                dir: self.dir,
+                heads: self.heads,
+                child_end,
+                rows_end,
+                checksums: self.checksums,
+                window: ChunkWindow::new(self.window_chunks),
+            }),
+        })
     }
 }
 
@@ -1459,7 +1347,7 @@ mod tests {
         // The LRU window bounds residency to at most 2 chunks.
         let stats = cols.stats();
         assert!(stats.reads >= 4, "each chunk faulted at least once");
-        assert!(cols.inner.cache.lock().unwrap().len() <= 2);
+        assert!(cols.inner.window.cache.lock().unwrap().map.len() <= 2);
     }
 
     #[test]

@@ -12,7 +12,6 @@
 //! Like the rest of this crate, deltas are semiring-agnostic: the `⊕` used by
 //! `Merge` and the zero test are passed in as closures.
 
-use crate::colstore::SpillWriter;
 use crate::factor::{check_schema, Factor, FactorBuilder, FactorError};
 use faq_hypergraph::Var;
 use faq_semiring::SemiringElem;
@@ -186,188 +185,82 @@ impl<E: SemiringElem> DeltaFactor<E> {
             &self.schema[..],
             "delta schema must match the base factor's column order"
         );
-        if base.is_spilled() {
-            return self.apply_to_spilled(base, &mut merge, &mut is_zero);
-        }
+        use std::cmp::Ordering::{Equal, Greater, Less};
         let arity = self.schema.len();
-        let mut out =
-            FactorBuilder::new(self.schema.clone()).expect("delta schema already validated");
-        out.reserve(base.len() + self.len());
         let mut changed: Vec<(u32, u32)> = Vec::new();
-        let note = note_change;
-        let (mut i, mut d) = (0usize, 0usize);
-        while i < base.len() || d < self.len() {
-            let order = if i == base.len() {
-                std::cmp::Ordering::Greater
-            } else if d == self.len() {
-                std::cmp::Ordering::Less
-            } else {
-                base.row(i).cmp(self.key(d))
-            };
-            match order {
-                std::cmp::Ordering::Less => {
-                    out.push(base.row(i), base.value(i).clone());
+        // The one merge routine: a run of base rows (`rows` row-major, one
+        // value each) against the delta's keys from `d` on for as long as
+        // `within` holds of them, in one sorted pass into `out`; returns the
+        // first key left. Keys absent from the base insert (`Put`, `Merge`)
+        // or are no-ops (`Delete`, a zero); keys present overwrite,
+        // `⊕`-combine or remove.
+        let mut merge_run = |out: &mut FactorBuilder<E>,
+                             mut d: usize,
+                             rows: &[u32],
+                             vals: &[E],
+                             within: &dyn Fn(&[u32]) -> bool| {
+            let mut i = 0usize;
+            loop {
+                let key = (d < self.len()).then(|| self.key(d)).filter(|k| within(k));
+                let order = match key {
+                    None if i == vals.len() => return d,
+                    None => Less,
+                    Some(_) if i == vals.len() => Greater,
+                    Some(key) => rows[i * arity..(i + 1) * arity].cmp(key),
+                };
+                if order == Less {
+                    out.push(&rows[i * arity..(i + 1) * arity], vals[i].clone());
                     i += 1;
+                    continue;
                 }
-                std::cmp::Ordering::Greater => {
-                    // Key absent from the base: Put and Merge insert, Delete
-                    // is a no-op. Inserting a zero is a no-op too.
-                    match self.op(d) {
-                        DeltaOp::Put(v) | DeltaOp::Merge(v) => {
-                            if !is_zero(v) {
-                                out.push(self.key(d), v.clone());
-                                note(self.key(d), &mut changed);
-                            }
-                        }
-                        DeltaOp::Delete => {}
-                    }
-                    d += 1;
+                let key = key.expect("Greater and Equal compare against a key");
+                // `old` is what the key maps to in the base, `new` what it
+                // maps to afterwards; a range is noted only if they differ.
+                let old = (order == Equal).then(|| &vals[i]);
+                let new = match (self.op(d), old) {
+                    (DeltaOp::Put(v), _) | (DeltaOp::Merge(v), None) => Some(v.clone()),
+                    (DeltaOp::Merge(v), Some(old)) => Some(merge(old, v)),
+                    (DeltaOp::Delete, _) => None,
                 }
-                std::cmp::Ordering::Equal => {
-                    let old = base.value(i);
-                    match self.op(d) {
-                        DeltaOp::Put(v) => {
-                            if is_zero(v) {
-                                note(self.key(d), &mut changed);
-                            } else {
-                                if v != old {
-                                    note(self.key(d), &mut changed);
-                                }
-                                out.push(self.key(d), v.clone());
-                            }
-                        }
-                        DeltaOp::Merge(v) => {
-                            let nv = merge(old, v);
-                            if is_zero(&nv) {
-                                note(self.key(d), &mut changed);
-                            } else {
-                                if nv != *old {
-                                    note(self.key(d), &mut changed);
-                                }
-                                out.push(self.key(d), nv);
-                            }
-                        }
-                        DeltaOp::Delete => note(self.key(d), &mut changed),
-                    }
-                    i += 1;
-                    d += 1;
+                .filter(|v| !is_zero(v));
+                if new.as_ref() != old {
+                    note_change(key, &mut changed);
                 }
-            }
-        }
-        debug_assert!(arity > 0 || out.len() <= 1);
-        (out.finish(), changed)
-    }
-
-    /// [`DeltaFactor::apply_to`] against a file-chunked base: a chunk-local
-    /// splice. Chunks no delta key lands in pass through *by handle*
-    /// ([`SpillWriter::adopt_chunk`]) — their bytes are never read — while
-    /// touched chunks are decoded and merged exactly like the in-memory path,
-    /// so the result factor and the reported changed ranges are bit-identical
-    /// to applying the same delta to an unspilled copy of the base.
-    fn apply_to_spilled(
-        &self,
-        base: &Factor<E>,
-        merge: &mut impl FnMut(&E, &E) -> E,
-        is_zero: &mut impl FnMut(&E) -> bool,
-    ) -> (Factor<E>, Vec<(u32, u32)>) {
-        let cols = base.spill_cols().expect("caller checked is_spilled");
-        let arity = self.schema.len();
-        debug_assert!(arity > 0, "nullary factors cannot spill");
-        let mut w = SpillWriter::new_like(cols);
-        let mut changed: Vec<(u32, u32)> = Vec::new();
-        let mut d = 0usize;
-        // Inserts for keys absent from the base and sorting before `upper`
-        // (exclusive); `upper = None` means "all remaining keys". Deletes and
-        // zero inserts of absent keys are no-ops, exactly as in `apply_to`.
-        let insert_gap = |upper: Option<&[u32]>,
-                          d: &mut usize,
-                          w: &mut SpillWriter<E>,
-                          is_zero: &mut dyn FnMut(&E) -> bool,
-                          changed: &mut Vec<(u32, u32)>| {
-            while *d < self.len() && upper.is_none_or(|u| self.key(*d) < u) {
-                if let DeltaOp::Put(v) | DeltaOp::Merge(v) = self.op(*d) {
-                    if !is_zero(v) {
-                        w.push(self.key(*d), v.clone());
-                        note_change(self.key(*d), changed);
-                    }
+                if let Some(v) = new {
+                    out.push(key, v);
                 }
-                *d += 1;
+                i += usize::from(order == Equal);
+                d += 1;
             }
         };
+        let Some(cols) = base.spill_cols() else {
+            let mut out =
+                FactorBuilder::new(self.schema.clone()).expect("delta schema already validated");
+            out.reserve(base.len() + self.len());
+            merge_run(&mut out, 0, base.mem_rows(), base.mem_vals(), &|_| true);
+            return (out.finish(), changed);
+        };
+        // A file-chunked base: a chunk-local splice. Chunks no delta key
+        // lands in pass through *by handle* — their bytes are never read —
+        // while touched chunks are decoded and merged by the same routine, so
+        // the result and the changed ranges are bit-identical to applying
+        // the delta to an unspilled copy of the base.
+        let mut out = FactorBuilder::new_like(self.schema.clone(), cols);
+        let mut d = 0usize;
         for k in 0..cols.num_chunks() {
-            insert_gap(Some(cols.chunk_first_row(k)), &mut d, &mut w, is_zero, &mut changed);
-            let touched = d < self.len() && self.key(d) <= cols.chunk_last_row(k);
-            if !touched {
-                // No remaining key lands inside this chunk: share its
-                // metadata without faulting its bytes in.
-                w.adopt_chunk(&cols.share_chunk_meta(k));
-                continue;
+            let (first, last) = (cols.chunk_first_row(k), cols.chunk_last_row(k));
+            // Keys sorting before the chunk are absent from the base.
+            d = merge_run(&mut out, d, &[], &[], &|key| key < first);
+            if d < self.len() && self.key(d) <= last {
+                cols.with_chunk(k, |_, rows, vals| {
+                    d = merge_run(&mut out, d, rows, vals, &|key| key <= last);
+                });
+            } else {
+                out.adopt_chunk(cols, k);
             }
-            cols.with_chunk(k, |_, rows, vals| {
-                let n = vals.len();
-                let last = &rows[(n - 1) * arity..n * arity];
-                let mut i = 0usize;
-                while i < n || (d < self.len() && self.key(d) <= last) {
-                    let order = if i == n {
-                        std::cmp::Ordering::Greater
-                    } else if d == self.len() || self.key(d) > last {
-                        std::cmp::Ordering::Less
-                    } else {
-                        rows[i * arity..(i + 1) * arity].cmp(self.key(d))
-                    };
-                    match order {
-                        std::cmp::Ordering::Less => {
-                            w.push(&rows[i * arity..(i + 1) * arity], vals[i].clone());
-                            i += 1;
-                        }
-                        std::cmp::Ordering::Greater => {
-                            if let DeltaOp::Put(v) | DeltaOp::Merge(v) = self.op(d) {
-                                if !is_zero(v) {
-                                    w.push(self.key(d), v.clone());
-                                    note_change(self.key(d), &mut changed);
-                                }
-                            }
-                            d += 1;
-                        }
-                        std::cmp::Ordering::Equal => {
-                            let old = &vals[i];
-                            match self.op(d) {
-                                DeltaOp::Put(v) => {
-                                    if is_zero(v) {
-                                        note_change(self.key(d), &mut changed);
-                                    } else {
-                                        if v != old {
-                                            note_change(self.key(d), &mut changed);
-                                        }
-                                        w.push(self.key(d), v.clone());
-                                    }
-                                }
-                                DeltaOp::Merge(v) => {
-                                    let nv = merge(old, v);
-                                    if is_zero(&nv) {
-                                        note_change(self.key(d), &mut changed);
-                                    } else {
-                                        if nv != *old {
-                                            note_change(self.key(d), &mut changed);
-                                        }
-                                        w.push(self.key(d), nv);
-                                    }
-                                }
-                                DeltaOp::Delete => note_change(self.key(d), &mut changed),
-                            }
-                            i += 1;
-                            d += 1;
-                        }
-                    }
-                }
-            });
         }
-        insert_gap(None, &mut d, &mut w, is_zero, &mut changed);
-        // Adopted chunks only reveal their first/last tuples, so fold the
-        // base's column maxima in: the result stays a sound upper bound for
-        // per-column validation (see `Factor::max_in_column`).
-        w.raise_col_maxes(cols.col_maxes());
-        (Factor::from_spill(self.schema.clone(), w.finish_cols()), changed)
+        merge_run(&mut out, d, &[], &[], &|_| true);
+        (out.finish(), changed)
     }
 }
 

@@ -3,7 +3,7 @@
 //! streams.
 
 use crate::colstore::{FileChunkedColumns, FixedBytes, SpillConfig, SpillStats, SpillWriter};
-use crate::trie::{FactorTrie, TrieBuilder};
+use crate::trie::{partition_runs, FactorTrie, LevelSink, TrieBuilder};
 use faq_hypergraph::Var;
 use faq_semiring::SemiringElem;
 use std::fmt;
@@ -88,6 +88,20 @@ struct Body<E> {
 enum Columns<E> {
     Mem { rows: Vec<u32>, vals: Vec<E> },
     Spill(FileChunkedColumns<E>),
+}
+
+impl<E> Columns<E> {
+    /// Run `f(row-major keys, values)` over the listing's chunks in order.
+    /// An in-memory listing is the one-resident-chunk case; a spilled one
+    /// pins a chunk at a time.
+    fn for_each_chunk(&self, mut f: impl FnMut(&[u32], &[E])) {
+        match self {
+            Columns::Mem { rows, vals } => f(rows, vals),
+            Columns::Spill(c) => {
+                (0..c.num_chunks()).for_each(|k| c.with_chunk(k, |_, rows, vals| f(rows, vals)))
+            }
+        }
+    }
 }
 
 /// A value read from a factor that may live on disk: borrowed from the heap
@@ -175,7 +189,7 @@ impl<E> Factor<E> {
     }
 
     #[track_caller]
-    fn mem_rows(&self) -> &[u32] {
+    pub(crate) fn mem_rows(&self) -> &[u32] {
         match &self.body.cols {
             Columns::Mem { rows, .. } => rows,
             Columns::Spill(_) => {
@@ -185,7 +199,7 @@ impl<E> Factor<E> {
     }
 
     #[track_caller]
-    fn mem_vals(&self) -> &[E] {
+    pub(crate) fn mem_vals(&self) -> &[E] {
         match &self.body.cols {
             Columns::Mem { vals, .. } => vals,
             Columns::Spill(_) => {
@@ -507,14 +521,24 @@ impl<E: SemiringElem> Factor<E> {
     /// benignly on a [`OnceLock`].
     pub fn trie(&self) -> &FactorTrie {
         self.body.trie.get_or_init(|| match &self.body.cols {
-            Columns::Mem { rows, .. } => {
-                FactorTrie::build(self.body.schema.len(), rows, self.body.len)
+            Columns::Mem { .. } => {
+                let mut heap = TrieBuilder::new(self.arity());
+                heap.reserve_rows(self.len());
+                self.index_into(heap)
             }
-            // Spilled listings stream their index straight back to disk: one
-            // pass over the chunks, spilled levels out (see
-            // [`crate::colstore`]).
-            Columns::Spill(c) => c.build_trie(),
+            // A spilled listing streams its index straight back to disk
+            // beside it: one pass over the chunks, spilled levels out.
+            Columns::Spill(c) => self.index_into(TrieBuilder::over(c.level_sinks())),
         })
+    }
+
+    /// Feed the listing, chunk by chunk, through a trie builder.
+    fn index_into<K: LevelSink>(&self, mut builder: TrieBuilder<K>) -> FactorTrie {
+        let mut carry = Vec::new();
+        self.body
+            .cols
+            .for_each_chunk(|rows, vals| builder.push_chunk(rows, vals.len(), &mut carry));
+        builder.finish()
     }
 
     /// The trie index if it has already been built, without forcing a build.
@@ -557,33 +581,28 @@ impl<E: SemiringElem> Factor<E> {
                 return Some(&self.mem_vals()[range.0]);
             }
         }
-        let trie = self.trie();
-        let mut window = trie.root();
-        for (depth, &value) in tuple.iter().enumerate() {
-            let level = trie.level(depth);
-            let entry = level.find(window, value)?;
-            if depth + 1 == self.arity() {
-                return Some(&self.mem_vals()[level.row_range(entry).0]);
-            }
-            window = level.child_range(entry);
-        }
-        unreachable!("loop returns at the deepest level")
+        self.find_row(tuple).map(|i| &self.mem_vals()[i])
     }
 
-    /// [`Factor::get`] over either backing, returning the value by clone —
-    /// the spilled twin of `get`, whose borrowed return cannot outlive a
-    /// pinned chunk.
+    /// [`Factor::get`] over either backing, returning the value by clone (a
+    /// borrow cannot outlive the pinned chunk of a spilled listing).
     pub fn get_cloned(&self, tuple: &[u32]) -> Option<E> {
         if !self.is_spilled() {
             return self.get(tuple).cloned();
         }
+        self.find_row(tuple).map(|i| self.value_at(i).into_owned())
+    }
+
+    /// The listing row holding `tuple` (arity ≥ 1), by descent of the trie
+    /// index: one search over the distinct values of each level.
+    fn find_row(&self, tuple: &[u32]) -> Option<usize> {
         let trie = self.trie();
         let mut window = trie.root();
         for (depth, &value) in tuple.iter().enumerate() {
             let level = trie.level(depth);
             let entry = level.find(window, value)?;
-            if depth + 1 == self.arity() {
-                return Some(self.value_at(level.row_range(entry).0).into_owned());
+            if depth + 1 == tuple.len() {
+                return Some(level.row_range(entry).0);
             }
             window = level.child_range(entry);
         }
@@ -806,24 +825,18 @@ impl<E: SemiringElem> Factor<E> {
         positions: &[usize],
         feed: &mut impl FnMut(&[u32], &E),
     ) {
-        if let Columns::Spill(cols) = &self.body.cols {
+        if grouped {
+            let arity = self.arity();
+            self.body.cols.for_each_chunk(|rows, vals| {
+                for (i, val) in vals.iter().enumerate() {
+                    feed(&rows[i * arity..(i + 1) * arity], val);
+                }
+            });
+        } else {
             assert!(
-                grouped,
+                !self.is_spilled(),
                 "reordering projections of a spilled factor require an in-memory listing"
             );
-            let arity = self.arity();
-            for c in 0..cols.num_chunks() {
-                cols.with_chunk(c, |_, rows, vals| {
-                    for (i, val) in vals.iter().enumerate() {
-                        feed(&rows[i * arity..(i + 1) * arity], val);
-                    }
-                });
-            }
-        } else if grouped {
-            for i in 0..self.body.len {
-                feed(self.row(i), &self.mem_vals()[i]);
-            }
-        } else {
             for i in self.order_by_columns(positions) {
                 feed(self.row(i), &self.mem_vals()[i]);
             }
@@ -1005,34 +1018,8 @@ impl<E: SemiringElem> Factor<E> {
         if col != 0 {
             values.sort_unstable();
         }
-        let target = self.body.len.div_ceil(max_chunks);
-        let mut cuts: Vec<u32> = Vec::new();
-        let mut taken = 0usize;
-        let mut i = 0usize;
-        while i < values.len() {
-            // The run of rows sharing values[i].
-            let mut j = i + 1;
-            while j < values.len() && values[j] == values[i] {
-                j += 1;
-            }
-            if taken >= target && cuts.len() + 1 < max_chunks {
-                cuts.push(values[i]);
-                taken = 0;
-            }
-            taken += j - i;
-            i = j;
-        }
-        if cuts.is_empty() {
-            return Vec::new();
-        }
-        let mut ranges = Vec::with_capacity(cuts.len() + 1);
-        let mut lo = 0u32;
-        for &c in &cuts {
-            ranges.push((lo, c));
-            lo = c;
-        }
-        ranges.push((lo, u32::MAX));
-        ranges
+        let runs = values.chunk_by(|a, b| a == b).map(|run| (run[0], run.len(), true));
+        partition_runs(self.body.len, max_chunks, runs)
     }
 
     /// k-way merge of factors over the same schema, combining duplicate tuples
@@ -1224,6 +1211,26 @@ impl<E: SemiringElem> FactorBuilder<E> {
         })
     }
 
+    /// An empty spilled builder writing a sibling of the spilled listing
+    /// `base` (whose schema is `schema`) — same spill directory, codec and
+    /// configuration — which may [`FactorBuilder::adopt_chunk`] its chunks.
+    pub(crate) fn new_like(schema: Vec<Var>, base: &FileChunkedColumns<E>) -> Self {
+        let arity = schema.len();
+        let cols = BuilderCols::Spill(SpillWriter::new_like(base));
+        FactorBuilder { schema, arity, cols, len: 0, trie: None }
+    }
+
+    /// Pass chunk `k` of `base`'s spilled listing through by reference — no
+    /// read, no copy; its rows must sort after everything pushed so far.
+    /// Only for builders made by [`FactorBuilder::new_like`] of `base`.
+    pub(crate) fn adopt_chunk(&mut self, base: &FileChunkedColumns<E>, k: usize) {
+        let BuilderCols::Spill(w) = &mut self.cols else {
+            panic!("only a spilled builder adopts chunks");
+        };
+        w.adopt_chunk(base, k);
+        self.len = w.len();
+    }
+
     /// Grow the trie index incrementally as rows are appended (see the type
     /// docs). Must be enabled before the first push.
     pub fn with_streaming_trie(mut self) -> Self {
@@ -1354,11 +1361,10 @@ impl<E: SemiringElem> FactorBuilder<E> {
 /// tuples with `combine` (left-to-right in chunk order) and dropping rows whose
 /// combined value satisfies `is_zero`.
 ///
-/// This is the row-level engine behind [`Factor::merge_sorted`], exposed so
-/// the parallel executor can merge per-chunk outputs without first wrapping
-/// them in factors. Ties across chunks are resolved in chunk index order,
-/// which keeps the `⊕`-fold association deterministic.
-pub fn merge_sorted_rows<E: SemiringElem>(
+/// This is the row-level engine behind [`Factor::merge_sorted`]. Ties across
+/// chunks are resolved in chunk index order, which keeps the `⊕`-fold
+/// association deterministic.
+fn merge_sorted_rows<E: SemiringElem>(
     mut chunks: Vec<Vec<(Vec<u32>, E)>>,
     mut combine: impl FnMut(&E, &E) -> E,
     mut is_zero: impl FnMut(&E) -> bool,

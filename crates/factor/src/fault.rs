@@ -311,8 +311,8 @@ impl Drop for CtlGuard {
 /// Abort the evaluation if its installed deadline has passed or its cancel
 /// token fired; no-op (two thread-local reads) otherwise.
 ///
-/// Called every few thousand seeks by the leapfrog join and at every chunk
-/// fault-in by the out-of-core store.
+/// Called before every step of an evaluation, every 1024 seeks by the
+/// leapfrog join and at every chunk fault-in by the out-of-core store.
 pub fn checkpoint() {
     let abort = CURRENT_CTL.with(|c| {
         let ctl = c.borrow();

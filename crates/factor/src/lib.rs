@@ -22,12 +22,13 @@
 //!   incremental re-evaluation;
 //! * [`trie`] — the columnar trie index: levels, cursors, range-restricted
 //!   views, root-level chunk partitioning;
-//! * [`storage`] — pluggable trie-level storage ([`LevelStorage`]) and the
-//!   branch-free galloping seek kernel of [`VecStorage`];
+//! * [`storage`] — the seek contract of a trie level ([`LevelStorage`]) and
+//!   the branch-free galloping kernel that answers it on the heap
+//!   ([`VecStorage`]);
 //! * [`colstore`] — the file-chunked out-of-core backing: spilled listings
 //!   ([`colstore::FileChunkedColumns`]), spilled trie levels
-//!   ([`colstore::FileChunkedLevel`]) and the [`FactorLevel`] enum the
-//!   default trie is stored in, plus the process-wide pinned-chunk gauges;
+//!   ([`colstore::FileChunkedLevel`]) and the [`FactorLevel`] enum every
+//!   trie level is stored in, plus the process-wide pinned-chunk gauges;
 //! * [`fault`] — typed storage errors ([`StorageError`]), the
 //!   [`QueryAbort`] unwinding transport that carries them (and deadlines /
 //!   cancellation) out of infallible accessor code, and the seeded
@@ -50,7 +51,7 @@ pub use colstore::{
 };
 pub use delta::{DeltaFactor, DeltaOp};
 pub use domains::{AssignmentIter, Domains};
-pub use factor::{merge_sorted_rows, Factor, FactorBuilder, FactorError, ValRef};
+pub use factor::{Factor, FactorBuilder, FactorError, ValRef};
 pub use fault::{AbortCtl, CancelToken, Deadline, FaultPlan, QueryAbort, StorageError};
 pub use storage::{LevelStorage, VecStorage};
 pub use trie::{FactorTrie, TrieCursor, TrieLevel, TrieView};

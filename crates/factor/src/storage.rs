@@ -1,14 +1,15 @@
-//! Pluggable storage for trie levels, with branch-free seek kernels.
+//! The seek contract of a trie level, and the branch-free kernel that
+//! answers it on the heap.
 //!
 //! A [`crate::trie::FactorTrie`] is three parallel arrays per level —
 //! `values`, `child` offsets, `rows` offsets — and one hot operation over
 //! them: the *windowed least-upper-bound* seek behind every leapfrog join
-//! step. [`LevelStorage`] abstracts how those arrays are stored and searched,
-//! so the trie machinery ([`crate::trie::FactorTrie`], the crate-internal
-//! `TrieBuilder`, [`crate::trie::TrieCursor`],
-//! [`crate::trie::TrieView`]) is generic over the backing representation:
-//! today a `Vec`-backed default ([`VecStorage`]), later memory-mapped or
-//! compressed levels for out-of-core factors.
+//! step. [`LevelStorage`] is the contract every backing of those arrays
+//! answers: [`VecStorage`] on the heap, the file-chunked
+//! [`crate::colstore::FileChunkedLevel`] on disk, and
+//! [`crate::colstore::FactorLevel`] — the one type a trie level is stored
+//! in — which dispatches between the two. The trie, its cursors and the join
+//! above them are written once, against that contract.
 //!
 //! # Storage contract
 //!

@@ -10,14 +10,21 @@
 //! become searches over *distinct values of one column* and descents become
 //! O(1) offset lookups.
 //!
-//! How a level's arrays are stored and searched is pluggable: every type here
-//! is generic over a [`LevelStorage`] backend, defaulting to
-//! [`crate::colstore::FactorLevel`] — an enum over the heap-backed
+//! A level's arrays live in a [`FactorLevel`]: the heap-backed
 //! [`crate::storage::VecStorage`] (whose seek kernel gallops branch-free from
-//! the cursor's last position, see [`crate::storage`]) and the file-chunked
+//! the cursor's last position, see [`crate::storage`]) or the file-chunked
 //! [`crate::colstore::FileChunkedLevel`] a spilled factor's index lives in.
-//! Downstream code that just writes `FactorTrie` / `TrieCursor` gets the
-//! default and works over both backings.
+//! Both answer the [`LevelStorage`] seek contract bit for bit, so cursors,
+//! views and the join above them never ask which one they walk.
+//!
+//! There is one way to build a trie: the crate-internal `TrieBuilder`, fed
+//! rows in ascending order. A row's first difference from its predecessor
+//! opens one entry at every level at or below that column; where an entry's
+//! bytes go is the only thing that varies — heap `Vec`s, or a level chunk
+//! that flushes to the spill file as it fills. [`crate::FactorBuilder`]
+//! drives it row by row as a join emits its output, and
+//! [`crate::Factor::trie`] drives it over a finished listing chunk by chunk
+//! (an in-memory listing being the one-chunk case).
 //!
 //! # Layout
 //!
@@ -76,19 +83,13 @@ use crate::storage::LevelStorage;
 
 /// One level of a [`FactorTrie`]: the distinct length-`d+1` prefixes of the
 /// factor's rows, in lexicographic order, stored columnar in a
-/// [`LevelStorage`] backend.
+/// [`FactorLevel`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TrieLevel<S: LevelStorage = FactorLevel> {
-    storage: S,
+pub struct TrieLevel {
+    storage: FactorLevel,
 }
 
-impl<S: LevelStorage> TrieLevel<S> {
-    /// Wrap an already-assembled storage backend (the spill path builds its
-    /// levels directly, bypassing [`LevelStorage::from_parts`]).
-    pub(crate) fn from_storage(storage: S) -> TrieLevel<S> {
-        TrieLevel { storage }
-    }
-
+impl TrieLevel {
     /// Number of entries (distinct prefixes) at this level.
     pub fn len(&self) -> usize {
         self.storage.len()
@@ -140,82 +141,12 @@ impl<S: LevelStorage> TrieLevel<S> {
 /// column. Built by [`crate::Factor::trie`] (lazily, cached) — see the
 /// [module docs](self) for layout and a worked example.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FactorTrie<S: LevelStorage = FactorLevel> {
-    levels: Vec<TrieLevel<S>>,
+pub struct FactorTrie {
+    levels: Vec<TrieLevel>,
     num_rows: usize,
 }
 
-impl<S: LevelStorage> FactorTrie<S> {
-    /// Assemble a trie from already-built levels (the spill path).
-    pub(crate) fn from_levels(levels: Vec<TrieLevel<S>>, num_rows: usize) -> FactorTrie<S> {
-        FactorTrie { levels, num_rows }
-    }
-
-    /// Build the index from a sorted, distinct, row-major listing.
-    ///
-    /// `rows` holds `num_rows × arity` values. One pass per level: level `d`
-    /// opens an entry wherever the length-`d+1` prefix changes, which is
-    /// wherever the parent level opened one *or* column `d` changes within a
-    /// parent — `O(arity × num_rows)` total.
-    pub(crate) fn build(arity: usize, rows: &[u32], num_rows: usize) -> FactorTrie<S> {
-        debug_assert_eq!(rows.len(), num_rows * arity);
-        // Raw columnar arrays per level — (values, row starts + end sentinel)
-        // — assembled into storage only once the child offsets are linked.
-        let mut raw: Vec<(Vec<u32>, Vec<usize>)> = Vec::with_capacity(arity);
-        // Row starts of the previous level's entries; a single root covers
-        // everything before level 0.
-        let mut parent_starts: Vec<usize> = vec![0];
-        for d in 0..arity {
-            let col = |i: usize| rows[i * arity + d];
-            let mut values = Vec::new();
-            let mut starts = Vec::new();
-            let mut parent = 0usize; // index into parent_starts
-            for i in 0..num_rows {
-                let new_parent = parent + 1 < parent_starts.len() && parent_starts[parent + 1] == i;
-                if new_parent {
-                    parent += 1;
-                }
-                if i == 0 || new_parent || col(i) != col(i - 1) {
-                    values.push(col(i));
-                    starts.push(i);
-                }
-            }
-            parent_starts = starts.clone();
-            starts.push(num_rows);
-            raw.push((values, starts));
-        }
-        // Child offsets: entry boundaries of level d are a subset of level
-        // d + 1's, so one merge pass per level links them; the deepest level's
-        // entries each cover exactly one row.
-        let mut childs: Vec<Vec<usize>> = Vec::with_capacity(arity);
-        for d in 0..arity {
-            let starts = &raw[d].1;
-            let child = match raw.get(d + 1) {
-                Some((next_values, next_starts)) => {
-                    let mut child = Vec::with_capacity(starts.len());
-                    let mut k = 0usize;
-                    for &start in starts {
-                        while k < next_values.len() && next_starts[k] < start {
-                            k += 1;
-                        }
-                        child.push(k);
-                    }
-                    child
-                }
-                None => starts.clone(),
-            };
-            childs.push(child);
-        }
-        let levels = raw
-            .into_iter()
-            .zip(childs)
-            .map(|((values, starts), child)| TrieLevel {
-                storage: S::from_parts(values, child, starts),
-            })
-            .collect();
-        FactorTrie { levels, num_rows }
-    }
-
+impl FactorTrie {
     /// Number of levels (the factor's arity).
     pub fn arity(&self) -> usize {
         self.levels.len()
@@ -227,7 +158,7 @@ impl<S: LevelStorage> FactorTrie<S> {
     }
 
     /// The level indexing column `d`.
-    pub fn level(&self, d: usize) -> &TrieLevel<S> {
+    pub fn level(&self, d: usize) -> &TrieLevel {
         &self.levels[d]
     }
 
@@ -243,7 +174,7 @@ impl<S: LevelStorage> FactorTrie<S> {
 
     /// A view of the trie restricted to root values in `[lo, hi)` — the
     /// chunk-shaped slice the parallel engine hands each worker.
-    pub fn view(&self, value_range: (u32, u32)) -> TrieView<'_, S> {
+    pub fn view(&self, value_range: (u32, u32)) -> TrieView<'_> {
         match self.levels.first() {
             None => TrieView { trie: self, root: (0, 0) },
             Some(level) => {
@@ -264,73 +195,131 @@ impl<S: LevelStorage> FactorTrie<S> {
     /// `[0, u32::MAX)` in ascending order, and an empty vector means "run
     /// sequentially" (fewer than 2 rows, or `max_chunks ≤ 1`).
     pub fn partition_root(&self, max_chunks: usize) -> Vec<(u32, u32)> {
-        if max_chunks <= 1 || self.num_rows < 2 {
+        let Some(level) = self.levels.first() else {
             return Vec::new();
-        }
-        let level = &self.levels[0];
-        let target = self.num_rows.div_ceil(max_chunks);
-        let mut cuts: Vec<u32> = Vec::new();
-        let mut taken = 0usize;
-        for j in 0..level.len() {
-            if taken >= target && cuts.len() + 1 < max_chunks {
-                cuts.push(level.value(j));
-                taken = 0;
-            }
+        };
+        let runs = (0..level.len()).map(|j| {
             let (lo, hi) = level.row_range(j);
-            taken += hi - lo;
-        }
-        if cuts.is_empty() {
-            return Vec::new();
-        }
-        let mut ranges = Vec::with_capacity(cuts.len() + 1);
-        let mut lo = 0u32;
-        for &c in &cuts {
-            ranges.push((lo, c));
-            lo = c;
-        }
-        ranges.push((lo, u32::MAX));
-        ranges
+            (level.value(j), hi - lo, true)
+        });
+        partition_runs(self.num_rows, max_chunks, runs)
     }
 }
 
-/// One level of a trie under streaming construction: the columnar arrays of a
-/// [`TrieLevel`] minus their end sentinels, which [`TrieBuilder::finish`]
-/// appends.
+/// Cut a column's ascending value runs — `(value, rows, may a range start
+/// here)` — into at most `max_chunks` half-open value ranges of roughly equal
+/// row counts, never splitting a value: the shared engine of
+/// [`FactorTrie::partition_root`], [`crate::Factor::column_partition`] and
+/// its chunk-aligned form. The ranges ascend and cover `[0, u32::MAX)`; an
+/// empty vector means "run sequentially" (fewer than 2 of the `len` rows,
+/// `max_chunks ≤ 1`, or no legal cut).
+pub(crate) fn partition_runs(
+    len: usize,
+    max_chunks: usize,
+    runs: impl Iterator<Item = (u32, usize, bool)>,
+) -> Vec<(u32, u32)> {
+    if max_chunks <= 1 || len < 2 {
+        return Vec::new();
+    }
+    let target = len.div_ceil(max_chunks);
+    let mut ranges = Vec::new();
+    let mut lo = 0u32;
+    let mut taken = 0usize;
+    for (value, rows, cuttable) in runs {
+        if taken >= target && ranges.len() + 1 < max_chunks && cuttable {
+            ranges.push((lo, value));
+            lo = value;
+            taken = 0;
+        }
+        taken += rows;
+    }
+    if !ranges.is_empty() {
+        ranges.push((lo, u32::MAX));
+    }
+    ranges
+}
+
+/// Where the entries of one level under construction go: the one thing that
+/// differs between building a trie on the heap and building it on disk.
+pub(crate) trait LevelSink {
+    /// Entries appended so far.
+    fn len(&self) -> usize;
+
+    /// Append an entry: its column value, the index of its first child in
+    /// the next level (its row index at the deepest level) and its first
+    /// listing row.
+    fn push_entry(&mut self, value: u32, child_start: usize, row_start: usize);
+
+    /// Seal the level; the arguments are the end sentinels of its `child`
+    /// and `rows` offset arrays.
+    fn seal(self, child_end: usize, rows_end: usize) -> FactorLevel;
+}
+
+/// The heap sink: the columnar arrays of a level minus their end sentinels.
 #[derive(Debug, Clone, Default)]
-struct LevelBuilder {
+pub(crate) struct HeapLevel {
     values: Vec<u32>,
     child: Vec<usize>,
     rows: Vec<usize>,
 }
 
-/// Incremental construction of a [`FactorTrie`] from rows arriving in strictly
-/// ascending lexicographic order — the streaming twin of [`FactorTrie::build`].
-///
-/// Elimination joins emit their output rows already sorted, so the trie of an
-/// intermediate factor can be grown entry by entry as rows are appended: a row
-/// whose first difference from its predecessor is at column `c` opens exactly
-/// one new entry at every level `≥ c`. Amortized `O(arity)` per row, and the
-/// result is structurally identical (`==`) to what [`FactorTrie::build`] would
-/// produce from the finished listing — asserted by tests and relied on by
-/// [`crate::FactorBuilder`], which is the only way rows reach this type.
-///
-/// Accumulation is storage-agnostic (plain `Vec`s); [`TrieBuilder::finish`]
-/// seals the levels into the target [`LevelStorage`].
-#[derive(Debug, Clone)]
-pub(crate) struct TrieBuilder<S: LevelStorage = FactorLevel> {
-    levels: Vec<LevelBuilder>,
-    num_rows: usize,
-    _storage: std::marker::PhantomData<S>,
+impl LevelSink for HeapLevel {
+    fn len(&self) -> usize {
+        self.values.len()
+    }
+
+    fn push_entry(&mut self, value: u32, child_start: usize, row_start: usize) {
+        self.values.push(value);
+        self.child.push(child_start);
+        self.rows.push(row_start);
+    }
+
+    fn seal(mut self, child_end: usize, rows_end: usize) -> FactorLevel {
+        self.child.push(child_end);
+        self.rows.push(rows_end);
+        FactorLevel::from_parts(self.values, self.child, self.rows)
+    }
 }
 
-impl<S: LevelStorage> TrieBuilder<S> {
-    /// An empty trie under construction, one level per column.
-    pub(crate) fn new(arity: usize) -> TrieBuilder<S> {
-        TrieBuilder {
-            levels: (0..arity).map(|_| LevelBuilder::default()).collect(),
-            num_rows: 0,
-            _storage: std::marker::PhantomData,
+/// Construction of a [`FactorTrie`] from rows arriving in strictly ascending
+/// lexicographic order — the only way one is built.
+///
+/// A row whose first difference from its predecessor is at column `c` opens
+/// exactly one new entry at every level `≥ c` and extends the current entry
+/// of every shallower level: amortized `O(arity)` per row, `O(arity × rows)`
+/// for a whole listing. Elimination joins emit their output rows already
+/// sorted, so [`crate::FactorBuilder`] grows an intermediate factor's index
+/// entry by entry as rows are appended; [`crate::Factor::trie`] feeds a
+/// finished listing through the same `push`, into heap levels or — for a
+/// spilled listing — into one [`crate::colstore::LevelSpill`] per column.
+#[derive(Debug, Clone)]
+pub(crate) struct TrieBuilder<K = HeapLevel> {
+    levels: Vec<K>,
+    num_rows: usize,
+}
+
+impl TrieBuilder {
+    /// An empty heap-backed trie under construction, one level per column.
+    pub(crate) fn new(arity: usize) -> TrieBuilder {
+        TrieBuilder::over((0..arity).map(|_| HeapLevel::default()).collect())
+    }
+
+    /// Make room for `rows` more rows where their number is known up front:
+    /// the deepest level holds exactly one entry per row (plus the end
+    /// sentinels), and it is the level whose regrowth costs.
+    pub(crate) fn reserve_rows(&mut self, rows: usize) {
+        if let Some(leaf) = self.levels.last_mut() {
+            leaf.values.reserve_exact(rows);
+            leaf.child.reserve_exact(rows + 1);
+            leaf.rows.reserve_exact(rows + 1);
         }
+    }
+}
+
+impl<K: LevelSink> TrieBuilder<K> {
+    /// An empty trie under construction over the given per-column sinks.
+    pub(crate) fn over(levels: Vec<K>) -> TrieBuilder<K> {
+        TrieBuilder { levels, num_rows: 0 }
     }
 
     /// Append the next row. `prev` is the previously appended row (`None` for
@@ -343,7 +332,7 @@ impl<S: LevelStorage> TrieBuilder<S> {
         let start = match prev {
             None => 0,
             Some(p) => {
-                debug_assert!(p < row, "streaming trie rows must be strictly ascending");
+                debug_assert!(p < row, "trie rows must be strictly ascending");
                 row.iter().zip(p).position(|(a, b)| a != b).expect("rows are distinct")
             }
         };
@@ -352,32 +341,43 @@ impl<S: LevelStorage> TrieBuilder<S> {
             // about to open for this same row (the row index itself at the
             // deepest level) — levels are appended top-down, so the next
             // level's current length is exactly that index.
-            let child_start =
-                if d + 1 < arity { self.levels[d + 1].values.len() } else { self.num_rows };
-            let level = &mut self.levels[d];
-            level.values.push(value);
-            level.child.push(child_start);
-            level.rows.push(self.num_rows);
+            let child_start = if d + 1 < arity { self.levels[d + 1].len() } else { self.num_rows };
+            self.levels[d].push_entry(value, child_start, self.num_rows);
         }
         self.num_rows += 1;
     }
 
-    /// Seal the trie: append the end sentinels and assemble the levels.
-    pub(crate) fn finish(self) -> FactorTrie<S> {
-        let num_rows = self.num_rows;
+    /// Append the `n` consecutive rows of one listing chunk (`rows` is
+    /// row-major). `carry` holds the last row of the chunk before it and is
+    /// left holding this chunk's last row, so a listing is fed chunk by
+    /// chunk with one row copy per chunk.
+    pub(crate) fn push_chunk(&mut self, rows: &[u32], n: usize, carry: &mut Vec<u32>) {
         let arity = self.levels.len();
-        let next_len: Vec<usize> = (0..arity)
-            .map(|d| if d + 1 < arity { self.levels[d + 1].values.len() } else { num_rows })
-            .collect();
+        for i in 0..n {
+            let prev = match i {
+                0 if self.num_rows == 0 => None,
+                0 => Some(&carry[..]),
+                _ => Some(&rows[(i - 1) * arity..i * arity]),
+            };
+            self.push(&rows[i * arity..(i + 1) * arity], prev);
+        }
+        if n > 0 {
+            carry.clear();
+            carry.extend_from_slice(&rows[(n - 1) * arity..]);
+        }
+    }
+
+    /// Seal the trie: every level gets its end sentinels — the next level's
+    /// length (the row count at the deepest level) and the row count.
+    pub(crate) fn finish(self) -> FactorTrie {
+        let num_rows = self.num_rows;
+        let mut child_ends: Vec<usize> = self.levels.iter().skip(1).map(K::len).collect();
+        child_ends.push(num_rows);
         let levels = self
             .levels
             .into_iter()
-            .zip(next_len)
-            .map(|(mut lb, end)| {
-                lb.child.push(end);
-                lb.rows.push(num_rows);
-                TrieLevel { storage: S::from_parts(lb.values, lb.child, lb.rows) }
-            })
+            .zip(child_ends)
+            .map(|(sink, child_end)| TrieLevel { storage: sink.seal(child_end, num_rows) })
             .collect();
         FactorTrie { levels, num_rows }
     }
@@ -386,23 +386,15 @@ impl<S: LevelStorage> TrieBuilder<S> {
 /// A borrowed slice of a [`FactorTrie`]: the subtries whose root value lies in
 /// a half-open value range. The parallel InsideOut engine gives each worker
 /// one such view; a view over the full value range is the whole trie.
-#[derive(Debug)]
-pub struct TrieView<'t, S: LevelStorage = FactorLevel> {
-    trie: &'t FactorTrie<S>,
+#[derive(Debug, Clone, Copy)]
+pub struct TrieView<'t> {
+    trie: &'t FactorTrie,
     root: (usize, usize),
 }
 
-impl<S: LevelStorage> Clone for TrieView<'_, S> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<S: LevelStorage> Copy for TrieView<'_, S> {}
-
-impl<'t, S: LevelStorage> TrieView<'t, S> {
+impl<'t> TrieView<'t> {
     /// The underlying trie.
-    pub fn trie(&self) -> &'t FactorTrie<S> {
+    pub fn trie(&self) -> &'t FactorTrie {
         self.trie
     }
 
@@ -422,7 +414,7 @@ impl<'t, S: LevelStorage> TrieView<'t, S> {
     }
 
     /// A cursor whose root-level candidates are restricted to the view.
-    pub fn cursor(&self) -> TrieCursor<'t, S> {
+    pub fn cursor(&self) -> TrieCursor<'t> {
         TrieCursor {
             trie: self.trie,
             windows: vec![self.root],
@@ -444,8 +436,8 @@ impl<'t, S: LevelStorage> TrieView<'t, S> {
 /// ([`TrieCursor::at_leaf`]), [`TrieCursor::row`] is the listing row of the
 /// full binding.
 #[derive(Debug, Clone)]
-pub struct TrieCursor<'t, S: LevelStorage = FactorLevel> {
-    trie: &'t FactorTrie<S>,
+pub struct TrieCursor<'t> {
+    trie: &'t FactorTrie,
     /// `windows[d]` = candidate entry window at level `d`; `windows` has one
     /// more frame than `path` (the candidates of the current level).
     windows: Vec<(usize, usize)>,
@@ -457,9 +449,9 @@ pub struct TrieCursor<'t, S: LevelStorage = FactorLevel> {
     found: usize,
 }
 
-impl<'t, S: LevelStorage> TrieCursor<'t, S> {
+impl<'t> TrieCursor<'t> {
     /// A cursor over the whole trie.
-    pub fn new(trie: &'t FactorTrie<S>) -> TrieCursor<'t, S> {
+    pub fn new(trie: &'t FactorTrie) -> TrieCursor<'t> {
         TrieCursor { trie, windows: vec![trie.root()], path: Vec::new(), found: usize::MAX }
     }
 

@@ -160,23 +160,6 @@ impl Hypergraph {
         u != w && self.edges.iter().any(|e| e.contains(&u) && e.contains(&w))
     }
 
-    /// The Gaifman (primal) graph as an adjacency list over the vertex set.
-    pub fn gaifman(&self) -> Vec<(Var, VarSet)> {
-        self.vertices
-            .iter()
-            .map(|&u| {
-                let mut nbrs = VarSet::new();
-                for e in &self.edges {
-                    if e.contains(&u) {
-                        nbrs.extend(e.iter().copied());
-                    }
-                }
-                nbrs.remove(&u);
-                (u, nbrs)
-            })
-            .collect()
-    }
-
     /// The sub-hypergraph induced by `keep`: edges are intersected with `keep`
     /// and empty intersections dropped; vertex set becomes `keep ∩ V`.
     pub fn induced(&self, keep: &VarSet) -> Hypergraph {

@@ -102,9 +102,4 @@ impl<D: AggDomain> Snapshot<D> {
     pub fn cached_result(&self, id: QueryId) -> Option<&Arc<Factor<D::E>>> {
         self.results.get(&id.0)
     }
-
-    /// Number of shared results carried by this snapshot.
-    pub fn cached_results(&self) -> usize {
-        self.results.len()
-    }
 }

@@ -1,0 +1,93 @@
+//! Helpers shared by the equivalence suites (`mod common;` in each): the
+//! small triangle instance they all generate and the cursor walk that reads
+//! a trie back as a listing. Not every suite uses every item.
+#![allow(dead_code)]
+
+use faq::core::VarAgg;
+use faq::factor::{Factor, FactorTrie, TrieCursor};
+use faq::hypergraph::Var;
+use faq::semiring::SemiringElem;
+
+/// Domain size of every variable of the generated instances.
+pub const DOM: u32 = 4;
+
+/// Decode a support bitmap over `DOM²` into a factor over `(a, b)`: cell `i`
+/// is the tuple `(i / DOM, i % DOM)`, present when `support[i] > 0`, with
+/// value `value_at(i)`.
+pub fn pairs_factor<E: Clone + PartialEq + std::fmt::Debug + Send + Sync>(
+    a: u32,
+    b: u32,
+    support: &[u32],
+    mut value_at: impl FnMut(usize) -> E,
+) -> Factor<E> {
+    let tuples: Vec<(Vec<u32>, E)> = support
+        .iter()
+        .enumerate()
+        .filter(|(_, &x)| x > 0)
+        .map(|(i, _)| (vec![i as u32 / DOM, i as u32 % DOM], value_at(i)))
+        .collect();
+    Factor::new(vec![Var(a), Var(b)], tuples).unwrap()
+}
+
+/// The triangle-shaped query skeleton shared by the semiring families:
+/// variables {0, 1, 2}, the first `free` of them free, the rest carrying the
+/// aggregate `pick` makes of their entry in `aggs`.
+pub fn skeleton(
+    free: usize,
+    aggs: &[usize],
+    pick: impl Fn(usize) -> VarAgg,
+) -> (Vec<Var>, Vec<(Var, VarAgg)>) {
+    let free_vars: Vec<Var> = (0..free as u32).map(Var).collect();
+    let bound: Vec<(Var, VarAgg)> = (free..3).map(|i| (Var(i as u32), pick(aggs[i]))).collect();
+    (free_vars, bound)
+}
+
+/// Depth-first enumeration through a trie cursor: every `(row, row_index)`
+/// reachable below the cursor's current position, in lexicographic order.
+pub fn dfs(cur: &mut TrieCursor<'_>, prefix: &mut Vec<u32>, out: &mut Vec<(Vec<u32>, usize)>) {
+    if cur.at_leaf() {
+        out.push((prefix.clone(), cur.row()));
+        return;
+    }
+    let mut value = cur.seek(0);
+    while let Some(x) = value {
+        cur.open(x);
+        prefix.push(x);
+        dfs(cur, prefix, out);
+        prefix.pop();
+        cur.up();
+        value = cur.next();
+    }
+}
+
+/// The definition of a trie index, checked entry by entry against the
+/// listing it claims to index — independent of how the trie was built and of
+/// where its levels live: level `d` holds one entry per distinct length-`d+1`
+/// row prefix, in order, carrying the prefix's last value, the rows below it
+/// and, as children, the level-`d+1` entries extending it (the rows
+/// themselves at the deepest level).
+pub fn assert_trie_indexes<E: SemiringElem>(trie: &FactorTrie, f: &Factor<E>) {
+    let arity = f.arity();
+    let rows: Vec<Vec<u32>> =
+        (0..f.len()).map(|i| (0..arity).map(|d| f.col(i, d)).collect()).collect();
+    assert_eq!((trie.arity(), trie.num_rows()), (arity, rows.len()));
+    // starts[d] = first rows of the distinct length-`d+1` prefixes; the row
+    // indices themselves stand in for the level below the deepest.
+    let mut starts: Vec<Vec<usize>> = (0..arity)
+        .map(|d| {
+            (0..rows.len()).filter(|&i| i == 0 || rows[i][..=d] != rows[i - 1][..=d]).collect()
+        })
+        .collect();
+    starts.push((0..rows.len()).collect());
+    for d in 0..arity {
+        let level = trie.level(d);
+        assert_eq!(level.len(), starts[d].len(), "entries at level {d}");
+        for (j, &lo) in starts[d].iter().enumerate() {
+            let hi = starts[d].get(j + 1).copied().unwrap_or(rows.len());
+            let below = |row: usize| starts[d + 1].partition_point(|&s| s < row);
+            assert_eq!(level.value(j), rows[lo][d], "value of entry {j} at level {d}");
+            assert_eq!(level.row_range(j), (lo, hi), "rows of entry {j} at level {d}");
+            assert_eq!(level.child_range(j), (below(lo), below(hi)), "children, {j} at {d}");
+        }
+    }
+}

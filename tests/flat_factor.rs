@@ -2,16 +2,19 @@
 //!
 //! 1. [`Factor::from_sorted_distinct`] and the [`FactorBuilder`] push path
 //!    are drop-in equivalents of `Factor::new` on adversarial inputs;
-//! 2. streaming-built tries ([`FactorBuilder::with_streaming_trie`]) are
-//!    structurally identical (`==` on levels) to lazily built ones — for
-//!    direct pushes and for the chunked `append` path the parallel engine's
-//!    k-way merge uses;
+//! 2. the trie a builder grows while rows stream in
+//!    ([`FactorBuilder::with_streaming_trie`]) — by direct pushes and by the
+//!    chunked `append` path of the parallel engine's merge — and the one
+//!    built on first use both index their listing by definition
+//!    (`common::assert_trie_indexes`: every level's values, row ranges and
+//!    child ranges recomputed from the rows);
 //!
 //! 3. file-chunked (spilled) listings are accessor-level drop-ins for the
 //!    in-memory backing — equality, column/value reads across chunk
 //!    boundaries, column maxima, point lookups, projections — at chunk
-//!    sizes 1, C−1, C, C+1, with the spill directory removed when the last
-//!    handle drops;
+//!    sizes 1, C−1, C, C+1, their disk-sink trie `==` the heap-sink trie of
+//!    the same rows, with the spill directory removed when the last handle
+//!    drops;
 //!
 //! each across the counting (`u64`), max-tropical (`f64`), and boolean
 //! carriers.
@@ -21,7 +24,8 @@ use faq::hypergraph::Var;
 use faq::semiring::SemiringElem;
 use proptest::prelude::*;
 
-const DOM: u32 = 4;
+mod common;
+use common::{assert_trie_indexes, DOM};
 
 /// Decode a support bitmap over `DOM³` into sorted, distinct arity-3 rows.
 fn rows_of(cells: &[u32]) -> Vec<(Vec<u32>, u32)> {
@@ -41,8 +45,8 @@ fn schema3() -> Vec<Var> {
 }
 
 /// Assert the three construction paths agree for one carrier type, and that
-/// the streaming trie (plain pushes and chunked appends alike) equals the
-/// lazily built one.
+/// every way a trie comes to be — on first use, streamed by plain pushes,
+/// streamed through chunked appends — indexes the listing by definition.
 fn check_paths<E: SemiringElem>(rows: &[(Vec<u32>, E)]) {
     // Reference: the sorting constructor, fed the rows in reverse (it may
     // not rely on input order).
@@ -55,6 +59,7 @@ fn check_paths<E: SemiringElem>(rows: &[(Vec<u32>, E)]) {
     let vals: Vec<E> = rows.iter().map(|(_, v)| v.clone()).collect();
     let direct = Factor::from_sorted_distinct(schema3(), flat, vals).unwrap();
     assert_eq!(direct, reference);
+    assert_trie_indexes(direct.trie(), &reference);
 
     // Path 2: builder pushes, with the streaming trie on.
     let mut builder = FactorBuilder::new(schema3()).unwrap().with_streaming_trie();
@@ -63,10 +68,9 @@ fn check_paths<E: SemiringElem>(rows: &[(Vec<u32>, E)]) {
     }
     let streamed = builder.finish();
     assert_eq!(streamed, reference);
-    assert_eq!(
+    assert_trie_indexes(
         streamed.trie_if_built().expect("streaming build leaves a trie"),
-        reference.trie(),
-        "streamed trie must be structurally identical to the lazy build"
+        &reference,
     );
 
     // Path 3: chunked appends (the parallel k-way merge shape): split the
@@ -85,7 +89,7 @@ fn check_paths<E: SemiringElem>(rows: &[(Vec<u32>, E)]) {
     }
     let merged = merged.finish();
     assert_eq!(merged, reference);
-    assert_eq!(merged.trie_if_built().expect("append keeps streaming"), reference.trie());
+    assert_trie_indexes(merged.trie_if_built().expect("append keeps streaming"), &reference);
 }
 
 proptest! {
@@ -250,6 +254,10 @@ where
             }
             assert!(spilled.value_at(i).as_ref() == mem.value(i), "value {i}");
         }
+        // One builder, two sinks: the levels streamed to disk hold what the
+        // heap levels of the same rows hold (`level_chunk_entries` rounds up
+        // to the 64-entry head stride), compared from either side.
+        assert!(spilled.trie() == mem.trie() && mem.trie() == spilled.trie());
         // Point lookups pin chunks on demand through the spilled trie.
         let mut probe = vec![0u32; mem.arity()];
         for i in 0..mem.len() {

@@ -15,7 +15,8 @@ use faq::hypergraph::Var;
 use faq::semiring::{AggDomain, BoolDomain, CountDomain, MaxPlus, SingleSemiringDomain};
 use proptest::prelude::*;
 
-const DOM: u32 = 4;
+mod common;
+use common::{pairs_factor, skeleton, DOM};
 
 /// Thread counts × adversarial chunk floors under test.
 fn policies() -> Vec<ExecPolicy> {
@@ -41,36 +42,6 @@ fn assert_par_equivalent<D: AggDomain + Sync>(q: &FaqQuery<D>) {
     }
 }
 
-/// Decode a support bitmap into factor tuples over `(a, b)` with values drawn
-/// from `vals`.
-fn pairs_factor<E: Clone + PartialEq + std::fmt::Debug + Send + Sync>(
-    a: u32,
-    b: u32,
-    support: &[bool],
-    mut value_at: impl FnMut(usize) -> E,
-) -> Factor<E> {
-    let tuples: Vec<(Vec<u32>, E)> = support
-        .iter()
-        .enumerate()
-        .filter(|(_, &on)| on)
-        .map(|(i, _)| (vec![i as u32 / DOM, i as u32 % DOM], value_at(i)))
-        .collect();
-    Factor::new(vec![Var(a), Var(b)], tuples).unwrap()
-}
-
-/// The triangle-shaped query skeleton used by all three families: variables
-/// {0, 1, 2}, factors on (0,1), (1,2), (0,2), the first `free` variables
-/// free, the rest carrying the aggregate picked by `agg`.
-fn skeleton(
-    free: usize,
-    aggs: &[usize],
-    pick: impl Fn(usize) -> VarAgg,
-) -> (Vec<Var>, Vec<(Var, VarAgg)>) {
-    let free_vars: Vec<Var> = (0..free as u32).map(Var).collect();
-    let bound: Vec<(Var, VarAgg)> = (free..3).map(|i| (Var(i as u32), pick(aggs[i]))).collect();
-    (free_vars, bound)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -83,10 +54,9 @@ proptest! {
         aggs in proptest::collection::vec(0usize..3, 3),
         free in 0usize..3,
     ) {
-        let sup = |s: &[u32]| s.iter().map(|&x| x > 0).collect::<Vec<bool>>();
-        let f01 = pairs_factor(0, 1, &sup(&s01), |i| s01[i] as u64);
-        let f12 = pairs_factor(1, 2, &sup(&s12), |i| s12[i] as u64);
-        let f02 = pairs_factor(0, 2, &sup(&s02), |i| s02[i] as u64);
+        let f01 = pairs_factor(0, 1, &s01, |i| s01[i] as u64);
+        let f12 = pairs_factor(1, 2, &s12, |i| s12[i] as u64);
+        let f02 = pairs_factor(0, 2, &s02, |i| s02[i] as u64);
         let (free_vars, bound) = skeleton(free, &aggs, |a| match a {
             0 => VarAgg::Semiring(CountDomain::SUM),
             1 => VarAgg::Semiring(CountDomain::MAX),
@@ -112,13 +82,12 @@ proptest! {
         aggs in proptest::collection::vec(0usize..2, 3),
         free in 0usize..3,
     ) {
-        let sup = |s: &[u32]| s.iter().map(|&x| x > 0).collect::<Vec<bool>>();
         let val = |s: &[u32]| {
             let s = s.to_vec();
             move |i: usize| s[i] as f64 * 0.25
         };
-        let f01 = pairs_factor(0, 1, &sup(&s01), val(&s01));
-        let f12 = pairs_factor(1, 2, &sup(&s12), val(&s12));
+        let f01 = pairs_factor(0, 1, &s01, val(&s01));
+        let f12 = pairs_factor(1, 2, &s12, val(&s12));
         let (free_vars, bound) = skeleton(free, &aggs, |a| match a {
             0 => VarAgg::Semiring(SingleSemiringDomain::<MaxPlus>::OP),
             _ => VarAgg::Product,
@@ -142,10 +111,9 @@ proptest! {
         aggs in proptest::collection::vec(0usize..2, 3),
         free in 0usize..3,
     ) {
-        let sup = |s: &[u32]| s.iter().map(|&x| x > 0).collect::<Vec<bool>>();
-        let f01 = pairs_factor(0, 1, &sup(&s01), |_| true);
-        let f12 = pairs_factor(1, 2, &sup(&s12), |_| true);
-        let f02 = pairs_factor(0, 2, &sup(&s02), |_| true);
+        let f01 = pairs_factor(0, 1, &s01, |_| true);
+        let f12 = pairs_factor(1, 2, &s12, |_| true);
+        let f02 = pairs_factor(0, 2, &s02, |_| true);
         let (free_vars, bound) = skeleton(free, &aggs, |a| match a {
             0 => VarAgg::Semiring(BoolDomain::OR),
             _ => VarAgg::Product,

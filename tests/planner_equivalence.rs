@@ -23,7 +23,8 @@ use faq::hypergraph::Var;
 use faq::semiring::{AggDomain, BoolDomain, CountDomain, MaxPlus, SingleSemiringDomain};
 use proptest::prelude::*;
 
-const DOM: u32 = 4;
+mod common;
+use common::{pairs_factor, skeleton, DOM};
 
 /// Planners under test: sequential plus parallel with an adversarial chunk
 /// floor, so planned steps are actually chunked on tiny inputs.
@@ -65,33 +66,6 @@ fn assert_plan_equivalent<D: AggDomain + Clone + Sync>(q: &FaqQuery<D>) {
             );
         }
     }
-}
-
-/// Decode a support bitmap into factor tuples over `(a, b)`.
-fn pairs_factor<E: Clone + PartialEq + std::fmt::Debug + Send + Sync>(
-    a: u32,
-    b: u32,
-    support: &[u32],
-    mut value_at: impl FnMut(usize) -> E,
-) -> Factor<E> {
-    let tuples: Vec<(Vec<u32>, E)> = support
-        .iter()
-        .enumerate()
-        .filter(|(_, &x)| x > 0)
-        .map(|(i, _)| (vec![i as u32 / DOM, i as u32 % DOM], value_at(i)))
-        .collect();
-    Factor::new(vec![Var(a), Var(b)], tuples).unwrap()
-}
-
-/// The triangle-shaped query skeleton shared by the three families.
-fn skeleton(
-    free: usize,
-    aggs: &[usize],
-    pick: impl Fn(usize) -> VarAgg,
-) -> (Vec<Var>, Vec<(Var, VarAgg)>) {
-    let free_vars: Vec<Var> = (0..free as u32).map(Var).collect();
-    let bound: Vec<(Var, VarAgg)> = (free..3).map(|i| (Var(i as u32), pick(aggs[i]))).collect();
-    (free_vars, bound)
 }
 
 proptest! {

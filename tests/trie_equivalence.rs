@@ -4,7 +4,11 @@
 //! Three layers of evidence over random factors and queries:
 //!
 //! 1. **Structure** — depth-first trie-cursor enumeration visits exactly the
-//!    listing's rows, in order, ending at the right row indices;
+//!    listing's rows, in order, ending at the right row indices; and the one
+//!    trie builder fills its two sinks alike: the disk-sink trie of a spilled
+//!    copy is `==` the heap-sink trie of the same rows, and indexes them by
+//!    definition, at listing chunks of 1 / 63 / 64 / 65 / all rows and level
+//!    chunks of 64 / 128 entries;
 //! 2. **Conditional queries** — trie seeks ([`faq::factor::TrieLevel`] lub)
 //!    and range-restricted root views agree with the listing's
 //!    `seek_column`/`prefix_range` oracle at every depth, and `Factor::get`
@@ -33,7 +37,8 @@ use faq::hypergraph::Var;
 use faq::semiring::{AggDomain, BoolDomain, CountDomain, MaxPlus, SingleSemiringDomain};
 use proptest::prelude::*;
 
-const DOM: u32 = 4;
+mod common;
+use common::{assert_trie_indexes, dfs, pairs_factor, skeleton, DOM};
 
 /// Build an arity-3 factor over `DOM³` from a support/value bitmap.
 fn factor3(cells: &[u32]) -> Factor<u64> {
@@ -47,24 +52,6 @@ fn factor3(cells: &[u32]) -> Factor<u64> {
         })
         .collect();
     Factor::new(vec![Var(0), Var(1), Var(2)], tuples).unwrap()
-}
-
-/// Depth-first enumeration through a trie cursor: every `(row, row_index)`
-/// reachable below the cursor's current position, in lexicographic order.
-fn dfs(cur: &mut TrieCursor<'_>, prefix: &mut Vec<u32>, out: &mut Vec<(Vec<u32>, usize)>) {
-    if cur.at_leaf() {
-        out.push((prefix.clone(), cur.row()));
-        return;
-    }
-    let mut value = cur.seek(0);
-    while let Some(x) = value {
-        cur.open(x);
-        prefix.push(x);
-        dfs(cur, prefix, out);
-        prefix.pop();
-        cur.up();
-        value = cur.next();
-    }
 }
 
 proptest! {
@@ -81,6 +68,48 @@ proptest! {
         let expect: Vec<(Vec<u32>, usize)> =
             (0..f.len()).map(|i| (f.row(i).to_vec(), i)).collect();
         prop_assert_eq!(got, expect);
+    }
+
+    /// Heap-sink trie ≡ disk-sink trie for the same rows: up to 512 rows over
+    /// `8³`, so the listing spans several chunks at every `chunk_rows` but
+    /// the last and the deepest level spans several level chunks (64 is the
+    /// head stride `level_chunk_entries` rounds up to). `==` runs from both
+    /// sides; the definition check and the cursor walk read the disk levels
+    /// back through a 2-chunk window.
+    #[test]
+    fn heap_sink_trie_equals_disk_sink_trie(
+        cells in proptest::collection::vec(0u32..2, 512),
+    ) {
+        let tuples: Vec<(Vec<u32>, u64)> = cells
+            .iter()
+            .enumerate()
+            .filter(|(_, &x)| x > 0)
+            .map(|(i, _)| (vec![i as u32 / 64, i as u32 / 8 % 8, i as u32 % 8], i as u64 + 1))
+            .collect();
+        let mem = Factor::new(vec![Var(0), Var(1), Var(2)], tuples).unwrap();
+        if !mem.is_empty() {
+            let listing: Vec<(Vec<u32>, usize)> =
+                (0..mem.len()).map(|i| (mem.row(i).to_vec(), i)).collect();
+            for chunk_rows in [1usize, 63, 64, 65, mem.len()] {
+                for level_chunk_entries in [64usize, 128] {
+                    let config = SpillConfig {
+                        chunk_rows,
+                        level_chunk_entries,
+                        window_chunks: 2,
+                        ..Default::default()
+                    };
+                    let spilled = mem.to_spilled(config);
+                    prop_assert!(
+                        spilled.trie() == mem.trie() && mem.trie() == spilled.trie(),
+                        "chunk_rows {} level_chunk_entries {}", chunk_rows, level_chunk_entries
+                    );
+                    assert_trie_indexes(spilled.trie(), &mem);
+                    let mut walked = Vec::new();
+                    dfs(&mut TrieCursor::new(spilled.trie()), &mut Vec::new(), &mut walked);
+                    prop_assert_eq!(&walked, &listing);
+                }
+            }
+        }
     }
 
     /// Trie seeks match the listing's `seek_column` oracle along random
@@ -261,33 +290,6 @@ fn assert_engine_matches_listings<D: AggDomain + Sync>(q: &FaqQuery<D>) {
             assert_eq!(out.stats.total_seeks(), sequential.stats.total_seeks());
         }
     }
-}
-
-/// Decode a support bitmap into factor tuples over `(a, b)`.
-fn pairs_factor<E: Clone + PartialEq + std::fmt::Debug + Send + Sync>(
-    a: u32,
-    b: u32,
-    support: &[u32],
-    mut value_at: impl FnMut(usize) -> E,
-) -> Factor<E> {
-    let tuples: Vec<(Vec<u32>, E)> = support
-        .iter()
-        .enumerate()
-        .filter(|(_, &x)| x > 0)
-        .map(|(i, _)| (vec![i as u32 / DOM, i as u32 % DOM], value_at(i)))
-        .collect();
-    Factor::new(vec![Var(a), Var(b)], tuples).unwrap()
-}
-
-/// The triangle-shaped query skeleton shared by the three families.
-fn skeleton(
-    free: usize,
-    aggs: &[usize],
-    pick: impl Fn(usize) -> VarAgg,
-) -> (Vec<Var>, Vec<(Var, VarAgg)>) {
-    let free_vars: Vec<Var> = (0..free as u32).map(Var).collect();
-    let bound: Vec<(Var, VarAgg)> = (free..3).map(|i| (Var(i as u32), pick(aggs[i]))).collect();
-    (free_vars, bound)
 }
 
 proptest! {
