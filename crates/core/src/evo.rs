@@ -11,40 +11,63 @@
 //!   semiring variable conditions the query, while a product node must be
 //!   consumed as one block; extended components are checked independently and
 //!   dangling product variables are unconstrained.
+//!
+//! # Membership is a walk over states
+//!
+//! What the recursion may do next depends on the *conditioned sub-query* it
+//! has reached — the variables not yet consumed and the edges left on them —
+//! and not on the order in which the consumed variables came. `analyze`
+//! computes that answer (all-product, a split into extended components, or
+//! the top node) from a sub-query alone, and an `EvoChecker` interns every
+//! sub-query it meets as a state and memoizes the analysis and the
+//! transitions `(state, variable) → state` per shape. Testing one ordering is
+//! then a walk of table lookups, and orderings that share prefixes — the
+//! planner's hundreds of `LinEx(P)` candidates differ in their last few
+//! positions — share every expression tree built along them. There is one
+//! implementation: [`is_equivalent_ordering`] is the walk over a fresh
+//! checker, [`are_equivalent_orderings`] and [`crate::Planner::plan`] feed
+//! many orderings to one.
 
 use crate::exprtree::{QueryShape, Tag};
 use faq_hypergraph::{Hypergraph, Var, VarSet};
+use std::collections::HashMap;
 
 /// Enumerate linear extensions of the precedence poset, up to `cap` many.
 ///
 /// Returns `(extensions, exhausted)`; `exhausted` is `false` when the cap
-/// truncated the enumeration.
+/// truncated the enumeration, and `true` whenever nothing was cut off — a
+/// poset with exactly `cap` extensions included.
 pub fn linear_extensions(shape: &QueryShape, cap: usize) -> (Vec<Vec<Var>>, bool) {
     let preds = shape.precedence();
     let vars: Vec<Var> = shape.vars();
     let mut out: Vec<Vec<Var>> = Vec::new();
     let mut current: Vec<Var> = Vec::new();
     let mut used: VarSet = VarSet::new();
-    let exhausted = enumerate(&vars, &preds, &mut current, &mut used, &mut out, cap);
+    // Probe for one extension past the cap: only finding it shows that the
+    // cap cut something off.
+    enumerate(&vars, &preds, &mut current, &mut used, &mut out, cap.saturating_add(1));
+    let exhausted = out.len() <= cap;
+    out.truncate(cap);
     (out, exhausted)
 }
 
+/// Depth-first enumeration in lexicographic order of query positions,
+/// stopping once `out` holds `limit` extensions.
 fn enumerate(
     vars: &[Var],
     preds: &std::collections::BTreeMap<Var, VarSet>,
     current: &mut Vec<Var>,
     used: &mut VarSet,
     out: &mut Vec<Vec<Var>>,
-    cap: usize,
-) -> bool {
-    if out.len() >= cap {
-        return false;
+    limit: usize,
+) {
+    if out.len() >= limit {
+        return;
     }
     if current.len() == vars.len() {
         out.push(current.clone());
-        return true;
+        return;
     }
-    let mut complete = true;
     let mut any = false;
     for &v in vars {
         if used.contains(&v) {
@@ -54,16 +77,15 @@ fn enumerate(
             any = true;
             used.insert(v);
             current.push(v);
-            complete &= enumerate(vars, preds, current, used, out, cap);
+            enumerate(vars, preds, current, used, out, limit);
             current.pop();
             used.remove(&v);
-            if out.len() >= cap {
-                return false;
+            if out.len() >= limit {
+                return;
             }
         }
     }
     assert!(any, "precedence poset has a cycle — should be impossible (Cor 6.21)");
-    complete
 }
 
 /// Decide whether `pi` is a ϕ-equivalent variable ordering.
@@ -74,59 +96,55 @@ fn enumerate(
 /// the paper's §6.2 analysis. Otherwise it decides the Definition 6.30
 /// (extended-edge) relation, which is sound for arbitrary inputs.
 pub fn is_equivalent_ordering(shape: &QueryShape, pi: &[Var]) -> bool {
-    let all: VarSet = shape.vars().into_iter().collect();
-    let got: VarSet = pi.iter().copied().collect();
-    if pi.len() != all.len() || all != got {
-        return false;
-    }
-    // Free prefix check.
-    let free: VarSet = shape.free_vars().into_iter().collect();
-    let f = free.len();
-    let prefix: VarSet = pi[..f].iter().copied().collect();
-    if prefix != free {
-        return false;
-    }
-    // Product aggregates never commute with non-closed semiring aggregates,
-    // even across structurally independent components ((Σa)^k ≠ Σ(a^k)):
-    // their original relative order must be preserved globally.
-    let products = shape.product_vars();
-    let non_closed = shape.non_closed_vars();
-    if !products.is_empty() && !non_closed.is_empty() {
-        let seq_pos = |v: Var| shape.seq_pos(v).expect("var in seq");
-        let pi_pos = |v: Var| pi.iter().position(|&x| x == v).expect("var in pi");
-        for &w in &products {
-            for &u in &non_closed {
-                if (seq_pos(u) < seq_pos(w)) != (pi_pos(u) < pi_pos(w)) {
-                    return false;
-                }
-            }
-        }
-    }
-    // Condition on the free variables and check the bound part.
-    let bound_seq: Vec<(Var, Tag)> =
-        shape.seq.iter().copied().filter(|(_, t)| *t != Tag::Free).collect();
-    let bound_vars: VarSet = bound_seq.iter().map(|&(v, _)| v).collect();
-    let edges: Vec<VarSet> = shape
-        .effective_edges()
-        .iter()
-        .map(|e| e.intersection(&bound_vars).copied().collect::<VarSet>())
-        .filter(|e: &VarSet| !e.is_empty())
-        .collect();
-    check(&bound_seq, &edges, &pi[f..])
+    EvoChecker::new(shape).check(pi)
 }
 
-fn check(seq: &[(Var, Tag)], edges: &[VarSet], pi: &[Var]) -> bool {
-    if seq.is_empty() {
-        return pi.is_empty();
-    }
-    debug_assert_eq!(seq.len(), pi.len());
+/// A conditioned sub-query of the membership recursion: the variables not yet
+/// consumed, with their tags, in query order, and the edges restricted to
+/// them (empty restrictions dropped).
+#[derive(Clone, PartialEq, Eq, Hash)]
+struct SubQuery {
+    seq: Vec<(Var, Tag)>,
+    edges: Vec<VarSet>,
+}
 
+impl SubQuery {
+    /// The sub-query conditioned on `gone`: those variables leave the prefix
+    /// and every edge.
+    fn without(&self, gone: &[Var]) -> SubQuery {
+        SubQuery {
+            seq: self.seq.iter().copied().filter(|(v, _)| !gone.contains(v)).collect(),
+            edges: self
+                .edges
+                .iter()
+                .map(|e| e.iter().copied().filter(|x| !gone.contains(x)).collect::<VarSet>())
+                .filter(|e: &VarSet| !e.is_empty())
+                .collect(),
+        }
+    }
+}
+
+/// What the recursion of Lemmas 6.9 / 6.24 may do at a sub-query.
+enum Analysis {
+    /// Only product variables remain: all aggregates are `⊗` and commute.
+    Unconstrained,
+    /// Several extended components, or dangling product variables: the
+    /// components are independent and checked each on its own; dangling
+    /// product variables are unconstrained (Definition 6.25).
+    Split(Vec<SubQuery>),
+    /// One extended component covering everything: the next variable must lie
+    /// in this node — the root's core-bearing child in the compressed
+    /// expression tree — and a product node is consumed as one block.
+    Top { vars: Vec<Var>, tag: Tag },
+}
+
+fn analyze(q: &SubQuery) -> Analysis {
+    let SubQuery { seq, edges } = q;
     let w: VarSet = seq.iter().filter(|(_, t)| *t == Tag::Product).map(|&(v, _)| v).collect();
     let core: VarSet = seq.iter().filter(|(_, t)| *t != Tag::Product).map(|&(v, _)| v).collect();
 
     if core.is_empty() {
-        // Only product variables remain: all aggregates are ⊗ and commute.
-        return true;
+        return Analysis::Unconstrained;
     }
 
     // Extended components of the current hypergraph.
@@ -142,7 +160,7 @@ fn check(seq: &[(Var, Tag)], edges: &[VarSet], pi: &[Var]) -> bool {
     }
     let comps = core_h.connected_components();
     let mut covered: VarSet = VarSet::new();
-    let mut extended: Vec<(VarSet, Vec<VarSet>)> = Vec::new();
+    let mut extended: Vec<SubQuery> = Vec::new();
     for comp in &comps {
         let mut vext: VarSet = comp.clone();
         for e in edges {
@@ -156,23 +174,13 @@ fn check(seq: &[(Var, Tag)], edges: &[VarSet], pi: &[Var]) -> bool {
             .map(|e| e.intersection(&vext).copied().collect::<VarSet>())
             .collect();
         covered.extend(vext.iter().copied());
-        extended.push((vext, eext));
+        let sub_seq = seq.iter().copied().filter(|(v, _)| vext.contains(v)).collect();
+        extended.push(SubQuery { seq: sub_seq, edges: eext });
     }
-    let dangling_only: VarSet =
-        seq.iter().map(|&(v, _)| v).filter(|v| !covered.contains(v)).collect();
+    let dangling = seq.iter().any(|(v, _)| !covered.contains(v));
 
-    if extended.len() >= 2 || !dangling_only.is_empty() {
-        // Components are independent; dangling product variables are
-        // unconstrained (Definition 6.25).
-        for (vext, eext) in &extended {
-            let sub_seq: Vec<(Var, Tag)> =
-                seq.iter().copied().filter(|(v, _)| vext.contains(v)).collect();
-            let sub_pi: Vec<Var> = pi.iter().copied().filter(|v| vext.contains(v)).collect();
-            if !check(&sub_seq, eext, &sub_pi) {
-                return false;
-            }
-        }
-        return true;
+    if extended.len() >= 2 || dangling {
+        return Analysis::Split(extended);
     }
 
     // Single extended component covering everything: the next variable of pi
@@ -183,7 +191,7 @@ fn check(seq: &[(Var, Tag)], edges: &[VarSet], pi: &[Var]) -> bool {
         edges: edges.to_vec(),
         // Edges are already extended if they needed to be; claim every op
         // closed so `effective_edges` does not re-extend. The global
-        // product/non-closed order constraint was checked upfront.
+        // product/non-closed order constraint is checked per ordering.
         mul_idempotent: true,
         closed_ops: seq
             .iter()
@@ -215,42 +223,251 @@ fn check(seq: &[(Var, Tag)], edges: &[VarSet], pi: &[Var]) -> bool {
         .find(|&c| subtree_has_core(c))
         .expect("a connected query has a core-bearing top node");
     let top = &tree.nodes[top_id];
+    Analysis::Top { vars: top.vars.clone(), tag: top.tag }
+}
 
-    let u = pi[0];
-    if !top.vars.contains(&u) {
-        return false;
-    }
-    match top.tag {
-        Tag::Product => {
-            // Consume the whole product node as a block (Definition 6.25).
-            let p = top.vars.len();
-            if pi.len() < p {
-                return false;
+/// A variable's part in one state of the walk.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Role {
+    /// Consumed already, or in another component: the walk skips it.
+    Absent,
+    /// Still to come, but not eligible next.
+    Waiting,
+    /// In the top node: eligible next.
+    Top,
+}
+
+/// How the walk leaves a state; the memoized form of [`Analysis`].
+#[derive(Clone, Copy)]
+enum Exit {
+    /// Nothing constrains the rest.
+    Unconstrained,
+    /// Walk each of `EvoChecker::parts[lo..hi]` on its own.
+    Split { lo: usize, hi: usize },
+    /// Consume one [`Role::Top`] variable and follow [`State::next`].
+    Semiring,
+    /// Consume the whole top node, `len` variables, as a block and follow
+    /// [`State::after_block`].
+    Product { len: usize },
+}
+
+/// An interned [`SubQuery`] with everything the walk has learnt about it.
+struct State {
+    query: SubQuery,
+    /// `None` until the walk first arrives here.
+    exit: Option<Exit>,
+    /// Per variable (by position in the shape's prefix).
+    role: Vec<Role>,
+    /// Per variable: the state conditioned on it, [`UNKNOWN`] until taken.
+    next: Vec<usize>,
+    /// The state after the top product block, [`UNKNOWN`] until taken.
+    after_block: usize,
+}
+
+const UNKNOWN: usize = usize::MAX;
+
+/// The `EVO(ϕ)` membership test for many orderings of one shape: verdicts
+/// are those of [`is_equivalent_ordering`] whatever was asked before, and
+/// the work done for one ordering is kept for all that share a state with it
+/// (see the module docs). The tables grow by one entry per distinct
+/// sub-query met — a few per ordering when orderings share prefixes, as
+/// enumerated linear extensions do.
+pub(crate) struct EvoChecker {
+    /// Variable → position in the shape's prefix, the index of every
+    /// per-variable table.
+    index: HashMap<Var, usize>,
+    vars: Vec<Var>,
+    free: Vec<bool>,
+    num_free: usize,
+    /// Pairs of a product and a non-closed semiring variable, earlier in the
+    /// query first. Product aggregates never commute with non-closed semiring
+    /// aggregates, even across structurally independent components
+    /// (`(Σa)^k ≠ Σ(a^k)`): an ordering must keep every pair's order.
+    ordered: Vec<(usize, usize)>,
+    states: Vec<State>,
+    ids: HashMap<SubQuery, usize>,
+    /// Component lists of the [`Exit::Split`] states, back to back.
+    parts: Vec<usize>,
+    root: usize,
+}
+
+impl EvoChecker {
+    pub(crate) fn new(shape: &QueryShape) -> EvoChecker {
+        let vars = shape.vars();
+        let index = vars.iter().enumerate().map(|(i, &v)| (v, i)).collect();
+        let free: Vec<bool> = shape.seq.iter().map(|(_, t)| *t == Tag::Free).collect();
+        let products = shape.product_vars();
+        let non_closed = shape.non_closed_vars();
+        let mut ordered = Vec::new();
+        for (a, (u, _)) in shape.seq.iter().enumerate() {
+            for (b, (w, _)) in shape.seq.iter().enumerate().skip(a + 1) {
+                if (products.contains(u) && non_closed.contains(w))
+                    || (non_closed.contains(u) && products.contains(w))
+                {
+                    ordered.push((a, b));
+                }
             }
-            let block: VarSet = top.vars.iter().copied().collect();
-            let taken: VarSet = pi[..p].iter().copied().collect();
-            if block != taken {
-                return false;
-            }
-            let rem_seq: Vec<(Var, Tag)> =
-                seq.iter().copied().filter(|(v, _)| !block.contains(v)).collect();
-            let rem_vars: VarSet = rem_seq.iter().map(|&(v, _)| v).collect();
-            let rem_edges: Vec<VarSet> = edges
-                .iter()
-                .map(|e| e.intersection(&rem_vars).copied().collect::<VarSet>())
-                .filter(|e: &VarSet| !e.is_empty())
-                .collect();
-            check(&rem_seq, &rem_edges, &pi[p..])
         }
-        _ => {
-            // Consume the single semiring variable (conditioning on it).
-            let rem_seq: Vec<(Var, Tag)> = seq.iter().copied().filter(|&(v, _)| v != u).collect();
-            let rem_edges: Vec<VarSet> = edges
-                .iter()
-                .map(|e| e.iter().copied().filter(|&x| x != u).collect::<VarSet>())
-                .filter(|e: &VarSet| !e.is_empty())
+        // Condition on the free variables; the walk checks the bound part.
+        let bound_seq: Vec<(Var, Tag)> =
+            shape.seq.iter().copied().filter(|(_, t)| *t != Tag::Free).collect();
+        let bound_vars: VarSet = bound_seq.iter().map(|&(v, _)| v).collect();
+        let edges: Vec<VarSet> = shape
+            .effective_edges()
+            .iter()
+            .map(|e| e.intersection(&bound_vars).copied().collect::<VarSet>())
+            .filter(|e: &VarSet| !e.is_empty())
+            .collect();
+        let mut checker = EvoChecker {
+            index,
+            vars,
+            num_free: free.iter().filter(|&&f| f).count(),
+            free,
+            ordered,
+            states: Vec::new(),
+            ids: HashMap::new(),
+            parts: Vec::new(),
+            root: 0,
+        };
+        checker.root = checker.intern(SubQuery { seq: bound_seq, edges });
+        checker
+    }
+
+    /// Whether `pi` is a ϕ-equivalent ordering of the checker's shape.
+    pub(crate) fn check(&mut self, pi: &[Var]) -> bool {
+        let n = self.vars.len();
+        if pi.len() != n {
+            return false;
+        }
+        // `pi` by prefix position, and its inverse: a permutation of the
+        // query's variables or no ordering at all.
+        let mut at = vec![UNKNOWN; n];
+        let mut order = Vec::with_capacity(n);
+        for (k, v) in pi.iter().enumerate() {
+            match self.index.get(v) {
+                Some(&i) if at[i] == UNKNOWN => {
+                    at[i] = k;
+                    order.push(i);
+                }
+                _ => return false,
+            }
+        }
+        if order[..self.num_free].iter().any(|&i| !self.free[i]) {
+            return false; // the free variables form the prefix
+        }
+        if self.ordered.iter().any(|&(a, b)| at[a] > at[b]) {
+            return false;
+        }
+        self.walk(self.root, &order[self.num_free..])
+    }
+
+    fn intern(&mut self, query: SubQuery) -> usize {
+        if let Some(&id) = self.ids.get(&query) {
+            return id;
+        }
+        let id = self.states.len();
+        let mut role = vec![Role::Absent; self.vars.len()];
+        for (v, _) in &query.seq {
+            role[self.index[v]] = Role::Waiting;
+        }
+        let next = vec![UNKNOWN; self.vars.len()];
+        self.ids.insert(query.clone(), id);
+        self.states.push(State { query, exit: None, role, next, after_block: UNKNOWN });
+        id
+    }
+
+    /// How the walk leaves state `id`, analyzing its sub-query on the first
+    /// arrival.
+    fn exit(&mut self, id: usize) -> Exit {
+        if let Some(exit) = self.states[id].exit {
+            return exit;
+        }
+        let exit = match analyze(&self.states[id].query) {
+            Analysis::Unconstrained => Exit::Unconstrained,
+            Analysis::Split(components) => {
+                let lo = self.parts.len();
+                for sub in components {
+                    let part = self.intern(sub);
+                    self.parts.push(part);
+                }
+                Exit::Split { lo, hi: self.parts.len() }
+            }
+            Analysis::Top { vars, tag } => {
+                for v in &vars {
+                    self.states[id].role[self.index[v]] = Role::Top;
+                }
+                match tag {
+                    // Consume the whole product node as a block
+                    // (Definition 6.25).
+                    Tag::Product => Exit::Product { len: vars.len() },
+                    // Consume a single semiring variable (conditioning on it).
+                    _ => Exit::Semiring,
+                }
+            }
+        };
+        self.states[id].exit = Some(exit);
+        exit
+    }
+
+    /// The state `id` conditioned on its top-node variable `i`.
+    fn next(&mut self, id: usize, i: usize) -> usize {
+        if self.states[id].next[i] == UNKNOWN {
+            let rest = self.states[id].query.without(&[self.vars[i]]);
+            self.states[id].next[i] = self.intern(rest);
+        }
+        self.states[id].next[i]
+    }
+
+    /// The state `id` with its whole top node — a product block — consumed.
+    fn after_block(&mut self, id: usize) -> usize {
+        if self.states[id].after_block == UNKNOWN {
+            let state = &self.states[id];
+            let block: Vec<Var> = (0..self.vars.len())
+                .filter(|&i| state.role[i] == Role::Top)
+                .map(|i| self.vars[i])
                 .collect();
-            check(&rem_seq, &rem_edges, &pi[1..])
+            let rest = state.query.without(&block);
+            self.states[id].after_block = self.intern(rest);
+        }
+        self.states[id].after_block
+    }
+
+    /// Whether `order`, read on the variables of state `id` alone, is
+    /// accepted from there. Every variable of the state occurs in `order`;
+    /// variables of other components may lie between them.
+    fn walk(&mut self, mut id: usize, mut order: &[usize]) -> bool {
+        // The state's next variable in `order`, if it lies in the top node,
+        // and what follows it.
+        fn take_top<'a>(role: &[Role], order: &'a [usize]) -> Option<(usize, &'a [usize])> {
+            let k = order
+                .iter()
+                .position(|&i| role[i] != Role::Absent)
+                .expect("an ordering lists every variable of the states it reaches");
+            (role[order[k]] == Role::Top).then(|| (order[k], &order[k + 1..]))
+        }
+        loop {
+            match self.exit(id) {
+                Exit::Unconstrained => return true,
+                Exit::Split { lo, hi } => {
+                    return (lo..hi).all(|p| self.walk(self.parts[p], order));
+                }
+                Exit::Semiring => {
+                    let Some((i, rest)) = take_top(&self.states[id].role, order) else {
+                        return false;
+                    };
+                    order = rest;
+                    id = self.next(id, i);
+                }
+                Exit::Product { len } => {
+                    for _ in 0..len {
+                        let Some((_, rest)) = take_top(&self.states[id].role, order) else {
+                            return false;
+                        };
+                        order = rest;
+                    }
+                    id = self.after_block(id);
+                }
+            }
         }
     }
 }
@@ -259,8 +476,9 @@ fn check(seq: &[(Var, Tag)], edges: &[VarSet], pi: &[Var]) -> bool {
 /// across the [`ExecPolicy`](crate::exec::ExecPolicy)'s worker pool.
 ///
 /// Membership tests against one shape are independent, so candidates stripe
-/// across scoped threads. Results come back in candidate order, identical to
-/// mapping [`is_equivalent_ordering`] sequentially. (Exhaustive width search
+/// across scoped threads, each stripe walking its own memo of the shape's
+/// states. Results come back in candidate order, identical to mapping
+/// [`is_equivalent_ordering`] sequentially. (Exhaustive width search
 /// itself — [`crate::width::faqw_exact`] — stays sequential: its per-ordering
 /// cost is dominated by the shared `ρ*` memo, which a stripe would lose.)
 pub fn are_equivalent_orderings(
@@ -270,15 +488,17 @@ pub fn are_equivalent_orderings(
 ) -> Vec<bool> {
     let threads = policy.effective_threads();
     if threads <= 1 || candidates.len() < 2 {
-        return candidates.iter().map(|pi| is_equivalent_ordering(shape, pi)).collect();
+        let mut checker = EvoChecker::new(shape);
+        return candidates.iter().map(|pi| checker.check(pi)).collect();
     }
     let stripe = candidates.len().div_ceil(threads);
     let mut out = vec![false; candidates.len()];
     std::thread::scope(|s| {
         for (cands, results) in candidates.chunks(stripe).zip(out.chunks_mut(stripe)) {
             s.spawn(move || {
+                let mut checker = EvoChecker::new(shape);
                 for (pi, slot) in cands.iter().zip(results.iter_mut()) {
-                    *slot = is_equivalent_ordering(shape, pi);
+                    *slot = checker.check(pi);
                 }
             });
         }
@@ -422,13 +642,33 @@ mod tests {
         assert!(!is_equivalent_ordering(&shape, &[v(3), v(1), v(2)]));
     }
 
-    /// Semantic cross-validation: orderings accepted by the checker evaluate
-    /// identically to the original on random inputs; for rejected orderings
-    /// there exist adversarial inputs where values differ (we verify the
-    /// accepted side, which is the soundness-critical one).
+    /// Semantic cross-validation: every permutation the checker accepts for
+    /// `shape` evaluates `q` to what brute force over eq. (1) gives (for
+    /// rejected orderings there exist adversarial inputs where values differ;
+    /// the accepted side is the soundness-critical one). Returns how many
+    /// orderings were accepted.
+    fn assert_accepted_orderings_evaluate_to_naive<D: faq_semiring::AggDomain + Sync>(
+        q: &crate::query::FaqQuery<D>,
+        shape: &QueryShape,
+    ) -> usize {
+        let reference = crate::naive::naive_eval(q);
+        let ids: Vec<u32> = shape.seq.iter().map(|(x, _)| x.0).collect();
+        let mut checker = EvoChecker::new(shape);
+        let mut accepted = 0;
+        for p in permutations(&ids) {
+            if checker.check(&p) {
+                accepted += 1;
+                let got = crate::engine::Engine::sequential().evaluate_with_order(q, &p).unwrap();
+                // The output lists the free variables in `p`'s order.
+                let got = got.factor.reorder(reference.schema());
+                assert_eq!(got, reference, "accepted order {p:?} differs");
+            }
+        }
+        accepted
+    }
+
     #[test]
     fn accepted_orderings_evaluate_identically() {
-        use crate::engine::Engine;
         use crate::query::{FaqQuery, VarAgg};
         use faq_factor::{Domains, Factor};
         use faq_semiring::CountDomain;
@@ -448,32 +688,266 @@ mod tests {
                 }
                 Factor::with_combine(vec![v(a), v(b)], tuples, |x, y| x + y, |&x| x == 0).unwrap()
             };
-            let f12 = mk(&mut rng, 1, 2);
-            let f23 = mk(&mut rng, 2, 3);
-            let mk_query = |bound: Vec<(Var, VarAgg)>| {
-                FaqQuery::new(
-                    CountDomain,
-                    Domains::new(vec![2, 2, 2, 2]),
-                    vec![],
-                    bound,
-                    vec![f12.clone(), f23.clone()],
-                )
-                .unwrap()
+            let q = FaqQuery::new(
+                CountDomain,
+                Domains::new(vec![2, 2, 2, 2]),
+                vec![],
+                vec![
+                    (v(1), VarAgg::Semiring(CountDomain::SUM)),
+                    (v(2), VarAgg::Semiring(CountDomain::MAX)),
+                    (v(3), VarAgg::Semiring(CountDomain::SUM)),
+                ],
+                vec![mk(&mut rng, 1, 2), mk(&mut rng, 2, 3)],
+            )
+            .unwrap();
+            assert!(assert_accepted_orderings_evaluate_to_naive(&q, &q.shape()) >= 1);
+        }
+    }
+
+    /// The same beyond Σ/max: a product aggregate over `{0,1}`-valued
+    /// factors — Example 5.6 with domains of at most three values — under the
+    /// conservative shape and under the `F(D_I)` promise, which accepts more.
+    #[test]
+    fn accepted_orderings_evaluate_identically_with_a_product_aggregate() {
+        use crate::query::{FaqQuery, VarAgg};
+        use faq_factor::{Domains, Factor};
+        use faq_semiring::RealDomain;
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(56);
+        let sizes = [2u32, 3, 3, 2, 3, 3, 3];
+        for _ in 0..8 {
+            let mut indicator = |schema: &[u32]| {
+                let dims: Vec<u32> = schema.iter().map(|&i| sizes[i as usize]).collect();
+                let vars = schema.iter().map(|&i| v(i)).collect();
+                let value = |_: &[u32]| if rng.gen_bool(0.75) { 1.0f64 } else { 0.0 };
+                Factor::dense(vars, &dims, value, |&x| x == 0.0).unwrap()
             };
-            let q = mk_query(vec![
-                (v(1), VarAgg::Semiring(CountDomain::SUM)),
-                (v(2), VarAgg::Semiring(CountDomain::MAX)),
-                (v(3), VarAgg::Semiring(CountDomain::SUM)),
-            ]);
-            let shape = q.shape();
-            let reference = crate::naive::naive_eval(&q);
-            for p in permutations(&[1, 2, 3]) {
-                if is_equivalent_ordering(&shape, &p) {
-                    let got = Engine::sequential().evaluate_with_order(&q, &p).unwrap();
-                    assert_eq!(got.factor, reference, "accepted order {p:?} differs");
+            let max = VarAgg::Semiring(RealDomain::MAX);
+            let q = FaqQuery::new(
+                RealDomain,
+                Domains::new(sizes.to_vec()),
+                vec![],
+                vec![
+                    (v(1), max),
+                    (v(2), max),
+                    (v(3), VarAgg::Product),
+                    (v(4), VarAgg::Semiring(RealDomain::SUM)),
+                    (v(5), max),
+                    (v(6), max),
+                ],
+                vec![
+                    indicator(&[1, 5]),
+                    indicator(&[2, 5]),
+                    indicator(&[1, 3, 4]),
+                    indicator(&[2, 3, 6]),
+                ],
+            )
+            .unwrap();
+            let conservative = assert_accepted_orderings_evaluate_to_naive(&q, &q.shape());
+            let promise = q.shape_promising_idempotent_inputs();
+            let promised = assert_accepted_orderings_evaluate_to_naive(&q, &promise);
+            assert!(1 <= conservative && conservative < promised, "{conservative} vs {promised}");
+        }
+    }
+
+    /// And with two free variables under mixed aggregates:
+    /// `ϕ(x0, x1) = Σ₂ max₃ Π₄ ψ02 ψ123 ψ34 ψ01` over counting.
+    #[test]
+    fn accepted_orderings_evaluate_identically_with_two_free_variables() {
+        use crate::query::{FaqQuery, VarAgg};
+        use faq_factor::{Domains, Factor};
+        use faq_semiring::CountDomain;
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(11);
+        for _ in 0..12 {
+            let mut counts = |schema: &[u32]| {
+                let vars = schema.iter().map(|&i| v(i)).collect();
+                let value = |_: &[u32]| rng.gen_range(0..3u64);
+                Factor::dense(vars, &vec![3; schema.len()], value, |&x| x == 0).unwrap()
+            };
+            let q = FaqQuery::new(
+                CountDomain,
+                Domains::uniform(5, 3),
+                vec![v(0), v(1)],
+                vec![
+                    (v(2), VarAgg::Semiring(CountDomain::SUM)),
+                    (v(3), VarAgg::Semiring(CountDomain::MAX)),
+                    (v(4), VarAgg::Product),
+                ],
+                vec![counts(&[0, 2]), counts(&[1, 2, 3]), counts(&[3, 4]), counts(&[0, 1])],
+            )
+            .unwrap();
+            // Both orders of the free pair, nothing else.
+            assert_eq!(assert_accepted_orderings_evaluate_to_naive(&q, &q.shape()), 2);
+        }
+    }
+
+    /// The cap is reached exactly: nothing was cut off, and the caller must
+    /// hear so (Example 6.13's poset has two linear extensions).
+    #[test]
+    fn exact_cap_is_exhausted() {
+        let shape = QueryShape {
+            seq: vec![(v(1), SUM), (v(2), MAX), (v(3), SUM)],
+            edges: vec![varset(&[1, 2]), varset(&[1, 3])],
+            mul_idempotent: false,
+            closed_ops: Default::default(),
+        };
+        let all = vec![vec![v(1), v(3), v(2)], vec![v(3), v(1), v(2)]];
+        assert_eq!(linear_extensions(&shape, 3), (all.clone(), true));
+        assert_eq!(linear_extensions(&shape, 2), (all.clone(), true));
+        assert_eq!(linear_extensions(&shape, 1), (all[..1].to_vec(), false));
+        assert_eq!(linear_extensions(&shape, 0), (vec![], false));
+    }
+
+    /// Shapes of at most seven variables covering every branch of the
+    /// membership recursion.
+    fn shape_family() -> Vec<(&'static str, QueryShape)> {
+        let shape = |seq: &[(u32, Tag)], edges: &[&[u32]], idem: bool, closed: &[u32]| QueryShape {
+            seq: seq.iter().map(|&(i, t)| (v(i), t)).collect(),
+            edges: edges.iter().map(|e| varset(e)).collect(),
+            mul_idempotent: idem,
+            closed_ops: closed.iter().map(|&i| AggId(i)).collect(),
+        };
+        const PROD: Tag = Tag::Product;
+        const FREE: Tag = Tag::Free;
+        vec![
+            (
+                "pure Σ under a free variable, a 6-cycle with a chord",
+                shape(
+                    &[(1, FREE), (2, SUM), (3, SUM), (4, SUM), (5, SUM), (6, SUM)],
+                    &[&[1, 2], &[2, 3], &[3, 4], &[4, 5], &[5, 6], &[1, 6], &[2, 5]],
+                    false,
+                    &[],
+                ),
+            ),
+            (
+                "mixed Σ/max, Example 6.2",
+                shape(
+                    &[(1, SUM), (2, SUM), (3, MAX), (4, SUM), (5, SUM), (6, MAX), (7, MAX)],
+                    &[&[1, 2], &[1, 3, 5], &[1, 4], &[2, 4, 6], &[2, 7], &[3, 7]],
+                    false,
+                    &[],
+                ),
+            ),
+            (
+                "two components",
+                shape(
+                    &[(1, SUM), (2, MAX), (3, SUM), (4, MAX), (5, SUM)],
+                    &[&[1, 2], &[3, 4], &[4, 5]],
+                    false,
+                    &[],
+                ),
+            ),
+            (
+                "product blocks, Example 5.6",
+                shape(
+                    &[(1, MAX), (2, MAX), (3, PROD), (4, SUM), (5, MAX), (6, MAX)],
+                    &[&[1, 5], &[2, 5], &[1, 3, 4], &[2, 3, 6]],
+                    true,
+                    &[1],
+                ),
+            ),
+            (
+                "a two-variable product block over a non-closed Σ",
+                shape(
+                    &[(1, MAX), (2, PROD), (3, PROD), (4, SUM), (5, MAX)],
+                    &[&[1, 2, 3], &[2, 3, 4], &[4, 5], &[1, 5]],
+                    true,
+                    &[1],
+                ),
+            ),
+            (
+                "dangling product variables",
+                shape(
+                    &[(1, MAX), (2, PROD), (3, PROD), (4, MAX), (5, PROD), (6, MAX)],
+                    &[&[1, 4], &[2, 3], &[1, 2], &[4, 6], &[5]],
+                    true,
+                    &[1],
+                ),
+            ),
+            (
+                "free variables, non-idempotent ⊗ (Definition 6.30 extension)",
+                shape(
+                    &[(0, FREE), (1, FREE), (2, SUM), (3, MAX), (4, PROD)],
+                    &[&[0, 2], &[1, 2, 3], &[3, 4], &[0, 1]],
+                    false,
+                    &[],
+                ),
+            ),
+            (
+                "non-idempotent ⊗ between non-closed ops",
+                shape(
+                    &[(1, SUM), (2, PROD), (3, MAX), (4, SUM), (5, PROD), (6, MAX)],
+                    &[&[1, 3], &[2, 4], &[3, 5], &[4, 6]],
+                    false,
+                    &[],
+                ),
+            ),
+            (
+                "idempotent ⊗, Σ non-closed and max closed",
+                shape(
+                    &[(0, FREE), (1, MAX), (2, PROD), (3, SUM), (4, MAX), (5, PROD), (6, SUM)],
+                    &[&[0, 1], &[1, 2], &[2, 3], &[3, 4, 5], &[5, 6]],
+                    true,
+                    &[1],
+                ),
+            ),
+        ]
+    }
+
+    /// What a checker has been asked before cannot change what it answers:
+    /// one shared checker fed every permutation in lexicographic, reversed
+    /// and shuffled order gives the verdicts of a fresh checker per call, and
+    /// so does the batch entry at every thread count.
+    #[test]
+    fn memo_history_cannot_change_a_verdict() {
+        use rand::{rngs::StdRng, seq::SliceRandom, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(23);
+        for (name, shape) in shape_family() {
+            let ids: Vec<u32> = shape.seq.iter().map(|(x, _)| x.0).collect();
+            let mut perms = permutations(&ids);
+            perms.sort();
+            let fresh: HashMap<&[Var], bool> =
+                perms.iter().map(|p| (p.as_slice(), is_equivalent_ordering(&shape, p))).collect();
+            let accepted = fresh.values().filter(|&&ok| ok).count();
+            assert!(0 < accepted && accepted < perms.len(), "{name}: {accepted} accepted");
+            assert!(fresh[shape.vars().as_slice()], "{name}: the query's own order");
+
+            let mut reversed = perms.clone();
+            reversed.reverse();
+            let mut shuffled = perms.clone();
+            shuffled.shuffle(&mut rng);
+            for feed in [&perms, &reversed, &shuffled] {
+                let mut shared = EvoChecker::new(&shape);
+                for p in feed {
+                    assert_eq!(shared.check(p), fresh[p.as_slice()], "{name}: {p:?}");
+                }
+                // Asked again with every state known, it answers the same.
+                for p in feed.iter().take(50) {
+                    assert_eq!(shared.check(p), fresh[p.as_slice()], "{name}: {p:?} again");
                 }
             }
+            for threads in [1usize, 2, 4] {
+                let policy = crate::exec::ExecPolicy::with_threads(threads);
+                let batch = are_equivalent_orderings(&shape, &shuffled, &policy);
+                let expect: Vec<bool> = shuffled.iter().map(|p| fresh[p.as_slice()]).collect();
+                assert_eq!(batch, expect, "{name}: {threads} threads");
+            }
         }
+    }
+
+    /// Not an ordering at all: a repeated, missing or foreign variable.
+    #[test]
+    fn non_permutations_are_rejected() {
+        let (_, shape) = shape_family().swap_remove(2);
+        let mut checker = EvoChecker::new(&shape);
+        assert!(checker.check(&[v(1), v(2), v(3), v(4), v(5)]));
+        assert!(!checker.check(&[v(1), v(2), v(3), v(4)]));
+        assert!(!checker.check(&[v(1), v(2), v(3), v(4), v(4)]));
+        assert!(!checker.check(&[v(1), v(2), v(3), v(4), v(9)]));
+        assert!(!checker.check(&[v(1), v(2), v(3), v(4), v(5), v(5)]));
     }
 
     #[test]

@@ -29,7 +29,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 /// The tag of a variable in the quantifier prefix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Tag {
     /// Free (output) variable.
     Free,

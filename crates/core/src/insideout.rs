@@ -43,8 +43,11 @@
 //!   run is the replay in which every input is wholly dirty and no node is
 //!   cached yet;
 //! * [`run_elimination`] is the run stopped before the output step;
-//! * the planner's cost model ([`crate::plan`]) reads each join step's
-//!   variable and join order off the list.
+//! * the planner ([`crate::plan`]) reads the winning ordering's join steps —
+//!   variable and join order — off the list. Its cost model prices the
+//!   hundreds of orderings it compares without compiling them, from
+//!   `incident_edges`, the split of the live edges that `compile` itself
+//!   makes at every step.
 
 use crate::delta::{narrowed_dirty, union_ranges, Dirty};
 use crate::exec::{grouped_join, grouped_join_range, ExecPolicy};
@@ -290,13 +293,39 @@ fn prefix_filter_depth(schema: &[Var], join_order: &[Var]) -> Option<usize> {
     in_order.then_some(k)
 }
 
+/// `∂(var)` among the live `edges` — `(node, schema)` pairs — the nodes of
+/// the rest, and `U = ∪ ∂(var)`: the variables of the incident schemas, each
+/// once, in the order met. Which edges a step joins and what its `U`-set is
+/// are decided here and nowhere else: [`compile`] sorts `U` by σ into the
+/// step's join order, and the planner's cost model ([`crate::plan`]) prices
+/// the same `U` without compiling anything.
+pub(crate) fn incident_edges<'a>(
+    edges: impl Iterator<Item = (usize, &'a [Var])>,
+    var: Var,
+) -> (Vec<usize>, Vec<usize>, Vec<Var>) {
+    let (mut incident, mut rest, mut u) = (Vec::new(), Vec::new(), Vec::new());
+    for (node, schema) in edges {
+        if schema.contains(&var) {
+            incident.push(node);
+            for &v in schema {
+                if !u.contains(&v) {
+                    u.push(v);
+                }
+            }
+        } else {
+            rest.push(node);
+        }
+    }
+    (incident, rest, u)
+}
+
 /// Compile Algorithm 1 along `sigma` (a checked ordering of `q`): one walk
 /// over σ, innermost variable first, with the three branches of the paper's
 /// loop — semiring step eq. (7), product step eq. (8), free-variable guard
 /// eqs. (10)–(11) — and the output join eq. (12).
 ///
-/// Reads the factor *schemas*, the free count and the aggregates only, so it
-/// is cheap enough for the planner to call per candidate ordering.
+/// Reads the factor *schemas*, the free count and the aggregates only — no
+/// row.
 pub(crate) fn compile<D: AggDomain>(q: &FaqQuery<D>, sigma: &[Var]) -> Program {
     let f = q.free.len();
     let pos = |v: Var| sigma.iter().position(|&s| s == v).expect("var in sigma");
@@ -305,20 +334,14 @@ pub(crate) fn compile<D: AggDomain>(q: &FaqQuery<D>, sigma: &[Var]) -> Program {
     let mut live: Vec<usize> = (0..schemas.len()).collect();
     let mut steps: Vec<Step> = Vec::with_capacity(sigma.len() + 1);
 
-    // U_k of the edges `incident` to the variable being eliminated, by σ
-    // position. Every variable after it in σ is already gone from the live
-    // edges, so the eliminated variable sorts last.
-    let join_order_of = |schemas: &[Vec<Var>], incident: &[usize]| {
-        let mut order: Vec<Var> = Vec::new();
-        for &i in incident {
-            for &v in &schemas[i] {
-                if !order.contains(&v) {
-                    order.push(v);
-                }
-            }
-        }
-        order.sort_by_key(|&v| pos(v));
-        order
+    // The live edges split around `var`, and U_k by σ position. Every
+    // variable after `var` in σ is already gone from the live edges, so the
+    // eliminated variable sorts last.
+    let split_live = |schemas: &[Vec<Var>], live: &[usize], var: Var| {
+        let edges = live.iter().map(|&i| (i, schemas[i].as_slice()));
+        let (incident, rest, mut join_order) = incident_edges(edges, var);
+        join_order.sort_by_key(|&v| pos(v));
+        (incident, rest, join_order)
     };
     // The indicator projections `ψ_{S/U_k}` of `edges` overlapping U_k, in
     // edge order: lazy wherever the surviving columns form a σ-compatible
@@ -347,14 +370,12 @@ pub(crate) fn compile<D: AggDomain>(q: &FaqQuery<D>, sigma: &[Var]) -> Program {
         let var = sigma[k];
         match q.agg_of(var).expect("bound variable has an aggregate") {
             VarAgg::Semiring(op) => {
-                let (incident, rest): (Vec<usize>, Vec<usize>) =
-                    live.iter().partition(|&&i| schemas[i].contains(&var));
+                let (incident, rest, join_order) = split_live(&schemas, &live, var);
                 live = rest;
                 if incident.is_empty() {
                     steps.push(Step::Scalar { var, op, output: schemas.len() });
                     schemas.push(Vec::new());
                 } else {
-                    let join_order = join_order_of(&schemas, &incident);
                     let filters = filters_of(&mut schemas, &live, &join_order);
                     let group_arity = join_order.len() - 1;
                     schemas.push(join_order[..group_arity].to_vec());
@@ -393,19 +414,17 @@ pub(crate) fn compile<D: AggDomain>(q: &FaqQuery<D>, sigma: &[Var]) -> Program {
     let mut guards: Vec<StepFilter> = Vec::new();
     for k in (0..f).rev() {
         let var = sigma[k];
-        let incident: Vec<usize> =
-            live.iter().copied().filter(|&i| schemas[i].contains(&var)).collect();
+        let (incident, rest, join_order) = split_live(&schemas, &live, var);
         if incident.is_empty() {
             continue; // free variable constrained by nothing
         }
-        let join_order = join_order_of(&schemas, &incident);
         let filters = filters_of(&mut schemas, &live, &join_order);
         let output = schemas.len();
         schemas.push(join_order.clone());
         schemas.push(join_order[..join_order.len() - 1].to_vec());
         guards.push(StepFilter::Plain { node: output });
         // E_{k−1} = (E_k − ∂(k)) ∪ {U_k − {k}}.
-        live.retain(|i| !incident.contains(i));
+        live = rest;
         live.push(output + 1);
         steps.push(Step::Join(JoinStep {
             var: Some(var),

@@ -14,16 +14,31 @@
 //!
 //! 1. enumerates candidate ϕ-equivalent orderings (the `LinEx(P)` machinery
 //!    of [`crate::evo`], the [`crate::width`] optimizers, and a data-driven
-//!    [`faq_hypergraph::ordering::best_ordering`] search re-scored against
-//!    the EVO membership test);
+//!    [`faq_hypergraph::ordering::best_ordering`] search), every one of them
+//!    put through the EVO membership test;
 //! 2. scores every elimination step of every candidate by the AGM bound of
-//!    the step's `U`-set under the input factors' row counts;
+//!    the step's `U`-set under the input factors' row counts, and breaks
+//!    cost ties by `faqw`;
 //! 3. emits a [`QueryPlan`]: the chosen ordering, its width, the per-step
 //!    estimates, and the one [`ExecPolicy`] (thread budget and chunk floor)
 //!    every evaluation of the plan runs under. A plan chooses σ and nothing
 //!    else — whether a step is chunked across threads is decided by the
 //!    executor, per step, from the rows it is about to join
 //!    ([`mod@crate::exec`]).
+//!
+//! A pass compares up to `linex_cap + 2` orderings that mostly differ in
+//! their last few positions, and everything it asks about one of them is a
+//! function of a *state*, not of the ordering that reached it: whether the
+//! next variable is admissible depends on the sub-query conditioned on the
+//! variables consumed so far, a step's `U`-set on the set eliminated before
+//! it, `ρ*` on the `U`-set alone. So one pass holds one memo of each — the
+//! [`crate::evo`] checker's states, the cost model's `(state, variable) →
+//! (estimate, next state)` steps, one `ρ*` table — and a candidate costs a
+//! handful of lookups per variable; only states no earlier candidate reached
+//! build an expression tree or solve an LP. Nothing is skipped for it: the
+//! candidates, their verdicts and the chosen plan are those of testing,
+//! compiling and measuring every ordering from scratch (`tests/plan_pins.rs`
+//! pins them).
 //!
 //! For repeated evaluation — the serving path — a [`PreparedQuery`] caches
 //! the plan *plus* the aligned, trie-indexed input factors, so `evaluate()`
@@ -37,9 +52,12 @@
 //! for bit.
 
 use crate::delta::DeltaCache;
+use crate::evo::EvoChecker;
 use crate::exec::ExecPolicy;
-use crate::insideout::{compile, evaluate, ElimStats, FaqOutput};
-use crate::query::{FaqError, FaqQuery};
+use crate::exprtree::QueryShape;
+use crate::insideout::{compile, evaluate, incident_edges, ElimStats, FaqOutput};
+use crate::query::{FaqError, FaqQuery, VarAgg};
+use crate::width::FaqwMemo;
 use faq_factor::fault;
 use faq_factor::{DeltaFactor, Factor};
 use faq_hypergraph::ordering::best_ordering;
@@ -131,63 +149,27 @@ impl Planner {
         let h = q.hypergraph();
         let sizes: Vec<u64> = q.factors.iter().map(|f| f.len() as u64).collect();
 
-        // ---- Candidate orderings beside the query's own. Every candidate
-        // must be ϕ-equivalent with the free variables first; LinEx
-        // extensions are equivalent by soundness (Theorems 6.8/6.23), the
-        // rest are membership-tested.
-        let mut model = CostModel::new(&h, &sizes, q);
         let own = q.ordering();
-        let (mut candidates, exhausted) = crate::evo::linear_extensions(&shape, self.linex_cap);
-        // Costs computed ahead of the scoring loop (the data-driven
-        // candidate annotates its own `OrderingResult::cost`); the loop
-        // reuses them instead of re-walking the model.
-        let mut precomputed: HashMap<Vec<Var>, f64> = HashMap::new();
-        if !exhausted {
-            // The enumeration was truncated: add the width optimizers' picks
-            // and a data-driven hypergraph-ordering candidate (greedy/exact
-            // search under the AGM-weighted width), annotated with its
-            // modelled cost and screened against EVO below.
-            if let Ok(r) = crate::width::faqw_optimize(&shape, 1, self.exact_limit) {
-                candidates.push(r.order);
-            }
-            let mut data_res = best_ordering(
-                &h,
-                |b| agm_bound(&h, b, &sizes).map(|a| a.log2()).unwrap_or(b.len() as f64),
-                self.exact_limit,
-            );
-            if q.check_ordering(&data_res.order).is_ok() {
-                let cost = model.ordering_cost(q, &data_res.order);
-                data_res = data_res.with_cost(cost);
-            }
-            if let Some(cost) = data_res.cost {
-                precomputed.insert(data_res.order.clone(), cost);
-            }
-            candidates.push(data_res.order);
-        }
-        candidates.retain(|sigma| {
-            q.check_ordering(sigma).is_ok() && crate::evo::is_equivalent_ordering(&shape, sigma)
-        });
-        let mut seen: std::collections::HashSet<Vec<Var>> = std::collections::HashSet::new();
-        seen.insert(own.clone());
-        candidates.retain(|sigma| seen.insert(sigma.clone()));
+        let candidates = self.candidates(q, &shape, &h, &sizes);
 
-        // ---- Score every candidate with the shared, memoized cost model;
-        // width (expensive: one ρ* LP per U-set) breaks ties only, so it is
-        // computed lazily for the cost finalists alone.
-        let own_cost = model.ordering_cost(q, &own);
+        // Score every candidate with the shared cost model — a walk of
+        // memoized steps, see `CostModel`; width (one ρ* LP per new U-set)
+        // breaks ties only, so it is computed for the cost finalists alone,
+        // all against one ρ* memo.
+        let mut model = CostModel::new(&h, &sizes, q);
+        let own_cost = model.ordering_cost(&own);
         let scored: Vec<(Vec<Var>, f64)> = candidates
             .into_iter()
             .map(|sigma| {
-                let cost = precomputed
-                    .get(&sigma)
-                    .copied()
-                    .unwrap_or_else(|| model.ordering_cost(q, &sigma));
+                let cost = model.ordering_cost(&sigma);
                 (sigma, cost)
             })
             .collect();
         let min_cost = scored.iter().map(|&(_, c)| c).fold(own_cost, f64::min);
         let finalist = |cost: f64| cost <= min_cost + 1e-9;
-        let width_of = |sigma: &[Var]| crate::width::faqw_of_ordering(&shape, sigma).ok();
+        let mut widths = FaqwMemo::new(&shape).ok();
+        let mut width_of =
+            |sigma: &[Var]| widths.as_mut().and_then(|memo| memo.faqw_of_ordering(sigma).ok());
         // The query's own ordering is always valid, so it seeds the
         // selection: the first finalist displaces it when it is not one
         // itself, and after that only a strictly smaller width wins.
@@ -209,6 +191,44 @@ impl Planner {
         Ok(QueryPlan { order, width, est_cost, steps, policy: self.policy.clone() })
     }
 
+    /// The orderings a planning pass scores beside the query's own:
+    /// `LinEx(P)` up to the cap and, when the cap cut the enumeration short,
+    /// the width optimizers' pick and a data-driven hypergraph ordering
+    /// (greedy or exact search under the AGM-weighted width).
+    ///
+    /// Every one of them — the linear extensions too, sound though they are
+    /// by Theorems 6.8/6.23 — has passed `check_ordering` and the EVO
+    /// membership test. One checker serves the whole pass, so the hundreds
+    /// of candidates that share prefixes share the expression trees built
+    /// along them ([`crate::evo`]): testing all of them costs about what
+    /// testing a handful used to.
+    fn candidates<D: AggDomain>(
+        &self,
+        q: &FaqQuery<D>,
+        shape: &QueryShape,
+        h: &Hypergraph,
+        sizes: &[u64],
+    ) -> Vec<Vec<Var>> {
+        let (mut candidates, exhausted) = crate::evo::linear_extensions(shape, self.linex_cap);
+        if !exhausted {
+            if let Ok(r) = crate::width::faqw_optimize(shape, 1, self.exact_limit) {
+                candidates.push(r.order);
+            }
+            let data_driven = best_ordering(
+                h,
+                |b| agm_bound(h, b, sizes).map(|a| a.log2()).unwrap_or(b.len() as f64),
+                self.exact_limit,
+            );
+            candidates.push(data_driven.order);
+        }
+        let mut checker = EvoChecker::new(shape);
+        candidates.retain(|sigma| q.check_ordering(sigma).is_ok() && checker.check(sigma));
+        let mut seen: std::collections::HashSet<Vec<Var>> = std::collections::HashSet::new();
+        seen.insert(q.ordering());
+        candidates.retain(|sigma| seen.insert(sigma.clone()));
+        candidates
+    }
+
     /// Plan `q` and bundle the plan with aligned, indexed inputs into a
     /// [`PreparedQuery`] ready for repeated evaluation.
     pub fn prepare<D: AggDomain + Clone + Sync>(
@@ -221,19 +241,58 @@ impl Planner {
 }
 
 /// The data-driven step cost model: AGM bounds over the original edges,
-/// capped by domain cross-products, memoized per `U`-set.
+/// capped by domain cross-products, memoized per `U`-set — and per
+/// elimination state.
+///
+/// Which edges are live when a variable is eliminated, hence the step's
+/// `U`-set and its estimate, depends on the *set* of variables eliminated
+/// before it, not on their order. The model interns each live edge set it
+/// meets as a state and memoizes `(state, variable) → (estimate, next
+/// state)`, so pricing an ordering is one lookup per variable, and the
+/// planner's candidates — hundreds of orderings that differ in a few
+/// positions — share all but a few steps. A step's `U`-set comes from
+/// [`incident_edges`], the same split [`compile`] makes, so the sum over an
+/// ordering equals the sum over the join steps of its compiled program.
 struct CostModel<'a> {
     h: &'a Hypergraph,
     sizes: &'a [u64],
     space: BTreeMap<Var, f64>,
     memo: HashMap<Vec<Var>, f64>,
+    /// The product-aggregated variables: their steps rewrite every edge on
+    /// its own and join nothing.
+    products: VarSet,
+    /// The estimate of the output join, over the free variables.
+    output_rows: f64,
+    /// Per state, the schemas of its live edges: each sorted, the list
+    /// sorted, nullary edges dropped (they meet no variable). State 0 is the
+    /// query's own edge set.
+    states: Vec<Vec<Vec<Var>>>,
+    ids: HashMap<Vec<Vec<Var>>, usize>,
+    /// `(state, eliminated variable)` → the step's estimated rows (zero
+    /// when the step joins nothing) and the state it leaves.
+    steps: HashMap<(usize, Var), (f64, usize)>,
 }
 
 impl<'a> CostModel<'a> {
     fn new<D: AggDomain>(h: &'a Hypergraph, sizes: &'a [u64], q: &FaqQuery<D>) -> CostModel<'a> {
         let space =
             q.ordering().into_iter().map(|v| (v, (q.domains.size(v) as f64).max(1.0))).collect();
-        CostModel { h, sizes, space, memo: HashMap::new() }
+        let products =
+            q.bound.iter().filter(|(_, agg)| *agg == VarAgg::Product).map(|&(v, _)| v).collect();
+        let mut model = CostModel {
+            h,
+            sizes,
+            space,
+            memo: HashMap::new(),
+            products,
+            output_rows: 0.0,
+            states: Vec::new(),
+            ids: HashMap::new(),
+            steps: HashMap::new(),
+        };
+        model.output_rows = model.est_rows(&q.free);
+        model.intern(q.factors.iter().map(|f| f.schema().to_vec()).collect());
+        model
     }
 
     /// Estimated rows a join over the variables `u` enumerates: `AGM(u)`
@@ -259,11 +318,58 @@ impl<'a> CostModel<'a> {
         est
     }
 
-    /// Total estimated cost of eliminating along `sigma`: the sum of the
-    /// estimated sub-join rows of every join step of the compiled program —
-    /// the fold and guard steps, then the output join.
-    fn ordering_cost<D: AggDomain>(&mut self, q: &FaqQuery<D>, sigma: &[Var]) -> f64 {
-        compile(q, sigma).joins().map(|js| self.est_rows(&js.join_order)).sum()
+    fn intern(&mut self, mut live: Vec<Vec<Var>>) -> usize {
+        live.retain(|schema| !schema.is_empty());
+        for schema in &mut live {
+            schema.sort_unstable();
+        }
+        live.sort_unstable();
+        if let Some(&id) = self.ids.get(&live) {
+            return id;
+        }
+        self.states.push(live.clone());
+        self.ids.insert(live, self.states.len() - 1);
+        self.states.len() - 1
+    }
+
+    /// Eliminate `var` from `state`: the estimated rows of the step's join
+    /// (zero if it joins nothing) and the state left behind.
+    fn step(&mut self, state: usize, var: Var) -> (f64, usize) {
+        if let Some(&known) = self.steps.get(&(state, var)) {
+            return known;
+        }
+        let live = &self.states[state];
+        let (u, next): (Vec<Var>, Vec<Vec<Var>>) = if self.products.contains(&var) {
+            // Eq. (8): every edge loses the variable, none is joined.
+            let shrunk = |s: &Vec<Var>| s.iter().copied().filter(|&v| v != var).collect();
+            (Vec::new(), live.iter().map(shrunk).collect())
+        } else {
+            // A semiring fold or a free-variable guard: ∂(var) is replaced by
+            // the single edge U − {var}; nothing happens when ∂(var) is empty.
+            let edges = live.iter().enumerate().map(|(i, s)| (i, s.as_slice()));
+            let (_, rest, u) = incident_edges(edges, var);
+            let mut next: Vec<Vec<Var>> = rest.into_iter().map(|i| live[i].clone()).collect();
+            next.push(u.iter().copied().filter(|&v| v != var).collect());
+            (u, next)
+        };
+        let est = if u.is_empty() { 0.0 } else { self.est_rows(&u) };
+        let taken = (est, self.intern(next));
+        self.steps.insert((state, var), taken);
+        taken
+    }
+
+    /// Total estimated cost of eliminating along `sigma` (a checked
+    /// ordering): the estimated sub-join rows of the fold and guard steps,
+    /// innermost variable first, then of the output join — term for term the
+    /// sum over the join steps of `compile(q, sigma)`.
+    fn ordering_cost(&mut self, sigma: &[Var]) -> f64 {
+        let (mut state, mut cost) = (0, 0.0);
+        for &var in sigma.iter().rev() {
+            let (est, next) = self.step(state, var);
+            cost += est;
+            state = next;
+        }
+        cost + self.output_rows
     }
 
     /// The estimates along the chosen ordering, one per join step of the
@@ -807,6 +913,60 @@ mod tests {
     fn plan_steps_and_run_stats_follow_the_compiled_program() {
         assert_plan_and_stats_follow_program(&example_5_6());
         assert_plan_and_stats_follow_program(&mixed_two_free());
+    }
+
+    /// A pairwise model over `edges` with dense `4 × 4` potentials: variable
+    /// 0 free, the rest under `agg` — the benchmark's grids and tree.
+    fn pairwise(n: u32, agg: VarAgg, edges: &[(u32, u32)]) -> FaqQuery<RealDomain> {
+        let mut r = StdRng::seed_from_u64(23);
+        let factors = edges
+            .iter()
+            .map(|&(a, b)| {
+                let value = |_: &[u32]| r.gen_range(0.1..1.0f64);
+                Factor::dense(vec![v(a), v(b)], &[4, 4], value, |&x| x == 0.0).unwrap()
+            })
+            .collect();
+        let bound = (1..n).map(|i| (v(i), agg)).collect();
+        FaqQuery::new(RealDomain, Domains::uniform(n as usize, 4), vec![v(0)], bound, factors)
+            .unwrap()
+    }
+
+    fn grid(w: u32, h: u32) -> FaqQuery<RealDomain> {
+        let right = (0..h).flat_map(|y| (0..w - 1).map(move |x| (y * w + x, y * w + x + 1)));
+        let down = (0..h - 1).flat_map(|y| (0..w).map(move |x| (y * w + x, (y + 1) * w + x)));
+        let edges: Vec<(u32, u32)> = right.chain(down).collect();
+        pairwise(w * h, VarAgg::Semiring(RealDomain::SUM), &edges)
+    }
+
+    /// Pricing an ordering by state gives, bit for bit, the sum over the
+    /// join steps of its compiled program — for every candidate a planning
+    /// pass scores, through one model whose memo the earlier candidates
+    /// filled.
+    fn assert_costs_follow_the_compiled_program<D: AggDomain>(q: &FaqQuery<D>, at_least: usize) {
+        let h = q.hypergraph();
+        let sizes: Vec<u64> = q.factors.iter().map(|f| f.len() as u64).collect();
+        let mut candidates = Planner::sequential().candidates(q, &q.shape(), &h, &sizes);
+        assert!(candidates.len() >= at_least, "{q:?}: {} candidates", candidates.len());
+        candidates.push(q.ordering());
+        let mut model = CostModel::new(&h, &sizes, q);
+        for sigma in &candidates {
+            let compiled: f64 =
+                compile(q, sigma).joins().map(|js| model.est_rows(&js.join_order)).sum();
+            let by_state = model.ordering_cost(sigma);
+            assert_eq!(by_state.to_bits(), compiled.to_bits(), "{sigma:?}");
+        }
+    }
+
+    #[test]
+    fn state_keyed_costs_equal_compiled_costs_on_every_candidate() {
+        assert_costs_follow_the_compiled_program(&grid(3, 3), 700);
+        assert_costs_follow_the_compiled_program(&grid(2, 3), 100);
+        let heap: Vec<(u32, u32)> = (1..10).map(|i| ((i - 1) / 2, i)).collect();
+        let tree = pairwise(10, VarAgg::Semiring(RealDomain::MAX), &heap);
+        assert_costs_follow_the_compiled_program(&tree, 700);
+        assert_costs_follow_the_compiled_program(&example_5_6(), 2);
+        assert_costs_follow_the_compiled_program(&mixed_two_free(), 0);
+        assert_costs_follow_the_compiled_program(&triangle_query(1, 80), 0);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 
 use crate::exprtree::{QueryShape, Tag};
 use crate::query::FaqError;
-use faq_hypergraph::elim::{ElimRule, EliminationSequence};
+use faq_hypergraph::elim::{u_sets_with_rules, ElimRule};
 use faq_hypergraph::ordering::best_ordering;
 use faq_hypergraph::widths::fractional_cover;
 use faq_hypergraph::{Hypergraph, Var, VarSet};
@@ -34,33 +34,52 @@ pub struct FaqwResult {
     pub exact: bool,
 }
 
-/// Memoizing `ρ*_H` evaluator over the original query hypergraph.
-struct RhoStar {
+/// `faqw(σ)` for many orderings of one shape: the query hypergraph and a
+/// memo of `ρ*_H` per `U`-set, shared by every ordering asked about — the
+/// orderings of one search differ in few of their `U`-sets.
+pub(crate) struct FaqwMemo<'a> {
+    shape: &'a QueryShape,
     h: Hypergraph,
-    cache: HashMap<Vec<Var>, f64>,
+    cache: HashMap<VarSet, f64>,
 }
 
-impl RhoStar {
-    fn new(shape: &QueryShape) -> Self {
-        RhoStar { h: shape.hypergraph(), cache: HashMap::new() }
+impl<'a> FaqwMemo<'a> {
+    /// Errors with [`FaqError::Uncoverable`] on degenerate queries where a
+    /// free/semiring variable is covered by no edge.
+    pub(crate) fn new(shape: &'a QueryShape) -> Result<Self, FaqError> {
+        check_fold_coverage(shape)?;
+        Ok(FaqwMemo { shape, h: shape.hypergraph(), cache: HashMap::new() })
     }
 
-    fn eval(&mut self, b: &VarSet) -> Result<f64, FaqError> {
+    fn rho_star(&mut self, b: &VarSet) -> Result<f64, FaqError> {
         if b.is_empty() {
             return Ok(0.0);
         }
-        let key: Vec<Var> = b.iter().copied().collect();
-        if let Some(&w) = self.cache.get(&key) {
+        if let Some(&w) = self.cache.get(b) {
             return Ok(w);
         }
         // A U-set containing a variable that appears in no edge (degenerate
         // queries: a free variable constrained by nothing, all-nullary
         // inputs) has no fractional cover — surface that as an error instead
         // of crashing; evaluation itself stays well-defined for such queries.
-        let w =
-            fractional_cover(&self.h, b).ok_or_else(|| FaqError::Uncoverable(key.clone()))?.value;
-        self.cache.insert(key, w);
+        let w = fractional_cover(&self.h, b)
+            .ok_or_else(|| FaqError::Uncoverable(b.iter().copied().collect()))?
+            .value;
+        self.cache.insert(b.clone(), w);
         Ok(w)
+    }
+
+    /// `faqw(σ)` (Definition 5.10).
+    pub(crate) fn faqw_of_ordering(&mut self, sigma: &[Var]) -> Result<f64, FaqError> {
+        let rules = elimination_rules(self.shape, sigma);
+        let u_sets = u_sets_with_rules(&self.h, sigma, &rules);
+        let mut width = 0.0f64;
+        for (u, rule) in u_sets.iter().zip(&rules) {
+            if matches!(rule, ElimRule::Fold) && !u.is_empty() {
+                width = width.max(self.rho_star(u)?);
+            }
+        }
+        Ok(width)
     }
 }
 
@@ -100,48 +119,26 @@ fn check_fold_coverage(shape: &QueryShape) -> Result<(), FaqError> {
 /// Errors with [`FaqError::Uncoverable`] on degenerate queries where a
 /// free/semiring variable is covered by no edge.
 pub fn faqw_of_ordering(shape: &QueryShape, sigma: &[Var]) -> Result<f64, FaqError> {
-    check_fold_coverage(shape)?;
-    let mut rho = RhoStar::new(shape);
-    faqw_of_ordering_memo(shape, sigma, &mut rho)
+    FaqwMemo::new(shape)?.faqw_of_ordering(sigma)
 }
 
-fn faqw_of_ordering_memo(
-    shape: &QueryShape,
-    sigma: &[Var],
-    rho: &mut RhoStar,
-) -> Result<f64, FaqError> {
-    let h = shape.hypergraph();
-    let rules = elimination_rules(shape, sigma);
-    let seq = EliminationSequence::with_rules(&h, sigma, &rules);
-    let mut width = 0.0f64;
-    for (k, &v) in sigma.iter().enumerate() {
-        let fold = matches!(rules[k], ElimRule::Fold);
-        if fold && !seq.u_set(k).is_empty() {
-            width = width.max(rho.eval(seq.u_set(k))?);
-        }
-        let _ = v;
-    }
-    Ok(width)
-}
-
-/// Exhaustive `faqw(ϕ)` over `LinEx(P)`, visiting at most `cap` extensions.
+/// Exhaustive `faqw(ϕ)` over `LinEx(P)`, visiting at most `cap` extensions
+/// (at least one: the first extension is always visited).
 ///
 /// Returns the best ordering found; `exact` is `true` when the enumeration
 /// completed within the cap. Errors with [`FaqError::Uncoverable`] when the
 /// query has a variable covered by no edge.
 pub fn faqw_exact(shape: &QueryShape, cap: usize) -> Result<FaqwResult, FaqError> {
-    check_fold_coverage(shape)?;
-    let (extensions, exhausted) = crate::evo::linear_extensions(shape, cap);
-    assert!(!extensions.is_empty(), "a query always has at least one linear extension");
-    let mut rho = RhoStar::new(shape);
+    let mut memo = FaqwMemo::new(shape)?;
+    let (extensions, exhausted) = crate::evo::linear_extensions(shape, cap.max(1));
     let mut best: Option<(Vec<Var>, f64)> = None;
     for sigma in extensions {
-        let w = faqw_of_ordering_memo(shape, &sigma, &mut rho)?;
+        let w = memo.faqw_of_ordering(&sigma)?;
         if best.as_ref().is_none_or(|(_, bw)| w < *bw - 1e-12) {
             best = Some((sigma, w));
         }
     }
-    let (order, width) = best.expect("non-empty extension list");
+    let (order, width) = best.expect("a query always has at least one linear extension");
     Ok(FaqwResult { order, width, exact: exhausted })
 }
 
@@ -485,6 +482,26 @@ mod tests {
         let r = faqw_exact(&shape, 1000).unwrap();
         assert!(crate::evo::is_equivalent_ordering(&shape, &r.order));
         assert!(r.width >= 1.0 - 1e-9);
+    }
+
+    /// Example 6.13's poset has exactly two linear extensions: a cap of two
+    /// visits both, so the answer is exact; a cap of zero still visits one.
+    #[test]
+    fn exact_search_at_and_below_the_extension_count() {
+        let shape = QueryShape {
+            seq: vec![(v(1), SUM), (v(2), MAX), (v(3), SUM)],
+            edges: vec![varset(&[1, 2]), varset(&[1, 3])],
+            mul_idempotent: false,
+            closed_ops: Default::default(),
+        };
+        let at_cap = faqw_exact(&shape, 2).unwrap();
+        assert!(at_cap.exact);
+        assert!(close(at_cap.width, 1.0));
+        for cap in [0, 1] {
+            let cut = faqw_exact(&shape, cap).unwrap();
+            assert!(!cut.exact, "cap {cap}");
+            assert_eq!(cut.order, vec![v(1), v(3), v(2)], "cap {cap}: the first extension");
+        }
     }
 
     #[test]

@@ -49,47 +49,8 @@ impl EliminationSequence {
     /// `order` must list every vertex of `h` exactly once; `rules[k]` applies
     /// to `order[k]`.
     pub fn with_rules(h: &Hypergraph, order: &[Var], rules: &[ElimRule]) -> Self {
-        assert_eq!(order.len(), rules.len(), "one rule per ordered vertex");
-        assert_eq!(
-            order.iter().copied().collect::<VarSet>(),
-            h.vertices().clone(),
-            "ordering must cover the vertex set exactly"
-        );
-
-        let n = order.len();
-        let mut edges: Vec<VarSet> = h.edges().to_vec();
-        let mut u_sets = vec![VarSet::new(); n];
-        let mut edge_sets = vec![Vec::new(); n];
-
-        for k in (0..n).rev() {
-            let vk = order[k];
-            edge_sets[k] = edges.clone();
-            let (incident, rest): (Vec<VarSet>, Vec<VarSet>) =
-                edges.into_iter().partition(|e| e.contains(&vk));
-            let mut u = VarSet::new();
-            for e in &incident {
-                u.extend(e.iter().copied());
-            }
-            u_sets[k] = u.clone();
-            edges = rest;
-            match rules[k] {
-                ElimRule::Fold => {
-                    u.remove(&vk);
-                    if !u.is_empty() {
-                        edges.push(u);
-                    }
-                }
-                ElimRule::Shrink => {
-                    for mut e in incident {
-                        e.remove(&vk);
-                        if !e.is_empty() {
-                            edges.push(e);
-                        }
-                    }
-                }
-            }
-        }
-
+        let mut edge_sets = vec![Vec::new(); order.len()];
+        let u_sets = eliminate(h, order, rules, |k, edges| edge_sets[k] = edges.to_vec());
         EliminationSequence { order: order.to_vec(), rules: rules.to_vec(), u_sets, edge_sets }
     }
 
@@ -148,6 +109,65 @@ impl EliminationSequence {
     pub fn induced_tree_width(&self) -> usize {
         self.u_sets.iter().map(|u| u.len().saturating_sub(1)).max().unwrap_or(0)
     }
+}
+
+/// The sets `U_k` of eliminating along `order` under per-vertex `rules`
+/// (Definition 5.4), aligned with `order` — what
+/// [`EliminationSequence::with_rules`] records, without the per-step edge
+/// snapshots it keeps beside them. The cheap form for callers that only need
+/// widths, such as a search evaluating hundreds of orderings.
+pub fn u_sets_with_rules(h: &Hypergraph, order: &[Var], rules: &[ElimRule]) -> Vec<VarSet> {
+    eliminate(h, order, rules, |_, _| {})
+}
+
+/// Run the elimination from the back of `order`, showing `before_step` the
+/// edges of `H_k` as each `order[k]` is about to go; returns every `U_k`.
+fn eliminate(
+    h: &Hypergraph,
+    order: &[Var],
+    rules: &[ElimRule],
+    mut before_step: impl FnMut(usize, &[VarSet]),
+) -> Vec<VarSet> {
+    assert_eq!(order.len(), rules.len(), "one rule per ordered vertex");
+    assert_eq!(
+        order.iter().copied().collect::<VarSet>(),
+        h.vertices().clone(),
+        "ordering must cover the vertex set exactly"
+    );
+
+    let n = order.len();
+    let mut edges: Vec<VarSet> = h.edges().to_vec();
+    let mut u_sets = vec![VarSet::new(); n];
+
+    for k in (0..n).rev() {
+        let vk = order[k];
+        before_step(k, &edges);
+        let (incident, rest): (Vec<VarSet>, Vec<VarSet>) =
+            edges.into_iter().partition(|e| e.contains(&vk));
+        let mut u = VarSet::new();
+        for e in &incident {
+            u.extend(e.iter().copied());
+        }
+        u_sets[k] = u.clone();
+        edges = rest;
+        match rules[k] {
+            ElimRule::Fold => {
+                u.remove(&vk);
+                if !u.is_empty() {
+                    edges.push(u);
+                }
+            }
+            ElimRule::Shrink => {
+                for mut e in incident {
+                    e.remove(&vk);
+                    if !e.is_empty() {
+                        edges.push(e);
+                    }
+                }
+            }
+        }
+    }
+    u_sets
 }
 
 /// The set `U_v` that a **fold-only** elimination would produce for `v` after

@@ -27,20 +27,6 @@ pub struct OrderingResult {
     pub width: f64,
     /// Whether the search was exact (subset DP) or heuristic.
     pub exact: bool,
-    /// Optional data-driven cost annotation: the estimated total work of
-    /// running an elimination along `order` on a concrete database (e.g. a
-    /// sum of per-step AGM bounds). `None` when the search was purely
-    /// width-driven; set by cost-based planners via
-    /// [`OrderingResult::with_cost`].
-    pub cost: Option<f64>,
-}
-
-impl OrderingResult {
-    /// This result annotated with a data-driven cost estimate.
-    pub fn with_cost(mut self, cost: f64) -> OrderingResult {
-        self.cost = Some(cost);
-        self
-    }
 }
 
 /// Memoized width function over vertex sets.
@@ -78,7 +64,7 @@ pub fn best_ordering_exact<F: FnMut(&VarSet) -> f64>(h: &Hypergraph, g: F) -> Or
     let n = verts.len();
     assert!(n <= 20, "exact ordering search limited to 20 vertices, got {n}");
     if n == 0 {
-        return OrderingResult { order: Vec::new(), width: 0.0, exact: true, cost: None };
+        return OrderingResult { order: Vec::new(), width: 0.0, exact: true };
     }
     let mut memo = MemoG::new(g);
 
@@ -120,7 +106,7 @@ pub fn best_ordering_exact<F: FnMut(&VarSet) -> f64>(h: &Hypergraph, g: F) -> Or
         sigma.push(verts[i]);
         mask &= !(1u32 << i);
     }
-    OrderingResult { order: sigma, width: best[full as usize], exact: true, cost: None }
+    OrderingResult { order: sigma, width: best[full as usize], exact: true }
 }
 
 /// Greedy ordering: repeatedly eliminate the vertex minimizing `g(U_v)` given
@@ -147,7 +133,7 @@ pub fn greedy_g_ordering<F: FnMut(&VarSet) -> f64>(h: &Hypergraph, g: F) -> Orde
         rev.push(v);
     }
     rev.reverse();
-    OrderingResult { order: rev, width, exact: false, cost: None }
+    OrderingResult { order: rev, width, exact: false }
 }
 
 /// The min-degree heuristic on the Gaifman graph (`g(U) = |U|`).
@@ -211,7 +197,7 @@ pub fn min_fill_ordering(h: &Hypergraph) -> OrderingResult {
     }
     rev.reverse();
     let order = rev;
-    OrderingResult { order, width: f64::NAN, exact: false, cost: None }
+    OrderingResult { order, width: f64::NAN, exact: false }
 }
 
 /// Find a good ordering for width function `g`: exact subset DP when the
@@ -224,7 +210,7 @@ pub fn best_ordering<F: FnMut(&VarSet) -> f64>(
 ) -> OrderingResult {
     let n = h.num_vertices();
     if n == 0 {
-        return OrderingResult { order: Vec::new(), width: 0.0, exact: true, cost: None };
+        return OrderingResult { order: Vec::new(), width: 0.0, exact: true };
     }
     if n <= exact_limit.min(20) {
         return best_ordering_exact(h, g);
