@@ -35,11 +35,10 @@
 
 use crate::exec::ExecPolicy;
 use crate::insideout::FaqOutput;
-use crate::plan::{PlanCache, Planner, PreparedQuery, QueryPlan};
+use crate::plan::{Planner, PreparedQuery, QueryPlan};
 use crate::query::{FaqError, FaqQuery};
 use faq_hypergraph::Var;
 use faq_semiring::AggDomain;
-use std::sync::Arc;
 
 /// The unified evaluation facade: builder-style configuration in front of the
 /// sequential engine, the parallel engine, and the cost-based serving path.
@@ -50,8 +49,7 @@ use std::sync::Arc;
 /// * [`Engine::evaluate`] / [`Engine::evaluate_with_order`] — one-shot
 ///   evaluation under the engine's [`ExecPolicy`] (no planning pass);
 /// * [`Engine::prepare`] — the serving path: cost-based ordering choice,
-///   aligned + indexed inputs, reusable [`PreparedQuery`] handle; shares
-///   plans across same-shaped queries when a [`PlanCache`] is attached.
+///   aligned + indexed inputs, reusable [`PreparedQuery`] handle.
 ///
 /// Every path produces bit-identical output for the same query — policies,
 /// plans, and thread counts affect performance only.
@@ -62,7 +60,6 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Default)]
 pub struct Engine {
     planner: Planner,
-    plan_cache: Option<Arc<PlanCache>>,
 }
 
 impl Engine {
@@ -81,7 +78,7 @@ impl Engine {
 
     /// An engine evaluating, and planning, under `policy`.
     pub fn with_policy(policy: ExecPolicy) -> Engine {
-        Engine { planner: Planner::with_policy(policy), plan_cache: None }
+        Engine { planner: Planner::with_policy(policy) }
     }
 
     /// This engine with up to `n` worker threads, for both one-shot
@@ -95,22 +92,6 @@ impl Engine {
     /// [`ExecPolicy::min_chunk_rows`]).
     pub fn min_chunk_rows(mut self, rows: usize) -> Engine {
         self.planner.policy = self.planner.policy.min_chunk_rows(rows);
-        self
-    }
-
-    /// This engine planning through `planner` and evaluating under its
-    /// [`Planner::policy`] (replaces what [`Engine::threads`] /
-    /// [`Engine::min_chunk_rows`] set before).
-    pub fn planner(mut self, planner: Planner) -> Engine {
-        self.planner = planner;
-        self
-    }
-
-    /// This engine sharing plans through `cache`: [`Engine::prepare`] reuses
-    /// the cached plan for a same-shaped (schema + size class) query instead
-    /// of re-planning — the "plan once, serve many" setup.
-    pub fn plan_cache(mut self, cache: Arc<PlanCache>) -> Engine {
-        self.plan_cache = Some(cache);
         self
     }
 
@@ -155,17 +136,13 @@ impl Engine {
     }
 
     /// Prepare `q` for repeated evaluation: cost-based ordering choice plus
-    /// cached aligned/indexed inputs. Goes through the attached [`PlanCache`]
-    /// when one was configured, so a fleet of same-shaped queries shares one
-    /// planning pass.
+    /// cached aligned/indexed inputs. Every call plans `q` itself — a plan is
+    /// derived from the query it runs, never borrowed from another.
     pub fn prepare<D: AggDomain + Clone + Sync>(
         &self,
         q: &FaqQuery<D>,
     ) -> Result<PreparedQuery<D>, FaqError> {
-        match &self.plan_cache {
-            Some(cache) => cache.prepare(&self.planner, q),
-            None => self.planner.prepare(q),
-        }
+        self.planner.prepare(q)
     }
 }
 
@@ -216,25 +193,5 @@ mod tests {
             assert_eq!(&prepared.plan().policy, engine.policy());
             assert_eq!(prepared.evaluate().unwrap().factor, reference.factor);
         }
-    }
-
-    #[test]
-    fn engine_prepare_shares_plans_through_cache() {
-        let cache = Arc::new(PlanCache::new());
-        let engine = Engine::sequential().plan_cache(Arc::clone(&cache));
-        let a = triangle(2, 60);
-        let b = triangle(3, 60);
-        let pa = engine.prepare(&a).unwrap();
-        let pb = engine.prepare(&b).unwrap();
-        assert_eq!(cache.len(), 1, "same shape + size class → one cached plan");
-        assert!(Arc::ptr_eq(&pa.plan_arc(), &pb.plan_arc()));
-        assert_eq!(
-            pa.evaluate().unwrap().factor,
-            Engine::sequential().evaluate(&a).unwrap().factor
-        );
-        assert_eq!(
-            pb.evaluate().unwrap().factor,
-            Engine::sequential().evaluate(&b).unwrap().factor
-        );
     }
 }

@@ -27,8 +27,8 @@
 //! * [`width`] — `faqw(σ)`, exact `faqw(ϕ)` search, and the approximation
 //!   algorithm of §7;
 //! * [`plan`] — the cost-based adaptive planner: data-driven ordering choice
-//!   (AGM bounds under the factors' row counts), [`PreparedQuery`] serving
-//!   handles, and a schema-keyed [`PlanCache`];
+//!   (AGM bounds under the factors' row counts) and [`PreparedQuery`] serving
+//!   handles;
 //! * [`delta`] — incremental delta evaluation: the kept nodes of a run plus
 //!   range-restricted step replay behind
 //!   [`PreparedQuery::apply_delta`](plan::PreparedQuery::apply_delta);
@@ -55,6 +55,6 @@ pub use exec::{CancelToken, Deadline, ExecPolicy};
 pub use exprtree::{ExprTree, QueryShape, Tag};
 pub use insideout::{run_elimination, ElimStats, FaqOutput, StepStat};
 pub use naive::naive_eval;
-pub use plan::{PlanCache, Planner, PreparedQuery, QueryPlan, StepPlan};
+pub use plan::{Planner, PreparedQuery, QueryPlan, StepPlan};
 pub use query::{FaqError, FaqQuery, VarAgg};
 pub use width::{faqw_approx, faqw_exact, faqw_of_ordering, FaqwResult};

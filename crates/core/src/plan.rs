@@ -42,9 +42,9 @@
 //!
 //! For repeated evaluation — the serving path — a [`PreparedQuery`] caches
 //! the plan *plus* the aligned, trie-indexed input factors, so `evaluate()`
-//! skips ordering search, factor alignment, and index builds entirely; and a
-//! [`PlanCache`] keyed by query schema (shape + size class) lets a fleet of
-//! same-shaped queries share one planning pass.
+//! skips ordering search, factor alignment, and index builds entirely. Plans
+//! are not cached across queries: which orderings are ϕ-equivalent depends on
+//! the domain (§6, Def. 6.30), so a plan belongs to the query it was made for.
 //!
 //! Plan choices affect performance only, never results: every candidate
 //! ordering is ϕ-equivalent and every thread count is bit-identical by
@@ -59,13 +59,13 @@ use crate::insideout::{compile, evaluate, incident_edges, ElimStats, FaqOutput};
 use crate::query::{FaqError, FaqQuery, VarAgg};
 use crate::width::FaqwMemo;
 use faq_factor::fault;
-use faq_factor::{DeltaFactor, Factor};
+use faq_factor::{DeltaFactor, Domains, Factor};
 use faq_hypergraph::ordering::best_ordering;
 use faq_hypergraph::widths::agm_bound;
 use faq_hypergraph::{Hypergraph, Var, VarSet};
-use faq_semiring::AggDomain;
+use faq_semiring::{AggDomain, AggId};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// The cost model's estimate for one elimination step.
 #[derive(Debug, Clone)]
@@ -386,6 +386,56 @@ impl<'a> CostModel<'a> {
     }
 }
 
+/// Errors with [`FaqError::FactorSchemaMismatch`] — naming `slot` and a
+/// variable from the symmetric difference — unless `schema` covers the same
+/// variable set as `current`, the schema of the factor held in that slot.
+fn check_slot_schema(slot: usize, current: &[Var], schema: &[Var]) -> Result<(), FaqError> {
+    let old_schema: VarSet = current.iter().copied().collect();
+    let new_schema: VarSet = schema.iter().copied().collect();
+    if old_schema != new_schema {
+        // Name a variable from the symmetric difference: one the update
+        // adds, or — when its schema is a strict subset — one it is
+        // missing. The sets differ, so one side is non-empty.
+        let var = new_schema
+            .difference(&old_schema)
+            .next()
+            .or_else(|| old_schema.difference(&new_schema).next())
+            .copied()
+            .expect("schemas differ");
+        return Err(FaqError::FactorSchemaMismatch { slot, var });
+    }
+    Ok(())
+}
+
+/// Whether `delta` may be merged through `⊕⁽ᵒᵖ⁾` into the factor `current`
+/// held in `slot`: the operator exists in `domain`, the delta's schema is a
+/// permutation of the factor's, and every key lies inside `domains`.
+///
+/// The one validation behind [`PreparedQuery::apply_delta_with`] and a
+/// serving writer's publish, so the same bad delta is the same [`FaqError`]
+/// wherever it is offered.
+pub fn check_delta<D: AggDomain>(
+    domain: &D,
+    domains: &Domains,
+    slot: usize,
+    current: &Factor<D::E>,
+    delta: &DeltaFactor<D::E>,
+    op: AggId,
+) -> Result<(), FaqError> {
+    if op.index() >= domain.num_ops() {
+        return Err(FaqError::UnknownAggregate(op));
+    }
+    check_slot_schema(slot, current.schema(), delta.schema())?;
+    for (key, _) in delta.iter() {
+        for (&var, &value) in delta.schema().iter().zip(key) {
+            if value >= domains.size(var) {
+                return Err(FaqError::ValueOutOfDomain { var, value });
+            }
+        }
+    }
+    Ok(())
+}
+
 /// A query prepared for repeated evaluation: the plan plus pre-aligned,
 /// pre-indexed input factors.
 ///
@@ -422,7 +472,14 @@ impl<D: AggDomain + Clone + Sync> PreparedQuery<D> {
         Planner::default().prepare(q)
     }
 
-    /// Bundle an existing (possibly [`PlanCache`]-shared) plan with `q`.
+    /// Bundle an existing plan with `q`.
+    ///
+    /// `plan.order` must be a permutation of `q`'s variables with the free
+    /// ones first — that much is checked. That it lies in `EVO(ϕ)` is the
+    /// caller's promise, as for [`crate::Engine::evaluate_with_order`]: pass
+    /// a plan made for *this* query's shape ([`FaqQuery::shape`] depends on
+    /// the domain, so the same hyperedges under another domain are another
+    /// shape).
     pub fn with_plan(q: &FaqQuery<D>, plan: Arc<QueryPlan>) -> Result<PreparedQuery<D>, FaqError> {
         q.validate()?;
         q.check_ordering(&plan.order)?;
@@ -467,7 +524,7 @@ impl<D: AggDomain + Clone + Sync> PreparedQuery<D> {
     /// [`PreparedQuery::apply_delta`] re-primes it.
     pub fn update_factor(&mut self, slot: usize, factor: Factor<D::E>) -> Result<(), FaqError> {
         let current = self.slot_factor(slot)?;
-        Self::check_slot_schema(slot, current, factor.schema())?;
+        check_slot_schema(slot, current.schema(), factor.schema())?;
         let aligned = factor.align_to(&self.plan.order);
         let old = std::mem::replace(&mut self.query.factors[slot], aligned);
         if let Err(e) = self.query.validate() {
@@ -486,31 +543,6 @@ impl<D: AggDomain + Clone + Sync> PreparedQuery<D> {
             .factors
             .get(slot)
             .ok_or_else(|| FaqError::BadOrdering(format!("factor slot {slot} out of range")))
-    }
-
-    /// Errors with [`FaqError::FactorSchemaMismatch`] — naming `slot` and a
-    /// variable from the symmetric difference — unless `schema` covers the
-    /// same variable set as the prepared factor `current`.
-    fn check_slot_schema(
-        slot: usize,
-        current: &Factor<D::E>,
-        schema: &[Var],
-    ) -> Result<(), FaqError> {
-        let old_schema: VarSet = current.schema().iter().copied().collect();
-        let new_schema: VarSet = schema.iter().copied().collect();
-        if old_schema != new_schema {
-            // Name a variable from the symmetric difference: one the update
-            // adds, or — when its schema is a strict subset — one it is
-            // missing. The sets differ, so one side is non-empty.
-            let var = new_schema
-                .difference(&old_schema)
-                .next()
-                .or_else(|| old_schema.difference(&new_schema).next())
-                .copied()
-                .expect("schemas differ");
-            return Err(FaqError::FactorSchemaMismatch { slot, var });
-        }
-        Ok(())
     }
 
     /// Apply a point-update batch to factor `slot` and return the query's new
@@ -538,7 +570,7 @@ impl<D: AggDomain + Clone + Sync> PreparedQuery<D> {
         slot: usize,
         delta: &DeltaFactor<D::E>,
     ) -> Result<FaqOutput<D::E>, FaqError> {
-        self.apply_delta_with(slot, delta, faq_semiring::AggId(0))
+        self.apply_delta_with(slot, delta, AggId(0))
     }
 
     /// [`PreparedQuery::apply_delta`] with an explicit ⊕-operator for merging
@@ -547,22 +579,12 @@ impl<D: AggDomain + Clone + Sync> PreparedQuery<D> {
         &mut self,
         slot: usize,
         delta: &DeltaFactor<D::E>,
-        op: faq_semiring::AggId,
+        op: AggId,
     ) -> Result<FaqOutput<D::E>, FaqError> {
         // Validate everything BEFORE mutating: slot, operator, schema, keys.
         let current = self.slot_factor(slot)?;
-        if op.index() >= self.query.domain.num_ops() {
-            return Err(FaqError::UnknownAggregate(op));
-        }
-        Self::check_slot_schema(slot, current, delta.schema())?;
+        check_delta(&self.query.domain, &self.query.domains, slot, current, delta, op)?;
         let aligned = delta.align_to(&self.plan.order);
-        for (key, _) in aligned.iter() {
-            for (v, &value) in aligned.schema().iter().zip(key) {
-                if value >= self.query.domains.size(*v) {
-                    return Err(FaqError::ValueOutOfDomain { var: *v, value });
-                }
-            }
-        }
 
         // The merge (including the spilled splice path, which does chunk I/O
         // on this thread) runs BEFORE anything is installed: a storage abort
@@ -612,7 +634,7 @@ impl<D: AggDomain + Clone + Sync> PreparedQuery<D> {
         ranges: Vec<(u32, u32)>,
     ) -> Result<FaqOutput<D::E>, FaqError> {
         let current = self.slot_factor(slot)?;
-        Self::check_slot_schema(slot, current, merged.schema())?;
+        check_slot_schema(slot, current.schema(), merged.schema())?;
         if current.schema() != merged.schema() {
             return Err(FaqError::BadOrdering(format!(
                 "factor slot {slot}: merged columns {:?} are not in the prepared order {:?}",
@@ -665,12 +687,6 @@ impl<D: AggDomain + Clone + Sync> PreparedQuery<D> {
         &self.plan
     }
 
-    /// The shared plan handle (e.g. to test [`PlanCache`] identity or to
-    /// prepare another same-shaped query without re-planning).
-    pub fn plan_arc(&self) -> Arc<QueryPlan> {
-        Arc::clone(&self.plan)
-    }
-
     /// The prepared query (factors aligned to the plan order).
     pub fn query(&self) -> &FaqQuery<D> {
         &self.query
@@ -690,89 +706,6 @@ impl<D: AggDomain + Clone + Sync> PreparedQuery<D> {
 impl<D: AggDomain + Clone> Clone for PreparedQuery<D> {
     fn clone(&self) -> PreparedQuery<D> {
         PreparedQuery { query: self.query.clone(), plan: Arc::clone(&self.plan), cache: None }
-    }
-}
-
-/// Schema signature a plan is cached under: the tagged quantifier prefix,
-/// the hyperedges, and a log₂ size class per factor (so a plan is reused
-/// across value updates of similar scale but re-derived when the data grows
-/// past the next power of two).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct PlanKey {
-    seq: Vec<(u32, u8, u32)>,
-    edges: Vec<Vec<u32>>,
-    size_classes: Vec<u32>,
-}
-
-impl PlanKey {
-    fn of<D: AggDomain>(q: &FaqQuery<D>) -> PlanKey {
-        let shape = q.shape();
-        let seq = shape
-            .seq
-            .iter()
-            .map(|&(v, tag)| match tag {
-                crate::exprtree::Tag::Free => (v.0, 0u8, 0u32),
-                crate::exprtree::Tag::Semiring(op) => (v.0, 1u8, op.0),
-                crate::exprtree::Tag::Product => (v.0, 2u8, 0u32),
-            })
-            .collect();
-        let edges = q
-            .factors
-            .iter()
-            .map(|f| f.schema().iter().map(|v| v.0).collect::<Vec<u32>>())
-            .collect();
-        let size_classes = q.factors.iter().map(|f| (f.len() as u64).max(1).ilog2()).collect();
-        PlanKey { seq, edges, size_classes }
-    }
-}
-
-/// A concurrency-safe cache of [`QueryPlan`]s keyed by query schema and size
-/// class — the "plan once, serve many" entry point for repeated traffic of
-/// same-shaped queries.
-#[derive(Debug, Default)]
-pub struct PlanCache {
-    inner: Mutex<HashMap<PlanKey, Arc<QueryPlan>>>,
-}
-
-impl PlanCache {
-    /// An empty cache.
-    pub fn new() -> PlanCache {
-        PlanCache::default()
-    }
-
-    /// Number of cached plans.
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("plan cache lock").len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The cached plan for `q`'s schema, planning (and caching) on a miss.
-    pub fn get_or_plan<D: AggDomain>(
-        &self,
-        planner: &Planner,
-        q: &FaqQuery<D>,
-    ) -> Result<Arc<QueryPlan>, FaqError> {
-        let key = PlanKey::of(q);
-        if let Some(plan) = self.inner.lock().expect("plan cache lock").get(&key) {
-            return Ok(Arc::clone(plan));
-        }
-        let plan = Arc::new(planner.plan(q)?);
-        self.inner.lock().expect("plan cache lock").entry(key).or_insert_with(|| Arc::clone(&plan));
-        Ok(plan)
-    }
-
-    /// Prepare `q` against the cache: reuse the schema's plan when present.
-    pub fn prepare<D: AggDomain + Clone + Sync>(
-        &self,
-        planner: &Planner,
-        q: &FaqQuery<D>,
-    ) -> Result<PreparedQuery<D>, FaqError> {
-        let plan = self.get_or_plan(planner, q)?;
-        PreparedQuery::with_plan(q, plan)
     }
 }
 
@@ -1027,27 +960,6 @@ mod tests {
             prepared.evaluate().unwrap().factor,
             Engine::sequential().evaluate(&q2).unwrap().factor
         );
-    }
-
-    #[test]
-    fn plan_cache_reuses_schema_plans() {
-        let cache = PlanCache::new();
-        let planner = Planner::sequential();
-        let a = triangle_query(5, 60);
-        let b = triangle_query(6, 60); // same schema and size class, new values
-        let pa = cache.get_or_plan(&planner, &a).unwrap();
-        let pb = cache.get_or_plan(&planner, &b).unwrap();
-        assert_eq!(cache.len(), 1, "same schema → one cached plan");
-        assert!(Arc::ptr_eq(&pa, &pb));
-        let prepared = cache.prepare(&planner, &b).unwrap();
-        assert_eq!(
-            prepared.evaluate().unwrap().factor,
-            Engine::sequential().evaluate(&b).unwrap().factor
-        );
-        // A much larger instance lands in a different size class.
-        let big = triangle_query(7, 2000);
-        let _ = cache.get_or_plan(&planner, &big).unwrap();
-        assert_eq!(cache.len(), 2);
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! shared, evolving factor catalog, with
 //!
 //! * **epoch snapshots** — writers publish new catalog versions as immutable
-//!   `Arc`-shared [`Snapshot`]s; in-flight queries keep reading the snapshot
-//!   they started with, and the read path takes **no locks**;
+//!   `Arc`-shared [`Snapshot`]s; every submission carries the snapshot it
+//!   was made under and is answered from it, and evaluation takes **no
+//!   locks**;
 //! * a **persistent worker pool** — plain `std::thread` workers fed over
 //!   mpsc channels, replacing the per-call `thread::scope` of the one-shot
 //!   engine;
@@ -14,9 +15,9 @@
 //!   plus a per-query [`faq_core::ExecPolicy`] budget that clamps how much
 //!   of the machine a single evaluation may use;
 //! * **cross-query sharing** — identical registrations dedupe to one
-//!   [`QueryId`], plans are shared through `faq_core`'s `PlanCache`, and
-//!   computed results are cached per epoch so one tenant's work answers
-//!   another tenant's identical query;
+//!   [`QueryId`], and a computed result is cached in its epoch's snapshot —
+//!   the one place a served result lives — so one tenant's work answers
+//!   another tenant's identical query, on whichever worker it lands;
 //! * **fault tolerance** — evaluation panics are contained per worker
 //!   ([`ServeError::QueryPanicked`]; the pool never shrinks), storage
 //!   faults and overrun deadlines surface as typed errors
@@ -27,16 +28,20 @@
 //! # Epoch lifecycle
 //!
 //! ```text
-//!  register/publish_delta          workers                    clients
-//!  ───────────────────────         ───────────────────────    ─────────────
-//!  lock writer state               own Arc<Snapshot> (e)      submit → job
-//!  merge delta into the slot,      answer jobs against (e)      ⋱ round-robin
-//!    index it — once               recv Epoch(e+1) → swap     Ticket::wait
-//!  install + replay per query      answer against (e+1)
-//!  take replicas (handles)
-//!  fold worker feedback
-//!  broadcast Snapshot(e+1)
+//!  register/publish_delta          submit (any thread)        worker
+//!  ───────────────────────         ───────────────────────    ────────────────────────
+//!  lock writer state               take latest: Arc (e)       recv job
+//!  merge delta into the slot,      job = (query, Arc (e))     Shared, cell of (e) set:
+//!    index it — once                 ⋱ round-robin              reply it
+//!  install + replay per query      Ticket::wait               else evaluate on (e),
+//!  take replicas (handles)                                      set cell of (e), reply
+//!  cells of (e+1): refreshed       after publish returns:     keep nothing
+//!    outputs + (e)'s other cells     latest is (e+1)
+//!  latest := Snapshot (e+1)
 //! ```
+//!
+//! A queued or running job pins the snapshot it carries; an epoch nobody
+//! holds any more is freed with its last `Arc`.
 //!
 //! A factor is a handle on one immutable, `Arc`-shared body (listing plus
 //! trie index), so the catalog, every registered query that reads a slot in
@@ -49,22 +54,23 @@
 //! whatever the number of queries reading it — plus, per query, the
 //! elimination steps the change reaches (`PreparedQuery::install_merged`,
 //! the install half of `apply_delta`: the incremental replay machinery of
-//! the core crate is the *publish primitive* here).
-//! The refreshed outputs seed the new epoch's result cache; readers of an
-//! older epoch keep the bodies it was published with — a publish replaces
-//! handles, it never writes through one. One caveat inherited from the
-//! replay machinery: deltas anchored on a non-leading column of a step's
-//! join order fall back to recomputing the whole step, so publish cost for
-//! such deltas approaches a full (but still single-query) evaluation.
+//! the core crate is the *publish primitive* here). The refreshed outputs
+//! fill the new epoch's result cells, the cells of untouched queries carry
+//! over what the previous epoch had cached; readers of an older epoch keep
+//! the bodies it was published with — a publish replaces handles, it never
+//! writes through one. One caveat inherited from the replay machinery:
+//! deltas anchored on a non-leading column of a step's join order fall back
+//! to recomputing the whole step, so publish cost for such deltas approaches
+//! a full (but still single-query) evaluation.
 //!
 //! # Pool sizing
 //!
-//! The default configuration runs one worker per hardware thread with a
-//! **sequential** default budget: with one query per worker, inter-query
-//! parallelism already saturates the machine, and per-query threads would
-//! oversubscribe it. For a latency-sensitive single-tenant setup, invert
-//! this: fewer workers, larger per-submission budgets via
-//! [`FaqServer::submit_with`].
+//! The default configuration runs one worker per hardware thread, and a
+//! submission that names no budget runs **sequentially**: with one query
+//! per worker, inter-query parallelism already saturates the machine, and
+//! per-query threads would oversubscribe it. For a latency-sensitive
+//! single-tenant setup, invert this: fewer workers, larger per-submission
+//! budgets via [`FaqServer::submit_with`].
 //!
 //! # Quick example
 //!

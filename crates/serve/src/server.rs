@@ -3,45 +3,48 @@
 //! # Architecture
 //!
 //! [`FaqServer`] owns a pool of persistent `std::thread` workers, each with
-//! its own mpsc inbox. Two kinds of messages flow in: **epochs** (a fresh
-//! [`Snapshot`] published by the writer) and **jobs** (a query submission
-//! with a reply channel). Each worker keeps the latest snapshot it has
-//! received and evaluates jobs against it — the read path touches no lock
-//! and no shared mutable state. All writer state (the factor catalog, the
-//! master [`PreparedQuery`] handles with their delta-replay caches, the
-//! epoch counter) lives behind a single `Mutex` that only
-//! [`FaqServer::register`] and [`FaqServer::publish_delta`] take.
+//! its own mpsc inbox of **jobs**. A job is a query submission together
+//! with the [`Snapshot`] that was latest when it was submitted and a reply
+//! channel; a worker evaluates it against that snapshot and keeps nothing
+//! between jobs, so an answer is a function of its job alone. Evaluation
+//! reads `Arc`-shared immutable data and takes no lock; the reply path takes
+//! the coalescing table's lock once, to retire a `Shared` leader's group.
+//! All writer state (the factor catalog, the master [`PreparedQuery`]
+//! handles with their delta-replay caches) lives behind a single `Mutex`
+//! that only [`FaqServer::register`], [`FaqServer::publish_delta`] and the
+//! memory gauge of [`FaqServer::stats`] take.
 //!
-//! Because an mpsc channel delivers messages in causal send order, a job
-//! submitted after `publish_delta` returns is always answered at the new
-//! epoch or later; a job already in a worker's inbox is answered at the
-//! epoch it was enqueued under. Every answer carries its epoch, so callers
-//! can correlate results with published data versions.
+//! A job is answered at the epoch it was submitted under: one submitted
+//! after `publish_delta` returns carries the new snapshot, one already
+//! queued keeps (and pins) the snapshot it was given. Every answer carries
+//! its epoch, so callers can correlate results with published data versions.
 //!
 //! # Result sharing
 //!
 //! Identical [`QuerySpec`]s dedupe to one [`QueryId`] at registration, so
-//! results are shared across tenants by construction. Workers send every
-//! freshly computed output back to the writer over a feedback channel
-//! tagged with its epoch; at the next publish the writer folds still-valid
-//! results (those computed at or after the query's last invalidation) into
-//! the new snapshot's result cache. A delta publish refreshes the cached
-//! output of every affected query itself, through the incremental replay
-//! of [`PreparedQuery::install_merged`] — so cached entries are *never*
-//! stale: a cache hit at epoch `e` is bit-identical to a fresh evaluation
-//! at epoch `e`. Workers additionally keep a tiny lock-free local memo
-//! (latest result per query, valid only for their current epoch) so
-//! repeated submissions between publishes dedupe without writer traffic.
+//! results are shared across tenants by construction, and a served result
+//! lives in exactly one place: the write-once cell its snapshot holds for
+//! the query. A worker that evaluates sets the cell of the snapshot it
+//! evaluated against; a `Shared` submission reads that cell first, on
+//! whichever worker it lands. At publish the writer fills the next
+//! snapshot's cells itself: for every query the delta touched, with the
+//! output of the incremental replay of [`PreparedQuery::install_merged`];
+//! for every other query — its data is unchanged — with the previous
+//! snapshot's cell when that is set. A cell is only ever offered the
+//! query's output over its own snapshot's data, so cached entries are
+//! *never* stale — a cache hit at epoch `e` is bit-identical to a fresh
+//! evaluation at epoch `e` — and a result computed against an old epoch
+//! after a later publish stays on the old snapshot.
 
 use crate::snapshot::{QueryId, QuerySpec, Snapshot};
-use faq_core::{Engine, ExecPolicy, FaqError, FaqQuery, PlanCache, Planner, PreparedQuery};
+use faq_core::{ExecPolicy, FaqError, FaqQuery, Planner, PreparedQuery};
 use faq_factor::fault::{self, InjectedPanic};
 use faq_factor::{DeltaFactor, Domains, Factor};
 use faq_semiring::{AggDomain, AggId, SemiringElem};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex, PoisonError, Weak};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -103,17 +106,9 @@ impl PanicPlan {
 pub struct ServeConfig {
     /// Number of persistent worker threads (≥ 1).
     pub workers: usize,
-    /// Budget applied to submissions that carry none. The default is
-    /// sequential: with one query per worker, inter-query parallelism
-    /// already saturates the pool, and per-query threads would oversubscribe
-    /// it. Submissions may raise this per call via
-    /// [`FaqServer::submit_with`].
-    pub default_budget: ExecPolicy,
     /// Global cap on admitted-but-unfinished submissions; submissions beyond
     /// it are rejected with [`ServeError::Overloaded`].
     pub max_in_flight: usize,
-    /// Whether workers consult and maintain the shared result cache.
-    pub share_results: bool,
     /// Planner used to prepare registered queries. Defaults to the full
     /// cost-based planner at hardware parallelism — plans carry that policy
     /// and each submission's budget caps it down.
@@ -128,9 +123,7 @@ impl Default for ServeConfig {
         let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
         ServeConfig {
             workers: hw,
-            default_budget: ExecPolicy::sequential(),
             max_in_flight: hw * 4,
-            share_results: true,
             planner: Planner::default(),
             panic_plan: None,
         }
@@ -144,21 +137,9 @@ impl ServeConfig {
         self
     }
 
-    /// This config with `budget` as the default per-submission budget.
-    pub fn default_budget(mut self, budget: ExecPolicy) -> ServeConfig {
-        self.default_budget = budget;
-        self
-    }
-
     /// This config admitting at most `n` concurrent submissions (≥ 1).
     pub fn max_in_flight(mut self, n: usize) -> ServeConfig {
         self.max_in_flight = n.max(1);
-        self
-    }
-
-    /// This config with shared-result caching switched on or off.
-    pub fn share_results(mut self, share: bool) -> ServeConfig {
-        self.share_results = share;
         self
     }
 
@@ -189,9 +170,8 @@ pub enum ServeError {
         /// The in-flight cap that was hit.
         limit: usize,
     },
-    /// The [`QueryId`] is not registered (or not yet visible to the worker's
-    /// snapshot — impossible for ids returned by [`FaqServer::register`]
-    /// before the submission).
+    /// The [`QueryId`] is not registered in the latest snapshot — impossible
+    /// for ids this server's [`FaqServer::register`] returned.
     UnknownQuery(QueryId),
     /// A catalog slot index out of range.
     UnknownSlot(usize),
@@ -241,8 +221,8 @@ impl From<FaqError> for ServeError {
 /// How a submission interacts with the shared result cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CacheMode {
-    /// Serve from the snapshot's shared results (or the worker's same-epoch
-    /// memo) when possible; evaluate otherwise.
+    /// Serve the result cached in the submission's snapshot when there is
+    /// one; evaluate otherwise.
     #[default]
     Shared,
     /// Always evaluate, ignoring caches — for benchmarking and tests. The
@@ -280,8 +260,8 @@ pub struct ServeOutput<E: SemiringElem> {
     pub epoch: u64,
     /// The query's output factor at that epoch.
     pub factor: Arc<Factor<E>>,
-    /// Whether the answer came from a cache (shared or worker-local memo)
-    /// rather than a fresh evaluation.
+    /// Whether the answer came from the snapshot's result cache rather than
+    /// a fresh evaluation.
     pub cache_hit: bool,
     /// Submission-to-completion latency (queueing + evaluation).
     pub latency: Duration,
@@ -333,7 +313,7 @@ pub struct ServeStats {
     /// Chunk reads that failed checksum verification on every attempt,
     /// process-wide ([`fault::corrupt_chunks`]).
     pub corrupt_chunks: u64,
-    /// Answers served from a cache (shared or worker-local).
+    /// Answers served from a snapshot's result cache.
     pub cache_hits: u64,
     /// Answers that ran a fresh evaluation.
     pub evaluated: u64,
@@ -356,7 +336,7 @@ pub struct ServeStats {
     /// epoch a reader still pins keeps the bodies it was published with,
     /// which are not counted here (see `live_epochs`).
     pub resident_bytes: usize,
-    /// Shared results carried by the latest snapshot's cache.
+    /// Results cached in the latest snapshot.
     pub cache_entries: usize,
 }
 
@@ -388,6 +368,9 @@ impl Drop for AdmissionPermit {
 }
 
 struct Job<D: AggDomain> {
+    /// The snapshot that was latest at submission: what the job is answered
+    /// from, and pinned until it is.
+    snapshot: Arc<Snapshot<D>>,
     query: QueryId,
     budget: ExecPolicy,
     cache: CacheMode,
@@ -415,22 +398,9 @@ struct Follower<D: AggDomain> {
 /// followers awaiting its answer.
 type Inflight<D> = Mutex<HashMap<(usize, u64), Vec<Follower<D>>>>;
 
-enum Msg<D: AggDomain> {
-    Epoch(Arc<Snapshot<D>>),
-    Job(Job<D>),
-    Shutdown,
-}
-
-struct Feedback<E> {
-    epoch: u64,
-    query: usize,
-    factor: Arc<Factor<E>>,
-}
-
 /// Writer-side state: everything the publish path mutates, behind one lock
 /// that the read path never touches.
 struct WriterState<D: AggDomain> {
-    epoch: u64,
     domain: D,
     domains: Domains,
     /// Current (fully merged) factor value per catalog slot.
@@ -439,17 +409,6 @@ struct WriterState<D: AggDomain> {
     specs: Vec<QuerySpec>,
     /// Writer-owned handles; keep their delta-replay caches warm.
     masters: Vec<PreparedQuery<D>>,
-    /// Reader replicas as published in the latest snapshot. Replaced (via
-    /// [`PreparedQuery`]'s cache-dropping `Clone`) only for queries a delta
-    /// touched — untouched queries keep sharing the old `Arc`.
-    published: Vec<Arc<PreparedQuery<D>>>,
-    /// Last known output per query, always valid for the current catalog.
-    results: Vec<Option<Arc<Factor<D::E>>>>,
-    /// Epoch from which each query's current data version has been in
-    /// effect; feedback computed at an earlier epoch is discarded.
-    valid_from: Vec<u64>,
-    engine: Engine,
-    feedback_rx: Receiver<Feedback<D::E>>,
 }
 
 /// A multi-tenant serving runtime for FAQ queries.
@@ -463,11 +422,11 @@ struct WriterState<D: AggDomain> {
 ///    finish against their snapshot, later ones see the new epoch.
 pub struct FaqServer<D: AggDomain> {
     config: ServeConfig,
-    worker_txs: Vec<Sender<Msg<D>>>,
+    worker_txs: Vec<Sender<Job<D>>>,
     handles: Vec<JoinHandle<()>>,
     rr: AtomicUsize,
     global_in_flight: Arc<AtomicUsize>,
-    published_epoch: AtomicU64,
+    /// The latest published snapshot — the one source of the current epoch.
     latest: Mutex<Arc<Snapshot<D>>>,
     stats: Arc<Counters>,
     /// Weak handles to every published snapshot, for the live-epoch gauge;
@@ -501,53 +460,37 @@ where
         let _ = faq_factor::gc_stale_spill_dirs(None);
         let stats = Arc::new(Counters::default());
         let inflight: Arc<Inflight<D>> = Arc::new(Mutex::new(HashMap::new()));
-        let (feedback_tx, feedback_rx) = channel::<Feedback<D::E>>();
         let mut worker_txs = Vec::with_capacity(config.workers);
         let mut handles = Vec::with_capacity(config.workers);
-        let first = Arc::new(Snapshot { epoch: 0, queries: Vec::new(), results: HashMap::new() });
         for i in 0..config.workers {
-            let (tx, rx) = channel::<Msg<D>>();
-            // Seed the inbox before the thread runs its first recv, so a job
-            // submitted after construction always finds a snapshot in place.
-            let _ = tx.send(Msg::Epoch(Arc::clone(&first)));
-            let fb = feedback_tx.clone();
+            let (tx, rx) = channel::<Job<D>>();
             let st = Arc::clone(&stats);
             let infl = Arc::clone(&inflight);
-            let share = config.share_results;
             let plan = config.panic_plan.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("faq-serve-{i}"))
-                .spawn(move || worker_loop::<D>(rx, fb, st, infl, share, plan))
+                .spawn(move || worker_loop::<D>(rx, st, infl, plan))
                 .expect("spawning a serving worker thread failed");
             worker_txs.push(tx);
             handles.push(handle);
         }
-        let engine = Engine::sequential()
-            .planner(config.planner.clone())
-            .plan_cache(Arc::new(PlanCache::new()));
+        let first = Arc::new(Snapshot { epoch: 0, queries: Vec::new(), results: Vec::new() });
         FaqServer {
             config,
             worker_txs,
             handles,
             rr: AtomicUsize::new(0),
             global_in_flight: Arc::new(AtomicUsize::new(0)),
-            published_epoch: AtomicU64::new(0),
             latest: Mutex::new(Arc::clone(&first)),
             stats,
             epochs: Mutex::new(vec![Arc::downgrade(&first)]),
             inflight,
             writer: Mutex::new(WriterState {
-                epoch: 0,
                 domain,
                 domains,
                 catalog,
                 specs: Vec::new(),
                 masters: Vec::new(),
-                published: Vec::new(),
-                results: Vec::new(),
-                valid_from: Vec::new(),
-                engine,
-                feedback_rx,
             }),
         }
     }
@@ -557,9 +500,9 @@ where
         self.worker_txs.len()
     }
 
-    /// The epoch of the most recently published snapshot (lock-free read).
+    /// The epoch of the most recently published snapshot.
     pub fn current_epoch(&self) -> u64 {
-        self.published_epoch.load(Ordering::SeqCst)
+        lock_unpoisoned(&self.latest).epoch
     }
 
     /// The most recently published snapshot.
@@ -575,7 +518,7 @@ where
             epochs.retain(|w| w.strong_count() > 0);
             epochs.len()
         };
-        let cache_entries = lock_unpoisoned(&self.latest).results.len();
+        let cache_entries = lock_unpoisoned(&self.latest).cached_count();
         let resident_bytes = {
             let w = lock_unpoisoned(&self.writer);
             let mut bodies: Vec<&Factor<D::E>> = Vec::new();
@@ -638,15 +581,11 @@ where
             spec.bound.clone(),
             factors,
         )?;
-        let master = w.engine.prepare(&q)?;
+        let master = self.config.planner.prepare(&q)?;
         let id = QueryId(w.specs.len());
-        w.published.push(Arc::new(master.clone()));
         w.masters.push(master);
         w.specs.push(spec);
-        w.results.push(None);
-        let next = w.epoch + 1;
-        w.valid_from.push(next);
-        self.publish_locked(&mut w);
+        self.publish_locked(&w, Vec::new());
         Ok(id)
     }
 
@@ -667,30 +606,11 @@ where
     pub fn publish_delta(&self, slot: usize, delta: &DeltaFactor<D::E>) -> Result<u64, ServeError> {
         let mut w = lock_unpoisoned(&self.writer);
         let base = w.catalog.get(slot).ok_or(ServeError::UnknownSlot(slot))?;
-        // Validate schema + domains upfront: the per-master applications
-        // below must not fail halfway (each errors without touching its
-        // handle, but a mid-loop error would leave earlier masters ahead of
-        // later ones).
-        let base_schema: std::collections::BTreeSet<_> = base.schema().iter().copied().collect();
-        let delta_schema: std::collections::BTreeSet<_> = delta.schema().iter().copied().collect();
-        if base_schema != delta_schema || base.schema().len() != delta.schema().len() {
-            let var = delta_schema
-                .symmetric_difference(&base_schema)
-                .next()
-                .copied()
-                .unwrap_or_else(|| base.schema()[0]);
-            return Err(ServeError::Faq(FaqError::FactorSchemaMismatch { slot, var }));
-        }
-        for (key, _) in delta.iter() {
-            for (&var, &value) in delta.schema().iter().zip(key) {
-                if value >= w.domains.size(var) {
-                    return Err(ServeError::Faq(FaqError::ValueOutOfDomain { var, value }));
-                }
-            }
-        }
-        if w.domain.num_ops() == 0 {
-            return Err(ServeError::Faq(FaqError::UnknownAggregate(AggId(0))));
-        }
+        // Validate upfront, by the rules `apply_delta` itself applies: the
+        // per-master installs below must not fail halfway (each errors
+        // without touching its handle, but a mid-loop error would leave
+        // earlier masters ahead of later ones).
+        faq_core::plan::check_delta(&w.domain, &w.domains, slot, base, delta, AggId(0))?;
 
         // Merge into a staged copy — NOT installed yet — and index it. The
         // spilled splice path and a spilled index build do chunk I/O on this
@@ -732,7 +652,6 @@ where
         // but carry no replay cache ([`PreparedQuery`]'s `Clone` drops it),
         // so a failed publish costs the touched queries their warm caches;
         // the next successful delta re-primes them.
-        let next = w.epoch + 1;
         let mut undo: Vec<(usize, PreparedQuery<D>)> = Vec::new();
         let mut staged: Vec<(usize, Arc<Factor<D::E>>)> = Vec::new();
         for qi in 0..w.specs.len() {
@@ -776,47 +695,44 @@ where
         if !ranges.is_empty() {
             w.catalog[slot] = merged;
         }
-        for (qi, factor) in staged {
-            w.results[qi] = Some(factor);
-            w.valid_from[qi] = next;
-            w.published[qi] = Arc::new(w.masters[qi].clone());
-        }
-        self.publish_locked(&mut w);
-        Ok(w.epoch)
+        Ok(self.publish_locked(&w, staged))
     }
 
-    /// Fold pending worker feedback into the result cache, bump the epoch,
-    /// and broadcast the new snapshot to every worker.
-    fn publish_locked(&self, w: &mut WriterState<D>) {
-        while let Ok(fb) = w.feedback_rx.try_recv() {
-            if fb.epoch >= w.valid_from[fb.query] {
-                w.results[fb.query] = Some(fb.factor);
-            }
+    /// Publish the next epoch and return its number: the previous snapshot
+    /// with a fresh replica (via [`PreparedQuery`]'s cache-dropping `Clone`)
+    /// and the new output for every query in `refreshed` — those this publish
+    /// touched — and a replica and an empty cell for a query registered since.
+    /// Every other query's data is unchanged, so it keeps sharing its replica
+    /// `Arc` and its cell carries over what the previous snapshot has cached
+    /// (a result a worker sets there later is not carried: it stays on the
+    /// snapshot it was computed against).
+    fn publish_locked(
+        &self,
+        w: &WriterState<D>,
+        refreshed: Vec<(usize, Arc<Factor<D::E>>)>,
+    ) -> u64 {
+        let prev = self.snapshot();
+        let (mut queries, mut results) = (prev.queries.clone(), prev.results.clone());
+        for (qi, factor) in refreshed {
+            queries[qi] = Arc::new(w.masters[qi].clone());
+            results[qi] = OnceLock::from(factor);
         }
-        w.epoch += 1;
-        let results = if self.config.share_results {
-            w.results
-                .iter()
-                .enumerate()
-                .filter_map(|(i, r)| r.as_ref().map(|f| (i, Arc::clone(f))))
-                .collect()
-        } else {
-            HashMap::new()
-        };
-        let snap = Arc::new(Snapshot { epoch: w.epoch, queries: w.published.clone(), results });
+        for master in &w.masters[queries.len()..] {
+            queries.push(Arc::new(master.clone()));
+            results.push(OnceLock::new());
+        }
+        let epoch = prev.epoch + 1;
+        let snap = Arc::new(Snapshot { epoch, queries, results });
         {
             let mut epochs = lock_unpoisoned(&self.epochs);
             epochs.retain(|w| w.strong_count() > 0);
             epochs.push(Arc::downgrade(&snap));
         }
-        for tx in &self.worker_txs {
-            let _ = tx.send(Msg::Epoch(Arc::clone(&snap)));
-        }
         *lock_unpoisoned(&self.latest) = snap;
-        self.published_epoch.store(w.epoch, Ordering::SeqCst);
+        epoch
     }
 
-    /// Submit `query` for `tenant` under the server's default budget and
+    /// Submit `query` for `tenant` under the default (sequential) budget and
     /// [`CacheMode::Shared`].
     pub fn submit(&self, tenant: &Tenant, query: QueryId) -> Result<Ticket<D::E>, ServeError> {
         self.submit_with(tenant, query, None, CacheMode::Shared)
@@ -827,10 +743,16 @@ where
     ///
     /// `budget` caps the prepared plan's policy (thread count and chunk
     /// floor) for this evaluation only — outputs are bit-identical
-    /// under every budget. `None` applies
-    /// [`ServeConfig::default_budget`]. Admission is two-level: the global
-    /// [`ServeConfig::max_in_flight`] cap, then the tenant's own; a
-    /// rejection is immediate and costs no worker time.
+    /// under every budget. `None` applies [`ExecPolicy::sequential`]: with
+    /// one query per worker, inter-query parallelism already saturates the
+    /// pool, and per-query threads would oversubscribe it.
+    ///
+    /// The submission is bound here to the latest snapshot and answered from
+    /// it, whatever is published meanwhile. A `query` that snapshot does not
+    /// hold is [`ServeError::UnknownQuery`]. Admission is two-level: the
+    /// global [`ServeConfig::max_in_flight`] cap, then the tenant's own.
+    /// Every rejection is immediate, holds no permit and costs no worker
+    /// time.
     pub fn submit_with(
         &self,
         tenant: &Tenant,
@@ -839,6 +761,10 @@ where
         cache: CacheMode,
     ) -> Result<Ticket<D::E>, ServeError> {
         self.stats.submitted.fetch_add(1, Ordering::SeqCst);
+        let snapshot = self.snapshot();
+        if snapshot.prepared(query).is_none() {
+            return Err(ServeError::UnknownQuery(query));
+        }
         if self.global_in_flight.fetch_add(1, Ordering::SeqCst) >= self.config.max_in_flight {
             self.global_in_flight.fetch_sub(1, Ordering::SeqCst);
             self.stats.rejected.fetch_add(1, Ordering::SeqCst);
@@ -864,8 +790,7 @@ where
         // the first becomes the group's leader, the rest enqueue as followers
         // and are fanned the leader's single answer. `Bypass` submissions
         // asked for an evaluation of their own and never coalesce.
-        let coalesce = (cache == CacheMode::Shared)
-            .then(|| (query.0, self.published_epoch.load(Ordering::SeqCst)));
+        let coalesce = (cache == CacheMode::Shared).then_some((query.0, snapshot.epoch));
         if let Some(key) = coalesce {
             let mut infl = lock_unpoisoned(&self.inflight);
             if let Some(followers) = infl.get_mut(&key) {
@@ -880,8 +805,9 @@ where
             infl.insert(key, Vec::new());
         }
         let job = Job {
+            snapshot,
             query,
-            budget: budget.cloned().unwrap_or_else(|| self.config.default_budget.clone()),
+            budget: budget.cloned().unwrap_or_else(ExecPolicy::sequential),
             cache,
             submitted: Instant::now(),
             reply: reply_tx,
@@ -889,7 +815,7 @@ where
             _permit: permit,
         };
         let i = self.rr.fetch_add(1, Ordering::Relaxed) % self.worker_txs.len();
-        if let Err(e) = self.worker_txs[i].send(Msg::Job(job)) {
+        if let Err(e) = self.worker_txs[i].send(job) {
             // Retire the leader entry so later submissions don't enqueue
             // behind a job that will never be answered.
             if let Some(key) = coalesce {
@@ -904,142 +830,109 @@ where
 
 impl<D: AggDomain> Drop for FaqServer<D> {
     fn drop(&mut self) {
-        for tx in &self.worker_txs {
-            let _ = tx.send(Msg::Shutdown);
-        }
+        // A worker drains its inbox, then sees the disconnect and exits.
+        self.worker_txs.clear();
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
     }
 }
 
-/// A worker's local result memo: latest answer per query, tagged with the
-/// epoch it was computed at.
-type Memo<D> = HashMap<usize, (u64, Arc<Factor<<D as AggDomain>::E>>)>;
-
-/// The worker: owns its current snapshot, answers jobs against it.
+/// The worker: answers each job from the snapshot the job carries, and keeps
+/// nothing between jobs.
 ///
-/// The only synchronization on this path is the channel recv — evaluation
-/// reads exclusively from `Arc`-shared immutable snapshots and the worker's
-/// own memo.
+/// Evaluation reads exclusively from `Arc`-shared immutable snapshots and
+/// takes no lock; the reply path locks the coalescing table once, for jobs
+/// that lead a group.
 fn worker_loop<D>(
-    rx: Receiver<Msg<D>>,
-    feedback: Sender<Feedback<D::E>>,
+    rx: Receiver<Job<D>>,
     stats: Arc<Counters>,
     inflight: Arc<Inflight<D>>,
-    share: bool,
     panic_plan: Option<PanicPlan>,
 ) where
     D: AggDomain + Clone + Sync,
 {
-    let mut current: Option<Arc<Snapshot<D>>> = None;
-    // Latest locally computed result per query, tagged with its epoch.
-    let mut memo: Memo<D> = HashMap::new();
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            Msg::Epoch(snap) => current = Some(snap),
-            Msg::Shutdown => break,
-            Msg::Job(job) => {
-                // Panic perimeter: a poisoned evaluation (or an injected
-                // chaos panic) is contained here — the worker recovers in
-                // place, so the pool never shrinks and the submitter gets
-                // `QueryPanicked` instead of a hung ticket. A `QueryAbort`
-                // that escaped evaluation's own catch (e.g. raised from a
-                // memo'd factor accessor) is converted back to its typed
-                // error rather than reported as a panic.
-                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    if let Some(plan) = &panic_plan {
-                        if plan.should_panic() {
-                            std::panic::panic_any(InjectedPanic("injected worker panic"));
-                        }
-                    }
-                    answer(&job, current.as_deref(), &mut memo, &feedback, &stats, share)
-                }));
-                let reply = match caught {
-                    Ok(r) => r,
-                    Err(payload) => {
-                        if let Some(abort) = payload.downcast_ref::<fault::QueryAbort>() {
-                            Err(ServeError::from(FaqError::from(abort.clone())))
-                        } else {
-                            stats.panicked.fetch_add(1, Ordering::SeqCst);
-                            Err(ServeError::QueryPanicked)
-                        }
-                    }
-                };
-                if matches!(reply, Err(ServeError::DeadlineExceeded)) {
-                    stats.deadline_exceeded.fetch_add(1, Ordering::SeqCst);
+    while let Ok(job) = rx.recv() {
+        // Panic perimeter: a poisoned evaluation (or an injected chaos
+        // panic) is contained here — the worker recovers in place, so the
+        // pool never shrinks and the submitter gets `QueryPanicked` instead
+        // of a hung ticket. A `QueryAbort` that escaped evaluation's own
+        // catch (e.g. raised from a memo'd factor accessor) is converted
+        // back to its typed error rather than reported as a panic.
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            if let Some(plan) = &panic_plan {
+                if plan.should_panic() {
+                    std::panic::panic_any(InjectedPanic("injected worker panic"));
                 }
-                stats.completed.fetch_add(1, Ordering::SeqCst);
-                // Retire the coalescing group *before* replying: once the
-                // leader's answer is observable, an identical new submission
-                // must start a fresh group, not attach to a finished one.
-                let Job { reply: tx, coalesce, _permit: permit, .. } = job;
-                let followers = coalesce
-                    .and_then(|key| lock_unpoisoned(&inflight).remove(&key))
-                    .unwrap_or_default();
-                // Release the admission slots before replying, so a caller
-                // returning from `Ticket::wait` observes its permits freed.
-                drop(permit);
-                for f in followers {
-                    let Follower { reply: ftx, submitted, _permit: fpermit } = f;
-                    drop(fpermit);
-                    stats.completed.fetch_add(1, Ordering::SeqCst);
-                    let mut fanned = reply.clone();
-                    if let Ok(out) = &mut fanned {
-                        out.latency = submitted.elapsed();
-                    }
-                    let _ = ftx.send(fanned);
-                }
-                let _ = tx.send(reply);
             }
+            answer(&job, &stats)
+        }));
+        let reply = match caught {
+            Ok(r) => r,
+            Err(payload) => {
+                if let Some(abort) = payload.downcast_ref::<fault::QueryAbort>() {
+                    Err(ServeError::from(FaqError::from(abort.clone())))
+                } else {
+                    stats.panicked.fetch_add(1, Ordering::SeqCst);
+                    Err(ServeError::QueryPanicked)
+                }
+            }
+        };
+        if matches!(reply, Err(ServeError::DeadlineExceeded)) {
+            stats.deadline_exceeded.fetch_add(1, Ordering::SeqCst);
         }
+        stats.completed.fetch_add(1, Ordering::SeqCst);
+        // Retire the coalescing group *before* replying: once the leader's
+        // answer is observable, an identical new submission must start a
+        // fresh group, not attach to a finished one.
+        let Job { reply: tx, coalesce, _permit: permit, .. } = job;
+        let followers =
+            coalesce.and_then(|key| lock_unpoisoned(&inflight).remove(&key)).unwrap_or_default();
+        // Release the admission slots before replying, so a caller returning
+        // from `Ticket::wait` observes its permits freed.
+        drop(permit);
+        for f in followers {
+            let Follower { reply: ftx, submitted, _permit: fpermit } = f;
+            drop(fpermit);
+            stats.completed.fetch_add(1, Ordering::SeqCst);
+            let mut fanned = reply.clone();
+            if let Ok(out) = &mut fanned {
+                out.latency = submitted.elapsed();
+            }
+            let _ = ftx.send(fanned);
+        }
+        let _ = tx.send(reply);
     }
 }
 
-fn answer<D>(
-    job: &Job<D>,
-    snap: Option<&Snapshot<D>>,
-    memo: &mut Memo<D>,
-    feedback: &Sender<Feedback<D::E>>,
-    stats: &Counters,
-    share: bool,
-) -> Result<ServeOutput<D::E>, ServeError>
+/// One job's answer — a function of the job alone: the cached result of its
+/// snapshot for a `Shared` job when there is one, else an evaluation of the
+/// snapshot's prepared handle, whose output then fills that snapshot's cell.
+fn answer<D>(job: &Job<D>, stats: &Counters) -> Result<ServeOutput<D::E>, ServeError>
 where
     D: AggDomain + Clone + Sync,
 {
-    let Some(snap) = snap else {
-        return Err(ServeError::UnknownQuery(job.query));
-    };
-    let qid = job.query.0;
-    let Some(prepared) = snap.queries.get(qid) else {
-        return Err(ServeError::UnknownQuery(job.query));
-    };
-    if share && job.cache == CacheMode::Shared {
-        let hit = snap.results.get(&qid).cloned().or_else(|| {
-            memo.get(&qid).filter(|(epoch, _)| *epoch == snap.epoch).map(|(_, f)| Arc::clone(f))
-        });
-        if let Some(factor) = hit {
+    let snap = &*job.snapshot;
+    // `submit_with` checked the id against this very snapshot.
+    let (prepared, cell) = (&snap.queries[job.query.0], &snap.results[job.query.0]);
+    let cached = if job.cache == CacheMode::Shared { cell.get() } else { None };
+    let factor = match cached {
+        Some(factor) => {
             stats.cache_hits.fetch_add(1, Ordering::SeqCst);
-            return Ok(ServeOutput {
-                epoch: snap.epoch,
-                factor,
-                cache_hit: true,
-                latency: job.submitted.elapsed(),
-            });
+            Arc::clone(factor)
         }
-    }
-    let out = prepared.evaluate_budgeted(&job.budget)?;
-    let factor = Arc::new(out.factor);
-    stats.evaluated.fetch_add(1, Ordering::SeqCst);
-    memo.insert(qid, (snap.epoch, Arc::clone(&factor)));
-    if share {
-        let _ =
-            feedback.send(Feedback { epoch: snap.epoch, query: qid, factor: Arc::clone(&factor) });
-    }
+        None => {
+            let factor = Arc::new(prepared.evaluate_budgeted(&job.budget)?.factor);
+            stats.evaluated.fetch_add(1, Ordering::SeqCst);
+            // Lost to a racing evaluation of the same epoch: same bits.
+            let _ = cell.set(Arc::clone(&factor));
+            factor
+        }
+    };
     Ok(ServeOutput {
         epoch: snap.epoch,
         factor,
-        cache_hit: false,
+        cache_hit: cached.is_some(),
         latency: job.submitted.elapsed(),
     })
 }
@@ -1047,7 +940,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faq_core::VarAgg;
+    use faq_core::{Engine, VarAgg};
     use faq_hypergraph::{v, Var};
     use faq_semiring::CountDomain;
     use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -1095,34 +988,132 @@ mod tests {
         )
     }
 
+    /// Sharing within an epoch holds at every pool size: round-robin sends
+    /// tenant b's submission to another worker, which finds tenant a's result
+    /// in the snapshot both jobs carry.
     #[test]
     fn serves_and_shares_results() {
-        let s = server(1, 60);
-        let q = s.register(triangle_spec()).unwrap();
-        // An identical registration (another tenant's) dedupes to the same id
-        // without publishing a new epoch.
-        let epoch = s.current_epoch();
-        assert_eq!(s.register(triangle_spec()).unwrap(), q);
-        assert_eq!(s.current_epoch(), epoch);
+        for workers in [1, 2, 4] {
+            let s = server(workers, 60);
+            let q = s.register(triangle_spec()).unwrap();
+            // An identical registration (another tenant's) dedupes to the
+            // same id without publishing a new epoch.
+            let epoch = s.current_epoch();
+            assert_eq!(s.register(triangle_spec()).unwrap(), q);
+            assert_eq!(s.current_epoch(), epoch);
 
-        let a = s.tenant("a", 8);
-        let b = s.tenant("b", 8);
-        let first = s.submit(&a, q).unwrap().wait().unwrap();
+            let a = s.tenant("a", 8);
+            let b = s.tenant("b", 8);
+            let first = s.submit(&a, q).unwrap().wait().unwrap();
+            assert!(!first.cache_hit);
+            let second = s.submit(&b, q).unwrap().wait().unwrap();
+            assert!(second.cache_hit, "{workers} workers: same epoch, same result");
+            assert_eq!(second.factor, first.factor);
+            assert_eq!(second.epoch, first.epoch);
+            // Bypass still recomputes — and agrees.
+            let fresh = s.submit_with(&b, q, None, CacheMode::Bypass).unwrap().wait().unwrap();
+            assert!(!fresh.cache_hit);
+            assert_eq!(*fresh.factor, *first.factor);
+            let st = s.stats();
+            assert_eq!(st.submitted, 3);
+            assert_eq!(st.completed, 3);
+            assert_eq!(st.cache_hits, 1);
+            assert_eq!(st.evaluated, 2);
+            assert_eq!(st.cache_entries, 1);
+        }
+    }
+
+    /// The total weight of catalog slot `slot` — a query only deltas to that
+    /// slot touch, and that every one-row insert raises by the row's weight.
+    fn slot_sum_spec(slot: usize) -> QuerySpec {
+        let (a, b) = [(0, 1), (1, 2), (0, 2)][slot];
+        let sum = |i: u32| (v(i), VarAgg::Semiring(CountDomain::SUM));
+        QuerySpec::new(vec![], vec![sum(a), sum(b)], vec![slot])
+    }
+
+    /// Adds weight 1 to row `key` of catalog slot 0.
+    fn slot0_merge(key: [u32; 2]) -> DeltaFactor<u64> {
+        let row = (key.to_vec(), faq_factor::DeltaOp::Merge(1u64));
+        DeltaFactor::new(vec![v(0), v(1)], vec![row]).unwrap()
+    }
+
+    /// What a worker does with a submission of `query` bound to `snapshot`.
+    fn answer_from(
+        snapshot: &Arc<Snapshot<CountDomain>>,
+        query: QueryId,
+        cache: CacheMode,
+    ) -> ServeOutput<u64> {
+        let job = Job {
+            snapshot: Arc::clone(snapshot),
+            query,
+            budget: ExecPolicy::sequential(),
+            cache,
+            submitted: Instant::now(),
+            reply: channel().0,
+            coalesce: None,
+            _permit: AdmissionPermit { counters: Vec::new() },
+        };
+        answer(&job, &Counters::default()).unwrap()
+    }
+
+    #[test]
+    fn a_late_result_stays_on_the_snapshot_it_was_computed_against() {
+        let s = server(2, 50);
+        let touched = s.register(slot_sum_spec(0)).unwrap();
+        let other = s.register(slot_sum_spec(1)).unwrap();
+        // A reader pins this epoch; the writer moves on.
+        let held = s.snapshot();
+        s.publish_delta(0, &slot0_merge([0, 1])).unwrap();
+
+        // Only now is the held epoch evaluated: both results land on it.
+        let old = answer_from(&held, touched, CacheMode::Bypass);
+        let old_other = answer_from(&held, other, CacheMode::Shared);
+        assert_eq!((old.epoch, old_other.epoch), (held.epoch(), held.epoch()));
+        assert!(Arc::ptr_eq(held.cached_result(touched).unwrap(), &old.factor));
+        assert!(Arc::ptr_eq(held.cached_result(other).unwrap(), &old_other.factor));
+        assert!(answer_from(&held, touched, CacheMode::Shared).cache_hit);
+
+        // The latest epoch, and the one after it, never show the touched
+        // query's old result, and whatever they cache is that epoch's answer.
+        let weight = |f: &Factor<u64>| *f.get(&[]).unwrap();
+        for added in [1, 2] {
+            let latest = s.snapshot();
+            let cached = latest.cached_result(touched).expect("refreshed by the writer");
+            assert_eq!(weight(cached), weight(&old.factor) + added);
+            if let Some(cached) = latest.cached_result(other) {
+                assert_eq!(**cached, latest.prepared(other).unwrap().evaluate().unwrap().factor);
+            }
+            s.publish_delta(0, &slot0_merge([0, 1])).unwrap();
+        }
+    }
+
+    #[test]
+    fn untouched_results_are_carried_across_publishes_by_identity() {
+        let s = server(2, 50);
+        let other = s.register(slot_sum_spec(1)).unwrap();
+        let t = s.tenant("t", 4);
+        let first = s.submit(&t, other).unwrap().wait().unwrap();
         assert!(!first.cache_hit);
-        // Same epoch, single worker: the local memo answers tenant b.
-        let second = s.submit(&b, q).unwrap().wait().unwrap();
-        assert!(second.cache_hit);
-        assert_eq!(second.factor, first.factor);
-        assert_eq!(second.epoch, first.epoch);
-        // Bypass still recomputes — and agrees.
-        let fresh = s.submit_with(&b, q, None, CacheMode::Bypass).unwrap().wait().unwrap();
-        assert!(!fresh.cache_hit);
-        assert_eq!(*fresh.factor, *first.factor);
-        let st = s.stats();
-        assert_eq!(st.submitted, 3);
-        assert_eq!(st.completed, 3);
-        assert_eq!(st.cache_hits, 1);
-        assert_eq!(st.evaluated, 2);
+        // Registering a second query keeps the first one's cached result …
+        let tri = s.register(triangle_spec()).unwrap();
+        assert!(Arc::ptr_eq(s.snapshot().cached_result(other).unwrap(), &first.factor));
+        assert!(s.snapshot().cached_result(tri).is_none());
+        // … and so does a publish to a slot the query does not read.
+        let epoch = s.publish_delta(0, &slot0_merge([3, 4])).unwrap();
+        let snap = s.snapshot();
+        assert!(Arc::ptr_eq(snap.cached_result(other).unwrap(), &first.factor));
+        assert!(snap.cached_result(tri).is_some(), "the touched query was refreshed");
+        let again = s.submit(&t, other).unwrap().wait().unwrap();
+        assert!(again.cache_hit);
+        assert_eq!(again.epoch, epoch);
+        assert!(Arc::ptr_eq(&again.factor, &first.factor));
+        // A publish to the slot it does read replaces the result.
+        s.publish_delta(
+            1,
+            &DeltaFactor::inserts(vec![v(1), v(2)], vec![(vec![0, 0], 1u64)]).unwrap(),
+        )
+        .unwrap();
+        assert!(!Arc::ptr_eq(s.snapshot().cached_result(other).unwrap(), &first.factor));
     }
 
     /// `CountDomain` with an artificially slow product, so a leader
@@ -1383,8 +1374,11 @@ mod tests {
     fn unknown_ids_are_rejected() {
         let s = server(1, 10);
         let t = s.tenant("t", 4);
-        let err = s.submit(&t, QueryId(9)).unwrap().wait().unwrap_err();
+        // Rejected at submit: no permit taken, no worker involved.
+        let err = s.submit(&t, QueryId(9)).unwrap_err();
         assert_eq!(err, ServeError::UnknownQuery(QueryId(9)));
+        assert_eq!(t.in_flight(), 0);
+        assert_eq!(s.stats().completed, 0);
         let err = s.register(QuerySpec::new(vec![], vec![], vec![7])).unwrap_err();
         assert_eq!(err, ServeError::UnknownSlot(7));
         let delta = DeltaFactor::inserts(vec![v(0), v(1)], vec![(vec![0, 0], 1u64)]).unwrap();
@@ -1401,6 +1395,34 @@ mod tests {
             s.publish_delta(0, &big).unwrap_err(),
             ServeError::Faq(FaqError::ValueOutOfDomain { var: Var(0), value }) if value == D + 5
         ));
+    }
+
+    /// One validation for a delta, wherever it is offered: the handle's
+    /// `apply_delta` and the server's `publish_delta` report the same error.
+    #[test]
+    fn a_bad_delta_is_the_same_error_from_apply_and_publish() {
+        let s = server(1, 20);
+        let q = s.register(triangle_spec()).unwrap();
+        let mut handle = PreparedQuery::clone(s.snapshot().prepared(q).unwrap());
+        let inserts = |vars: [u32; 2], keys: &[[u32; 2]]| {
+            let rows = keys.iter().map(|k| (k.to_vec(), 1u64)).collect();
+            DeltaFactor::inserts(vars.map(v).to_vec(), rows).unwrap()
+        };
+        // Slot 0 holds (x0, x1).
+        let bad = [
+            (inserts([1, 2], &[[0, 0]]), FaqError::FactorSchemaMismatch { slot: 0, var: v(2) }),
+            (inserts([2, 0], &[[0, 0]]), FaqError::FactorSchemaMismatch { slot: 0, var: v(2) }),
+            (
+                inserts([1, 0], &[[1, D + 1], [D + 2, 0]]),
+                FaqError::ValueOutOfDomain { var: v(0), value: D + 1 },
+            ),
+        ];
+        let epoch = s.current_epoch();
+        for (delta, want) in bad {
+            assert_eq!(handle.apply_delta(0, &delta).unwrap_err(), want);
+            assert_eq!(s.publish_delta(0, &delta).unwrap_err(), ServeError::Faq(want));
+        }
+        assert_eq!(s.current_epoch(), epoch);
     }
 
     #[test]

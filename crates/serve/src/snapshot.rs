@@ -2,19 +2,19 @@
 //!
 //! A [`Snapshot`] is a frozen view of the server at one **epoch**: the
 //! prepared handle for every registered query (each already bound to the
-//! catalog factor versions current at that epoch) plus whatever shared
-//! results are known to be valid for that data. Snapshots are shared by
-//! `Arc` — publishing a new epoch never mutates an old one, so an in-flight
-//! query keeps reading the snapshot it started with while later submissions
-//! see the new data. No reader ever takes a lock to use one.
+//! catalog factor versions current at that epoch) plus one write-once
+//! result cell per query — the only place a served result lives. Snapshots
+//! are shared by `Arc` — publishing a new epoch never changes the data of an
+//! old one, so an in-flight query keeps reading the snapshot it was submitted
+//! under while later submissions see the new data. No reader ever takes a
+//! lock to use one.
 
 use faq_core::PreparedQuery;
 use faq_core::VarAgg;
 use faq_factor::Factor;
 use faq_hypergraph::Var;
 use faq_semiring::AggDomain;
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Handle for a query registered with a [`crate::FaqServer`].
 ///
@@ -57,16 +57,21 @@ impl QuerySpec {
 }
 
 /// One published epoch: every registered query prepared against the factor
-/// catalog as of that epoch, plus the shared results valid for it.
+/// catalog as of that epoch, plus the results known for it.
 ///
-/// Snapshots are immutable; workers receive them as `Arc`s over their
-/// channel and evaluate jobs against whichever snapshot they currently
-/// hold. Two jobs answered from the same snapshot are guaranteed to see
-/// the same data — the consistency unit of the serving runtime.
+/// A snapshot's data is immutable. Every submission carries the `Arc` of
+/// the snapshot that was latest when it was submitted, and is answered from
+/// it: two jobs answered from the same snapshot are guaranteed to see the
+/// same data — the consistency unit of the serving runtime.
 pub struct Snapshot<D: AggDomain> {
     pub(crate) epoch: u64,
     pub(crate) queries: Vec<Arc<PreparedQuery<D>>>,
-    pub(crate) results: HashMap<usize, Arc<Factor<D::E>>>,
+    /// One write-once cell per query (index = [`QueryId`]): set at publish
+    /// from the writer's refreshed or carried-over output, else by the first
+    /// worker that evaluates the query against this snapshot. Every value
+    /// offered to a cell is that query's output over this epoch's data, so
+    /// which one wins is unobservable.
+    pub(crate) results: Vec<OnceLock<Arc<Factor<D::E>>>>,
 }
 
 impl<D: AggDomain> std::fmt::Debug for Snapshot<D> {
@@ -74,7 +79,7 @@ impl<D: AggDomain> std::fmt::Debug for Snapshot<D> {
         f.debug_struct("Snapshot")
             .field("epoch", &self.epoch)
             .field("queries", &self.queries.len())
-            .field("results", &self.results.len())
+            .field("results", &self.cached_count())
             .finish()
     }
 }
@@ -100,6 +105,11 @@ impl<D: AggDomain> Snapshot<D> {
 
     /// The shared result for `id` cached in this snapshot, if any.
     pub fn cached_result(&self, id: QueryId) -> Option<&Arc<Factor<D::E>>> {
-        self.results.get(&id.0)
+        self.results.get(id.0)?.get()
+    }
+
+    /// How many queries have a result cached in this snapshot.
+    pub(crate) fn cached_count(&self) -> usize {
+        self.results.iter().filter(|cell| cell.get().is_some()).count()
     }
 }

@@ -58,7 +58,7 @@ pub use faq_semiring as semiring;
 pub use faq_serve as serve;
 
 pub use faq_core::{
-    DeltaFactor, DeltaOp, Engine, ExecPolicy, FaqError, FaqOutput, FaqQuery, PlanCache, Planner,
+    DeltaFactor, DeltaOp, Engine, ExecPolicy, FaqError, FaqOutput, FaqQuery, Planner,
     PreparedQuery, QueryPlan, VarAgg,
 };
 pub use faq_factor::{Domains, Factor, FactorBuilder};

@@ -17,7 +17,7 @@
 
 use faq::core::width::{faqw_exact, faqw_of_ordering};
 use faq::core::{naive_eval, ElimStats, Engine};
-use faq::core::{ExecPolicy, FaqError, FaqQuery, PlanCache, Planner, VarAgg};
+use faq::core::{ExecPolicy, FaqError, FaqQuery, Planner, VarAgg};
 use faq::factor::{Domains, Factor};
 use faq::hypergraph::Var;
 use faq::semiring::{AggDomain, BoolDomain, CountDomain, MaxPlus, SingleSemiringDomain};
@@ -261,46 +261,62 @@ fn thread_counts_choose_plans_not_results() {
     assert_eq!(seq.factor, Engine::sequential().evaluate(&q).unwrap().factor);
 }
 
+/// Which orderings are ϕ-equivalent depends on the domain (§6, Def. 6.30):
+/// Example 5.6's hyperedges and prefix under `BoolDomain` (`⊗` idempotent, `∨`
+/// closed on `D_I`) and under `CountDomain` are two shapes with two `EVO`
+/// sets. One engine preparing both, the Boolean one first over the very same
+/// keys, must hand each query a plan made for its own shape.
 #[test]
-fn plan_cache_serves_many_instances() {
+fn plans_never_cross_domains() {
+    use faq::core::evo::is_equivalent_ordering;
     use rand::{rngs::StdRng, Rng, SeedableRng};
-    let cache = PlanCache::new();
-    let planner = Planner::sequential();
-    let mut r = StdRng::seed_from_u64(5);
-    let mut reference = None;
-    for round in 0..4 {
-        // Exactly 10 rows per factor so every round lands in the same size
-        // class (plans are keyed by schema + log₂ size bucket).
-        let mut mk = |a: u32, b: u32| {
-            let mut tuples = std::collections::BTreeMap::new();
-            while tuples.len() < 10 {
-                tuples.insert(vec![r.gen_range(0..DOM), r.gen_range(0..DOM)], r.gen_range(1..5u64));
-            }
-            Factor::new(vec![Var(a), Var(b)], tuples.into_iter().collect()).unwrap()
-        };
-        let q = FaqQuery::new(
-            CountDomain,
-            Domains::uniform(3, DOM),
-            vec![Var(0)],
-            vec![
-                (Var(1), VarAgg::Semiring(CountDomain::SUM)),
-                (Var(2), VarAgg::Semiring(CountDomain::SUM)),
-            ],
-            vec![mk(0, 1), mk(1, 2), mk(0, 2)],
-        )
-        .unwrap();
-        let prepared = cache.prepare(&planner, &q).unwrap();
-        assert_eq!(
-            prepared.evaluate().unwrap().factor,
-            Engine::sequential().evaluate(&q).unwrap().factor
-        );
-        let order = prepared.plan().order.clone();
-        match &reference {
-            None => reference = Some(order),
-            Some(o) => assert_eq!(*o, order, "round {round}: cached plan must be reused"),
-        }
+
+    fn example_5_6<D: AggDomain>(
+        domain: D,
+        keys: &[Vec<Vec<u32>>],
+        mut value: impl FnMut() -> D::E,
+    ) -> FaqQuery<D> {
+        let schemas: [&[u32]; 4] = [&[1, 5], &[2, 5], &[1, 3, 4], &[2, 3, 6]];
+        let factors = schemas
+            .iter()
+            .zip(keys)
+            .map(|(schema, keys)| {
+                let rows = keys.iter().map(|k| (k.clone(), value())).collect();
+                Factor::new(schema.iter().map(|&i| Var(i)).collect(), rows).unwrap()
+            })
+            .collect();
+        let sum = VarAgg::Semiring(faq::semiring::AggId(0));
+        let bound = vec![
+            (Var(1), sum),
+            (Var(2), sum),
+            (Var(3), VarAgg::Product),
+            (Var(4), sum),
+            (Var(5), sum),
+            (Var(6), sum),
+        ];
+        FaqQuery::new(domain, Domains::uniform(7, 3), vec![], bound, factors).unwrap()
     }
-    assert_eq!(cache.len(), 1, "one schema → one plan");
+
+    fn assert_own_plan<D: AggDomain + Clone + Sync>(engine: &Engine, q: &FaqQuery<D>, seed: u64) {
+        let prepared = engine.prepare(q).unwrap();
+        let order = &prepared.plan().order;
+        assert!(is_equivalent_ordering(&q.shape(), order), "seed {seed}: {order:?} ∉ EVO");
+        assert_eq!(prepared.evaluate().unwrap().factor, naive_eval(q), "seed {seed}");
+    }
+
+    for seed in 0..20 {
+        let mut r = StdRng::seed_from_u64(seed);
+        let keys: Vec<Vec<Vec<u32>>> = [2usize, 2, 3, 3]
+            .iter()
+            .map(|&arity| {
+                let cells = (0..3u32.pow(arity as u32)).filter(|_| r.gen_bool(0.7));
+                cells.map(|c| (0..arity as u32).map(|i| c / 3u32.pow(i) % 3).collect()).collect()
+            })
+            .collect();
+        let engine = Engine::sequential();
+        assert_own_plan(&engine, &example_5_6(BoolDomain, &keys, || true), seed);
+        assert_own_plan(&engine, &example_5_6(CountDomain, &keys, || r.gen_range(1..4u64)), seed);
+    }
 }
 
 // ---- Panic-path regressions (degenerate queries) ---------------------------
