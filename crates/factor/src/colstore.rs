@@ -1149,6 +1149,18 @@ pub enum FactorLevel {
     Disk(FileChunkedLevel),
 }
 
+impl FactorLevel {
+    /// The heap arrays, when the level is not spilled: the one resolution a
+    /// seek loop makes to run the heap kernel without the per-probe
+    /// dispatch.
+    pub fn as_mem(&self) -> Option<&VecStorage> {
+        match self {
+            FactorLevel::Mem(s) => Some(s),
+            FactorLevel::Disk(_) => None,
+        }
+    }
+}
+
 impl PartialEq for FactorLevel {
     fn eq(&self, other: &Self) -> bool {
         match (self, other) {

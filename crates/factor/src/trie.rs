@@ -135,6 +135,13 @@ impl TrieLevel {
     pub fn find(&self, window: (usize, usize), value: u32) -> Option<usize> {
         self.lub(window, value).filter(|&j| self.storage.value(j) == value)
     }
+
+    /// The level's storage. A loop that seeks one level many times resolves
+    /// it once (to [`crate::VecStorage`] when [`FactorLevel::as_mem`] says
+    /// the level is on the heap) instead of dispatching per probe.
+    pub fn storage(&self) -> &FactorLevel {
+        &self.storage
+    }
 }
 
 /// A columnar trie index over one factor: one [`TrieLevel`] per schema
@@ -465,6 +472,12 @@ impl<'t> TrieCursor<'t> {
         self.path.len() == self.trie.arity()
     }
 
+    /// The candidate entries of the current level, as a half-open window
+    /// of `trie.level(self.depth())` — what [`TrieCursor::seek`] searches.
+    pub fn window(&self) -> (usize, usize) {
+        *self.windows.last().expect("root window")
+    }
+
     /// The least candidate value `≥ bound` at the current level, or `None`
     /// when the window is exhausted. Remembers the located entry so a
     /// following [`TrieCursor::open`] of the same value is O(1), and seeds
@@ -473,7 +486,7 @@ impl<'t> TrieCursor<'t> {
     pub fn seek(&mut self, bound: u32) -> Option<u32> {
         debug_assert!(!self.at_leaf(), "seek past the deepest level");
         let level = self.trie.level(self.path.len());
-        let window = *self.windows.last().expect("root window");
+        let window = self.window();
         let j = level.lub_from(window, self.found, bound)?;
         self.found = j;
         Some(level.value(j))
@@ -486,7 +499,7 @@ impl<'t> TrieCursor<'t> {
     /// `open`/`up` calls).
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Option<u32> {
-        let window = *self.windows.last().expect("root window");
+        let window = self.window();
         debug_assert!(self.found < window.1, "next without a prior seek");
         let j = self.found + 1;
         if j >= window.1 {
@@ -501,7 +514,7 @@ impl<'t> TrieCursor<'t> {
     pub fn open(&mut self, value: u32) {
         let d = self.path.len();
         let level = self.trie.level(d);
-        let window = *self.windows.last().expect("root window");
+        let window = self.window();
         let j = if self.found < window.1
             && self.found >= window.0
             && level.value(self.found) == value

@@ -11,9 +11,13 @@
 //!   join entry point (a first-variable range plus a representation);
 //!   enumerates satisfying
 //!   assignments in lexicographic order of the variable ordering, which is
-//!   what lets InsideOut stream-aggregate the innermost variable. The cursors
-//!   walk either the columnar trie index or the raw sorted listing
-//!   ([`JoinRep`]); the trie is the default.
+//!   what lets InsideOut stream-aggregate the innermost variable. One
+//!   generic search walks either the columnar trie index or the raw sorted
+//!   listing ([`JoinRep`], chosen once per call); the trie is the default
+//!   and fuses the innermost variable into one loop over resolved trie
+//!   levels. Its [`JoinStats`] counters — seeks, nodes, matches — are the
+//!   paper's cost model and are counted identically under both (see
+//!   [`leapfrog`] for the contract).
 //! * [`baseline`] — pairwise hash joins and nested loops, the comparison
 //!   points for the Table 1 "Joins" row.
 
