@@ -40,76 +40,3 @@ pub(crate) fn width_order_or(
         Err(e) => Err(e),
     }
 }
-
-/// Everything the ordering search reads from a query, flattened into a
-/// hashable key: the tagged prefix, the hyperedges, the idempotence flags,
-/// and the search budget. Two queries with equal keys get equal orderings, so
-/// the result of the (combinatorial, often `~20×` the elimination itself)
-/// search is safe to reuse across calls — e.g. every `GraphicalModel`
-/// inference pass over the same model shape.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct OrderKey {
-    seq: Vec<(u32, u8, u32)>,
-    edges: Vec<Vec<u32>>,
-    mul_idempotent: bool,
-    closed_ops: Vec<u32>,
-    linex_cap: usize,
-    exact_limit: usize,
-}
-
-impl OrderKey {
-    fn of(shape: &faq_core::QueryShape, linex_cap: usize, exact_limit: usize) -> OrderKey {
-        let seq = shape
-            .seq
-            .iter()
-            .map(|&(v, tag)| match tag {
-                faq_core::Tag::Free => (v.0, 0u8, 0u32),
-                faq_core::Tag::Semiring(op) => (v.0, 1u8, op.0),
-                faq_core::Tag::Product => (v.0, 2u8, 0u32),
-            })
-            .collect();
-        let edges =
-            shape.edges.iter().map(|e| e.iter().map(|v| v.0).collect::<Vec<u32>>()).collect();
-        let closed_ops = shape.closed_ops.iter().map(|op| op.0).collect();
-        OrderKey {
-            seq,
-            edges,
-            mul_idempotent: shape.mul_idempotent,
-            closed_ops,
-            linex_cap,
-            exact_limit,
-        }
-    }
-}
-
-/// Entry cap for the ordering memo — shapes are tiny compared to the factors
-/// they describe, so this is generous; hitting it clears the table rather
-/// than evicting (repeated inference loops touch few distinct shapes).
-const ORDER_MEMO_CAP: usize = 256;
-
-/// [`width_order_or`] with a process-wide memo keyed on the query *shape*
-/// (the ordering depends on nothing else). Callers that pose the same-shaped
-/// query repeatedly — `GraphicalModel::marginal` per variable,
-/// `map_assignment`'s conditioning loop — pay for the width search once.
-pub(crate) fn width_order_or_cached(
-    shape: &faq_core::QueryShape,
-    query_order: Vec<faq_hypergraph::Var>,
-    linex_cap: usize,
-    exact_limit: usize,
-) -> Result<Vec<faq_hypergraph::Var>, faq_core::FaqError> {
-    use std::collections::HashMap;
-    use std::sync::{Mutex, OnceLock};
-    static MEMO: OnceLock<Mutex<HashMap<OrderKey, Vec<faq_hypergraph::Var>>>> = OnceLock::new();
-    let memo = MEMO.get_or_init(|| Mutex::new(HashMap::new()));
-    let key = OrderKey::of(shape, linex_cap, exact_limit);
-    if let Some(order) = memo.lock().unwrap().get(&key) {
-        return Ok(order.clone());
-    }
-    let order = width_order_or(shape, query_order, linex_cap, exact_limit)?;
-    let mut guard = memo.lock().unwrap();
-    if guard.len() >= ORDER_MEMO_CAP {
-        guard.clear();
-    }
-    guard.insert(key, order.clone());
-    Ok(order)
-}

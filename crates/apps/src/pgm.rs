@@ -2,11 +2,13 @@
 //!
 //! A discrete Markov random field is a hypergraph of non-negative potentials
 //! `ψ_S`. Marginalization is FAQ-SS over `(ℝ₊, +, ×)`; MAP over
-//! `(ℝ₊, max, ×)`. InsideOut with a width-optimized ordering is exactly
-//! variable elimination with the fractional-hypertree-width guarantee —
-//! improving the classical treewidth bound the PGM literature states.
+//! `(ℝ₊, max, ×)`. InsideOut is exactly variable elimination, and along a
+//! width-optimal ordering it carries the fractional-hypertree-width
+//! guarantee, improving the classical treewidth bound the PGM literature
+//! states. Inference here runs along the [`Planner`]'s ordering: the cheapest
+//! ϕ-equivalent candidate under the AGM cost model, width breaking ties.
 
-use faq_core::{naive_eval, Engine, FaqError, FaqQuery, VarAgg};
+use faq_core::{naive_eval, Engine, FaqError, FaqQuery, Planner, VarAgg};
 use faq_factor::{Domains, Factor};
 use faq_hypergraph::Var;
 use faq_semiring::RealDomain;
@@ -43,15 +45,10 @@ impl GraphicalModel {
     }
 
     fn run(&self, q: &FaqQuery<RealDomain>) -> Result<Factor<f64>, FaqError> {
-        // Conditioning can leave a variable with no potential at all; `faqw`
-        // is then undefined (Uncoverable) but elimination still is — fall
-        // back to the query's own ordering for such degenerate models.
-        //
-        // The width search dominates inference on small models (an order of
-        // magnitude over the elimination itself), and depends only on the
-        // query shape — memoized, so repeated passes over one model (every
-        // marginal, each `map_assignment` conditioning step) search once.
-        let order = crate::width_order_or_cached(&q.shape(), q.ordering(), 2_000, 14)?;
+        // Conditioning can leave a variable with no potential at all: `faqw`
+        // is then undefined (Uncoverable), but the planner still prices every
+        // candidate by domain products.
+        let order = Planner::sequential().plan(q)?.order;
         Ok(Engine::sequential().evaluate_with_order(q, &order)?.factor)
     }
 

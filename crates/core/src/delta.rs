@@ -39,9 +39,10 @@
 //!
 //! The public surface is [`crate::plan::PreparedQuery::apply_delta`] /
 //! [`apply_delta_with`](crate::plan::PreparedQuery::apply_delta_with); the
-//! differential test suite (`tests/delta_equivalence.rs`) checks the replayed
-//! output bit-identical to a from-scratch re-evaluation across semirings and
-//! thread counts.
+//! workspace's differential oracle (`tests/oracle.rs`) checks the replayed
+//! output bit-identical to a from-scratch re-evaluation across semirings,
+//! thread counts, orderings and backings, and `tests/delta_equivalence.rs`
+//! holds the named adversarial cases.
 
 pub use faq_factor::{DeltaFactor, DeltaOp};
 

@@ -13,9 +13,9 @@
 //! This module closes that gap with a [`Planner`] that
 //!
 //! 1. enumerates candidate ϕ-equivalent orderings (the `LinEx(P)` machinery
-//!    of [`crate::evo`], the [`crate::width`] optimizers, and a data-driven
-//!    [`faq_hypergraph::ordering::best_ordering`] search), every one of them
-//!    put through the EVO membership test;
+//!    of [`crate::evo`] and, when that enumeration is capped, the
+//!    [`crate::width`] optimizers' pick), every one of them put through the
+//!    EVO membership test;
 //! 2. scores every elimination step of every candidate by the AGM bound of
 //!    the step's `U`-set under the input factors' row counts, and breaks
 //!    cost ties by `faqw`;
@@ -26,7 +26,7 @@
 //!    executor, per step, from the rows it is about to join
 //!    ([`mod@crate::exec`]).
 //!
-//! A pass compares up to `linex_cap + 2` orderings that mostly differ in
+//! A pass compares up to `linex_cap + 1` orderings that mostly differ in
 //! their last few positions, and everything it asks about one of them is a
 //! function of a *state*, not of the ordering that reached it: whether the
 //! next variable is admissible depends on the sub-query conditioned on the
@@ -60,7 +60,6 @@ use crate::query::{FaqError, FaqQuery, VarAgg};
 use crate::width::FaqwMemo;
 use faq_factor::fault;
 use faq_factor::{DeltaFactor, Domains, Factor};
-use faq_hypergraph::ordering::best_ordering;
 use faq_hypergraph::widths::agm_bound;
 use faq_hypergraph::{Hypergraph, Var, VarSet};
 use faq_semiring::{AggDomain, AggId};
@@ -150,7 +149,7 @@ impl Planner {
         let sizes: Vec<u64> = q.factors.iter().map(|f| f.len() as u64).collect();
 
         let own = q.ordering();
-        let candidates = self.candidates(q, &shape, &h, &sizes);
+        let candidates = self.candidates(q, &shape);
 
         // Score every candidate with the shared cost model — a walk of
         // memoized steps, see `CostModel`; width (one ρ* LP per new U-set)
@@ -193,8 +192,7 @@ impl Planner {
 
     /// The orderings a planning pass scores beside the query's own:
     /// `LinEx(P)` up to the cap and, when the cap cut the enumeration short,
-    /// the width optimizers' pick and a data-driven hypergraph ordering
-    /// (greedy or exact search under the AGM-weighted width).
+    /// the width optimizers' pick.
     ///
     /// Every one of them — the linear extensions too, sound though they are
     /// by Theorems 6.8/6.23 — has passed `check_ordering` and the EVO
@@ -202,24 +200,12 @@ impl Planner {
     /// of candidates that share prefixes share the expression trees built
     /// along them ([`crate::evo`]): testing all of them costs about what
     /// testing a handful used to.
-    fn candidates<D: AggDomain>(
-        &self,
-        q: &FaqQuery<D>,
-        shape: &QueryShape,
-        h: &Hypergraph,
-        sizes: &[u64],
-    ) -> Vec<Vec<Var>> {
+    fn candidates<D: AggDomain>(&self, q: &FaqQuery<D>, shape: &QueryShape) -> Vec<Vec<Var>> {
         let (mut candidates, exhausted) = crate::evo::linear_extensions(shape, self.linex_cap);
         if !exhausted {
             if let Ok(r) = crate::width::faqw_optimize(shape, 1, self.exact_limit) {
                 candidates.push(r.order);
             }
-            let data_driven = best_ordering(
-                h,
-                |b| agm_bound(h, b, sizes).map(|a| a.log2()).unwrap_or(b.len() as f64),
-                self.exact_limit,
-            );
-            candidates.push(data_driven.order);
         }
         let mut checker = EvoChecker::new(shape);
         candidates.retain(|sigma| q.check_ordering(sigma).is_ok() && checker.check(sigma));
@@ -878,7 +864,7 @@ mod tests {
     fn assert_costs_follow_the_compiled_program<D: AggDomain>(q: &FaqQuery<D>, at_least: usize) {
         let h = q.hypergraph();
         let sizes: Vec<u64> = q.factors.iter().map(|f| f.len() as u64).collect();
-        let mut candidates = Planner::sequential().candidates(q, &q.shape(), &h, &sizes);
+        let mut candidates = Planner::sequential().candidates(q, &q.shape());
         assert!(candidates.len() >= at_least, "{q:?}: {} candidates", candidates.len());
         candidates.push(q.ordering());
         let mut model = CostModel::new(&h, &sizes, q);

@@ -927,8 +927,14 @@ impl<E: SemiringElem> Factor<E> {
 
         // Dropping the *last* column keeps rows grouped already (the order
         // spilled listings stream in); any other column pays for a stable
-        // index sort inside `for_each_row_grouped`.
+        // index sort inside `for_each_row_grouped` — or, spilled, for a heap
+        // copy with `var` moved last, whose groups list their rows in the
+        // same order.
         let grouped = vpos + 1 == self.arity();
+        if !grouped && self.is_spilled() {
+            let var_last: Vec<Var> = new_schema.iter().copied().chain([var]).collect();
+            return self.reorder(&var_last).marginalize_product(var, dom_size, mul, is_zero);
+        }
         let mut out = FactorBuilder::new(new_schema).expect("projected schema stays valid");
         let mut key: Vec<u32> = Vec::with_capacity(positions.len());
         let mut buf: Vec<u32> = vec![0; positions.len()];
@@ -972,12 +978,12 @@ impl<E: SemiringElem> Factor<E> {
     ) -> Factor<E> {
         let mut out = FactorBuilder::new(self.body.schema.clone()).expect("schema already valid");
         out.reserve(self.body.len);
-        for i in 0..self.body.len {
-            let nv = f(&self.mem_vals()[i]);
+        self.for_each_row_grouped(true, &[], &mut |row, val| {
+            let nv = f(val);
             if !is_zero(&nv) {
-                out.push(self.row(i), nv);
+                out.push(row, nv);
             }
-        }
+        });
         out.finish()
     }
 

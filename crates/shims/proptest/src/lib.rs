@@ -2,8 +2,8 @@
 //! property-testing crate.
 //!
 //! The build environment has no network access to a cargo registry, so this
-//! crate implements the subset of the proptest API that
-//! `tests/proptest_invariants.rs` uses:
+//! crate implements the subset of the proptest API the workspace's tests
+//! use:
 //!
 //! * the [`proptest!`] macro (including `#![proptest_config(..)]` and
 //!   `arg in strategy` bindings);
@@ -12,13 +12,17 @@
 //! * [`collection::vec`] and [`collection::btree_set`] with `usize`, range,
 //!   or inclusive-range size specifiers;
 //! * [`prop_assert!`] / [`prop_assert_eq!`] and
-//!   [`ProptestConfig::with_cases`].
+//!   [`ProptestConfig::with_cases`];
+//! * [`run_property`], the case loop behind the macro, which
+//!   `tests/oracle.rs` calls directly so one test can tally what its cases
+//!   drew.
 //!
 //! Failing cases are re-run verbatim by re-seeding (each case prints its seed
 //! on failure), but there is **no shrinking** — the real crate minimizes
 //! counterexamples, this one reports them as drawn. Swap the path dependency
-//! for the registry crate when a registry is reachable; the tests need no
-//! changes.
+//! for the registry crate when a registry is reachable; only the
+//! `run_property` call needs a change (to the registry crate's
+//! `test_runner::TestRunner`).
 
 #![warn(missing_docs)]
 
@@ -57,7 +61,8 @@ impl ProptestConfig {
 }
 
 /// Runs a property body over `config.cases` random cases. Called by the
-/// [`proptest!`] expansion; not part of the public proptest API.
+/// [`proptest!`] expansion (and by `tests/oracle.rs`); not part of the
+/// registry crate's API.
 pub fn run_property(name: &str, config: &ProptestConfig, mut case: impl FnMut(&mut StdRng)) {
     // Deterministic but distinct per property: hash the property name (FNV-1a).
     let seed0 = name

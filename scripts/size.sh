@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Per crate: non-test source lines (each file counted up to its first
-# `#[cfg(test)]`) and `pub` items — the numbers ROADMAP item 7 defines
+# `#[cfg(test)]`) and `pub` items — the numbers ROADMAP item 8 defines
 # success by — and non-test `static` items, thread-locals included: the
-# process-global state ROADMAP item 2 counts down. Run from anywhere; prints
-# a markdown table.
+# process-global state ROADMAP item 2 counts down — then a `tests` row: the
+# lines of the integration suites (`tests/*.rs` + `tests/common/*.rs`) and
+# their `#[test]` functions, proptest properties included. Run from
+# anywhere; prints markdown tables.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
@@ -33,3 +35,9 @@ for src in src crates/*/src crates/shims/*/src; do
   total_statics=$((total_statics + globals))
 done
 echo "| **total** | $total_lines | $total_pubs | $total_statics |"
+
+test_files=(tests/*.rs tests/common/*.rs)
+echo
+echo "| suite | lines | #[test] |"
+echo "|---|---:|---:|"
+echo "| tests | $(cat "${test_files[@]}" | wc -l) | $(cat "${test_files[@]}" | grep -c '#\[test\]') |"

@@ -1,14 +1,20 @@
-//! Helpers shared by the equivalence suites (`mod common;` in each): the
-//! small triangle instance they all generate and the cursor walk that reads
-//! a trie back as a listing. Not every suite uses every item.
+//! Helpers shared by the test suites (`mod common;` in each): the engine's
+//! differential oracle ([`oracle`]: the one instance × configuration
+//! generator and the checks it and the named edge cases share), the
+//! fixed-support pair factors of the hand-written cases, and the cursor walk
+//! and trie definition the storage suites check indexes with. Not every
+//! suite uses every item.
 #![allow(dead_code)]
 
-use faq::core::VarAgg;
-use faq::factor::{Factor, FactorTrie, TrieCursor};
-use faq::hypergraph::Var;
-use faq::semiring::SemiringElem;
+pub mod oracle;
 
-/// Domain size of every variable of the generated instances.
+use faq::core::{FaqQuery, VarAgg};
+use faq::factor::{Domains, Factor, FactorTrie, TrieCursor};
+use faq::hypergraph::Var;
+use faq::semiring::{CountDomain, SemiringElem};
+use rand::{rngs::StdRng, Rng, SeedableRng};
+
+/// Domain size of every variable of the hand-written cases.
 pub const DOM: u32 = 4;
 
 /// Decode a support bitmap over `DOM²` into a factor over `(a, b)`: cell `i`
@@ -29,17 +35,24 @@ pub fn pairs_factor<E: Clone + PartialEq + std::fmt::Debug + Send + Sync>(
     Factor::new(vec![Var(a), Var(b)], tuples).unwrap()
 }
 
-/// The triangle-shaped query skeleton shared by the semiring families:
-/// variables {0, 1, 2}, the first `free` of them free, the rest carrying the
-/// aggregate `pick` makes of their entry in `aggs`.
-pub fn skeleton(
-    free: usize,
-    aggs: &[usize],
-    pick: impl Fn(usize) -> VarAgg,
-) -> (Vec<Var>, Vec<(Var, VarAgg)>) {
-    let free_vars: Vec<Var> = (0..free as u32).map(Var).collect();
-    let bound: Vec<(Var, VarAgg)> = (free..3).map(|i| (Var(i as u32), pick(aggs[i]))).collect();
-    (free_vars, bound)
+/// The large single-shot case of the suites: `ϕ(x0) = Σ_{x1} max_{x2}
+/// ψ01 ψ12 ψ02` over counting with `Dom = d`, each factor `rows` random keys
+/// (duplicates collapse) valued in `1..5`.
+pub fn random_triangle(seed: u64, d: u32, rows: usize) -> FaqQuery<CountDomain> {
+    let mut r = StdRng::seed_from_u64(seed);
+    let mut mk = |a: u32, b: u32| {
+        let mut tuples = std::collections::BTreeMap::new();
+        for _ in 0..rows {
+            tuples.insert(vec![r.gen_range(0..d), r.gen_range(0..d)], r.gen_range(1..5u64));
+        }
+        Factor::new(vec![Var(a), Var(b)], tuples.into_iter().collect()).unwrap()
+    };
+    let factors = vec![mk(0, 1), mk(1, 2), mk(0, 2)];
+    let bound = vec![
+        (Var(1), VarAgg::Semiring(CountDomain::SUM)),
+        (Var(2), VarAgg::Semiring(CountDomain::MAX)),
+    ];
+    FaqQuery::new(CountDomain, Domains::uniform(3, d), vec![Var(0)], bound, factors).unwrap()
 }
 
 /// Depth-first enumeration through a trie cursor: every `(row, row_index)`

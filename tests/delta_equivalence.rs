@@ -1,242 +1,30 @@
-//! Differential tests: `PreparedQuery::apply_delta` is bit-identical to
-//! merging the delta by hand, swapping the factor in with `update_factor`,
-//! and re-evaluating from scratch — and so is the publish seam a serving
-//! writer uses: one `DeltaFactor::apply_to` on the catalog's copy of the
-//! slot, then `PreparedQuery::install_merged` on each handle.
+//! Differential tests, named cases: `PreparedQuery::apply_delta` is
+//! bit-identical to merging the delta by hand, swapping the factor in with
+//! `update_factor`, and re-evaluating from scratch — and so is the publish
+//! seam a serving writer uses: one `DeltaFactor::apply_to` on the catalog's
+//! copy of the slot, then `PreparedQuery::install_merged` on each handle.
 //!
-//! Three proptest families — counting (sum/max/product aggregate mixes),
-//! max-tropical, boolean — each checked under planners with threads ∈
-//! {1, 2, 4}, plus deterministic adversarial cases: the empty delta, a delta
-//! touching every row, deltas against an empty factor, repeated deltas to
-//! one slot, interleaved deltas across slots, and the `update_factor`
-//! rollback regression (failed updates leave cached intermediates intact).
+//! Random instances of every semiring family, through both delta paths,
+//! are `tests/oracle.rs`'s. Here are the deterministic adversarial cases,
+//! checked with the same helpers (`common::oracle`): the empty delta, a
+//! delta touching every row, deltas against an empty factor, a reordered
+//! slot, repeated deltas to one slot, interleaved deltas across slots,
+//! spilled bases, and the `update_factor` rollback regression (failed
+//! updates leave cached intermediates intact).
 
 use faq::core::{FaqError, FaqQuery, Planner, PreparedQuery, VarAgg};
 use faq::factor::{DeltaFactor, DeltaOp, Domains, Factor, SpillConfig};
 use faq::hypergraph::Var;
-use faq::semiring::{AggDomain, AggId, BoolDomain, CountDomain, MaxPlus, SingleSemiringDomain};
-use proptest::prelude::*;
+use faq::semiring::{AggId, CountDomain};
 
 mod common;
-use common::{pairs_factor, skeleton, DOM};
+use common::oracle::{
+    assert_delta_matches, check_delta_family, chunking_planner, publish_by_hand, THREADS,
+};
+use common::{pairs_factor, DOM};
 
 /// One delta batch over a counting factor: sorted keys with their ops.
 type DeltaEntries = Vec<(Vec<u32>, DeltaOp<u64>)>;
-
-/// Planners under test: sequential plus parallel with an adversarial chunk
-/// floor, so multi-threaded plans actually engage on tiny inputs.
-fn planners() -> Vec<Planner> {
-    [1usize, 2, 4]
-        .into_iter()
-        .map(|threads| {
-            let mut p = Planner::with_threads(threads);
-            p.policy.min_chunk_rows = 1;
-            p
-        })
-        .collect()
-}
-
-/// Apply `delta` incrementally on `prepared` and from scratch on `oracle`
-/// (manual merge + `update_factor` + `evaluate`), asserting bit-identical
-/// output factors; returns the from-scratch output.
-fn assert_delta_matches<D: AggDomain + Clone + Sync>(
-    prepared: &mut PreparedQuery<D>,
-    oracle: &mut PreparedQuery<D>,
-    slot: usize,
-    delta: &DeltaFactor<D::E>,
-) -> Factor<D::E> {
-    let incr = prepared.apply_delta(slot, delta).unwrap();
-    let dom = oracle.query().domain.clone();
-    let order = oracle.plan().order.clone();
-    let aligned = delta.align_to(&order);
-    let (merged, _) = aligned.apply_to(
-        &oracle.query().factors[slot],
-        |a, b| dom.add(AggId(0), a, b),
-        |x| dom.is_zero(x),
-    );
-    oracle.update_factor(slot, merged).unwrap();
-    let fresh = oracle.evaluate().unwrap();
-    assert_eq!(incr.factor, fresh.factor, "incremental output diverged from recompute");
-    fresh.factor
-}
-
-/// The publish seam, by hand: merge `delta` into a copy of the slot kept in
-/// the query's *original* column order (a serving catalog's copy), then give
-/// `(merged, ranges)` to the handle's install half. A handle whose plan
-/// reordered its copy of the slot must refuse that merge untouched — it is
-/// not a version of the factor it holds — and takes `apply_delta` instead.
-/// Returns the handle's output.
-fn publish_by_hand<D: AggDomain + Clone + Sync>(
-    catalog: &mut Factor<D::E>,
-    handle: &mut PreparedQuery<D>,
-    slot: usize,
-    delta: &DeltaFactor<D::E>,
-) -> Factor<D::E> {
-    let dom = handle.query().domain.clone();
-    let (merged, ranges) = delta.align_to(catalog.schema()).apply_to(
-        catalog,
-        |a, b| dom.add(AggId(0), a, b),
-        |x| dom.is_zero(x),
-    );
-    let input = handle.query().factors[slot].clone();
-    let out = if input.schema() == merged.schema() {
-        let unchanged = ranges.is_empty();
-        let out = handle.install_merged(slot, merged.clone(), ranges).unwrap();
-        // An effect-free batch replays nothing and keeps the body it had;
-        // otherwise the handle now reads the one merged body.
-        let kept = if unchanged { &input } else { &merged };
-        assert!(handle.query().factors[slot].shares_body(kept));
-        assert!(!unchanged || out.stats.steps.is_empty());
-        out
-    } else {
-        assert!(matches!(
-            handle.install_merged(slot, merged.clone(), ranges),
-            Err(FaqError::BadOrdering(_))
-        ));
-        assert!(handle.query().factors[slot].shares_body(&input), "a refused install mutated");
-        handle.apply_delta(slot, delta).unwrap()
-    };
-    *catalog = merged;
-    out.factor
-}
-
-/// Run one delta twice (deltas accumulate) against every planner.
-fn check_delta_family<D: AggDomain + Clone + Sync>(
-    q: &FaqQuery<D>,
-    slot: usize,
-    entries: Vec<(Vec<u32>, DeltaOp<D::E>)>,
-) {
-    let delta = DeltaFactor::new(q.factors[slot].schema().to_vec(), entries).unwrap();
-    for planner in planners() {
-        let mut prepared = planner.prepare(q).unwrap();
-        let mut oracle = planner.prepare(q).unwrap();
-        let mut seam = planner.prepare(q).unwrap();
-        let mut catalog = q.factors[slot].clone();
-        // A second application of the same batch accumulates on the cached
-        // intermediates of the first.
-        for _ in 0..2 {
-            let fresh = assert_delta_matches(&mut prepared, &mut oracle, slot, &delta);
-            let seamed = publish_by_hand(&mut catalog, &mut seam, slot, &delta);
-            assert_eq!(seamed, fresh, "merge-once-then-install diverged from recompute");
-        }
-    }
-}
-
-/// Strategy: raw delta entries (key, kind, value-seed) with distinct keys.
-fn delta_entries() -> impl Strategy<Value = Vec<(u32, u32, usize, u64)>> {
-    proptest::collection::vec((0u32..DOM, 0u32..DOM, 0usize..3, 0u64..5), 0..8).prop_map(|raw| {
-        // Deduplicate keys (last write wins) — DeltaFactor rejects duplicates.
-        let mut by_key = std::collections::BTreeMap::new();
-        for (a, b, kind, v) in raw {
-            by_key.insert((a, b), (kind, v));
-        }
-        by_key.into_iter().map(|((a, b), (kind, v))| (a, b, kind, v)).collect()
-    })
-}
-
-fn delta_ops<E>(
-    raw: &[(u32, u32, usize, u64)],
-    mut value_of: impl FnMut(u64) -> E,
-) -> Vec<(Vec<u32>, DeltaOp<E>)> {
-    raw.iter()
-        .map(|&(a, b, kind, v)| {
-            let op = match kind {
-                0 => DeltaOp::Put(value_of(v)),
-                1 => DeltaOp::Merge(value_of(v)),
-                _ => DeltaOp::Delete,
-            };
-            (vec![a, b], op)
-        })
-        .collect()
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Counting semiring, sum / max / product aggregate mixes.
-    #[test]
-    fn counting_delta_equals_recompute(
-        s01 in proptest::collection::vec(0u32..2, (DOM * DOM) as usize),
-        s12 in proptest::collection::vec(0u32..2, (DOM * DOM) as usize),
-        s02 in proptest::collection::vec(0u32..2, (DOM * DOM) as usize),
-        free in 0usize..=3,
-        aggs in proptest::collection::vec(0usize..3, 3),
-        slot in 0usize..3,
-        raw in delta_entries(),
-    ) {
-        let pick = |i: usize| match i {
-            0 => VarAgg::Semiring(CountDomain::SUM),
-            1 => VarAgg::Semiring(CountDomain::MAX),
-            _ => VarAgg::Product,
-        };
-        let (free_vars, bound) = skeleton(free, &aggs, pick);
-        let q = FaqQuery::new(
-            CountDomain,
-            Domains::uniform(3, DOM),
-            free_vars,
-            bound,
-            vec![
-                pairs_factor(0, 1, &s01, |i| i as u64 % 3 + 1),
-                pairs_factor(1, 2, &s12, |i| i as u64 % 4 + 1),
-                pairs_factor(0, 2, &s02, |i| i as u64 % 2 + 1),
-            ],
-        ).unwrap();
-        check_delta_family(&q, slot, delta_ops(&raw, |v| v));
-    }
-
-    /// Max-tropical semiring (f64 carrier): restricted replay must stay
-    /// bit-identical even for floating-point values.
-    #[test]
-    fn tropical_delta_equals_recompute(
-        s01 in proptest::collection::vec(0u32..2, (DOM * DOM) as usize),
-        s12 in proptest::collection::vec(0u32..2, (DOM * DOM) as usize),
-        s02 in proptest::collection::vec(0u32..2, (DOM * DOM) as usize),
-        free in 0usize..=3,
-        slot in 0usize..3,
-        raw in delta_entries(),
-    ) {
-        let dom = SingleSemiringDomain::new(MaxPlus);
-        let (free_vars, bound) = skeleton(free, &[0, 0, 0], |_| VarAgg::Semiring(AggId(0)));
-        let q = FaqQuery::new(
-            dom,
-            Domains::uniform(3, DOM),
-            free_vars,
-            bound,
-            vec![
-                pairs_factor(0, 1, &s01, |i| i as f64 * 0.5),
-                pairs_factor(1, 2, &s12, |i| i as f64 - 3.0),
-                pairs_factor(0, 2, &s02, |i| (i % 5) as f64),
-            ],
-        ).unwrap();
-        check_delta_family(&q, slot, delta_ops(&raw, |v| v as f64 - 1.0));
-    }
-
-    /// Boolean semiring (conjunctive queries with projections).
-    #[test]
-    fn boolean_delta_equals_recompute(
-        s01 in proptest::collection::vec(0u32..2, (DOM * DOM) as usize),
-        s12 in proptest::collection::vec(0u32..2, (DOM * DOM) as usize),
-        s02 in proptest::collection::vec(0u32..2, (DOM * DOM) as usize),
-        free in 0usize..=3,
-        slot in 0usize..3,
-        raw in delta_entries(),
-    ) {
-        let (free_vars, bound) =
-            skeleton(free, &[0, 0, 0], |_| VarAgg::Semiring(BoolDomain::OR));
-        let q = FaqQuery::new(
-            BoolDomain,
-            Domains::uniform(3, DOM),
-            free_vars,
-            bound,
-            vec![
-                pairs_factor(0, 1, &s01, |_| true),
-                pairs_factor(1, 2, &s12, |_| true),
-                pairs_factor(0, 2, &s02, |_| true),
-            ],
-        ).unwrap();
-        check_delta_family(&q, slot, delta_ops(&raw, |_| true));
-    }
-}
 
 /// An all-free counting triangle over fixed supports — the deterministic
 /// workhorse of the adversarial cases.
@@ -401,7 +189,8 @@ fn repeated_deltas_to_one_slot_accumulate() {
 #[test]
 fn interleaved_deltas_across_slots_accumulate() {
     let q = counting_triangle();
-    for planner in planners() {
+    for threads in THREADS {
+        let planner = chunking_planner(threads);
         let mut prepared = planner.prepare(&q).unwrap();
         let mut oracle = planner.prepare(&q).unwrap();
         let script: Vec<(usize, DeltaEntries)> = vec![

@@ -1,16 +1,15 @@
-//! Property tests: cost-based plans are a pure performance choice — outputs
-//! are bit-identical to the sequential InsideOut engine — plus the planner
-//! edge-case suite and the degenerate-query panic regressions.
+//! The planner's edge-case suite and the degenerate-query panic
+//! regressions. Cost-based plans are a pure performance choice — outputs are
+//! bit-identical to the sequential InsideOut engine — and the random
+//! instances that show it for every semiring family, thread count and
+//! ordering are `tests/oracle.rs`'s; these are the named cases:
 //!
-//! Three layers:
-//!
-//! 1. **Proptests** — random triangle-shaped queries over the counting,
-//!    max-tropical, and boolean semirings: `PreparedQuery::evaluate` under
-//!    planners with threads ∈ {1, 2, 4} equals `Engine::sequential()` bit for bit
-//!    (mirroring `tests/trie_equivalence.rs`).
-//! 2. **Edge cases** — empty factors, single-row factors, single-variable
-//!    queries, and repeated evaluation/updating through one handle.
-//! 3. **Regressions** — the two former panic paths (a free variable covered
+//! 1. **Edge cases** — empty factors, single-row factors and
+//!    single-variable queries through `common::oracle`'s
+//!    `assert_plan_equivalent` (chunking planners with threads ∈ {1, 2, 4},
+//!    every admission budget); thread counts that choose plans but not
+//!    results; plans that never cross domains.
+//! 2. **Regressions** — the two former panic paths (a free variable covered
 //!    by no edge; all-nullary inputs) now surface as
 //!    `FaqError::Uncoverable` from the width API while evaluation —
 //!    sequential, parallel, and planned — keeps working.
@@ -20,138 +19,11 @@ use faq::core::{naive_eval, ElimStats, Engine};
 use faq::core::{ExecPolicy, FaqError, FaqQuery, Planner, VarAgg};
 use faq::factor::{Domains, Factor};
 use faq::hypergraph::Var;
-use faq::semiring::{AggDomain, BoolDomain, CountDomain, MaxPlus, SingleSemiringDomain};
-use proptest::prelude::*;
+use faq::semiring::{AggDomain, BoolDomain, CountDomain};
 
 mod common;
-use common::{pairs_factor, skeleton, DOM};
-
-/// Planners under test: sequential plus parallel with an adversarial chunk
-/// floor, so planned steps are actually chunked on tiny inputs.
-fn planners() -> Vec<Planner> {
-    [1usize, 2, 4]
-        .into_iter()
-        .map(|threads| {
-            let mut p = Planner::with_threads(threads);
-            p.policy.min_chunk_rows = 1;
-            p
-        })
-        .collect()
-}
-
-/// Assert every planner's prepared evaluation equals the sequential engine's,
-/// under the plan's own policy and under every admission budget.
-fn assert_plan_equivalent<D: AggDomain + Clone + Sync>(q: &FaqQuery<D>) {
-    let reference = Engine::sequential().evaluate(q).unwrap();
-    for planner in planners() {
-        let prepared = planner.prepare(q).unwrap();
-        let out = prepared.evaluate().unwrap();
-        assert_eq!(
-            out.factor,
-            reference.factor,
-            "plan diverged under threads={} (order {:?})",
-            planner.policy.threads,
-            prepared.plan().order
-        );
-        // Serving path: a second evaluation through the same handle is
-        // equally exact, whatever budget it is admitted under.
-        assert_eq!(prepared.evaluate().unwrap().factor, reference.factor);
-        for budget in [1usize, 2, 4] {
-            let cap = ExecPolicy::with_threads(budget).min_chunk_rows(1);
-            assert_eq!(
-                prepared.evaluate_budgeted(&cap).unwrap().factor,
-                reference.factor,
-                "plan threads={} diverged under a {budget}-thread budget",
-                planner.policy.threads
-            );
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Counting semiring: sum / max / product aggregate mixes.
-    #[test]
-    fn counting_plans_equal_insideout(
-        s01 in proptest::collection::vec(0u32..3, (DOM * DOM) as usize),
-        s12 in proptest::collection::vec(0u32..3, (DOM * DOM) as usize),
-        s02 in proptest::collection::vec(0u32..3, (DOM * DOM) as usize),
-        aggs in proptest::collection::vec(0usize..3, 3),
-        free in 0usize..3,
-    ) {
-        let f01 = pairs_factor(0, 1, &s01, |i| s01[i] as u64);
-        let f12 = pairs_factor(1, 2, &s12, |i| s12[i] as u64);
-        let f02 = pairs_factor(0, 2, &s02, |i| s02[i] as u64);
-        let (free_vars, bound) = skeleton(free, &aggs, |a| match a {
-            0 => VarAgg::Semiring(CountDomain::SUM),
-            1 => VarAgg::Semiring(CountDomain::MAX),
-            _ => VarAgg::Product,
-        });
-        let q = FaqQuery::new(
-            CountDomain,
-            Domains::uniform(3, DOM),
-            free_vars,
-            bound,
-            vec![f01, f12, f02],
-        ).unwrap();
-        assert_plan_equivalent(&q);
-    }
-
-    /// Max-tropical semiring on an f64 carrier: bit-identity, not tolerance.
-    #[test]
-    fn max_tropical_plans_equal_insideout(
-        s01 in proptest::collection::vec(0u32..4, (DOM * DOM) as usize),
-        s12 in proptest::collection::vec(0u32..4, (DOM * DOM) as usize),
-        aggs in proptest::collection::vec(0usize..2, 3),
-        free in 0usize..3,
-    ) {
-        let val = |s: &[u32]| {
-            let s = s.to_vec();
-            move |i: usize| s[i] as f64 * 0.25
-        };
-        let f01 = pairs_factor(0, 1, &s01, val(&s01));
-        let f12 = pairs_factor(1, 2, &s12, val(&s12));
-        let (free_vars, bound) = skeleton(free, &aggs, |a| match a {
-            0 => VarAgg::Semiring(SingleSemiringDomain::<MaxPlus>::OP),
-            _ => VarAgg::Product,
-        });
-        let q = FaqQuery::new(
-            SingleSemiringDomain::new(MaxPlus),
-            Domains::uniform(3, DOM),
-            free_vars,
-            bound,
-            vec![f01, f12],
-        ).unwrap();
-        assert_plan_equivalent(&q);
-    }
-
-    /// Boolean semiring: ∃ / ∀ quantifier mixes.
-    #[test]
-    fn boolean_plans_equal_insideout(
-        s01 in proptest::collection::vec(0u32..2, (DOM * DOM) as usize),
-        s12 in proptest::collection::vec(0u32..2, (DOM * DOM) as usize),
-        s02 in proptest::collection::vec(0u32..2, (DOM * DOM) as usize),
-        aggs in proptest::collection::vec(0usize..2, 3),
-        free in 0usize..3,
-    ) {
-        let f01 = pairs_factor(0, 1, &s01, |_| true);
-        let f12 = pairs_factor(1, 2, &s12, |_| true);
-        let f02 = pairs_factor(0, 2, &s02, |_| true);
-        let (free_vars, bound) = skeleton(free, &aggs, |a| match a {
-            0 => VarAgg::Semiring(BoolDomain::OR),
-            _ => VarAgg::Product,
-        });
-        let q = FaqQuery::new(
-            BoolDomain,
-            Domains::uniform(3, DOM),
-            free_vars,
-            bound,
-            vec![f01, f12, f02],
-        ).unwrap();
-        assert_plan_equivalent(&q);
-    }
-}
+use common::oracle::assert_plan_equivalent;
+use common::{random_triangle, DOM};
 
 // ---- Edge cases ------------------------------------------------------------
 
@@ -221,27 +93,7 @@ fn single_variable_queries_plan_and_evaluate() {
 fn thread_counts_choose_plans_not_results() {
     // Large enough (~2100 distinct rows per factor) that a 4-thread plan's
     // steps clear the default chunk floor.
-    use rand::{rngs::StdRng, Rng, SeedableRng};
-    let mut r = StdRng::seed_from_u64(77);
-    let d = 64u32;
-    let mut mk = |a: u32, b: u32| {
-        let mut tuples = std::collections::BTreeMap::new();
-        for _ in 0..3000 {
-            tuples.insert(vec![r.gen_range(0..d), r.gen_range(0..d)], r.gen_range(1..5u64));
-        }
-        Factor::new(vec![Var(a), Var(b)], tuples.into_iter().collect()).unwrap()
-    };
-    let q = FaqQuery::new(
-        CountDomain,
-        Domains::uniform(3, d),
-        vec![Var(0)],
-        vec![
-            (Var(1), VarAgg::Semiring(CountDomain::SUM)),
-            (Var(2), VarAgg::Semiring(CountDomain::MAX)),
-        ],
-        vec![mk(0, 1), mk(1, 2), mk(0, 2)],
-    )
-    .unwrap();
+    let q = random_triangle(77, 64, 3000);
     let seq_plan = Planner::sequential().prepare(&q).unwrap();
     let par_plan = Planner::with_threads(4).prepare(&q).unwrap();
     assert_eq!(seq_plan.plan().policy.threads, 1);

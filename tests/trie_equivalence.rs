@@ -1,7 +1,7 @@
 //! Property tests: the columnar trie index is an exact, drop-in equivalent of
 //! the sorted listing representation.
 //!
-//! Three layers of evidence over random factors and queries:
+//! Four layers of evidence over random factors:
 //!
 //! 1. **Structure** — depth-first trie-cursor enumeration visits exactly the
 //!    listing's rows, in order, ending at the right row indices; and the one
@@ -13,32 +13,27 @@
 //!    and range-restricted root views agree with the listing's
 //!    `seek_column`/`prefix_range` oracle at every depth, and `Factor::get`
 //!    agrees with a linear scan;
-//! 3. **Joins** — InsideOut over the trie join kernel is bit-identical to
-//!    brute force over the listings ([`faq::core::naive_eval`]) and to
-//!    [`Engine::sequential`] across the counting, max-tropical, and boolean
-//!    semirings for thread counts {1, 2, 4}, at the sequential seek count on
-//!    one thread (the listing join *kernel* ≡ the trie kernel, seek counts
-//!    included, is pinned where both live: `faq_join`'s
-//!    `listing_and_trie_agree_bit_for_bit`);
-//! 4. **Seek kernels** — the galloping/block-search `lub_from` of the default
+//! 3. **Seek kernels** — the galloping/block-search `lub_from` of the default
 //!    [`faq::factor::VecStorage`] matches the `partition_point` oracle on
 //!    adversarial windows (empty, singleton, all-equal, head-sample boundary
 //!    sizes 63/64/65) for every hint, and hint-carrying cursor seek sequences
 //!    match the stateless listing oracle probe for probe;
-//! 5. **Spilled storage** — file-chunked ([`faq::factor::SpillConfig`])
-//!    inputs produce bit-identical join outputs to the same factors on the
-//!    heap across semirings and thread counts, for chunk sizes 1 / C−1 / C /
-//!    C+1 (rows straddling every boundary alignment), at identical 1-thread
-//!    seek counts.
+//! 4. **One large join** through the engine's oracle (`common::oracle`).
+//!
+//! Joins over random queries — InsideOut over the trie kernel ≡ brute force
+//! and ≡ the sequential engine for every semiring family and thread count,
+//! over in-memory and file-chunked inputs at identical 1-thread seek counts —
+//! are `tests/oracle.rs`'s; the listing join *kernel* ≡ the trie kernel, seek
+//! counts included, is pinned where both live: `faq_join`'s
+//! `listing_and_trie_agree_bit_for_bit`.
 
-use faq::core::{naive_eval, Engine, ExecPolicy, FaqQuery, VarAgg};
-use faq::factor::{Domains, Factor, LevelStorage, SpillConfig, TrieCursor, VecStorage};
+use faq::factor::{Factor, LevelStorage, SpillConfig, TrieCursor, VecStorage};
 use faq::hypergraph::Var;
-use faq::semiring::{AggDomain, BoolDomain, CountDomain, MaxPlus, SingleSemiringDomain};
 use proptest::prelude::*;
 
 mod common;
-use common::{assert_trie_indexes, dfs, pairs_factor, skeleton, DOM};
+use common::oracle::{check, Config, Instance, Path, Sigma};
+use common::{assert_trie_indexes, dfs, random_triangle, DOM};
 
 /// Build an arity-3 factor over `DOM³` from a support/value bitmap.
 fn factor3(cells: &[u32]) -> Factor<u64> {
@@ -270,267 +265,19 @@ proptest! {
     }
 }
 
-/// Thread counts under test for the join-equivalence layer.
-const THREADS: [usize; 3] = [1, 2, 4];
-
-/// Evaluate over the trie kernel for every thread count and assert the
-/// outputs are bit-identical to brute force over the listings.
-fn assert_engine_matches_listings<D: AggDomain + Sync>(q: &FaqQuery<D>) {
-    let reference = naive_eval(q);
-    let sequential = Engine::sequential().evaluate(q).unwrap();
-    assert_eq!(sequential.factor, reference, "sequential engine diverged from naive");
-    for threads in THREADS {
-        let policy = ExecPolicy::sequential().threads(threads).min_chunk_rows(1);
-        let out = Engine::with_policy(policy).evaluate(q).unwrap();
-        assert_eq!(out.factor, reference, "diverged under threads={threads}");
-        // A one-thread policy is the sequential engine, whatever its chunk
-        // floor. (Chunked runs search each range from its own root, so counts
-        // are only pinned at 1 thread.)
-        if threads == 1 {
-            assert_eq!(out.stats.total_seeks(), sequential.stats.total_seeks());
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Counting semiring: sum / max / product aggregate mixes.
-    #[test]
-    fn counting_listing_equals_trie(
-        s01 in proptest::collection::vec(0u32..3, (DOM * DOM) as usize),
-        s12 in proptest::collection::vec(0u32..3, (DOM * DOM) as usize),
-        s02 in proptest::collection::vec(0u32..3, (DOM * DOM) as usize),
-        aggs in proptest::collection::vec(0usize..3, 3),
-        free in 0usize..3,
-    ) {
-        let f01 = pairs_factor(0, 1, &s01, |i| s01[i] as u64);
-        let f12 = pairs_factor(1, 2, &s12, |i| s12[i] as u64);
-        let f02 = pairs_factor(0, 2, &s02, |i| s02[i] as u64);
-        let (free_vars, bound) = skeleton(free, &aggs, |a| match a {
-            0 => VarAgg::Semiring(CountDomain::SUM),
-            1 => VarAgg::Semiring(CountDomain::MAX),
-            _ => VarAgg::Product,
-        });
-        let q = FaqQuery::new(
-            CountDomain,
-            Domains::uniform(3, DOM),
-            free_vars,
-            bound,
-            vec![f01, f12, f02],
-        ).unwrap();
-        assert_engine_matches_listings(&q);
-    }
-
-    /// Max-tropical semiring on an f64 carrier: bit-identity, not tolerance.
-    #[test]
-    fn max_tropical_listing_equals_trie(
-        s01 in proptest::collection::vec(0u32..4, (DOM * DOM) as usize),
-        s12 in proptest::collection::vec(0u32..4, (DOM * DOM) as usize),
-        aggs in proptest::collection::vec(0usize..2, 3),
-        free in 0usize..3,
-    ) {
-        let val = |s: &[u32]| {
-            let s = s.to_vec();
-            move |i: usize| s[i] as f64 * 0.25
-        };
-        let f01 = pairs_factor(0, 1, &s01, val(&s01));
-        let f12 = pairs_factor(1, 2, &s12, val(&s12));
-        let (free_vars, bound) = skeleton(free, &aggs, |a| match a {
-            0 => VarAgg::Semiring(SingleSemiringDomain::<MaxPlus>::OP),
-            _ => VarAgg::Product,
-        });
-        let q = FaqQuery::new(
-            SingleSemiringDomain::new(MaxPlus),
-            Domains::uniform(3, DOM),
-            free_vars,
-            bound,
-            vec![f01, f12],
-        ).unwrap();
-        assert_engine_matches_listings(&q);
-    }
-
-    /// Boolean semiring: ∃ / ∀ quantifier mixes.
-    #[test]
-    fn boolean_listing_equals_trie(
-        s01 in proptest::collection::vec(0u32..2, (DOM * DOM) as usize),
-        s12 in proptest::collection::vec(0u32..2, (DOM * DOM) as usize),
-        s02 in proptest::collection::vec(0u32..2, (DOM * DOM) as usize),
-        aggs in proptest::collection::vec(0usize..2, 3),
-        free in 0usize..3,
-    ) {
-        let f01 = pairs_factor(0, 1, &s01, |_| true);
-        let f12 = pairs_factor(1, 2, &s12, |_| true);
-        let f02 = pairs_factor(0, 2, &s02, |_| true);
-        let (free_vars, bound) = skeleton(free, &aggs, |a| match a {
-            0 => VarAgg::Semiring(BoolDomain::OR),
-            _ => VarAgg::Product,
-        });
-        let q = FaqQuery::new(
-            BoolDomain,
-            Domains::uniform(3, DOM),
-            free_vars,
-            bound,
-            vec![f01, f12, f02],
-        ).unwrap();
-        assert_engine_matches_listings(&q);
-    }
-}
-
-/// Larger single-shot case: enough rows that real chunking engages, with a
-/// free variable so the guard phase and final output join run too.
+/// Larger single-shot case, through the engine's oracle: enough rows that
+/// real chunking engages, with a free variable so the guard phase and final
+/// output join run too — 4 threads at chunk floor 1 under the plan's policy,
+/// then every admission budget (1 thread at the sequential seek count).
 #[test]
 fn large_query_listing_equals_trie_under_chunking() {
-    use rand::{rngs::StdRng, Rng, SeedableRng};
-    let mut r = StdRng::seed_from_u64(90210);
-    let d = 48u32;
-    let mut mk = |a: u32, b: u32| {
-        let mut tuples = std::collections::BTreeMap::new();
-        for _ in 0..2500 {
-            tuples.insert(vec![r.gen_range(0..d), r.gen_range(0..d)], r.gen_range(1..5u64));
-        }
-        Factor::new(vec![Var(a), Var(b)], tuples.into_iter().collect()).unwrap()
+    let inst = Instance::new(random_triangle(90210, 48, 2500));
+    let config = Config {
+        spill: None,
+        threads: 4,
+        min_chunk_rows: 1,
+        sigma: Sigma::Own,
+        path: Path::Prepared,
     };
-    let q = FaqQuery::new(
-        CountDomain,
-        Domains::uniform(3, d),
-        vec![Var(0)],
-        vec![
-            (Var(1), VarAgg::Semiring(CountDomain::SUM)),
-            (Var(2), VarAgg::Semiring(CountDomain::MAX)),
-        ],
-        vec![mk(0, 1), mk(1, 2), mk(0, 2)],
-    )
-    .unwrap();
-    assert_engine_matches_listings(&q);
-}
-
-/// A spill geometry with `chunk_rows` rows per chunk and a deliberately tiny
-/// pinned window, so even these small factors page chunks in and out.
-fn tiny_spill(chunk_rows: usize) -> SpillConfig {
-    SpillConfig {
-        chunk_rows,
-        level_chunk_entries: chunk_rows,
-        window_chunks: 2,
-        ..Default::default()
-    }
-}
-
-/// Evaluate `q` along the fixed ordering `(0, 1, 2)` — every triangle factor
-/// schema is a subsequence of it, so spilled inputs join without realignment
-/// — and assert the output is bit-identical to `reference` for thread counts
-/// {1, 2, 4}. Returns the 1-thread seek count.
-fn eval_triangle_order<D: AggDomain + Sync>(
-    q: &FaqQuery<D>,
-    reference: Option<&Factor<D::E>>,
-) -> (Factor<D::E>, u64) {
-    let mut one_thread = None;
-    for threads in THREADS {
-        let policy = ExecPolicy::sequential().threads(threads).min_chunk_rows(1);
-        let out =
-            Engine::with_policy(policy).evaluate_with_order(q, &[Var(0), Var(1), Var(2)]).unwrap();
-        if let Some(r) = reference {
-            assert_eq!(&out.factor, r, "diverged at threads={threads}");
-        }
-        if threads == 1 {
-            one_thread = Some((out.factor, out.stats.total_seeks()));
-        }
-    }
-    one_thread.expect("THREADS contains 1")
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// File-chunked inputs are a drop-in for the heap listing on the join
-    /// path: any subset of the triangle's factors may spill, under chunk
-    /// sizes 1, C−1, C, C+1 (C = 4, so 16-row factors straddle every
-    /// boundary alignment), and outputs stay bit-identical across thread
-    /// counts with 1-thread seek counts unchanged.
-    #[test]
-    fn spilled_counting_inputs_equal_mem_inputs(
-        s01 in proptest::collection::vec(0u32..3, (DOM * DOM) as usize),
-        s12 in proptest::collection::vec(0u32..3, (DOM * DOM) as usize),
-        s02 in proptest::collection::vec(0u32..3, (DOM * DOM) as usize),
-        chunk_pick in 0usize..4,
-        spill_mask in 1u32..8,
-        aggs in proptest::collection::vec(0usize..2, 3),
-        free in 0usize..3,
-    ) {
-        let chunk_rows = [1usize, 3, 4, 5][chunk_pick];
-        let mem = vec![
-            pairs_factor(0, 1, &s01, |i| s01[i] as u64),
-            pairs_factor(1, 2, &s12, |i| s12[i] as u64),
-            pairs_factor(0, 2, &s02, |i| s02[i] as u64),
-        ];
-        let spilled: Vec<Factor<u64>> = mem
-            .iter()
-            .enumerate()
-            .map(|(i, f)| {
-                if spill_mask & (1 << i) != 0 && !f.is_empty() {
-                    f.to_spilled(tiny_spill(chunk_rows))
-                } else {
-                    f.clone()
-                }
-            })
-            .collect();
-        let (free_vars, bound) = skeleton(free, &aggs, |a| match a {
-            0 => VarAgg::Semiring(CountDomain::SUM),
-            _ => VarAgg::Semiring(CountDomain::MAX),
-        });
-        let mk = |factors| {
-            FaqQuery::new(
-                CountDomain,
-                Domains::uniform(3, DOM),
-                free_vars.clone(),
-                bound.clone(),
-                factors,
-            )
-            .unwrap()
-        };
-        let (reference, mem_seeks) = eval_triangle_order(&mk(mem), None);
-        let (_, spill_seeks) = eval_triangle_order(&mk(spilled), Some(&reference));
-        // Seeks are counted in the join layer, above the storage backend, and
-        // the file-chunked `lub_from` answers exactly like `VecStorage` — so
-        // sequential seek counts must not move at all.
-        prop_assert_eq!(mem_seeks, spill_seeks);
-    }
-
-    /// Same drop-in claim on the max-tropical f64 carrier (bit-identity of
-    /// the float payloads through the encode/decode roundtrip, not
-    /// tolerance).
-    #[test]
-    fn spilled_tropical_inputs_equal_mem_inputs(
-        s01 in proptest::collection::vec(0u32..4, (DOM * DOM) as usize),
-        s12 in proptest::collection::vec(0u32..4, (DOM * DOM) as usize),
-        chunk_pick in 0usize..4,
-        free in 0usize..3,
-    ) {
-        let val = |s: &[u32]| {
-            let s = s.to_vec();
-            move |i: usize| s[i] as f64 * 0.25
-        };
-        let chunk_rows = [1usize, 3, 4, 5][chunk_pick];
-        let f01 = pairs_factor(0, 1, &s01, val(&s01));
-        let f12 = pairs_factor(1, 2, &s12, val(&s12));
-        let spill = |f: &Factor<f64>| {
-            if f.is_empty() { f.clone() } else { f.to_spilled(tiny_spill(chunk_rows)) }
-        };
-        let (f01s, f12s) = (spill(&f01), spill(&f12));
-        let (free_vars, bound) = skeleton(free, &[0, 0, 0], |_| {
-            VarAgg::Semiring(SingleSemiringDomain::<MaxPlus>::OP)
-        });
-        let mk = |factors| {
-            FaqQuery::new(
-                SingleSemiringDomain::new(MaxPlus),
-                Domains::uniform(3, DOM),
-                free_vars.clone(),
-                bound.clone(),
-                factors,
-            )
-            .unwrap()
-        };
-        let (reference, _) = eval_triangle_order(&mk(vec![f01, f12]), None);
-        eval_triangle_order(&mk(vec![f01s, f12s]), Some(&reference));
-    }
+    check(&inst, &config, &mut rand::SeedableRng::seed_from_u64(0));
 }
