@@ -23,13 +23,13 @@ pub struct Atom {
 
 impl Atom {
     /// Boolean factor of the atom.
-    pub fn bool_factor(&self) -> Factor<bool> {
+    pub(crate) fn bool_factor(&self) -> Factor<bool> {
         Factor::new(self.vars.clone(), self.tuples.iter().map(|t| (t.clone(), true)).collect())
             .expect("atom tuples are distinct")
     }
 
     /// `{0,1}`-valued counting factor of the atom.
-    pub fn count_factor(&self) -> Factor<u64> {
+    pub(crate) fn count_factor(&self) -> Factor<u64> {
         Factor::new(self.vars.clone(), self.tuples.iter().map(|t| (t.clone(), 1u64)).collect())
             .expect("atom tuples are distinct")
     }
@@ -50,7 +50,7 @@ pub struct ConjunctiveQuery {
 
 impl ConjunctiveQuery {
     /// The Boolean FAQ instance (CQ evaluation).
-    pub fn to_bool_faq(&self) -> Result<FaqQuery<BoolDomain>, FaqError> {
+    pub(crate) fn to_bool_faq(&self) -> Result<FaqQuery<BoolDomain>, FaqError> {
         FaqQuery::new(
             BoolDomain,
             self.domains.clone(),
@@ -73,7 +73,7 @@ impl ConjunctiveQuery {
 
     /// The #CQ instance: `Σ_{free} max_{exists} Π ψ` over the counting
     /// domain — a zero-free-variable FAQ whose scalar is the answer count.
-    pub fn to_count_faq(&self) -> Result<FaqQuery<CountDomain>, FaqError> {
+    pub(crate) fn to_count_faq(&self) -> Result<FaqQuery<CountDomain>, FaqError> {
         let mut bound: Vec<(Var, VarAgg)> =
             self.free.iter().map(|&v| (v, VarAgg::Semiring(CountDomain::SUM))).collect();
         bound.extend(self.exists.iter().map(|&v| (v, VarAgg::Semiring(CountDomain::MAX))));

@@ -192,7 +192,8 @@ pub fn n_queens(n: u32) -> Csp {
 }
 
 /// Reference permanent by Ryser-style full expansion (test oracle, `n ≤ 10`).
-pub fn permanent_naive(a: &[Vec<u64>]) -> u64 {
+#[cfg(test)]
+pub(crate) fn permanent_naive(a: &[Vec<u64>]) -> u64 {
     let n = a.len();
     assert!(n <= 10);
     let mut perm = 0u64;

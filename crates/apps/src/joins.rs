@@ -7,9 +7,8 @@
 //! bound `O~(N^{fhtw} + ‖ϕ‖)`; the classic triangle query exhibits the
 //! `N^{3/2}` AGM bound against the `N²` of any pairwise join plan.
 
-use faq_core::{Engine, ExecPolicy};
-use faq_core::{FaqError, FaqOutput, FaqQuery, Planner, PreparedQuery};
-use faq_factor::{DeltaFactor, Domains, Factor};
+use faq_core::{Engine, FaqError, FaqOutput, FaqQuery};
+use faq_factor::{Domains, Factor};
 use faq_hypergraph::Var;
 use faq_semiring::{CountSumProd, SingleSemiringDomain};
 use rand::Rng;
@@ -68,69 +67,9 @@ impl NaturalJoin {
         Engine::sequential().evaluate_with_order(&q, &sigma)
     }
 
-    /// Evaluate on the parallel engine: the guard joins and the output join
-    /// are chunked across the policy's worker pool. The output factor is
-    /// bit-identical to [`NaturalJoin::evaluate`].
-    pub fn evaluate_par(&self, policy: &ExecPolicy) -> Result<FaqOutput<u64>, FaqError> {
-        let q = self.to_faq()?;
-        let sigma = q.ordering();
-        Engine::with_policy(policy.clone()).evaluate_with_order(&q, &sigma)
-    }
-
     /// The join size (number of output tuples).
     pub fn count(&self) -> Result<u64, FaqError> {
         Ok(self.evaluate()?.factor.len() as u64)
-    }
-
-    /// Prepare the join for repeated evaluation with the default planner:
-    /// cost-based ordering choice plus cached aligned/indexed inputs, so
-    /// each [`PreparedQuery::evaluate`] skips planning, alignment, and index
-    /// builds — the serving path.
-    pub fn prepare(&self) -> Result<PreparedQuery<SingleSemiringDomain<CountSumProd>>, FaqError> {
-        self.prepare_with(&Planner::default())
-    }
-
-    /// [`NaturalJoin::prepare`] under an explicit planner configuration.
-    pub fn prepare_with(
-        &self,
-        planner: &Planner,
-    ) -> Result<PreparedQuery<SingleSemiringDomain<CountSumProd>>, FaqError> {
-        planner.prepare(&self.to_faq()?)
-    }
-
-    /// A delta batch inserting `tuples` into relation `slot` with
-    /// multiplicity 1, ready for [`PreparedQuery::apply_delta`] on a handle
-    /// from [`NaturalJoin::prepare`]. Tuples already present keep
-    /// multiplicity 1 (set semantics, like [`Relation::new`]); duplicates in
-    /// the batch are dropped.
-    ///
-    /// # Panics
-    ///
-    /// If a tuple's arity differs from the relation's schema.
-    pub fn insert_delta(&self, slot: usize, tuples: &[Vec<u32>]) -> DeltaFactor<u64> {
-        let mut tuples: Vec<Vec<u32>> = tuples.to_vec();
-        tuples.sort();
-        tuples.dedup();
-        DeltaFactor::inserts(
-            self.relations[slot].vars.clone(),
-            tuples.into_iter().map(|t| (t, 1u64)).collect(),
-        )
-        .expect("deduplicated tuples over the relation schema")
-    }
-
-    /// A delta batch deleting `tuples` from relation `slot` — the incremental
-    /// counterpart of rebuilding the relation without them. Deleting an
-    /// absent tuple is a no-op.
-    ///
-    /// # Panics
-    ///
-    /// If a tuple's arity differs from the relation's schema.
-    pub fn delete_delta(&self, slot: usize, tuples: &[Vec<u32>]) -> DeltaFactor<u64> {
-        let mut tuples: Vec<Vec<u32>> = tuples.to_vec();
-        tuples.sort();
-        tuples.dedup();
-        DeltaFactor::deletes(self.relations[slot].vars.clone(), tuples)
-            .expect("deduplicated tuples over the relation schema")
     }
 }
 
@@ -166,7 +105,8 @@ pub fn path_query(edges: &[(u32, u32)], num_nodes: u32, k: usize) -> NaturalJoin
 }
 
 /// The 4-cycle join `R(a,b) ⋈ S(b,c) ⋈ T(c,d) ⋈ U(d,a)`.
-pub fn four_cycle_query(edges: &[(u32, u32)], num_nodes: u32) -> NaturalJoin {
+#[cfg(test)]
+pub(crate) fn four_cycle_query(edges: &[(u32, u32)], num_nodes: u32) -> NaturalJoin {
     let tuples: Vec<Vec<u32>> = edges.iter().map(|&(x, y)| vec![x, y]).collect();
     let mk = |i: u32, j: u32| Relation::new(vec![Var(i), Var(j)], tuples.clone());
     NaturalJoin {
@@ -206,6 +146,8 @@ pub fn skewed_triangle_instance(n: u32) -> Vec<(u32, u32)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use faq_core::{ExecPolicy, Planner};
+    use faq_factor::DeltaFactor;
     use faq_join::pairwise_hash_join;
     use rand::{rngs::StdRng, SeedableRng};
 
@@ -275,7 +217,7 @@ mod tests {
         // exactly the pairwise-join blow-up the AGM bound avoids.
         let r = q.relations[0].to_factor();
         let s = q.relations[1].to_factor();
-        let rs = faq_join::baseline::hash_join_pair(&r, &s, |a, b| a * b, |&x| x == 0);
+        let rs = pairwise_hash_join(&[&r, &s], |a, b| a * b, |&x| x == 0);
         assert!(rs.len() as u64 >= 63 * 63);
     }
 
@@ -291,7 +233,7 @@ mod tests {
         let edges = random_graph(12, 40, &mut rng);
         let q = triangle_query(&edges, 12);
         let cold = q.evaluate().unwrap();
-        let prepared = q.prepare_with(&faq_core::Planner::sequential()).unwrap();
+        let prepared = Planner::sequential().prepare(&q.to_faq().unwrap()).unwrap();
         for _ in 0..3 {
             assert_eq!(prepared.evaluate().unwrap().factor, cold.factor);
         }
@@ -302,14 +244,19 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let edges = random_graph(12, 50, &mut rng);
         let q = triangle_query(&edges, 12);
-        let planner = faq_core::Planner::sequential();
-        let mut prepared = q.prepare_with(&planner).unwrap();
-        let mut oracle = q.prepare_with(&planner).unwrap();
+        let planner = Planner::sequential();
+        let mut prepared = planner.prepare(&q.to_faq().unwrap()).unwrap();
+        let mut oracle = planner.prepare(&q.to_faq().unwrap()).unwrap();
         let mut tuples: Vec<Vec<u32>> = edges.iter().map(|&(x, y)| vec![x, y]).collect();
 
         // Insert two fresh edges into R(a,b) only.
         let new_edges = [vec![3u32, 7], vec![9, 2]];
-        let got = prepared.apply_delta(0, &q.insert_delta(0, &new_edges)).unwrap();
+        let insert = DeltaFactor::inserts(
+            vec![Var(0), Var(1)],
+            new_edges.iter().map(|t| (t.clone(), 1u64)).collect(),
+        )
+        .unwrap();
+        let got = prepared.apply_delta(0, &insert).unwrap();
         tuples.extend(new_edges.iter().cloned());
         oracle
             .update_factor(0, Relation::new(vec![Var(0), Var(1)], tuples.clone()).to_factor())
@@ -317,7 +264,8 @@ mod tests {
         assert_eq!(got.factor, oracle.evaluate().unwrap().factor);
 
         // Delete one of them again; deltas accumulate on the same handle.
-        let got = prepared.apply_delta(0, &q.delete_delta(0, &[vec![3, 7]])).unwrap();
+        let delete = DeltaFactor::deletes(vec![Var(0), Var(1)], vec![vec![3, 7]]).unwrap();
+        let got = prepared.apply_delta(0, &delete).unwrap();
         tuples.retain(|t| t != &[3, 7]);
         oracle.update_factor(0, Relation::new(vec![Var(0), Var(1)], tuples).to_factor()).unwrap();
         assert_eq!(got.factor, oracle.evaluate().unwrap().factor);
@@ -329,9 +277,11 @@ mod tests {
         let edges = random_graph(16, 80, &mut rng);
         let q = triangle_query(&edges, 16);
         let seq = q.evaluate().unwrap();
+        let faq = q.to_faq().unwrap();
         for threads in [1usize, 2, 4] {
             let policy = ExecPolicy::sequential().threads(threads).min_chunk_rows(1);
-            let par = q.evaluate_par(&policy).unwrap();
+            let par =
+                Engine::with_policy(policy).evaluate_with_order(&faq, &faq.ordering()).unwrap();
             assert_eq!(par.factor, seq.factor, "threads {threads}");
         }
     }

@@ -174,11 +174,6 @@ impl<S: Semiring> JunctionTree<S> {
         self.bags.len()
     }
 
-    /// The calibrated belief of bag `i` (the unnormalized joint over the bag).
-    pub fn belief(&self, i: usize) -> &Factor<S::E> {
-        &self.beliefs[i]
-    }
-
     /// The unnormalized marginal over `vars`, which must be contained in some
     /// single bag (the standard junction-tree query model). Returns `None`
     /// when no bag covers `vars`.

@@ -30,12 +30,16 @@ pub struct Matrix {
 
 impl Matrix {
     /// A zero matrix.
-    pub fn zeros(rows: usize, cols: usize) -> Matrix {
+    pub(crate) fn zeros(rows: usize, cols: usize) -> Matrix {
         Matrix { rows, cols, data: vec![0.0; rows * cols] }
     }
 
     /// Build from a function of `(row, col)`.
-    pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f64) -> Matrix {
+    pub(crate) fn from_fn(
+        rows: usize,
+        cols: usize,
+        mut f: impl FnMut(usize, usize) -> f64,
+    ) -> Matrix {
         let mut m = Matrix::zeros(rows, cols);
         for r in 0..rows {
             for c in 0..cols {
@@ -51,17 +55,17 @@ impl Matrix {
     }
 
     /// Entry access.
-    pub fn get(&self, r: usize, c: usize) -> f64 {
+    pub(crate) fn get(&self, r: usize, c: usize) -> f64 {
         self.data[r * self.cols + c]
     }
 
     /// Entry assignment.
-    pub fn set(&mut self, r: usize, c: usize, v: f64) {
+    pub(crate) fn set(&mut self, r: usize, c: usize, v: f64) {
         self.data[r * self.cols + c] = v;
     }
 
     /// Classic `O(rows·cols·inner)` product.
-    pub fn multiply(&self, other: &Matrix) -> Matrix {
+    pub(crate) fn multiply(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.rows);
         let mut out = Matrix::zeros(self.rows, other.cols);
         for r in 0..self.rows {
@@ -85,7 +89,7 @@ impl Matrix {
     }
 
     /// The factor of the matrix as `ψ(row_var, col_var)`.
-    pub fn to_factor(&self, row_var: Var, col_var: Var) -> Factor<f64> {
+    pub(crate) fn to_factor(&self, row_var: Var, col_var: Var) -> Factor<f64> {
         Factor::dense(
             vec![row_var, col_var],
             &[self.rows as u32, self.cols as u32],
@@ -105,7 +109,7 @@ pub struct MatrixChain {
 
 impl MatrixChain {
     /// The dimension vector `p_0, …, p_n`.
-    pub fn dims(&self) -> Vec<usize> {
+    pub(crate) fn dims(&self) -> Vec<usize> {
         let mut d = vec![self.matrices[0].rows];
         for m in &self.matrices {
             assert_eq!(m.rows, *d.last().unwrap(), "incompatible chain");
@@ -115,7 +119,7 @@ impl MatrixChain {
     }
 
     /// The FAQ-SS instance `ϕ(x_0, x_n) = Σ_{inner} Π ψ_i`.
-    pub fn to_faq(&self) -> Result<FaqQuery<SingleSemiringDomain<F64SumProd>>, FaqError> {
+    pub(crate) fn to_faq(&self) -> Result<FaqQuery<SingleSemiringDomain<F64SumProd>>, FaqError> {
         let n = self.matrices.len();
         let dims = self.dims();
         let domains = Domains::new(dims.iter().map(|&d| d as u32).collect());

@@ -70,7 +70,7 @@ impl GraphicalModel {
     }
 
     /// Max-marginal over `free`: `max_{rest} Π ψ`.
-    pub fn max_marginal(&self, free: &[Var]) -> Result<Factor<f64>, FaqError> {
+    pub(crate) fn max_marginal(&self, free: &[Var]) -> Result<Factor<f64>, FaqError> {
         let q = self.faq(free.to_vec(), RealDomain::MAX)?;
         self.run(&q)
     }
@@ -105,27 +105,6 @@ impl GraphicalModel {
                 .collect();
         }
         Ok((assignment, map_val))
-    }
-
-    /// Condition the model on evidence `var = value`: every potential
-    /// containing `var` is restricted (the variable disappears from its
-    /// schema). Subsequent queries are conditioned on the evidence, up to the
-    /// usual unnormalized scaling.
-    pub fn with_evidence(&self, evidence: &[(Var, u32)]) -> GraphicalModel {
-        let mut potentials = self.potentials.clone();
-        let mut sizes: Vec<u32> = self.domains.vars().map(|v| self.domains.size(v)).collect();
-        for &(var, value) in evidence {
-            assert!(value < self.domains.size(var), "evidence outside the domain of {var}");
-            potentials = potentials
-                .into_iter()
-                .map(|f| if f.schema().contains(&var) { f.condition(var, value) } else { f })
-                .collect();
-            // The observed variable no longer appears in any factor; shrink
-            // its domain to a single point so the Σ over it does not scale
-            // the result by |Dom|.
-            sizes[var.index()] = 1;
-        }
-        GraphicalModel { domains: Domains::new(sizes), potentials }
     }
 
     /// Evaluate `Π ψ` at a full assignment.
@@ -186,7 +165,8 @@ pub fn random_grid<R: Rng>(rows: usize, cols: usize, d: u32, rng: &mut R) -> Gra
 }
 
 /// A random tree model over `n` variables (uniform random attachment).
-pub fn random_tree<R: Rng>(n: usize, d: u32, rng: &mut R) -> GraphicalModel {
+#[cfg(test)]
+pub(crate) fn random_tree<R: Rng>(n: usize, d: u32, rng: &mut R) -> GraphicalModel {
     assert!(n >= 2);
     let domains = Domains::uniform(n, d);
     let mut potentials = Vec::new();
@@ -270,39 +250,6 @@ mod tests {
         let got = m.marginal(&[v(0), v(3)]).unwrap();
         let want = m.marginal_naive(&[v(0), v(3)]).unwrap();
         factors_close(&got, &want);
-    }
-
-    #[test]
-    fn evidence_conditioning_matches_filtered_enumeration() {
-        let mut rng = StdRng::seed_from_u64(23);
-        let m = random_chain(5, 3, &mut rng);
-        let conditioned = m.with_evidence(&[(v(2), 1)]);
-        // Z(evidence) must equal the sum of scores over assignments with
-        // x2 = 1.
-        let z_cond = conditioned.partition_function().unwrap();
-        let mut expect = 0.0;
-        for a0 in 0..3u32 {
-            for a1 in 0..3u32 {
-                for a3 in 0..3u32 {
-                    for a4 in 0..3u32 {
-                        expect += m.score(&[a0, a1, 1, a3, a4]);
-                    }
-                }
-            }
-        }
-        assert!(close(z_cond, expect), "{z_cond} vs {expect}");
-        // Evidence on two variables composes.
-        let double = m.with_evidence(&[(v(0), 2), (v(4), 0)]);
-        let z2 = double.partition_function().unwrap();
-        let mut expect2 = 0.0;
-        for a1 in 0..3u32 {
-            for a2 in 0..3u32 {
-                for a3 in 0..3u32 {
-                    expect2 += m.score(&[2, a1, a2, a3, 0]);
-                }
-            }
-        }
-        assert!(close(z2, expect2));
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub struct QuantifiedCq {
 
 impl QuantifiedCq {
     /// The Boolean FAQ for QCQ (free variables stay free).
-    pub fn to_bool_faq(&self) -> Result<FaqQuery<BoolDomain>, FaqError> {
+    pub(crate) fn to_bool_faq(&self) -> Result<FaqQuery<BoolDomain>, FaqError> {
         FaqQuery::new(
             BoolDomain,
             self.domains.clone(),
@@ -65,7 +65,7 @@ impl QuantifiedCq {
     }
 
     /// The counting FAQ for #QCQ: `Σ_{free} (∃→max / ∀→×) Π ψ`, a scalar.
-    pub fn to_count_faq(&self) -> Result<FaqQuery<CountDomain>, FaqError> {
+    pub(crate) fn to_count_faq(&self) -> Result<FaqQuery<CountDomain>, FaqError> {
         let mut bound: Vec<(Var, VarAgg)> =
             self.free.iter().map(|&v| (v, VarAgg::Semiring(CountDomain::SUM))).collect();
         bound.extend(self.prefix.iter().map(|&(v, q)| {
@@ -88,7 +88,7 @@ impl QuantifiedCq {
 
     /// Evaluate QCQ: the relation over the free variables (or, with no free
     /// variables, a scalar truth value — use [`QuantifiedCq::holds`]).
-    pub fn evaluate(&self) -> Result<faq_factor::Factor<bool>, FaqError> {
+    pub(crate) fn evaluate(&self) -> Result<faq_factor::Factor<bool>, FaqError> {
         let q = self.to_bool_faq()?;
         // Careful with idempotence: BoolDomain's ⊗ = ∧ is idempotent on the
         // whole domain, so the §6.2 expression tree is used as-is.

@@ -17,7 +17,7 @@
 //! and the recursion may branch exponentially.
 
 use crate::formula::{Clause, Cnf};
-use faq_hypergraph::{Var, VarSet};
+use faq_hypergraph::Var;
 use std::collections::BTreeMap;
 
 /// A half-open interval `[lo, hi)` of domain codes.
@@ -31,18 +31,19 @@ pub struct Interval {
 
 impl Interval {
     /// `[lo, hi)`; must be non-empty.
-    pub fn new(lo: u32, hi: u32) -> Interval {
+    pub(crate) fn new(lo: u32, hi: u32) -> Interval {
         assert!(lo < hi, "empty interval [{lo},{hi})");
         Interval { lo, hi }
     }
 
     /// Whether the interval contains `x`.
-    pub fn contains(&self, x: u32) -> bool {
+    #[cfg(test)]
+    pub(crate) fn contains(&self, x: u32) -> bool {
         self.lo <= x && x < self.hi
     }
 
     /// Whether this interval fully contains `other`.
-    pub fn covers(&self, other: &Interval) -> bool {
+    pub(crate) fn covers(&self, other: &Interval) -> bool {
         self.lo <= other.lo && other.hi <= self.hi
     }
 }
@@ -56,28 +57,24 @@ pub struct BoxRegion {
 
 impl BoxRegion {
     /// The everything-box.
-    pub fn full() -> BoxRegion {
+    pub(crate) fn full() -> BoxRegion {
         BoxRegion::default()
     }
 
     /// Constrain variable `v` to `[lo, hi)`.
-    pub fn with(mut self, v: Var, lo: u32, hi: u32) -> BoxRegion {
+    pub(crate) fn with(mut self, v: Var, lo: u32, hi: u32) -> BoxRegion {
         self.intervals.insert(v, Interval::new(lo, hi));
         self
     }
 
-    /// The constrained variables (the box's support).
-    pub fn support(&self) -> VarSet {
-        self.intervals.keys().copied().collect()
-    }
-
     /// The interval on `v`, if constrained.
-    pub fn interval(&self, v: Var) -> Option<&Interval> {
+    pub(crate) fn interval(&self, v: Var) -> Option<&Interval> {
         self.intervals.get(&v)
     }
 
     /// Whether the box contains the (fully specified) point.
-    pub fn contains(&self, point: &BTreeMap<Var, u32>) -> bool {
+    #[cfg(test)]
+    pub(crate) fn contains(&self, point: &BTreeMap<Var, u32>) -> bool {
         self.intervals.iter().all(|(v, iv)| point.get(v).is_some_and(|&x| iv.contains(x)))
     }
 
@@ -141,7 +138,7 @@ pub fn is_covered(dims: &[(Var, u32)], boxes: &[BoxRegion]) -> bool {
 
 /// The box of assignments *falsifying* a clause: each literal pins its
 /// variable to the single falsifying value (Boolean domains).
-pub fn clause_to_box(clause: &Clause) -> BoxRegion {
+pub(crate) fn clause_to_box(clause: &Clause) -> BoxRegion {
     let mut b = BoxRegion::full();
     for lit in clause.lits() {
         let bad = u32::from(!lit.positive);

@@ -77,7 +77,7 @@ mod tests {
 
     #[test]
     fn empty_clause_is_unsat() {
-        let cnf = Cnf::new(2, vec![Clause::empty()]);
+        let cnf = Cnf::new(2, vec![Clause::new([]).unwrap()]);
         assert!(!brute_force_sat(&cnf));
         assert_eq!(brute_force_count(&cnf), 0);
     }

@@ -22,11 +22,6 @@ impl Lit {
     pub fn neg(i: u32) -> Lit {
         Lit { var: Var(i), positive: false }
     }
-
-    /// The complementary literal.
-    pub fn negated(self) -> Lit {
-        Lit { var: self.var, positive: !self.positive }
-    }
 }
 
 impl fmt::Display for Lit {
@@ -64,23 +59,18 @@ impl Clause {
         Some(Clause { lits: v })
     }
 
-    /// The empty clause (unsatisfiable).
-    pub fn empty() -> Clause {
-        Clause { lits: Vec::new() }
-    }
-
     /// The literals, sorted by variable.
     pub fn lits(&self) -> &[Lit] {
         &self.lits
     }
 
     /// Number of literals.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.lits.len()
     }
 
     /// Whether the clause is empty (identically false).
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.lits.is_empty()
     }
 
@@ -90,27 +80,27 @@ impl Clause {
     }
 
     /// The polarity of `v` in this clause, if present.
-    pub fn polarity(&self, v: Var) -> Option<bool> {
+    pub(crate) fn polarity(&self, v: Var) -> Option<bool> {
         self.lits.iter().find(|l| l.var == v).map(|l| l.positive)
     }
 
     /// Remove the literal on `v` (either polarity), if present.
-    pub fn without(&self, v: Var) -> Clause {
+    pub(crate) fn without(&self, v: Var) -> Clause {
         Clause { lits: self.lits.iter().copied().filter(|l| l.var != v).collect() }
     }
 
     /// Add a literal; `None` if it creates a tautology.
-    pub fn with(&self, lit: Lit) -> Option<Clause> {
+    pub(crate) fn with(&self, lit: Lit) -> Option<Clause> {
         Clause::new(self.lits.iter().copied().chain(std::iter::once(lit)))
     }
 
     /// Disjunction of two clauses; `None` if the result is a tautology.
-    pub fn or(&self, other: &Clause) -> Option<Clause> {
+    pub(crate) fn or(&self, other: &Clause) -> Option<Clause> {
         Clause::new(self.lits.iter().copied().chain(other.lits.iter().copied()))
     }
 
     /// Whether this clause implies `other` (its literal set is a subset).
-    pub fn implies(&self, other: &Clause) -> bool {
+    pub(crate) fn implies(&self, other: &Clause) -> bool {
         // lits are sorted; subset check via merge walk.
         let mut i = 0;
         for lit in &other.lits {
@@ -122,7 +112,7 @@ impl Clause {
     }
 
     /// Evaluate under a full assignment (`assignment[i]` is the value of `x_i`).
-    pub fn eval(&self, assignment: &[bool]) -> bool {
+    pub(crate) fn eval(&self, assignment: &[bool]) -> bool {
         self.lits.iter().any(|l| assignment[l.var.index()] == l.positive)
     }
 }
@@ -158,7 +148,7 @@ impl Cnf {
     }
 
     /// The clause hypergraph: one edge per clause, vertices = all variables.
-    pub fn hypergraph(&self) -> Hypergraph {
+    pub(crate) fn hypergraph(&self) -> Hypergraph {
         let mut h = Hypergraph::new();
         for i in 0..self.num_vars {
             h.add_vertex(Var(i));
@@ -172,7 +162,7 @@ impl Cnf {
     }
 
     /// Evaluate under a full assignment.
-    pub fn eval(&self, assignment: &[bool]) -> bool {
+    pub(crate) fn eval(&self, assignment: &[bool]) -> bool {
         self.clauses.iter().all(|c| c.eval(assignment))
     }
 }
@@ -205,7 +195,7 @@ mod tests {
         let b = Clause::new([Lit::pos(0), Lit::neg(1)]).unwrap();
         assert!(a.implies(&b));
         assert!(!b.implies(&a));
-        assert!(Clause::empty().implies(&a));
+        assert!(Clause::new([]).unwrap().implies(&a));
         // Different polarity does not imply.
         let c = Clause::new([Lit::neg(0), Lit::neg(1)]).unwrap();
         assert!(!a.implies(&c));

@@ -26,7 +26,13 @@ pub fn random_interval_cnf<R: Rng>(
 }
 
 /// A general random CNF (arbitrary supports) for cross-validation.
-pub fn random_cnf<R: Rng>(num_vars: u32, num_clauses: usize, max_width: u32, rng: &mut R) -> Cnf {
+#[cfg(test)]
+pub(crate) fn random_cnf<R: Rng>(
+    num_vars: u32,
+    num_clauses: usize,
+    max_width: u32,
+    rng: &mut R,
+) -> Cnf {
     assert!(num_vars >= 1);
     let mut clauses = Vec::with_capacity(num_clauses);
     while clauses.len() < num_clauses {

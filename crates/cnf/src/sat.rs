@@ -177,7 +177,7 @@ mod tests {
     fn empty_and_trivial_formulas() {
         let top = Cnf::new(3, vec![]);
         assert!(sat_beta_acyclic(&top).unwrap().0);
-        let bot = Cnf::new(2, vec![Clause::empty()]);
+        let bot = Cnf::new(2, vec![Clause::new([]).unwrap()]);
         assert!(!sat_beta_acyclic(&bot).unwrap().0);
     }
 }

@@ -29,7 +29,7 @@ pub struct WClause {
 
 impl WClause {
     /// A plain #SAT clause (weight 0).
-    pub fn hard(clause: Clause) -> WClause {
+    pub(crate) fn hard(clause: Clause) -> WClause {
         WClause { clause, weight: 0.0 }
     }
 }
@@ -95,7 +95,11 @@ fn eliminate(wclauses: Vec<WClause>, v: Var, scalar: &mut f64) -> Vec<WClause> {
 /// Correct along a NEO of a β-acyclic clause hypergraph; the chain property is
 /// what justifies the weight rewriting, so this function *requires* it and is
 /// exposed for callers that computed the order themselves.
-pub fn count_weighted_with_order(num_vars: u32, wclauses: Vec<WClause>, order: &[Var]) -> f64 {
+pub(crate) fn count_weighted_with_order(
+    num_vars: u32,
+    wclauses: Vec<WClause>,
+    order: &[Var],
+) -> f64 {
     assert_eq!(order.len(), num_vars as usize, "order must cover all variables");
     let mut scalar = 1.0;
     let mut live = wclauses;

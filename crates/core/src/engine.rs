@@ -35,7 +35,7 @@
 
 use crate::exec::ExecPolicy;
 use crate::insideout::FaqOutput;
-use crate::plan::{Planner, PreparedQuery, QueryPlan};
+use crate::plan::{Planner, PreparedQuery};
 use crate::query::{FaqError, FaqQuery};
 use faq_hypergraph::Var;
 use faq_semiring::AggDomain;
@@ -96,7 +96,7 @@ impl Engine {
     }
 
     /// The execution policy this engine evaluates and plans under.
-    pub fn policy(&self) -> &ExecPolicy {
+    pub(crate) fn policy(&self) -> &ExecPolicy {
         &self.planner.policy
     }
 
@@ -127,12 +127,6 @@ impl Engine {
         sigma: &[Var],
     ) -> Result<FaqOutput<D::E>, FaqError> {
         crate::insideout::evaluate(q, sigma, self.policy())
-    }
-
-    /// Plan `q` with the engine's planner (no prepared inputs — use
-    /// [`Engine::prepare`] for the full serving handle).
-    pub fn plan<D: AggDomain>(&self, q: &FaqQuery<D>) -> Result<QueryPlan, FaqError> {
-        self.planner.plan(q)
     }
 
     /// Prepare `q` for repeated evaluation: cost-based ordering choice plus

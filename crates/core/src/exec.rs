@@ -129,7 +129,7 @@ impl ExecPolicy {
     /// the minimum of the two, the chunk floor the maximum — capping affects
     /// resource use only, never results. This is how a serving runtime
     /// imposes per-query budgets on plans made for a dedicated machine.
-    pub fn capped(&self, cap: &ExecPolicy) -> ExecPolicy {
+    pub(crate) fn capped(&self, cap: &ExecPolicy) -> ExecPolicy {
         let mut p = self.clone();
         p.threads = p.threads.min(cap.effective_threads()).max(1);
         p.min_chunk_rows = p.min_chunk_rows.max(cap.min_chunk_rows);
@@ -142,7 +142,7 @@ impl ExecPolicy {
     }
 
     /// Effective worker count (at least 1).
-    pub fn effective_threads(&self) -> usize {
+    pub(crate) fn effective_threads(&self) -> usize {
         self.threads.max(1)
     }
 }

@@ -42,7 +42,7 @@ pub enum Tag {
 
 impl Tag {
     /// Whether this tag folds during elimination (free or semiring).
-    pub fn is_fold(self) -> bool {
+    pub(crate) fn is_fold(self) -> bool {
         !matches!(self, Tag::Product)
     }
 }
@@ -92,22 +92,22 @@ pub struct ExprTree {
 
 impl QueryShape {
     /// All variables in query order.
-    pub fn vars(&self) -> Vec<Var> {
+    pub(crate) fn vars(&self) -> Vec<Var> {
         self.seq.iter().map(|&(v, _)| v).collect()
     }
 
     /// The free variables.
-    pub fn free_vars(&self) -> Vec<Var> {
+    pub(crate) fn free_vars(&self) -> Vec<Var> {
         self.seq.iter().filter(|(_, t)| *t == Tag::Free).map(|&(v, _)| v).collect()
     }
 
     /// The tag of `v`.
-    pub fn tag_of(&self, v: Var) -> Option<Tag> {
+    pub(crate) fn tag_of(&self, v: Var) -> Option<Tag> {
         self.seq.iter().find(|&&(s, _)| s == v).map(|&(_, t)| t)
     }
 
     /// Position of `v` in the query prefix.
-    pub fn seq_pos(&self, v: Var) -> Option<usize> {
+    pub(crate) fn seq_pos(&self, v: Var) -> Option<usize> {
         self.seq.iter().position(|&(s, _)| s == v)
     }
 
@@ -125,13 +125,13 @@ impl QueryShape {
     }
 
     /// The product-tagged variables.
-    pub fn product_vars(&self) -> VarSet {
+    pub(crate) fn product_vars(&self) -> VarSet {
         self.seq.iter().filter(|(_, t)| *t == Tag::Product).map(|&(v, _)| v).collect()
     }
 
     /// The semiring-tagged variables whose operator is *not* closed on the
     /// idempotent elements.
-    pub fn non_closed_vars(&self) -> VarSet {
+    pub(crate) fn non_closed_vars(&self) -> VarSet {
         self.seq
             .iter()
             .filter(|(_, t)| matches!(t, Tag::Semiring(op) if !self.closed_ops.contains(op)))
@@ -142,7 +142,7 @@ impl QueryShape {
     /// The edges used for the expression-tree construction: the original ones
     /// in the idempotent regime (or with no product aggregates), otherwise
     /// each edge extended with every product variable (Definition 6.30).
-    pub fn effective_edges(&self) -> Vec<VarSet> {
+    pub(crate) fn effective_edges(&self) -> Vec<VarSet> {
         let products = self.product_vars();
         if self.mul_idempotent || products.is_empty() {
             return self.edges.clone();
@@ -154,7 +154,7 @@ impl QueryShape {
     /// (Definition 6.22) strengthened with order preservation between product
     /// variables and non-closed semiring variables (which never commute, even
     /// when structurally independent — `(Σ a)^k ≠ Σ aᵏ`).
-    pub fn precedence(&self) -> BTreeMap<Var, VarSet> {
+    pub(crate) fn precedence(&self) -> BTreeMap<Var, VarSet> {
         let tree = self.expr_tree();
         let mut preds = tree.precedence();
         let products = self.product_vars();
@@ -425,7 +425,7 @@ impl ExprTree {
     }
 
     /// All (ancestor, descendant) node-id pairs (strict).
-    pub fn ancestor_pairs(&self) -> Vec<(usize, usize)> {
+    pub(crate) fn ancestor_pairs(&self) -> Vec<(usize, usize)> {
         let mut pairs = Vec::new();
         let mut stack: Vec<(usize, Vec<usize>)> = vec![(self.root, Vec::new())];
         while let Some((node, ancestors)) = stack.pop() {
@@ -444,7 +444,7 @@ impl ExprTree {
     /// The precedence poset as strict-predecessor sets: `preds[v]` contains
     /// `u` iff `u ≺ v` (some copy of `u` lives in a strict ancestor of a node
     /// containing `v`).
-    pub fn precedence(&self) -> BTreeMap<Var, VarSet> {
+    pub(crate) fn precedence(&self) -> BTreeMap<Var, VarSet> {
         let mut preds: BTreeMap<Var, VarSet> = BTreeMap::new();
         for node in &self.nodes {
             for &v in &node.vars {

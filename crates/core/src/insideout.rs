@@ -136,15 +136,13 @@ impl<E: SemiringElem> FaqOutput<E> {
 /// elimination phases, i.e. the factorized form of the output (paper §8.4):
 /// the surviving value factors `E_f` plus the guard factors `ψ_{U_k}`.
 #[derive(Debug, Clone)]
-pub struct EliminationArtifacts<E: SemiringElem> {
+pub(crate) struct EliminationArtifacts<E: SemiringElem> {
     /// The free variables in output order.
     pub free_order: Vec<Var>,
     /// The value factors remaining after bound-variable elimination.
     pub ef_edges: Vec<Factor<E>>,
     /// The guard factors recorded while eliminating the free variables.
     pub guards: Vec<Factor<E>>,
-    /// Elimination statistics so far.
-    pub stats: ElimStats,
 }
 
 /// How a join step folds consecutive bindings of one group.
@@ -830,12 +828,12 @@ pub(crate) fn evaluate<D: AggDomain + Sync>(
 /// semiring, and stop before the output join: the factorized artifacts of
 /// paper §8.4. Sequential; `sigma` carries the contract of
 /// [`crate::Engine::evaluate_with_order`].
-pub fn run_elimination<D: AggDomain + Sync>(
+pub(crate) fn run_elimination<D: AggDomain + Sync>(
     q: &FaqQuery<D>,
     sigma: &[Var],
 ) -> Result<EliminationArtifacts<D::E>, FaqError> {
     let policy = ExecPolicy::sequential();
-    let (prog, mut slots, stats) =
+    let (prog, mut slots, _) =
         run_fresh(q, sigma, &policy, /* keep */ false, /* with_output */ false)?;
     let out = prog.output_step();
     // Inputs that survive to E_f are the caller's factors: copy those.
@@ -845,7 +843,7 @@ pub fn run_elimination<D: AggDomain + Sync>(
     };
     let ef_edges = out.values.iter().map(|&n| take(n)).collect();
     let guards = out.filters.iter().map(|f| take(f.input_node())).collect();
-    Ok(EliminationArtifacts { free_order: out.join_order.clone(), ef_edges, guards, stats })
+    Ok(EliminationArtifacts { free_order: out.join_order.clone(), ef_edges, guards })
 }
 
 #[cfg(test)]

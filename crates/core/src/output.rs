@@ -40,11 +40,11 @@ impl<E: SemiringElem> FactorizedOutput<E> {
     }
 
     /// Build the factorized output along a chosen equivalent ordering.
-    pub fn compute_with_order<D: AggDomain<E = E> + Sync>(
+    pub(crate) fn compute_with_order<D: AggDomain<E = E> + Sync>(
         q: &FaqQuery<D>,
         sigma: &[Var],
     ) -> Result<Self, FaqError> {
-        let EliminationArtifacts { free_order, ef_edges, guards, .. } = run_elimination(q, sigma)?;
+        let EliminationArtifacts { free_order, ef_edges, guards } = run_elimination(q, sigma)?;
         Ok(FactorizedOutput {
             free_order,
             value_factors: ef_edges,
@@ -73,40 +73,6 @@ impl<E: SemiringElem> FactorizedOutput<E> {
             }
         }
         Some(acc)
-    }
-
-    /// Whether `y` is in the output support (guards only — no value
-    /// computation).
-    pub fn support_contains(&self, y: &[u32]) -> bool {
-        assert_eq!(y.len(), self.free_order.len());
-        for g in &self.guards {
-            let key: Vec<u32> = g
-                .schema()
-                .iter()
-                .map(|v| {
-                    let pos = self.free_order.iter().position(|o| o == v).expect("free var");
-                    y[pos]
-                })
-                .collect();
-            if g.get(&key).is_none() {
-                return false;
-            }
-        }
-        // Value factors can still shrink the support (a guard-free query has
-        // none); check them too.
-        self.value_query(y, /* dummy */ self.one_witness(), |a, _| a.clone()).is_some()
-    }
-
-    fn one_witness(&self) -> E {
-        // Any existing value serves as a fold seed for support checks; when no
-        // factor has rows the support is decided by the guards alone, and the
-        // seed is never used. Fall back to a guard value.
-        for f in self.value_factors.iter().chain(self.guards.iter()) {
-            if !f.is_empty() {
-                return f.value(0).clone();
-            }
-        }
-        panic!("support query on a query with no factors at all")
     }
 
     /// Enumerate all output tuples (with values) in lexicographic order of
@@ -382,22 +348,6 @@ mod tests {
                 let expect = direct.get(&[x0, x1]).copied();
                 let got = fo.value_query(&[x0, x1], 1u64, |a, b| a * b);
                 assert_eq!(got, expect, "({x0},{x1})");
-            }
-        }
-    }
-
-    #[test]
-    fn support_queries_match() {
-        let q = sample();
-        let fo = FactorizedOutput::compute(&q).unwrap();
-        let direct = Engine::sequential().evaluate(&q).unwrap().factor;
-        for x0 in 0..3u32 {
-            for x1 in 0..2u32 {
-                assert_eq!(
-                    fo.support_contains(&[x0, x1]),
-                    direct.get(&[x0, x1]).is_some(),
-                    "({x0},{x1})"
-                );
             }
         }
     }

@@ -23,8 +23,8 @@
 //!    estimates, and the one [`ExecPolicy`] (thread budget and chunk floor)
 //!    every evaluation of the plan runs under. A plan chooses σ and nothing
 //!    else — whether a step is chunked across threads is decided by the
-//!    executor, per step, from the rows it is about to join
-//!    ([`mod@crate::exec`]).
+//!    executor, per step, from the rows it is about to join (the crate's
+//!    `exec` module).
 //!
 //! A pass compares up to `linex_cap + 1` orderings that mostly differ in
 //! their last few positions, and everything it asks about one of them is a
@@ -442,7 +442,7 @@ pub fn check_delta<D: AggDomain>(
 /// and deletes ([`DeltaFactor`]) into one factor and re-runs only the
 /// elimination steps — restricted to the touched key ranges — that the change
 /// can reach, against intermediates cached from the previous evaluation (see
-/// [`crate::delta`]).
+/// the crate's `delta` module).
 pub struct PreparedQuery<D: AggDomain> {
     query: FaqQuery<D>,
     plan: Arc<QueryPlan>,
@@ -453,11 +453,6 @@ pub struct PreparedQuery<D: AggDomain> {
 }
 
 impl<D: AggDomain + Clone + Sync> PreparedQuery<D> {
-    /// Plan `q` with the default planner and prepare it for serving.
-    pub fn new(q: &FaqQuery<D>) -> Result<PreparedQuery<D>, FaqError> {
-        Planner::default().prepare(q)
-    }
-
     /// Bundle an existing plan with `q`.
     ///
     /// `plan.order` must be a permutation of `q`'s variables with the free
@@ -491,7 +486,7 @@ impl<D: AggDomain + Clone + Sync> PreparedQuery<D> {
     }
 
     /// Evaluate under an admission budget: the plan's policy clamped by
-    /// `cap` (see [`ExecPolicy::capped`]). Bit-identical to
+    /// `cap` (`ExecPolicy::capped`). Bit-identical to
     /// [`PreparedQuery::evaluate`]; only resource use changes.
     pub fn evaluate_budgeted(&self, cap: &ExecPolicy) -> Result<FaqOutput<D::E>, FaqError> {
         evaluate(&self.query, &self.plan.order, &self.plan.policy.capped(cap))
@@ -541,8 +536,8 @@ impl<D: AggDomain + Clone + Sync> PreparedQuery<D> {
     /// first call primes a cache of per-step intermediates with an ordinary
     /// evaluation whose nodes are kept; subsequent calls replay only the steps whose inputs
     /// changed, restricted to the touched key ranges where the step's join
-    /// order allows it (see [`crate::delta`] for the machinery and its
-    /// soundness argument). The returned output is **bit-identical** to
+    /// order allows it (see the crate's `delta` module for the machinery and
+    /// its soundness argument). The returned output is **bit-identical** to
     /// [`PreparedQuery::update_factor`] with the merged factor followed by
     /// [`PreparedQuery::evaluate`]; the returned [`ElimStats`] describe the
     /// replayed work only.

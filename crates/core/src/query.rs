@@ -147,7 +147,7 @@ impl<D: AggDomain> FaqQuery<D> {
     }
 
     /// Validate the query invariants.
-    pub fn validate(&self) -> Result<(), FaqError> {
+    pub(crate) fn validate(&self) -> Result<(), FaqError> {
         let mut seen = VarSet::new();
         for &v in &self.free {
             if !seen.insert(v) {
@@ -192,11 +192,6 @@ impl<D: AggDomain> FaqQuery<D> {
         Ok(())
     }
 
-    /// Number of free variables.
-    pub fn num_free(&self) -> usize {
-        self.free.len()
-    }
-
     /// All variables in query order: free first, then bound.
     pub fn ordering(&self) -> Vec<Var> {
         let mut o = self.free.clone();
@@ -223,26 +218,6 @@ impl<D: AggDomain> FaqQuery<D> {
             h.add_edge(f.schema().iter().copied());
         }
         h
-    }
-
-    /// Whether this is an FAQ-SS instance: all bound aggregates are the same
-    /// semiring aggregate.
-    pub fn is_faq_ss(&self) -> bool {
-        let mut op: Option<AggId> = None;
-        for &(_, agg) in &self.bound {
-            match agg {
-                VarAgg::Product => return false,
-                VarAgg::Semiring(o) => match op {
-                    None => op = Some(o),
-                    Some(p) => {
-                        if !self.domain.ops_identical(p, o) {
-                            return false;
-                        }
-                    }
-                },
-            }
-        }
-        true
     }
 
     /// The combinatorial shape of the query (tags + hyperedges), the input to
@@ -306,7 +281,7 @@ impl<D: AggDomain> FaqQuery<D> {
 
     /// Check that `sigma` is a syntactically valid ordering for this query:
     /// a permutation of all variables whose first `f` entries are the free set.
-    pub fn check_ordering(&self, sigma: &[Var]) -> Result<(), FaqError> {
+    pub(crate) fn check_ordering(&self, sigma: &[Var]) -> Result<(), FaqError> {
         let all: VarSet = self.ordering().into_iter().collect();
         let got: VarSet = sigma.iter().copied().collect();
         if sigma.len() != all.len() || all != got {
@@ -357,20 +332,9 @@ mod tests {
     #[test]
     fn construction_and_accessors() {
         let q = sample_query();
-        assert_eq!(q.num_free(), 1);
         assert_eq!(q.ordering(), vec![v(0), v(1), v(2)]);
         assert_eq!(q.agg_of(v(1)), Some(VarAgg::Semiring(RealDomain::SUM)));
         assert_eq!(q.agg_of(v(0)), None);
-        assert!(!q.is_faq_ss()); // SUM and MAX differ
-    }
-
-    #[test]
-    fn faq_ss_detection() {
-        let mut q = sample_query();
-        q.bound[1].1 = VarAgg::Semiring(RealDomain::SUM);
-        assert!(q.is_faq_ss());
-        q.bound[1].1 = VarAgg::Product;
-        assert!(!q.is_faq_ss());
     }
 
     #[test]

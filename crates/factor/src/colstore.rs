@@ -186,7 +186,7 @@ pub struct SpillConfig {
     /// Directory to create the spill directory under; the OS temp dir when
     /// `None`.
     pub dir: Option<PathBuf>,
-    /// Rows per listing chunk ([`FileChunkedColumns`]).
+    /// Rows per listing chunk of a spilled listing.
     pub chunk_rows: usize,
     /// Entries per trie-level chunk ([`FileChunkedLevel`]); rounded up to a
     /// multiple of the head-sample stride (64) so a cold seek's narrowed
@@ -628,7 +628,7 @@ impl<E> std::fmt::Debug for ColsInner<E> {
 /// A factor listing spilled to disk in row chunks, with a bounded pinned
 /// window. Cloning is an `Arc` bump: clones (and epoch snapshots holding
 /// them) share the chunks, the cache and the spill directory.
-pub struct FileChunkedColumns<E> {
+pub(crate) struct FileChunkedColumns<E> {
     inner: Arc<ColsInner<E>>,
 }
 
@@ -830,7 +830,7 @@ impl<E> FileChunkedColumns<E> {
 /// appended to the spill file. A delta splice also passes the untouched
 /// chunks of an existing spilled listing through by reference — no read, no
 /// copy.
-pub struct SpillWriter<E> {
+pub(crate) struct SpillWriter<E> {
     dir: Arc<SpillDir>,
     file: Arc<SpillFile>,
     offset: u64,
@@ -854,7 +854,7 @@ impl<E: FixedBytes> SpillWriter<E> {
     ///
     /// Raises a [`QueryAbort::Storage`] (caught at the evaluation boundary)
     /// if the directory or file cannot be created.
-    pub fn new(arity: usize, config: SpillConfig) -> SpillWriter<E> {
+    pub(crate) fn new(arity: usize, config: SpillConfig) -> SpillWriter<E> {
         let dir = ok_or_raise(SpillDir::create(config.dir.as_ref()));
         SpillWriter::in_dir(dir, arity, E::WIDTH, decode_fn::<E>, encode_fn::<E>, config)
     }
@@ -901,13 +901,8 @@ impl<E> SpillWriter<E> {
     }
 
     /// Rows written so far.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    /// Whether no row has been written yet.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     pub(crate) fn last_row(&self) -> Option<Vec<u32>> {
@@ -922,7 +917,7 @@ impl<E> SpillWriter<E> {
     /// Append the next row (strictly ascending; debug-asserted by the
     /// builder driving this writer). A failed chunk write (after retries)
     /// raises a [`QueryAbort::Storage`] caught at the evaluation boundary.
-    pub fn push(&mut self, row: &[u32], val: E) {
+    pub(crate) fn push(&mut self, row: &[u32], val: E) {
         debug_assert_eq!(row.len(), self.arity);
         for (m, &v) in self.col_maxes.iter_mut().zip(row) {
             *m = (*m).max(v);
@@ -1464,7 +1459,7 @@ mod tests {
         }
         let cols = w.finish_cols();
         let ctl = fault::AbortCtl {
-            deadline: Some(fault::Deadline::at(std::time::Instant::now())),
+            deadline: Some(fault::Deadline::after(std::time::Duration::ZERO)),
             cancel: None,
         };
         let _g = fault::install_ctl(ctl);

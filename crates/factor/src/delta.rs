@@ -104,23 +104,18 @@ impl<E: SemiringElem> DeltaFactor<E> {
     }
 
     /// Number of keyed operations in the batch.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.ops.len()
     }
 
-    /// Whether the batch holds no operations.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
     /// The `i`-th key tuple (sorted order).
-    pub fn key(&self, i: usize) -> &[u32] {
+    pub(crate) fn key(&self, i: usize) -> &[u32] {
         let a = self.schema.len();
         &self.rows[i * a..(i + 1) * a]
     }
 
     /// The `i`-th operation.
-    pub fn op(&self, i: usize) -> &DeltaOp<E> {
+    pub(crate) fn op(&self, i: usize) -> &DeltaOp<E> {
         &self.ops[i]
     }
 

@@ -39,24 +39,9 @@ impl Domains {
         self.sizes[v.index()]
     }
 
-    /// Append a variable with the given domain size, returning its [`Var`].
-    pub fn push(&mut self, size: u32) -> Var {
-        self.sizes.push(size);
-        Var(self.sizes.len() as u32 - 1)
-    }
-
     /// All variables in index order.
     pub fn vars(&self) -> impl Iterator<Item = Var> + '_ {
         (0..self.sizes.len() as u32).map(Var)
-    }
-
-    /// The product of the domain sizes of `vars`, saturating at `u64::MAX`.
-    pub fn space_size(&self, vars: &[Var]) -> u64 {
-        let mut acc: u64 = 1;
-        for &v in vars {
-            acc = acc.saturating_mul(self.size(v) as u64);
-        }
-        acc
     }
 
     /// Iterate over every assignment to `vars` in lexicographic order.
@@ -111,21 +96,11 @@ mod tests {
     use faq_hypergraph::v;
 
     #[test]
-    fn sizes_and_push() {
-        let mut d = Domains::uniform(2, 3);
-        assert_eq!(d.len(), 2);
+    fn sizes_and_len() {
+        let d = Domains::new(vec![3, 3, 5]);
+        assert_eq!(d.len(), 3);
         assert_eq!(d.size(v(0)), 3);
-        let nv = d.push(5);
-        assert_eq!(nv, v(2));
-        assert_eq!(d.size(nv), 5);
-    }
-
-    #[test]
-    fn space_size_products() {
-        let d = Domains::new(vec![2, 3, 4]);
-        assert_eq!(d.space_size(&[v(0), v(1)]), 6);
-        assert_eq!(d.space_size(&[v(0), v(1), v(2)]), 24);
-        assert_eq!(d.space_size(&[]), 1);
+        assert_eq!(d.size(v(2)), 5);
     }
 
     #[test]

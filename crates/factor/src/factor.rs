@@ -3,7 +3,7 @@
 //! streams.
 
 use crate::colstore::{FileChunkedColumns, FixedBytes, SpillConfig, SpillStats, SpillWriter};
-use crate::trie::{partition_runs, FactorTrie, LevelSink, TrieBuilder};
+use crate::trie::{FactorTrie, LevelSink, TrieBuilder};
 use faq_hypergraph::Var;
 use faq_semiring::SemiringElem;
 use std::fmt;
@@ -74,7 +74,7 @@ struct Body<E> {
     schema: Vec<Var>,
     cols: Columns<E>,
     len: usize,
-    /// Lazily-built columnar trie index (see [`crate::trie`]). Not part of
+    /// Lazily-built columnar trie index (see [`FactorTrie`]). Not part of
     /// the factor's identity: equality ignores it.
     trie: OnceLock<FactorTrie>,
     /// Point lookups served off the cold (trie-less) listing so far; once it
@@ -125,7 +125,7 @@ impl<E> AsRef<E> for ValRef<'_, E> {
 
 impl<E> ValRef<'_, E> {
     /// Take the value by clone-or-move.
-    pub fn into_owned(self) -> E
+    pub(crate) fn into_owned(self) -> E
     where
         E: Clone,
     {
@@ -450,7 +450,7 @@ impl<E: SemiringElem> Factor<E> {
     }
 
     /// Copy this factor's listing into a file-chunked spill (see
-    /// [`crate::colstore`]): the returned factor holds the same rows and
+    /// [`SpillConfig`]): the returned factor holds the same rows and
     /// values, chunked on disk with a bounded pinned window.
     pub fn to_spilled(&self, config: SpillConfig) -> Factor<E>
     where
@@ -505,7 +505,8 @@ impl<E: SemiringElem> Factor<E> {
     }
 
     /// First-column partition whose cuts align to this factor's spill-chunk
-    /// boundaries (same contract as [`Factor::column_partition`]), computed
+    /// boundaries (ascending half-open value ranges covering `[0, u32::MAX)`,
+    /// never splitting a value), computed
     /// from resident chunk metadata without faulting anything — each worker
     /// of a chunked join then pins only its own range's chunks. `None` for
     /// in-memory factors, which have no chunk grid to align to.
@@ -513,7 +514,7 @@ impl<E: SemiringElem> Factor<E> {
         self.spill_cols().map(|c| c.partition_first(max_chunks))
     }
 
-    /// The columnar trie index over this factor's rows (see [`crate::trie`]).
+    /// The columnar trie index over this factor's rows (see [`FactorTrie`]).
     ///
     /// Built on first use — `O(arity × len)` — and cached in the shared body,
     /// so joins, lookups and chunk partitioning through any handle of the
@@ -552,7 +553,7 @@ impl<E: SemiringElem> Factor<E> {
     /// `O(arity × len)` index build); the `GETS_BEFORE_TRIE`-th builds and
     /// caches the index, since a factor probed repeatedly is about to
     /// amortize it.
-    pub const GETS_BEFORE_TRIE: u32 = 4;
+    pub(crate) const GETS_BEFORE_TRIE: u32 = 4;
 
     /// Look up a tuple.
     ///
@@ -561,7 +562,7 @@ impl<E: SemiringElem> Factor<E> {
     /// *distinct* values of each level. On a cold factor the lookup falls
     /// back to columnar binary search over the sorted listing
     /// ([`Factor::prefix_range`] per column) — same `O(arity × log len)`
-    /// complexity, no index build; the [`Factor::GETS_BEFORE_TRIE`]-th cold
+    /// complexity, no index build; the `Factor::GETS_BEFORE_TRIE`-th cold
     /// lookup builds (and caches) the index on the factor.
     pub fn get(&self, tuple: &[u32]) -> Option<&E> {
         assert_eq!(tuple.len(), self.arity());
@@ -1000,7 +1001,8 @@ impl<E: SemiringElem> Factor<E> {
     ///
     /// Returns an empty vector when the factor has no rows or `max_chunks`
     /// admits only one chunk (callers fall back to a sequential run).
-    pub fn column_partition(&self, col: usize, max_chunks: usize) -> Vec<(u32, u32)> {
+    #[cfg(test)]
+    pub(crate) fn column_partition(&self, col: usize, max_chunks: usize) -> Vec<(u32, u32)> {
         assert!(col < self.arity(), "column {col} out of range for arity {}", self.arity());
         if max_chunks <= 1 || self.body.len < 2 {
             return Vec::new();
@@ -1025,7 +1027,7 @@ impl<E: SemiringElem> Factor<E> {
             values.sort_unstable();
         }
         let runs = values.chunk_by(|a, b| a == b).map(|run| (run[0], run.len(), true));
-        partition_runs(self.body.len, max_chunks, runs)
+        crate::trie::partition_runs(self.body.len, max_chunks, runs)
     }
 
     /// k-way merge of factors over the same schema, combining duplicate tuples
@@ -1195,7 +1197,7 @@ impl<E: SemiringElem> FactorBuilder<E> {
     }
 
     /// An empty builder whose rows stream straight to a file-chunked spill
-    /// (see [`crate::colstore`]): pushes buffer one chunk at a time, writes
+    /// (see [`SpillConfig`]): pushes buffer one chunk at a time, writes
     /// are strictly sequential, and [`FactorBuilder::finish`] yields a
     /// spilled factor whose resident footprint is the chunk metadata plus the
     /// pinned window. Streaming tries and [`FactorBuilder::append`] are not
@@ -1256,21 +1258,6 @@ impl<E: SemiringElem> FactorBuilder<E> {
             rows.reserve(additional * self.arity);
             vals.reserve(additional);
         }
-    }
-
-    /// The column order of the factor under construction.
-    pub fn schema(&self) -> &[Var] {
-        &self.schema
-    }
-
-    /// Rows appended so far.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no row has been appended yet.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Append a row. `row` must sort strictly after every row already pushed

@@ -1,7 +1,7 @@
 //! Typed storage failures, cooperative deadlines and deterministic fault
 //! injection.
 //!
-//! The out-of-core backing ([`crate::colstore`]) turns every chunk I/O
+//! The out-of-core backing ([`crate::SpillConfig`]) turns every chunk I/O
 //! failure into a [`StorageError`] instead of panicking: transient errors are
 //! retried a bounded number of times with backoff, and every chunk carries a
 //! checksum verified on fault-in, so a torn or bit-flipped chunk surfaces as
@@ -209,13 +209,8 @@ impl Deadline {
         Deadline { at: Instant::now().checked_add(budget).map_or(Expiry::Never, Expiry::At) }
     }
 
-    /// A deadline at an explicit instant.
-    pub fn at(at: Instant) -> Deadline {
-        Deadline { at: Expiry::At(at) }
-    }
-
     /// Whether the deadline has passed.
-    pub fn expired(&self) -> bool {
+    pub(crate) fn expired(&self) -> bool {
         matches!(self.at, Expiry::At(at) if Instant::now() >= at)
     }
 
@@ -246,7 +241,7 @@ impl CancelToken {
     }
 
     /// Whether [`CancelToken::cancel`] has been called.
-    pub fn is_cancelled(&self) -> bool {
+    pub(crate) fn is_cancelled(&self) -> bool {
         self.0.load(Ordering::SeqCst)
     }
 }
@@ -566,7 +561,7 @@ mod tests {
     fn checkpoint_honours_deadline_and_cancel() {
         // No controls installed: free pass.
         checkpoint();
-        let expired = AbortCtl { deadline: Some(Deadline::at(Instant::now())), cancel: None };
+        let expired = AbortCtl { deadline: Some(Deadline::after(Duration::ZERO)), cancel: None };
         let g = install_ctl(expired);
         assert_eq!(catch_abort(checkpoint), Err(QueryAbort::DeadlineExceeded));
         drop(g);

@@ -8,27 +8,28 @@
 //! Rows are kept sorted lexicographically under the factor's column order,
 //! which supplies the *conditional query* oracle of paper Assumption 1 via
 //! binary search. On top of the listing, [`Factor::trie`] exposes a columnar
-//! trie index ([`trie::FactorTrie`]) — built lazily, cached — that the
-//! OutsideIn join walks with [`trie::TrieCursor`]s instead of repeating
+//! trie index ([`FactorTrie`]) — built lazily, cached — that the
+//! OutsideIn join walks with [`TrieCursor`]s instead of repeating
 //! whole-row binary searches.
 //!
-//! Modules:
-//! * [`domains`] — per-variable domain sizes and assignment iteration;
-//! * [`factor`] — the [`Factor`] type and its algebra (projection, indicator
-//!   projection per Definition 4.2, product marginalization per Assumption 2,
-//!   point-wise maps, powering);
-//! * [`delta`] — sorted point-update batches ([`DeltaFactor`]) and their
-//!   application, reporting the changed first-column ranges that anchor
-//!   incremental re-evaluation;
-//! * [`trie`] — the columnar trie index: levels, cursors, range-restricted
-//!   views, root-level chunk partitioning;
-//! * [`storage`] — the seek contract of a trie level ([`LevelStorage`]) and
-//!   the branch-free galloping kernel that answers it on the heap
-//!   ([`VecStorage`]);
-//! * [`colstore`] — the file-chunked out-of-core backing: spilled listings
-//!   ([`colstore::FileChunkedColumns`]), spilled trie levels
-//!   ([`colstore::FileChunkedLevel`]) and the [`FactorLevel`] enum every
-//!   trie level is stored in, plus the process-wide pinned-chunk gauges;
+//! The API is the root re-exports below plus the [`fault`] module:
+//! * [`Domains`] — per-variable domain sizes and assignment iteration;
+//! * [`Factor`] / [`FactorBuilder`] — the factor type and its algebra
+//!   (projection, indicator projection per Definition 4.2, product
+//!   marginalization per Assumption 2, point-wise maps, powering), built
+//!   column-flat from sorted row streams;
+//! * [`DeltaFactor`] — sorted point-update batches and their application,
+//!   reporting the changed first-column ranges that anchor incremental
+//!   re-evaluation;
+//! * [`FactorTrie`] / [`TrieLevel`] / [`TrieCursor`] / [`TrieView`] — the
+//!   columnar trie index: levels, cursors, range-restricted views;
+//! * [`LevelStorage`] — the seek contract of a trie level, and
+//!   [`VecStorage`], the branch-free galloping kernel that answers it on the
+//!   heap;
+//! * [`SpillConfig`] — the file-chunked out-of-core backing: spilled listings,
+//!   spilled trie levels ([`FileChunkedLevel`]) and the [`FactorLevel`] enum
+//!   every trie level is stored in, plus the process-wide pinned-chunk gauges
+//!   ([`pinned_bytes`], [`peak_pinned_bytes`], [`chunk_reads`]);
 //! * [`fault`] — typed storage errors ([`StorageError`]), the
 //!   [`QueryAbort`] unwinding transport that carries them (and deadlines /
 //!   cancellation) out of infallible accessor code, and the seeded
@@ -36,14 +37,15 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod colstore;
-pub mod delta;
-pub mod domains;
-pub mod factor;
+mod colstore;
+mod delta;
+mod domains;
+mod factor;
 pub mod fault;
-pub mod storage;
-pub mod trie;
+mod storage;
+mod trie;
 
 pub use colstore::{
     chunk_reads, gc_stale_spill_dirs, peak_pinned_bytes, pinned_bytes, reset_peak_pinned_bytes,

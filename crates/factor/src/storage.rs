@@ -47,8 +47,8 @@
 //!   autovectorizes.
 
 /// Backing storage of one trie level: the `values`/`child`/`rows` arrays and
-/// the windowed-lub search over them. See the [module docs](self) for the
-/// exact contract.
+/// the windowed-lub search over them. The exact contract is in the
+/// `storage` module docs.
 pub trait LevelStorage: Clone + std::fmt::Debug + PartialEq + Eq + Send + Sync {
     /// Assemble a level from its finished columnar arrays. `child` and `rows`
     /// must hold `values.len() + 1` monotone offsets each.
@@ -118,7 +118,8 @@ pub(crate) fn block_lub(values: &[u32], lo: usize, hi: usize, bound: u32) -> usi
 }
 
 /// The default heap-backed level storage: plain `Vec`s plus the head-sample
-/// array powering cold seeks. See the [module docs](self) for the kernel.
+/// array powering cold seeks. The kernel is described in the `storage`
+/// module docs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VecStorage {
     values: Vec<u32>,

@@ -126,7 +126,12 @@ impl TrieLevel {
     /// entry in this window, or `usize::MAX` when cold. The hint never
     /// changes the result (the kernel contract pins it to the
     /// `partition_point` oracle); it only shortens warm searches.
-    pub fn lub_from(&self, window: (usize, usize), hint: usize, bound: u32) -> Option<usize> {
+    pub(crate) fn lub_from(
+        &self,
+        window: (usize, usize),
+        hint: usize,
+        bound: u32,
+    ) -> Option<usize> {
         let j = self.storage.lub_from(window, hint, bound);
         (j < window.1).then_some(j)
     }
@@ -145,8 +150,8 @@ impl TrieLevel {
 }
 
 /// A columnar trie index over one factor: one [`TrieLevel`] per schema
-/// column. Built by [`crate::Factor::trie`] (lazily, cached) — see the
-/// [module docs](self) for layout and a worked example.
+/// column. Built by [`crate::Factor::trie`] (lazily, cached) — the `trie`
+/// module docs give the layout and a worked example.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FactorTrie {
     levels: Vec<TrieLevel>,
@@ -170,7 +175,7 @@ impl FactorTrie {
     }
 
     /// Heap bytes the index currently keeps resident, all levels together.
-    pub fn resident_bytes(&self) -> usize {
+    pub(crate) fn resident_bytes(&self) -> usize {
         self.levels.iter().map(|l| l.storage.resident_bytes()).sum()
     }
 
@@ -196,9 +201,9 @@ impl FactorTrie {
     /// Partition the root level into at most `max_chunks` half-open *value*
     /// ranges of roughly equal row counts, never splitting a value.
     ///
-    /// Trie-native [`crate::Factor::column_partition`] for column 0: the root
-    /// level already lists the distinct values with their row counts, so no
-    /// scan or sort of the listing is needed. Same contract: ranges cover
+    /// The trie-native partition of column 0: the root level already lists
+    /// the distinct values with their row counts, so no scan or sort of the
+    /// listing is needed. Ranges cover
     /// `[0, u32::MAX)` in ascending order, and an empty vector means "run
     /// sequentially" (fewer than 2 rows, or `max_chunks ≤ 1`).
     pub fn partition_root(&self, max_chunks: usize) -> Vec<(u32, u32)> {
@@ -400,16 +405,6 @@ pub struct TrieView<'t> {
 }
 
 impl<'t> TrieView<'t> {
-    /// The underlying trie.
-    pub fn trie(&self) -> &'t FactorTrie {
-        self.trie
-    }
-
-    /// The root entry window of this view.
-    pub fn root(&self) -> (usize, usize) {
-        self.root
-    }
-
     /// Listing rows covered by the view.
     pub fn num_rows(&self) -> usize {
         let (lo, hi) = self.root;
@@ -437,7 +432,7 @@ impl<'t> TrieView<'t> {
 /// entry at each of the first `d` levels and offers the entries of level `d`
 /// within the chosen parent as candidates. [`TrieCursor::seek`] finds the
 /// least candidate value `≥ bound` (galloping from the last match — see
-/// [`crate::storage`]), [`TrieCursor::open`] descends into a sought value,
+/// [`crate::LevelStorage`]), [`TrieCursor::open`] descends into a sought value,
 /// [`TrieCursor::next`] advances to the following sibling, and
 /// [`TrieCursor::up`] backtracks. Once every level is open
 /// ([`TrieCursor::at_leaf`]), [`TrieCursor::row`] is the listing row of the
@@ -544,13 +539,6 @@ impl<'t> TrieCursor<'t> {
         debug_assert!(self.at_leaf());
         let &leaf = self.path.last().expect("at_leaf checked");
         self.trie.level(self.trie.arity() - 1).row_range(leaf).0
-    }
-
-    /// The chosen value at the deepest open level.
-    pub fn key(&self) -> u32 {
-        let d = self.path.len();
-        assert!(d > 0, "key at the root");
-        self.trie.level(d - 1).value(self.path[d - 1])
     }
 }
 

@@ -125,50 +125,50 @@ pub fn join_tree(h: &Hypergraph) -> Option<JoinTree> {
     Some(JoinTree { parent, root })
 }
 
-/// Verify the join-tree running-intersection property (used by tests).
-pub fn validate_join_tree(h: &Hypergraph, t: &JoinTree) -> bool {
-    let m = h.num_edges();
-    if t.parent.len() != m {
-        return false;
-    }
-    // For each vertex, the set of edges containing it must form a connected
-    // subtree: check that from every edge containing v, walking to the root,
-    // once we leave the set we never re-enter.
-    for &vtx in h.vertices().iter() {
-        let holders: Vec<usize> = (0..m).filter(|&i| h.edges()[i].contains(&vtx)).collect();
-        if holders.is_empty() {
-            continue;
-        }
-        // The connected-subtree condition is equivalent to: the nearest common
-        // "holder ancestor" structure is itself connected. Simple check: for
-        // each holder, walk up until reaching another holder or the root; if we
-        // reach another holder the segment between must be all holders.
-        for &start in &holders {
-            let mut cur = start;
-            let mut left_set = false;
-            let mut steps = 0;
-            while t.parent[cur] != cur {
-                cur = t.parent[cur];
-                steps += 1;
-                if steps > m {
-                    return false; // cycle
-                }
-                let inside = h.edges()[cur].contains(&vtx);
-                if !inside {
-                    left_set = true;
-                } else if left_set {
-                    return false; // re-entered: disconnected subtree
-                }
-            }
-        }
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::v;
+
+    /// Verify the join-tree running-intersection property.
+    fn validate_join_tree(h: &Hypergraph, t: &JoinTree) -> bool {
+        let m = h.num_edges();
+        if t.parent.len() != m {
+            return false;
+        }
+        // For each vertex, the set of edges containing it must form a connected
+        // subtree: check that from every edge containing v, walking to the root,
+        // once we leave the set we never re-enter.
+        for &vtx in h.vertices().iter() {
+            let holders: Vec<usize> = (0..m).filter(|&i| h.edges()[i].contains(&vtx)).collect();
+            if holders.is_empty() {
+                continue;
+            }
+            // The connected-subtree condition is equivalent to: the nearest common
+            // "holder ancestor" structure is itself connected. Simple check: for
+            // each holder, walk up until reaching another holder or the root; if we
+            // reach another holder the segment between must be all holders.
+            for &start in &holders {
+                let mut cur = start;
+                let mut left_set = false;
+                let mut steps = 0;
+                while t.parent[cur] != cur {
+                    cur = t.parent[cur];
+                    steps += 1;
+                    if steps > m {
+                        return false; // cycle
+                    }
+                    let inside = h.edges()[cur].contains(&vtx);
+                    if !inside {
+                        left_set = true;
+                    } else if left_set {
+                        return false; // re-entered: disconnected subtree
+                    }
+                }
+            }
+        }
+        true
+    }
 
     #[test]
     fn path_is_acyclic() {

@@ -54,28 +54,8 @@ pub fn is_beta_acyclic(h: &Hypergraph) -> bool {
     nested_elimination_order(h).is_some()
 }
 
-/// Brute-force β-acyclicity via the definition: every subset of edges is
-/// α-acyclic. Exponential in the number of edges; used to cross-validate
-/// the nest-point algorithm in tests.
-pub fn is_beta_acyclic_bruteforce(h: &Hypergraph) -> bool {
-    let m = h.num_edges();
-    assert!(m <= 16, "brute force limited to 16 edges");
-    for mask in 0u32..(1 << m) {
-        let mut sub = Hypergraph::new();
-        for (i, e) in h.edges().iter().enumerate() {
-            if mask >> i & 1 == 1 {
-                sub.add_edge(e.iter().copied());
-            }
-        }
-        if !crate::acyclic::is_alpha_acyclic(&sub) {
-            return false;
-        }
-    }
-    true
-}
-
-/// Check that `order` is a valid NEO for `h` (used by tests and by the CNF
-/// engine to validate caller-provided orders).
+/// Check that `order` is a nested elimination order for `h`: eliminating
+/// from its back, every vertex is a nest point when it goes (Prop 4.10).
 pub fn is_nested_elimination_order(h: &Hypergraph, order: &[Var]) -> bool {
     if order.iter().copied().collect::<VarSet>() != *h.vertices() {
         return false;
@@ -96,6 +76,26 @@ pub fn is_nested_elimination_order(h: &Hypergraph, order: &[Var]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Brute-force β-acyclicity via the definition: every subset of edges is
+    /// α-acyclic. Exponential in the number of edges; used to cross-validate
+    /// the nest-point algorithm in tests.
+    fn is_beta_acyclic_bruteforce(h: &Hypergraph) -> bool {
+        let m = h.num_edges();
+        assert!(m <= 16, "brute force limited to 16 edges");
+        for mask in 0u32..(1 << m) {
+            let mut sub = Hypergraph::new();
+            for (i, e) in h.edges().iter().enumerate() {
+                if mask >> i & 1 == 1 {
+                    sub.add_edge(e.iter().copied());
+                }
+            }
+            if !crate::acyclic::is_alpha_acyclic(&sub) {
+                return false;
+            }
+        }
+        true
+    }
 
     #[test]
     fn interval_hypergraphs_are_beta_acyclic() {

@@ -30,7 +30,6 @@ pub enum ElimRule {
 #[derive(Debug, Clone)]
 pub struct EliminationSequence {
     order: Vec<Var>,
-    rules: Vec<ElimRule>,
     /// `U_k` for each position `k` (aligned with `order`; `u_sets[k]` includes `v_{k+1}` itself).
     u_sets: Vec<VarSet>,
     /// Edge sets of `H_k` *before* eliminating `order[k]` (aligned with `order`).
@@ -48,31 +47,16 @@ impl EliminationSequence {
     ///
     /// `order` must list every vertex of `h` exactly once; `rules[k]` applies
     /// to `order[k]`.
-    pub fn with_rules(h: &Hypergraph, order: &[Var], rules: &[ElimRule]) -> Self {
+    pub(crate) fn with_rules(h: &Hypergraph, order: &[Var], rules: &[ElimRule]) -> Self {
         let mut edge_sets = vec![Vec::new(); order.len()];
         let u_sets = eliminate(h, order, rules, |k, edges| edge_sets[k] = edges.to_vec());
-        EliminationSequence { order: order.to_vec(), rules: rules.to_vec(), u_sets, edge_sets }
-    }
-
-    /// The ordering this sequence was built from.
-    pub fn order(&self) -> &[Var] {
-        &self.order
-    }
-
-    /// Per-vertex rewrite rules.
-    pub fn rules(&self) -> &[ElimRule] {
-        &self.rules
+        EliminationSequence { order: order.to_vec(), u_sets, edge_sets }
     }
 
     /// `U_k` for position `k` (0-based within `order`). Includes `order[k]`
     /// itself whenever the vertex has at least one incident edge.
     pub fn u_set(&self, k: usize) -> &VarSet {
         &self.u_sets[k]
-    }
-
-    /// All `U_k`, aligned with the ordering.
-    pub fn u_sets(&self) -> &[VarSet] {
-        &self.u_sets
     }
 
     /// The edge multiset of `H_k` (the hypergraph *before* `order[k]` is
@@ -84,7 +68,7 @@ impl EliminationSequence {
     /// The induced `g`-width `max_k g(U_k)` (Definition 4.11) over a subset of
     /// positions. Positions with empty `U_k` (isolated at elimination time)
     /// are skipped.
-    pub fn induced_width_over<F: FnMut(&VarSet) -> f64>(
+    pub(crate) fn induced_width_over<F: FnMut(&VarSet) -> f64>(
         &self,
         positions: &[usize],
         mut g: F,
@@ -99,21 +83,15 @@ impl EliminationSequence {
     }
 
     /// The induced `g`-width over *all* positions.
-    pub fn induced_width<F: FnMut(&VarSet) -> f64>(&self, g: F) -> f64 {
+    pub(crate) fn induced_width<F: FnMut(&VarSet) -> f64>(&self, g: F) -> f64 {
         let all: Vec<usize> = (0..self.order.len()).collect();
         self.induced_width_over(&all, g)
-    }
-
-    /// The classical induced width (`g(B) = |B| − 1`), i.e. the tree-width
-    /// witnessed by this ordering.
-    pub fn induced_tree_width(&self) -> usize {
-        self.u_sets.iter().map(|u| u.len().saturating_sub(1)).max().unwrap_or(0)
     }
 }
 
 /// The sets `U_k` of eliminating along `order` under per-vertex `rules`
 /// (Definition 5.4), aligned with `order` — what
-/// [`EliminationSequence::with_rules`] records, without the per-step edge
+/// `EliminationSequence::with_rules` records, without the per-step edge
 /// snapshots it keeps beside them. The cheap form for callers that only need
 /// widths, such as a search evaluating hundreds of orderings.
 pub fn u_sets_with_rules(h: &Hypergraph, order: &[Var], rules: &[ElimRule]) -> Vec<VarSet> {
@@ -182,7 +160,7 @@ fn eliminate(
 /// This quantity is order-independent given the *set* `eliminated`, which is
 /// what makes the exact subset-DP ordering search (`ordering::best_ordering_exact`)
 /// correct. A property test cross-checks it against [`EliminationSequence`].
-pub fn fold_u_set(h: &Hypergraph, eliminated: &VarSet, v: Var) -> VarSet {
+pub(crate) fn fold_u_set(h: &Hypergraph, eliminated: &VarSet, v: Var) -> VarSet {
     debug_assert!(!eliminated.contains(&v));
     let mut u = VarSet::new();
     let mut frontier = vec![v];
@@ -218,6 +196,12 @@ mod tests {
     use super::*;
     use crate::{v, varset};
 
+    /// The classical induced width (`g(B) = |B| − 1`), i.e. the tree-width
+    /// witnessed by the ordering.
+    fn tree_width(seq: &EliminationSequence) -> usize {
+        seq.induced_width(|u| u.len() as f64 - 1.0) as usize
+    }
+
     fn path4() -> Hypergraph {
         // 0 - 1 - 2 - 3
         Hypergraph::from_edges(&[&[0, 1], &[1, 2], &[2, 3]])
@@ -234,7 +218,7 @@ mod tests {
         assert_eq!(seq.u_set(2), &varset(&[1, 2]));
         assert_eq!(seq.u_set(1), &varset(&[0, 1]));
         assert_eq!(seq.u_set(0), &varset(&[0]));
-        assert_eq!(seq.induced_tree_width(), 1);
+        assert_eq!(tree_width(&seq), 1);
     }
 
     #[test]
@@ -246,7 +230,7 @@ mod tests {
         let seq = EliminationSequence::new(&h, &order);
         // Eliminate 2 first: U = {1,2,3} -> width 2.
         assert_eq!(seq.u_set(3), &varset(&[1, 2, 3]));
-        assert_eq!(seq.induced_tree_width(), 2);
+        assert_eq!(tree_width(&seq), 2);
     }
 
     #[test]
@@ -254,7 +238,7 @@ mod tests {
         let h = Hypergraph::from_edges(&[&[0, 1], &[0, 2], &[1, 2]]);
         for order in [[v(0), v(1), v(2)], [v(2), v(0), v(1)], [v(1), v(2), v(0)]] {
             let seq = EliminationSequence::new(&h, &order);
-            assert_eq!(seq.induced_tree_width(), 2, "order {order:?}");
+            assert_eq!(tree_width(&seq), 2, "order {order:?}");
         }
     }
 
@@ -279,7 +263,7 @@ mod tests {
         let order = [v(0), v(1), v(2), v(3), v(7)];
         let seq = EliminationSequence::new(&h, &order);
         assert!(seq.u_set(4).is_empty());
-        assert_eq!(seq.induced_tree_width(), 1);
+        assert_eq!(tree_width(&seq), 1);
     }
 
     #[test]

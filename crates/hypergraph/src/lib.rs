@@ -5,30 +5,35 @@
 //! * [`Hypergraph`] — a multi-hypergraph over [`Var`] vertices;
 //! * [`elim`] — the elimination hypergraph sequence of Definition 4.8 /
 //!   Definition 5.4 and induced `g`-widths of vertex orderings;
-//! * [`acyclic`] — GYO reduction, α-acyclicity (Def 4.4) and join trees;
-//! * [`beta`] — β-acyclicity (Def 4.5), nest points and nested elimination
-//!   orders (Prop 4.10);
+//! * [`gyo_reduce`] / [`is_alpha_acyclic`] / [`join_tree`] — GYO reduction,
+//!   α-acyclicity (Def 4.4) and join trees;
+//! * [`is_beta_acyclic`] / [`nested_elimination_order`] /
+//!   [`is_nested_elimination_order`] — β-acyclicity (Def 4.5) via nest points,
+//!   and nested elimination orders (Prop 4.10);
 //! * [`widths`] — integral and fractional edge cover numbers `ρ`, `ρ*`
 //!   (§4.2) and the AGM bound;
-//! * [`treedec`] — tree decompositions (Def 4.3) and their `g`-widths;
+//! * [`TreeDecomposition`] — tree decompositions (Def 4.3) built from an
+//!   ordering, and their validation;
 //! * [`ordering`] — exact (subset DP) and heuristic searches for vertex
 //!   orderings minimizing induced widths (tw / fhtw, Cor 4.13);
 //! * [`compose`] — hypergraph composition and the fhtw bounds of §8.5.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod acyclic;
-pub mod beta;
+mod acyclic;
+mod beta;
 pub mod compose;
 pub mod elim;
 pub mod ordering;
-pub mod treedec;
+mod treedec;
 pub mod widths;
-pub mod zoo;
+#[cfg(test)]
+mod zoo;
 
 pub use acyclic::{gyo_reduce, is_alpha_acyclic, join_tree};
-pub use beta::{is_beta_acyclic, nested_elimination_order};
+pub use beta::{is_beta_acyclic, is_nested_elimination_order, nested_elimination_order};
 pub use elim::EliminationSequence;
 pub use ordering::{best_ordering_exact, min_degree_ordering, min_fill_ordering};
 pub use treedec::TreeDecomposition;
@@ -139,47 +144,6 @@ impl Hypergraph {
         self.edges.len()
     }
 
-    /// Indices of edges incident to `v` (the paper's `∂(v)`).
-    pub fn incident(&self, v: Var) -> Vec<usize> {
-        (0..self.edges.len()).filter(|&i| self.edges[i].contains(&v)).collect()
-    }
-
-    /// `U(v)` — the union of all edges incident to `v` (paper eq. (6)).
-    pub fn neighborhood_closure(&self, v: Var) -> VarSet {
-        let mut u = VarSet::new();
-        for e in &self.edges {
-            if e.contains(&v) {
-                u.extend(e.iter().copied());
-            }
-        }
-        u
-    }
-
-    /// Whether vertex `u` and `v` share an edge (Gaifman adjacency).
-    pub fn adjacent(&self, u: Var, w: Var) -> bool {
-        u != w && self.edges.iter().any(|e| e.contains(&u) && e.contains(&w))
-    }
-
-    /// The sub-hypergraph induced by `keep`: edges are intersected with `keep`
-    /// and empty intersections dropped; vertex set becomes `keep ∩ V`.
-    pub fn induced(&self, keep: &VarSet) -> Hypergraph {
-        let vertices: VarSet = self.vertices.intersection(keep).copied().collect();
-        let edges: Vec<VarSet> = self
-            .edges
-            .iter()
-            .map(|e| e.intersection(keep).copied().collect::<VarSet>())
-            .filter(|e: &VarSet| !e.is_empty())
-            .collect();
-        Hypergraph { vertices, edges }
-    }
-
-    /// Remove a set of vertices: `H − S` (edges shrink; empty edges dropped;
-    /// vertices leave the vertex set).
-    pub fn remove_vertices(&self, s: &VarSet) -> Hypergraph {
-        let keep: VarSet = self.vertices.difference(s).copied().collect();
-        self.induced(&keep)
-    }
-
     /// Connected components of the vertex set (isolated vertices form their
     /// own components). Components are returned as sorted vertex sets, in
     /// ascending order of their minimum vertex.
@@ -208,11 +172,6 @@ impl Hypergraph {
             comp.push(cur);
         }
         comp
-    }
-
-    /// Whether the hypergraph is connected (zero or one component).
-    pub fn is_connected(&self) -> bool {
-        self.connected_components().len() <= 1
     }
 
     /// Deduplicate edges and drop edges contained in other edges.
@@ -258,10 +217,6 @@ mod tests {
         let h = triangle();
         assert_eq!(h.num_vertices(), 3);
         assert_eq!(h.num_edges(), 3);
-        assert_eq!(h.incident(Var(0)), vec![0, 1]);
-        assert_eq!(h.neighborhood_closure(Var(0)), varset(&[0, 1, 2]));
-        assert!(h.adjacent(Var(0), Var(1)));
-        assert!(!h.adjacent(Var(0), Var(0)));
     }
 
     #[test]
@@ -275,22 +230,11 @@ mod tests {
     }
 
     #[test]
-    fn induced_and_removal() {
-        let h = Hypergraph::from_edges(&[&[0, 1, 2], &[2, 3], &[3, 4]]);
-        let g = h.remove_vertices(&varset(&[2]));
-        assert_eq!(g.num_vertices(), 4);
-        // {0,1,2} -> {0,1}; {2,3} -> {3}; {3,4} unchanged.
-        assert_eq!(g.edges().len(), 3);
-        assert_eq!(g.edges()[0], varset(&[0, 1]));
-        assert_eq!(g.edges()[1], varset(&[3]));
-    }
-
-    #[test]
     fn components_split_after_cut() {
         let h = Hypergraph::from_edges(&[&[0, 1], &[1, 2], &[3, 4]]);
         assert_eq!(h.connected_components().len(), 2);
-        assert!(!h.is_connected());
-        let g = h.remove_vertices(&varset(&[1]));
+        // Cutting vertex 1 leaves {0}, {2} and {3, 4}.
+        let g = Hypergraph::from_edges(&[&[0], &[2], &[3, 4]]);
         assert_eq!(g.connected_components().len(), 3);
     }
 

@@ -7,9 +7,9 @@
 //!
 //! * [`best_ordering_exact`] — exact subset dynamic programming over
 //!   eliminated vertex sets (feasible to ~16 vertices), using the
-//!   order-independent path characterization of `U_v` ([`crate::elim::fold_u_set`]);
-//! * [`min_fill_ordering`], [`min_degree_ordering`], [`greedy_g_ordering`] —
-//!   standard heuristics;
+//!   order-independent path characterization of `U_v` (`elim::fold_u_set`);
+//! * [`min_fill_ordering`], [`min_degree_ordering`] and a greedy `g`-ordering
+//!   — standard heuristics;
 //! * [`best_ordering`] — exact when small, otherwise best-of-heuristics. This
 //!   is the "fhtw blackbox" plugged into the faqw approximation algorithm of
 //!   paper §7 (Theorems 7.2 / 7.5).
@@ -111,7 +111,7 @@ pub fn best_ordering_exact<F: FnMut(&VarSet) -> f64>(h: &Hypergraph, g: F) -> Or
 
 /// Greedy ordering: repeatedly eliminate the vertex minimizing `g(U_v)` given
 /// what has been eliminated so far.
-pub fn greedy_g_ordering<F: FnMut(&VarSet) -> f64>(h: &Hypergraph, g: F) -> OrderingResult {
+pub(crate) fn greedy_g_ordering<F: FnMut(&VarSet) -> f64>(h: &Hypergraph, g: F) -> OrderingResult {
     let mut memo = MemoG::new(g);
     let mut remaining: Vec<Var> = h.vertices().iter().copied().collect();
     let mut eliminated = VarSet::new();

@@ -13,11 +13,6 @@ pub struct TreeDecomposition {
 }
 
 impl TreeDecomposition {
-    /// A decomposition with a single bag containing all vertices (always valid).
-    pub fn trivial(h: &Hypergraph) -> Self {
-        TreeDecomposition { bags: vec![h.vertices().clone()], parent: vec![0] }
-    }
-
     /// Build a tree decomposition from a vertex ordering via the elimination
     /// sequence: the bag of `v_k` is `U_k`; it attaches to the bag of the
     /// earliest-eliminated vertex of `U_k − {v_k}` (standard construction
@@ -112,48 +107,6 @@ impl TreeDecomposition {
         }
         Ok(())
     }
-
-    /// The `g`-width of the decomposition: `max` of `g` over the bags
-    /// (Adler's width-function framework, paper §4.3).
-    pub fn g_width<F: FnMut(&VarSet) -> f64>(&self, g: F) -> f64 {
-        self.bags.iter().map(g).fold(0.0, f64::max)
-    }
-
-    /// The classical width: `max |bag| − 1`.
-    pub fn width(&self) -> usize {
-        self.bags.iter().map(|b| b.len().saturating_sub(1)).max().unwrap_or(0)
-    }
-
-    /// A GYO-style vertex ordering extracted from the decomposition: vertices
-    /// are listed root-bag first, then by the bag in which they appear closest
-    /// to the root. Eliminating from the back of this ordering re-witnesses
-    /// the decomposition's width (Lemma 4.12 direction ⇒).
-    pub fn elimination_ordering(&self) -> Vec<Var> {
-        let n = self.bags.len();
-        // Depth of each node.
-        let mut depth = vec![0usize; n];
-        for (i, slot) in depth.iter_mut().enumerate() {
-            let mut cur = i;
-            let mut d = 0;
-            while self.parent[cur] != cur {
-                cur = self.parent[cur];
-                d += 1;
-            }
-            *slot = d;
-        }
-        let mut order: Vec<Var> = Vec::new();
-        let mut placed: VarSet = VarSet::new();
-        let mut nodes: Vec<usize> = (0..n).collect();
-        nodes.sort_by_key(|&i| depth[i]);
-        for i in nodes {
-            for &v in &self.bags[i] {
-                if placed.insert(v) {
-                    order.push(v);
-                }
-            }
-        }
-        order
-    }
 }
 
 #[cfg(test)]
@@ -161,12 +114,17 @@ mod tests {
     use super::*;
     use crate::{v, varset, widths::rho_star};
 
+    /// The classical width: `max |bag| − 1`.
+    fn width(td: &TreeDecomposition) -> usize {
+        td.bags.iter().map(|b| b.len().saturating_sub(1)).max().unwrap_or(0)
+    }
+
     #[test]
     fn trivial_is_valid() {
         let h = Hypergraph::from_edges(&[&[0, 1], &[1, 2]]);
-        let td = TreeDecomposition::trivial(&h);
+        let td = TreeDecomposition { bags: vec![h.vertices().clone()], parent: vec![0] };
         td.validate(&h).unwrap();
-        assert_eq!(td.width(), 2);
+        assert_eq!(width(&td), 2);
     }
 
     #[test]
@@ -174,7 +132,7 @@ mod tests {
         let h = Hypergraph::from_edges(&[&[0, 1], &[1, 2], &[2, 3]]);
         let td = TreeDecomposition::from_ordering(&h, &[v(0), v(1), v(2), v(3)]);
         td.validate(&h).unwrap();
-        assert_eq!(td.width(), 1);
+        assert_eq!(width(&td), 1);
     }
 
     #[test]
@@ -182,9 +140,9 @@ mod tests {
         let h = Hypergraph::from_edges(&[&[0, 1], &[0, 2], &[1, 2]]);
         let td = TreeDecomposition::from_ordering(&h, &[v(0), v(1), v(2)]);
         td.validate(&h).unwrap();
-        assert_eq!(td.width(), 2);
+        assert_eq!(width(&td), 2);
         // fractional width of the triangle decomposition: one bag {0,1,2} -> 1.5.
-        let w = td.g_width(|b| rho_star(&h, b));
+        let w = td.bags.iter().map(|b| rho_star(&h, b)).fold(0.0, f64::max);
         assert!((w - 1.5).abs() < 1e-6);
     }
 
@@ -231,17 +189,5 @@ mod tests {
         // vertex 2 appears in bags 0 and 2 but not 1: path 2 -> 1 -> 0 leaves
         // and re-enters — invalid.
         assert!(td.validate(&h).is_err());
-    }
-
-    #[test]
-    fn elimination_ordering_round_trips_width() {
-        let h = Hypergraph::from_edges(&[&[0, 1], &[1, 2], &[2, 3], &[3, 0]]);
-        // C4 has treewidth 2.
-        let td = TreeDecomposition::from_ordering(&h, &[v(0), v(1), v(2), v(3)]);
-        td.validate(&h).unwrap();
-        let order = td.elimination_ordering();
-        let td2 = TreeDecomposition::from_ordering(&h, &order);
-        td2.validate(&h).unwrap();
-        assert!(td2.width() <= td.width());
     }
 }

@@ -28,7 +28,7 @@ pub struct FractionalCover {
 ///
 /// Returns `None` if some vertex of `B` is not covered by any edge (LP
 /// infeasible).
-pub fn fractional_cover_with_costs(
+pub(crate) fn fractional_cover_with_costs(
     h: &Hypergraph,
     b: &VarSet,
     costs: &[f64],

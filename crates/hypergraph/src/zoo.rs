@@ -1,10 +1,10 @@
-//! A zoo of named hypergraphs with known width parameters — fixtures for
-//! tests and benchmarks, and executable documentation of the width theory.
+//! A zoo of named hypergraphs with known width parameters — fixtures for the
+//! crate's tests, and executable documentation of the width theory.
 
 use crate::{Hypergraph, Var};
 
 /// The path `P_n`: edges `{i, i+1}` for `i < n−1`. Treewidth 1, fhtw 1.
-pub fn path(n: u32) -> Hypergraph {
+pub(crate) fn path(n: u32) -> Hypergraph {
     assert!(n >= 1);
     let mut h = Hypergraph::new();
     for i in 0..n {
@@ -17,7 +17,7 @@ pub fn path(n: u32) -> Hypergraph {
 }
 
 /// The cycle `C_n`. Treewidth 2 (n ≥ 3), fhtw 2 for even splits, ρ* = n/2.
-pub fn cycle(n: u32) -> Hypergraph {
+pub(crate) fn cycle(n: u32) -> Hypergraph {
     assert!(n >= 3);
     let mut h = Hypergraph::new();
     for i in 0..n {
@@ -27,7 +27,7 @@ pub fn cycle(n: u32) -> Hypergraph {
 }
 
 /// The clique `K_n` as binary edges. Treewidth n−1, fhtw n/2.
-pub fn clique(n: u32) -> Hypergraph {
+pub(crate) fn clique(n: u32) -> Hypergraph {
     assert!(n >= 2);
     let mut h = Hypergraph::new();
     for i in 0..n {
@@ -39,7 +39,7 @@ pub fn clique(n: u32) -> Hypergraph {
 }
 
 /// The `rows × cols` grid. Treewidth `min(rows, cols)`.
-pub fn grid(rows: u32, cols: u32) -> Hypergraph {
+pub(crate) fn grid(rows: u32, cols: u32) -> Hypergraph {
     assert!(rows >= 1 && cols >= 1);
     let at = |r: u32, c: u32| Var(r * cols + c);
     let mut h = Hypergraph::new();
@@ -58,7 +58,7 @@ pub fn grid(rows: u32, cols: u32) -> Hypergraph {
 }
 
 /// The star `S_n`: a hub connected to `n` leaves. α- and β-acyclic.
-pub fn star(n: u32) -> Hypergraph {
+pub(crate) fn star(n: u32) -> Hypergraph {
     let mut h = Hypergraph::new();
     for i in 1..=n {
         h.add_edge([Var(0), Var(i)]);
@@ -68,7 +68,7 @@ pub fn star(n: u32) -> Hypergraph {
 
 /// The `k`-uniform "loomis-whitney" hypergraph `LW_k`: vertices `0..k`, one
 /// edge omitting each vertex. ρ*(V) = k/(k−1); the triangle is `LW_3`.
-pub fn loomis_whitney(k: u32) -> Hypergraph {
+pub(crate) fn loomis_whitney(k: u32) -> Hypergraph {
     assert!(k >= 3);
     let mut h = Hypergraph::new();
     for omit in 0..k {
@@ -79,7 +79,7 @@ pub fn loomis_whitney(k: u32) -> Hypergraph {
 
 /// The hierarchy of nested edges `{0}, {0,1}, {0,1,2}, …` — β-acyclic with a
 /// forced nest-point order.
-pub fn nested_chain(n: u32) -> Hypergraph {
+pub(crate) fn nested_chain(n: u32) -> Hypergraph {
     assert!(n >= 1);
     let mut h = Hypergraph::new();
     for i in 1..=n {

@@ -12,7 +12,7 @@ use std::collections::HashMap;
 
 /// Join two factors on their common variables with a hash join, multiplying
 /// values. The result schema is `left.schema ++ (right.schema − left.schema)`.
-pub fn hash_join_pair<E: SemiringElem>(
+pub(crate) fn hash_join_pair<E: SemiringElem>(
     left: &Factor<E>,
     right: &Factor<E>,
     mut mul: impl FnMut(&E, &E) -> E,

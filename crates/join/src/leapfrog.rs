@@ -457,8 +457,7 @@ where
 /// concatenated in range order, reproduce the unrestricted join's output
 /// stream exactly (the enumeration below `order[0]` is untouched).
 ///
-/// Returns search statistics (see the [module docs](self) for what they
-/// count).
+/// Returns search statistics (see [`JoinStats`] for what they count).
 // Eight parameters: the engine, the apps and the benchmark all name this
 // signature, so it stays as it is.
 #[allow(clippy::too_many_arguments)]

@@ -16,16 +16,17 @@
 //!   listing ([`JoinRep`], chosen once per call); the trie is the default
 //!   and fuses the innermost variable into one loop over resolved trie
 //!   levels. Its [`JoinStats`] counters — seeks, nodes, matches — are the
-//!   paper's cost model and are counted identically under both (see
-//!   [`leapfrog`] for the contract).
-//! * [`baseline`] — pairwise hash joins and nested loops, the comparison
-//!   points for the Table 1 "Joins" row.
+//!   paper's cost model and are counted identically under both (the
+//!   `leapfrog` module docs state the contract).
+//! * [`pairwise_hash_join`] / [`nested_loop_join`] — the baselines, the
+//!   comparison points for the Table 1 "Joins" row.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod baseline;
-pub mod leapfrog;
+mod baseline;
+mod leapfrog;
 
 pub use baseline::{nested_loop_join, pairwise_hash_join};
 pub use leapfrog::{multiway_join_range_rep, JoinInput, JoinRep, JoinStats};

@@ -12,10 +12,11 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod simplex;
+mod simplex;
 
 pub use simplex::{Constraint, ConstraintOp, LinearProgram, LpError, Solution};
 
 /// Numerical tolerance used throughout the solver.
-pub const EPS: f64 = 1e-9;
+pub(crate) const EPS: f64 = 1e-9;

@@ -83,7 +83,7 @@ impl LinearProgram {
     }
 
     /// Number of structural variables.
-    pub fn num_vars(&self) -> usize {
+    pub(crate) fn num_vars(&self) -> usize {
         self.objective.len()
     }
 

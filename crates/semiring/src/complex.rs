@@ -27,7 +27,7 @@ impl Complex64 {
     }
 
     /// `e^{iθ} = cos θ + i sin θ`.
-    pub fn cis(theta: f64) -> Self {
+    pub(crate) fn cis(theta: f64) -> Self {
         Complex64 { re: theta.cos(), im: theta.sin() }
     }
 
@@ -37,7 +37,7 @@ impl Complex64 {
     }
 
     /// Squared modulus `|z|²`.
-    pub fn norm_sqr(&self) -> f64 {
+    pub(crate) fn norm_sqr(&self) -> f64 {
         self.re * self.re + self.im * self.im
     }
 

@@ -124,11 +124,6 @@ impl<S: Semiring> SingleSemiringDomain<S> {
 
     /// The identifier of the unique addition operator.
     pub const OP: AggId = AggId(0);
-
-    /// Access the underlying semiring.
-    pub fn semiring(&self) -> &S {
-        &self.semiring
-    }
 }
 
 impl<S: Semiring> AggDomain for SingleSemiringDomain<S> {

@@ -6,8 +6,7 @@
 //! `(sum, count)` pair semiring. This module provides:
 //!
 //! * [`PairSemiring`] — the product of two semirings, component-wise;
-//! * [`AvgPair`] / [`avg_of`] — the average-as-semiring lifting;
-//! * [`LogProb`] — a numerically-stable log-space sum-product semiring.
+//! * [`AvgPair`] / [`avg_of`] — the average-as-semiring lifting.
 
 use crate::{Semiring, SemiringElem};
 
@@ -65,43 +64,6 @@ pub fn avg_of(pair: &AvgPair) -> Option<f64> {
     }
 }
 
-/// Log-space sum-product semiring over `ℝ ∪ {−∞}`: elements are `ln(p)`.
-///
-/// `⊕` is log-sum-exp (numerically stable), `⊗` is `+`. `zero = −∞`
-/// (representing probability 0) and `one = 0` (probability 1). Useful for PGM
-/// inference when probabilities underflow `f64`.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct LogProb;
-
-impl Semiring for LogProb {
-    type E = f64;
-
-    fn zero(&self) -> f64 {
-        f64::NEG_INFINITY
-    }
-    fn one(&self) -> f64 {
-        0.0
-    }
-    fn add(&self, a: &f64, b: &f64) -> f64 {
-        // log(e^a + e^b) computed stably.
-        if *a == f64::NEG_INFINITY {
-            return *b;
-        }
-        if *b == f64::NEG_INFINITY {
-            return *a;
-        }
-        let (hi, lo) = if a >= b { (*a, *b) } else { (*b, *a) };
-        hi + (lo - hi).exp().ln_1p()
-    }
-    fn mul(&self, a: &f64, b: &f64) -> f64 {
-        if *a == f64::NEG_INFINITY || *b == f64::NEG_INFINITY {
-            f64::NEG_INFINITY
-        } else {
-            a + b
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,32 +88,5 @@ mod tests {
             [(2.0, 1.0), (4.0, 1.0), (9.0, 1.0)].iter().fold(s.zero(), |acc, x| s.add(&acc, x));
         assert_eq!(avg_of(&acc), Some(5.0));
         assert_eq!(avg_of(&s.zero()), None);
-    }
-
-    #[test]
-    fn log_prob_matches_linear_space() {
-        let lp = LogProb;
-        let lin = F64SumProd;
-        let probs = [0.1f64, 0.25, 0.5, 1.0];
-        for &p in &probs {
-            for &q in &probs {
-                let log_sum = lp.add(&p.ln(), &q.ln());
-                let log_prod = lp.mul(&p.ln(), &q.ln());
-                assert!((log_sum.exp() - lin.add(&p, &q)).abs() < 1e-12);
-                assert!((log_prod.exp() - lin.mul(&p, &q)).abs() < 1e-12);
-            }
-        }
-        // zero behaves as probability 0.
-        assert_eq!(lp.add(&lp.zero(), &0.5f64.ln()), 0.5f64.ln());
-        assert_eq!(lp.mul(&lp.zero(), &0.5f64.ln()), lp.zero());
-    }
-
-    #[test]
-    fn log_prob_sum_is_stable_for_tiny_probs() {
-        let lp = LogProb;
-        // p = e^-1000 twice: linear space underflows, log space must not.
-        let tiny = -1000.0;
-        let s = lp.add(&tiny, &tiny);
-        assert!((s - (tiny + 2f64.ln())).abs() < 1e-9);
     }
 }

@@ -15,7 +15,7 @@ pub struct OpCounters {
 
 impl OpCounters {
     /// Fresh zeroed counters.
-    pub fn new() -> OpCounters {
+    pub(crate) fn new() -> OpCounters {
         OpCounters::default()
     }
 
@@ -53,11 +53,6 @@ impl<D: AggDomain> InstrumentedDomain<D> {
     pub fn new(inner: D) -> (Self, OpCounters) {
         let counters = OpCounters::new();
         (InstrumentedDomain { inner, counters: counters.clone() }, counters)
-    }
-
-    /// Access the wrapped domain.
-    pub fn inner(&self) -> &D {
-        &self.inner
     }
 }
 

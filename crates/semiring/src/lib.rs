@@ -20,13 +20,14 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod complex;
-pub mod domains;
+mod complex;
+mod domains;
 pub mod ext;
-pub mod instrument;
-pub mod provenance;
-pub mod semirings;
+mod instrument;
+mod provenance;
+mod semirings;
 
 pub use complex::Complex64;
 pub use domains::{

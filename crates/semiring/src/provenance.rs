@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 /// A monomial: indeterminate id → exponent (empty = the constant monomial).
-pub type Monomial = BTreeMap<u32, u32>;
+pub(crate) type Monomial = BTreeMap<u32, u32>;
 
 /// A polynomial in `ℕ[x₀, x₁, …]` with `u64` coefficients.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -30,12 +30,12 @@ impl Polynomial {
     }
 
     /// The constant 1.
-    pub fn one() -> Polynomial {
+    pub(crate) fn one() -> Polynomial {
         Polynomial::constant(1)
     }
 
     /// A constant polynomial.
-    pub fn constant(c: u64) -> Polynomial {
+    pub(crate) fn constant(c: u64) -> Polynomial {
         let mut terms = BTreeMap::new();
         if c != 0 {
             terms.insert(Monomial::new(), c);
@@ -58,7 +58,7 @@ impl Polynomial {
     }
 
     /// Whether this is the zero polynomial.
-    pub fn is_zero(&self) -> bool {
+    pub(crate) fn is_zero(&self) -> bool {
         self.terms.is_empty()
     }
 

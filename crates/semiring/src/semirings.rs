@@ -195,7 +195,7 @@ impl SetSemiring {
     }
 
     /// The full universe as an element.
-    pub fn universe_set(&self) -> BTreeSet<u32> {
+    pub(crate) fn universe_set(&self) -> BTreeSet<u32> {
         (0..self.universe).collect()
     }
 }
@@ -235,13 +235,6 @@ impl Default for ComplexSumProd {
     }
 }
 
-impl ComplexSumProd {
-    /// A complex semiring that treats `|z| ≤ eps` as zero.
-    pub fn with_eps(eps: f64) -> Self {
-        ComplexSumProd { eps }
-    }
-}
-
 impl Semiring for ComplexSumProd {
     type E = Complex64;
     fn zero(&self) -> Complex64 {
@@ -276,11 +269,6 @@ impl ModularSumProd {
     pub fn new(modulus: u64) -> Self {
         assert!(modulus >= 2, "modulus must be at least 2");
         ModularSumProd { modulus }
-    }
-
-    /// The modulus of this instance.
-    pub fn modulus(&self) -> u64 {
-        self.modulus
     }
 }
 
@@ -387,7 +375,7 @@ mod tests {
         assert_eq!(s.add(&a, &s.zero()), a);
         assert_eq!(s.mul(&a, &s.one()), a);
         assert_eq!(s.mul(&a, &s.zero()), s.zero());
-        assert!(ComplexSumProd::with_eps(1e-9).is_zero(&Complex64::new(1e-12, -1e-12)));
+        assert!(ComplexSumProd { eps: 1e-9 }.is_zero(&Complex64::new(1e-12, -1e-12)));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Multi-tenant serving runtime for FAQ queries (ROADMAP item 1).
+//! Multi-tenant serving runtime for FAQ queries.
 //!
 //! This crate turns the single-query engine of `faq_core` into a long-lived
 //! **server**: many tenants submit prepared queries concurrently against a
@@ -107,9 +107,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod server;
-pub mod snapshot;
+mod server;
+mod snapshot;
 
 pub use server::{
     CacheMode, FaqServer, PanicPlan, ServeConfig, ServeError, ServeOutput, ServeStats, Tenant,

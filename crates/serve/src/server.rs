@@ -41,6 +41,7 @@ use faq_core::{ExecPolicy, FaqError, FaqQuery, Planner, PreparedQuery};
 use faq_factor::fault::{self, InjectedPanic};
 use faq_factor::{DeltaFactor, Domains, Factor};
 use faq_semiring::{AggDomain, AggId, SemiringElem};
+use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -241,11 +242,6 @@ pub struct Tenant {
 }
 
 impl Tenant {
-    /// The tenant's name (used in [`ServeError::Overloaded`]).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Submissions currently admitted under this tenant.
     pub fn in_flight(&self) -> usize {
         self.in_flight.load(Ordering::SeqCst)
@@ -271,21 +267,33 @@ pub struct ServeOutput<E: SemiringElem> {
 #[derive(Debug)]
 pub struct Ticket<E: SemiringElem> {
     rx: Receiver<Result<ServeOutput<E>, ServeError>>,
+    /// The one reply, once [`Ticket::poll`] has taken it off `rx`: the
+    /// worker has dropped its sender by then, so a later `poll` or `wait`
+    /// must answer from here.
+    reply: OnceCell<Result<ServeOutput<E>, ServeError>>,
 }
 
 impl<E: SemiringElem> Ticket<E> {
-    /// Block until the submission completes.
-    pub fn wait(self) -> Result<ServeOutput<E>, ServeError> {
-        match self.rx.recv() {
-            Ok(r) => r,
-            Err(_) => Err(ServeError::ShuttingDown),
-        }
+    fn new(rx: Receiver<Result<ServeOutput<E>, ServeError>>) -> Ticket<E> {
+        Ticket { rx, reply: OnceCell::new() }
     }
 
-    /// The result if already complete, `None` if still running.
+    /// Block until the submission completes.
+    pub fn wait(self) -> Result<ServeOutput<E>, ServeError> {
+        if let Some(r) = self.reply.into_inner() {
+            return r;
+        }
+        self.rx.recv().unwrap_or(Err(ServeError::ShuttingDown))
+    }
+
+    /// The result if already complete, `None` if still running. An answered
+    /// ticket keeps its answer: every later `poll`, and `wait`, return it.
     pub fn poll(&self) -> Option<Result<ServeOutput<E>, ServeError>> {
+        if let Some(r) = self.reply.get() {
+            return Some(r.clone());
+        }
         match self.rx.try_recv() {
-            Ok(r) => Some(r),
+            Ok(r) => Some(self.reply.get_or_init(|| r).clone()),
             Err(std::sync::mpsc::TryRecvError::Empty) => None,
             Err(std::sync::mpsc::TryRecvError::Disconnected) => Some(Err(ServeError::ShuttingDown)),
         }
@@ -413,7 +421,7 @@ struct WriterState<D: AggDomain> {
 
 /// A multi-tenant serving runtime for FAQ queries.
 ///
-/// See the [module docs](crate::server) for the architecture. Typical use:
+/// See the [crate docs](crate) for the architecture. Typical use:
 ///
 /// 1. [`FaqServer::new`] with a factor catalog;
 /// 2. [`FaqServer::register`] query templates ([`QuerySpec`]) → [`QueryId`];
@@ -493,11 +501,6 @@ where
                 masters: Vec::new(),
             }),
         }
-    }
-
-    /// Number of worker threads.
-    pub fn worker_count(&self) -> usize {
-        self.worker_txs.len()
     }
 
     /// The epoch of the most recently published snapshot.
@@ -800,7 +803,7 @@ where
                     _permit: permit,
                 });
                 self.stats.coalesced.fetch_add(1, Ordering::SeqCst);
-                return Ok(Ticket { rx: reply_rx });
+                return Ok(Ticket::new(reply_rx));
             }
             infl.insert(key, Vec::new());
         }
@@ -824,7 +827,7 @@ where
             drop(e);
             return Err(ServeError::ShuttingDown);
         }
-        Ok(Ticket { rx: reply_rx })
+        Ok(Ticket::new(reply_rx))
     }
 }
 
@@ -1021,6 +1024,26 @@ mod tests {
             assert_eq!(st.evaluated, 2);
             assert_eq!(st.cache_entries, 1);
         }
+    }
+
+    #[test]
+    fn a_polled_answer_is_kept_for_the_next_poll_and_wait() {
+        let s = server(2, 60);
+        let q = s.register(triangle_spec()).unwrap();
+        let t = s.tenant("t", 8);
+        let ticket = s.submit(&t, q).unwrap();
+        let a = loop {
+            match ticket.poll() {
+                None => std::thread::yield_now(),
+                Some(r) => break r.unwrap(),
+            }
+        };
+        // The server is live: polling again and waiting return the same
+        // answer, not `ShuttingDown` from a reply channel already drained.
+        let again = ticket.poll().expect("an answered ticket stays answered").unwrap();
+        assert_eq!((again.epoch, &again.factor), (a.epoch, &a.factor));
+        let waited = ticket.wait().unwrap();
+        assert_eq!((waited.epoch, &waited.factor), (a.epoch, &a.factor));
     }
 
     /// The total weight of catalog slot `slot` — a query only deltas to that
@@ -1450,7 +1473,7 @@ mod tests {
         // The snapshot accessors see the same state.
         let snap = s.snapshot();
         assert_eq!(snap.epoch(), epoch);
-        assert_eq!(snap.query_count(), 1);
+        assert_eq!(snap.queries.len(), 1);
         assert_eq!(snap.cached_result(q).map(|f| (**f).clone()), Some((*fresh.factor).clone()));
     }
 
@@ -1479,7 +1502,7 @@ mod tests {
         for o in &outs {
             assert_eq!(*o.factor, *outs[0].factor);
         }
-        assert_eq!(s.worker_count(), 2);
+        assert_eq!(s.worker_txs.len(), 2);
         assert_eq!(t.in_flight(), 0);
     }
 

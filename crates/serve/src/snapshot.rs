@@ -25,13 +25,6 @@ use std::sync::{Arc, OnceLock};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct QueryId(pub(crate) usize);
 
-impl QueryId {
-    /// The id's position in the server's registration order.
-    pub fn index(&self) -> usize {
-        self.0
-    }
-}
-
 /// A query template over the server's factor catalog.
 ///
 /// This is [`faq_core::FaqQuery`] with the factors replaced by **catalog
@@ -90,9 +83,10 @@ impl<D: AggDomain> Snapshot<D> {
         self.epoch
     }
 
-    /// Number of registered queries in this snapshot.
-    pub fn query_count(&self) -> usize {
-        self.queries.len()
+    /// The shared result for `id` cached in this snapshot, if any.
+    #[cfg(test)]
+    pub(crate) fn cached_result(&self, id: QueryId) -> Option<&Arc<Factor<D::E>>> {
+        self.results.get(id.0)?.get()
     }
 
     /// The prepared handle for `id`, if registered by this epoch.
@@ -101,11 +95,6 @@ impl<D: AggDomain> Snapshot<D> {
     /// serving path goes through [`crate::FaqServer::submit`].
     pub fn prepared(&self, id: QueryId) -> Option<&Arc<PreparedQuery<D>>> {
         self.queries.get(id.0)
-    }
-
-    /// The shared result for `id` cached in this snapshot, if any.
-    pub fn cached_result(&self, id: QueryId) -> Option<&Arc<Factor<D::E>>> {
-        self.results.get(id.0)?.get()
     }
 
     /// How many queries have a result cached in this snapshot.

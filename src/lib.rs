@@ -31,19 +31,27 @@
 //! planning/serving via [`PreparedQuery`]); [`serve`] hosts the multi-tenant
 //! serving runtime ([`FaqServer`]).
 //!
-//! The full crates remain available under their module names:
+//! Each crate is also re-exported under its module name. What it makes
+//! public is its root `pub use` list plus the few modules its callers
+//! address by path (named below); everything else is crate-private.
 //!
-//! * [`semiring`] — commutative semirings and multi-aggregate domains;
+//! * [`semiring`] — commutative semirings and multi-aggregate domains
+//!   (`ext`: pair and average semirings);
 //! * [`lp`] — the simplex solver behind fractional edge covers;
-//! * [`hypergraph`] — hypergraphs, acyclicity, tree decompositions, widths;
-//! * [`factor`] — listing-representation factors;
+//! * [`hypergraph`] — hypergraphs, acyclicity, tree decompositions, widths
+//!   (`compose`, `elim`, `ordering`, `widths`);
+//! * [`factor`] — listing-representation factors with a trie index and a
+//!   spilled backing (`fault`: storage errors, deadlines, fault injection);
 //! * [`join`] — the OutsideIn worst-case-optimal join and baselines;
-//! * [`core`] — the FAQ query model, InsideOut, expression trees, EVO, faqw;
+//! * [`core`] — the FAQ query model, InsideOut, expression trees, EVO, faqw
+//!   (`evo`, `output`, `plan`, `width`);
 //! * [`serve`] — multi-tenant serving: epoch snapshots, worker pool,
 //!   admission, cross-query result sharing;
-//! * [`cnf`] — β-acyclic SAT/#SAT via variable elimination;
+//! * [`cnf`] — β-acyclic SAT/#SAT via variable elimination (`gen`: random
+//!   interval CNFs);
 //! * [`apps`] — joins, conjunctive queries, QCQ/#QCQ, graphical models,
-//!   matrix chains, the DFT and CSPs expressed as FAQ instances.
+//!   junction trees, matrix chains, the DFT, CSPs and list recovery
+//!   expressed as FAQ instances (one public module each).
 
 #![forbid(unsafe_code)]
 
