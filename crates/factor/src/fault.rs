@@ -5,7 +5,9 @@
 //! failure into a [`StorageError`] instead of panicking: transient errors are
 //! retried a bounded number of times with backoff, and every chunk carries a
 //! checksum verified on fault-in, so a torn or bit-flipped chunk surfaces as
-//! [`StorageError::Corrupt`] rather than silently wrong answers.
+//! [`StorageError::Corrupt`] rather than silently wrong answers. The checksum
+//! detects any corruption confined to one aligned 8-byte word with certainty
+//! (see the `colstore` module docs).
 //!
 //! # The abort transport
 //!
@@ -26,7 +28,8 @@
 //! A seeded [`FaultPlan`] decides, per *logical* chunk operation, whether to
 //! inject a transient failure (first attempt only — the retry succeeds), a
 //! hard failure (every attempt — the typed error surfaces), a corruption
-//! (a flipped byte the checksum catches) or a delay. Decisions are a pure
+//! (a flipped byte, which lies in one word and so is always detected) or a
+//! delay. Decisions are a pure
 //! hash of `(seed, operation sequence number)`, so a single-threaded run
 //! replays exactly and a concurrent run draws from the same fault
 //! distribution. Plans install globally (chaos suites) or thread-locally

@@ -6,9 +6,14 @@
 //! bytes — the listing streams, it is never materialised — and returns
 //! exactly the planted count.
 //!
-//! One test in a binary of its own: both gauges are process-global.
+//! The 1-thread run also pins its fault pattern: its seek count and the
+//! chunks it faults in ([`faq::factor::chunk_reads`]) are constants, so a
+//! change to the spilled seek path that faults a different set of chunks
+//! fails here.
+//!
+//! One test in a binary of its own: all three gauges are process-global.
 
-use faq::factor::{peak_pinned_bytes, reset_peak_pinned_bytes, SpillConfig};
+use faq::factor::{chunk_reads, peak_pinned_bytes, reset_peak_pinned_bytes, SpillConfig};
 use faq::*;
 use faq_testalloc::{current_bytes, peak_bytes, reset_peak_bytes, CountingAllocator};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -20,6 +25,9 @@ const ROWS: usize = 200_000;
 const NODES: u32 = 2048;
 const PLANTED: usize = 64;
 const CAP_BYTES: usize = 700 << 10;
+/// The 1-thread run's seeks and chunk fault-ins (listing and level chunks).
+const SEEKS_1T: u64 = 9823;
+const CHUNK_READS_1T: u64 = 407;
 
 /// `Σ_a Σ_b Σ_c R(a,b)·S(b,c)·T(a,c)`, with `R` streamed into `r` as
 /// ascending random keys (by gaps, so the generator's state is O(1)) and
@@ -60,11 +68,12 @@ fn planted_triangles(mut r: FactorBuilder<u64>) -> FaqQuery<CountDomain> {
 }
 
 /// Count along `(a, b, c)`: every schema already follows it, so the spilled
-/// `R` is never realigned.
-fn count(q: &FaqQuery<CountDomain>, threads: usize) -> u64 {
+/// `R` is never realigned. Returns the count and the run's seeks.
+fn count(q: &FaqQuery<CountDomain>, threads: usize) -> (u64, u64) {
     let policy = ExecPolicy::with_threads(threads).min_chunk_rows(1024);
     let out = Engine::with_policy(policy).evaluate_with_order(q, &[Var(0), Var(1), Var(2)]);
-    out.unwrap().factor.get(&[]).copied().unwrap_or(0)
+    let out = out.unwrap();
+    (out.factor.get(&[]).copied().unwrap_or(0), out.stats.total_seeks())
 }
 
 #[test]
@@ -84,7 +93,17 @@ fn spilled_triangle_count_stays_under_the_resident_cap() {
         let file_bytes = q.factors[0].spill_stats().expect("R is spilled").file_bytes;
         assert!(file_bytes >= 4 * CAP_BYTES, "R ({file_bytes} B) must dwarf the cap");
         reset_peak_pinned_bytes();
-        assert_eq!(count(&q, threads), PLANTED as u64, "{threads} threads");
+        let reads_before = chunk_reads();
+        let (n, seeks) = count(&q, threads);
+        let reads = chunk_reads() - reads_before;
+        assert_eq!(n, PLANTED as u64, "{threads} threads");
+        if threads == 1 {
+            assert_eq!(
+                (seeks, reads),
+                (SEEKS_1T, CHUNK_READS_1T),
+                "1 thread: (seeks, chunk reads) moved — the spilled seek path faults other chunks"
+            );
+        }
         let peak_pinned = peak_pinned_bytes();
         assert!(
             peak_pinned <= CAP_BYTES,
@@ -99,5 +118,5 @@ fn spilled_triangle_count_stays_under_the_resident_cap() {
     }
     // The in-memory twin (same seed, same rows) counts the same.
     let twin = planted_triangles(FactorBuilder::new(schema).unwrap());
-    assert_eq!(count(&twin, 4), PLANTED as u64);
+    assert_eq!(count(&twin, 4).0, PLANTED as u64);
 }

@@ -16,8 +16,11 @@
 //! 3. **Seek kernels** — the galloping/block-search `lub_from` of the default
 //!    [`faq::factor::VecStorage`] matches the `partition_point` oracle on
 //!    adversarial windows (empty, singleton, all-equal, head-sample boundary
-//!    sizes 63/64/65) for every hint, and hint-carrying cursor seek sequences
-//!    match the stateless listing oracle probe for probe;
+//!    sizes 63/64/65) for every hint, hint-carrying cursor seek sequences
+//!    match the stateless listing oracle probe for probe, and a spilled
+//!    level's `lub_from` (level chunks of 64 / 128 entries) matches the same
+//!    oracle on every window, including windows that end on the next
+//!    chunk's first entry;
 //! 4. **One large join** through the engine's oracle (`common::oracle`).
 //!
 //! Joins over random queries — InsideOut over the trie kernel ≡ brute force
@@ -261,6 +264,43 @@ proptest! {
                 f.seek_column((0, f.len()), 0, b),
                 "bound {}", b
             );
+        }
+    }
+}
+
+/// A spilled level's seek ≡ `partition_point` on every `(lo, hi)` window of
+/// a 150-entry level, for bounds below, at, between and above the stored
+/// values (`3i + 1`). At 64- and 128-entry level chunks, windows ending at
+/// 65 / 129 / 193 hold the next chunk's first entry, which the seek reads
+/// from the resident head samples; a one-chunk window makes every chunk
+/// change a fault-in.
+#[test]
+fn spilled_level_seek_matches_partition_point_on_every_window() {
+    let n = 150usize;
+    let values: Vec<u32> = (0..n as u32).map(|i| 3 * i + 1).collect();
+    let mem = Factor::new(vec![Var(0)], values.iter().map(|&v| (vec![v], 1u64)).collect()).unwrap();
+    for level_chunk_entries in [64usize, 128] {
+        let config = SpillConfig { level_chunk_entries, window_chunks: 1, ..Default::default() };
+        let spilled = mem.to_spilled(config);
+        let level = spilled.trie().level(0).storage();
+        assert!(level.as_mem().is_none(), "the spilled factor's level is on disk");
+        for lo in 0..=n {
+            for hi in lo..=n {
+                // Below, at and between (`v + 1`) every value of the
+                // window, and above its last.
+                let inside = values[lo..hi].iter().flat_map(|&v| [v, v + 1]);
+                let bounds = [0, values.get(lo).map_or(0, |v| v - 1), u32::MAX].into_iter();
+                for bound in bounds.chain(inside) {
+                    let want = lo + values[lo..hi].partition_point(|&v| v < bound);
+                    // The hint never matters: vary it anyway.
+                    let hint = [usize::MAX, lo, hi][bound as usize % 3];
+                    assert_eq!(
+                        level.lub_from((lo, hi), hint, bound),
+                        want,
+                        "level chunks {level_chunk_entries}: lo {lo} hi {hi} bound {bound}"
+                    );
+                }
+            }
         }
     }
 }
