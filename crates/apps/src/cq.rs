@@ -86,13 +86,10 @@ impl ConjunctiveQuery {
         )
     }
 
-    /// #CQ: the number of answers, via InsideOut on a width-optimized
+    /// #CQ: the number of answers, via InsideOut on the planner's
     /// equivalent ordering.
     pub fn count_answers(&self) -> Result<u64, FaqError> {
-        let q = self.to_count_faq()?;
-        let shape = q.shape();
-        let order = crate::width_order_or(&shape, q.ordering(), 5_000, 14)?;
-        let out = Engine::sequential().evaluate_with_order(&q, &order)?;
+        let out = Engine::sequential().evaluate(&self.to_count_faq()?)?;
         Ok(out.scalar().copied().unwrap_or(0))
     }
 
@@ -164,6 +161,7 @@ mod tests {
                 atom(&[1, 2], &[&[1, 2], &[0, 0]]),
             ],
         };
+        crate::assert_plan_no_wider(&q.to_count_faq().unwrap(), 5_000, 14);
         let eval_len = q.evaluate().unwrap().len() as u64;
         assert_eq!(q.count_answers().unwrap(), eval_len);
         assert_eq!(q.count_answers_naive().unwrap(), eval_len);
@@ -189,6 +187,7 @@ mod tests {
                 exists: vec![v(1), v(2)],
                 atoms: vec![mk(&mut rng, &[0, 1]), mk(&mut rng, &[1, 2]), mk(&mut rng, &[2, 3])],
             };
+            crate::assert_plan_no_wider(&q.to_count_faq().unwrap(), 5_000, 14);
             assert_eq!(q.count_answers().unwrap(), q.count_answers_naive().unwrap());
         }
     }
@@ -201,6 +200,33 @@ mod tests {
             exists: vec![],
             atoms: vec![atom(&[0, 1], &[&[0, 0], &[1, 1]])],
         };
+        crate::assert_plan_no_wider(&q.to_count_faq().unwrap(), 5_000, 14);
         assert_eq!(q.count_answers().unwrap(), 2);
+    }
+
+    /// `count_answers` runs the planner's order: no wider than the width
+    /// optimizer's on this module's instances (the tests above check theirs)
+    /// and on chains like `paper_tables`' #CQ row.
+    #[test]
+    fn planner_is_no_wider_than_the_width_optimizer_on_chains() {
+        let mut rng = StdRng::seed_from_u64(7);
+        for len in [4u32, 6] {
+            let atoms = (0..len - 1)
+                .map(|a| {
+                    let mut tuples: Vec<Vec<u32>> =
+                        (0..6).map(|_| vec![rng.gen_range(0..3), rng.gen_range(0..3)]).collect();
+                    tuples.sort();
+                    tuples.dedup();
+                    Atom { vars: vec![v(a), v(a + 1)], tuples }
+                })
+                .collect();
+            let q = ConjunctiveQuery {
+                domains: Domains::uniform(len as usize, 3),
+                free: vec![v(0), v(len - 1)],
+                exists: (1..len - 1).map(v).collect(),
+                atoms,
+            };
+            crate::assert_plan_no_wider(&q.to_count_faq().unwrap(), 5_000, 14);
+        }
     }
 }

@@ -8,7 +8,7 @@
 use faq_core::{Engine, FaqError, FaqQuery, VarAgg};
 use faq_factor::{Domains, Factor};
 use faq_hypergraph::Var;
-use faq_semiring::{BoolDomain, CountDomain};
+use faq_semiring::{AggDomain, AggId, BoolDomain, CountDomain, SemiringElem};
 
 /// Build the disequality factor `ψ(x_u, x_v) = [x_u ≠ x_v]` over `k` values.
 fn diseq_bool(u: Var, w: Var, k: u32) -> Factor<bool> {
@@ -22,34 +22,29 @@ fn diseq_count(u: Var, w: Var, k: u32) -> Factor<u64> {
 
 /// Whether the graph (edge list over `n` nodes) is `k`-colorable.
 pub fn is_k_colorable(n: u32, edges: &[(u32, u32)], k: u32) -> Result<bool, FaqError> {
-    let factors: Vec<Factor<bool>> =
-        edges.iter().map(|&(a, b)| diseq_bool(Var(a), Var(b), k)).collect();
-    let q = FaqQuery::new(
-        BoolDomain,
-        Domains::uniform(n as usize, k),
-        vec![],
-        (0..n).map(|i| (Var(i), VarAgg::Semiring(BoolDomain::OR))).collect(),
-        factors,
-    )?;
-    let shape = q.shape();
-    let order = crate::width_order_or(&shape, q.ordering(), 2_000, 14)?;
-    Ok(Engine::sequential().evaluate_with_order(&q, &order)?.scalar().copied().unwrap_or(false))
+    let factors = edges.iter().map(|&(a, b)| diseq_bool(Var(a), Var(b), k)).collect();
+    let q = coloring_query(BoolDomain, BoolDomain::OR, n, k, factors)?;
+    Ok(Engine::sequential().evaluate(&q)?.scalar().copied().unwrap_or(false))
 }
 
 /// The number of proper `k`-colorings of the graph.
 pub fn count_k_colorings(n: u32, edges: &[(u32, u32)], k: u32) -> Result<u64, FaqError> {
-    let factors: Vec<Factor<u64>> =
-        edges.iter().map(|&(a, b)| diseq_count(Var(a), Var(b), k)).collect();
-    let q = FaqQuery::new(
-        CountDomain,
-        Domains::uniform(n as usize, k),
-        vec![],
-        (0..n).map(|i| (Var(i), VarAgg::Semiring(CountDomain::SUM))).collect(),
-        factors,
-    )?;
-    let shape = q.shape();
-    let order = crate::width_order_or(&shape, q.ordering(), 2_000, 14)?;
-    Ok(Engine::sequential().evaluate_with_order(&q, &order)?.scalar().copied().unwrap_or(0))
+    let factors = edges.iter().map(|&(a, b)| diseq_count(Var(a), Var(b), k)).collect();
+    let q = coloring_query(CountDomain, CountDomain::SUM, n, k, factors)?;
+    Ok(Engine::sequential().evaluate(&q)?.scalar().copied().unwrap_or(0))
+}
+
+/// `⊕_{x_0} … ⊕_{x_{n−1}}` of the product of the disequality `factors` over
+/// `k` colors, `⊕` being the aggregate `op` of `domain`.
+fn coloring_query<D: AggDomain>(
+    domain: D,
+    op: AggId,
+    n: u32,
+    k: u32,
+    factors: Vec<Factor<D::E>>,
+) -> Result<FaqQuery<D>, FaqError> {
+    let bound = (0..n).map(|i| (Var(i), VarAgg::Semiring(op))).collect();
+    FaqQuery::new(domain, Domains::uniform(n as usize, k), vec![], bound, factors)
 }
 
 /// The permanent of an `n×n` non-negative integer matrix via FAQ
@@ -102,71 +97,44 @@ pub struct Csp {
 impl Csp {
     /// Whether the CSP has a solution (Boolean FAQ).
     pub fn is_satisfiable(&self) -> Result<bool, FaqError> {
-        let q = self.bool_query()?;
-        let shape = q.shape();
-        let order = crate::width_order_or(&shape, q.ordering(), 2_000, 12)?;
-        Ok(Engine::sequential().evaluate_with_order(&q, &order)?.scalar().copied().unwrap_or(false))
+        let q = self.aggregate(BoolDomain, BoolDomain::OR, true)?;
+        Ok(Engine::sequential().evaluate(&q)?.scalar().copied().unwrap_or(false))
     }
 
     /// The number of solutions (counting FAQ).
     pub fn count_solutions(&self) -> Result<u64, FaqError> {
-        let factors: Vec<Factor<u64>> = self
-            .constraints
-            .iter()
-            .map(|(vars, tuples)| {
-                Factor::new(vars.clone(), tuples.iter().map(|t| (t.clone(), 1u64)).collect())
-                    .expect("distinct allowed tuples")
-            })
-            .collect();
-        let q = FaqQuery::new(
-            CountDomain,
-            self.domains.clone(),
-            vec![],
-            self.domains.vars().map(|v| (v, VarAgg::Semiring(CountDomain::SUM))).collect(),
-            factors,
-        )?;
-        let shape = q.shape();
-        let order = crate::width_order_or(&shape, q.ordering(), 2_000, 12)?;
-        Ok(Engine::sequential().evaluate_with_order(&q, &order)?.scalar().copied().unwrap_or(0))
+        let q = self.aggregate(CountDomain, CountDomain::SUM, 1)?;
+        Ok(Engine::sequential().evaluate(&q)?.scalar().copied().unwrap_or(0))
     }
 
     /// Enumerate all solutions (all variables free).
     pub fn solutions(&self) -> Result<Vec<Vec<u32>>, FaqError> {
-        let factors: Vec<Factor<bool>> = self
-            .constraints
-            .iter()
-            .map(|(vars, tuples)| {
-                Factor::new(vars.clone(), tuples.iter().map(|t| (t.clone(), true)).collect())
-                    .expect("distinct allowed tuples")
-            })
-            .collect();
-        let q = FaqQuery::new(
-            BoolDomain,
-            self.domains.clone(),
-            self.domains.vars().collect(),
-            vec![],
-            factors,
-        )?;
+        let free = self.domains.vars().collect();
+        let q = FaqQuery::new(BoolDomain, self.domains.clone(), free, vec![], self.factors(true))?;
         let out = Engine::sequential().evaluate(&q)?;
         Ok(out.factor.iter().map(|(row, _)| row.to_vec()).collect())
     }
 
-    fn bool_query(&self) -> Result<FaqQuery<BoolDomain>, FaqError> {
-        let factors: Vec<Factor<bool>> = self
-            .constraints
+    /// The constraints as factors valued `one` on their allowed tuples.
+    fn factors<E: SemiringElem>(&self, one: E) -> Vec<Factor<E>> {
+        self.constraints
             .iter()
             .map(|(vars, tuples)| {
-                Factor::new(vars.clone(), tuples.iter().map(|t| (t.clone(), true)).collect())
-                    .expect("distinct allowed tuples")
+                let rows = tuples.iter().map(|t| (t.clone(), one.clone())).collect();
+                Factor::new(vars.clone(), rows).expect("distinct allowed tuples")
             })
-            .collect();
-        FaqQuery::new(
-            BoolDomain,
-            self.domains.clone(),
-            vec![],
-            self.domains.vars().map(|v| (v, VarAgg::Semiring(BoolDomain::OR))).collect(),
-            factors,
-        )
+            .collect()
+    }
+
+    /// Every variable aggregated by `op` of `domain` over [`Csp::factors`].
+    fn aggregate<D: AggDomain>(
+        &self,
+        domain: D,
+        op: AggId,
+        one: D::E,
+    ) -> Result<FaqQuery<D>, FaqError> {
+        let bound = self.domains.vars().map(|v| (v, VarAgg::Semiring(op))).collect();
+        FaqQuery::new(domain, self.domains.clone(), vec![], bound, self.factors(one))
     }
 }
 
@@ -321,6 +289,43 @@ mod tests {
                     (0..n).map(|_| (0..n).map(|_| rng.gen_range(0..4)).collect()).collect();
                 assert_eq!(permanent(&a).unwrap(), permanent_naive(&a), "{a:?}");
             }
+        }
+    }
+
+    /// Colorings and CSPs run the planner's order: on this module's
+    /// instances — the ones above and the Petersen graph of
+    /// `tests/apps_end_to_end.rs` — it is no wider than the width
+    /// optimizer's.
+    #[test]
+    fn planner_is_no_wider_than_the_width_optimizer() {
+        // The Petersen graph: an outer 5-cycle, an inner pentagram, five spokes.
+        let petersen =
+            (0..5).flat_map(|i| [(i, (i + 1) % 5), (5 + i, 5 + (i + 2) % 5), (i, 5 + i)]).collect();
+        let graphs: Vec<(u32, Vec<(u32, u32)>)> = vec![
+            (3, vec![(0, 1)]),
+            (3, cycle(3)),
+            (4, cycle(4)),
+            (5, cycle(5)),
+            (6, cycle(6)),
+            (4, vec![(0, 1), (1, 2), (2, 3)]),
+            (10, petersen),
+        ];
+        for (n, edges) in &graphs {
+            for k in [2, 3] {
+                let bools = edges.iter().map(|&(a, b)| diseq_bool(Var(a), Var(b), k)).collect();
+                let q = coloring_query(BoolDomain, BoolDomain::OR, *n, k, bools).unwrap();
+                crate::assert_plan_no_wider(&q, 2_000, 14);
+                let counts = edges.iter().map(|&(a, b)| diseq_count(Var(a), Var(b), k)).collect();
+                let q = coloring_query(CountDomain, CountDomain::SUM, *n, k, counts).unwrap();
+                crate::assert_plan_no_wider(&q, 2_000, 14);
+            }
+        }
+        for n in 3..=6 {
+            let csp = n_queens(n);
+            let q = csp.aggregate(BoolDomain, BoolDomain::OR, true).unwrap();
+            crate::assert_plan_no_wider(&q, 2_000, 12);
+            let q = csp.aggregate(CountDomain, CountDomain::SUM, 1).unwrap();
+            crate::assert_plan_no_wider(&q, 2_000, 12);
         }
     }
 }

@@ -24,20 +24,24 @@ pub mod matrix;
 pub mod pgm;
 pub mod qcq;
 
-/// A width-optimized ordering for `shape`, falling back to `query_order` when
-/// the width is undefined (`FaqError::Uncoverable`: some free/semiring
-/// variable appears in no factor — an isolated k-coloring vertex, a
-/// conditioned-away potential). Such queries evaluate fine by domain
-/// iteration; only `ρ*`-based width optimization is meaningless for them.
-pub(crate) fn width_order_or(
-    shape: &faq_core::QueryShape,
-    query_order: Vec<faq_hypergraph::Var>,
+/// Asserts that the planner's choice for `q` is no wider than the order the
+/// §7 width optimizer picks (same caps as the width searches this crate used
+/// to run): the guard for running an app's queries through
+/// `Engine::evaluate` instead of that optimizer's order.
+#[cfg(test)]
+pub(crate) fn assert_plan_no_wider<D: faq_semiring::AggDomain>(
+    q: &faq_core::FaqQuery<D>,
     linex_cap: usize,
     exact_limit: usize,
-) -> Result<Vec<faq_hypergraph::Var>, faq_core::FaqError> {
-    match faq_core::width::faqw_optimize(shape, linex_cap, exact_limit) {
-        Ok(best) => Ok(best.order),
-        Err(faq_core::FaqError::Uncoverable(_)) => Ok(query_order),
-        Err(e) => Err(e),
+) {
+    let planned = faq_core::Planner::sequential().plan(q).unwrap().width;
+    let optimized = faq_core::width::faqw_optimize(&q.shape(), linex_cap, exact_limit);
+    match (planned, optimized) {
+        (Some(p), Ok(o)) => {
+            assert!(p <= o.width + 1e-9, "{q:?}: planned {p} > optimized {}", o.width)
+        }
+        // Uncoverable: no width on either side.
+        (None, Err(faq_core::FaqError::Uncoverable(_))) => {}
+        (p, o) => panic!("{q:?}: planned {p:?} vs optimized {o:?}"),
     }
 }

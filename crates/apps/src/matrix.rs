@@ -151,7 +151,8 @@ impl MatrixChain {
         Ok(m)
     }
 
-    /// Evaluate with the query's own ordering.
+    /// Evaluate along the ordering the planner picks (see
+    /// [`faq_core::Engine::evaluate`]).
     pub fn evaluate(&self) -> Result<Matrix, FaqError> {
         let q = self.to_faq()?;
         let out = Engine::sequential().evaluate(&q)?;

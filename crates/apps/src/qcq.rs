@@ -92,8 +92,11 @@ impl QuantifiedCq {
         let q = self.to_bool_faq()?;
         // Careful with idempotence: BoolDomain's ⊗ = ∧ is idempotent on the
         // whole domain, so the §6.2 expression tree is used as-is.
+        // Left on the width optimizer with #QCQ: only `cq` and `csp` were
+        // shown (by test) to plan no wider than it; `count` says why #QCQ
+        // cannot move to the planner.
         let shape = q.shape();
-        let order = crate::width_order_or(&shape, q.ordering(), 5_000, 14)?;
+        let order = width_order_or(&shape, q.ordering(), 5_000, 14)?;
         Ok(Engine::sequential().evaluate_with_order(&q, &order)?.factor)
     }
 
@@ -107,8 +110,10 @@ impl QuantifiedCq {
     pub fn count(&self) -> Result<u64, FaqError> {
         let q = self.to_count_faq()?;
         // Input factors are {0,1}-valued: the F(D_I) promise of Def 5.8 holds.
+        // The planner orders by `q.shape()`, which does not take that promise,
+        // so the order comes from the width optimizer over the promised shape.
         let shape = q.shape_promising_idempotent_inputs();
-        let order = crate::width_order_or(&shape, q.ordering(), 5_000, 14)?;
+        let order = width_order_or(&shape, q.ordering(), 5_000, 14)?;
         let out = Engine::sequential().evaluate_with_order(&q, &order)?;
         Ok(out.scalar().copied().unwrap_or(0))
     }
@@ -138,6 +143,23 @@ pub fn chen_dalmau_family(
         atoms.push(Atom { vars: vec![Var(i), Var(n)], tuples: r_tuples.clone() });
     }
     QuantifiedCq { domains: Domains::uniform(n as usize + 1, d), free: vec![], prefix, atoms }
+}
+
+/// A width-optimized ordering for `shape`, falling back to `query_order` when
+/// the width is undefined (`FaqError::Uncoverable`: some free/semiring
+/// variable appears in no atom). Such queries evaluate fine by domain
+/// iteration; only `ρ*`-based width optimization is meaningless for them.
+fn width_order_or(
+    shape: &faq_core::QueryShape,
+    query_order: Vec<faq_hypergraph::Var>,
+    linex_cap: usize,
+    exact_limit: usize,
+) -> Result<Vec<faq_hypergraph::Var>, faq_core::FaqError> {
+    match faq_core::width::faqw_optimize(shape, linex_cap, exact_limit) {
+        Ok(best) => Ok(best.order),
+        Err(faq_core::FaqError::Uncoverable(_)) => Ok(query_order),
+        Err(e) => Err(e),
+    }
 }
 
 #[cfg(test)]

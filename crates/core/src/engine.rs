@@ -4,7 +4,11 @@
 //! One-shot evaluation (sequential or on a worker pool) and the planned
 //! serving path ([`crate::plan::Planner`] → [`PreparedQuery`]) are the same
 //! engine — the compiled step list of [`mod@crate::insideout`] — run under
-//! the same one [`ExecPolicy`], so one builder-style handle fronts them all:
+//! the same one [`ExecPolicy`], so one builder-style handle fronts them all.
+//! Both choose their ordering the same way: picking a ϕ-equivalent σ of
+//! small cost is the evaluator's job (paper §6, `EVO(ϕ)`), so
+//! [`Engine::evaluate`] plans `q` first and runs the plan's σ; only
+//! [`Engine::evaluate_with_order`] runs a σ the caller names.
 //!
 //! ```
 //! use faq_core::{Engine, FaqQuery, VarAgg};
@@ -46,13 +50,18 @@ use faq_semiring::AggDomain;
 /// An `Engine` is cheap to construct and clone — it holds configuration, not
 /// data. The two families of entry points:
 ///
-/// * [`Engine::evaluate`] / [`Engine::evaluate_with_order`] — one-shot
-///   evaluation under the engine's [`ExecPolicy`] (no planning pass);
-/// * [`Engine::prepare`] — the serving path: cost-based ordering choice,
-///   aligned + indexed inputs, reusable [`PreparedQuery`] handle.
+/// * [`Engine::evaluate`] — one-shot evaluation along the planner's
+///   ϕ-equivalent ordering, under the engine's [`ExecPolicy`];
+///   [`Engine::evaluate_with_order`] — the same along a caller-chosen σ (the
+///   paper's path, no planning pass);
+/// * [`Engine::prepare`] — the serving path: the same plan, plus aligned +
+///   indexed inputs, in a reusable [`PreparedQuery`] handle.
 ///
-/// Every path produces bit-identical output for the same query — policies,
-/// plans, and thread counts affect performance only.
+/// For one σ, the thread count and policy affect performance only: every
+/// path is bit-identical to `Engine::sequential()` along the same σ. A plan
+/// reads schemas and row counts, never the thread count, so
+/// `Engine::new().threads(t).evaluate(q)` is bit-identical to
+/// `Engine::sequential().evaluate(q)` for every `t` and every semiring.
 ///
 /// The engine has one [`ExecPolicy`], kept on its planner: one-shot
 /// evaluations run under it and every plan [`Engine::prepare`] makes carries
@@ -100,21 +109,33 @@ impl Engine {
         &self.planner.policy
     }
 
-    /// Evaluate `q` with its own variable ordering under the engine's policy.
+    /// Evaluate `q` along the ordering the planner chooses for it, under the
+    /// engine's policy.
     ///
-    /// Bit-identical to the sequential engine for every thread count. The
-    /// factors of `q` are borrowed, not copied: a trie index a join builds
-    /// lazily lands on (and stays cached in) the caller's factors.
+    /// [`Planner::plan`] validates `q` and picks, from the ϕ-equivalent
+    /// orderings it has put through the EVO test, one of least estimated
+    /// cost; on a tie it keeps `q`'s own ordering. The output's columns
+    /// follow `q.free`, whatever the chosen σ's free prefix. Bit-identical
+    /// to `Engine::sequential().evaluate(q)` for every thread count; for
+    /// f64 values it may differ in the last bits from a run along another σ,
+    /// since ⊕ then associates differently.
+    ///
+    /// The factors of `q` are borrowed, not copied. A trie index a join
+    /// builds lazily lands on (and stays cached in) a caller's factor only
+    /// when the plan needs no realignment of it; a factor the chosen σ
+    /// reorders is indexed on a temporary copy.
     pub fn evaluate<D: AggDomain + Sync>(
         &self,
         q: &FaqQuery<D>,
     ) -> Result<FaqOutput<D::E>, FaqError> {
-        let sigma = q.ordering();
-        self.evaluate_with_order(q, &sigma)
+        let plan = self.planner.plan(q)?;
+        let out = crate::insideout::evaluate(q, &plan.order, self.policy())?;
+        Ok(FaqOutput { factor: out.factor.align_to(&q.free), stats: out.stats })
     }
 
     /// Evaluate `q` along a caller-chosen ordering `sigma`, borrowing the
-    /// factors like [`Engine::evaluate`].
+    /// factors like [`Engine::evaluate`]. No planning pass; the output's
+    /// columns follow `sigma`'s free prefix.
     ///
     /// `sigma` must be a permutation of the query's variables with the free
     /// variables first. **Semantic** equivalence of the ordering (membership
@@ -186,6 +207,36 @@ mod tests {
             let prepared = engine.prepare(&q).unwrap();
             assert_eq!(&prepared.plan().policy, engine.policy());
             assert_eq!(prepared.evaluate().unwrap().factor, reference.factor);
+        }
+    }
+
+    /// A fully free query whose plan puts `x1` — the variable of the one-row
+    /// factor — first: one-shot evaluation runs that σ, yet returns its
+    /// columns in `q.free` order, equal to a run along the plan's σ realigned.
+    #[test]
+    fn planned_free_prefix_keeps_the_callers_columns() {
+        let wide = (0..8u32).flat_map(|a| (0..8).map(move |b| (vec![a, b], 1u64))).collect();
+        let q = FaqQuery::new(
+            CountDomain,
+            Domains::uniform(2, 8),
+            vec![v(0), v(1)],
+            vec![],
+            vec![
+                Factor::new(vec![v(0), v(1)], wide).unwrap(),
+                Factor::new(vec![v(1)], vec![(vec![3], 2u64)]).unwrap(),
+            ],
+        )
+        .unwrap();
+        let plan = Planner::sequential().plan(&q).unwrap();
+        assert_eq!(plan.order, vec![v(1), v(0)], "the plan permutes the free prefix");
+        let along_plan = Engine::sequential().evaluate_with_order(&q, &plan.order).unwrap();
+        assert_eq!(along_plan.factor.schema(), &[v(1), v(0)]);
+        for engine in [Engine::sequential(), Engine::new().threads(4).min_chunk_rows(1)] {
+            let out = engine.evaluate(&q).unwrap();
+            assert_eq!(out.factor.schema(), &q.free[..]);
+            assert_eq!(out.factor, along_plan.factor.align_to(&q.free));
+            assert_eq!(out.factor.len(), 8);
+            assert_eq!(out.factor.get(&[5, 3]), Some(&2));
         }
     }
 }

@@ -46,10 +46,13 @@
 //! are not cached across queries: which orderings are ϕ-equivalent depends on
 //! the domain (§6, Def. 6.30), so a plan belongs to the query it was made for.
 //!
-//! Plan choices affect performance only, never results: every candidate
-//! ordering is ϕ-equivalent and every thread count is bit-identical by
-//! construction, so a plan-driven run equals [`crate::Engine::evaluate`] bit
-//! for bit.
+//! Plan choices never change what is computed: every candidate ordering is
+//! ϕ-equivalent, so runs along two of them agree exactly on exact semirings
+//! and up to ⊕'s rounding on `f64`, and along one ordering every thread
+//! count is bit-identical by construction. [`crate::Engine::evaluate`] runs
+//! the plan of a default-configured planner, so a prepared run of that plan
+//! equals it bit for bit once its columns are put in `q.free` order (a
+//! prepared run's follow the plan's free prefix).
 
 use crate::delta::DeltaCache;
 use crate::evo::EvoChecker;
@@ -479,8 +482,8 @@ impl<D: AggDomain + Clone + Sync> PreparedQuery<D> {
 
     /// Evaluate the prepared query under its plan.
     ///
-    /// Bit-identical to [`crate::Engine::evaluate`] on the same inputs; no
-    /// re-planning, re-alignment, or re-indexing happens here.
+    /// The output's columns follow the plan's free prefix. No re-planning,
+    /// re-alignment, or re-indexing happens here.
     pub fn evaluate(&self) -> Result<FaqOutput<D::E>, FaqError> {
         evaluate(&self.query, &self.plan.order, &self.plan.policy)
     }

@@ -80,6 +80,10 @@ struct Body<E> {
     /// Point lookups served off the cold (trie-less) listing so far; once it
     /// reaches [`Factor::GETS_BEFORE_TRIE`], [`Factor::get`] builds the index.
     gets: AtomicU32,
+    /// Per-column maxima of an in-memory listing, filled by one pass the
+    /// first time [`Factor::max_in_column`] asks (a spilled listing keeps its
+    /// own, tracked at write time). Like `trie`, not part of the identity.
+    col_maxes: OnceLock<Vec<u32>>,
 }
 
 /// The backing of a factor's listing: heap-resident flat arrays (the
@@ -285,7 +289,15 @@ impl<E: SemiringElem> Factor<E> {
         if let Some(trie) = trie {
             let _ = slot.set(trie);
         }
-        Factor { body: Arc::new(Body { schema, cols, len, trie: slot, gets: AtomicU32::new(0) }) }
+        let body = Body {
+            schema,
+            cols,
+            len,
+            trie: slot,
+            gets: AtomicU32::new(0),
+            col_maxes: OnceLock::new(),
+        };
+        Factor { body: Arc::new(body) }
     }
 
     /// Build a factor directly from column-flat storage whose rows are
@@ -429,15 +441,25 @@ impl<E: SemiringElem> Factor<E> {
     }
 
     /// The largest key value in column `d`, or `None` for an empty factor.
-    /// Resident for spilled factors (tracked at write time), a column scan
-    /// for in-memory ones — domain validation must not fault chunks in.
-    /// After a delta splice with deletions this is an upper bound for a
-    /// spilled factor, never an underestimate.
+    /// Resident for spilled factors (tracked at write time); for in-memory
+    /// ones one scan of the listing fills every column's maximum, cached on
+    /// the body — domain validation, asked once per query build, plan and
+    /// run, must neither rescan rows nor fault chunks in. After a delta
+    /// splice with deletions this is an upper bound for a spilled factor,
+    /// never an underestimate.
     pub fn max_in_column(&self, d: usize) -> Option<u32> {
         match &self.body.cols {
             Columns::Mem { rows, .. } => {
-                let a = self.arity();
-                (0..self.body.len).map(|i| rows[i * a + d]).max()
+                let maxes = self.body.col_maxes.get_or_init(|| {
+                    let mut maxes = vec![0; self.arity()];
+                    // A nullary listing has no keys; `chunks_exact` needs a
+                    // non-zero width.
+                    for row in rows.chunks_exact(self.arity().max(1)) {
+                        maxes.iter_mut().zip(row).for_each(|(m, &x)| *m = x.max(*m));
+                    }
+                    maxes
+                });
+                (self.body.len > 0).then(|| maxes[d])
             }
             Columns::Spill(c) => c.col_max(d),
         }
@@ -1813,6 +1835,50 @@ mod tests {
             for ((a, c), s) in expect {
                 assert_eq!(p.get(&[a, c]), Some(&s));
             }
+        }
+    }
+
+    /// The cached per-column maxima equal a fresh scan of the rows, on
+    /// random factors (empty ones included) and on what `reorder`,
+    /// `align_to` and a delta merge build from them.
+    #[test]
+    fn cached_column_maxima_equal_a_scan() {
+        use crate::delta::{DeltaFactor, DeltaOp};
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        fn assert_maxima(f: &Factor<u64>) {
+            for d in 0..f.arity() {
+                let scan = f.iter().map(|(row, _)| row[d]).max();
+                // Twice: the first ask fills the cache, the second reads it.
+                assert_eq!(f.max_in_column(d), scan, "{f:?}, column {d}");
+                assert_eq!(f.max_in_column(d), scan, "{f:?}, column {d}, cached");
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(7);
+        for _ in 0..40 {
+            let dom = rng.gen_range(1..12u32);
+            let tuples: Vec<(Vec<u32>, u64)> = (0..rng.gen_range(0..25))
+                .map(|_| ((0..3).map(|_| rng.gen_range(0..dom)).collect(), rng.gen_range(1..5)))
+                .collect();
+            let schema = vec![v(0), v(1), v(2)];
+            let f =
+                Factor::with_combine(schema.clone(), tuples, |a, b| a + b, |&x| x == 0).unwrap();
+            assert_maxima(&f);
+            assert_maxima(&f.reorder(&[v(2), v(0), v(1)]));
+            assert_maxima(&f.align_to(&[v(1), v(2), v(0)]));
+            let batch = rng.gen_range(0..8);
+            let entries: std::collections::BTreeMap<Vec<u32>, DeltaOp<u64>> = (0..batch)
+                .map(|_| {
+                    let op = match rng.gen_range(0..3) {
+                        0 => DeltaOp::Put(rng.gen_range(1..5)),
+                        1 => DeltaOp::Merge(rng.gen_range(1..5)),
+                        _ => DeltaOp::Delete,
+                    };
+                    // Keys up to `dom + 1`: a merge may raise a column's maximum.
+                    ((0..3).map(|_| rng.gen_range(0..dom + 2)).collect(), op)
+                })
+                .collect();
+            let delta = DeltaFactor::new(schema, entries.into_iter().collect()).unwrap();
+            assert_maxima(&delta.apply_to(&f, |a, b| a + b, |&x| x == 0).0);
         }
     }
 }

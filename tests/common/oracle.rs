@@ -24,6 +24,9 @@
 //! 3. a 1-thread run seeks exactly as often (`total_seeks`) as that
 //!    sequential run, whatever the backing and chunk floor;
 //! 4. a delta path equals `update_factor` + `evaluate`, round after round;
+//! 5. `Engine::evaluate`, which plans its own σ, is bit-identical to
+//!    `Engine::sequential().evaluate` on every family and thread count, and
+//!    returns its columns in the query's free order;
 //!
 //! and, along the planner's σ, the work oracle: no join step enumerates or
 //! writes more rows than its `StepPlan.est_rows` (the step's AGM bound).
@@ -226,10 +229,14 @@ pub enum Path {
     /// The publish seam: a catalog's `DeltaFactor::apply_to`, then
     /// `PreparedQuery::install_merged` ([`publish_by_hand`]), twice.
     InstallMerged,
+    /// `Engine::evaluate`, which plans its own σ: the configuration's σ is
+    /// checked as on every path, but this run does not take it.
+    EngineDefault,
 }
 
 const SIGMAS: [Sigma; 3] = [Sigma::Own, Sigma::Planned, Sigma::Linex];
-const PATHS: [Path; 4] = [Path::Evaluate, Path::Prepared, Path::ApplyDelta, Path::InstallMerged];
+const PATHS: [Path; 5] =
+    [Path::Evaluate, Path::Prepared, Path::ApplyDelta, Path::InstallMerged, Path::EngineDefault];
 
 #[derive(Debug, Clone)]
 pub struct Config {
@@ -386,6 +393,9 @@ pub fn check<F: Family>(inst: &Instance<F>, config: &Config, rng: &mut StdRng) -
     }
     let expected: Vec<Factor<F::E>> = versions.iter().map(naive_eval).collect();
 
+    if config.path == Path::EngineDefault {
+        check_engine_default(q, &backed, &expected[0], config);
+    }
     let mut work = 0;
     for plan in config.plans(q, rng) {
         let sigma = &plan.order;
@@ -411,6 +421,7 @@ pub fn check<F: Family>(inst: &Instance<F>, config: &Config, rng: &mut StdRng) -
             }
         };
         match config.path {
+            Path::EngineDefault => {} // σ-free: checked once, above
             Path::Evaluate => {
                 let engine = Engine::with_policy(config.policy());
                 fresh(engine.evaluate_with_order(&backed, sigma).unwrap(), config.threads);
@@ -434,6 +445,30 @@ pub fn check<F: Family>(inst: &Instance<F>, config: &Config, rng: &mut StdRng) -
         }
     }
     work
+}
+
+/// `Engine::evaluate` under `config`'s policy on the backed query, which
+/// plans its own σ: bit-identical to `Engine::sequential().evaluate(q)` (the
+/// plan reads no thread count, so on every family, real included), equal to
+/// a sequential run along that plan's σ once realigned, with its columns in
+/// `q.free` order, and `want` (brute force) up to the family's tolerance.
+fn check_engine_default<F: Family>(
+    q: &FaqQuery<F>,
+    backed: &FaqQuery<F>,
+    want: &Factor<F::E>,
+    config: &Config,
+) {
+    let out = Engine::with_policy(config.policy()).evaluate(backed).unwrap();
+    let seq = Engine::sequential().evaluate(q).unwrap();
+    assert_eq!(out.factor, seq.factor, "Engine::evaluate vs Engine::sequential().evaluate");
+    if config.threads == 1 {
+        assert_eq!(out.stats.total_seeks(), seq.stats.total_seeks(), "1-thread seeks");
+    }
+    let plan = Planner::sequential().plan(q).unwrap();
+    let along = Engine::sequential().evaluate_with_order(q, &plan.order).unwrap();
+    assert_eq!(out.factor, along.factor.align_to(&q.free), "σ = {:?}, realigned", plan.order);
+    assert_eq!(out.factor.schema(), &q.free[..], "the output's columns follow q.free");
+    F::assert_close(&out.factor, want, "Engine::evaluate vs naive_eval");
 }
 
 /// Thm 5.1 / Prop. 5.9 against the planner's own numbers: every join step of

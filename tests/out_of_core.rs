@@ -6,10 +6,13 @@
 //! bytes — the listing streams, it is never materialised — and returns
 //! exactly the planted count.
 //!
-//! The 1-thread run also pins its fault pattern: its seek count and the
-//! chunks it faults in ([`faq::factor::chunk_reads`]) are constants, so a
-//! change to the spilled seek path that faults a different set of chunks
-//! fails here.
+//! It runs twice per thread count: along the written order, and along the
+//! order `Engine::evaluate` plans. The 1-thread runs also pin their fault
+//! patterns: their seek counts and the chunks they fault in
+//! ([`faq::factor::chunk_reads`]) are constants, so a change to the spilled
+//! seek path that faults a different set of chunks, or a planner that picks
+//! another order, fails here; the planned run reads no more chunks than the
+//! written one.
 //!
 //! One test in a binary of its own: all three gauges are process-global.
 
@@ -25,9 +28,13 @@ const ROWS: usize = 200_000;
 const NODES: u32 = 2048;
 const PLANTED: usize = 64;
 const CAP_BYTES: usize = 700 << 10;
-/// The 1-thread run's seeks and chunk fault-ins (listing and level chunks).
+/// The 1-thread run's seeks and chunk fault-ins (listing and level chunks)
+/// along the written order `(a, b, c)`.
 const SEEKS_1T: u64 = 9823;
 const CHUNK_READS_1T: u64 = 407;
+/// The same along the order `Engine::evaluate` plans, `(a, c, b)`.
+const PLANNED_SEEKS_1T: u64 = 1722;
+const PLANNED_CHUNK_READS_1T: u64 = 332;
 
 /// `Σ_a Σ_b Σ_c R(a,b)·S(b,c)·T(a,c)`, with `R` streamed into `r` as
 /// ascending random keys (by gaps, so the generator's state is O(1)) and
@@ -67,11 +74,17 @@ fn planted_triangles(mut r: FactorBuilder<u64>) -> FaqQuery<CountDomain> {
     .unwrap()
 }
 
-/// Count along `(a, b, c)`: every schema already follows it, so the spilled
-/// `R` is never realigned. Returns the count and the run's seeks.
-fn count(q: &FaqQuery<CountDomain>, threads: usize) -> (u64, u64) {
-    let policy = ExecPolicy::with_threads(threads).min_chunk_rows(1024);
-    let out = Engine::with_policy(policy).evaluate_with_order(q, &[Var(0), Var(1), Var(2)]);
+/// Count along `order`, or, when it is `None`, along the ordering
+/// `Engine::evaluate` plans. The written order `(a, b, c)` is the one every
+/// schema already follows, so the spilled `R` is never realigned; neither is
+/// it along the plan's `(a, c, b)`, which reorders only the small `S`.
+/// Returns the count and the run's seeks.
+fn count(q: &FaqQuery<CountDomain>, threads: usize, order: Option<&[Var]>) -> (u64, u64) {
+    let engine = Engine::with_policy(ExecPolicy::with_threads(threads).min_chunk_rows(1024));
+    let out = match order {
+        Some(sigma) => engine.evaluate_with_order(q, sigma),
+        None => engine.evaluate(q),
+    };
     let out = out.unwrap();
     (out.factor.get(&[]).copied().unwrap_or(0), out.stats.total_seeks())
 }
@@ -85,38 +98,52 @@ fn spilled_triangle_count_stays_under_the_resident_cap() {
         window_chunks: 8,
         ..SpillConfig::default()
     };
+    let written = [Var(0), Var(1), Var(2)];
     for threads in [1, 4] {
-        let heap_before = current_bytes();
-        reset_peak_bytes();
-        let r = FactorBuilder::new_spilled(schema.clone(), spill.clone()).unwrap();
-        let q = planted_triangles(r);
-        let file_bytes = q.factors[0].spill_stats().expect("R is spilled").file_bytes;
-        assert!(file_bytes >= 4 * CAP_BYTES, "R ({file_bytes} B) must dwarf the cap");
-        reset_peak_pinned_bytes();
-        let reads_before = chunk_reads();
-        let (n, seeks) = count(&q, threads);
-        let reads = chunk_reads() - reads_before;
-        assert_eq!(n, PLANTED as u64, "{threads} threads");
-        if threads == 1 {
-            assert_eq!(
-                (seeks, reads),
-                (SEEKS_1T, CHUNK_READS_1T),
-                "1 thread: (seeks, chunk reads) moved — the spilled seek path faults other chunks"
+        // (seeks, chunk reads) of each 1-thread run: written, then planned.
+        let mut pins = Vec::new();
+        for order in [Some(&written[..]), None] {
+            let what = format!("{threads} threads, σ = {order:?} (None: planned)");
+            let heap_before = current_bytes();
+            reset_peak_bytes();
+            let r = FactorBuilder::new_spilled(schema.clone(), spill.clone()).unwrap();
+            let q = planted_triangles(r);
+            if order.is_none() {
+                let plan = Planner::sequential().plan(&q).unwrap();
+                assert_eq!(plan.order, [Var(0), Var(2), Var(1)], "the planned σ");
+            }
+            let file_bytes = q.factors[0].spill_stats().expect("R is spilled").file_bytes;
+            assert!(file_bytes >= 4 * CAP_BYTES, "R ({file_bytes} B) must dwarf the cap");
+            reset_peak_pinned_bytes();
+            let reads_before = chunk_reads();
+            let (n, seeks) = count(&q, threads, order);
+            let reads = chunk_reads() - reads_before;
+            assert_eq!(n, PLANTED as u64, "{what}");
+            pins.push((seeks, reads));
+            let peak_pinned = peak_pinned_bytes();
+            assert!(
+                peak_pinned <= CAP_BYTES,
+                "{what}: peak pinned chunk bytes {peak_pinned} exceed the {CAP_BYTES} B cap"
+            );
+            let heap_growth = peak_bytes().saturating_sub(heap_before) as usize;
+            assert!(
+                heap_growth < file_bytes / 2,
+                "{what}: peak heap growth {heap_growth} B against {file_bytes} B on disk — \
+                 the listing must stream, not materialise"
             );
         }
-        let peak_pinned = peak_pinned_bytes();
-        assert!(
-            peak_pinned <= CAP_BYTES,
-            "{threads} threads: peak pinned chunk bytes {peak_pinned} exceed the {CAP_BYTES} B cap"
-        );
-        let heap_growth = peak_bytes().saturating_sub(heap_before) as usize;
-        assert!(
-            heap_growth < file_bytes / 2,
-            "{threads} threads: peak heap growth {heap_growth} B against {file_bytes} B on disk — \
-             the listing must stream, not materialise"
-        );
+        if threads == 1 {
+            assert_eq!(
+                pins,
+                [(SEEKS_1T, CHUNK_READS_1T), (PLANNED_SEEKS_1T, PLANNED_CHUNK_READS_1T)],
+                "1 thread: (seeks, chunk reads) moved — the spilled seek path faults other \
+                 chunks, or the planner chose another σ"
+            );
+            assert!(pins[1].1 <= pins[0].1, "the planned run reads more chunks than the written");
+        }
     }
     // The in-memory twin (same seed, same rows) counts the same.
     let twin = planted_triangles(FactorBuilder::new(schema).unwrap());
-    assert_eq!(count(&twin, 4).0, PLANTED as u64);
+    assert_eq!(count(&twin, 4, Some(&written)).0, PLANTED as u64);
+    assert_eq!(count(&twin, 4, None).0, PLANTED as u64);
 }
