@@ -47,7 +47,7 @@
 pub use faq_factor::{DeltaFactor, DeltaOp};
 
 use crate::exec::ExecPolicy;
-use crate::insideout::{run_fresh, run_steps, FaqOutput, Program, Slots};
+use crate::insideout::{run_fresh, run_steps, FaqOutput, OutputForm, Program, Slots};
 use crate::query::{FaqError, FaqQuery};
 use faq_factor::Factor;
 use faq_hypergraph::Var;
@@ -80,7 +80,7 @@ impl<E: SemiringElem> DeltaCache<E> {
         policy: &ExecPolicy,
     ) -> Result<Self, FaqError> {
         let (prog, slots, _) =
-            run_fresh(q, sigma, policy, /* keep */ true, /* with_output */ true)?;
+            run_fresh(q, sigma, policy, /* keep */ true, OutputForm::Listing)?;
         Ok(DeltaCache { prog, slots })
     }
 

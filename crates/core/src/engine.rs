@@ -210,33 +210,34 @@ mod tests {
         }
     }
 
-    /// A fully free query whose plan puts `x1` — the variable of the one-row
-    /// factor — first: one-shot evaluation runs that σ, yet returns its
+    /// A fully free path `ψ01 ψ12` whose plan puts `x1` — the variable both
+    /// factors share — innermost, where its step spans every factor and is
+    /// the output join: one-shot evaluation runs that σ, yet returns its
     /// columns in `q.free` order, equal to a run along the plan's σ realigned.
     #[test]
     fn planned_free_prefix_keeps_the_callers_columns() {
         let wide = (0..8u32).flat_map(|a| (0..8).map(move |b| (vec![a, b], 1u64))).collect();
         let q = FaqQuery::new(
             CountDomain,
-            Domains::uniform(2, 8),
-            vec![v(0), v(1)],
+            Domains::uniform(3, 8),
+            vec![v(0), v(1), v(2)],
             vec![],
             vec![
                 Factor::new(vec![v(0), v(1)], wide).unwrap(),
-                Factor::new(vec![v(1)], vec![(vec![3], 2u64)]).unwrap(),
+                Factor::new(vec![v(1), v(2)], vec![(vec![3, 6], 2u64)]).unwrap(),
             ],
         )
         .unwrap();
         let plan = Planner::sequential().plan(&q).unwrap();
-        assert_eq!(plan.order, vec![v(1), v(0)], "the plan permutes the free prefix");
+        assert_eq!(plan.order, vec![v(0), v(2), v(1)], "the plan permutes the free prefix");
         let along_plan = Engine::sequential().evaluate_with_order(&q, &plan.order).unwrap();
-        assert_eq!(along_plan.factor.schema(), &[v(1), v(0)]);
+        assert_eq!(along_plan.factor.schema(), &[v(0), v(2), v(1)]);
         for engine in [Engine::sequential(), Engine::new().threads(4).min_chunk_rows(1)] {
             let out = engine.evaluate(&q).unwrap();
             assert_eq!(out.factor.schema(), &q.free[..]);
             assert_eq!(out.factor, along_plan.factor.align_to(&q.free));
             assert_eq!(out.factor.len(), 8);
-            assert_eq!(out.factor.get(&[5, 3]), Some(&2));
+            assert_eq!(out.factor.get(&[5, 3, 6]), Some(&2));
         }
     }
 }

@@ -25,7 +25,18 @@
 //! backtracking branch extends to a real output tuple (Yannakakis' algorithm
 //! re-emerges; the output phase costs `O~(‖ϕ‖)`).
 //!
-//! # One program, three readers
+//! A listing skips that pass when it would prune nothing: when the innermost
+//! free step's `U` holds every free variable and every live edge lies inside
+//! it — a full conjunctive query, say — that step's join already enumerates
+//! exactly the output's support, so it *is* the output join ([`output_fuses`]).
+//! It is emitted as the output step over `E_f`, with no filter and no trie,
+//! and no guard is recorded. The output join multiplies the same value inputs
+//! in the same order either way (a guard only ever contributes `1`), so every
+//! semiring's output is bit-identical, `f64` included. The factorized output
+//! (§8.4) enumerates with no dead branch only with every guard, so it always
+//! compiles the guarded program ([`OutputForm`]).
+//!
+//! # One program, four readers
 //!
 //! Which factors a step joins, in which column order, which survivors join as
 //! lazy prefix filters and which as materialized projections, and what schema
@@ -42,7 +53,9 @@
 //!   ([`crate::delta`]) and re-runs only the steps a change reaches — a fresh
 //!   run is the replay in which every input is wholly dirty and no node is
 //!   cached yet;
-//! * [`run_elimination`] is the run stopped before the output step;
+//! * [`run_elimination`], behind [`crate::output::FactorizedOutput`],
+//!   compiles the factorized form — every guard recorded, nothing fused —
+//!   and runs it stopped before the output step;
 //! * the planner ([`crate::plan`]) reads the winning ordering's join steps —
 //!   variable and join order — off the list. Its cost model prices the
 //!   hundreds of orderings it compares without compiling them, from
@@ -58,6 +71,10 @@ use faq_join::{JoinInput, JoinStats};
 use faq_semiring::{AggDomain, AggId, SemiringElem};
 
 /// Per-elimination-step statistics.
+///
+/// A free variable whose step was fused into the output join (see the
+/// module docs) has no `StepStat`: its join is the output join, and its work
+/// is in [`ElimStats::output_join`].
 #[derive(Debug, Clone)]
 pub struct StepStat {
     /// The eliminated variable.
@@ -85,9 +102,10 @@ pub struct StepStat {
 /// Statistics of a full InsideOut run.
 #[derive(Debug, Clone, Default)]
 pub struct ElimStats {
-    /// One entry per eliminated variable, in elimination order.
+    /// One entry per eliminated variable, in elimination order — except a
+    /// free variable fused into the output join, which has none.
     pub steps: Vec<StepStat>,
-    /// Statistics of the final output join.
+    /// Statistics of the final output join (a fused free step's included).
     pub output_join: Option<JoinStats>,
     /// The largest intermediate factor produced (rows).
     pub max_intermediate: usize,
@@ -146,7 +164,7 @@ pub(crate) struct EliminationArtifacts<E: SemiringElem> {
 }
 
 /// How a join step folds consecutive bindings of one group.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum FoldKind {
     /// `⊕⁽ᵒᵖ⁾`-fold of eq. (7); groups folding to zero are dropped.
     Semiring(AggId),
@@ -191,7 +209,7 @@ impl StepFilter {
 }
 
 /// A grouped join: a bound semiring step, a free-variable guard step, or the
-/// final output join.
+/// final output join (which may be the innermost free step, fused).
 #[derive(Debug, Clone)]
 pub(crate) struct JoinStep {
     /// Eliminated variable; `None` for the final output join.
@@ -267,7 +285,7 @@ impl Program {
     }
 
     /// The final output join (eq. (12)): its values are `E_f`, its filters
-    /// the guards.
+    /// the guards (none when the innermost free step was fused into it).
     pub(crate) fn output_step(&self) -> &JoinStep {
         match self.steps.last() {
             Some(Step::Join(js)) => js,
@@ -317,14 +335,46 @@ pub(crate) fn incident_edges<'a>(
     (incident, rest, u)
 }
 
+/// Which output representation a compiled program builds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum OutputForm {
+    /// The listing of `ϕ` (eq. (12)). When [`output_fuses`] holds, the
+    /// innermost free step is the output join and no guard is recorded.
+    Listing,
+    /// The factorized output of §8.4: every guard is recorded, because its
+    /// enumeration visits no dead branch only with all of them.
+    Factorized,
+}
+
+/// Whether the innermost free variable's step, over the `live` edge schemas
+/// left once every bound variable is gone, already is the output join: every
+/// free variable lies in some live edge, and every live edge lies inside the
+/// step's `U`. Its join then enumerates exactly the support of the output
+/// (a full conjunctive query's), and the semijoin pass of the guards prunes
+/// nothing the output join would not prune itself. A free variable no factor
+/// constrains keeps the guarded program. [`compile`] and the planner's cost
+/// model ([`crate::plan`]) both decide fusion here.
+pub(crate) fn output_fuses<'a>(
+    live: impl Iterator<Item = &'a [Var]> + Clone,
+    free: &[Var],
+) -> bool {
+    let Some(&inner) = free.last() else { return false };
+    // `v ∈ U`: some live edge holds both `inner` and `v`.
+    let in_u = |v: &Var| live.clone().any(|s| s.contains(&inner) && s.contains(v));
+    let constrained = free.iter().all(|v| live.clone().any(|s| s.contains(v)));
+    let covered = live.clone().all(|s| s.iter().all(in_u));
+    constrained && covered
+}
+
 /// Compile Algorithm 1 along `sigma` (a checked ordering of `q`): one walk
 /// over σ, innermost variable first, with the three branches of the paper's
 /// loop — semiring step eq. (7), product step eq. (8), free-variable guard
-/// eqs. (10)–(11) — and the output join eq. (12).
+/// eqs. (10)–(11) — and the output join eq. (12), fused with the innermost
+/// free step when `form` is a listing and [`output_fuses`] holds.
 ///
 /// Reads the factor *schemas*, the free count and the aggregates only — no
 /// row.
-pub(crate) fn compile<D: AggDomain>(q: &FaqQuery<D>, sigma: &[Var]) -> Program {
+pub(crate) fn compile<D: AggDomain>(q: &FaqQuery<D>, sigma: &[Var], form: OutputForm) -> Program {
     let f = q.free.len();
     let pos = |v: Var| sigma.iter().position(|&s| s == v).expect("var in sigma");
     // Schema of every node so far, and the nodes of the current edge set.
@@ -407,10 +457,16 @@ pub(crate) fn compile<D: AggDomain>(q: &FaqQuery<D>, sigma: &[Var]) -> Program {
 
     // Free variables under the 01-OR semiring, recording guards. Every live
     // edge touching U_k joins the guard as a filter, so every match's value
-    // is `1` and the join lists the support of `ψ_{U_k}`.
+    // is `1` and the join lists the support of `ψ_{U_k}`. A listing whose
+    // innermost free step already spans every live edge records none: that
+    // step's join *is* the output join below.
     let ef = live.clone();
+    let free = &sigma[..f];
+    let fused = form == OutputForm::Listing
+        && output_fuses(live.iter().map(|&i| schemas[i].as_slice()), free);
+    let guarded = if fused { 0 } else { f };
     let mut guards: Vec<StepFilter> = Vec::new();
-    for k in (0..f).rev() {
+    for k in (0..guarded).rev() {
         let var = sigma[k];
         let (incident, rest, join_order) = split_live(&schemas, &live, var);
         if incident.is_empty() {
@@ -438,10 +494,10 @@ pub(crate) fn compile<D: AggDomain>(q: &FaqQuery<D>, sigma: &[Var]) -> Program {
 
     // The final OutsideIn over expression (12): the value factors of E_f
     // joined with all guards.
-    schemas.push(sigma[..f].to_vec());
+    schemas.push(free.to_vec());
     steps.push(Step::Join(JoinStep {
         var: None,
-        join_order: sigma[..f].to_vec(),
+        join_order: free.to_vec(),
         group_arity: f,
         fold: FoldKind::Output,
         values: ef,
@@ -787,24 +843,25 @@ fn with_abort_guard<R>(
     }
 }
 
-/// Compile `sigma` and run it from an empty arena with every input wholly
-/// dirty — every step in full — stopping before the output join when
-/// `with_output` is false. Returns the program, the arena and the statistics.
+/// Compile `sigma` for `form` and run it from an empty arena with every
+/// input wholly dirty — every step in full. A listing runs the output join
+/// too; a factorized run stops before it. Returns the program, the arena and
+/// the statistics.
 pub(crate) fn run_fresh<D: AggDomain + Sync>(
     q: &FaqQuery<D>,
     sigma: &[Var],
     policy: &ExecPolicy,
     keep: bool,
-    with_output: bool,
+    form: OutputForm,
 ) -> Result<(Program, Slots<D::E>, ElimStats), FaqError> {
     q.validate()?;
     q.check_ordering(sigma)?;
-    let prog = compile(q, sigma);
+    let prog = compile(q, sigma, form);
     let mut slots: Slots<D::E> = Vec::new();
     slots.resize_with(prog.nodes, || None);
     let mut dirty = vec![Dirty::Clean; prog.nodes];
     dirty[..q.factors.len()].fill(Dirty::Full);
-    let upto = prog.steps.len() - usize::from(!with_output);
+    let upto = prog.steps.len() - usize::from(form == OutputForm::Factorized);
     let stats = with_abort_guard(policy, || {
         run_steps(q, policy, &prog, upto, &mut slots, &mut dirty, keep)
     })?;
@@ -819,14 +876,14 @@ pub(crate) fn evaluate<D: AggDomain + Sync>(
     policy: &ExecPolicy,
 ) -> Result<FaqOutput<D::E>, FaqError> {
     let (prog, mut slots, stats) =
-        run_fresh(q, sigma, policy, /* keep */ false, /* with_output */ true)?;
+        run_fresh(q, sigma, policy, /* keep */ false, OutputForm::Listing)?;
     let factor = slots[prog.output_step().output].take().expect("the output join ran");
     Ok(FaqOutput { factor, stats })
 }
 
 /// Eliminate the bound variables, then the free variables under the 01-OR
 /// semiring, and stop before the output join: the factorized artifacts of
-/// paper §8.4. Sequential; `sigma` carries the contract of
+/// paper §8.4, every guard included (the program is never fused). Sequential; `sigma` carries the contract of
 /// [`crate::Engine::evaluate_with_order`].
 pub(crate) fn run_elimination<D: AggDomain + Sync>(
     q: &FaqQuery<D>,
@@ -834,7 +891,7 @@ pub(crate) fn run_elimination<D: AggDomain + Sync>(
 ) -> Result<EliminationArtifacts<D::E>, FaqError> {
     let policy = ExecPolicy::sequential();
     let (prog, mut slots, _) =
-        run_fresh(q, sigma, &policy, /* keep */ false, /* with_output */ false)?;
+        run_fresh(q, sigma, &policy, /* keep */ false, OutputForm::Factorized)?;
     let out = prog.output_step();
     // Inputs that survive to E_f are the caller's factors: copy those.
     let mut take = |n: usize| match q.factors.get(n) {
@@ -853,6 +910,10 @@ mod tests {
     use faq_factor::Domains;
     use faq_hypergraph::v;
     use faq_semiring::{BoolDomain, CountDomain, RealDomain};
+
+    fn vars(ids: &[u32]) -> Vec<Var> {
+        ids.iter().map(|&i| v(i)).collect()
+    }
 
     fn fac_u(schema: &[u32], rows: &[(&[u32], u64)]) -> Factor<u64> {
         Factor::new(
@@ -887,8 +948,7 @@ mod tests {
             vec![fac(&[1, 5]), fac(&[2, 5]), fac(&[1, 3, 4]), fac(&[2, 3, 6])],
         )
         .unwrap();
-        let prog = compile(&q, &q.ordering());
-        let vars = |ids: &[u32]| ids.iter().map(|&i| v(i)).collect::<Vec<Var>>();
+        let prog = compile(&q, &q.ordering(), OutputForm::Listing);
         let shape: Vec<_> = prog
             .joins()
             .map(|js| (js.var, js.join_order.clone(), js.values.len(), js.filters.clone()))
@@ -909,6 +969,135 @@ mod tests {
         assert!(matches!(&prog.steps[3], Step::Product { var, rewrites }
             if *var == v(3) && rewrites == &[(5, 9), (6, 10), (8, 11)]));
         assert_eq!(prog.nodes, 15);
+    }
+
+    /// `free` listed, the rest Σ-bound, over `factors`, along σ = `0..n`.
+    fn listing(n: usize, free: &[u32], factors: Vec<Factor<u64>>) -> FaqQuery<CountDomain> {
+        let bound = (0..n as u32)
+            .filter(|i| !free.contains(i))
+            .map(|i| (v(i), VarAgg::Semiring(CountDomain::SUM)))
+            .collect();
+        FaqQuery::new(
+            CountDomain,
+            Domains::uniform(n, 6),
+            free.iter().map(|&i| v(i)).collect(),
+            bound,
+            factors,
+        )
+        .unwrap()
+    }
+
+    /// `(a, b)` pairs over `0..6` with `(a + b) % skip != 0`, valued `a + 1`.
+    fn pairs(a: u32, b: u32, skip: u32) -> Factor<u64> {
+        let rows = (0..36u32)
+            .map(|i| (i / 6, i % 6))
+            .filter(|&(x, y)| (x + y) % skip != 0)
+            .map(|(x, y)| (vec![x, y], u64::from(x) + 1))
+            .collect();
+        Factor::new(vec![v(a), v(b)], rows).unwrap()
+    }
+
+    fn triangle_listing() -> FaqQuery<CountDomain> {
+        listing(3, &[0, 1, 2], vec![pairs(0, 1, 3), pairs(1, 2, 4), pairs(0, 2, 5)])
+    }
+
+    /// The join steps of `prog` as `(var, fold, values, filters)`.
+    fn join_shape(prog: &Program) -> Vec<(Option<Var>, FoldKind, usize, usize)> {
+        prog.joins().map(|js| (js.var, js.fold, js.values.len(), js.filters.len())).collect()
+    }
+
+    /// A full conjunctive query: the innermost free step spans every edge, so
+    /// the listing is one output step over the three inputs — no guard, no
+    /// filter, no intermediate. The factorized form keeps all three guards.
+    #[test]
+    fn compile_triangle_listing_is_one_output_step() {
+        let q = triangle_listing();
+        let prog = compile(&q, &q.ordering(), OutputForm::Listing);
+        assert_eq!(prog.steps.len(), 1);
+        assert_eq!(join_shape(&prog), [(None, FoldKind::Output, 3, 0)]);
+        assert_eq!(prog.output_step().join_order, vars(&[0, 1, 2]));
+        assert_eq!(prog.nodes, 4);
+        let factorized = compile(&q, &q.ordering(), OutputForm::Factorized);
+        let expect = [
+            (Some(v(2)), FoldKind::Guard, 0, 3),
+            (Some(v(1)), FoldKind::Guard, 0, 2),
+            (Some(v(0)), FoldKind::Guard, 0, 1),
+            (None, FoldKind::Output, 3, 3),
+        ];
+        assert_eq!(join_shape(&factorized), expect);
+        let out = Engine::sequential().evaluate_with_order(&q, &q.ordering()).unwrap();
+        assert_eq!(out.factor, crate::naive::naive_eval(&q));
+        assert!(out.stats.steps.is_empty(), "a fused free variable has no step entry");
+        assert_eq!(out.stats.max_intermediate, 0);
+    }
+
+    /// A free chain `ψ01 ψ12`: the innermost step's `U = {x1, x2}` misses
+    /// `ψ01`'s `x0`, so the listing keeps its guard steps.
+    #[test]
+    fn compile_free_chain_keeps_its_guards() {
+        let q = listing(3, &[0, 1, 2], vec![pairs(0, 1, 3), pairs(1, 2, 4)]);
+        let prog = compile(&q, &q.ordering(), OutputForm::Listing);
+        let expect = [
+            (Some(v(2)), FoldKind::Guard, 0, 2),
+            (Some(v(1)), FoldKind::Guard, 0, 2),
+            (Some(v(0)), FoldKind::Guard, 0, 1),
+            (None, FoldKind::Output, 2, 3),
+        ];
+        assert_eq!(join_shape(&prog), expect);
+        let out = Engine::sequential().evaluate_with_order(&q, &q.ordering()).unwrap();
+        assert_eq!(out.factor, crate::naive::naive_eval(&q));
+        assert_eq!(out.stats.steps.len(), 3);
+    }
+
+    /// `x0` is free but in no factor: the innermost step covers every live
+    /// edge, yet the program stays the guarded one (no step for `x0`), and
+    /// the output — every `x0` beside each `(x1, x2)` — matches naive.
+    #[test]
+    fn compile_unconstrained_free_variable_is_not_fused() {
+        let q = listing(3, &[0, 1, 2], vec![pairs(1, 2, 4)]);
+        let prog = compile(&q, &q.ordering(), OutputForm::Listing);
+        let expect = [
+            (Some(v(2)), FoldKind::Guard, 0, 1),
+            (Some(v(1)), FoldKind::Guard, 0, 1),
+            (None, FoldKind::Output, 1, 2),
+        ];
+        assert_eq!(join_shape(&prog), expect);
+        let out = Engine::sequential().evaluate_with_order(&q, &q.ordering()).unwrap();
+        assert_eq!(out.factor, crate::naive::naive_eval(&q));
+        assert_eq!(out.factor.len(), 6 * pairs(1, 2, 4).len());
+    }
+
+    /// A delta on a fused listing replays the one output step: restricted to
+    /// the touched ranges when the slot leads with the join's first variable,
+    /// in full when it does not — both equal to a fresh evaluation.
+    #[test]
+    fn delta_on_a_fused_listing_equals_a_fresh_evaluation() {
+        use crate::plan::{Planner, PreparedQuery};
+        use faq_factor::DeltaFactor;
+        let q = triangle_listing();
+        let mut prepared = Planner::sequential().prepare(&q).unwrap();
+        let plan = std::sync::Arc::new(prepared.plan().clone());
+        let fresh = prepared.evaluate().unwrap();
+        assert_eq!(join_shape(&compile(&q, &plan.order, OutputForm::Listing)).len(), 1);
+        let j0 = plan.order[0];
+        let leads = |p: &PreparedQuery<CountDomain>, slot: usize| {
+            p.query().factors[slot].schema().first() == Some(&j0)
+        };
+        let leading = (0..3).find(|&s| leads(&prepared, s)).expect("a slot leads with j0");
+        let trailing = (0..3).find(|&s| !leads(&prepared, s)).expect("a slot does not");
+        for slot in [leading, trailing] {
+            let schema = prepared.query().factors[slot].schema().to_vec();
+            let delta = DeltaFactor::inserts(schema, vec![(vec![2, 1], 5), (vec![4, 4], 1)]);
+            let out = prepared.apply_delta(slot, &delta.unwrap()).unwrap();
+            let again = PreparedQuery::with_plan(prepared.query(), plan.clone()).unwrap();
+            let want = again.evaluate().unwrap();
+            assert_eq!(out.factor, want.factor, "slot {slot}");
+            assert!(out.stats.steps.is_empty());
+            let seeks = |o: &FaqOutput<u64>| o.stats.output_join.expect("the output ran").seeks;
+            if slot == leading {
+                assert!(seeks(&out) < seeks(&fresh), "a leading delta replays restricted");
+            }
+        }
     }
 
     #[test]

@@ -338,6 +338,40 @@ mod tests {
         assert_eq!(mat, direct);
     }
 
+    /// The listing of a dense triangle fuses its free steps into the output
+    /// join; the factorized form keeps every guard, and enumerating it gives
+    /// that listing.
+    #[test]
+    fn dense_triangle_keeps_its_guards() {
+        let edges = |a: u32, b: u32, skip: u32| {
+            let rows = (0..64u32)
+                .map(|i| (i / 8, i % 8))
+                .filter(|&(x, y)| (x * 3 + y) % skip != 0)
+                .map(|(x, y)| (vec![x, y], u64::from(x + y) + 1))
+                .collect();
+            Factor::new(vec![v(a), v(b)], rows).unwrap()
+        };
+        let q = FaqQuery::new(
+            CountDomain,
+            Domains::uniform(3, 8),
+            vec![v(0), v(1), v(2)],
+            vec![],
+            vec![edges(0, 1, 5), edges(1, 2, 4), edges(0, 2, 7)],
+        )
+        .unwrap();
+        let listing = Engine::sequential().evaluate(&q).unwrap();
+        assert!(listing.stats.steps.is_empty(), "the listing ran no guard step");
+        let fo = FactorizedOutput::compute(&q).unwrap();
+        assert_eq!(fo.guards.len(), 3);
+        assert_eq!(fo.materialize(1u64, |a, b| a * b, |&x| x == 0), listing.factor);
+        let mut rows: Vec<(Vec<u32>, u64)> = Vec::new();
+        fo.for_each(1u64, |a, b| a * b, |&x| x == 0, |b, val| rows.push((b.to_vec(), val)));
+        let want: Vec<(Vec<u32>, u64)> =
+            listing.factor.iter().map(|(r, &val)| (r.to_vec(), val)).collect();
+        assert!(!want.is_empty());
+        assert_eq!(rows, want);
+    }
+
     #[test]
     fn value_queries() {
         let q = sample();

@@ -58,7 +58,9 @@ use crate::delta::DeltaCache;
 use crate::evo::EvoChecker;
 use crate::exec::ExecPolicy;
 use crate::exprtree::QueryShape;
-use crate::insideout::{compile, evaluate, incident_edges, ElimStats, FaqOutput};
+use crate::insideout::{
+    compile, evaluate, incident_edges, output_fuses, ElimStats, FaqOutput, OutputForm,
+};
 use crate::query::{FaqError, FaqQuery, VarAgg};
 use crate::width::FaqwMemo;
 use faq_factor::fault;
@@ -159,11 +161,11 @@ impl Planner {
         // breaks ties only, so it is computed for the cost finalists alone,
         // all against one ρ* memo.
         let mut model = CostModel::new(&h, &sizes, q);
-        let own_cost = model.ordering_cost(&own);
+        let own_cost = model.ordering_cost(&own, q.free.len());
         let scored: Vec<(Vec<Var>, f64)> = candidates
             .into_iter()
             .map(|sigma| {
-                let cost = model.ordering_cost(&sigma);
+                let cost = model.ordering_cost(&sigma, q.free.len());
                 (sigma, cost)
             })
             .collect();
@@ -348,12 +350,19 @@ impl<'a> CostModel<'a> {
     }
 
     /// Total estimated cost of eliminating along `sigma` (a checked
-    /// ordering): the estimated sub-join rows of the fold and guard steps,
-    /// innermost variable first, then of the output join — term for term the
-    /// sum over the join steps of `compile(q, sigma)`.
-    fn ordering_cost(&mut self, sigma: &[Var]) -> f64 {
+    /// ordering whose first `free` positions are the free variables): the
+    /// estimated sub-join rows of the fold and guard steps, innermost
+    /// variable first, then of the output join — term for term the sum over
+    /// the join steps of `compile(q, sigma, OutputForm::Listing)`.
+    /// Where that program fuses the innermost free step into the output join
+    /// ([`output_fuses`]), the step is priced once, as the output.
+    fn ordering_cost(&mut self, sigma: &[Var], free: usize) -> f64 {
         let (mut state, mut cost) = (0, 0.0);
-        for &var in sigma.iter().rev() {
+        for (k, &var) in sigma.iter().enumerate().rev() {
+            let live = self.states[state].iter().map(Vec::as_slice);
+            if k + 1 == free && output_fuses(live, &sigma[..free]) {
+                break;
+            }
             let (est, next) = self.step(state, var);
             cost += est;
             state = next;
@@ -364,7 +373,7 @@ impl<'a> CostModel<'a> {
     /// The estimates along the chosen ordering, one per join step of the
     /// compiled program that eliminates a variable.
     fn step_plans<D: AggDomain>(&mut self, q: &FaqQuery<D>, sigma: &[Var]) -> Vec<StepPlan> {
-        compile(q, sigma)
+        compile(q, sigma, OutputForm::Listing)
             .joins()
             .filter_map(|js| {
                 let var = js.var?;
@@ -802,7 +811,7 @@ mod tests {
     fn assert_plan_and_stats_follow_program<D: AggDomain + Clone + Sync>(q: &FaqQuery<D>) {
         let planned = Planner::sequential().plan(q).unwrap();
         for plan in [plan_along(q, &q.ordering()), planned] {
-            let prog = compile(q, &plan.order);
+            let prog = compile(q, &plan.order, OutputForm::Listing);
             let compiled: Vec<(Var, &[Var])> = prog
                 .joins()
                 .filter_map(|js| js.var.map(|var| (var, js.join_order.as_slice())))
@@ -867,9 +876,11 @@ mod tests {
         candidates.push(q.ordering());
         let mut model = CostModel::new(&h, &sizes, q);
         for sigma in &candidates {
-            let compiled: f64 =
-                compile(q, sigma).joins().map(|js| model.est_rows(&js.join_order)).sum();
-            let by_state = model.ordering_cost(sigma);
+            let compiled: f64 = compile(q, sigma, OutputForm::Listing)
+                .joins()
+                .map(|js| model.est_rows(&js.join_order))
+                .sum();
+            let by_state = model.ordering_cost(sigma, q.free.len());
             assert_eq!(by_state.to_bits(), compiled.to_bits(), "{sigma:?}");
         }
     }
