@@ -38,7 +38,7 @@
 //! sequential counts.
 
 use crate::query::FaqError;
-use faq_factor::fault::{self, QueryAbort};
+use faq_factor::fault;
 use faq_factor::{Domains, Factor, FactorBuilder};
 use faq_hypergraph::Var;
 use faq_join::{multiway_join_range_rep, JoinInput, JoinRep, JoinStats};
@@ -160,6 +160,19 @@ impl Default for ExecPolicy {
     fn default() -> ExecPolicy {
         ExecPolicy::with_threads(hardware_threads())
     }
+}
+
+/// Run `f` under the policy's abort controls (deadline / cancel token),
+/// converting a raised abort — storage failure, deadline, cancellation —
+/// into the matching typed [`FaqError`]. The one place `faq_core` crosses
+/// [`fault::guarded`]: every public entry that can touch a chunk or poll the
+/// controls runs under it, and so does each parallel join worker.
+pub(crate) fn with_abort_guard<R>(
+    policy: &ExecPolicy,
+    f: impl FnOnce() -> Result<R, FaqError>,
+) -> Result<R, FaqError> {
+    fault::guarded(policy.deadline, policy.cancel.clone(), f)
+        .unwrap_or_else(|abort| Err(abort.into()))
 }
 
 /// One elimination-step join: enumerate matches of `inputs` under `order`,
@@ -306,54 +319,47 @@ pub(crate) fn grouped_join<E: SemiringElem>(
     }
 
     // Scoped worker pool: one worker per chunk (ranges.len() ≤ threads), each
-    // stream-folding into its own flat builder. `std::thread::scope` would
-    // swallow a worker's raised QueryAbort into an opaque scope panic, so
-    // each worker installs the parent's abort controls, catches its own
-    // abort and parks it in its slot for the parent to re-raise.
-    let ctl = fault::current_ctl();
-    type WorkerSlot<E> = Option<Result<(FactorBuilder<E>, JoinStats), QueryAbort>>;
-    let mut slots: Vec<WorkerSlot<E>> = Vec::new();
-    slots.resize_with(ranges.len(), || None);
-    std::thread::scope(|s| {
-        for (&range, slot) in ranges.iter().zip(slots.iter_mut()) {
-            let chunk_inputs = &chunk_inputs;
-            let schema = &schema;
-            let ctl = ctl.clone();
-            s.spawn(move || {
-                let _g = fault::install_ctl(ctl);
-                *slot = Some(fault::catch_abort(|| {
-                    let mut out = FactorBuilder::new(schema.clone())
-                        .expect("join-order variables are distinct");
-                    let stats = grouped_join_range(
-                        domains,
-                        order,
-                        chunk_inputs,
-                        range,
-                        one,
-                        group_arity,
-                        mul,
-                        fold,
-                        is_zero,
-                        &mut out,
-                    );
-                    (out, stats)
-                }));
-            });
-        }
+    // stream-folding into its own flat builder under the policy's controls.
+    let chunks: Vec<Result<(FactorBuilder<E>, JoinStats), FaqError>> = std::thread::scope(|s| {
+        let workers: Vec<_> = ranges
+            .iter()
+            .map(|&range| {
+                let (chunk_inputs, schema) = (&chunk_inputs, &schema);
+                s.spawn(move || {
+                    with_abort_guard(policy, || {
+                        let mut out = FactorBuilder::new(schema.clone())
+                            .expect("join-order variables are distinct");
+                        let stats = grouped_join_range(
+                            domains,
+                            order,
+                            chunk_inputs,
+                            range,
+                            one,
+                            group_arity,
+                            mul,
+                            fold,
+                            is_zero,
+                            &mut out,
+                        );
+                        Ok((out, stats))
+                    })
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+            .collect()
     });
 
     // Group keys begin with the chunked variable, so chunk outputs are
     // disjoint and ascending: the k-way merge is a concatenating append,
-    // growing the output trie in stream order when one was requested.
+    // growing the output trie in stream order when one was requested. The
+    // lowest range's abort wins, whatever order the workers failed in.
     let mut stats = JoinStats::default();
     let mut out = out_builder();
-    for slot in slots {
-        let (chunk, chunk_stats) = match slot.expect("worker completed") {
-            Ok(r) => r,
-            // Deterministic choice: the first (lowest-range) worker's abort
-            // wins, whatever order the workers actually failed in.
-            Err(abort) => fault::raise(abort),
-        };
+    for chunk in chunks {
+        let (chunk, chunk_stats) = chunk?;
         stats.matches += chunk_stats.matches;
         stats.seeks += chunk_stats.seeks;
         stats.nodes += chunk_stats.nodes;

@@ -63,7 +63,7 @@
 //!   makes at every step.
 
 use crate::delta::{narrowed_dirty, union_ranges, Dirty};
-use crate::exec::{grouped_join, grouped_join_range, ExecPolicy};
+use crate::exec::{grouped_join, grouped_join_range, with_abort_guard, ExecPolicy};
 use crate::query::{FaqError, FaqQuery, VarAgg};
 use faq_factor::{fault, Factor, FactorBuilder};
 use faq_hypergraph::Var;
@@ -821,26 +821,6 @@ pub(crate) fn run_steps<D: AggDomain + Sync>(
         }
     }
     Ok(stats)
-}
-
-/// Run `f` with the policy's abort controls (deadline / cancel token)
-/// installed on this thread, converting a raised [`fault::QueryAbort`] —
-/// storage failure, deadline, cancellation — into the matching typed
-/// [`FaqError`]. Every evaluation entry point funnels through this guard, so
-/// no abort unwinds past the engine boundary. Nested installs are fine: the
-/// inner guard restores the outer controls on drop.
-fn with_abort_guard<R>(
-    policy: &ExecPolicy,
-    f: impl FnOnce() -> Result<R, FaqError>,
-) -> Result<R, FaqError> {
-    let _g = fault::install_ctl(fault::AbortCtl {
-        deadline: policy.deadline,
-        cancel: policy.cancel.clone(),
-    });
-    match fault::catch_abort(f) {
-        Ok(r) => r,
-        Err(abort) => Err(abort.into()),
-    }
 }
 
 /// Compile `sigma` for `form` and run it from an empty arena with every

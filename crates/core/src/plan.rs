@@ -56,18 +56,17 @@
 
 use crate::delta::DeltaCache;
 use crate::evo::EvoChecker;
-use crate::exec::ExecPolicy;
+use crate::exec::{with_abort_guard, ExecPolicy};
 use crate::exprtree::QueryShape;
 use crate::insideout::{
     compile, evaluate, incident_edges, output_fuses, ElimStats, FaqOutput, OutputForm,
 };
 use crate::query::{FaqError, FaqQuery, VarAgg};
 use crate::width::FaqwMemo;
-use faq_factor::fault;
 use faq_factor::{DeltaFactor, Domains, Factor};
 use faq_hypergraph::widths::agm_bound;
 use faq_hypergraph::{Hypergraph, Var, VarSet};
-use faq_semiring::{AggDomain, AggId};
+use faq_semiring::{AggDomain, AggId, SemiringElem};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -434,6 +433,44 @@ pub fn check_delta<D: AggDomain>(
     Ok(())
 }
 
+/// Merge `delta` into `base` through `⊕⁽ᵒᵖ⁾` and index the result when the
+/// merge changed it, under `policy`'s abort controls. Returns the merged
+/// factor (in `base`'s column order) and the first-column ranges it differs
+/// from `base` in — what [`PreparedQuery::install_merged`] takes.
+///
+/// The one merge behind [`PreparedQuery::apply_delta_with`] and a serving
+/// writer's publish. Nothing is installed anywhere, so a storage fault in
+/// the spilled splice or the index build leaves every holder of `base` as it
+/// was. `delta` must pass [`check_delta`] against `base` first.
+#[allow(clippy::type_complexity)]
+pub fn merge_delta<D: AggDomain>(
+    domain: &D,
+    policy: &ExecPolicy,
+    base: &Factor<D::E>,
+    delta: &DeltaFactor<D::E>,
+    op: AggId,
+) -> Result<(Factor<D::E>, Vec<(u32, u32)>), FaqError> {
+    with_abort_guard(policy, || {
+        let (merged, ranges) = delta.align_to(base.schema()).apply_to(
+            base,
+            |a, b| domain.add(op, a, b),
+            |x| domain.is_zero(x),
+        );
+        if !ranges.is_empty() {
+            merged.trie();
+        }
+        Ok((merged, ranges))
+    })
+}
+
+/// `factor` aligned to `order` and indexed: a serving-ready input. An
+/// aligned factor stays a handle on its caller's body, index included.
+fn serving_ready<E: SemiringElem>(factor: &Factor<E>, order: &[Var]) -> Factor<E> {
+    let ready = factor.align_to(order);
+    ready.trie();
+    ready
+}
+
 /// A query prepared for repeated evaluation: the plan plus pre-aligned,
 /// pre-indexed input factors.
 ///
@@ -477,15 +514,9 @@ impl<D: AggDomain + Clone + Sync> PreparedQuery<D> {
         q.validate()?;
         q.check_ordering(&plan.order)?;
         let mut query = q.clone();
-        for fac in &mut query.factors {
-            // Re-sort only the factors the plan order actually misaligns; an
-            // aligned input (the common serving case) is kept as-is instead
-            // of being cloned row by row.
-            if let std::borrow::Cow::Owned(aligned) = fac.align_to_cow(&plan.order) {
-                *fac = aligned;
-            }
-            fac.trie(); // build (and cache) the serving index now
-        }
+        query.factors = with_abort_guard(&plan.policy, || {
+            Ok(q.factors.iter().map(|f| serving_ready(f, &plan.order)).collect())
+        })?;
         Ok(PreparedQuery { query, plan, cache: None })
     }
 
@@ -518,13 +549,15 @@ impl<D: AggDomain + Clone + Sync> PreparedQuery<D> {
     pub fn update_factor(&mut self, slot: usize, factor: Factor<D::E>) -> Result<(), FaqError> {
         let current = self.slot_factor(slot)?;
         check_slot_schema(slot, current.schema(), factor.schema())?;
-        let aligned = factor.align_to(&self.plan.order);
-        let old = std::mem::replace(&mut self.query.factors[slot], aligned);
+        // Align and index before the swap: a fault here leaves the slot and
+        // the delta cache as they were.
+        let ready =
+            with_abort_guard(&self.plan.policy, || Ok(serving_ready(&factor, &self.plan.order)))?;
+        let old = std::mem::replace(&mut self.query.factors[slot], ready);
         if let Err(e) = self.query.validate() {
             self.query.factors[slot] = old; // roll back: keep the handle usable
             return Err(e);
         }
-        self.query.factors[slot].trie();
         self.cache = None;
         Ok(())
     }
@@ -577,21 +610,12 @@ impl<D: AggDomain + Clone + Sync> PreparedQuery<D> {
         // Validate everything BEFORE mutating: slot, operator, schema, keys.
         let current = self.slot_factor(slot)?;
         check_delta(&self.query.domain, &self.query.domains, slot, current, delta, op)?;
-        let aligned = delta.align_to(&self.plan.order);
-
         // The merge (including the spilled splice path, which does chunk I/O
-        // on this thread) runs BEFORE anything is installed: a storage abort
-        // here surfaces as a typed error with the handle — factor and cached
+        // on this thread) runs BEFORE anything is installed: an abort here
+        // surfaces as a typed error with the handle — factor and cached
         // trace — completely untouched.
-        let dom = &self.query.domain;
-        let (merged, ranges) = fault::catch_abort(|| {
-            aligned.apply_to(
-                &self.query.factors[slot],
-                |a, b| dom.add(op, a, b),
-                |x| dom.is_zero(x),
-            )
-        })
-        .map_err(FaqError::from)?;
+        let (merged, ranges) =
+            merge_delta(&self.query.domain, &self.plan.policy, current, delta, op)?;
         self.install_merged(slot, merged, ranges)
     }
 
@@ -640,8 +664,9 @@ impl<D: AggDomain + Clone + Sync> PreparedQuery<D> {
             "merged factor differs from slot {slot} outside the reported ranges"
         );
 
+        let policy = &self.plan.policy;
         if self.cache.is_none() {
-            self.cache = Some(DeltaCache::prime(&self.query, &self.plan.order, &self.plan.policy)?);
+            self.cache = Some(DeltaCache::prime(&self.query, &self.plan.order, policy)?);
         }
         if ranges.is_empty() {
             // The batch was a no-op (e.g. deletes of absent keys): serve the
@@ -654,10 +679,10 @@ impl<D: AggDomain + Clone + Sync> PreparedQuery<D> {
         }
         // Keep the handle serving-ready, like update_factor; a no-op when a
         // sibling handle of the same body has indexed it already.
-        fault::catch_abort(|| {
+        with_abort_guard(policy, || {
             merged.trie();
-        })
-        .map_err(FaqError::from)?;
+            Ok(())
+        })?;
 
         // Replay mutates the cached nodes in place, so a mid-replay failure
         // cannot leave the cache consistent: roll the factor back and drop
@@ -665,9 +690,7 @@ impl<D: AggDomain + Clone + Sync> PreparedQuery<D> {
         // Earlier failure points never reach this.
         let prev = std::mem::replace(&mut self.query.factors[slot], merged);
         let cache = self.cache.as_mut().expect("cache primed above");
-        let replayed =
-            fault::catch_abort(|| cache.replay(&self.query, &self.plan.policy, slot, ranges))
-                .unwrap_or_else(|abort| Err(abort.into()));
+        let replayed = with_abort_guard(policy, || cache.replay(&self.query, policy, slot, ranges));
         if replayed.is_err() {
             self.query.factors[slot] = prev;
             self.cache = None;
@@ -910,6 +933,25 @@ mod tests {
             prepared.evaluate().unwrap().factor,
             Engine::sequential().evaluate(&q).unwrap().factor
         );
+    }
+
+    /// Delta replay runs under the plan's controls: once the plan's token
+    /// fires, `apply_delta` fails as `evaluate` does, rolls the factor back
+    /// and drops the replay cache.
+    #[test]
+    fn cancelled_plan_stops_delta_replay() {
+        let token = crate::exec::CancelToken::new();
+        let mut planner = Planner::sequential();
+        planner.policy = ExecPolicy::sequential().cancel_token(token.clone());
+        let mut p = planner.prepare(&triangle_query(3, 30)).unwrap();
+        let delta = |a| DeltaFactor::inserts(vec![v(0), v(1)], vec![(vec![a, 1], 2u64)]).unwrap();
+        p.apply_delta(0, &delta(0)).unwrap();
+        token.cancel();
+        let before = p.query().factors[0].clone();
+        assert!(matches!(p.apply_delta(0, &delta(1)), Err(FaqError::Cancelled)));
+        assert!(p.query().factors[0].shares_body(&before), "the factor is rolled back");
+        assert!(p.cache.is_none(), "the replay cache is dropped");
+        assert!(matches!(p.evaluate(), Err(FaqError::Cancelled)));
     }
 
     #[test]

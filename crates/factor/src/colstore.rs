@@ -1521,7 +1521,7 @@ mod tests {
         let cols = w.finish_cols();
         let corrupt_before = fault::corrupt_chunks();
         let _g = fault::FaultPlan::seeded(5).corrupt(1.0).install_local();
-        let r = fault::catch_abort(|| cols.value_owned(0));
+        let r = fault::guarded(None, None, || cols.value_owned(0));
         match r {
             Err(QueryAbort::Storage(StorageError::Corrupt { chunk: 0, .. })) => {}
             other => panic!("expected a corrupt-chunk abort, got {other:?}"),
@@ -1540,7 +1540,7 @@ mod tests {
         }
         let cols = w.finish_cols();
         let _g = fault::FaultPlan::seeded(5).fail_hard(1.0).install_local();
-        match fault::catch_abort(|| cols.value_owned(0)) {
+        match fault::guarded(None, None, || cols.value_owned(0)) {
             Err(QueryAbort::Storage(StorageError::Io { op: "read chunk", attempts, .. })) => {
                 assert_eq!(attempts, MAX_IO_ATTEMPTS);
             }
@@ -1556,13 +1556,9 @@ mod tests {
             w.push(&[i], 1);
         }
         let cols = w.finish_cols();
-        let ctl = fault::AbortCtl {
-            deadline: Some(fault::Deadline::after(std::time::Duration::ZERO)),
-            cancel: None,
-        };
-        let _g = fault::install_ctl(ctl);
+        let expired = Some(fault::Deadline::after(std::time::Duration::ZERO));
         assert_eq!(
-            fault::catch_abort(|| cols.value_owned(0)),
+            fault::guarded(expired, None, || cols.value_owned(0)),
             Err(QueryAbort::DeadlineExceeded),
             "an expired deadline aborts at the fault-in checkpoint"
         );

@@ -14,14 +14,21 @@
 //! The hot accessor APIs (`Factor::get`, trie cursors, `LevelStorage`) are
 //! deliberately infallible — threading `Result` through every seek would tax
 //! the in-memory fast path that never touches a disk. Instead, a failed
-//! chunk operation *raises* a [`QueryAbort`] by unwinding ([`raise`]), and
-//! the evaluation entry points catch it ([`catch_abort`]) and convert it
-//! into a typed error. Deadlines and cancellation ride the same transport:
-//! [`checkpoint`] is called every few thousand seeks in the join loop and at
-//! every chunk fault-in, and raises [`QueryAbort::DeadlineExceeded`] /
-//! [`QueryAbort::Cancelled`] when the installed [`AbortCtl`] says so.
-//! Unwinding only crosses frames owned by the evaluation itself (builders,
-//! cursors, pinned-chunk guards — all with sound `Drop`s), never user code.
+//! chunk operation *raises* a [`QueryAbort`] by unwinding, and [`guarded`]
+//! is the one boundary that turns it back into a value. Deadlines and
+//! cancellation ride the same transport: [`checkpoint`] is called every few
+//! thousand seeks in the join loop and at every chunk fault-in, and raises
+//! [`QueryAbort::DeadlineExceeded`] / [`QueryAbort::Cancelled`] when the
+//! controls `guarded` installed say so.
+//!
+//! `faq_core` calls `guarded` from one helper, around every public entry
+//! that can touch a chunk or poll the controls (evaluation, prepare, factor
+//! updates, delta merges and replays) and inside each parallel join
+//! worker, whose thread starts with no controls of its own. Guards nest: an
+//! inner guard installs its own controls and restores the outer ones when it
+//! returns, whether `f` finished, aborted or panicked. Unwinding only
+//! crosses frames owned by the evaluation itself (builders, cursors,
+//! pinned-chunk guards — all with sound `Drop`s), never user code.
 //!
 //! # Fault injection
 //!
@@ -111,9 +118,8 @@ impl std::error::Error for StorageError {}
 
 /// Why an in-flight evaluation was aborted.
 ///
-/// Raised by [`raise`] from infallible accessor code, caught by
-/// [`catch_abort`] at evaluation entry points and converted into the
-/// caller-facing error type there.
+/// Raised from infallible accessor code and returned by [`guarded`], whose
+/// caller converts it into its own error type.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QueryAbort {
     /// A chunk read/write failed with a typed [`StorageError`].
@@ -166,19 +172,26 @@ pub fn install_quiet_hook() {
 
 /// Abort the in-flight evaluation by unwinding with `abort` as payload.
 ///
-/// Must only be called under a [`catch_abort`] boundary — every public
-/// evaluation entry point installs one. Unwinds with the quiet hook in
+/// Must only be called under [`guarded`]. Unwinds with the quiet hook in
 /// place, so no spurious panic report is printed.
-pub fn raise(abort: QueryAbort) -> ! {
+pub(crate) fn raise(abort: QueryAbort) -> ! {
     install_quiet_hook();
     std::panic::panic_any(abort)
 }
 
-/// Run `f`, catching a [`raise`]d [`QueryAbort`] (any other panic resumes
-/// unwinding untouched).
-pub fn catch_abort<R>(f: impl FnOnce() -> R) -> Result<R, QueryAbort> {
+/// Run `f` under the abort controls `deadline` and `cancel`, returning a
+/// [`QueryAbort`] it raised as `Err`. The previous controls are restored on
+/// return, so guards nest; any other panic keeps unwinding.
+pub fn guarded<R>(
+    deadline: Option<Deadline>,
+    cancel: Option<CancelToken>,
+    f: impl FnOnce() -> R,
+) -> Result<R, QueryAbort> {
     install_quiet_hook();
-    match std::panic::catch_unwind(AssertUnwindSafe(f)) {
+    let outer = CURRENT_CTL.with(|c| c.replace(AbortCtl { deadline, cancel }));
+    let run = std::panic::catch_unwind(AssertUnwindSafe(f));
+    CURRENT_CTL.with(|c| *c.borrow_mut() = outer);
+    match run {
         Ok(r) => Ok(r),
         Err(payload) => match payload.downcast::<QueryAbort>() {
             Ok(abort) => Err(*abort),
@@ -257,16 +270,11 @@ impl PartialEq for CancelToken {
 
 impl Eq for CancelToken {}
 
-/// The abort controls of one evaluation: an optional deadline and an
-/// optional cancel token. Installed thread-locally for the duration of an
-/// evaluation ([`install_ctl`]) and propagated by hand into its scoped
-/// worker threads.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct AbortCtl {
-    /// Abort when this instant passes.
-    pub deadline: Option<Deadline>,
-    /// Abort when this token is triggered.
-    pub cancel: Option<CancelToken>,
+/// The abort controls [`guarded`] installs on its thread.
+#[derive(Default)]
+struct AbortCtl {
+    deadline: Option<Deadline>,
+    cancel: Option<CancelToken>,
 }
 
 impl AbortCtl {
@@ -277,33 +285,6 @@ impl AbortCtl {
 
 thread_local! {
     static CURRENT_CTL: RefCell<AbortCtl> = RefCell::new(AbortCtl::default());
-}
-
-/// The [`AbortCtl`] currently installed on this thread (empty if none) —
-/// capture it before spawning scoped workers and [`install_ctl`] it inside
-/// them.
-pub fn current_ctl() -> AbortCtl {
-    CURRENT_CTL.with(|c| c.borrow().clone())
-}
-
-/// Restores the previously installed [`AbortCtl`] on drop.
-#[must_use = "dropping the guard immediately uninstalls the controls"]
-pub struct CtlGuard {
-    prev: AbortCtl,
-}
-
-/// Install `ctl` as this thread's abort controls until the guard drops
-/// (the previous controls are restored — installs nest).
-pub fn install_ctl(ctl: AbortCtl) -> CtlGuard {
-    let prev = CURRENT_CTL.with(|c| c.replace(ctl));
-    CtlGuard { prev }
-}
-
-impl Drop for CtlGuard {
-    fn drop(&mut self) {
-        let prev = std::mem::take(&mut self.prev);
-        CURRENT_CTL.with(|c| *c.borrow_mut() = prev);
-    }
 }
 
 /// Abort the evaluation if its installed deadline has passed or its cancel
@@ -546,8 +527,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn catch_abort_roundtrips_payload() {
-        let r: Result<(), QueryAbort> = catch_abort(|| raise(QueryAbort::DeadlineExceeded));
+    fn guarded_roundtrips_abort() {
+        let r: Result<(), QueryAbort> = guarded(None, None, || raise(QueryAbort::DeadlineExceeded));
         assert_eq!(r, Err(QueryAbort::DeadlineExceeded));
         let e = StorageError::Io {
             op: "read chunk",
@@ -555,25 +536,23 @@ mod tests {
             kind: std::io::ErrorKind::Other,
             attempts: 3,
         };
-        let r: Result<(), QueryAbort> = catch_abort(|| raise(QueryAbort::Storage(e.clone())));
+        let r: Result<(), QueryAbort> =
+            guarded(None, None, || raise(QueryAbort::Storage(e.clone())));
         assert_eq!(r, Err(QueryAbort::Storage(e)));
-        assert_eq!(catch_abort(|| 41 + 1), Ok(42));
+        assert_eq!(guarded(None, None, || 41 + 1), Ok(42));
     }
 
     #[test]
     fn checkpoint_honours_deadline_and_cancel() {
         // No controls installed: free pass.
         checkpoint();
-        let expired = AbortCtl { deadline: Some(Deadline::after(Duration::ZERO)), cancel: None };
-        let g = install_ctl(expired);
-        assert_eq!(catch_abort(checkpoint), Err(QueryAbort::DeadlineExceeded));
-        drop(g);
+        let expired = Some(Deadline::after(Duration::ZERO));
+        assert_eq!(guarded(expired, None, checkpoint), Err(QueryAbort::DeadlineExceeded));
         let token = CancelToken::new();
-        let g = install_ctl(AbortCtl { deadline: None, cancel: Some(token.clone()) });
-        checkpoint(); // not yet cancelled
+        // Not yet cancelled.
+        assert_eq!(guarded(None, Some(token.clone()), checkpoint), Ok(()));
         token.cancel();
-        assert_eq!(catch_abort(checkpoint), Err(QueryAbort::Cancelled));
-        drop(g);
+        assert_eq!(guarded(None, Some(token), checkpoint), Err(QueryAbort::Cancelled));
         checkpoint(); // controls uninstalled again
     }
 
@@ -587,19 +566,28 @@ mod tests {
     }
 
     #[test]
-    fn ctl_installs_nest() {
-        let outer =
-            AbortCtl { deadline: Some(Deadline::after(Duration::from_secs(60))), cancel: None };
-        let g1 = install_ctl(outer.clone());
-        assert_eq!(current_ctl(), outer);
-        {
-            let inner = AbortCtl::default();
-            let _g2 = install_ctl(inner.clone());
-            assert_eq!(current_ctl(), inner);
-        }
-        assert_eq!(current_ctl(), outer);
-        drop(g1);
-        assert_eq!(current_ctl(), AbortCtl::default());
+    fn guards_nest() {
+        let fired = CancelToken::new();
+        fired.cancel();
+        let r = guarded(None, Some(fired), || {
+            // An inner guard replaces the outer controls while it runs...
+            assert_eq!(guarded(None, None, checkpoint), Ok(()));
+            // ...and keeps its own abort from reaching the outer one.
+            let expired = Some(Deadline::after(Duration::ZERO));
+            assert_eq!(guarded(expired, None, checkpoint), Err(QueryAbort::DeadlineExceeded));
+            // The outer controls are back once it returns.
+            checkpoint();
+            unreachable!("the outer token fired");
+        });
+        assert_eq!(r, Err(QueryAbort::Cancelled));
+        // Any other panic keeps unwinding, and still restores the controls.
+        let expired = Some(Deadline::after(Duration::ZERO));
+        let panicked = std::panic::catch_unwind(|| {
+            guarded(expired, None, || std::panic::panic_any(InjectedPanic("not an abort")))
+        });
+        let payload = panicked.expect_err("a non-abort panic is not converted");
+        assert!(payload.downcast_ref::<InjectedPanic>().is_some());
+        checkpoint(); // controls uninstalled again
     }
 
     #[test]

@@ -32,8 +32,9 @@
 //!   ([`pinned_bytes`], [`peak_pinned_bytes`], [`chunk_reads`]);
 //! * [`fault`] — typed storage errors ([`StorageError`]), the
 //!   [`QueryAbort`] unwinding transport that carries them (and deadlines /
-//!   cancellation) out of infallible accessor code, and the seeded
-//!   [`FaultPlan`] injection hook behind the chaos suite.
+//!   cancellation) out of infallible accessor code to its one boundary,
+//!   [`fault::guarded`], and the seeded [`FaultPlan`] injection hook behind
+//!   the chaos suite.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -54,6 +55,6 @@ pub use colstore::{
 pub use delta::{DeltaFactor, DeltaOp};
 pub use domains::{AssignmentIter, Domains};
 pub use factor::{Factor, FactorBuilder, FactorError, ValRef};
-pub use fault::{AbortCtl, CancelToken, Deadline, FaultPlan, QueryAbort, StorageError};
+pub use fault::{CancelToken, Deadline, FaultPlan, QueryAbort, StorageError};
 pub use storage::{LevelStorage, VecStorage};
 pub use trie::{FactorTrie, TrieCursor, TrieLevel, TrieView};

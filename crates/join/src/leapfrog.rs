@@ -913,7 +913,7 @@ mod tests {
     // so agreement below is agreement of the two ways of searching it.
     // ---------------------------------------------------------------------
 
-    use faq_factor::{fault, AbortCtl, CancelToken, QueryAbort, SpillConfig};
+    use faq_factor::{fault, CancelToken, QueryAbort, SpillConfig};
     use rand::{rngs::StdRng, Rng, SeedableRng};
     use std::collections::BTreeMap;
 
@@ -1187,7 +1187,6 @@ mod tests {
         assert_eq!(count(), 5000);
         let token = CancelToken::new();
         token.cancel();
-        let _ctl = fault::install_ctl(AbortCtl { deadline: None, cancel: Some(token) });
-        assert!(matches!(fault::catch_abort(count), Err(QueryAbort::Cancelled)));
+        assert!(matches!(fault::guarded(None, Some(token), count), Err(QueryAbort::Cancelled)));
     }
 }

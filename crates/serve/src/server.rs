@@ -615,25 +615,13 @@ where
         // earlier masters ahead of later ones).
         faq_core::plan::check_delta(&w.domain, &w.domains, slot, base, delta, AggId(0))?;
 
-        // Merge into a staged copy — NOT installed yet — and index it. The
-        // spilled splice path and a spilled index build do chunk I/O on this
-        // thread, so a storage fault can abort either; catching it here
-        // surfaces a typed error with catalog and masters untouched.
-        let dom = w.domain.clone();
-        let merge = |base: &Factor<D::E>| {
-            fault::catch_abort(|| {
-                let (merged, ranges) = delta.align_to(base.schema()).apply_to(
-                    base,
-                    |a, b| dom.add(AggId(0), a, b),
-                    |e| dom.is_zero(e),
-                );
-                if !ranges.is_empty() {
-                    merged.trie();
-                }
-                (merged, ranges)
-            })
-            .map_err(|abort| ServeError::Faq(abort.into()))
-        };
+        // Merge into a staged copy — NOT installed yet — and index it, under
+        // the masters' controls. The spilled splice path and a spilled index
+        // build do chunk I/O on this thread, so a storage fault can abort
+        // either; it surfaces as a typed error with catalog and masters
+        // untouched.
+        let policy = &self.config.planner.policy;
+        let merge = |base| faq_core::plan::merge_delta(&w.domain, policy, base, delta, AggId(0));
         // One merge and one index per column order the slot is held in: the
         // catalog's first, then the order of any copy a planner reordered.
         // Every master below installs a handle on the body of its order.
@@ -859,9 +847,7 @@ fn worker_loop<D>(
         // Panic perimeter: a poisoned evaluation (or an injected chaos
         // panic) is contained here — the worker recovers in place, so the
         // pool never shrinks and the submitter gets `QueryPanicked` instead
-        // of a hung ticket. A `QueryAbort` that escaped evaluation's own
-        // catch (e.g. raised from a memo'd factor accessor) is converted
-        // back to its typed error rather than reported as a panic.
+        // of a hung ticket. No abort reaches it: evaluation converts its own.
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             if let Some(plan) = &panic_plan {
                 if plan.should_panic() {
@@ -870,17 +856,10 @@ fn worker_loop<D>(
             }
             answer(&job, &stats)
         }));
-        let reply = match caught {
-            Ok(r) => r,
-            Err(payload) => {
-                if let Some(abort) = payload.downcast_ref::<fault::QueryAbort>() {
-                    Err(ServeError::from(FaqError::from(abort.clone())))
-                } else {
-                    stats.panicked.fetch_add(1, Ordering::SeqCst);
-                    Err(ServeError::QueryPanicked)
-                }
-            }
-        };
+        let reply = caught.unwrap_or_else(|_| {
+            stats.panicked.fetch_add(1, Ordering::SeqCst);
+            Err(ServeError::QueryPanicked)
+        });
         if matches!(reply, Err(ServeError::DeadlineExceeded)) {
             stats.deadline_exceeded.fetch_add(1, Ordering::SeqCst);
         }

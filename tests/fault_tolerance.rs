@@ -2,9 +2,12 @@
 //! budget must surface as a typed [`ServeError::DeadlineExceeded`] promptly
 //! (within 2× the requested budget) and leave the serving gauges — pinned
 //! chunk bytes, admission permits — exactly where they were before the
-//! submission.
+//! submission. A storage fault at any engine or server entry point — while
+//! preparing, updating, merging, replaying or evaluating over a spilled
+//! input — must likewise come back as a typed error and leave what it was
+//! applied to as it was.
 
-use faq::factor::fault::Deadline;
+use faq::factor::fault::{Deadline, FaultPlan};
 use faq::factor::SpillConfig;
 use faq::serve::{CacheMode, FaqServer, QuerySpec, ServeConfig, ServeError};
 use faq::*;
@@ -112,4 +115,120 @@ fn deadline_bounded_out_of_core_query_cleans_up() {
         "gauge must return to its pre-query value once the windows requiesce"
     );
     assert!(server.stats().deadline_exceeded >= 1);
+}
+
+fn spill() -> SpillConfig {
+    SpillConfig { dir: None, chunk_rows: 16, level_chunk_entries: 16, window_chunks: 2 }
+}
+
+/// The query `spec()` registers, over the given factors.
+fn triangle(factors: Vec<Factor<u64>>) -> FaqQuery<CountDomain> {
+    let spec = spec();
+    FaqQuery::new(CountDomain, Domains::uniform(3, DOM), spec.free, spec.bound, factors).unwrap()
+}
+
+fn is_storage<T>(r: Result<T, FaqError>) -> bool {
+    matches!(r, Err(FaqError::Storage(_)))
+}
+
+/// A spilled input's first index build fails under an injected hard fault:
+/// `Planner::prepare`, `Engine::prepare` and `FaqServer::register` return
+/// the typed storage error instead of unwinding, and the server still
+/// answers the query it registered before the fault.
+#[test]
+fn prepare_time_storage_faults_are_typed() {
+    // Slot 3 is a spilled R(0, 2) that no query reads before the fault, so
+    // its index is still to be built.
+    let catalog: Vec<Factor<u64>> =
+        [edge(3, 600, 0, 1), edge(4, 600, 1, 2), edge(5, 600, 0, 2), edge(6, 600, 0, 2)]
+            .iter()
+            .map(|f| f.to_spilled(spill()))
+            .collect();
+    let server = FaqServer::with_config(
+        ServeConfig::default().workers(1),
+        CountDomain,
+        Domains::uniform(3, DOM),
+        catalog.clone(),
+    );
+    let q = server.register(spec()).unwrap();
+    let tenant = server.tenant("t", 4);
+    let before = server.submit_with(&tenant, q, None, CacheMode::Bypass).unwrap().wait().unwrap();
+    let epoch = server.current_epoch();
+
+    let late = triangle(vec![catalog[0].clone(), catalog[1].clone(), catalog[3].clone()]);
+    let late_spec = QuerySpec::new(spec().free, spec().bound, vec![0, 1, 3]);
+    {
+        let _g = FaultPlan::seeded(7).fail_hard(1.0).install_local();
+        assert!(is_storage(Planner::default().prepare(&late)));
+        assert!(is_storage(Engine::new().prepare(&late)));
+        let err = server.register(late_spec).unwrap_err();
+        assert!(matches!(err, ServeError::Faq(FaqError::Storage(_))), "got {err:?}");
+    }
+    assert_eq!(server.current_epoch(), epoch, "a failed register publishes nothing");
+    let after = server.submit_with(&tenant, q, None, CacheMode::Bypass).unwrap().wait().unwrap();
+    assert_eq!(*after.factor, *before.factor);
+}
+
+/// A failed `update_factor` leaves the handle as it was: the slot keeps the
+/// old factor's body and the handle still evaluates to the old output.
+#[test]
+fn failed_update_factor_leaves_the_handle_as_it_was() {
+    let q = triangle(vec![edge(3, 600, 0, 1), edge(4, 600, 1, 2), edge(5, 600, 0, 2)]);
+    let mut prepared = Planner::sequential().prepare(&q).unwrap();
+    let old = prepared.query().factors[0].clone();
+    let output = prepared.evaluate().unwrap().factor;
+    let fresh = edge(9, 600, 0, 1).to_spilled(spill());
+    {
+        let _g = FaultPlan::seeded(7).fail_hard(1.0).install_local();
+        assert!(is_storage(prepared.update_factor(0, fresh)));
+    }
+    assert!(prepared.query().factors[0].shares_body(&old));
+    assert_eq!(prepared.evaluate().unwrap().factor, output);
+}
+
+/// Every fallible engine and server entry returns a typed storage error
+/// under a hard fault on every chunk operation, and none of them panics.
+#[test]
+fn every_entry_point_types_storage_faults() {
+    let edges = [edge(3, 600, 0, 1), edge(4, 600, 1, 2), edge(5, 600, 0, 2)];
+    let spilled = || edges.iter().map(|f| f.to_spilled(spill())).collect::<Vec<_>>();
+    // Spilled in the plan's column order, so `prepare` keeps each input
+    // file-chunked (a realigned input would be an in-memory copy).
+    let planner = Planner::sequential();
+    let aligned = planner.prepare(&triangle(edges.to_vec())).unwrap().query().factors.clone();
+    let aligned: Vec<Factor<u64>> = aligned.iter().map(|f| f.to_spilled(spill())).collect();
+    let q = triangle(aligned.clone());
+    let mut prepared = planner.prepare(&q).unwrap();
+    let plan = std::sync::Arc::new(prepared.plan().clone());
+    let delta =
+        DeltaFactor::inserts(aligned[0].schema().to_vec(), vec![(vec![1, 2], 5u64)]).unwrap();
+    let (merged, ranges) = delta.apply_to(&aligned[0], |a, b| a + b, |x| *x == 0);
+    let server = FaqServer::with_config(
+        ServeConfig::default().workers(1),
+        CountDomain,
+        Domains::uniform(3, DOM),
+        spilled(),
+    );
+    let fresh = triangle(spilled());
+    let update = spilled().swap_remove(0);
+    let server_delta =
+        DeltaFactor::inserts(vec![Var(0), Var(1)], vec![(vec![1, 2], 5u64)]).unwrap();
+    let cap = ExecPolicy::sequential();
+
+    let _g = FaultPlan::seeded(7).fail_hard(1.0).install_local();
+    assert!(is_storage(Engine::sequential().evaluate(&fresh)));
+    assert!(is_storage(Engine::sequential().evaluate_with_order(&fresh, &q.ordering())));
+    assert!(is_storage(Engine::sequential().prepare(&fresh)));
+    assert!(is_storage(planner.prepare(&fresh)));
+    assert!(is_storage(PreparedQuery::with_plan(&fresh, plan)));
+    assert!(is_storage(prepared.evaluate()));
+    assert!(is_storage(prepared.evaluate_budgeted(&cap)));
+    assert!(is_storage(prepared.update_factor(0, update)));
+    assert!(is_storage(prepared.apply_delta(0, &delta)));
+    assert!(is_storage(prepared.apply_delta_with(0, &delta, AggId(0))));
+    assert!(is_storage(prepared.install_merged(0, merged, ranges)));
+    let err = server.register(spec()).unwrap_err();
+    assert!(matches!(err, ServeError::Faq(FaqError::Storage(_))), "got {err:?}");
+    let err = server.publish_delta(0, &server_delta).unwrap_err();
+    assert!(matches!(err, ServeError::Faq(FaqError::Storage(_))), "got {err:?}");
 }
