@@ -25,8 +25,7 @@
 //! planner's hundreds of `LinEx(P)` candidates differ in their last few
 //! positions — share every expression tree built along them. There is one
 //! implementation: [`is_equivalent_ordering`] is the walk over a fresh
-//! checker, [`are_equivalent_orderings`] and [`crate::Planner::plan`] feed
-//! many orderings to one.
+//! checker, and [`crate::Planner::plan`] feeds many orderings to one.
 
 use crate::exprtree::{QueryShape, Tag};
 use faq_hypergraph::{Hypergraph, Var, VarSet};
@@ -279,10 +278,8 @@ pub(crate) struct EvoChecker {
     vars: Vec<Var>,
     free: Vec<bool>,
     num_free: usize,
-    /// Pairs of a product and a non-closed semiring variable, earlier in the
-    /// query first. Product aggregates never commute with non-closed semiring
-    /// aggregates, even across structurally independent components
-    /// (`(Σa)^k ≠ Σ(a^k)`): an ordering must keep every pair's order.
+    /// The query positions of [`QueryShape::non_commuting_pairs`], earlier
+    /// first: an ordering must keep every pair's order.
     ordered: Vec<(usize, usize)>,
     states: Vec<State>,
     ids: HashMap<SubQuery, usize>,
@@ -294,20 +291,10 @@ pub(crate) struct EvoChecker {
 impl EvoChecker {
     pub(crate) fn new(shape: &QueryShape) -> EvoChecker {
         let vars = shape.vars();
-        let index = vars.iter().enumerate().map(|(i, &v)| (v, i)).collect();
+        let index: HashMap<Var, usize> = vars.iter().enumerate().map(|(i, &v)| (v, i)).collect();
         let free: Vec<bool> = shape.seq.iter().map(|(_, t)| *t == Tag::Free).collect();
-        let products = shape.product_vars();
-        let non_closed = shape.non_closed_vars();
-        let mut ordered = Vec::new();
-        for (a, (u, _)) in shape.seq.iter().enumerate() {
-            for (b, (w, _)) in shape.seq.iter().enumerate().skip(a + 1) {
-                if (products.contains(u) && non_closed.contains(w))
-                    || (non_closed.contains(u) && products.contains(w))
-                {
-                    ordered.push((a, b));
-                }
-            }
-        }
+        let ordered =
+            shape.non_commuting_pairs().iter().map(|(u, w)| (index[u], index[w])).collect();
         // Condition on the free variables; the walk checks the bound part.
         let bound_seq: Vec<(Var, Tag)> =
             shape.seq.iter().copied().filter(|(_, t)| *t != Tag::Free).collect();
@@ -470,40 +457,6 @@ impl EvoChecker {
             }
         }
     }
-}
-
-/// Decide [`is_equivalent_ordering`] for a batch of candidate orderings
-/// across the [`ExecPolicy`](crate::exec::ExecPolicy)'s worker pool.
-///
-/// Membership tests against one shape are independent, so candidates stripe
-/// across scoped threads, each stripe walking its own memo of the shape's
-/// states. Results come back in candidate order, identical to mapping
-/// [`is_equivalent_ordering`] sequentially. (Exhaustive width search
-/// itself — [`crate::width::faqw_exact`] — stays sequential: its per-ordering
-/// cost is dominated by the shared `ρ*` memo, which a stripe would lose.)
-pub fn are_equivalent_orderings(
-    shape: &QueryShape,
-    candidates: &[Vec<Var>],
-    policy: &crate::exec::ExecPolicy,
-) -> Vec<bool> {
-    let threads = policy.effective_threads();
-    if threads <= 1 || candidates.len() < 2 {
-        let mut checker = EvoChecker::new(shape);
-        return candidates.iter().map(|pi| checker.check(pi)).collect();
-    }
-    let stripe = candidates.len().div_ceil(threads);
-    let mut out = vec![false; candidates.len()];
-    std::thread::scope(|s| {
-        for (cands, results) in candidates.chunks(stripe).zip(out.chunks_mut(stripe)) {
-            s.spawn(move || {
-                let mut checker = EvoChecker::new(shape);
-                for (pi, slot) in cands.iter().zip(results.iter_mut()) {
-                    *slot = checker.check(pi);
-                }
-            });
-        }
-    });
-    out
 }
 
 #[cfg(test)]
@@ -899,8 +852,7 @@ mod tests {
 
     /// What a checker has been asked before cannot change what it answers:
     /// one shared checker fed every permutation in lexicographic, reversed
-    /// and shuffled order gives the verdicts of a fresh checker per call, and
-    /// so does the batch entry at every thread count.
+    /// and shuffled order gives the verdicts of a fresh checker per call.
     #[test]
     fn memo_history_cannot_change_a_verdict() {
         use rand::{rngs::StdRng, seq::SliceRandom, SeedableRng};
@@ -929,12 +881,6 @@ mod tests {
                     assert_eq!(shared.check(p), fresh[p.as_slice()], "{name}: {p:?} again");
                 }
             }
-            for threads in [1usize, 2, 4] {
-                let policy = crate::exec::ExecPolicy::with_threads(threads);
-                let batch = are_equivalent_orderings(&shape, &shuffled, &policy);
-                let expect: Vec<bool> = shuffled.iter().map(|p| fresh[p.as_slice()]).collect();
-                assert_eq!(batch, expect, "{name}: {threads} threads");
-            }
         }
     }
 
@@ -948,23 +894,6 @@ mod tests {
         assert!(!checker.check(&[v(1), v(2), v(3), v(4), v(4)]));
         assert!(!checker.check(&[v(1), v(2), v(3), v(4), v(9)]));
         assert!(!checker.check(&[v(1), v(2), v(3), v(4), v(5), v(5)]));
-    }
-
-    #[test]
-    fn batch_membership_matches_sequential() {
-        let shape = QueryShape {
-            seq: vec![(v(1), SUM), (v(2), MAX), (v(3), SUM)],
-            edges: vec![varset(&[1, 2]), varset(&[1, 3])],
-            mul_idempotent: false,
-            closed_ops: Default::default(),
-        };
-        let candidates = permutations(&[1, 2, 3]);
-        let expect: Vec<bool> =
-            candidates.iter().map(|p| is_equivalent_ordering(&shape, p)).collect();
-        for threads in [1usize, 2, 4] {
-            let policy = crate::exec::ExecPolicy::with_threads(threads);
-            assert_eq!(are_equivalent_orderings(&shape, &candidates, &policy), expect);
-        }
     }
 
     fn permutations(items: &[u32]) -> Vec<Vec<Var>> {

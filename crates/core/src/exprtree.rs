@@ -150,54 +150,36 @@ impl QueryShape {
         self.edges.iter().map(|e| e.union(&products).copied().collect()).collect()
     }
 
-    /// The precedence relation of the query: the expression-tree poset
-    /// (Definition 6.22) strengthened with order preservation between product
-    /// variables and non-closed semiring variables (which never commute, even
-    /// when structurally independent — `(Σ a)^k ≠ Σ aᵏ`).
-    pub(crate) fn precedence(&self) -> BTreeMap<Var, VarSet> {
-        let tree = self.expr_tree();
-        let mut preds = tree.precedence();
+    /// The pairs of variables that never commute, as `(earlier, later)` in
+    /// query order: a product variable and a non-closed semiring variable,
+    /// even when structurally independent (`(Σ a)^k ≠ Σ aᵏ`). Every
+    /// equivalent ordering keeps each pair's order. Listed in lexicographic
+    /// order of their query positions.
+    pub(crate) fn non_commuting_pairs(&self) -> Vec<(Var, Var)> {
         let products = self.product_vars();
         let non_closed = self.non_closed_vars();
-        let pos: BTreeMap<Var, usize> =
-            self.seq.iter().enumerate().map(|(i, &(v, _))| (v, i)).collect();
-        for &w in &products {
-            for &u in &non_closed {
-                if pos[&u] < pos[&w] {
-                    preds.get_mut(&w).expect("registered").insert(u);
-                } else {
-                    preds.get_mut(&u).expect("registered").insert(w);
+        let mut pairs = Vec::new();
+        for (a, &(u, _)) in self.seq.iter().enumerate() {
+            for &(w, _) in &self.seq[a + 1..] {
+                if (products.contains(&u) && non_closed.contains(&w))
+                    || (non_closed.contains(&u) && products.contains(&w))
+                {
+                    pairs.push((u, w));
                 }
             }
         }
-        // Transitive closure over the added constraints.
-        loop {
-            let mut changed = false;
-            let vars: Vec<Var> = preds.keys().copied().collect();
-            for &v in &vars {
-                let ps: Vec<Var> = preds[&v].iter().copied().collect();
-                for p in ps {
-                    let grand: Vec<Var> = preds[&p].iter().copied().collect();
-                    for g in grand {
-                        if g != v && preds.get_mut(&v).unwrap().insert(g) {
-                            changed = true;
-                        }
-                    }
-                }
-            }
-            if !changed {
-                break;
-            }
+        pairs
+    }
+
+    /// The precedence relation of the query: the expression-tree poset
+    /// (Definition 6.22) strengthened with the order of every
+    /// [`QueryShape::non_commuting_pairs`] pair.
+    pub(crate) fn precedence(&self) -> BTreeMap<Var, VarSet> {
+        let mut preds = self.expr_tree().precedence();
+        for (u, w) in self.non_commuting_pairs() {
+            preds.get_mut(&w).expect("registered").insert(u);
         }
-        for (v, ps) in &preds {
-            for p in ps {
-                assert!(
-                    !preds[p].contains(v),
-                    "precedence relation is not a poset: {v} and {p} mutually precede"
-                );
-            }
-        }
-        preds
+        close_poset(preds)
     }
 
     /// Build the compressed expression tree.
@@ -316,6 +298,38 @@ fn attach_children(
     }
 }
 
+/// Close a strict-predecessor relation transitively and assert that it is
+/// antisymmetric (Corollary 6.21): a precedence relation must be a poset.
+fn close_poset(mut preds: BTreeMap<Var, VarSet>) -> BTreeMap<Var, VarSet> {
+    loop {
+        let mut changed = false;
+        let vars: Vec<Var> = preds.keys().copied().collect();
+        for &v in &vars {
+            let ps: Vec<Var> = preds[&v].iter().copied().collect();
+            for p in ps {
+                let grand: Vec<Var> = preds[&p].iter().copied().collect();
+                for g in grand {
+                    if g != v && preds.get_mut(&v).expect("registered").insert(g) {
+                        changed = true;
+                    }
+                }
+            }
+        }
+        if !changed {
+            break;
+        }
+    }
+    for (v, ps) in &preds {
+        for p in ps {
+            assert!(
+                !preds[p].contains(v),
+                "precedence relation is not a poset: {v} and {p} mutually precede"
+            );
+        }
+    }
+    preds
+}
+
 impl ExprTree {
     /// Merge same-tag children into parents until no merge applies
     /// (the compression step of Definitions 6.1/6.18), then drop dead nodes.
@@ -326,12 +340,7 @@ impl ExprTree {
     /// query) — such a lift would contradict the order-preservation
     /// constraints of [`QueryShape::precedence`].
     fn compress(&mut self, shape: &QueryShape) {
-        let products = shape.product_vars();
-        let non_closed = shape.non_closed_vars();
-        let constrained = |x: Var, y: Var| {
-            (products.contains(&x) && non_closed.contains(&y))
-                || (non_closed.contains(&x) && products.contains(&y))
-        };
+        let pairs = shape.non_commuting_pairs();
         loop {
             let mut merged = false;
             // Find a (parent, child) pair with equal tags.
@@ -350,13 +359,10 @@ impl ExprTree {
                                 }
                             }
                         }
-                        let inverts = self.nodes[c].vars.iter().any(|&x| {
-                            sibling_vars.iter().any(|&y| {
-                                constrained(x, y)
-                                    && shape.seq_pos(y).unwrap_or(usize::MAX)
-                                        < shape.seq_pos(x).unwrap_or(usize::MAX)
-                            })
-                        });
+                        let inverts = self.nodes[c]
+                            .vars
+                            .iter()
+                            .any(|&x| sibling_vars.iter().any(|&y| pairs.contains(&(y, x))));
                         if inverts {
                             continue;
                         }
@@ -460,36 +466,9 @@ impl ExprTree {
                 }
             }
         }
-        // Transitive closure (node ancestors already give most of it, but
-        // copies can relay constraints).
-        loop {
-            let mut changed = false;
-            let vars: Vec<Var> = preds.keys().copied().collect();
-            for &v in &vars {
-                let ps: Vec<Var> = preds[&v].iter().copied().collect();
-                for p in ps {
-                    let grand: Vec<Var> = preds[&p].iter().copied().collect();
-                    for g in grand {
-                        if g != v && preds.get_mut(&v).unwrap().insert(g) {
-                            changed = true;
-                        }
-                    }
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        // Antisymmetry must hold (Corollary 6.21).
-        for (v, ps) in &preds {
-            for p in ps {
-                assert!(
-                    !preds[p].contains(v),
-                    "precedence relation is not a poset: {v} and {p} mutually precede"
-                );
-            }
-        }
-        preds
+        // Node ancestors already give most of the closure, but copies can
+        // relay constraints.
+        close_poset(preds)
     }
 
     /// Render the tree as an indented listing (used by the examples that

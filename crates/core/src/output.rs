@@ -10,7 +10,8 @@
 //! * [`FactorizedOutput::for_each`] enumerates the output without ever
 //!   visiting a dead branch (each backtracking step is supported by the
 //!   guards, so the delay between consecutive tuples is `O~(1)` in the query
-//!   size);
+//!   size). It runs the one leapfrog kernel the engine's output join runs,
+//!   which counts its seeks and polls the deadline and cancel controls;
 //! * [`FactorizedOutput::materialize`] recovers the listing representation.
 
 use crate::insideout::{run_elimination, EliminationArtifacts};
@@ -118,186 +119,6 @@ impl<E: SemiringElem> FactorizedOutput<E> {
         self.for_each(one, mul, is_zero, |b, val| rows.push((b.to_vec(), val)));
         Factor::new(self.free_order.clone(), rows).expect("join emits distinct bindings")
     }
-
-    /// A streaming `O~(1)`-delay iterator over the output tuples (supports
-    /// only — pair with [`FactorizedOutput::value_query`] for values).
-    ///
-    /// Because every guard certifies that partial bindings extend to full
-    /// output tuples, each `next()` performs at most `O(f · #guards · log N)`
-    /// work before yielding — the §8.4 enumeration guarantee.
-    pub fn iter_support(&self) -> SupportIter<'_, E> {
-        SupportIter::new(self)
-    }
-}
-
-/// Explicit-stack depth-first enumerator over the factorized support.
-///
-/// Walks the guard/value factors' columnar trie indices level by level (one
-/// trie level per factor column, one search depth per free variable) and
-/// yields complete bindings in lexicographic order. Each factor's trie index
-/// is built (or reused, if already cached) when the iterator is created.
-pub struct SupportIter<'a, E: SemiringElem> {
-    out: &'a FactorizedOutput<E>,
-    /// For each factor: which column binds at each depth (usize::MAX = none).
-    col_at_depth: Vec<Vec<usize>>,
-    /// Aligned factors (schemas consistent with the free order). Columns bind
-    /// in schema order, so each factor's trie descends one level per bound
-    /// column. Already-aligned factors are borrowed, so their cached trie
-    /// index is reused across iterators; only misaligned ones are copied.
-    factors: Vec<std::borrow::Cow<'a, Factor<E>>>,
-    /// Current partial binding.
-    binding: Vec<u32>,
-    /// Per-factor trie-entry window stacks (one frame per open level, plus
-    /// the root candidates).
-    windows: Vec<Vec<(usize, usize)>>,
-    /// Per-factor chosen trie entries (one per open level).
-    paths: Vec<Vec<usize>>,
-    /// Next candidate value to try at each depth.
-    next_at_depth: Vec<u32>,
-    done: bool,
-}
-
-impl<'a, E: SemiringElem> SupportIter<'a, E> {
-    fn new(out: &'a FactorizedOutput<E>) -> Self {
-        let order = &out.free_order;
-        let mut factors: Vec<std::borrow::Cow<'a, Factor<E>>> = Vec::new();
-        let mut empty = false;
-        for f in out.value_factors.iter().chain(out.guards.iter()) {
-            if f.arity() == 0 {
-                if f.is_empty() {
-                    empty = true;
-                }
-                continue;
-            }
-            if f.is_empty() {
-                empty = true;
-            }
-            factors.push(f.align_to_cow(&out.free_order));
-        }
-        let col_at_depth: Vec<Vec<usize>> = factors
-            .iter()
-            .map(|f| {
-                order
-                    .iter()
-                    .map(|v| f.schema().iter().position(|s| s == v).unwrap_or(usize::MAX))
-                    .collect()
-            })
-            .collect();
-        let windows: Vec<Vec<(usize, usize)>> =
-            factors.iter().map(|f| vec![f.trie().root()]).collect();
-        let paths: Vec<Vec<usize>> = factors.iter().map(|_| Vec::new()).collect();
-        SupportIter {
-            out,
-            col_at_depth,
-            factors,
-            binding: Vec::new(),
-            windows,
-            paths,
-            next_at_depth: vec![0; order.len() + 1],
-            done: empty,
-        }
-    }
-
-    /// Try to bind depth `d` to the smallest consistent value ≥
-    /// `next_at_depth[d]`. Returns success.
-    fn descend(&mut self, d: usize) -> bool {
-        let mut candidate = self.next_at_depth[d];
-        let participants: Vec<usize> =
-            (0..self.factors.len()).filter(|&i| self.col_at_depth[i][d] != usize::MAX).collect();
-        let dom = self.out.domains.size(self.out.free_order[d]);
-        if candidate >= dom {
-            return false;
-        }
-        // Leapfrog the participants' current trie levels to the least value
-        // every one of them lists.
-        let mut stable = false;
-        while !stable {
-            stable = true;
-            for &i in &participants {
-                let level = self.factors[i].trie().level(self.paths[i].len());
-                let window = *self.windows[i].last().expect("root window");
-                match level.lub(window, candidate) {
-                    None => return false,
-                    Some(j) if level.value(j) > candidate => {
-                        if level.value(j) >= dom {
-                            return false;
-                        }
-                        candidate = level.value(j);
-                        stable = false;
-                    }
-                    Some(_) => {}
-                }
-            }
-        }
-        // Open every participant at the agreed value.
-        for &i in &participants {
-            let trie = self.factors[i].trie();
-            let depth = self.paths[i].len();
-            let level = trie.level(depth);
-            let window = *self.windows[i].last().expect("root window");
-            let j = level.find(window, candidate).expect("stabilized value is present");
-            self.paths[i].push(j);
-            if depth + 1 < trie.arity() {
-                self.windows[i].push(level.child_range(j));
-            }
-        }
-        self.binding.push(candidate);
-        self.next_at_depth[d] = candidate; // remembered for backtracking
-        true
-    }
-
-    /// Pop depth `d` and advance its candidate counter.
-    fn backtrack(&mut self, d: usize) {
-        for i in 0..self.factors.len() {
-            if self.col_at_depth[i][d] != usize::MAX {
-                self.paths[i].pop();
-                if self.paths[i].len() + 1 < self.factors[i].trie().arity() {
-                    self.windows[i].pop();
-                }
-            }
-        }
-        self.binding.pop();
-        self.next_at_depth[d] += 1;
-    }
-}
-
-impl<'a, E: SemiringElem> Iterator for SupportIter<'a, E> {
-    type Item = Vec<u32>;
-
-    fn next(&mut self) -> Option<Vec<u32>> {
-        if self.done {
-            return None;
-        }
-        let f = self.out.free_order.len();
-        if f == 0 {
-            // Nullary output: one empty binding iff nothing annihilated it.
-            self.done = true;
-            return Some(Vec::new());
-        }
-        // Resume: if we yielded a full binding last time, backtrack one level.
-        if self.binding.len() == f {
-            self.backtrack(f - 1);
-        }
-        loop {
-            let d = self.binding.len();
-            if d == f {
-                return Some(self.binding.clone());
-            }
-            if self.descend(d) {
-                // Reset deeper counters.
-                for nd in &mut self.next_at_depth[d + 1..] {
-                    *nd = 0;
-                }
-            } else {
-                self.next_at_depth[d] = 0;
-                if d == 0 {
-                    self.done = true;
-                    return None;
-                }
-                self.backtrack(d - 1);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -398,37 +219,22 @@ mod tests {
         assert_eq!(keys.len(), Engine::sequential().evaluate(&q).unwrap().factor.len());
     }
 
+    /// `for_each` on the degenerate outputs: an unsatisfiable query
+    /// enumerates nothing, and a nullary one the empty binding exactly once
+    /// when its scalar is non-zero.
     #[test]
-    fn streaming_iterator_matches_for_each() {
-        let q = sample();
-        let fo = FactorizedOutput::compute(&q).unwrap();
-        let mut expect: Vec<Vec<u32>> = Vec::new();
-        fo.for_each(1u64, |a, b| a * b, |&x| x == 0, |b, _| expect.push(b.to_vec()));
-        let got: Vec<Vec<u32>> = fo.iter_support().collect();
-        assert_eq!(got, expect);
-        // And the iterator is resumable / fused.
-        let mut it = fo.iter_support();
-        let first = it.next();
-        assert_eq!(first.as_ref(), expect.first());
-        let rest: Vec<Vec<u32>> = it.collect();
-        assert_eq!(rest.len(), expect.len().saturating_sub(1));
-    }
-
-    #[test]
-    fn streaming_iterator_empty_output() {
-        // An unsatisfiable query yields an empty iterator immediately.
+    fn for_each_on_empty_and_nullary_outputs() {
+        let collect = |fo: &FactorizedOutput<u64>| {
+            let mut out: Vec<(Vec<u32>, u64)> = Vec::new();
+            fo.for_each(1u64, |a, b| a * b, |&x| x == 0, |b, val| out.push((b.to_vec(), val)));
+            out
+        };
         let f = Factor::new(vec![v(0)], vec![(vec![0], 1u64)]).unwrap();
         let g = Factor::new(vec![v(0)], vec![(vec![1], 1u64)]).unwrap();
         let q = FaqQuery::new(CountDomain, Domains::uniform(1, 2), vec![v(0)], vec![], vec![f, g])
             .unwrap();
-        let fo = FactorizedOutput::compute(&q).unwrap();
-        assert_eq!(fo.iter_support().count(), 0);
-    }
+        assert_eq!(collect(&FactorizedOutput::compute(&q).unwrap()), vec![]);
 
-    #[test]
-    fn streaming_iterator_nullary_query() {
-        // f = 0 free variables: the iterator yields exactly one empty binding
-        // when the scalar is non-zero.
         let f = Factor::new(vec![v(0)], vec![(vec![0], 2u64)]).unwrap();
         let q = FaqQuery::new(
             CountDomain,
@@ -438,8 +244,6 @@ mod tests {
             vec![f],
         )
         .unwrap();
-        let fo = FactorizedOutput::compute(&q).unwrap();
-        let all: Vec<Vec<u32>> = fo.iter_support().collect();
-        assert_eq!(all, vec![Vec::<u32>::new()]);
+        assert_eq!(collect(&FactorizedOutput::compute(&q).unwrap()), vec![(vec![], 2)]);
     }
 }

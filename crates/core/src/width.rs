@@ -232,10 +232,12 @@ pub fn faqw_approx(shape: &QueryShape, exact_limit: usize) -> Result<FaqwResult,
     }
     let mut items: Vec<Item> = Vec::new();
     let mut item_of_node: BTreeMap<usize, usize> = BTreeMap::new();
+    // Every variable's item: its fold node's, or a product variable's own.
     let mut item_of_var: BTreeMap<Var, usize> = BTreeMap::new();
     for (id, node) in tree.nodes.iter().enumerate() {
         if node.tag.is_fold() {
             item_of_node.insert(id, items.len());
+            item_of_var.extend(node.vars.iter().map(|&v| (v, items.len())));
             items.push(Item::Node(id));
         } else {
             for &v in &node.vars {
@@ -265,26 +267,8 @@ pub fn faqw_approx(shape: &QueryShape, exact_limit: usize) -> Result<FaqwResult,
             }
         }
     }
-    // Product variables preserve their original order relative to non-closed
-    // semiring variables (they never commute; see `QueryShape::precedence`).
-    let non_closed = shape.non_closed_vars();
-    for (wi, item) in items.iter().enumerate() {
-        let Item::ProductVar(w) = item else { continue };
-        let wpos = shape.seq_pos(*w).expect("product var in seq");
-        for (ni, other) in items.iter().enumerate() {
-            let Item::Node(id) = other else { continue };
-            for &u in &tree.nodes[*id].vars {
-                if !non_closed.contains(&u) {
-                    continue;
-                }
-                let upos = shape.seq_pos(u).expect("node var in seq");
-                if upos < wpos {
-                    preds[wi].insert(ni);
-                } else {
-                    preds[ni].insert(wi);
-                }
-            }
-        }
+    for (u, w) in shape.non_commuting_pairs() {
+        preds[item_of_var[&w]].insert(item_of_var[&u]);
     }
     // Kahn with deterministic tie-break (earliest query position).
     let item_priority = |it: &Item| -> usize {

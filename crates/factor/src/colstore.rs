@@ -786,48 +786,6 @@ impl<E> FileChunkedColumns<E> {
     }
 }
 
-impl<E: PartialEq> FileChunkedColumns<E> {
-    /// Entry-wise comparison against an in-memory listing.
-    pub(crate) fn eq_mem(&self, rows: &[u32], vals: &[E]) -> bool {
-        if vals.len() != self.inner.len {
-            return false;
-        }
-        for k in 0..self.num_chunks() {
-            let equal = self.with_chunk(k, |start, crows, cvals| {
-                let a = self.inner.arity;
-                crows == &rows[start * a..start * a + crows.len()]
-                    && cvals == &vals[start..start + cvals.len()]
-            });
-            if !equal {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Entry-wise comparison against another spilled listing (chunk grids
-    /// may differ).
-    pub(crate) fn eq_spill(&self, other: &FileChunkedColumns<E>) -> bool {
-        if self.inner.len != other.inner.len || self.inner.arity != other.inner.arity {
-            return false;
-        }
-        let a = self.inner.arity;
-        for k in 0..self.num_chunks() {
-            let equal = self.with_chunk(k, |start, crows, cvals| {
-                (0..cvals.len()).all(|j| {
-                    let i = start + j;
-                    (0..a).all(|d| other.col(i, d) == crows[j * a + d])
-                        && other.with_value(i, |v| *v == cvals[j])
-                })
-            });
-            if !equal {
-                return false;
-            }
-        }
-        true
-    }
-}
-
 impl<E> FileChunkedColumns<E> {
     /// Partition the first column into at most `max_chunks` half-open value
     /// ranges whose cuts fall on *chunk boundaries* — same contract as

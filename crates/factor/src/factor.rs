@@ -7,7 +7,6 @@ use crate::trie::{FactorTrie, LevelSink, TrieBuilder};
 use faq_hypergraph::Var;
 use faq_semiring::SemiringElem;
 use std::fmt;
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Errors raised by factor constructors.
@@ -77,9 +76,6 @@ struct Body<E> {
     /// Lazily-built columnar trie index (see [`FactorTrie`]). Not part of
     /// the factor's identity: equality ignores it.
     trie: OnceLock<FactorTrie>,
-    /// Point lookups served off the cold (trie-less) listing so far; once it
-    /// reaches [`Factor::GETS_BEFORE_TRIE`], [`Factor::get`] builds the index.
-    gets: AtomicU32,
     /// Per-column maxima of an in-memory listing, filled by one pass the
     /// first time [`Factor::max_in_column`] asks (a spilled listing keeps its
     /// own, tracked at write time). Like `trie`, not part of the identity.
@@ -148,7 +144,7 @@ impl<E> std::ops::Deref for ValRef<'_, E> {
     }
 }
 
-impl<E: PartialEq> PartialEq for Factor<E> {
+impl<E: SemiringElem> PartialEq for Factor<E> {
     fn eq(&self, other: &Self) -> bool {
         if Arc::ptr_eq(&self.body, &other.body) {
             return true;
@@ -156,14 +152,25 @@ impl<E: PartialEq> PartialEq for Factor<E> {
         if self.body.schema != other.body.schema || self.body.len != other.body.len {
             return false;
         }
-        match (&self.body.cols, &other.body.cols) {
-            (Columns::Mem { rows: ra, vals: va }, Columns::Mem { rows: rb, vals: vb }) => {
-                ra == rb && va == vb
-            }
-            (Columns::Spill(a), Columns::Mem { rows, vals })
-            | (Columns::Mem { rows, vals }, Columns::Spill(a)) => a.eq_mem(rows, vals),
-            (Columns::Spill(a), Columns::Spill(b)) => a.eq_spill(b),
+        if let (Columns::Mem { rows: ra, vals: va }, Columns::Mem { rows: rb, vals: vb }) =
+            (&self.body.cols, &other.body.cols)
+        {
+            return ra == rb && va == vb;
         }
+        // Any spilled side: walk `self`'s chunks against `other`'s keys and
+        // values, row by row (the two chunk grids may differ).
+        let arity = self.arity();
+        let (mut start, mut equal) = (0, true);
+        self.body.cols.for_each_chunk(|rows, vals| {
+            equal = equal
+                && vals.iter().enumerate().all(|(j, val)| {
+                    let i = start + j;
+                    (0..arity).all(|d| other.col(i, d) == rows[j * arity + d])
+                        && *other.value_at(i) == *val
+                });
+            start += vals.len();
+        });
+        equal
     }
 }
 
@@ -289,14 +296,7 @@ impl<E: SemiringElem> Factor<E> {
         if let Some(trie) = trie {
             let _ = slot.set(trie);
         }
-        let body = Body {
-            schema,
-            cols,
-            len,
-            trie: slot,
-            gets: AtomicU32::new(0),
-            col_maxes: OnceLock::new(),
-        };
+        let body = Body { schema, cols, len, trie: slot, col_maxes: OnceLock::new() };
         Factor { body: Arc::new(body) }
     }
 
@@ -480,9 +480,7 @@ impl<E: SemiringElem> Factor<E> {
     {
         assert!(self.arity() > 0, "nullary factors cannot spill");
         let mut w: SpillWriter<E> = SpillWriter::new(self.arity(), config);
-        for (row, val) in self.iter() {
-            w.push(row, val.clone());
-        }
+        self.for_each_row_grouped(true, &[], &mut |row, val| w.push(row, val.clone()));
         Factor::from_spill(self.body.schema.clone(), w.finish_cols())
     }
 
@@ -539,9 +537,9 @@ impl<E: SemiringElem> Factor<E> {
     /// The columnar trie index over this factor's rows (see [`FactorTrie`]).
     ///
     /// Built on first use — `O(arity × len)` — and cached in the shared body,
-    /// so joins, lookups and chunk partitioning through any handle of the
-    /// factor share one index. Thread-safe: concurrent first callers race
-    /// benignly on a [`OnceLock`].
+    /// so joins and chunk partitioning through any handle of the factor share
+    /// one index. Thread-safe: concurrent first callers race benignly on a
+    /// [`OnceLock`].
     pub fn trie(&self) -> &FactorTrie {
         self.body.trie.get_or_init(|| match &self.body.cols {
             Columns::Mem { .. } => {
@@ -569,67 +567,27 @@ impl<E: SemiringElem> Factor<E> {
         self.body.trie.get()
     }
 
-    /// The cold lookup on which [`Factor::get`] builds the trie index: the
-    /// first `GETS_BEFORE_TRIE − 1` probes of a cold factor use columnar
-    /// binary search over the listing (a one-off probe must not pay the full
-    /// `O(arity × len)` index build); the `GETS_BEFORE_TRIE`-th builds and
-    /// caches the index, since a factor probed repeatedly is about to
-    /// amortize it.
-    pub(crate) const GETS_BEFORE_TRIE: u32 = 4;
-
-    /// Look up a tuple.
-    ///
-    /// When the trie index is already built (by a join, the planner, or
-    /// earlier repeated lookups) the descent is one binary search over the
-    /// *distinct* values of each level. On a cold factor the lookup falls
-    /// back to columnar binary search over the sorted listing
-    /// ([`Factor::prefix_range`] per column) — same `O(arity × log len)`
-    /// complexity, no index build; the `Factor::GETS_BEFORE_TRIE`-th cold
-    /// lookup builds (and caches) the index on the factor.
+    /// Look up a tuple: one columnar binary search per column over the
+    /// sorted listing ([`Factor::prefix_range`]), `O(arity × log len)`. It
+    /// never builds the trie index. Requires an in-memory listing (use
+    /// [`Factor::get_cloned`] for a spilled one).
     pub fn get(&self, tuple: &[u32]) -> Option<&E> {
-        assert_eq!(tuple.len(), self.arity());
-        if self.arity() == 0 {
-            return self.mem_vals().first();
-        }
-        if self.trie_if_built().is_none() {
-            let cold_gets = self.body.gets.fetch_add(1, Ordering::Relaxed) + 1;
-            if cold_gets < Self::GETS_BEFORE_TRIE && !self.is_spilled() {
-                let mut range = (0usize, self.body.len);
-                for (depth, &value) in tuple.iter().enumerate() {
-                    range = self.prefix_range(range, depth, value);
-                    if range.0 == range.1 {
-                        return None;
-                    }
-                }
-                return Some(&self.mem_vals()[range.0]);
-            }
-        }
         self.find_row(tuple).map(|i| &self.mem_vals()[i])
     }
 
     /// [`Factor::get`] over either backing, returning the value by clone (a
     /// borrow cannot outlive the pinned chunk of a spilled listing).
     pub fn get_cloned(&self, tuple: &[u32]) -> Option<E> {
-        if !self.is_spilled() {
-            return self.get(tuple).cloned();
-        }
         self.find_row(tuple).map(|i| self.value_at(i).into_owned())
     }
 
-    /// The listing row holding `tuple` (arity ≥ 1), by descent of the trie
-    /// index: one search over the distinct values of each level.
+    /// The listing row holding `tuple`, if any.
     fn find_row(&self, tuple: &[u32]) -> Option<usize> {
-        let trie = self.trie();
-        let mut window = trie.root();
-        for (depth, &value) in tuple.iter().enumerate() {
-            let level = trie.level(depth);
-            let entry = level.find(window, value)?;
-            if depth + 1 == tuple.len() {
-                return Some(level.row_range(entry).0);
-            }
-            window = level.child_range(entry);
-        }
-        unreachable!("loop returns at the deepest level")
+        assert_eq!(tuple.len(), self.arity());
+        let range = tuple.iter().enumerate().fold((0, self.body.len), |range, (depth, &value)| {
+            self.prefix_range(range, depth, value)
+        });
+        (range.0 < range.1).then_some(range.0)
     }
 
     /// The half-open row range whose first `depth` columns equal `prefix`
@@ -673,24 +631,12 @@ impl<E: SemiringElem> Factor<E> {
         if perm.iter().enumerate().all(|(i, &p)| i == p) {
             return self.clone();
         }
-        // A spilled listing cannot serve the random row access of the index
-        // sort below: stream its chunks once, permute each row, and sort the
-        // materialized pairs. Engine paths keep large factors σ-aligned (the
-        // identity branch above and `align_to_cow`'s borrow), so this
-        // fallback only sees factors small enough to hold on the heap.
+        // The index sort below needs random row access. Engine paths keep
+        // large factors σ-aligned (the identity branch above and
+        // `align_to_cow`'s borrow), so a spilled listing that gets here is
+        // small enough to copy to the heap.
         if self.is_spilled() {
-            let mut pairs: Vec<(Vec<u32>, E)> = Vec::with_capacity(self.body.len);
-            self.for_each_row_grouped(true, &[], &mut |row, val| {
-                pairs.push((perm.iter().map(|&p| row[p]).collect(), val.clone()));
-            });
-            pairs.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-            let mut out =
-                FactorBuilder::new(new_schema.to_vec()).expect("permuted schema stays valid");
-            out.reserve(pairs.len());
-            for (row, val) in pairs {
-                out.push(&row, val);
-            }
-            return out.finish();
+            return self.to_heap().reorder(new_schema);
         }
         // Order row *indices* under the permuted key, then write the permuted
         // rows column-flat — no per-row tuple is ever allocated.
@@ -768,8 +714,8 @@ impl<E: SemiringElem> Factor<E> {
     /// pass, which spilled listings serve chunk by chunk without ever
     /// materializing. Otherwise row *indices* are ordered under the projected
     /// key by [`Factor::order_by_columns`] (ties keep row order, so
-    /// non-commutative folds see each group's rows in listing order). Neither
-    /// path allocates per row.
+    /// non-commutative folds see each group's rows in listing order), over a
+    /// heap copy when spilled. Neither path allocates per row.
     fn project_fold(
         &self,
         positions: &[usize],
@@ -777,36 +723,13 @@ impl<E: SemiringElem> Factor<E> {
         mut combine: impl FnMut(&E, &E) -> E,
         mut is_zero: impl FnMut(&E) -> bool,
     ) -> Factor<E> {
+        let is_prefix = positions.iter().enumerate().all(|(i, &p)| i == p);
+        if !is_prefix && self.is_spilled() {
+            return self.to_heap().project_fold(positions, contribution, combine, is_zero);
+        }
         let new_schema: Vec<Var> = positions.iter().map(|&i| self.body.schema[i]).collect();
         let k = positions.len();
         let mut out = FactorBuilder::new(new_schema).expect("projected schema stays valid");
-        let is_prefix = positions.iter().enumerate().all(|(i, &p)| i == p);
-        if !is_prefix && self.is_spilled() {
-            // Reordering projection of a spilled listing: group through a
-            // sorted map instead of an index sort, so the chunks stream once
-            // in listing order (each group still folds in row order, which
-            // is what the stable index sort of the heap path yields).
-            let mut groups: std::collections::BTreeMap<Vec<u32>, E> =
-                std::collections::BTreeMap::new();
-            self.for_each_row_grouped(true, positions, &mut |row, val| {
-                let key: Vec<u32> = positions.iter().map(|&p| row[p]).collect();
-                match groups.entry(key) {
-                    std::collections::btree_map::Entry::Occupied(mut e) => {
-                        let folded = combine(e.get(), &contribution(val));
-                        *e.get_mut() = folded;
-                    }
-                    std::collections::btree_map::Entry::Vacant(e) => {
-                        e.insert(contribution(val));
-                    }
-                }
-            });
-            for (key, done) in groups {
-                if !is_zero(&done) {
-                    out.push(&key, done);
-                }
-            }
-            return out.finish();
-        }
         let mut key: Vec<u32> = Vec::with_capacity(k);
         let mut buf: Vec<u32> = vec![0; k];
         let mut acc: Option<E> = None;
@@ -950,13 +873,11 @@ impl<E: SemiringElem> Factor<E> {
 
         // Dropping the *last* column keeps rows grouped already (the order
         // spilled listings stream in); any other column pays for a stable
-        // index sort inside `for_each_row_grouped` — or, spilled, for a heap
-        // copy with `var` moved last, whose groups list their rows in the
-        // same order.
+        // index sort inside `for_each_row_grouped`, on a heap copy when
+        // spilled.
         let grouped = vpos + 1 == self.arity();
         if !grouped && self.is_spilled() {
-            let var_last: Vec<Var> = new_schema.iter().copied().chain([var]).collect();
-            return self.reorder(&var_last).marginalize_product(var, dom_size, mul, is_zero);
+            return self.to_heap().marginalize_product(var, dom_size, mul, is_zero);
         }
         let mut out = FactorBuilder::new(new_schema).expect("projected schema stays valid");
         let mut key: Vec<u32> = Vec::with_capacity(positions.len());
@@ -991,6 +912,13 @@ impl<E: SemiringElem> Factor<E> {
             }
         }
         out.finish()
+    }
+
+    /// A heap copy of a spilled listing ([`Factor::map_values`] always
+    /// builds on the heap): the fallback of the operations whose heap
+    /// algorithm needs random row access.
+    fn to_heap(&self) -> Factor<E> {
+        self.map_values(E::clone, |_| false)
     }
 
     /// Apply `f` to every value, dropping rows that become zero.
@@ -1052,31 +980,24 @@ impl<E: SemiringElem> Factor<E> {
         crate::trie::partition_runs(self.body.len, max_chunks, runs)
     }
 
-    /// k-way merge of factors over the same schema, combining duplicate tuples
-    /// with `combine` (applied left-to-right in input order) and dropping rows
-    /// whose combined value satisfies `is_zero`.
-    ///
-    /// Each input's rows are already sorted (a `Factor` invariant), so the
-    /// merge emits rows in globally sorted order — this is what makes chunked
-    /// parallel execution deterministic: per-chunk outputs are merged in
-    /// sorted-tuple order, so the result is independent of which worker
-    /// produced which chunk.
+    /// Merge factors over the same schema, combining duplicate tuples with
+    /// `combine` (applied left-to-right in input order) and dropping rows
+    /// whose combined value satisfies `is_zero` — [`Factor::with_combine`]
+    /// over the parts' rows in part order, whose stable sort keeps ties in
+    /// that order.
     pub fn merge_sorted(
         parts: Vec<Factor<E>>,
-        mut combine: impl FnMut(&E, &E) -> E,
-        mut is_zero: impl FnMut(&E) -> bool,
+        combine: impl FnMut(&E, &E) -> E,
+        is_zero: impl FnMut(&E) -> bool,
     ) -> Factor<E> {
         assert!(!parts.is_empty(), "merge_sorted needs at least one part");
         let schema = parts[0].body.schema.clone();
         for p in &parts {
             assert_eq!(p.body.schema, schema, "merge_sorted requires identical schemas");
         }
-        let chunks: Vec<Vec<(Vec<u32>, E)>> = parts
-            .into_iter()
-            .map(|p| p.iter().map(|(r, v)| (r.to_vec(), v.clone())).collect())
-            .collect();
-        let merged = merge_sorted_rows(chunks, &mut combine, &mut is_zero);
-        Self::from_sorted_pairs(schema, merged)
+        let rows = parts.iter().flat_map(|p| p.iter().map(|(r, v)| (r.to_vec(), v.clone())));
+        Self::with_combine(schema, rows.collect(), combine, is_zero)
+            .expect("parts share one valid schema")
     }
 
     /// Replace every row whose first-column value falls inside one of
@@ -1138,16 +1059,14 @@ impl<E: SemiringElem> Factor<E> {
         // column, and that comparison is unchanged — stream, don't sort.
         let mut out = FactorBuilder::new(new_schema).expect("reduced schema stays valid");
         let mut buf: Vec<u32> = vec![0; positions.len()];
-        for i in 0..self.body.len {
-            let row = self.row(i);
-            if row[vpos] != value {
-                continue;
+        self.for_each_row_grouped(true, &[], &mut |row, val| {
+            if row[vpos] == value {
+                for (slot, &p) in buf.iter_mut().zip(&positions) {
+                    *slot = row[p];
+                }
+                out.push(&buf, val.clone());
             }
-            for (slot, &p) in buf.iter_mut().zip(&positions) {
-                *slot = row[p];
-            }
-            out.push(&buf, self.mem_vals()[i].clone());
-        }
+        });
         out.finish()
     }
 }
@@ -1372,80 +1291,6 @@ impl<E: SemiringElem> FactorBuilder<E> {
     }
 }
 
-/// k-way merge of row lists that are each sorted by tuple, combining duplicate
-/// tuples with `combine` (left-to-right in chunk order) and dropping rows whose
-/// combined value satisfies `is_zero`.
-///
-/// This is the row-level engine behind [`Factor::merge_sorted`]. Ties across
-/// chunks are resolved in chunk index order, which keeps the `⊕`-fold
-/// association deterministic.
-fn merge_sorted_rows<E: SemiringElem>(
-    mut chunks: Vec<Vec<(Vec<u32>, E)>>,
-    mut combine: impl FnMut(&E, &E) -> E,
-    mut is_zero: impl FnMut(&E) -> bool,
-) -> Vec<(Vec<u32>, E)> {
-    chunks.retain(|c| !c.is_empty());
-    if chunks.is_empty() {
-        return Vec::new();
-    }
-    let total: usize = chunks.iter().map(Vec::len).sum();
-    // Fast path: every row of chunk `c` precedes every row of chunk `c + 1`.
-    // This always holds for the parallel engine's per-chunk outputs (the
-    // chunk value ranges partition the first column in ascending order), so
-    // no duplicates can exist across chunks and the merge is a move-through
-    // concatenation — no row clones, no per-row k-way head scan.
-    let disjoint = chunks
-        .windows(2)
-        .all(|w| w[0].last().expect("chunks are non-empty").0 < w[1].first().expect("non-empty").0);
-    if disjoint {
-        let mut out = Vec::with_capacity(total);
-        for chunk in chunks {
-            out.extend(chunk.into_iter().filter(|(_, v)| !is_zero(v)));
-        }
-        return out;
-    }
-    // General path: k-way merge by head row. Each chunk is reversed so its
-    // head is `last()`, letting `pop()` move rows out without cloning.
-    for c in &mut chunks {
-        c.reverse();
-    }
-    let mut out: Vec<(Vec<u32>, E)> = Vec::with_capacity(total);
-    loop {
-        // Smallest head tuple; ties go to the lowest chunk index.
-        let mut best: Option<usize> = None;
-        for (ci, chunk) in chunks.iter().enumerate() {
-            let Some((row, _)) = chunk.last() else { continue };
-            match best {
-                Some(b) if chunks[b].last().expect("best chunk is non-empty").0 <= *row => {}
-                _ => best = Some(ci),
-            }
-        }
-        let Some(ci) = best else { break };
-        let (row, val) = chunks[ci].pop().expect("best head exists");
-        match out.last_mut() {
-            Some((last_row, last_val)) if *last_row == row => {
-                *last_val = combine(last_val, &val);
-            }
-            _ => {
-                // Flush-time zero check for the previous row happens lazily:
-                // a row is only final once a greater tuple arrives.
-                if let Some((_, prev)) = out.last() {
-                    if is_zero(prev) {
-                        out.pop();
-                    }
-                }
-                out.push((row, val));
-            }
-        }
-    }
-    if let Some((_, prev)) = out.last() {
-        if is_zero(prev) {
-            out.pop();
-        }
-    }
-    out
-}
-
 /// `partition_point` over an abstract index range `[0, len)`.
 fn partition_point(len: usize, mut pred: impl FnMut(usize) -> bool) -> usize {
     let mut lo = 0;
@@ -1529,19 +1374,13 @@ mod tests {
         let f = sample();
         assert_eq!(f.get(&[0, 1]), Some(&5));
         assert!(f.trie_if_built().is_none(), "a single point lookup must not pay the index build");
-        // Cold lookups agree with the trie descent for hits and misses alike.
         assert_eq!(f.get(&[9, 9]), None);
-        assert!(f.trie_if_built().is_none());
-    }
-
-    #[test]
-    fn repeated_gets_eventually_build_the_trie() {
-        let f = sample();
-        for _ in 0..Factor::<u64>::GETS_BEFORE_TRIE {
+        // Nor do repeated lookups: a lookup never builds the index.
+        for _ in 0..8 {
             assert_eq!(f.get(&[2, 2]), Some(&7));
+            assert_eq!(f.get(&[2, 1]), None);
         }
-        assert!(f.trie_if_built().is_some(), "repeated lookups should amortize into an index");
-        assert_eq!(f.get(&[2, 2]), Some(&7));
+        assert!(f.trie_if_built().is_none());
     }
 
     #[test]
@@ -1782,26 +1621,22 @@ mod tests {
         assert_eq!(m.get(&[2]), None); // 5 + (-5) combined to zero and dropped
     }
 
+    /// A three-way merge with an empty part: ties combine across parts in
+    /// part order, and a trailing tie that combines to zero is dropped.
     #[test]
-    fn merge_sorted_rows_three_way() {
-        let chunks: Vec<Vec<(Vec<u32>, u64)>> = vec![
-            vec![(vec![0], 1), (vec![3], 1)],
-            vec![(vec![1], 2), (vec![3], 2)],
-            vec![],
-            vec![(vec![2], 3), (vec![3], 3)],
+    fn merge_sorted_three_way_with_an_empty_part() {
+        let part = |rows: &[(u32, i64)]| {
+            Factor::new(vec![v(0)], rows.iter().map(|&(r, x)| (vec![r], x)).collect()).unwrap()
+        };
+        let parts = vec![
+            part(&[(0, 1), (3, 1), (5, 4)]),
+            part(&[(1, 2), (3, 2)]),
+            part(&[]),
+            part(&[(2, 3), (3, 3), (5, -40)]),
         ];
-        let merged = merge_sorted_rows(chunks, |a, b| a + b, |&x| x == 0);
-        assert_eq!(
-            merged,
-            vec![(vec![0], 1), (vec![1], 2), (vec![2], 3), (vec![3], 6)],
-            "ties combine across chunks in chunk order"
-        );
-    }
-
-    #[test]
-    fn merge_sorted_rows_drops_trailing_zero() {
-        let chunks: Vec<Vec<(Vec<u32>, i64)>> = vec![vec![(vec![5], 4)], vec![(vec![5], -4)]];
-        assert!(merge_sorted_rows(chunks, |a, b| a + b, |&x| x == 0).is_empty());
+        // `combine` keeps a trace of its operands, so another order shows.
+        let m = Factor::merge_sorted(parts, |a, b| a * 10 + b, |&x| x == 0);
+        assert_eq!(m, part(&[(0, 1), (1, 2), (2, 3), (3, 123)]));
     }
 
     #[test]

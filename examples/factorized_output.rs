@@ -53,12 +53,22 @@ fn main() {
         None => println!("ϕ{probe:?} = 0 (not in the output)"),
     }
 
-    // Streaming enumeration with bounded delay: take the first five tuples.
+    // Enumeration with bounded delay: print the first five tuples, each
+    // value checked against a point query.
     println!("first five output tuples (lexicographic):");
-    for tuple in fo.iter_support().take(5) {
-        let val = fo.value_query(&tuple, 1u64, |a, b| a * b).unwrap();
-        println!("  {tuple:?} → {val}");
-    }
+    let mut shown = 0;
+    fo.for_each(
+        1u64,
+        |a, b| a * b,
+        |&x| x == 0,
+        |tuple, val| {
+            if shown < 5 {
+                assert_eq!(fo.value_query(tuple, 1u64, |a, b| a * b), Some(val));
+                println!("  {tuple:?} → {val}");
+                shown += 1;
+            }
+        },
+    );
 
     // Materialize and compare sizes.
     let listing = fo.materialize(1u64, |a, b| a * b, |&x| x == 0);

@@ -224,7 +224,8 @@ fn builder_rejects_unsorted_rows_in_debug() {
 /// column/value reads (ascending then descending, so the 2-chunk LRU
 /// window must evict and re-fault), column maxima, point lookups, and the
 /// indicator-projection family — including reordering (non-prefix) keeps,
-/// which group through a sorted map on a spilled listing.
+/// which run on a heap copy of a spilled listing — conditioning, reordering
+/// and re-spilling at another chunk geometry.
 fn check_spilled_accessors<E>(mem: &Factor<E>, one: E)
 where
     E: SemiringElem + faq::factor::FixedBytes + PartialEq,
@@ -239,7 +240,7 @@ where
             window_chunks: 2,
             ..SpillConfig::default()
         };
-        let spilled = mem.to_spilled(config);
+        let spilled = mem.to_spilled(config.clone());
         assert!(spilled.is_spilled());
         assert_eq!(&spilled, mem, "chunk_rows {chunk_rows}");
         assert_eq!(spilled.len(), mem.len());
@@ -258,7 +259,7 @@ where
         // heap levels of the same rows hold (`level_chunk_entries` rounds up
         // to the 64-entry head stride), compared from either side.
         assert!(spilled.trie() == mem.trie() && mem.trie() == spilled.trie());
-        // Point lookups pin chunks on demand through the spilled trie.
+        // Point lookups pin chunks on demand.
         let mut probe = vec![0u32; mem.arity()];
         for i in 0..mem.len() {
             for (d, slot) in probe.iter_mut().enumerate() {
@@ -275,6 +276,17 @@ where
                 "indicator keep {keep:?} chunk_rows {chunk_rows}"
             );
         }
+        for var in schema3() {
+            for value in 0..DOM {
+                assert_eq!(spilled.condition(var, value), mem.condition(var, value));
+            }
+        }
+        let order = [Var(2), Var(0), Var(1)];
+        assert_eq!(spilled.reorder(&order), mem.reorder(&order));
+        let respilled =
+            spilled.to_spilled(SpillConfig { chunk_rows: chunk_rows % 5 + 2, ..config });
+        assert_eq!(respilled, spilled, "re-spilled at chunk_rows {}", chunk_rows % 5 + 2);
+        assert_eq!(&respilled, mem);
     }
 }
 
