@@ -219,22 +219,27 @@ mod tests {
         assert_eq!(keys.len(), Engine::sequential().evaluate(&q).unwrap().factor.len());
     }
 
-    /// `for_each` on the degenerate outputs: an unsatisfiable query
-    /// enumerates nothing, and a nullary one the empty binding exactly once
-    /// when its scalar is non-zero.
+    /// Every binding `for_each` enumerates, with its value.
+    fn collect(fo: &FactorizedOutput<u64>) -> Vec<(Vec<u32>, u64)> {
+        let mut out: Vec<(Vec<u32>, u64)> = Vec::new();
+        fo.for_each(1u64, |a, b| a * b, |&x| x == 0, |b, val| out.push((b.to_vec(), val)));
+        out
+    }
+
     #[test]
-    fn for_each_on_empty_and_nullary_outputs() {
-        let collect = |fo: &FactorizedOutput<u64>| {
-            let mut out: Vec<(Vec<u32>, u64)> = Vec::new();
-            fo.for_each(1u64, |a, b| a * b, |&x| x == 0, |b, val| out.push((b.to_vec(), val)));
-            out
-        };
+    fn streaming_iterator_empty_output() {
+        // An unsatisfiable query enumerates nothing.
         let f = Factor::new(vec![v(0)], vec![(vec![0], 1u64)]).unwrap();
         let g = Factor::new(vec![v(0)], vec![(vec![1], 1u64)]).unwrap();
         let q = FaqQuery::new(CountDomain, Domains::uniform(1, 2), vec![v(0)], vec![], vec![f, g])
             .unwrap();
         assert_eq!(collect(&FactorizedOutput::compute(&q).unwrap()), vec![]);
+    }
 
+    #[test]
+    fn streaming_iterator_nullary_query() {
+        // f = 0 free variables: the empty binding is enumerated exactly once
+        // when the scalar is non-zero.
         let f = Factor::new(vec![v(0)], vec![(vec![0], 2u64)]).unwrap();
         let q = FaqQuery::new(
             CountDomain,

@@ -1622,21 +1622,37 @@ mod tests {
     }
 
     /// A three-way merge with an empty part: ties combine across parts in
-    /// part order, and a trailing tie that combines to zero is dropped.
+    /// part order.
     #[test]
-    fn merge_sorted_three_way_with_an_empty_part() {
-        let part = |rows: &[(u32, i64)]| {
-            Factor::new(vec![v(0)], rows.iter().map(|&(r, x)| (vec![r], x)).collect()).unwrap()
-        };
+    fn merge_sorted_rows_three_way() {
         let parts = vec![
-            part(&[(0, 1), (3, 1), (5, 4)]),
+            part(&[(0, 1), (3, 1)]),
             part(&[(1, 2), (3, 2)]),
             part(&[]),
-            part(&[(2, 3), (3, 3), (5, -40)]),
+            part(&[(2, 3), (3, 3)]),
         ];
         // `combine` keeps a trace of its operands, so another order shows.
         let m = Factor::merge_sorted(parts, |a, b| a * 10 + b, |&x| x == 0);
         assert_eq!(m, part(&[(0, 1), (1, 2), (2, 3), (3, 123)]));
+    }
+
+    /// A trailing tie that combines to zero is dropped.
+    #[test]
+    fn merge_sorted_rows_drops_trailing_zero() {
+        let parts = vec![part(&[(0, 1), (5, 4)]), part(&[(5, -4)])];
+        let m = Factor::merge_sorted(parts, |a, b| a + b, |&x| x == 0);
+        assert_eq!(m, part(&[(0, 1)]));
+        let m = Factor::merge_sorted(
+            vec![part(&[(5, 4)]), part(&[(5, -4)])],
+            |a, b| a + b,
+            |&x| x == 0,
+        );
+        assert!(m.is_empty());
+    }
+
+    /// A unary factor over `v(0)` with the given rows.
+    fn part(rows: &[(u32, i64)]) -> Factor<i64> {
+        Factor::new(vec![v(0)], rows.iter().map(|&(r, x)| (vec![r], x)).collect()).unwrap()
     }
 
     #[test]
