@@ -25,9 +25,11 @@
 //! * `Full` — node must be treated as wholly changed.
 //!
 //! A join step whose dirty inputs are all `Ranges` *on the step's first join
-//! variable* is re-run **restricted**: the leapfrog kernel executes once per
-//! range over a range-restricted view of the (already updated) inputs, and the
-//! small recomputed slice is spliced into the cached output with
+//! variable* is re-run **restricted**: the step's one join driver
+//! (`exec::grouped_join`, the same one a fresh step runs through) is handed
+//! those ranges in place of its own chunking cuts and runs them in order,
+//! into one builder, over the (already updated) inputs, and the small
+//! recomputed slice is spliced into the cached output with
 //! [`Factor::splice_by_first`]. This is sound because elimination joins
 //! enumerate bindings in lexicographic order of the join order — a fold group
 //! never spans two first-column values — and because every intermediate's

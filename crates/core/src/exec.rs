@@ -6,25 +6,31 @@
 //! ordering, so the search tree decomposes over *value ranges of the first
 //! join variable*: ranges partitioning `Dom(order[0])` give disjoint slices
 //! whose outputs, concatenated in range order, are exactly the sequential
-//! output stream. This module exploits that:
+//! output stream. Fresh steps, chunked steps and a delta replay's restricted
+//! steps all rest on that one fact, so one driver, [`grouped_join`], runs
+//! every step join as one range loop:
 //!
-//! 1. pick the largest input factor containing the first join variable and,
-//!    when it has at least `2 ×` [`ExecPolicy::min_chunk_rows`] rows, cut
-//!    that variable's values into up to [`ExecPolicy::threads`] ranges of
-//!    roughly equal row counts, never splitting a value — the cuts come
-//!    straight off the root level of the factor's cached trie index
-//!    ([`faq_factor::FactorTrie::partition_root`]). This is the only place
-//!    that decides whether a step is chunked, and it decides from the rows
-//!    of the inputs in front of it, not from an estimate;
-//! 2. run the leapfrog join kernel per chunk on a `std::thread::scope`
-//!    worker pool, each worker stream-folding its groups column-flat into
-//!    its own [`faq_factor::FactorBuilder`] — no per-row allocations —
-//!    while walking a range-restricted view of the same cached tries;
-//! 3. concatenate the per-chunk builders in range order (chunk key ranges
-//!    are disjoint and ascending, so the k-way merge is an append) into the
-//!    output factor's builder, growing the output's trie index *during* the
-//!    merge ([`faq_factor::FactorBuilder::with_streaming_trie`]) so the next
-//!    elimination step never re-indexes the intermediate.
+//! 1. align every input to the join order once, so no range re-copies a
+//!    misaligned factor;
+//! 2. take the ranges — a delta replay's anchor ranges when it is given a
+//!    restriction, else the cuts of [`first_var_ranges`], the only place
+//!    that decides whether a step is chunked. It decides from the rows of
+//!    the inputs in front of it, not from an estimate: a basis of at least
+//!    `2 ×` [`ExecPolicy::min_chunk_rows`] rows is cut into up to
+//!    [`ExecPolicy::threads`] value ranges of roughly equal row counts,
+//!    never splitting a value — on a spilled basis's chunk boundaries, else
+//!    straight off the root level of its cached trie index
+//!    ([`faq_factor::FactorTrie::partition_root`]). An unchunked step gets
+//!    one full range;
+//! 3. run a restriction or a single range in order into one
+//!    [`faq_factor::FactorBuilder`]; fan several cuts out to a
+//!    `std::thread::scope` worker pool, each worker stream-folding its groups
+//!    column-flat into its own builder while walking a range-restricted view
+//!    of the same cached tries, then append the per-range builders in range
+//!    order (ranges are disjoint and ascending, so the k-way merge is an
+//!    append). A fresh intermediate grows its trie index during that merge
+//!    ([`faq_factor::FactorBuilder::with_streaming_trie`]), so the next
+//!    elimination step never re-indexes it.
 //!
 //! **Determinism.** The output factor is bit-identical to the sequential
 //! engine's for every semiring and every thread count: a fold group's first
@@ -175,27 +181,30 @@ pub(crate) fn with_abort_guard<R>(
         .unwrap_or_else(|abort| Err(abort.into()))
 }
 
-/// One elimination-step join: enumerate matches of `inputs` under `order`,
-/// group them by the first `group_arity` binding columns, fold each group's
-/// values with `fold`, drop groups whose folded value `is_zero`, and return
-/// the surviving groups as a built factor over `order[..group_arity]`.
+/// One elimination-step join — the only driver of the join kernel in the
+/// engine: enumerate matches of `inputs` under `order`, group them by the
+/// first `group_arity` binding columns, fold each group's values with `fold`,
+/// drop groups whose folded value `is_zero`, and return the surviving groups
+/// as a built factor over `order[..group_arity]`.
 ///
 /// With `group_arity == order.len()` this is plain enumeration with a zero
 /// filter (every binding is its own group) — the shape of the guard joins and
 /// the final output join. With `group_arity == order.len() - 1` it is the
 /// semiring elimination of eq. (7).
 ///
-/// The output factor is assembled column-flat through a
-/// [`FactorBuilder`] — the join emits bindings in lexicographic order with
-/// distinct group keys, so no sort, duplicate scan, or per-row allocation
-/// ever happens. With `build_trie` the factor's trie index is grown while
-/// rows are emitted (and, under a parallel policy, while per-chunk outputs
-/// are merged), so callers that join the result — every elimination step —
-/// receive a pre-indexed intermediate.
+/// The join runs over ranges of the first join variable: the `restriction`
+/// when given (a delta replay's anchor ranges, sorted and disjoint — the
+/// output is then that slice of the full output), else the cuts of
+/// [`first_var_ranges`]. A restriction or a single range runs in order into
+/// one builder; several cuts run on scoped workers and are appended in range
+/// order. Either way the factor is the same, bit for bit.
 ///
-/// The policy bounds the chunking (worker threads, chunk floor); whether this
-/// join is chunked is decided here, from the rows of `inputs`. Sequential and
-/// chunked runs produce the same factor, bit for bit.
+/// The output is assembled column-flat through a [`FactorBuilder`] — the join
+/// emits bindings in lexicographic order with distinct group keys, so no
+/// sort, duplicate scan, or per-row allocation ever happens. With
+/// `build_trie` the factor's trie index is grown while rows are emitted (or
+/// chunk outputs appended), so callers that join the result — every
+/// elimination step — receive a pre-indexed intermediate.
 ///
 /// Errors (instead of panicking) when the chunking invariant is violated —
 /// no aligned input holds the first join variable in its leading column even
@@ -207,6 +216,7 @@ pub(crate) fn grouped_join<E: SemiringElem>(
     domains: &Domains,
     order: &[Var],
     inputs: &[JoinInput<'_, E>],
+    restriction: Option<&[(u32, u32)]>,
     one: &E,
     group_arity: usize,
     build_trie: bool,
@@ -215,57 +225,10 @@ pub(crate) fn grouped_join<E: SemiringElem>(
     is_zero: &(impl Fn(&E) -> bool + Sync),
 ) -> Result<(Factor<E>, JoinStats), FaqError> {
     debug_assert!(group_arity <= order.len());
-    let schema: Vec<Var> = order[..group_arity].to_vec();
-    let out_builder = || {
-        let b = FactorBuilder::new(schema.clone()).expect("join-order variables are distinct");
-        if build_trie {
-            b.with_streaming_trie()
-        } else {
-            b
-        }
-    };
-    let full = (0u32, u32::MAX);
-
-    let threads = policy.effective_threads();
-    // A zero group arity means the whole output is ONE fold group; chunking
-    // it would re-associate the ⊕-fold, which is observable on f64.
-    let sequential = threads <= 1 || group_arity == 0 || order.is_empty();
-
-    // Chunking basis: the largest input containing the first join variable.
-    let basis_len = if sequential {
-        None
-    } else {
-        inputs
-            .iter()
-            .map(|i| i.factor)
-            .filter(|f| f.schema().contains(&order[0]))
-            .map(|f| f.len())
-            .max()
-    };
-    let per_chunk = policy.min_chunk_rows.clamp(1, usize::MAX / 2);
-    let max_chunks = threads.min(basis_len.unwrap_or(0) / per_chunk);
-    if sequential || max_chunks <= 1 {
-        let mut out = out_builder();
-        let stats = grouped_join_range(
-            domains,
-            order,
-            inputs,
-            full,
-            one,
-            group_arity,
-            mul,
-            fold,
-            is_zero,
-            &mut out,
-        );
-        return Ok((out.finish(), stats));
-    }
-    let first = order[0];
-
     // Align every input to the join order once, up front: the join kernel
-    // aligns per invocation, and without this each chunk worker would re-copy
-    // (and re-sort, when misaligned) every factor. Prefix filters skip
-    // alignment by contract (their leading columns already follow the order).
+    // aligns per invocation, and without this each range would re-copy (and
+    // re-sort, when misaligned) every factor. Prefix filters skip alignment
+    // by contract (their leading columns already follow the order).
     let aligned: Vec<_> = inputs
         .iter()
         .map(|i| match i.prefix {
@@ -273,113 +236,139 @@ pub(crate) fn grouped_join<E: SemiringElem>(
             None => i.factor.align_to_cow(order),
         })
         .collect();
-    let chunk_inputs: Vec<JoinInput<'_, E>> =
+    let inputs: Vec<JoinInput<'_, E>> =
         aligned.iter().zip(inputs).map(|(f, i)| i.rebind(f.as_ref())).collect();
+    let ranges = match restriction {
+        Some(rs) => rs.to_vec(),
+        None => first_var_ranges(policy, order, &inputs, group_arity)?,
+    };
 
-    // Cut the basis column for the first variable into value ranges. Aligned
-    // factors containing `first` hold it in column 0, so the cuts fall out of
-    // the trie's root level (distinct values + row counts, no scan) — and the
-    // index built here is the same cached one every chunk worker walks.
-    let basis = chunk_inputs
-        .iter()
-        .map(|i| i.factor)
-        .filter(|f| f.schema().first() == Some(&first))
-        .max_by_key(|f| f.len())
-        .ok_or_else(|| FaqError::Uncoverable(vec![first]))?;
-    // When the largest spilled basis factor is file-chunked, prefer cuts on
-    // its chunk boundaries: each worker's range then pins a disjoint run of
-    // chunks, so the resident window stays bounded per worker instead of
-    // thrashing one shared window across threads.
-    let spilled_basis = chunk_inputs
-        .iter()
-        .map(|i| i.factor)
-        .filter(|f| f.is_spilled() && f.schema().first() == Some(&first))
-        .max_by_key(|f| f.len());
-    let ranges = spilled_basis
-        .and_then(|f| f.chunk_aligned_partition(max_chunks))
-        .unwrap_or_else(|| basis.trie().partition_root(max_chunks));
-    if ranges.len() <= 1 {
-        // Too few distinct values to chunk. Run sequentially over the inputs
-        // aligned above — not the originals — so the alignment copies (and
-        // the basis trie just built) are used, not discarded and redone.
-        let mut out = out_builder();
-        let stats = grouped_join_range(
+    let builder = || {
+        FactorBuilder::new(order[..group_arity].to_vec())
+            .expect("join-order variables are distinct")
+    };
+    let run = |range, out: &mut FactorBuilder<E>| {
+        grouped_join_range(
             domains,
             order,
-            &chunk_inputs,
-            full,
+            &inputs,
+            range,
             one,
             group_arity,
             mul,
             fold,
             is_zero,
-            &mut out,
-        );
-        return Ok((out.finish(), stats));
-    }
-
-    // Scoped worker pool: one worker per chunk (ranges.len() ≤ threads), each
-    // stream-folding into its own flat builder under the policy's controls.
-    let chunks: Vec<Result<(FactorBuilder<E>, JoinStats), FaqError>> = std::thread::scope(|s| {
-        let workers: Vec<_> = ranges
-            .iter()
-            .map(|&range| {
-                let (chunk_inputs, schema) = (&chunk_inputs, &schema);
-                s.spawn(move || {
-                    with_abort_guard(policy, || {
-                        let mut out = FactorBuilder::new(schema.clone())
-                            .expect("join-order variables are distinct");
-                        let stats = grouped_join_range(
-                            domains,
-                            order,
-                            chunk_inputs,
-                            range,
-                            one,
-                            group_arity,
-                            mul,
-                            fold,
-                            is_zero,
-                            &mut out,
-                        );
-                        Ok((out, stats))
+            out,
+        )
+    };
+    let mut out = if build_trie { builder().with_streaming_trie() } else { builder() };
+    let per_range: Vec<JoinStats> = if restriction.is_some() || ranges.len() == 1 {
+        ranges.iter().map(|&range| run(range, &mut out)).collect()
+    } else {
+        // Scoped worker pool: one worker per range (ranges.len() ≤ threads),
+        // each stream-folding into its own flat builder under the policy's
+        // controls.
+        let chunks: Vec<Result<(FactorBuilder<E>, JoinStats), FaqError>> =
+            std::thread::scope(|s| {
+                let workers: Vec<_> = ranges
+                    .iter()
+                    .map(|&range| {
+                        let (run, builder) = (&run, &builder);
+                        s.spawn(move || {
+                            with_abort_guard(policy, || {
+                                let mut chunk = builder();
+                                let stats = run(range, &mut chunk);
+                                Ok((chunk, stats))
+                            })
+                        })
                     })
+                    .collect();
+                workers
+                    .into_iter()
+                    .map(|w| w.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+                    .collect()
+            });
+        // Group keys begin with the chunked variable, so chunk outputs are
+        // disjoint and ascending: the k-way merge is a concatenating append,
+        // growing the output trie in stream order when one was requested.
+        // The lowest range's abort wins, whatever order the workers failed in.
+        chunks
+            .into_iter()
+            .map(|chunk| {
+                chunk.map(|(chunk, stats)| {
+                    out.append(chunk);
+                    stats
                 })
             })
-            .collect();
-        workers
-            .into_iter()
-            .map(|w| w.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
-            .collect()
+            .collect::<Result<_, _>>()?
+    };
+    let stats = per_range.iter().fold(JoinStats::default(), |a, s| JoinStats {
+        matches: a.matches + s.matches,
+        seeks: a.seeks + s.seeks,
+        nodes: a.nodes + s.nodes,
     });
-
-    // Group keys begin with the chunked variable, so chunk outputs are
-    // disjoint and ascending: the k-way merge is a concatenating append,
-    // growing the output trie in stream order when one was requested. The
-    // lowest range's abort wins, whatever order the workers failed in.
-    let mut stats = JoinStats::default();
-    let mut out = out_builder();
-    for chunk in chunks {
-        let (chunk, chunk_stats) = chunk?;
-        stats.matches += chunk_stats.matches;
-        stats.seeks += chunk_stats.seeks;
-        stats.nodes += chunk_stats.nodes;
-        out.append(chunk);
-    }
     Ok((out.finish(), stats))
 }
 
-/// The sequential kernel: one range-restricted leapfrog join with streaming
-/// group-fold, exactly the paper's stream-aggregation over consecutive
-/// outputs — emitted straight into the caller's flat builder. The only
-/// per-group state is one reusable key buffer; nothing is allocated per row.
+/// The first-variable ranges a fresh step join runs over, from the rows of
+/// its (aligned) `inputs` — the one place that decides whether a step is
+/// chunked. A single full range means "not chunked": one thread, an empty
+/// fold group, a basis below `2 ×` [`ExecPolicy::min_chunk_rows`] rows, or
+/// too few distinct values to cut.
 ///
-/// `pub(crate)` because a restricted step replay ([`crate::delta`]) runs an
-/// elimination step over just the delta's anchor ranges: it invokes this
-/// kernel once per changed range, in ascending range order, into one builder
-/// — which is bit-identical to the matching slice of a full run, since no
-/// fold group ever spans two ranges.
+/// Otherwise the basis — the largest input holding the first join variable —
+/// is cut into up to [`ExecPolicy::threads`] ranges of roughly equal row
+/// counts, never splitting a value: on its chunk boundaries when the largest
+/// such input is spilled (each worker's range then pins a disjoint run of
+/// chunks, so the resident window stays bounded per worker instead of
+/// thrashing one shared window across threads), else straight off the root
+/// level of the basis's cached trie index
+/// ([`faq_factor::FactorTrie::partition_root`]) — the same index every
+/// worker then walks.
+fn first_var_ranges<E: SemiringElem>(
+    policy: &ExecPolicy,
+    order: &[Var],
+    inputs: &[JoinInput<'_, E>],
+    group_arity: usize,
+) -> Result<Vec<(u32, u32)>, FaqError> {
+    let full = vec![(0u32, u32::MAX)];
+    let threads = policy.effective_threads();
+    // A zero group arity means the whole output is ONE fold group; chunking
+    // it would re-associate the ⊕-fold, which is observable on f64.
+    if threads <= 1 || group_arity == 0 || order.is_empty() {
+        return Ok(full);
+    }
+    let first = order[0];
+    let basis_len = inputs
+        .iter()
+        .map(|i| i.factor)
+        .filter(|f| f.schema().contains(&first))
+        .map(|f| f.len())
+        .max();
+    let per_chunk = policy.min_chunk_rows.clamp(1, usize::MAX / 2);
+    let max_chunks = threads.min(basis_len.unwrap_or(0) / per_chunk);
+    if max_chunks <= 1 {
+        return Ok(full);
+    }
+    // Aligned factors containing `first` hold it in column 0.
+    let leading = || inputs.iter().map(|i| i.factor).filter(|f| f.schema().first() == Some(&first));
+    let basis =
+        leading().max_by_key(|f| f.len()).ok_or_else(|| FaqError::Uncoverable(vec![first]))?;
+    let ranges = leading()
+        .filter(|f| f.is_spilled())
+        .max_by_key(|f| f.len())
+        .and_then(|f| f.chunk_aligned_partition(max_chunks))
+        .unwrap_or_else(|| basis.trie().partition_root(max_chunks));
+    Ok(if ranges.len() > 1 { ranges } else { full })
+}
+
+/// One range of [`grouped_join`]: a range-restricted leapfrog join with
+/// streaming group-fold, exactly the paper's stream-aggregation over
+/// consecutive outputs — emitted straight into the caller's flat builder.
+/// The only per-group state is one reusable key buffer; nothing is allocated
+/// per row.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn grouped_join_range<E: SemiringElem>(
+fn grouped_join_range<E: SemiringElem>(
     domains: &Domains,
     order: &[Var],
     inputs: &[JoinInput<'_, E>],
@@ -433,7 +422,7 @@ mod tests {
     use crate::query::{FaqQuery, VarAgg};
     use faq_factor::{Domains, Factor};
     use faq_hypergraph::v;
-    use faq_semiring::{CountDomain, RealDomain};
+    use faq_semiring::{AggDomain, CountDomain, RealDomain};
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn random_query(seed: u64, n_rows: usize) -> FaqQuery<CountDomain> {
@@ -471,11 +460,39 @@ mod tests {
         assert!(ExecPolicy::default().threads >= 1);
     }
 
+    /// Every thread count and chunk floor gives the sequential engine's
+    /// output, and a restricted join over two disjoint first-variable ranges
+    /// gives exactly the full join's rows in those ranges — with one input
+    /// whose schema is not in join order, so both modes take the up-front
+    /// alignment.
     #[test]
     fn parallel_matches_sequential_counting() {
+        let order = [v(0), v(1), v(2)];
+        let ranges = [(1u32, 3u32), (5, 7)];
+        let dom = CountDomain;
         for seed in 0..8 {
             let q = random_query(seed, 60);
             let seq = Engine::sequential().evaluate(&q).unwrap();
+            let f20 = q.factors[2].reorder(&[v(2), v(0)]);
+            let inputs: Vec<JoinInput<'_, u64>> =
+                q.factors[..2].iter().chain([&f20]).map(JoinInput::value).collect();
+            let join = |policy: &ExecPolicy, restriction: Option<&[(u32, u32)]>| {
+                grouped_join(
+                    policy,
+                    &q.domains,
+                    &order,
+                    &inputs,
+                    restriction,
+                    &dom.one(),
+                    2,
+                    restriction.is_none(),
+                    &|a, b| dom.mul(a, b),
+                    &|a, b| dom.add(CountDomain::SUM, a, b),
+                    &|x| dom.is_zero(x),
+                )
+                .unwrap()
+                .0
+            };
             for threads in [1usize, 2, 4] {
                 for min_chunk in [0usize, 1, 7, usize::MAX] {
                     let policy = ExecPolicy {
@@ -484,11 +501,18 @@ mod tests {
                         deadline: None,
                         cancel: None,
                     };
-                    let par = Engine::with_policy(policy).evaluate(&q).unwrap();
-                    assert_eq!(
-                        par.factor, seq.factor,
-                        "seed {seed} threads {threads} min_chunk {min_chunk}"
-                    );
+                    let par = Engine::with_policy(policy.clone()).evaluate(&q).unwrap();
+                    let at = format!("seed {seed} threads {threads} min_chunk {min_chunk}");
+                    assert_eq!(par.factor, seq.factor, "{at}");
+                    let full = join(&policy, None);
+                    let in_ranges = full
+                        .iter()
+                        .filter(|(row, _)| ranges.iter().any(|r| (r.0..r.1).contains(&row[0])))
+                        .map(|(row, &x)| (row.to_vec(), x))
+                        .collect();
+                    let want = Factor::new(order[..2].to_vec(), in_ranges).unwrap();
+                    assert!(!want.is_empty() && want.len() < full.len(), "{at}");
+                    assert_eq!(join(&policy, Some(&ranges)), want, "{at}");
                 }
             }
         }

@@ -63,9 +63,9 @@
 //!   makes at every step.
 
 use crate::delta::{narrowed_dirty, union_ranges, Dirty};
-use crate::exec::{grouped_join, grouped_join_range, with_abort_guard, ExecPolicy};
+use crate::exec::{grouped_join, with_abort_guard, ExecPolicy};
 use crate::query::{FaqError, FaqQuery, VarAgg};
-use faq_factor::{fault, Factor, FactorBuilder};
+use faq_factor::{fault, Factor};
 use faq_hypergraph::Var;
 use faq_join::{JoinInput, JoinStats};
 use faq_semiring::{AggDomain, AggId, SemiringElem};
@@ -547,67 +547,6 @@ fn node<'a, E: SemiringElem>(
     inputs.get(i).unwrap_or_else(|| slots[i].as_ref().expect("steps read nodes already written"))
 }
 
-/// Run one join step's kernel over `inputs`: in full (over the whole domain
-/// of the first join variable, under `policy` — chunked across threads) or
-/// restricted to the given anchor ranges (sequential, one kernel invocation
-/// per range, streamed into one builder — bit-identical to the matching slice
-/// of a full run because no fold group spans a first-column boundary).
-fn run_join<D: AggDomain + Sync>(
-    q: &FaqQuery<D>,
-    policy: &ExecPolicy,
-    js: &JoinStep,
-    inputs: &[JoinInput<'_, D::E>],
-    restriction: Option<&[(u32, u32)]>,
-) -> Result<(Factor<D::E>, JoinStats), FaqError> {
-    let dom = &q.domain;
-    let one = dom.one();
-    let kind = js.fold;
-    let mul = |a: &D::E, b: &D::E| dom.mul(a, b);
-    let fold = |a: &D::E, b: &D::E| match kind {
-        FoldKind::Semiring(op) => dom.add(op, a, b),
-        _ => a.clone(),
-    };
-    let is_zero = |x: &D::E| !matches!(kind, FoldKind::Guard) && dom.is_zero(x);
-    let Some(ranges) = restriction else {
-        // Every intermediate is joined again by a later step, so its trie
-        // index is grown while its rows stream out; nothing joins the output.
-        let build_trie = !matches!(kind, FoldKind::Output);
-        return grouped_join(
-            policy,
-            &q.domains,
-            &js.join_order,
-            inputs,
-            &one,
-            js.group_arity,
-            build_trie,
-            &mul,
-            &fold,
-            &is_zero,
-        );
-    };
-    let schema = js.join_order[..js.group_arity].to_vec();
-    let mut out = FactorBuilder::new(schema).expect("join-order variables are distinct");
-    let mut stats = JoinStats::default();
-    for &range in ranges {
-        let s = grouped_join_range(
-            &q.domains,
-            &js.join_order,
-            inputs,
-            range,
-            &one,
-            js.group_arity,
-            mul,
-            fold,
-            is_zero,
-            &mut out,
-        );
-        stats.matches += s.matches;
-        stats.seeks += s.seeks;
-        stats.nodes += s.nodes;
-    }
-    Ok((out.finish(), stats))
-}
-
 /// Execute one step against the arena — the one place a compiled step turns
 /// into factor work.
 ///
@@ -740,7 +679,27 @@ fn exec_step<D: AggDomain + Sync>(
             _ => JoinInput::filter(fac),
         }
     }));
-    let (new_out, join_stats) = run_join(q, policy, js, &inputs, restriction.as_deref())?;
+    let kind = js.fold;
+    // Every fresh intermediate is joined again by a later step, so its trie
+    // index is grown while its rows stream out; nothing joins the output, and
+    // a restricted slice is spliced into its cached node.
+    let build_trie = restriction.is_none() && !matches!(kind, FoldKind::Output);
+    let (new_out, join_stats) = grouped_join(
+        policy,
+        &q.domains,
+        &js.join_order,
+        &inputs,
+        restriction.as_deref(),
+        &dom.one(),
+        js.group_arity,
+        build_trie,
+        &|a, b| dom.mul(a, b),
+        &|a, b| match kind {
+            FoldKind::Semiring(op) => dom.add(op, a, b),
+            _ => a.clone(),
+        },
+        &|x| !matches!(kind, FoldKind::Guard) && dom.is_zero(x),
+    )?;
     drop(inputs);
 
     // The reduced edge of a guard step is a prefix projection of the guard,

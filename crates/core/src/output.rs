@@ -68,8 +68,8 @@ impl<E: SemiringElem> FactorizedOutput<E> {
                     y[pos]
                 })
                 .collect();
-            match f.get(&key) {
-                Some(val) => acc = mul(&acc, val),
+            match f.get_cloned(&key) {
+                Some(val) => acc = mul(&acc, &val),
                 None => return None,
             }
         }
@@ -203,6 +203,25 @@ mod tests {
                 let expect = direct.get(&[x0, x1]).copied();
                 let got = fo.value_query(&[x0, x1], 1u64, |a, b| a * b);
                 assert_eq!(got, expect, "({x0},{x1})");
+            }
+        }
+    }
+
+    /// A spilled factor over free variables only survives into `E_f`, and
+    /// a value query reads it through the lookup that serves either backing.
+    #[test]
+    fn value_query_reads_a_spilled_value_factor() {
+        let mut q = sample();
+        let f0 = Factor::new(vec![v(0)], vec![(vec![0], 2u64), (vec![2], 3)]).unwrap();
+        q.factors
+            .push(f0.to_spilled(faq_factor::SpillConfig { chunk_rows: 1, ..Default::default() }));
+        let fo = FactorizedOutput::compute(&q).unwrap();
+        assert!(fo.value_factors.iter().any(Factor::is_spilled));
+        let direct = Engine::sequential().evaluate(&q).unwrap().factor;
+        for x0 in 0..3u32 {
+            for x1 in 0..2u32 {
+                let expect = direct.get(&[x0, x1]).copied();
+                assert_eq!(fo.value_query(&[x0, x1], 1u64, |a, b| a * b), expect, "({x0},{x1})");
             }
         }
     }

@@ -49,7 +49,7 @@
 //! share the cold data by reference and nothing is copied on epoch publish.
 
 use crate::fault::{self, Injected, QueryAbort, StorageError};
-use crate::storage::{block_lub, LevelStorage, VecStorage, HEAD_STRIDE};
+use crate::storage::{head_narrow, LevelStorage, VecStorage, HEAD_STRIDE};
 use crate::trie::partition_runs;
 use std::collections::HashMap;
 use std::fs::File;
@@ -1115,14 +1115,7 @@ impl FileChunkedLevel {
         }
         // Narrow on the resident head samples exactly like the heap kernel.
         let heads = &self.inner.heads;
-        let ks = lo.div_ceil(HEAD_STRIDE);
-        let ke = hi.div_ceil(HEAD_STRIDE);
-        let (mut nlo, mut nhi) = (lo, hi);
-        if ks < ke {
-            let p = block_lub(heads, ks, ke, bound);
-            nlo = if p > ks { HEAD_STRIDE * (p - 1) + 1 } else { lo };
-            nhi = if p < ke { (HEAD_STRIDE * p + 1).min(hi) } else { hi };
-        }
+        let (nlo, nhi) = head_narrow(heads, lo, hi, bound);
         // The narrowed window holds at most one stride-aligned entry: the
         // probe `HEAD_STRIDE·p` at its upper edge, which is the next chunk's
         // first entry when it falls on a chunk boundary. It is a resident

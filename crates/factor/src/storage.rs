@@ -131,25 +131,36 @@ pub struct VecStorage {
     heads: Vec<u32>,
 }
 
+/// Narrow a seek window `[lo, hi)` of one sorted level with its head samples
+/// (`heads[k]` = entry `HEAD_STRIDE·k`) to the stretch that holds the least
+/// entry `≥ bound`: at most `HEAD_STRIDE + 1` entries, of which only the upper
+/// edge can be stride-aligned. Heap and spilled levels both narrow here, so
+/// they agree bit for bit.
+#[inline]
+pub(crate) fn head_narrow(heads: &[u32], lo: usize, hi: usize, bound: u32) -> (usize, usize) {
+    // Samples covering the window: heads[k] with HEAD_STRIDE·k ∈ [lo, hi).
+    let ks = lo.div_ceil(HEAD_STRIDE);
+    let ke = hi.div_ceil(HEAD_STRIDE);
+    if ks >= ke {
+        return (lo, hi);
+    }
+    // The samples are values from one sorted window, so they are sorted;
+    // find the first sample ≥ bound.
+    let p = block_lub(heads, ks, ke, bound);
+    // Sample p−1 (if inside) is < bound: the answer lies strictly after its
+    // position. Sample p (if inside) is ≥ bound: the answer lies at or before
+    // its position.
+    let nlo = if p > ks { HEAD_STRIDE * (p - 1) + 1 } else { lo };
+    let nhi = if p < ke { (HEAD_STRIDE * p + 1).min(hi) } else { hi };
+    (nlo, nhi)
+}
+
 impl VecStorage {
     /// Cold-window seek: narrow `[lo, hi)` with the head samples, then block
     /// search the surviving stretch (at most `HEAD_STRIDE + 1` values).
     #[inline]
     fn cold_lub(&self, lo: usize, hi: usize, bound: u32) -> usize {
-        // Samples covering the window: heads[k] with HEAD_STRIDE·k ∈ [lo, hi).
-        let ks = lo.div_ceil(HEAD_STRIDE);
-        let ke = hi.div_ceil(HEAD_STRIDE);
-        if ks >= ke {
-            return block_lub(&self.values, lo, hi, bound);
-        }
-        // The samples are values from one sorted window, so they are sorted;
-        // find the first sample ≥ bound.
-        let p = block_lub(&self.heads, ks, ke, bound);
-        // Sample p−1 (if inside) is < bound: the answer lies strictly after
-        // its position. Sample p (if inside) is ≥ bound: the answer lies at
-        // or before its position.
-        let nlo = if p > ks { HEAD_STRIDE * (p - 1) + 1 } else { lo };
-        let nhi = if p < ke { (HEAD_STRIDE * p + 1).min(hi) } else { hi };
+        let (nlo, nhi) = head_narrow(&self.heads, lo, hi, bound);
         block_lub(&self.values, nlo, nhi, bound)
     }
 }
