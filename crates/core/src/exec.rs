@@ -14,14 +14,9 @@
 //!    misaligned factor;
 //! 2. take the ranges — a delta replay's anchor ranges when it is given a
 //!    restriction, else the cuts of [`first_var_ranges`], the only place
-//!    that decides whether a step is chunked. It decides from the rows of
-//!    the inputs in front of it, not from an estimate: a basis of at least
-//!    `2 ×` [`ExecPolicy::min_chunk_rows`] rows is cut into up to
-//!    [`ExecPolicy::threads`] value ranges of roughly equal row counts,
-//!    never splitting a value — on a spilled basis's chunk boundaries, else
-//!    straight off the root level of its cached trie index
-//!    ([`faq_factor::FactorTrie::partition_root`]). An unchunked step gets
-//!    one full range;
+//!    that decides whether a step is chunked (from the rows of the inputs in
+//!    front of it, not from an estimate). An unchunked step gets one full
+//!    range;
 //! 3. run a restriction or a single range in order into one
 //!    [`faq_factor::FactorBuilder`]; fan several cuts out to a
 //!    `std::thread::scope` worker pool, each worker stream-folding its groups
