@@ -48,7 +48,7 @@
 //! the last handle drops (`SpillDir`), so cloned factors and snapshots
 //! share the cold data by reference and nothing is copied on epoch publish.
 
-use crate::fault::{self, Injected, QueryAbort, StorageError};
+use crate::fault::{self, FaultSlot, Injected, QueryAbort, StorageError};
 use crate::storage::{head_narrow, LevelStorage, VecStorage, HEAD_STRIDE};
 use crate::trie::partition_runs;
 use std::collections::HashMap;
@@ -259,11 +259,14 @@ impl SpillConfig {
 }
 
 /// A uniquely-named spill directory, removed (with everything in it) when the
-/// last [`Arc`] handle drops — factors, their tries and their clones share
-/// one.
+/// last [`Arc`] handle drops — factors, their tries, their clones and every
+/// file in it share one, and with it the fault plan armed on them.
 #[derive(Debug)]
 pub(crate) struct SpillDir {
     path: PathBuf,
+    /// Names the files in this directory apart.
+    files: AtomicU64,
+    faults: Arc<FaultSlot>,
 }
 
 impl SpillDir {
@@ -274,11 +277,13 @@ impl SpillDir {
         let path = base.join(format!("faq-spill-{}-{n}", std::process::id()));
         std::fs::create_dir_all(&path)
             .map_err(|e| StorageError::io("create spill directory", &path, &e, 1))?;
-        Ok(Arc::new(SpillDir { path }))
+        Ok(Arc::new(SpillDir { path, files: AtomicU64::new(0), faults: Arc::default() }))
     }
 
-    fn new_file(&self, name: &str) -> Result<Arc<SpillFile>, StorageError> {
-        let path = self.path.join(name);
+    /// A fresh file `<kind>-<n>.bin` in this directory.
+    fn new_file(self: &Arc<Self>, kind: &str) -> Result<Arc<SpillFile>, StorageError> {
+        let n = self.files.fetch_add(1, Ordering::Relaxed);
+        let path = self.path.join(format!("{kind}-{n}.bin"));
         let file = File::options()
             .create(true)
             .truncate(true)
@@ -286,7 +291,7 @@ impl SpillDir {
             .write(true)
             .open(&path)
             .map_err(|e| StorageError::io("create spill file", &path, &e, 1))?;
-        Ok(Arc::new(SpillFile { file: Mutex::new(file), path }))
+        Ok(Arc::new(SpillFile { file: Mutex::new(file), path, dir: Arc::clone(self) }))
     }
 
     /// The directory path (tests assert cleanup-on-drop against it).
@@ -352,11 +357,13 @@ fn process_alive(_pid: u32) -> bool {
 
 /// One spill file. All access serializes on the file handle itself, so
 /// factor clones sharing chunks across caches never interleave seek/read
-/// pairs.
+/// pairs. It keeps its directory alive, and every chunk operation on it
+/// draws from that directory's fault plan.
 #[derive(Debug)]
 pub(crate) struct SpillFile {
     file: Mutex<File>,
     path: PathBuf,
+    dir: Arc<SpillDir>,
 }
 
 impl SpillFile {
@@ -378,7 +385,7 @@ impl SpillFile {
     /// Append with injection, bounded retry and backoff — one logical chunk
     /// write.
     fn append(&self, offset: u64, bytes: &[u8]) -> Result<(), StorageError> {
-        let injected = fault::chunk_op_fault();
+        let injected = self.dir.faults.draw();
         if let Injected::Delay(us) = injected {
             std::thread::sleep(std::time::Duration::from_micros(us));
         }
@@ -419,7 +426,7 @@ fn read_chunk_verified(
     chunk: usize,
     expected: u64,
 ) -> Result<(), StorageError> {
-    let injected = fault::chunk_op_fault();
+    let injected = file.dir.faults.draw();
     if let Injected::Delay(us) = injected {
         std::thread::sleep(std::time::Duration::from_micros(us));
     }
@@ -709,6 +716,11 @@ impl<E> FileChunkedColumns<E> {
         &self.inner.dir
     }
 
+    /// The fault plan slot of this listing's spill directory.
+    pub(crate) fn faults(&self) -> &Arc<FaultSlot> {
+        &self.inner.dir.faults
+    }
+
     pub(crate) fn stats(&self) -> SpillStats {
         let i = &self.inner;
         SpillStats {
@@ -809,13 +821,10 @@ impl<E> FileChunkedColumns<E> {
     /// out in level chunks beside the listing — peak residency is the pinned
     /// window plus one level chunk of buffering per column.
     pub(crate) fn level_sinks(&self) -> Vec<LevelSpill> {
-        static LEVEL_N: AtomicU64 = AtomicU64::new(0);
         let inner = &self.inner;
-        let n = LEVEL_N.fetch_add(1, Ordering::Relaxed);
         (0..inner.arity)
             .map(|d| LevelSpill {
-                file: ok_or_raise(inner.dir.new_file(&format!("trie-{n}-l{d}.bin"))),
-                dir: Arc::clone(&inner.dir),
+                file: ok_or_raise(inner.dir.new_file(&format!("trie-l{d}"))),
                 entries: inner.config.level_entries(),
                 window_chunks: inner.config.window_chunks,
                 offset: 0,
@@ -840,7 +849,6 @@ impl<E> FileChunkedColumns<E> {
 /// chunks of an existing spilled listing through by reference — no read, no
 /// copy.
 pub(crate) struct SpillWriter<E> {
-    dir: Arc<SpillDir>,
     file: Arc<SpillFile>,
     offset: u64,
     arity: usize,
@@ -856,8 +864,6 @@ pub(crate) struct SpillWriter<E> {
     col_maxes: Vec<u32>,
 }
 
-static FILE_N: AtomicU64 = AtomicU64::new(0);
-
 impl<E: FixedBytes> SpillWriter<E> {
     /// A writer over a fresh spill directory.
     ///
@@ -865,7 +871,7 @@ impl<E: FixedBytes> SpillWriter<E> {
     /// if the directory or file cannot be created.
     pub(crate) fn new(arity: usize, config: SpillConfig) -> SpillWriter<E> {
         let dir = ok_or_raise(SpillDir::create(config.dir.as_ref()));
-        SpillWriter::in_dir(dir, arity, E::WIDTH, decode_fn::<E>, encode_fn::<E>, config)
+        SpillWriter::in_dir(&dir, arity, E::WIDTH, decode_fn::<E>, encode_fn::<E>, config)
     }
 }
 
@@ -876,24 +882,19 @@ impl<E> SpillWriter<E> {
     /// `base` was built.
     pub(crate) fn new_like(base: &FileChunkedColumns<E>) -> SpillWriter<E> {
         let b = &base.inner;
-        let dir = Arc::clone(&b.dir);
-        SpillWriter::in_dir(dir, b.arity, b.width, b.decode, b.encode, b.config.clone())
+        SpillWriter::in_dir(&b.dir, b.arity, b.width, b.decode, b.encode, b.config.clone())
     }
 
     fn in_dir(
-        dir: Arc<SpillDir>,
+        dir: &Arc<SpillDir>,
         arity: usize,
         width: usize,
         decode: fn(&[u8]) -> E,
         encode: fn(&E, &mut Vec<u8>),
         config: SpillConfig,
     ) -> SpillWriter<E> {
-        let file = ok_or_raise(
-            dir.new_file(&format!("cols-{}.bin", FILE_N.fetch_add(1, Ordering::Relaxed))),
-        );
         SpillWriter {
-            dir,
-            file,
+            file: ok_or_raise(dir.new_file("cols")),
             offset: 0,
             arity,
             width,
@@ -999,7 +1000,7 @@ impl<E> SpillWriter<E> {
                 row_starts: self.row_starts,
                 col_maxes: self.col_maxes,
                 config: self.config,
-                dir: self.dir,
+                dir: Arc::clone(&self.file.dir),
                 window,
             }),
         }
@@ -1026,8 +1027,6 @@ struct LevelInner {
     /// [`SpillConfig::level_chunk_entries`]).
     entries: usize,
     file: Arc<SpillFile>,
-    #[allow(dead_code)] // held to keep the spill directory alive
-    dir: Arc<SpillDir>,
     /// Resident head samples: `heads[k] = values[HEAD_STRIDE * k]`.
     heads: Vec<u32>,
     /// Resident end sentinels (`child[len]` / `rows[len]` are never on disk).
@@ -1256,7 +1255,6 @@ impl LevelStorage for FactorLevel {
 /// heads. Made by [`FileChunkedColumns::level_sinks`].
 pub(crate) struct LevelSpill {
     file: Arc<SpillFile>,
-    dir: Arc<SpillDir>,
     entries: usize,
     window_chunks: usize,
     offset: u64,
@@ -1315,7 +1313,6 @@ impl crate::trie::LevelSink for LevelSpill {
                 len: self.total,
                 entries: self.entries,
                 file: self.file,
-                dir: self.dir,
                 heads: self.heads,
                 child_end,
                 rows_end,
@@ -1329,6 +1326,12 @@ impl crate::trie::LevelSink for LevelSpill {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{FaultGuard, FaultPlan};
+
+    /// `plan` armed on the one-column listing `cols`.
+    fn arm(plan: FaultPlan, cols: &FileChunkedColumns<u64>) -> FaultGuard {
+        plan.arm([&crate::Factor::from_spill(vec![faq_hypergraph::Var(0)], cols.clone())])
+    }
 
     #[test]
     fn fixed_bytes_roundtrip() {
@@ -1455,7 +1458,7 @@ mod tests {
         }
         let cols = w.finish_cols();
         let retries_before = fault::io_retries();
-        let _g = fault::FaultPlan::seeded(5).fail_transient(1.0).install_local();
+        let _g = arm(FaultPlan::seeded(5).fail_transient(1.0), &cols);
         for i in 0..8usize {
             assert_eq!(cols.value_owned(i), i as u64, "retry absorbs the transient failure");
         }
@@ -1471,7 +1474,7 @@ mod tests {
         }
         let cols = w.finish_cols();
         let corrupt_before = fault::corrupt_chunks();
-        let _g = fault::FaultPlan::seeded(5).corrupt(1.0).install_local();
+        let _g = arm(FaultPlan::seeded(5).corrupt(1.0), &cols);
         let r = fault::guarded(None, None, || cols.value_owned(0));
         match r {
             Err(QueryAbort::Storage(StorageError::Corrupt { chunk: 0, .. })) => {}
@@ -1490,7 +1493,7 @@ mod tests {
             w.push(&[i], 7);
         }
         let cols = w.finish_cols();
-        let _g = fault::FaultPlan::seeded(5).fail_hard(1.0).install_local();
+        let _g = arm(FaultPlan::seeded(5).fail_hard(1.0), &cols);
         match fault::guarded(None, None, || cols.value_owned(0)) {
             Err(QueryAbort::Storage(StorageError::Io { op: "read chunk", attempts, .. })) => {
                 assert_eq!(attempts, MAX_IO_ATTEMPTS);

@@ -199,6 +199,14 @@ impl<E> Factor<E> {
         matches!(self.body.cols, Columns::Spill(_))
     }
 
+    /// Read access to the spilled listing, when there is one.
+    pub(crate) fn spill_cols(&self) -> Option<&FileChunkedColumns<E>> {
+        match &self.body.cols {
+            Columns::Spill(c) => Some(c),
+            Columns::Mem { .. } => None,
+        }
+    }
+
     #[track_caller]
     pub(crate) fn mem_rows(&self) -> &[u32] {
         match &self.body.cols {
@@ -489,14 +497,6 @@ impl<E: SemiringElem> Factor<E> {
     pub(crate) fn from_spill(schema: Vec<Var>, cols: FileChunkedColumns<E>) -> Factor<E> {
         let len = cols.len();
         Factor::from_parts(schema, Columns::Spill(cols), len, None)
-    }
-
-    /// Read access to the spilled listing, when there is one.
-    pub(crate) fn spill_cols(&self) -> Option<&FileChunkedColumns<E>> {
-        match &self.body.cols {
-            Columns::Spill(c) => Some(c),
-            Columns::Mem { .. } => None,
-        }
     }
 
     /// Chunk and read statistics of the spilled listing, or `None` for an

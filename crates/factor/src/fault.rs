@@ -39,9 +39,13 @@
 //! delay. Decisions are a pure
 //! hash of `(seed, operation sequence number)`, so a single-threaded run
 //! replays exactly and a concurrent run draws from the same fault
-//! distribution. Plans install globally (chaos suites) or thread-locally
-//! (unit tests that must not disturb concurrent tests in the same process).
+//! distribution. A plan is armed on the spilled factors it should fault
+//! ([`FaultPlan::arm`]) and kept in their spill directories, which every
+//! clone, trie level and delta splice of those factors shares: their chunk
+//! operations are faulted on whichever thread runs them, and every other
+//! factor's are left alone.
 
+use crate::Factor;
 use std::cell::RefCell;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -405,24 +409,24 @@ impl FaultPlan {
         self
     }
 
-    /// Install this plan process-wide until the guard drops. Concurrent
-    /// global installs serialize on an internal lock, so independent chaos
-    /// tests in one binary cannot overlap.
-    pub fn install_global(self) -> FaultGuard {
+    /// Arm this plan on the spill directories of `factors` until the guard
+    /// drops: every chunk read or append of those factors, their clones,
+    /// their trie levels and the delta splices made from them draws its fate
+    /// from the plan, on any thread. In-memory factors have no chunks and are
+    /// skipped. The directories armed by one call share one sequence counter,
+    /// so the k-th chunk operation among them is a pure function of the seed.
+    pub fn arm<'a, E: 'a>(self, factors: impl IntoIterator<Item = &'a Factor<E>>) -> FaultGuard {
         install_quiet_hook();
-        let lock = INSTALL_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        *global_plan().lock().unwrap_or_else(PoisonError::into_inner) =
-            Some((self, Arc::new(AtomicU64::new(0))));
-        GLOBAL_ACTIVE.store(true, Ordering::SeqCst);
-        FaultGuard { global_lock: Some(lock) }
-    }
-
-    /// Install this plan for the current thread only, until the guard
-    /// drops. Chunk operations of other threads are unaffected.
-    pub fn install_local(self) -> FaultGuard {
-        install_quiet_hook();
-        LOCAL_PLAN.with(|p| *p.borrow_mut() = Some((self, 0)));
-        FaultGuard { global_lock: None }
+        let seq = Arc::new(AtomicU64::new(0));
+        let slots: Vec<Arc<FaultSlot>> = factors
+            .into_iter()
+            .filter_map(|f| f.spill_cols().map(|c| Arc::clone(c.faults())))
+            .collect();
+        for slot in &slots {
+            *slot.lock() = Some((self, Arc::clone(&seq)));
+            slot.armed.store(true, Ordering::SeqCst);
+        }
+        FaultGuard { slots }
     }
 
     fn decide(&self, seq: u64) -> Injected {
@@ -447,37 +451,52 @@ impl FaultPlan {
     }
 }
 
-static GLOBAL_ACTIVE: AtomicBool = AtomicBool::new(false);
-static INSTALL_LOCK: Mutex<()> = Mutex::new(());
-
-#[allow(clippy::type_complexity)]
-fn global_plan() -> &'static Mutex<Option<(FaultPlan, Arc<AtomicU64>)>> {
-    static PLAN: OnceLock<Mutex<Option<(FaultPlan, Arc<AtomicU64>)>>> = OnceLock::new();
-    PLAN.get_or_init(|| Mutex::new(None))
+/// The plan a spill directory's chunk operations draw from; unarmed until
+/// [`FaultPlan::arm`] names a factor stored there.
+#[derive(Debug, Default)]
+pub(crate) struct FaultSlot {
+    armed: AtomicBool,
+    /// The plan and the sequence counter its `arm` call shares.
+    plan: Mutex<Option<(FaultPlan, Arc<AtomicU64>)>>,
 }
 
-thread_local! {
-    static LOCAL_PLAN: RefCell<Option<(FaultPlan, u64)>> = const { RefCell::new(None) };
-}
+impl FaultSlot {
+    fn lock(&self) -> MutexGuard<'_, Option<(FaultPlan, Arc<AtomicU64>)>> {
+        self.plan.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
-/// Uninstalls a [`FaultPlan`] on drop.
-#[must_use = "dropping the guard immediately uninstalls the plan"]
-pub struct FaultGuard {
-    global_lock: Option<MutexGuard<'static, ()>>,
-}
-
-impl Drop for FaultGuard {
-    fn drop(&mut self) {
-        if self.global_lock.is_some() {
-            GLOBAL_ACTIVE.store(false, Ordering::SeqCst);
-            *global_plan().lock().unwrap_or_else(PoisonError::into_inner) = None;
-        } else {
-            LOCAL_PLAN.with(|p| *p.borrow_mut() = None);
+    /// Draw the armed plan's decision for the next logical chunk operation:
+    /// [`Injected::None`], after one atomic load, when nothing is armed.
+    pub(crate) fn draw(&self) -> Injected {
+        // Relaxed: the flag publishes nothing, the plan is read under the
+        // lock, and an operation meant to be faulted is ordered after `arm`
+        // by whatever handed it the factor.
+        if !self.armed.load(Ordering::Relaxed) {
+            return Injected::None;
+        }
+        match self.lock().as_ref() {
+            Some((plan, seq)) => plan.decide(seq.fetch_add(1, Ordering::Relaxed)),
+            None => Injected::None,
         }
     }
 }
 
-/// The fate of one logical chunk operation under the installed plan.
+/// Disarms the directories its [`FaultPlan::arm`] call armed on drop.
+#[must_use = "dropping the guard immediately disarms the plan"]
+pub struct FaultGuard {
+    slots: Vec<Arc<FaultSlot>>,
+}
+
+impl Drop for FaultGuard {
+    fn drop(&mut self) {
+        for slot in &self.slots {
+            slot.armed.store(false, Ordering::SeqCst);
+            *slot.lock() = None;
+        }
+    }
+}
+
+/// The fate of one logical chunk operation under the armed plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Injected {
     None,
@@ -485,30 +504,6 @@ pub(crate) enum Injected {
     FailHard,
     Corrupt,
     Delay(u64),
-}
-
-/// Draw the installed plan's decision for the next logical chunk operation
-/// ([`Injected::None`] when no plan is installed). The thread-local plan
-/// takes precedence over the global one.
-pub(crate) fn chunk_op_fault() -> Injected {
-    let local = LOCAL_PLAN.with(|p| {
-        p.borrow_mut().as_mut().map(|(plan, seq)| {
-            let s = *seq;
-            *seq += 1;
-            plan.decide(s)
-        })
-    });
-    if let Some(d) = local {
-        return d;
-    }
-    if !GLOBAL_ACTIVE.load(Ordering::Relaxed) {
-        return Injected::None;
-    }
-    let plan = global_plan().lock().unwrap_or_else(PoisonError::into_inner);
-    match plan.as_ref() {
-        Some((plan, seq)) => plan.decide(seq.fetch_add(1, Ordering::Relaxed)),
-        None => Injected::None,
-    }
 }
 
 /// A uniform variate in `[0, 1)` as a pure function of `(seed, n)`
@@ -603,14 +598,22 @@ mod tests {
     }
 
     #[test]
-    fn local_plan_scopes_to_installing_thread() {
-        let plan = FaultPlan::seeded(3).fail_hard(1.0);
-        let _g = plan.install_local();
-        assert_eq!(chunk_op_fault(), Injected::FailHard);
+    fn armed_plan_scopes_to_its_factors_on_every_thread() {
+        let config = crate::SpillConfig { chunk_rows: 1, window_chunks: 1, ..Default::default() };
+        let rows: Vec<(Vec<u32>, u64)> = (0..4u32).map(|i| (vec![i], 1)).collect();
+        let mem = Factor::new(vec![faq_hypergraph::Var(0)], rows).unwrap();
+        let (a, b) = (mem.to_spilled(config.clone()), mem.to_spilled(config));
+        // Row `i` of a one-row-a-chunk listing faults its own chunk in.
+        let read = |f: &Factor<u64>, i: usize| guarded(None, None, || f.col(i, 0));
+        let guard = FaultPlan::seeded(3).fail_hard(1.0).arm([&a]);
         std::thread::scope(|s| {
-            s.spawn(|| assert_eq!(chunk_op_fault(), Injected::None)).join().unwrap();
+            s.spawn(|| {
+                assert!(matches!(read(&a, 0), Err(QueryAbort::Storage(_))), "A is armed");
+                assert_eq!(read(&b, 0), Ok(0), "B is not");
+            });
         });
-        drop(_g);
-        assert_eq!(chunk_op_fault(), Injected::None);
+        assert!(matches!(read(&a.clone(), 1), Err(QueryAbort::Storage(_))), "clones share it");
+        drop(guard);
+        assert_eq!(read(&a, 2), Ok(2), "the dropped guard disarmed A");
     }
 }

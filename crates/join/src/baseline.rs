@@ -1,11 +1,11 @@
-//! Baseline join algorithms: pairwise hash joins and nested loops.
+//! The baseline join algorithm: a left-deep plan of pairwise hash joins.
 //!
-//! These are the comparison points for the Table 1 "Joins" row: on cyclic
+//! It is the comparison point for the Table 1 "Joins" row: on cyclic
 //! queries such as the triangle, any pairwise join plan materializes an
 //! intermediate of size `Θ(N²)` in the worst case, while the OutsideIn
 //! multiway join stays within the AGM bound `O(N^{3/2})`.
 
-use faq_factor::{Domains, Factor};
+use faq_factor::Factor;
 use faq_hypergraph::Var;
 use faq_semiring::SemiringElem;
 use std::collections::HashMap;
@@ -71,38 +71,39 @@ pub fn pairwise_hash_join<E: SemiringElem>(
     acc
 }
 
-/// Nested-loop join: enumerate every assignment to `order` and probe each
-/// factor. Exponential in the number of variables; the naive baseline.
-pub fn nested_loop_join<E: SemiringElem>(
-    domains: &Domains,
-    order: &[Var],
-    factors: &[&Factor<E>],
-    one: E,
-    mut mul: impl FnMut(&E, &E) -> E,
-    mut on_match: impl FnMut(&[u32], E),
-) {
-    let pos_of = |f: &Factor<E>| -> Vec<usize> {
-        f.schema().iter().map(|v| order.iter().position(|o| o == v).unwrap()).collect()
-    };
-    let positions: Vec<Vec<usize>> = factors.iter().map(|f| pos_of(f)).collect();
-    'outer: for assignment in domains.assignments(order) {
-        let mut val = one.clone();
-        for (f, pos) in factors.iter().zip(&positions) {
-            let key: Vec<u32> = pos.iter().map(|&p| assignment[p]).collect();
-            match f.get(&key) {
-                Some(v) => val = mul(&val, v),
-                None => continue 'outer,
-            }
-        }
-        on_match(&assignment, val);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::leapfrog::{multiway_join_range_rep, JoinInput, JoinRep};
+    use faq_factor::Domains;
     use faq_hypergraph::v;
+
+    /// Nested-loop join: enumerate every assignment to `order` and probe each
+    /// factor. Exponential in the number of variables; the naive baseline.
+    fn nested_loop_join<E: SemiringElem>(
+        domains: &Domains,
+        order: &[Var],
+        factors: &[&Factor<E>],
+        one: E,
+        mut mul: impl FnMut(&E, &E) -> E,
+        mut on_match: impl FnMut(&[u32], E),
+    ) {
+        let pos_of = |f: &Factor<E>| -> Vec<usize> {
+            f.schema().iter().map(|v| order.iter().position(|o| o == v).unwrap()).collect()
+        };
+        let positions: Vec<Vec<usize>> = factors.iter().map(|f| pos_of(f)).collect();
+        'outer: for assignment in domains.assignments(order) {
+            let mut val = one.clone();
+            for (f, pos) in factors.iter().zip(&positions) {
+                let key: Vec<u32> = pos.iter().map(|&p| assignment[p]).collect();
+                match f.get(&key) {
+                    Some(v) => val = mul(&val, v),
+                    None => continue 'outer,
+                }
+            }
+            on_match(&assignment, val);
+        }
+    }
 
     fn fac(schema: &[u32], rows: &[(&[u32], u64)]) -> Factor<u64> {
         Factor::new(

@@ -440,6 +440,18 @@ where
     }
 }
 
+/// Whether every variable of `cols` is in `order`, in `order`'s relative
+/// order.
+fn follows_order(cols: &[Var], order: &[Var]) -> bool {
+    let mut last: Option<usize> = None;
+    cols.iter().all(|v| {
+        let p = order.iter().position(|o| o == v);
+        let ok = p.is_some() && p > last;
+        last = p;
+        ok
+    })
+}
+
 /// Enumerate all assignments to `order` consistent with every input factor
 /// and whose *first* variable lies in the half-open value range
 /// `first_range = [lo, hi)`, in lexicographic order of `order`, walking the
@@ -492,26 +504,26 @@ pub fn multiway_join_range_rep<E: SemiringElem>(
         if inp.factor.is_empty() {
             return JoinStats::default();
         }
-        let factor = match inp.prefix {
-            Some(_) => Cow::Borrowed(inp.factor),
-            None => inp.factor.align_to_cow(order),
-        };
-        let eff_arity = inp.prefix.unwrap_or_else(|| factor.arity());
         // Every participating column must be bound by the ordering, in the
-        // ordering's relative order (prefix filters skip alignment, so check
-        // the relative order too).
-        debug_assert!(
-            {
-                let mut last: Option<usize> = None;
-                factor.schema()[..eff_arity].iter().all(|v| {
-                    let p = order.iter().position(|o| o == v);
-                    let ok = p.is_some() && p > last;
-                    last = p;
-                    ok
-                })
-            },
-            "factor columns not covered by the join order in order"
-        );
+        // ordering's relative order. `align_to_cow` makes it so (and asserts
+        // the ordering covers the factor); a prefix filter skips alignment,
+        // so its columns are checked here, in every build: out of order, its
+        // seeks would test the wrong columns and pass wrong rows.
+        let (factor, eff_arity) = match inp.prefix {
+            Some(depth) => {
+                let cols = &inp.factor.schema()[..depth];
+                assert!(
+                    follows_order(cols, order),
+                    "prefix filter columns {cols:?} do not follow the join order {order:?}"
+                );
+                (Cow::Borrowed(inp.factor), depth)
+            }
+            None => {
+                let factor = inp.factor.align_to_cow(order);
+                let arity = factor.arity();
+                (factor, arity)
+            }
+        };
         aligned.push(Aligned { factor, use_value: inp.use_value, eff_arity });
     }
 
@@ -1078,6 +1090,29 @@ mod tests {
             let what = format!("round {round}");
             assert_reps_agree(&d, &[v(0), v(1), v(2)], &inputs, COUNT, u64_bits, &[2], &what);
         }
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "prefix filter columns [X1, X0] do not follow the join order [X0, X1]"
+    )]
+    fn prefix_filter_out_of_join_order_is_refused() {
+        // G lists (x1, x0) = (0, 1). Read as if it were in (x0, x1) order it
+        // would pass R's row (0, 1), not (1, 0), the one it really matches.
+        let d = Domains::uniform(2, 2);
+        let r = Factor::new(vec![v(0), v(1)], vec![(vec![0, 1], 1u64), (vec![1, 0], 1)]).unwrap();
+        let g = Factor::new(vec![v(1), v(0)], vec![(vec![0, 1], 1u64)]).unwrap();
+        let inputs = [JoinInput::value(&r), JoinInput::prefix_filter(&g, 2)];
+        multiway_join_range_rep(
+            JoinRep::Trie,
+            &d,
+            &[v(0), v(1)],
+            &inputs,
+            (0, u32::MAX),
+            1,
+            |a, b| a * b,
+            |_, _| {},
+        );
     }
 
     #[test]

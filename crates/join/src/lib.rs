@@ -18,8 +18,8 @@
 //!   levels. Its [`JoinStats`] counters — seeks, nodes, matches — are the
 //!   paper's cost model and are counted identically under both (the
 //!   `leapfrog` module docs state the contract).
-//! * [`pairwise_hash_join`] / [`nested_loop_join`] — the baselines, the
-//!   comparison points for the Table 1 "Joins" row.
+//! * [`pairwise_hash_join`] — the baseline, the comparison point for the
+//!   Table 1 "Joins" row.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,5 +28,5 @@
 mod baseline;
 mod leapfrog;
 
-pub use baseline::{nested_loop_join, pairwise_hash_join};
+pub use baseline::pairwise_hash_join;
 pub use leapfrog::{multiway_join_range_rep, JoinInput, JoinRep, JoinStats};

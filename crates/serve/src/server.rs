@@ -1548,8 +1548,8 @@ mod tests {
     fn failed_publish_leaves_previous_epoch_intact() {
         use faq_factor::{FaultPlan, SpillConfig};
         // Spilled catalog: the delta splice and the masters' replay do chunk
-        // I/O on the publishing thread, where a thread-local fault plan can
-        // fail them deterministically.
+        // I/O in the catalog's spill directories, where a fault plan armed on
+        // the catalog fails them deterministically.
         let spill =
             SpillConfig { dir: None, chunk_rows: 8, level_chunk_entries: 64, window_chunks: 2 };
         let catalog: Vec<Factor<u64>> =
@@ -1558,7 +1558,7 @@ mod tests {
             ServeConfig::default().workers(1),
             CountDomain,
             Domains::uniform(3, D),
-            catalog,
+            catalog.clone(),
         );
         let q = s.register(triangle_spec()).unwrap();
         let t = s.tenant("t", 4);
@@ -1569,7 +1569,7 @@ mod tests {
             DeltaFactor::inserts(vec![v(0), v(1)], vec![(vec![3, 4], 2u64), (vec![5, 6], 1u64)])
                 .unwrap();
         {
-            let _g = FaultPlan::seeded(11).fail_hard(1.0).install_local();
+            let _g = FaultPlan::seeded(11).fail_hard(1.0).arm(&catalog);
             let err = s.publish_delta(0, &delta).unwrap_err();
             assert!(
                 matches!(err, ServeError::Faq(FaqError::Storage(_))),

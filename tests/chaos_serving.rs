@@ -95,7 +95,7 @@ fn chaos_every_submission_correct_or_typed_error() {
         ServeConfig::default().workers(workers).max_in_flight(256).panic_plan(panic_plan.clone()),
         CountDomain,
         Domains::uniform(3, DOM),
-        catalog,
+        catalog.clone(),
     );
     // Register (and implicitly prime the masters) before the faults start.
     let q = server.register(spec()).unwrap();
@@ -122,13 +122,15 @@ fn chaos_every_submission_correct_or_typed_error() {
 
     // ≥1% injected chunk-read failures, plus transient errors (absorbed by
     // retry), corruption and delays — decided per logical chunk op from the
-    // seed, identically for every thread.
+    // seed, identically for every thread. Armed on the handles kept above,
+    // the plan reaches the server's copies of them and every delta splice a
+    // publish makes from them: they share the spill directories.
     let fault_guard = FaultPlan::seeded(seed)
         .fail_transient(0.02)
         .fail_hard(0.01)
         .corrupt(0.01)
         .delay(0.01, 200)
-        .install_global();
+        .arm(&catalog);
 
     std::thread::scope(|s| {
         // One writer publishing deltas round-robin over the slots, keeping

@@ -378,8 +378,6 @@ fn failed_apply_delta_on_spilled_slot_preserves_factor_and_trace() {
     let mut q_spilled = probe.query().clone();
     q_spilled.factors[0] = q_spilled.factors[0].to_spilled(config);
 
-    // Sequential planner: the splice (and its chunk I/O) stays on this
-    // thread, where the thread-local fault plan is installed.
     let mut prepared = planner.prepare(&q_spilled).unwrap();
     let mut oracle = planner.prepare(&q_spilled).unwrap();
     assert!(
@@ -402,7 +400,7 @@ fn failed_apply_delta_on_spilled_slot_preserves_factor_and_trace() {
     // so the apply aborts before anything is installed and surfaces the
     // typed storage error.
     {
-        let _g = FaultPlan::seeded(11).fail_hard(1.0).install_local();
+        let _g = FaultPlan::seeded(11).fail_hard(1.0).arm([&prepared.query().factors[0]]);
         match prepared.apply_delta(0, &delta) {
             Err(FaqError::Storage(_)) => {}
             other => panic!("expected FaqError::Storage, got {other:?}"),

@@ -158,7 +158,7 @@ fn prepare_time_storage_faults_are_typed() {
     let late = triangle(vec![catalog[0].clone(), catalog[1].clone(), catalog[3].clone()]);
     let late_spec = QuerySpec::new(spec().free, spec().bound, vec![0, 1, 3]);
     {
-        let _g = FaultPlan::seeded(7).fail_hard(1.0).install_local();
+        let _g = FaultPlan::seeded(7).fail_hard(1.0).arm(&catalog);
         assert!(is_storage(Planner::default().prepare(&late)));
         assert!(is_storage(Engine::new().prepare(&late)));
         let err = server.register(late_spec).unwrap_err();
@@ -179,7 +179,7 @@ fn failed_update_factor_leaves_the_handle_as_it_was() {
     let output = prepared.evaluate().unwrap().factor;
     let fresh = edge(9, 600, 0, 1).to_spilled(spill());
     {
-        let _g = FaultPlan::seeded(7).fail_hard(1.0).install_local();
+        let _g = FaultPlan::seeded(7).fail_hard(1.0).arm([&fresh]);
         assert!(is_storage(prepared.update_factor(0, fresh)));
     }
     assert!(prepared.query().factors[0].shares_body(&old));
@@ -203,11 +203,12 @@ fn every_entry_point_types_storage_faults() {
     let delta =
         DeltaFactor::inserts(aligned[0].schema().to_vec(), vec![(vec![1, 2], 5u64)]).unwrap();
     let (merged, ranges) = delta.apply_to(&aligned[0], |a, b| a + b, |x| *x == 0);
+    let catalog = spilled();
     let server = FaqServer::with_config(
         ServeConfig::default().workers(1),
         CountDomain,
         Domains::uniform(3, DOM),
-        spilled(),
+        catalog.clone(),
     );
     let fresh = triangle(spilled());
     let update = spilled().swap_remove(0);
@@ -215,7 +216,8 @@ fn every_entry_point_types_storage_faults() {
         DeltaFactor::inserts(vec![Var(0), Var(1)], vec![(vec![1, 2], 5u64)]).unwrap();
     let cap = ExecPolicy::sequential();
 
-    let _g = FaultPlan::seeded(7).fail_hard(1.0).install_local();
+    let armed = aligned.iter().chain(&catalog).chain(&fresh.factors).chain([&update]);
+    let _g = FaultPlan::seeded(7).fail_hard(1.0).arm(armed);
     assert!(is_storage(Engine::sequential().evaluate(&fresh)));
     assert!(is_storage(Engine::sequential().evaluate_with_order(&fresh, &q.ordering())));
     assert!(is_storage(Engine::sequential().prepare(&fresh)));
@@ -231,4 +233,22 @@ fn every_entry_point_types_storage_faults() {
     assert!(matches!(err, ServeError::Faq(FaqError::Storage(_))), "got {err:?}");
     let err = server.publish_delta(0, &server_delta).unwrap_err();
     assert!(matches!(err, ServeError::Faq(FaqError::Storage(_))), "got {err:?}");
+}
+
+/// A plan armed on spilled inputs faults their chunk reads on the parallel
+/// engine's range workers too, not only on the thread that armed it.
+#[test]
+fn chunk_workers_type_storage_faults() {
+    // Columns already in the written order, so every input stays spilled.
+    let inputs: Vec<Factor<u64>> = [edge(3, 600, 0, 1), edge(4, 600, 1, 2), edge(5, 600, 0, 2)]
+        .iter()
+        .map(|f| f.to_spilled(spill()))
+        .collect();
+    let q = triangle(inputs.clone());
+    let engine = Engine::new().threads(2).min_chunk_rows(1);
+    // Index the inputs first, so the faulted run reads chunks only inside
+    // its step joins.
+    engine.evaluate_with_order(&q, &q.ordering()).unwrap();
+    let _g = FaultPlan::seeded(7).fail_hard(1.0).arm(&inputs);
+    assert!(is_storage(engine.evaluate_with_order(&q, &q.ordering())));
 }
