@@ -13,12 +13,13 @@
 //!   (first/last tuple, row count, file offset) stays resident, so range
 //!   queries, chunk-aligned partitioning and delta splices know which chunks
 //!   to fault without reading any of them.
-//! * [`FileChunkedLevel`] — one trie level (`values`/`child`/`rows` arrays)
-//!   in uniform entry chunks, with the head-sample array (`values[64k]`) kept
-//!   resident so a seek narrows to one 64-entry stride before touching the
-//!   file, then pins that stride's chunk once and searches its `values`
-//!   slice (see [`crate::storage`] for the seek contract it must match bit
-//!   for bit).
+//! * [`FileChunkedLevel`] — one trie level (its `values`, and above the
+//!   deepest level its `child` offsets: 12 B an interior entry, 4 B a leaf
+//!   one) in uniform entry chunks, with the head-sample array
+//!   (`values[64k]`) kept resident so a seek narrows to one 64-entry stride
+//!   before touching the file, then pins that stride's chunk once and
+//!   searches its `values` slice (see [`crate::storage`] for the seek
+//!   contract it must match bit for bit).
 //! * [`FactorLevel`] — the type every [`crate::trie::FactorTrie`] level is
 //!   stored in: heap ([`crate::storage::VecStorage`]) or disk, chosen per
 //!   factor, with every consumer compiling against the same type.
@@ -36,9 +37,9 @@
 //! Every fault-in is verified against the chunk's `chunk_checksum`, recorded
 //! at write time: a four-lane word-parallel hash that detects **any
 //! corruption confined to one aligned 8-byte word** with certainty (every
-//! single-byte and single-bit error included). It costs 4–6 µs on an 80 KB level
-//! chunk (2-vCPU x86-64 container), about what reading and decoding the chunk
-//! cost.
+//! single-byte and single-bit error included). It costs 4–6 µs on 80 KB of
+//! chunk bytes (2-vCPU x86-64 container), about what reading and decoding
+//! them cost.
 //!
 //! Every pinned chunk is accounted in a process-global gauge
 //! ([`pinned_bytes`] / [`peak_pinned_bytes`]) that `tests/out_of_core.rs`
@@ -830,7 +831,6 @@ impl<E> FileChunkedColumns<E> {
                 offset: 0,
                 buf_values: Vec::new(),
                 buf_child: Vec::new(),
-                buf_rows: Vec::new(),
                 total: 0,
                 heads: Vec::new(),
                 checksums: Vec::new(),
@@ -1011,12 +1011,12 @@ impl<E> SpillWriter<E> {
 // FileChunkedLevel: spilled trie levels
 // ---------------------------------------------------------------------------
 
-/// One decoded trie-level chunk: the three parallel entry arrays.
+/// One decoded trie-level chunk: the entries' values and, above the deepest
+/// level, their child offsets (empty at the deepest).
 #[derive(Debug)]
 struct LevelChunk {
     values: Vec<u32>,
     child: Vec<usize>,
-    rows: Vec<usize>,
 }
 
 #[derive(Debug)]
@@ -1029,9 +1029,9 @@ struct LevelInner {
     file: Arc<SpillFile>,
     /// Resident head samples: `heads[k] = values[HEAD_STRIDE * k]`.
     heads: Vec<u32>,
-    /// Resident end sentinels (`child[len]` / `rows[len]` are never on disk).
-    child_end: usize,
-    rows_end: usize,
+    /// The resident end sentinel `child[len]`, never on disk; `None` at the
+    /// deepest level, which stores no child offsets.
+    child_end: Option<usize>,
     /// Per-chunk checksums, verified on fault-in.
     checksums: Vec<u64>,
     window: ChunkWindow<LevelChunk>,
@@ -1047,8 +1047,18 @@ pub struct FileChunkedLevel {
     inner: Arc<LevelInner>,
 }
 
-/// On-disk entry width: `values` u32 + `child` u64 + `rows` u64.
-const LEVEL_ENTRY_BYTES: usize = 4 + 8 + 8;
+impl LevelInner {
+    /// On-disk bytes of one entry: its `u32` value plus, above the deepest
+    /// level, its `u64` child offset — 12 B an interior entry, 4 B a leaf one
+    /// (entry `j` of the deepest level is row `j`, so it stores no offset).
+    fn entry_bytes(&self) -> usize {
+        if self.child_end.is_some() {
+            4 + 8
+        } else {
+            4
+        }
+    }
+}
 
 impl FileChunkedLevel {
     /// Level chunk `k` through the pinned window — same
@@ -1060,14 +1070,13 @@ impl FileChunkedLevel {
         let n = inner.entries.min(inner.len - start);
         let at = ChunkAt {
             file: &inner.file,
-            offset: (start * LEVEL_ENTRY_BYTES) as u64,
-            bytes: n * LEVEL_ENTRY_BYTES,
+            offset: (start * inner.entry_bytes()) as u64,
+            bytes: n * inner.entry_bytes(),
             checksum: inner.checksums[k],
         };
         inner.window.pin(k, at, |buf| {
-            let (vb, rest) = buf.split_at(n * 4);
-            let (cb, rb) = rest.split_at(n * 8);
-            LevelChunk { values: le_u32s(vb), child: le_offsets(cb), rows: le_offsets(rb) }
+            let (vb, cb) = buf.split_at(n * 4);
+            LevelChunk { values: le_u32s(vb), child: le_offsets(cb) }
         })
     }
 
@@ -1095,17 +1104,11 @@ impl FileChunkedLevel {
     }
 
     fn child_at(&self, j: usize) -> usize {
+        let end = self.inner.child_end.expect("the deepest level stores no child offsets");
         if j == self.inner.len {
-            return self.inner.child_end;
+            return end;
         }
         self.with_entry(j, |c, l| c.child[l])
-    }
-
-    fn row_at(&self, j: usize) -> usize {
-        if j == self.inner.len {
-            return self.inner.rows_end;
-        }
-        self.with_entry(j, |c, l| c.rows[l])
     }
 
     fn lub_from(&self, (lo, hi): (usize, usize), _hint: usize, bound: u32) -> usize {
@@ -1168,6 +1171,14 @@ impl FactorLevel {
             FactorLevel::Disk(_) => None,
         }
     }
+
+    /// Whether the level stores child offsets: every level but the deepest.
+    fn is_interior(&self) -> bool {
+        match self {
+            FactorLevel::Mem(s) => s.is_interior(),
+            FactorLevel::Disk(s) => s.inner.child_end.is_some(),
+        }
+    }
 }
 
 impl PartialEq for FactorLevel {
@@ -1176,15 +1187,15 @@ impl PartialEq for FactorLevel {
             (FactorLevel::Mem(a), FactorLevel::Mem(b)) => a == b,
             (FactorLevel::Disk(a), FactorLevel::Disk(b)) if Arc::ptr_eq(&a.inner, &b.inner) => true,
             // Any other pair of backings compares semantically, entry by
-            // entry, end sentinels included.
+            // entry: the values, then the child offsets of an interior
+            // level, end sentinel included.
             (a, b) => {
                 let n = a.len();
+                let interior = a.is_interior();
                 n == b.len()
-                    && (0..=n).all(|j| {
-                        (j == n || a.value(j) == b.value(j))
-                            && a.child_at(j) == b.child_at(j)
-                            && a.row_at(j) == b.row_at(j)
-                    })
+                    && interior == b.is_interior()
+                    && (0..n).all(|j| a.value(j) == b.value(j))
+                    && (!interior || (0..=n).all(|j| a.child_at(j) == b.child_at(j)))
             }
         }
     }
@@ -1221,14 +1232,6 @@ impl LevelStorage for FactorLevel {
         }
     }
 
-    #[inline]
-    fn row_at(&self, j: usize) -> usize {
-        match self {
-            FactorLevel::Mem(s) => s.row_at(j),
-            FactorLevel::Disk(s) => s.row_at(j),
-        }
-    }
-
     fn resident_bytes(&self) -> usize {
         match self {
             FactorLevel::Mem(s) => s.resident_bytes(),
@@ -1259,8 +1262,8 @@ pub(crate) struct LevelSpill {
     window_chunks: usize,
     offset: u64,
     buf_values: Vec<u32>,
+    /// Empty at the deepest level, which stores no child offsets.
     buf_child: Vec<usize>,
-    buf_rows: Vec<usize>,
     total: usize,
     heads: Vec<u32>,
     checksums: Vec<u64>,
@@ -1272,17 +1275,16 @@ impl LevelSpill {
         if n == 0 {
             return Ok(());
         }
-        let mut bytes = Vec::with_capacity(n * LEVEL_ENTRY_BYTES);
+        let mut bytes = Vec::with_capacity(n * 4 + self.buf_child.len() * 8);
         for &v in &self.buf_values {
             bytes.extend_from_slice(&v.to_le_bytes());
         }
-        for &c in self.buf_child.iter().chain(&self.buf_rows) {
+        for &c in &self.buf_child {
             bytes.extend_from_slice(&(c as u64).to_le_bytes());
         }
         self.checksums.push(append_chunk(&self.file, &mut self.offset, &bytes)?);
         self.buf_values.clear();
         self.buf_child.clear();
-        self.buf_rows.clear();
         Ok(())
     }
 }
@@ -1292,21 +1294,20 @@ impl crate::trie::LevelSink for LevelSpill {
         self.total
     }
 
-    fn push_entry(&mut self, value: u32, child_start: usize, row_start: usize) {
+    fn push_entry(&mut self, value: u32, child_start: Option<usize>) {
         if self.total.is_multiple_of(HEAD_STRIDE) {
             self.heads.push(value);
         }
         self.buf_values.push(value);
-        self.buf_child.push(child_start);
-        self.buf_rows.push(row_start);
+        self.buf_child.extend(child_start);
         self.total += 1;
         if self.buf_values.len() >= self.entries {
             ok_or_raise(self.flush());
         }
     }
 
-    /// Flush the tail chunk; the end sentinels stay resident, never on disk.
-    fn seal(mut self, child_end: usize, rows_end: usize) -> FactorLevel {
+    /// Flush the tail chunk; the end sentinel stays resident, never on disk.
+    fn seal(mut self, child_end: Option<usize>) -> FactorLevel {
         ok_or_raise(self.flush());
         FactorLevel::Disk(FileChunkedLevel {
             inner: Arc::new(LevelInner {
@@ -1315,7 +1316,6 @@ impl crate::trie::LevelSink for LevelSpill {
                 file: self.file,
                 heads: self.heads,
                 child_end,
-                rows_end,
                 checksums: self.checksums,
                 window: ChunkWindow::new(self.window_chunks),
             }),
@@ -1516,6 +1516,25 @@ mod tests {
             Err(QueryAbort::DeadlineExceeded),
             "an expired deadline aborts at the fault-in checkpoint"
         );
+    }
+
+    #[test]
+    fn a_pinned_level_chunk_is_4_bytes_a_leaf_entry_and_12_an_interior_one() {
+        // 128 values of x with two ys each: level 0 spans two whole 64-entry
+        // chunks, the deepest level four.
+        let rows = (0..128u32).flat_map(|x| [(vec![x, 0], 1u64), (vec![x, 1], 1)]).collect();
+        let config = SpillConfig { level_chunk_entries: 64, ..SpillConfig::default() };
+        let f = crate::Factor::new(vec![faq_hypergraph::Var(0), faq_hypergraph::Var(1)], rows)
+            .unwrap()
+            .to_spilled(config);
+        for (d, entry_bytes) in [(0, 12), (1, 4)] {
+            let FactorLevel::Disk(level) = f.trie().level(d).storage() else {
+                panic!("a spilled factor's levels are on disk");
+            };
+            assert_eq!(level.inner.window.resident_bytes(), 0, "level {d}: nothing pinned yet");
+            level.value(1); // not a head sample: pins chunk 0
+            assert_eq!(level.inner.window.resident_bytes(), 64 * entry_bytes, "level {d}");
+        }
     }
 
     #[test]

@@ -688,12 +688,12 @@ impl<E: SemiringElem> Factor<E> {
     pub fn project_combine(
         &self,
         keep: &[Var],
-        mut combine: impl FnMut(&E, &E) -> E,
-        is_zero: impl FnMut(&E) -> bool,
+        combine: impl FnMut(&E, &E) -> E,
+        mut is_zero: impl FnMut(&E) -> bool,
     ) -> Factor<E> {
         let positions: Vec<usize> =
             (0..self.arity()).filter(|&i| keep.contains(&self.body.schema[i])).collect();
-        self.project_fold(&positions, |v| v.clone(), |a, b| combine(a, b), is_zero)
+        self.project_fold(&positions, E::clone, combine, |v, _| !is_zero(v))
     }
 
     /// The indicator projection `ψ_{S/T}` of paper Definition 4.2: project
@@ -701,13 +701,15 @@ impl<E: SemiringElem> Factor<E> {
     pub fn indicator_projection(&self, keep: &[Var], one: E) -> Factor<E> {
         let positions: Vec<usize> =
             (0..self.arity()).filter(|&i| keep.contains(&self.body.schema[i])).collect();
-        self.project_fold(&positions, |_| one.clone(), |a, _| a.clone(), |_| false)
+        self.project_fold(&positions, |_| one.clone(), |a, _| a.clone(), |_, _| true)
     }
 
-    /// Shared engine of the projection family: project rows onto `positions`
-    /// (columns of `self`, in output order), derive each row's contribution
-    /// with `contribution`, fold group contributions in row order with
-    /// `combine`, and drop groups whose fold `is_zero`.
+    /// Shared engine of the projection family and of product
+    /// marginalization: project rows onto `positions` (columns of `self`, in
+    /// output order), open each group's fold with its first row's
+    /// `contribution`, fold every further row's value into it in row order
+    /// with `combine`, and keep the groups for which `keep(fold, group rows)`
+    /// holds.
     ///
     /// When `positions` is a prefix of the column order, the input's
     /// sortedness already groups equal keys consecutively — one streaming
@@ -721,38 +723,42 @@ impl<E: SemiringElem> Factor<E> {
         positions: &[usize],
         mut contribution: impl FnMut(&E) -> E,
         mut combine: impl FnMut(&E, &E) -> E,
-        mut is_zero: impl FnMut(&E) -> bool,
+        mut keep: impl FnMut(&E, u64) -> bool,
     ) -> Factor<E> {
         let is_prefix = positions.iter().enumerate().all(|(i, &p)| i == p);
         if !is_prefix && self.is_spilled() {
-            return self.to_heap().project_fold(positions, contribution, combine, is_zero);
+            return self.to_heap().project_fold(positions, contribution, combine, keep);
         }
         let new_schema: Vec<Var> = positions.iter().map(|&i| self.body.schema[i]).collect();
         let k = positions.len();
         let mut out = FactorBuilder::new(new_schema).expect("projected schema stays valid");
         let mut key: Vec<u32> = Vec::with_capacity(k);
         let mut buf: Vec<u32> = vec![0; k];
-        let mut acc: Option<E> = None;
+        // The running fold of the current group and its row count.
+        let mut acc: Option<(E, u64)> = None;
         self.for_each_row_grouped(is_prefix, positions, &mut |row, val| {
             for (slot, &p) in buf.iter_mut().zip(positions) {
                 *slot = row[p];
             }
             match &mut acc {
-                Some(a) if key == buf => *a = combine(a, &contribution(val)),
+                Some((a, n)) if key == buf => {
+                    *a = combine(a, val);
+                    *n += 1;
+                }
                 _ => {
-                    if let Some(done) = acc.take() {
-                        if !is_zero(&done) {
+                    if let Some((done, n)) = acc.take() {
+                        if keep(&done, n) {
                             out.push(&key, done);
                         }
                     }
                     key.clear();
                     key.extend_from_slice(&buf);
-                    acc = Some(contribution(val));
+                    acc = Some((contribution(val), 1));
                 }
             }
         });
-        if let Some(done) = acc.take() {
-            if !is_zero(&done) {
+        if let Some((done, n)) = acc.take() {
+            if keep(&done, n) {
                 out.push(&key, done);
             }
         }
@@ -860,7 +866,7 @@ impl<E: SemiringElem> Factor<E> {
         &self,
         var: Var,
         dom_size: u32,
-        mut mul: impl FnMut(&E, &E) -> E,
+        mul: impl FnMut(&E, &E) -> E,
         mut is_zero: impl FnMut(&E) -> bool,
     ) -> Factor<E> {
         let vpos = self
@@ -869,49 +875,9 @@ impl<E: SemiringElem> Factor<E> {
             .position(|&s| s == var)
             .unwrap_or_else(|| panic!("{var} not in schema {:?}", self.body.schema));
         let positions: Vec<usize> = (0..self.arity()).filter(|&i| i != vpos).collect();
-        let new_schema: Vec<Var> = positions.iter().map(|&i| self.body.schema[i]).collect();
-
-        // Dropping the *last* column keeps rows grouped already (the order
-        // spilled listings stream in); any other column pays for a stable
-        // index sort inside `for_each_row_grouped`, on a heap copy when
-        // spilled.
-        let grouped = vpos + 1 == self.arity();
-        if !grouped && self.is_spilled() {
-            return self.to_heap().marginalize_product(var, dom_size, mul, is_zero);
-        }
-        let mut out = FactorBuilder::new(new_schema).expect("projected schema stays valid");
-        let mut key: Vec<u32> = Vec::with_capacity(positions.len());
-        let mut buf: Vec<u32> = vec![0; positions.len()];
-        // The running fold plus the group's row count: a group only survives
-        // when it lists every one of the `dom_size` values of `var`.
-        let mut acc: Option<(E, u64)> = None;
-        self.for_each_row_grouped(grouped, &positions, &mut |row, val| {
-            for (slot, &p) in buf.iter_mut().zip(&positions) {
-                *slot = row[p];
-            }
-            match &mut acc {
-                Some((a, n)) if key == buf => {
-                    *a = mul(a, val);
-                    *n += 1;
-                }
-                _ => {
-                    if let Some((done, n)) = acc.take() {
-                        if n == u64::from(dom_size) && !is_zero(&done) {
-                            out.push(&key, done);
-                        }
-                    }
-                    key.clear();
-                    key.extend_from_slice(&buf);
-                    acc = Some((val.clone(), 1));
-                }
-            }
-        });
-        if let Some((done, n)) = acc.take() {
-            if n == u64::from(dom_size) && !is_zero(&done) {
-                out.push(&key, done);
-            }
-        }
-        out.finish()
+        // A group only survives when it lists every one of the `dom_size`
+        // values of `var`.
+        self.project_fold(&positions, E::clone, mul, |p, n| n == u64::from(dom_size) && !is_zero(p))
     }
 
     /// A heap copy of a spilled listing ([`Factor::map_values`] always
@@ -995,9 +961,11 @@ impl<E: SemiringElem> Factor<E> {
         for p in &parts {
             assert_eq!(p.body.schema, schema, "merge_sorted requires identical schemas");
         }
-        let rows = parts.iter().flat_map(|p| p.iter().map(|(r, v)| (r.to_vec(), v.clone())));
-        Self::with_combine(schema, rows.collect(), combine, is_zero)
-            .expect("parts share one valid schema")
+        let mut rows = Vec::new();
+        for p in &parts {
+            p.for_each_row_grouped(true, &[], &mut |r, v| rows.push((r.to_vec(), v.clone())));
+        }
+        Self::with_combine(schema, rows, combine, is_zero).expect("parts share one valid schema")
     }
 
     /// Replace every row whose first-column value falls inside one of

@@ -1,15 +1,16 @@
 //! The seek contract of a trie level, and the branch-free kernel that
 //! answers it on the heap.
 //!
-//! A [`crate::trie::FactorTrie`] is three parallel arrays per level —
-//! `values`, `child` offsets, `rows` offsets — and one hot operation over
-//! them: the *windowed least-upper-bound* seek behind every leapfrog join
-//! step. [`LevelStorage`] is the contract every backing of those arrays
-//! answers: [`VecStorage`] on the heap, the file-chunked
-//! [`crate::colstore::FileChunkedLevel`] on disk, and
-//! [`crate::colstore::FactorLevel`] — the one type a trie level is stored
-//! in — which dispatches between the two. The trie, its cursors and the join
-//! above them are written once, against that contract.
+//! A [`crate::trie::FactorTrie`] level stores only what it cannot derive —
+//! its sorted `values`, and above the deepest level its `child` offsets
+//! (entry `j` of the deepest level is listing row `j`, so it stores no
+//! offsets) — and one hot operation runs over them: the *windowed
+//! least-upper-bound* seek behind every leapfrog join step. [`LevelStorage`]
+//! is the contract every backing of those arrays answers: [`VecStorage`] on
+//! the heap, the file-chunked [`crate::colstore::FileChunkedLevel`] on disk,
+//! and [`crate::colstore::FactorLevel`] — the one type a trie level is
+//! stored in — which dispatches between the two. The trie, its cursors and
+//! the join above them are written once, against that contract.
 //!
 //! # Storage contract
 //!
@@ -17,9 +18,10 @@
 //!   within each window — the half-open child range of one parent entry —
 //!   values are strictly increasing (sorted and distinct). Values from
 //!   different windows are unrelated.
-//! * `child` and `rows` hold `len + 1` monotone offsets; entry `j` owns
-//!   `child[j]..child[j+1]` in the next level and `rows[j]..rows[j+1]` in
-//!   the listing.
+//! * above the deepest level, `child` holds `len + 1` monotone offsets;
+//!   entry `j` owns `child[j]..child[j+1]` in the next level. The listing
+//!   rows below an entry follow from them
+//!   ([`crate::trie::FactorTrie::rows_below`]).
 //! * [`LevelStorage::lub_from`] must return **exactly**
 //!   `lo + values[lo..hi].partition_point(|v| v < bound)` for any window
 //!   `(lo, hi)` inside one parent window and *any* hint value — the hint may
@@ -46,12 +48,17 @@
 //!   down to an 8-lane tail counted branch-free — a shape the compiler
 //!   autovectorizes.
 
-/// Backing storage of one trie level: the `values`/`child`/`rows` arrays and
-/// the windowed-lub search over them. The exact contract is in the
-/// `storage` module docs.
+/// Backing storage of one trie level: the `values` array, the `child`
+/// offsets above the deepest level, and the windowed-lub search over them.
+/// The exact contract is in the `storage` module docs.
 pub trait LevelStorage: Clone + std::fmt::Debug + PartialEq + Eq + Send + Sync {
-    /// Assemble a level from its finished columnar arrays. `child` and `rows`
-    /// must hold `values.len() + 1` monotone offsets each.
+    /// Assemble a level from its finished columnar arrays. `child` holds
+    /// `values.len() + 1` monotone offsets above the deepest level and is
+    /// empty at the deepest level, where entry `j` is row `j`.
+    ///
+    /// `rows` is ignored: no level stores row offsets, since the rows below
+    /// an entry follow from the child offsets. The parameter stays only
+    /// because the benchmark's `api.rs` calls this with three arguments.
     fn from_parts(values: Vec<u32>, child: Vec<usize>, rows: Vec<usize>) -> Self;
 
     /// Number of entries.
@@ -65,11 +72,8 @@ pub trait LevelStorage: Clone + std::fmt::Debug + PartialEq + Eq + Send + Sync {
     /// The value of entry `j`.
     fn value(&self, j: usize) -> u32;
 
-    /// The `j`-th child offset (`j ≤ len`).
+    /// The `j`-th child offset (`j ≤ len`), above the deepest level only.
     fn child_at(&self, j: usize) -> usize;
-
-    /// The `j`-th row offset (`j ≤ len`).
-    fn row_at(&self, j: usize) -> usize;
 
     /// Heap bytes the level currently keeps resident.
     fn resident_bytes(&self) -> usize;
@@ -123,8 +127,8 @@ pub(crate) fn block_lub(values: &[u32], lo: usize, hi: usize, bound: u32) -> usi
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VecStorage {
     values: Vec<u32>,
+    /// `len + 1` offsets above the deepest level; empty at the deepest.
     child: Vec<usize>,
-    rows: Vec<usize>,
     /// `heads[k] = values[HEAD_STRIDE * k]` — the cache-friendly first probes
     /// of cold windows. Derived from `values`, so it never affects `==`
     /// semantics beyond what `values` already decides.
@@ -156,6 +160,11 @@ pub(crate) fn head_narrow(heads: &[u32], lo: usize, hi: usize, bound: u32) -> (u
 }
 
 impl VecStorage {
+    /// Whether the level stores child offsets: every level but the deepest.
+    pub(crate) fn is_interior(&self) -> bool {
+        !self.child.is_empty()
+    }
+
     /// Cold-window seek: narrow `[lo, hi)` with the head samples, then block
     /// search the surviving stretch (at most `HEAD_STRIDE + 1` values).
     #[inline]
@@ -166,11 +175,10 @@ impl VecStorage {
 }
 
 impl LevelStorage for VecStorage {
-    fn from_parts(values: Vec<u32>, child: Vec<usize>, rows: Vec<usize>) -> VecStorage {
-        debug_assert_eq!(child.len(), values.len() + 1);
-        debug_assert_eq!(rows.len(), values.len() + 1);
+    fn from_parts(values: Vec<u32>, child: Vec<usize>, _rows: Vec<usize>) -> VecStorage {
+        debug_assert!(child.is_empty() || child.len() == values.len() + 1);
         let heads = values.iter().step_by(HEAD_STRIDE).copied().collect();
-        VecStorage { values, child, rows, heads }
+        VecStorage { values, child, heads }
     }
 
     fn len(&self) -> usize {
@@ -185,13 +193,8 @@ impl LevelStorage for VecStorage {
         self.child[j]
     }
 
-    fn row_at(&self, j: usize) -> usize {
-        self.rows[j]
-    }
-
     fn resident_bytes(&self) -> usize {
-        (self.values.len() + self.heads.len()) * 4
-            + (self.child.len() + self.rows.len()) * std::mem::size_of::<usize>()
+        (self.values.len() + self.heads.len()) * 4 + self.child.len() * std::mem::size_of::<usize>()
     }
 
     #[inline]
@@ -236,8 +239,7 @@ mod tests {
     use super::*;
 
     fn storage_of(values: Vec<u32>) -> VecStorage {
-        let offsets: Vec<usize> = (0..=values.len()).collect();
-        VecStorage::from_parts(values, offsets.clone(), offsets)
+        VecStorage::from_parts(values, Vec::new(), Vec::new())
     }
 
     /// The oracle the kernel must match bit for bit.

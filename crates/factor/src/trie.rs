@@ -29,27 +29,29 @@
 //! # Layout
 //!
 //! Level `d` holds one entry per distinct length-`d+1` row prefix, in
-//! lexicographic order. Each entry stores
+//! lexicographic order. A level stores only what it cannot derive:
 //!
-//! * its column-`d` value ([`TrieLevel::value`]),
-//! * the half-open range of its children among level `d+1`'s entries
-//!   ([`TrieLevel::child_range`]), and
-//! * the half-open range of listing rows below it ([`TrieLevel::row_range`]).
+//! * each entry's column-`d` value ([`TrieLevel::value`]), and
+//! * above the deepest level, the half-open range of its children among
+//!   level `d+1`'s entries ([`TrieLevel::child_range`]), as `len + 1`
+//!   offsets.
 //!
 //! At the deepest level every entry covers exactly one row (rows are
-//! distinct), so entry index = row index and the trie leads straight back to
-//! the factor's value array.
+//! distinct), so entry index = row index: that level is its values alone,
+//! and the trie leads straight back to the factor's value array. The
+//! listing rows below any entry follow its first and end child offsets down
+//! to the deepest level ([`FactorTrie::rows_below`]).
 //!
 //! # Worked example
 //!
 //! The factor `{(0,0)→a, (0,1)→b, (2,1)→c}` over schema `[x, y]` yields
 //!
 //! ```text
-//! level 0 (x):  value 0 ── children 0..2 ── rows 0..2
-//!               value 2 ── children 2..3 ── rows 2..3
-//! level 1 (y):  value 0 ── rows 0..1        (prefix 0,0)
-//!               value 1 ── rows 1..2        (prefix 0,1)
-//!               value 1 ── rows 2..3        (prefix 2,1)
+//! level 0 (x):  value 0 ── children 0..2   (rows 0..2, derived)
+//!               value 2 ── children 2..3   (rows 2..3, derived)
+//! level 1 (y):  value 0                    (prefix 0,0 = row 0)
+//!               value 1                    (prefix 0,1 = row 1)
+//!               value 1                    (prefix 2,1 = row 2)
 //! ```
 //!
 //! ```
@@ -65,6 +67,7 @@
 //! let trie = f.trie();
 //! assert_eq!(trie.level(0).len(), 2); // distinct x values: {0, 2}
 //! assert_eq!(trie.level(1).len(), 3); // one leaf per row
+//! assert_eq!(trie.rows_below(0, (1, 2)), (2, 3)); // the rows under x = 2
 //!
 //! // Leapfrog-style navigation: seek the least x ≥ 1, descend, read a row.
 //! let mut cur = TrieCursor::new(trie);
@@ -105,14 +108,10 @@ impl TrieLevel {
         self.storage.value(j)
     }
 
-    /// Entry `j`'s children in the next level (row indices at the last level).
+    /// Entry `j`'s children in the next level. Defined above the deepest
+    /// level only: there, entry `j` is row `j` and no offsets are stored.
     pub fn child_range(&self, j: usize) -> (usize, usize) {
         (self.storage.child_at(j), self.storage.child_at(j + 1))
-    }
-
-    /// The listing rows below entry `j`.
-    pub fn row_range(&self, j: usize) -> (usize, usize) {
-        (self.storage.row_at(j), self.storage.row_at(j + 1))
     }
 
     /// The first entry in `window` whose value is `≥ bound`, or `None` — the
@@ -179,6 +178,16 @@ impl FactorTrie {
         self.levels.iter().map(|l| l.storage.resident_bytes()).sum()
     }
 
+    /// The listing rows below the entries `window` of level `d`: the
+    /// window's first and end child offsets followed down to the deepest
+    /// level, whose entry `j` is row `j`.
+    pub fn rows_below(&self, d: usize, (mut lo, mut hi): (usize, usize)) -> (usize, usize) {
+        for level in &self.levels[d..self.arity().saturating_sub(1)] {
+            (lo, hi) = (level.storage.child_at(lo), level.storage.child_at(hi));
+        }
+        (lo, hi)
+    }
+
     /// The root entry window: all of level 0.
     pub fn root(&self) -> (usize, usize) {
         (0, self.levels.first().map_or(0, TrieLevel::len))
@@ -211,7 +220,7 @@ impl FactorTrie {
             return Vec::new();
         };
         let runs = (0..level.len()).map(|j| {
-            let (lo, hi) = level.row_range(j);
+            let (lo, hi) = self.rows_below(0, (j, j + 1));
             (level.value(j), hi - lo, true)
         });
         partition_runs(self.num_rows, max_chunks, runs)
@@ -257,22 +266,20 @@ pub(crate) trait LevelSink {
     /// Entries appended so far.
     fn len(&self) -> usize;
 
-    /// Append an entry: its column value, the index of its first child in
-    /// the next level (its row index at the deepest level) and its first
-    /// listing row.
-    fn push_entry(&mut self, value: u32, child_start: usize, row_start: usize);
+    /// Append an entry: its column value and, above the deepest level, the
+    /// index of its first child in the next level (`None` at the deepest).
+    fn push_entry(&mut self, value: u32, child_start: Option<usize>);
 
-    /// Seal the level; the arguments are the end sentinels of its `child`
-    /// and `rows` offset arrays.
-    fn seal(self, child_end: usize, rows_end: usize) -> FactorLevel;
+    /// Seal the level; the argument is the end sentinel of its `child`
+    /// offsets (`None` at the deepest level).
+    fn seal(self, child_end: Option<usize>) -> FactorLevel;
 }
 
-/// The heap sink: the columnar arrays of a level minus their end sentinels.
+/// The heap sink: the columnar arrays of a level minus the end sentinel.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct HeapLevel {
     values: Vec<u32>,
     child: Vec<usize>,
-    rows: Vec<usize>,
 }
 
 impl LevelSink for HeapLevel {
@@ -280,16 +287,14 @@ impl LevelSink for HeapLevel {
         self.values.len()
     }
 
-    fn push_entry(&mut self, value: u32, child_start: usize, row_start: usize) {
+    fn push_entry(&mut self, value: u32, child_start: Option<usize>) {
         self.values.push(value);
-        self.child.push(child_start);
-        self.rows.push(row_start);
+        self.child.extend(child_start);
     }
 
-    fn seal(mut self, child_end: usize, rows_end: usize) -> FactorLevel {
-        self.child.push(child_end);
-        self.rows.push(rows_end);
-        FactorLevel::from_parts(self.values, self.child, self.rows)
+    fn seal(mut self, child_end: Option<usize>) -> FactorLevel {
+        self.child.extend(child_end);
+        FactorLevel::from_parts(self.values, self.child, Vec::new())
     }
 }
 
@@ -317,13 +322,11 @@ impl TrieBuilder {
     }
 
     /// Make room for `rows` more rows where their number is known up front:
-    /// the deepest level holds exactly one entry per row (plus the end
-    /// sentinels), and it is the level whose regrowth costs.
+    /// the deepest level holds exactly one value per row, and it is the level
+    /// whose regrowth costs.
     pub(crate) fn reserve_rows(&mut self, rows: usize) {
         if let Some(leaf) = self.levels.last_mut() {
             leaf.values.reserve_exact(rows);
-            leaf.child.reserve_exact(rows + 1);
-            leaf.rows.reserve_exact(rows + 1);
         }
     }
 }
@@ -350,11 +353,10 @@ impl<K: LevelSink> TrieBuilder<K> {
         };
         for (d, &value) in row.iter().enumerate().skip(start) {
             // The new entry's first child is the entry the next level is
-            // about to open for this same row (the row index itself at the
-            // deepest level) — levels are appended top-down, so the next
-            // level's current length is exactly that index.
-            let child_start = if d + 1 < arity { self.levels[d + 1].len() } else { self.num_rows };
-            self.levels[d].push_entry(value, child_start, self.num_rows);
+            // about to open for this same row — levels are appended top-down,
+            // so the next level's current length is exactly that index.
+            let child_start = (d + 1 < arity).then(|| self.levels[d + 1].len());
+            self.levels[d].push_entry(value, child_start);
         }
         self.num_rows += 1;
     }
@@ -379,19 +381,18 @@ impl<K: LevelSink> TrieBuilder<K> {
         }
     }
 
-    /// Seal the trie: every level gets its end sentinels — the next level's
-    /// length (the row count at the deepest level) and the row count.
+    /// Seal the trie: every level above the deepest gets its end sentinel,
+    /// the next level's length.
     pub(crate) fn finish(self) -> FactorTrie {
-        let num_rows = self.num_rows;
-        let mut child_ends: Vec<usize> = self.levels.iter().skip(1).map(K::len).collect();
-        child_ends.push(num_rows);
+        let child_ends: Vec<Option<usize>> =
+            self.levels.iter().skip(1).map(|l| Some(l.len())).chain([None]).collect();
         let levels = self
             .levels
             .into_iter()
             .zip(child_ends)
-            .map(|(sink, child_end)| TrieLevel { storage: sink.seal(child_end, num_rows) })
+            .map(|(sink, child_end)| TrieLevel { storage: sink.seal(child_end) })
             .collect();
-        FactorTrie { levels, num_rows }
+        FactorTrie { levels, num_rows: self.num_rows }
     }
 }
 
@@ -407,12 +408,8 @@ pub struct TrieView<'t> {
 impl<'t> TrieView<'t> {
     /// Listing rows covered by the view.
     pub fn num_rows(&self) -> usize {
-        let (lo, hi) = self.root;
-        if lo == hi {
-            return 0;
-        }
-        let level = self.trie.level(0);
-        level.row_range(hi - 1).1 - level.row_range(lo).0
+        let (lo, hi) = self.trie.rows_below(0, self.root);
+        hi - lo
     }
 
     /// A cursor whose root-level candidates are restricted to the view.
@@ -436,7 +433,7 @@ impl<'t> TrieView<'t> {
 /// [`TrieCursor::next`] advances to the following sibling, and
 /// [`TrieCursor::up`] backtracks. Once every level is open
 /// ([`TrieCursor::at_leaf`]), [`TrieCursor::row`] is the listing row of the
-/// full binding.
+/// full binding: the deepest entry it stands on.
 #[derive(Debug, Clone)]
 pub struct TrieCursor<'t> {
     trie: &'t FactorTrie,
@@ -534,11 +531,12 @@ impl<'t> TrieCursor<'t> {
         self.found = j; // allow `next` (and the gallop) to resume after it
     }
 
-    /// The listing row of the fully-bound tuple ([`TrieCursor::at_leaf`]).
+    /// The listing row of the fully-bound tuple ([`TrieCursor::at_leaf`]):
+    /// the deepest-level entry the cursor stands on, since entry `j` there is
+    /// row `j`.
     pub fn row(&self) -> usize {
         debug_assert!(self.at_leaf());
-        let &leaf = self.path.last().expect("at_leaf checked");
-        self.trie.level(self.trie.arity() - 1).row_range(leaf).0
+        *self.path.last().expect("at_leaf checked")
     }
 }
 
@@ -571,18 +569,33 @@ mod tests {
         assert_eq!(t.num_rows(), 5);
         // Level 0: distinct first-column values {0, 2}.
         assert_eq!(t.level(0).len(), 2);
-        assert_eq!((t.level(0).value(0), t.level(0).row_range(0)), (0, (0, 3)));
-        assert_eq!((t.level(0).value(1), t.level(0).row_range(1)), (2, (3, 5)));
+        assert_eq!((t.level(0).value(0), t.rows_below(0, (0, 1))), (0, (0, 3)));
+        assert_eq!((t.level(0).value(1), t.rows_below(0, (1, 2))), (2, (3, 5)));
         // Level 1: prefixes (0,0) (0,1) (2,1) (2,3).
         assert_eq!(t.level(1).len(), 4);
         assert_eq!(t.level(0).child_range(0), (0, 2));
         assert_eq!(t.level(0).child_range(1), (2, 4));
-        assert_eq!(t.level(1).child_range(0), (0, 2)); // rows (0,0,0) (0,0,2)
-                                                       // Level 2: one entry per row; entry index == row index.
+        // Prefix (0,0) holds rows (0,0,0) (0,0,2); (0,1) (2,1) hold 2 and 3.
+        assert_eq!(t.level(1).child_range(0), (0, 2));
+        assert_eq!(t.rows_below(1, (1, 3)), (2, 4));
+        // Level 2: one entry per row; entry index == row index.
         assert_eq!(t.level(2).len(), 5);
         for j in 0..5 {
-            assert_eq!(t.level(2).row_range(j), (j, j + 1));
+            assert_eq!(t.rows_below(2, (j, j + 1)), (j, j + 1));
         }
+    }
+
+    #[test]
+    fn heap_leaf_is_its_values_and_head_samples() {
+        // The deepest level stores 4 B a value plus 4 B a 64-entry head
+        // sample, and no offsets; level 0 (one value, one sample) adds its
+        // two child offsets.
+        let n = 1000usize;
+        let f = Factor::new(vec![v(0), v(1)], (0..n as u32).map(|i| (vec![0, i], 1u64)).collect())
+            .unwrap();
+        let t = f.trie();
+        assert_eq!(t.level(1).storage().resident_bytes(), 4 * (n + n.div_ceil(64)));
+        assert_eq!(t.level(0).storage().resident_bytes(), 4 * 2 + 2 * std::mem::size_of::<usize>());
     }
 
     #[test]

@@ -391,6 +391,12 @@ where
                 slot.at = slot.cursor.row();
             }
         }
+        // A value input's `at` in its leaf is the row `emit` reads: the
+        // fused level is its deepest, whose entry `j` is row `j`.
+        debug_assert!(
+            self.slots.iter().all(|s| s.value.zip(s.leaf).is_none_or(|(f, l)| l.len() == f.len())),
+            "a value input's leaf is its deepest level, one entry per row"
+        );
         self.binding.push(lo);
         let mut candidate = lo;
         while let Some(x) = leapfrog(&mut self.stats, candidate, parts, |c, bound| {
@@ -407,12 +413,6 @@ where
             }
             // The leaf node the recursion would visit; every participant's
             // `at` is now the entry holding `x`.
-            debug_assert!(
-                self.slots
-                    .iter()
-                    .all(|s| s.value.is_none() || s.leaf.is_none_or(|l| l.row_at(s.at) == s.at)),
-                "a value input's leaf is its deepest level, where entry = row"
-            );
             self.stats.nodes += 1;
             *self.binding.last_mut().expect("pushed above") = x;
             self.emit();

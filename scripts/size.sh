@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Per crate: non-test source lines (each file counted up to its inline test
 # module, a `#[cfg(test)]` line followed by `mod <name> {`), `pub` items and
-# `pub mod`s — the numbers ROADMAP item 8 defines success by — and non-test
+# `pub mod`s — the numbers ROADMAP item 9 defines success by — and non-test
 # `static` items, thread-locals included: the process-global state ROADMAP
-# item 2 counts down — then a `tests` row: the lines of the integration suites
+# item 4 counts down — then a `tests` row: the lines of the integration suites
 # (`tests/*.rs` + `tests/common/*.rs`) and their `#[test]` functions, proptest
 # properties included. A `#[cfg(test)]` item elsewhere in a file is counted
 # like any other line. Run from anywhere; prints markdown tables.

@@ -76,31 +76,31 @@ pub fn dfs(cur: &mut TrieCursor<'_>, prefix: &mut Vec<u32>, out: &mut Vec<(Vec<u
 /// The definition of a trie index, checked entry by entry against the
 /// listing it claims to index — independent of how the trie was built and of
 /// where its levels live: level `d` holds one entry per distinct length-`d+1`
-/// row prefix, in order, carrying the prefix's last value, the rows below it
-/// and, as children, the level-`d+1` entries extending it (the rows
-/// themselves at the deepest level).
+/// row prefix, in order, carrying the prefix's last value and, above the
+/// deepest level, as children the level-`d+1` entries extending it; the rows
+/// below each entry, derived from those children, are the prefix's rows.
 pub fn assert_trie_indexes<E: SemiringElem>(trie: &FactorTrie, f: &Factor<E>) {
     let arity = f.arity();
     let rows: Vec<Vec<u32>> =
         (0..f.len()).map(|i| (0..arity).map(|d| f.col(i, d)).collect()).collect();
     assert_eq!((trie.arity(), trie.num_rows()), (arity, rows.len()));
-    // starts[d] = first rows of the distinct length-`d+1` prefixes; the row
-    // indices themselves stand in for the level below the deepest.
-    let mut starts: Vec<Vec<usize>> = (0..arity)
+    // starts[d] = first rows of the distinct length-`d+1` prefixes.
+    let starts: Vec<Vec<usize>> = (0..arity)
         .map(|d| {
             (0..rows.len()).filter(|&i| i == 0 || rows[i][..=d] != rows[i - 1][..=d]).collect()
         })
         .collect();
-    starts.push((0..rows.len()).collect());
     for d in 0..arity {
         let level = trie.level(d);
         assert_eq!(level.len(), starts[d].len(), "entries at level {d}");
         for (j, &lo) in starts[d].iter().enumerate() {
             let hi = starts[d].get(j + 1).copied().unwrap_or(rows.len());
-            let below = |row: usize| starts[d + 1].partition_point(|&s| s < row);
             assert_eq!(level.value(j), rows[lo][d], "value of entry {j} at level {d}");
-            assert_eq!(level.row_range(j), (lo, hi), "rows of entry {j} at level {d}");
-            assert_eq!(level.child_range(j), (below(lo), below(hi)), "children, {j} at {d}");
+            assert_eq!(trie.rows_below(d, (j, j + 1)), (lo, hi), "rows of entry {j} at level {d}");
+            if let Some(next) = starts.get(d + 1) {
+                let below = |row: usize| next.partition_point(|&s| s < row);
+                assert_eq!(level.child_range(j), (below(lo), below(hi)), "children, {j} at {d}");
+            }
         }
     }
 }

@@ -6,15 +6,16 @@
 //!    ([`FactorBuilder::with_streaming_trie`]) — by direct pushes and by the
 //!    chunked `append` path of the parallel engine's merge — and the one
 //!    built on first use both index their listing by definition
-//!    (`common::assert_trie_indexes`: every level's values, row ranges and
-//!    child ranges recomputed from the rows);
+//!    (`common::assert_trie_indexes`: every level's values, the rows below
+//!    each entry and the child ranges above the deepest level, recomputed
+//!    from the rows);
 //!
 //! 3. file-chunked (spilled) listings are accessor-level drop-ins for the
 //!    in-memory backing — equality, column/value reads across chunk
-//!    boundaries, column maxima, point lookups, projections — at chunk
-//!    sizes 1, C−1, C, C+1, their disk-sink trie `==` the heap-sink trie of
-//!    the same rows, with the spill directory removed when the last handle
-//!    drops;
+//!    boundaries, column maxima, point lookups, projections, merges — at
+//!    chunk sizes 1, C−1, C, C+1, their disk-sink trie `==` the heap-sink
+//!    trie of the same rows, with the spill directory removed when the last
+//!    handle drops;
 //!
 //! each across the counting (`u64`), max-tropical (`f64`), and boolean
 //! carriers.
@@ -283,6 +284,11 @@ where
         }
         let order = [Var(2), Var(0), Var(1)];
         assert_eq!(spilled.reorder(&order), mem.reorder(&order));
+        // A merge reads each part through its chunks, whatever its backing.
+        let keep_first = |a: &E, _: &E| a.clone();
+        let merged =
+            Factor::merge_sorted(vec![spilled.clone(), mem.clone()], keep_first, |_| false);
+        assert_eq!(&merged, mem, "merge of the spilled and heap copies");
         let respilled =
             spilled.to_spilled(SpillConfig { chunk_rows: chunk_rows % 5 + 2, ..config });
         assert_eq!(respilled, spilled, "re-spilled at chunk_rows {}", chunk_rows % 5 + 2);
