@@ -36,8 +36,10 @@
 //! schema starts with the step's first join variable, so changes confined to
 //! first-column ranges of the inputs stay confined to the same ranges of the
 //! output. Steps that don't satisfy the alignment condition (or whose output
-//! is a scalar) fall back to a full re-run of that one step; everything
-//! untouched still comes from the cache.
+//! is a scalar) fall back to a full re-run of that one step; so does a step
+//! whose kernel binds the eliminated variable first (its ranges cut that
+//! variable, not the output's first column). Everything untouched still
+//! comes from the cache.
 //!
 //! The public surface is [`crate::plan::PreparedQuery::apply_delta`] /
 //! [`apply_delta_with`](crate::plan::PreparedQuery::apply_delta_with); the

@@ -10,7 +10,7 @@
 //! steps all rest on that one fact, so one driver, [`grouped_join`], runs
 //! every step join as one range loop:
 //!
-//! 1. align every input to the join order once, so no range re-copies a
+//! 1. align every input to the kernel order once, so no range re-copies a
 //!    misaligned factor;
 //! 2. take the ranges — a delta replay's anchor ranges when it is given a
 //!    restriction, else the cuts of [`first_var_ranges`], the only place
@@ -27,16 +27,25 @@
 //!    ([`faq_factor::FactorBuilder::with_streaming_trie`]), so the next
 //!    elimination step never re-indexes it.
 //!
+//! A step whose kernel binds its variables in another order than its fold
+//! (one that binds the eliminated variable first, so that the kernel never
+//! walks a cross product — see [`crate::insideout`]) runs the same loop over
+//! ranges of its kernel's first variable, but its workers buffer their
+//! matches instead of folding them: the buffers are concatenated in range
+//! order, sorted once into fold order, and fed to the same fold.
+//!
 //! **Determinism.** The output factor is bit-identical to the sequential
 //! engine's for every semiring and every thread count: a fold group's first
 //! column is the first join variable, so no group ever spans two chunks, and
 //! within a chunk the fold consumes matches in the same lexicographic order
-//! as the sequential engine. Steps whose fold group is empty (the sub-join
-//! binds only the eliminated variable) run sequentially — splitting them
-//! would re-associate the `⊕`-fold, which is observable for non-associative
-//! carriers like `f64`. Run *statistics* are not bit-identical: per-chunk
-//! searches each visit their own root, so node/seek totals can exceed the
-//! sequential counts.
+//! as the sequential engine. A buffered step is cut on its kernel's first
+//! variable, which does not lead its groups; but its fold runs once, after
+//! the one sort, over every match in fold order, whatever the cuts were.
+//! Steps whose fold group is empty (the sub-join binds only the eliminated
+//! variable) run sequentially — splitting them would re-associate the
+//! `⊕`-fold, which is observable for non-associative carriers like `f64`.
+//! Run *statistics* are not bit-identical: per-chunk searches each visit
+//! their own root, so node/seek totals can exceed the sequential counts.
 
 use crate::query::FaqError;
 use faq_factor::fault;
@@ -177,39 +186,51 @@ pub(crate) fn with_abort_guard<R>(
 }
 
 /// One elimination-step join — the only driver of the join kernel in the
-/// engine: enumerate matches of `inputs` under `order`, group them by the
-/// first `group_arity` binding columns, fold each group's values with `fold`,
-/// drop groups whose folded value `is_zero`, and return the surviving groups
-/// as a built factor over `order[..group_arity]`.
+/// engine: enumerate matches of `inputs` over the variables of `order`,
+/// group them by the first `group_arity` columns of `order`, fold each
+/// group's values with `fold`, drop groups whose folded value `is_zero`, and
+/// return the surviving groups as a built factor over `order[..group_arity]`.
 ///
 /// With `group_arity == order.len()` this is plain enumeration with a zero
 /// filter (every binding is its own group) — the shape of the guard joins and
 /// the final output join. With `group_arity == order.len() - 1` it is the
 /// semiring elimination of eq. (7).
 ///
-/// The join runs over ranges of the first join variable: the `restriction`
-/// when given (a delta replay's anchor ranges, sorted and disjoint — the
-/// output is then that slice of the full output), else the cuts of
-/// [`first_var_ranges`]. A restriction or a single range runs in order into
-/// one builder; several cuts run on scoped workers and are appended in range
-/// order. Either way the factor is the same, bit for bit.
+/// The kernel walks the variables in `kernel` order, a permutation of
+/// `order`. When the two agree the kernel emits bindings in `order`'s
+/// lexicographic order and the fold streams over them. When they differ
+/// (a step whose σ order would enumerate a cross product first, see
+/// [`crate::insideout`]), each match is buffered as its binding in `order`
+/// with its value, the buffer is sorted once and fed to the same fold — the
+/// fold then meets the same groups, the same values and the same `x_k`
+/// order as the streaming fold would, so the output is bit-identical. The
+/// buffer holds one step's matches, at most the AGM bound of its `U`.
 ///
-/// The output is assembled column-flat through a [`FactorBuilder`] — the join
-/// emits bindings in lexicographic order with distinct group keys, so no
-/// sort, duplicate scan, or per-row allocation ever happens. With
-/// `build_trie` the factor's trie index is grown while rows are emitted (or
-/// chunk outputs appended), so callers that join the result — every
-/// elimination step — receive a pre-indexed intermediate.
+/// The join runs over ranges of `kernel[0]`: the `restriction` when given (a
+/// delta replay's anchor ranges, sorted and disjoint — the output is then
+/// that slice of the full output; only a streaming join takes one), else the
+/// cuts of [`first_var_ranges`]. A restriction or a single range runs in
+/// order into one sink; several cuts run on scoped workers, each into its
+/// own sink, and the sinks are joined in range order. Either way the factor
+/// is the same, bit for bit.
+///
+/// The output is assembled column-flat through a [`FactorBuilder`] — the fold
+/// meets bindings in lexicographic order with distinct group keys, so no
+/// duplicate scan or per-row allocation ever happens. With `build_trie` the
+/// factor's trie index is grown while rows are emitted (or chunk outputs
+/// appended), so callers that join the result — every elimination step —
+/// receive a pre-indexed intermediate.
 ///
 /// Errors (instead of panicking) when the chunking invariant is violated —
-/// no aligned input holds the first join variable in its leading column even
-/// though an input contains it — so degenerate queries surface as
+/// no aligned input holds the first kernel variable in its leading column
+/// even though an input contains it — so degenerate queries surface as
 /// [`FaqError`], never as a crash.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn grouped_join<E: SemiringElem>(
     policy: &ExecPolicy,
     domains: &Domains,
     order: &[Var],
+    kernel: &[Var],
     inputs: &[JoinInput<'_, E>],
     restriction: Option<&[(u32, u32)]>,
     one: &E,
@@ -219,90 +240,208 @@ pub(crate) fn grouped_join<E: SemiringElem>(
     fold: &(impl Fn(&E, &E) -> E + Sync),
     is_zero: &(impl Fn(&E) -> bool + Sync),
 ) -> Result<(Factor<E>, JoinStats), FaqError> {
-    debug_assert!(group_arity <= order.len());
-    // Align every input to the join order once, up front: the join kernel
+    debug_assert!(group_arity <= order.len() && kernel.len() == order.len());
+    debug_assert!(restriction.is_none() || kernel == order, "a restriction cuts order[0]");
+    // Align every input to the kernel order once, up front: the join kernel
     // aligns per invocation, and without this each range would re-copy (and
     // re-sort, when misaligned) every factor. Prefix filters skip alignment
-    // by contract (their leading columns already follow the order).
+    // by contract (their leading columns already follow the kernel order).
     let aligned: Vec<_> = inputs
         .iter()
         .map(|i| match i.prefix {
             Some(_) => std::borrow::Cow::Borrowed(i.factor),
-            None => i.factor.align_to_cow(order),
+            None => i.factor.align_to_cow(kernel),
         })
         .collect();
     let inputs: Vec<JoinInput<'_, E>> =
         aligned.iter().zip(inputs).map(|(f, i)| i.rebind(f.as_ref())).collect();
     let ranges = match restriction {
         Some(rs) => rs.to_vec(),
-        None => first_var_ranges(policy, order, &inputs, group_arity)?,
+        None => first_var_ranges(policy, kernel, &inputs, group_arity)?,
     };
-
+    let in_order = restriction.is_some() || ranges.len() == 1;
     let builder = || {
         FactorBuilder::new(order[..group_arity].to_vec())
             .expect("join-order variables are distinct")
     };
-    let run = |range, out: &mut FactorBuilder<E>| {
-        grouped_join_range(
-            domains,
-            order,
-            &inputs,
-            range,
-            one,
-            group_arity,
-            mul,
-            fold,
-            is_zero,
-            out,
-        )
-    };
     let mut out = if build_trie { builder().with_streaming_trie() } else { builder() };
-    let per_range: Vec<JoinStats> = if restriction.is_some() || ranges.len() == 1 {
-        ranges.iter().map(|&range| run(range, &mut out)).collect()
-    } else {
-        // Scoped worker pool: one worker per range (ranges.len() ≤ threads),
-        // each stream-folding into its own flat builder under the policy's
-        // controls.
-        let chunks: Vec<Result<(FactorBuilder<E>, JoinStats), FaqError>> =
-            std::thread::scope(|s| {
-                let workers: Vec<_> = ranges
-                    .iter()
-                    .map(|&range| {
-                        let (run, builder) = (&run, &builder);
-                        s.spawn(move || {
-                            with_abort_guard(policy, || {
-                                let mut chunk = builder();
-                                let stats = run(range, &mut chunk);
-                                Ok((chunk, stats))
-                            })
-                        })
-                    })
-                    .collect();
-                workers
-                    .into_iter()
-                    .map(|w| w.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
-                    .collect()
-            });
+
+    let stats = if kernel == order {
+        // The kernel emits in `order`: fold straight into the builder.
+        let run = |range, out: &mut FactorBuilder<E>| {
+            let mut groups = GroupFold::new(out, fold, is_zero);
+            let stats = multiway_join_range_rep(
+                JoinRep::Trie,
+                domains,
+                kernel,
+                &inputs,
+                range,
+                one.clone(),
+                mul,
+                |binding, val| groups.push(&binding[..group_arity], val),
+            );
+            groups.flush();
+            stats
+        };
         // Group keys begin with the chunked variable, so chunk outputs are
         // disjoint and ascending: the k-way merge is a concatenating append,
         // growing the output trie in stream order when one was requested.
-        // The lowest range's abort wins, whatever order the workers failed in.
+        over_ranges(policy, &ranges, in_order, &mut out, builder, run, FactorBuilder::append)?
+    } else {
+        // The kernel emits in its own order: buffer each match by its
+        // binding in `order`, then sort and fold once.
+        let at: Vec<usize> = order
+            .iter()
+            .map(|v| kernel.iter().position(|k| k == v).expect("the kernel order permutes order"))
+            .collect();
+        let buffer = || MatchBuffer { width: order.len(), keys: Vec::new(), vals: Vec::new() };
+        let run = |range, buf: &mut MatchBuffer<E>| {
+            multiway_join_range_rep(
+                JoinRep::Trie,
+                domains,
+                kernel,
+                &inputs,
+                range,
+                one.clone(),
+                mul,
+                |binding, val| {
+                    buf.keys.extend(at.iter().map(|&p| binding[p]));
+                    buf.vals.push(val);
+                },
+            )
+        };
+        let mut buf = buffer();
+        let stats = over_ranges(policy, &ranges, in_order, &mut buf, buffer, run, |b, chunk| {
+            b.keys.extend(chunk.keys);
+            b.vals.extend(chunk.vals);
+        })?;
+        buf.fold_sorted(group_arity, &mut GroupFold::new(&mut out, fold, is_zero));
+        stats
+    };
+    Ok((out.finish(), stats))
+}
+
+/// Run `run` over every range into a sink: all of them in order into `into`
+/// when `in_order`, else on a scoped worker pool — one worker per range
+/// (`ranges.len()` ≤ threads), each into its own `fresh()` sink under the
+/// policy's controls — and `join` each worker's sink into `into` in range
+/// order. The lowest range's abort wins, whatever order the workers failed
+/// in. Returns the summed join statistics.
+fn over_ranges<T: Send>(
+    policy: &ExecPolicy,
+    ranges: &[(u32, u32)],
+    in_order: bool,
+    into: &mut T,
+    fresh: impl Fn() -> T + Sync,
+    run: impl Fn((u32, u32), &mut T) -> JoinStats + Sync,
+    mut join: impl FnMut(&mut T, T),
+) -> Result<JoinStats, FaqError> {
+    let per_range: Vec<JoinStats> = if in_order {
+        ranges.iter().map(|&range| run(range, into)).collect()
+    } else {
+        let chunks: Vec<Result<(T, JoinStats), FaqError>> = std::thread::scope(|s| {
+            let workers: Vec<_> = ranges
+                .iter()
+                .map(|&range| {
+                    let (run, fresh) = (&run, &fresh);
+                    s.spawn(move || {
+                        with_abort_guard(policy, || {
+                            let mut chunk = fresh();
+                            let stats = run(range, &mut chunk);
+                            Ok((chunk, stats))
+                        })
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+                .collect()
+        });
         chunks
             .into_iter()
             .map(|chunk| {
                 chunk.map(|(chunk, stats)| {
-                    out.append(chunk);
+                    join(into, chunk);
                     stats
                 })
             })
             .collect::<Result<_, _>>()?
     };
-    let stats = per_range.iter().fold(JoinStats::default(), |a, s| JoinStats {
+    Ok(per_range.iter().fold(JoinStats::default(), |a, s| JoinStats {
         matches: a.matches + s.matches,
         seeks: a.seeks + s.seeks,
         nodes: a.nodes + s.nodes,
-    });
-    Ok((out.finish(), stats))
+    }))
+}
+
+/// The `⊕`-fold of consecutive matches sharing a group key, exactly the
+/// paper's stream-aggregation over consecutive outputs, emitted straight
+/// into a flat builder. Both feeders of [`grouped_join`] — the kernel's own
+/// emission and a sorted [`MatchBuffer`] — run this one fold. The only
+/// per-group state is one reusable key buffer; nothing is allocated per row.
+struct GroupFold<'a, E, F, Z> {
+    out: &'a mut FactorBuilder<E>,
+    fold: F,
+    is_zero: Z,
+    key: Vec<u32>,
+    acc: Option<E>,
+}
+
+impl<'a, E: SemiringElem, F: Fn(&E, &E) -> E, Z: Fn(&E) -> bool> GroupFold<'a, E, F, Z> {
+    fn new(out: &'a mut FactorBuilder<E>, fold: F, is_zero: Z) -> Self {
+        GroupFold { out, fold, is_zero, key: Vec::new(), acc: None }
+    }
+
+    /// Fold `val` into `group`, closing the previous group when it differs.
+    fn push(&mut self, group: &[u32], val: E) {
+        match &mut self.acc {
+            Some(a) if self.key == group => *a = (self.fold)(a, &val),
+            _ => {
+                self.flush();
+                self.key.clear();
+                self.key.extend_from_slice(group);
+                self.acc = Some(val);
+            }
+        }
+    }
+
+    /// Close the open group: push it unless it folded to zero.
+    fn flush(&mut self) {
+        if let Some(done) = self.acc.take() {
+            if !(self.is_zero)(&done) {
+                self.out.push(&self.key, done);
+            }
+        }
+    }
+}
+
+/// The matches of a join whose kernel order differs from its fold order,
+/// each as its binding in fold order (`width` keys, flat) and its value.
+struct MatchBuffer<E> {
+    width: usize,
+    keys: Vec<u32>,
+    vals: Vec<E>,
+}
+
+impl<E: SemiringElem> MatchBuffer<E> {
+    /// Feed the matches to `groups` in lexicographic order of their
+    /// bindings, grouped on the first `group_arity` keys. Every binding
+    /// occurs once, so the order is total.
+    fn fold_sorted<F: Fn(&E, &E) -> E, Z: Fn(&E) -> bool>(
+        &self,
+        group_arity: usize,
+        groups: &mut GroupFold<'_, E, F, Z>,
+    ) {
+        let w = self.width;
+        let key = |i: usize| &self.keys[i * w..(i + 1) * w];
+        let mut sorted: Vec<usize> = (0..self.vals.len()).collect();
+        sorted.sort_unstable_by(|&a, &b| key(a).cmp(key(b)));
+        for i in sorted {
+            groups.push(&key(i)[..group_arity], self.vals[i].clone());
+        }
+        groups.flush();
+    }
 }
 
 /// The first-variable ranges a fresh step join runs over, from the rows of
@@ -355,59 +494,6 @@ fn first_var_ranges<E: SemiringElem>(
         .and_then(|f| f.chunk_aligned_partition(max_chunks))
         .unwrap_or_else(|| basis.trie().partition_root(max_chunks));
     Ok(if ranges.len() > 1 { ranges } else { full })
-}
-
-/// One range of [`grouped_join`]: a range-restricted leapfrog join with
-/// streaming group-fold, exactly the paper's stream-aggregation over
-/// consecutive outputs — emitted straight into the caller's flat builder.
-/// The only per-group state is one reusable key buffer; nothing is allocated
-/// per row.
-#[allow(clippy::too_many_arguments)]
-fn grouped_join_range<E: SemiringElem>(
-    domains: &Domains,
-    order: &[Var],
-    inputs: &[JoinInput<'_, E>],
-    range: (u32, u32),
-    one: &E,
-    group_arity: usize,
-    mul: impl Fn(&E, &E) -> E,
-    fold: impl Fn(&E, &E) -> E,
-    is_zero: impl Fn(&E) -> bool,
-    out: &mut FactorBuilder<E>,
-) -> JoinStats {
-    let mut key: Vec<u32> = Vec::with_capacity(group_arity);
-    let mut acc: Option<E> = None;
-    let stats = multiway_join_range_rep(
-        JoinRep::Trie,
-        domains,
-        order,
-        inputs,
-        range,
-        one.clone(),
-        |a, b| mul(a, b),
-        |binding, val| {
-            let group = &binding[..group_arity];
-            match &mut acc {
-                Some(a) if key == group => *a = fold(a, &val),
-                _ => {
-                    if let Some(done) = acc.take() {
-                        if !is_zero(&done) {
-                            out.push(&key, done);
-                        }
-                    }
-                    key.clear();
-                    key.extend_from_slice(group);
-                    acc = Some(val);
-                }
-            }
-        },
-    );
-    if let Some(done) = acc.take() {
-        if !is_zero(&done) {
-            out.push(&key, done);
-        }
-    }
-    stats
 }
 
 #[cfg(test)]
@@ -475,6 +561,7 @@ mod tests {
                 grouped_join(
                     policy,
                     &q.domains,
+                    &order,
                     &order,
                     &inputs,
                     restriction,

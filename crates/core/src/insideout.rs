@@ -7,11 +7,20 @@
 //! ψ'_{U_k−{k}} = ⊕⁽ᵏ⁾_{x_k} ( ⊗_{S∈∂(k)} ψ_S ) ⊗ ( ⊗_{S∉∂(k), S∩U_k≠∅} ψ_{S/U_k} )
 //! ```
 //!
-//! (paper eq. (7)) is computed by one OutsideIn multiway join over `U_k` with
-//! the eliminated variable placed last, so the `⊕⁽ᵏ⁾`-fold streams over
-//! consecutive join outputs. The indicator projections `ψ_{S/U_k}` join as
-//! filters, giving the simultaneous-semijoin effect that caps the intermediate
-//! at the AGM bound of `U_k`.
+//! (paper eq. (7)) is computed by one OutsideIn multiway join over `U_k`. Its
+//! fold order is `U_k` by σ, the eliminated variable last, so the
+//! `⊕⁽ᵏ⁾`-fold groups consecutive bindings. The join kernel binds `U_k` in
+//! that order too, unless some prefix of it is disconnected in the step's
+//! input hypergraph: no input links the prefix's variables, and the kernel
+//! would enumerate their product before it seeks the variable that joins
+//! them (Example 5.6's x5 step walks x1 × x2). Such a step's kernel binds
+//! the eliminated variable first ([`kernel_order`]; §5.1.1 lets OutsideIn
+//! visit `U_k` in any order), and its matches are sorted into fold order
+//! before the fold (`exec::grouped_join`). The fold meets the same groups
+//! and the same `⊗` products in the same order, so the output is
+//! bit-identical. The indicator projections `ψ_{S/U_k}` join as filters,
+//! giving the simultaneous-semijoin effect that caps the intermediate at the
+//! AGM bound of `U_k`.
 //!
 //! Product aggregates follow eq. (8): factors containing the variable are
 //! product-marginalized individually; the rest are powered point-wise by
@@ -38,10 +47,10 @@
 //!
 //! # One program, four readers
 //!
-//! Which factors a step joins, in which column order, which survivors join as
-//! lazy prefix filters and which as materialized projections, and what schema
-//! the step writes are all decided by the factor schemas, the aggregates and
-//! σ — no row is read to decide them. `compile` makes that decision once,
+//! Which factors a step joins, in which fold and kernel order, which survivors
+//! join as lazy prefix filters and which as materialized projections, and
+//! what schema the step writes are all decided by the factor schemas, the
+//! aggregates and σ — no row is read to decide them. `compile` makes that decision once,
 //! as a `Program`: a list of `Step`s over arena node ids (the input factors
 //! first, then every factor a step writes). `exec_step` executes one step.
 //! Everything else reads the list:
@@ -215,8 +224,14 @@ pub(crate) struct JoinStep {
     /// Eliminated variable; `None` for the final output join.
     pub(crate) var: Option<Var>,
     /// `U_k` by σ position; the eliminated variable is innermost in σ among
-    /// the live variables, so it comes last.
+    /// the live variables, so it comes last. The fold groups, and the output
+    /// schema, follow this order.
     pub(crate) join_order: Vec<Var>,
+    /// The order the join kernel binds `U_k` in ([`kernel_order`]):
+    /// `join_order`, or — where a prefix of `join_order` would make the
+    /// kernel enumerate a cross product — the eliminated variable first. The
+    /// inputs are aligned, and prefix filters chosen, against this order.
+    pub(crate) kernel_order: Vec<Var>,
     /// Leading columns of `join_order` that key a fold group (and form the
     /// schema of `output`).
     pub(crate) group_arity: usize,
@@ -295,12 +310,12 @@ impl Program {
 }
 
 /// The depth `k` at which joining `schema[..k]` as a lazy prefix filter is
-/// equivalent to materializing the indicator projection onto `join_order`:
-/// the schema columns surviving the projection must be exactly `schema[..k]`
-/// (a prefix), already in `join_order`-relative order. `None` otherwise — the
-/// step materializes the projection.
-fn prefix_filter_depth(schema: &[Var], join_order: &[Var]) -> Option<usize> {
-    let pos = |v: &Var| join_order.iter().position(|o| o == v);
+/// equivalent to materializing the indicator projection onto a step's `U`,
+/// joined in `kernel` order: the schema columns surviving the projection must
+/// be exactly `schema[..k]` (a prefix), already in `kernel`-relative order.
+/// `None` otherwise — the step materializes the projection.
+fn prefix_filter_depth(schema: &[Var], kernel: &[Var]) -> Option<usize> {
+    let pos = |v: &Var| kernel.iter().position(|o| o == v);
     let k = schema.iter().take_while(|v| pos(v).is_some()).count();
     if k == 0 || schema[k..].iter().any(|v| pos(v).is_some()) {
         return None; // surviving columns are not a schema prefix
@@ -333,6 +348,28 @@ pub(crate) fn incident_edges<'a>(
         }
     }
     (incident, rest, u)
+}
+
+/// The order a step's kernel binds its `U`, given `join_order` (`U` by σ,
+/// `var` last) and `inputs`, the schemas of the step's value and filter
+/// inputs. It is `join_order` when every prefix of it is connected in the
+/// step's input hypergraph restricted to `U` — each variable shares an input
+/// with an earlier one. Otherwise the kernel would enumerate the product of
+/// the prefix's components before it binds the variable that links them
+/// (System R's "no Cartesian product before a join"), and the order is `var`
+/// followed by the rest of `join_order`: every value input holds `var`, so
+/// each later variable shares an input with it, and that order is also the
+/// one that takes, after `var`, the earliest `join_order` variable sharing an
+/// input with those placed so far. Read off schemas only, like the rest of
+/// [`compile`].
+fn kernel_order(join_order: &[Var], var: Var, inputs: &[&[Var]]) -> Vec<Var> {
+    let linked = |a: &Var, b: &Var| inputs.iter().any(|s| s.contains(a) && s.contains(b));
+    let connected =
+        (1..join_order.len()).all(|i| join_order[..i].iter().any(|w| linked(w, &join_order[i])));
+    if connected {
+        return join_order.to_vec();
+    }
+    std::iter::once(var).chain(join_order.iter().copied().filter(|&v| v != var)).collect()
 }
 
 /// Which output representation a compiled program builds.
@@ -375,6 +412,20 @@ pub(crate) fn output_fuses<'a>(
 /// Reads the factor *schemas*, the free count and the aggregates only — no
 /// row.
 pub(crate) fn compile<D: AggDomain>(q: &FaqQuery<D>, sigma: &[Var], form: OutputForm) -> Program {
+    compile_with(q, sigma, form, kernel_order)
+}
+
+/// Chooses a step's kernel order from its join order, eliminated variable
+/// and input schemas, as [`kernel_order`] does.
+type KernelOrder = fn(&[Var], Var, &[&[Var]]) -> Vec<Var>;
+
+/// [`compile`] with the step kernel orders chosen by `order_kernel`.
+fn compile_with<D: AggDomain>(
+    q: &FaqQuery<D>,
+    sigma: &[Var],
+    form: OutputForm,
+    order_kernel: KernelOrder,
+) -> Program {
     let f = q.free.len();
     let pos = |v: Var| sigma.iter().position(|&s| s == v).expect("var in sigma");
     // Schema of every node so far, and the nodes of the current edge set.
@@ -391,20 +442,27 @@ pub(crate) fn compile<D: AggDomain>(q: &FaqQuery<D>, sigma: &[Var], form: Output
         join_order.sort_by_key(|&v| pos(v));
         (incident, rest, join_order)
     };
+    // The kernel order of the step eliminating `var` over the `live` edges —
+    // its value and filter inputs; an edge outside U_k links nothing.
+    let kernel_of = |schemas: &[Vec<Var>], live: &[usize], join_order: &[Var], var: Var| {
+        let inputs: Vec<&[Var]> = live.iter().map(|&i| schemas[i].as_slice()).collect();
+        order_kernel(join_order, var, &inputs)
+    };
     // The indicator projections `ψ_{S/U_k}` of `edges` overlapping U_k, in
-    // edge order: lazy wherever the surviving columns form a σ-compatible
-    // prefix, a materialized projection (a fresh node) otherwise.
-    let filters_of = |schemas: &mut Vec<Vec<Var>>, edges: &[usize], join_order: &[Var]| {
+    // edge order: lazy wherever the surviving columns form a prefix that
+    // follows the kernel order, a materialized projection (a fresh node)
+    // otherwise.
+    let filters_of = |schemas: &mut Vec<Vec<Var>>, edges: &[usize], kernel: &[Var]| {
         let mut filters: Vec<StepFilter> = Vec::new();
         for &node in edges {
-            if !schemas[node].iter().any(|v| join_order.contains(v)) {
+            if !schemas[node].iter().any(|v| kernel.contains(v)) {
                 continue;
             }
-            filters.push(match prefix_filter_depth(&schemas[node], join_order) {
+            filters.push(match prefix_filter_depth(&schemas[node], kernel) {
                 Some(depth) => StepFilter::Prefix { node, depth },
                 None => {
                     let kept =
-                        schemas[node].iter().copied().filter(|v| join_order.contains(v)).collect();
+                        schemas[node].iter().copied().filter(|v| kernel.contains(v)).collect();
                     schemas.push(kept);
                     StepFilter::Proj { source: node, proj: schemas.len() - 1 }
                 }
@@ -419,17 +477,19 @@ pub(crate) fn compile<D: AggDomain>(q: &FaqQuery<D>, sigma: &[Var], form: Output
         match q.agg_of(var).expect("bound variable has an aggregate") {
             VarAgg::Semiring(op) => {
                 let (incident, rest, join_order) = split_live(&schemas, &live, var);
+                let kernel_order = kernel_of(&schemas, &live, &join_order, var);
                 live = rest;
                 if incident.is_empty() {
                     steps.push(Step::Scalar { var, op, output: schemas.len() });
                     schemas.push(Vec::new());
                 } else {
-                    let filters = filters_of(&mut schemas, &live, &join_order);
+                    let filters = filters_of(&mut schemas, &live, &kernel_order);
                     let group_arity = join_order.len() - 1;
                     schemas.push(join_order[..group_arity].to_vec());
                     steps.push(Step::Join(JoinStep {
                         var: Some(var),
                         join_order,
+                        kernel_order,
                         group_arity,
                         fold: FoldKind::Semiring(op),
                         values: incident,
@@ -472,7 +532,8 @@ pub(crate) fn compile<D: AggDomain>(q: &FaqQuery<D>, sigma: &[Var], form: Output
         if incident.is_empty() {
             continue; // free variable constrained by nothing
         }
-        let filters = filters_of(&mut schemas, &live, &join_order);
+        let kernel_order = kernel_of(&schemas, &live, &join_order, var);
+        let filters = filters_of(&mut schemas, &live, &kernel_order);
         let output = schemas.len();
         schemas.push(join_order.clone());
         schemas.push(join_order[..join_order.len() - 1].to_vec());
@@ -484,6 +545,7 @@ pub(crate) fn compile<D: AggDomain>(q: &FaqQuery<D>, sigma: &[Var], form: Output
             var: Some(var),
             group_arity: join_order.len(),
             join_order,
+            kernel_order,
             fold: FoldKind::Guard,
             values: Vec::new(),
             filters,
@@ -498,6 +560,7 @@ pub(crate) fn compile<D: AggDomain>(q: &FaqQuery<D>, sigma: &[Var], form: Output
     steps.push(Step::Join(JoinStep {
         var: None,
         join_order: free.to_vec(),
+        kernel_order: free.to_vec(),
         group_arity: f,
         fold: FoldKind::Output,
         values: ef,
@@ -631,7 +694,7 @@ fn exec_step<D: AggDomain + Sync>(
                 continue;
             }
             let src = node(&q.factors, slots, source);
-            let new_proj = src.indicator_projection(&js.join_order, dom.one());
+            let new_proj = src.indicator_projection(&js.kernel_order, dom.one());
             dirty[proj] = match &dirty[source] {
                 Dirty::Ranges(rs)
                     if src.schema().first() == js.join_order.first() && new_proj.arity() > 0 =>
@@ -653,11 +716,14 @@ fn exec_step<D: AggDomain + Sync>(
         return Ok(()); // cached output is still exact
     }
 
-    // Restriction: legal only when there is a cached output to splice into
-    // and every dirty input's changes anchor on the step's first join
-    // variable.
+    // Restriction: legal only when there is a cached output to splice into,
+    // the kernel binds the step's first join variable first, and every dirty
+    // input's changes anchor on that variable. A step whose kernel runs in
+    // its own order re-runs in full and its output is diffed below.
     let j0 = js.join_order.first();
-    let mut restriction: Option<Vec<(u32, u32)>> = (cached && js.group_arity > 0).then(Vec::new);
+    let streams = js.kernel_order == js.join_order;
+    let mut restriction: Option<Vec<(u32, u32)>> =
+        (cached && js.group_arity > 0 && streams).then(Vec::new);
     for &n in &in_nodes {
         let Some(acc) = restriction.as_mut() else { break };
         match &dirty[n] {
@@ -688,6 +754,7 @@ fn exec_step<D: AggDomain + Sync>(
         policy,
         &q.domains,
         &js.join_order,
+        &js.kernel_order,
         &inputs,
         restriction.as_deref(),
         &dom.one(),
@@ -796,15 +863,28 @@ pub(crate) fn run_fresh<D: AggDomain + Sync>(
     q.validate()?;
     q.check_ordering(sigma)?;
     let prog = compile(q, sigma, form);
+    let (slots, stats) = run_program(q, &prog, policy, keep, form)?;
+    Ok((prog, slots, stats))
+}
+
+/// Run a compiled `prog` from an empty arena with every input wholly dirty:
+/// the body of [`run_fresh`].
+fn run_program<D: AggDomain + Sync>(
+    q: &FaqQuery<D>,
+    prog: &Program,
+    policy: &ExecPolicy,
+    keep: bool,
+    form: OutputForm,
+) -> Result<(Slots<D::E>, ElimStats), FaqError> {
     let mut slots: Slots<D::E> = Vec::new();
     slots.resize_with(prog.nodes, || None);
     let mut dirty = vec![Dirty::Clean; prog.nodes];
     dirty[..q.factors.len()].fill(Dirty::Full);
     let upto = prog.steps.len() - usize::from(form == OutputForm::Factorized);
     let stats = with_abort_guard(policy, || {
-        run_steps(q, policy, &prog, upto, &mut slots, &mut dirty, keep)
+        run_steps(q, policy, prog, upto, &mut slots, &mut dirty, keep)
     })?;
-    Ok((prog, slots, stats))
+    Ok((slots, stats))
 }
 
 /// Evaluate `q` along `sigma` under `policy`: the one evaluation behind
@@ -863,8 +943,10 @@ mod tests {
     }
 
     /// Example 5.6 along its input order, derived by hand from Algorithm 1:
-    /// which `U_k` each step joins, in which column order, and which
-    /// survivors need a materialized projection.
+    /// which `U_k` each step joins, in which column order, which survivors
+    /// need a materialized projection, and the kernel order of each step:
+    /// the x5 step's `U = {x1, x2, x5}` has no input holding both x1 and x2,
+    /// so its kernel binds x5 first.
     #[test]
     fn compile_example_5_6_input_order() {
         let fac = |schema: &[u32]| {
@@ -892,6 +974,7 @@ mod tests {
             .joins()
             .map(|js| (js.var, js.join_order.clone(), js.values.len(), js.filters.clone()))
             .collect();
+        let kernels: Vec<Vec<Var>> = prog.joins().map(|js| js.kernel_order.clone()).collect();
         // Nodes 0–3 are ψ15 ψ25 ψ134 ψ236; 4 and 7 are projections; 5, 6, 8
         // the intermediates of x6, x5, x4; 9–11 the rewrites of Π₃.
         let prefix = |node, depth| StepFilter::Prefix { node, depth };
@@ -905,6 +988,9 @@ mod tests {
             (None, vars(&[]), 1, vec![]),
         ];
         assert_eq!(shape, expect);
+        let mut want: Vec<Vec<Var>> = expect.iter().map(|(_, order, ..)| order.clone()).collect();
+        want[1] = vars(&[5, 1, 2]);
+        assert_eq!(kernels, want);
         assert!(matches!(&prog.steps[3], Step::Product { var, rewrites }
             if *var == v(3) && rewrites == &[(5, 9), (6, 10), (8, 11)]));
         assert_eq!(prog.nodes, 15);
@@ -1244,5 +1330,171 @@ mod tests {
         assert_eq!(out.stats.steps.len(), 3);
         assert!(out.stats.total_seeks() > 0);
         assert!(out.stats.max_intermediate >= 1);
+    }
+
+    /// Steps whose every `join_order` prefix is connected keep it as their
+    /// kernel order: the triangle (listing, factorized and counted) and a
+    /// chain along its own order, free or summed.
+    #[test]
+    fn connected_steps_keep_their_join_order() {
+        let chain =
+            |free: &[u32]| listing(5, free, (0..4).map(|i| pairs(i, i + 1, 3)).collect::<Vec<_>>());
+        let triangle_count = listing(3, &[], triangle_listing().factors);
+        let queries = [triangle_listing(), triangle_count, chain(&[]), chain(&[0, 1, 2, 3, 4])];
+        for q in &queries {
+            for form in [OutputForm::Listing, OutputForm::Factorized] {
+                let prog = compile(q, &q.ordering(), form);
+                assert!(prog.joins().count() > 0);
+                for js in prog.joins() {
+                    assert_eq!(js.kernel_order, js.join_order, "{:?} {form:?}", js.var);
+                }
+            }
+        }
+    }
+
+    /// A query over `edges` (variables `0..n`, each domain `0..dom`): each
+    /// cell of a factor present with probability 0.6, valued by `value`;
+    /// the first `free` variables free, the rest drawing an aggregate from
+    /// `aggs`.
+    #[allow(clippy::too_many_arguments)]
+    fn random_shape<D: AggDomain>(
+        domain: D,
+        aggs: &[VarAgg],
+        value: fn(&mut rand::rngs::StdRng) -> D::E,
+        edges: &[&[u32]],
+        n: u32,
+        dom: u32,
+        free: usize,
+        seed: u64,
+    ) -> FaqQuery<D> {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let factors = edges
+            .iter()
+            .map(|schema| {
+                let cells = dom.pow(schema.len() as u32);
+                let rows = (0..cells)
+                    .filter_map(|c| {
+                        let row = (0..schema.len() as u32).map(|i| c / dom.pow(i) % dom).collect();
+                        rng.gen_bool(0.6).then(|| (row, value(&mut rng)))
+                    })
+                    .collect();
+                Factor::new(vars(schema), rows).unwrap()
+            })
+            .collect();
+        let bound = (free as u32..n).map(|i| (v(i), aggs[rng.gen_range(0..aggs.len())])).collect();
+        let free = (0..free as u32).map(v).collect();
+        FaqQuery::new(domain, Domains::uniform(n as usize, dom), free, bound, factors).unwrap()
+    }
+
+    /// Runs every ordering of `LinEx(q)` (up to 24) compiled twice — kernel
+    /// orders chosen by [`kernel_order`], and forced to `join_order` — at 1,
+    /// 2 and 4 threads with every step chunkable, and asserts that every join
+    /// step writes the same factor, bit for bit, as the forced program at one
+    /// thread. Returns the number of steps whose kernel took its own order.
+    fn assert_kernel_orders_agree<D: AggDomain + Sync>(q: &FaqQuery<D>) -> usize {
+        let (orderings, _) = crate::evo::linear_extensions(&q.shape(), 24);
+        let mut own = 0;
+        for sigma in &orderings {
+            let progs = [
+                compile(q, sigma, OutputForm::Listing),
+                compile_with(q, sigma, OutputForm::Listing, |order, _, _| order.to_vec()),
+            ];
+            own += progs[0].joins().filter(|js| js.kernel_order != js.join_order).count();
+            let outputs = |prog: &Program, threads: usize| {
+                let policy = ExecPolicy::with_threads(threads).min_chunk_rows(1);
+                let (mut slots, _) =
+                    run_program(q, prog, &policy, true, OutputForm::Listing).unwrap();
+                let written = |js: &JoinStep| js.reduced.into_iter().chain([js.output]);
+                prog.joins().flat_map(written).map(|n| slots[n].take()).collect::<Vec<_>>()
+            };
+            let want = outputs(&progs[1], 1);
+            for threads in [1, 2, 4] {
+                for (prog, forced) in progs.iter().zip(["own", "forced"]) {
+                    let got = outputs(prog, threads);
+                    assert_eq!(got, want, "{sigma:?} {forced} kernel order, {threads} threads");
+                }
+            }
+        }
+        own
+    }
+
+    /// Both kernel orders of every step agree on every oracle family — the
+    /// counting, real (`f64`, whose fold is order-sensitive), boolean and
+    /// max-tropical aggregate mixes — over the triangle, a chain, the 4- and
+    /// 5-cycle and Example 5.6, with any number of free variables.
+    #[test]
+    fn kernel_orders_write_the_same_step_outputs() {
+        use faq_semiring::{MaxPlus, SingleSemiringDomain};
+        use rand::Rng;
+        type MaxTropical = SingleSemiringDomain<MaxPlus>;
+        let count_aggs = [
+            VarAgg::Semiring(CountDomain::SUM),
+            VarAgg::Semiring(CountDomain::MAX),
+            VarAgg::Product,
+        ];
+        let real_aggs = [VarAgg::Semiring(RealDomain::SUM), VarAgg::Semiring(RealDomain::MAX)];
+        let bool_aggs = [VarAgg::Semiring(BoolDomain::OR), VarAgg::Product];
+        let tropical_aggs = [VarAgg::Semiring(MaxTropical::OP), VarAgg::Product];
+        let shapes: [(&str, u32, u32, &[&[u32]]); 5] = [
+            ("triangle", 3, 4, &[&[0, 1], &[1, 2], &[0, 2]]),
+            ("chain", 5, 3, &[&[0, 1], &[1, 2], &[2, 3], &[3, 4]]),
+            ("4-cycle", 4, 3, &[&[0, 1], &[1, 2], &[2, 3], &[0, 3]]),
+            ("5-cycle", 5, 3, &[&[0, 1], &[1, 2], &[2, 3], &[3, 4], &[0, 4]]),
+            // x1..x6 of the paper as 0..5: ψ15 ψ25 ψ134 ψ236.
+            ("example 5.6", 6, 3, &[&[0, 4], &[1, 4], &[0, 2, 3], &[1, 2, 5]]),
+        ];
+        let mut total = 0;
+        for (name, n, dom, edges) in shapes {
+            let mut own = 0;
+            for seed in 0..3u64 {
+                let free = seed as usize % 3;
+                own += assert_kernel_orders_agree(&random_shape(
+                    CountDomain,
+                    &count_aggs,
+                    |r| r.gen_range(1..=4u64),
+                    edges,
+                    n,
+                    dom,
+                    free,
+                    seed,
+                ));
+                own += assert_kernel_orders_agree(&random_shape(
+                    RealDomain,
+                    &real_aggs,
+                    |r| f64::from(r.gen_range(1..=9u32)) / 3.0,
+                    edges,
+                    n,
+                    dom,
+                    free,
+                    seed,
+                ));
+                own += assert_kernel_orders_agree(&random_shape(
+                    BoolDomain,
+                    &bool_aggs,
+                    |_| true,
+                    edges,
+                    n,
+                    dom,
+                    free,
+                    seed,
+                ));
+                own += assert_kernel_orders_agree(&random_shape(
+                    MaxTropical::default(),
+                    &tropical_aggs,
+                    |r| f64::from(r.gen_range(-4..=8i32)) * 0.25,
+                    edges,
+                    n,
+                    dom,
+                    free,
+                    seed,
+                ));
+            }
+            if name != "triangle" {
+                assert!(own > 0, "{name}: no step took its own kernel order");
+            }
+            total += own;
+        }
+        assert!(total > 0);
     }
 }

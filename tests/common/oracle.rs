@@ -8,8 +8,9 @@
 //! Prop. 5.9).
 //!
 //! * An [`Instance`] is a [`Shape`] (the triangle; a 3–6-variable chain with
-//!   a chord; a 4- or 5-cycle), a semiring [`Family`] with its aggregate mix,
-//!   any number of free variables, and one delta batch for one slot.
+//!   a chord; a 4- or 5-cycle; Example 5.6's hypergraph), a semiring
+//!   [`Family`] with its aggregate mix, any number of free variables, and one
+//!   delta batch for one slot.
 //! * A [`Config`] is a backing (in memory, or any subset of the factors
 //!   spilled at 1 / C−1 / C / C+1 rows a chunk for C = 4, behind a 2-chunk
 //!   window), a thread count × chunk floor, an ordering ([`Sigma`]) and an
@@ -126,9 +127,13 @@ pub enum Shape {
     Triangle,
     Chain,
     Cycle,
+    /// Example 5.6's `ψ15 ψ25 ψ134 ψ236`, x1..x6 as 0..5: the variable the
+    /// two binary edges share has no input with both of its neighbours, so
+    /// its step joins in its own kernel order whenever σ puts them first.
+    Star,
 }
 
-const SHAPES: [Shape; 3] = [Shape::Triangle, Shape::Chain, Shape::Cycle];
+const SHAPES: [Shape; 4] = [Shape::Triangle, Shape::Chain, Shape::Cycle, Shape::Star];
 
 /// A FAQ instance of family `F`, with the delta batch a delta path applies
 /// (twice) to `slot`.
@@ -148,28 +153,37 @@ impl<F: Family> Instance<F> {
     /// A random instance, and the shape drawn for it.
     pub fn draw(rng: &mut StdRng) -> (Shape, Instance<F>) {
         let shape = *SHAPES.choose(rng).unwrap();
-        let (n, dom) = match shape {
+        let (n, dom): (u32, u32) = match shape {
             Shape::Triangle => (3, 4),
             Shape::Chain => (rng.gen_range(3..=6), rng.gen_range(2..=3)),
             Shape::Cycle => (rng.gen_range(4..=5), rng.gen_range(2..=3)),
+            Shape::Star => (6, rng.gen_range(2..=3)),
         };
-        let mut edges: Vec<(u32, u32)> = (0..n - 1).map(|i| (i, i + 1)).collect();
-        if shape == Shape::Chain {
-            let a = rng.gen_range(0..n);
-            let b = (a + 1 + rng.gen_range(0..n - 1)) % n;
-            edges.push((a.min(b), a.max(b)));
-        } else {
-            edges.push((0, n - 1)); // the triangle is the 3-cycle
+        let mut edges: Vec<Vec<u32>> = match shape {
+            Shape::Star => vec![vec![0, 4], vec![1, 4], vec![0, 2, 3], vec![1, 2, 5]],
+            _ => (0..n - 1).map(|i| vec![i, i + 1]).collect(),
+        };
+        match shape {
+            Shape::Chain => {
+                let a = rng.gen_range(0..n);
+                let b = (a + 1 + rng.gen_range(0..n - 1)) % n;
+                edges.push(vec![a.min(b), a.max(b)]);
+            }
+            // The triangle is the 3-cycle.
+            Shape::Triangle | Shape::Cycle => edges.push(vec![0, n - 1]),
+            Shape::Star => {}
         }
         let mut factors = Vec::new();
-        for &(a, b) in &edges {
+        for edge in &edges {
+            let arity = edge.len() as u32;
             let mut tuples = Vec::new();
-            for cell in 0..dom * dom {
+            for cell in 0..dom.pow(arity) {
                 if rng.gen_bool(0.65) {
-                    tuples.push((vec![cell / dom, cell % dom], F::value(rng)));
+                    let row = (0..arity).rev().map(|i| cell / dom.pow(i) % dom).collect();
+                    tuples.push((row, F::value(rng)));
                 }
             }
-            factors.push(Factor::new(vec![Var(a), Var(b)], tuples).unwrap());
+            factors.push(Factor::new(edge.iter().map(|&a| Var(a)).collect(), tuples).unwrap());
         }
         // Any prefix of a random variable order is free; the rest draw
         // aggregates from the family's mix, outermost first.
@@ -189,7 +203,7 @@ impl<F: Family> Instance<F> {
                 1 => DeltaOp::Merge(F::value(rng)),
                 _ => DeltaOp::Delete,
             };
-            entries.insert(vec![rng.gen_range(0..dom), rng.gen_range(0..dom)], op);
+            entries.insert(edges[slot].iter().map(|_| rng.gen_range(0..dom)).collect(), op);
         }
         let schema = q.factors[slot].schema().to_vec();
         let delta = DeltaFactor::new(schema, entries.into_iter().collect()).unwrap();
