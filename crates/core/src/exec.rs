@@ -315,6 +315,10 @@ pub(crate) fn grouped_join<E: SemiringElem>(
             b.keys.extend(chunk.keys);
             b.vals.extend(chunk.vals);
         })?;
+        // The realigned input copies are dead once every match is buffered:
+        // free them before the sort and the output grow.
+        drop(inputs);
+        drop(aligned);
         buf.fold_sorted(group_arity, &mut GroupFold::new(&mut out, fold, is_zero));
         stats
     };

@@ -50,10 +50,10 @@
 //! Which factors a step joins, in which fold and kernel order, which survivors
 //! join as lazy prefix filters and which as materialized projections, and
 //! what schema the step writes are all decided by the factor schemas, the
-//! aggregates and σ — no row is read to decide them. `compile` makes that decision once,
-//! as a `Program`: a list of `Step`s over arena node ids (the input factors
-//! first, then every factor a step writes). `exec_step` executes one step.
-//! Everything else reads the list:
+//! aggregates and σ — no row is read to decide them. `compile` makes that
+//! decision once, as a `Program`: a list of `Step`s over arena node ids (the
+//! input factors first, then every factor a step writes). `exec_step`
+//! executes one step. Everything else reads the list:
 //!
 //! * a fresh evaluation ([`crate::Engine::evaluate`],
 //!   [`crate::PreparedQuery::evaluate`]) runs every step and drops each node
