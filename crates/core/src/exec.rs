@@ -431,7 +431,10 @@ struct MatchBuffer<E> {
 impl<E: SemiringElem> MatchBuffer<E> {
     /// Feed the matches to `groups` in lexicographic order of their
     /// bindings, grouped on the first `group_arity` keys. Every binding
-    /// occurs once, so the order is total.
+    /// occurs once, so the order is total. The kernel emits the bindings of
+    /// each value of its first variable as one ascending run, which the
+    /// stable sort (a run-merging merge sort) merges rather than sorting
+    /// from scratch.
     fn fold_sorted<F: Fn(&E, &E) -> E, Z: Fn(&E) -> bool>(
         &self,
         group_arity: usize,
@@ -440,7 +443,7 @@ impl<E: SemiringElem> MatchBuffer<E> {
         let w = self.width;
         let key = |i: usize| &self.keys[i * w..(i + 1) * w];
         let mut sorted: Vec<usize> = (0..self.vals.len()).collect();
-        sorted.sort_unstable_by(|&a, &b| key(a).cmp(key(b)));
+        sorted.sort_by(|&a, &b| key(a).cmp(key(b)));
         for i in sorted {
             groups.push(&key(i)[..group_arity], self.vals[i].clone());
         }

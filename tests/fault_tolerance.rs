@@ -16,6 +16,17 @@ use std::time::{Duration, Instant};
 
 const DOM: u32 = 64;
 
+/// The pinned-chunk gauges are process-global and the test harness runs this
+/// file's tests on parallel threads: every test that spills holds this lock
+/// for its whole body, so no other test's pins land inside the deadline
+/// test's gauge readings.
+static GAUGES: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn hold_gauges() -> std::sync::MutexGuard<'static, ()> {
+    // A failed test poisons the lock; the gauges it guards are still valid.
+    GAUGES.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 fn edge(seed: u64, rows: usize, a: u32, b: u32) -> Factor<u64> {
     let mut r = StdRng::seed_from_u64(seed);
     let mut tuples = std::collections::BTreeMap::new();
@@ -38,6 +49,7 @@ fn spec() -> QuerySpec {
 
 #[test]
 fn deadline_bounded_out_of_core_query_cleans_up() {
+    let _gauges = hold_gauges();
     let spill =
         SpillConfig { dir: None, chunk_rows: 64, level_chunk_entries: 64, window_chunks: 2 };
     let catalog: Vec<Factor<u64>> = [edge(3, 3000, 0, 1), edge(4, 3000, 1, 2), edge(5, 3000, 0, 2)]
@@ -137,6 +149,7 @@ fn is_storage<T>(r: Result<T, FaqError>) -> bool {
 /// answers the query it registered before the fault.
 #[test]
 fn prepare_time_storage_faults_are_typed() {
+    let _gauges = hold_gauges();
     // Slot 3 is a spilled R(0, 2) that no query reads before the fault, so
     // its index is still to be built.
     let catalog: Vec<Factor<u64>> =
@@ -173,6 +186,7 @@ fn prepare_time_storage_faults_are_typed() {
 /// old factor's body and the handle still evaluates to the old output.
 #[test]
 fn failed_update_factor_leaves_the_handle_as_it_was() {
+    let _gauges = hold_gauges();
     let q = triangle(vec![edge(3, 600, 0, 1), edge(4, 600, 1, 2), edge(5, 600, 0, 2)]);
     let mut prepared = Planner::sequential().prepare(&q).unwrap();
     let old = prepared.query().factors[0].clone();
@@ -190,6 +204,7 @@ fn failed_update_factor_leaves_the_handle_as_it_was() {
 /// under a hard fault on every chunk operation, and none of them panics.
 #[test]
 fn every_entry_point_types_storage_faults() {
+    let _gauges = hold_gauges();
     let edges = [edge(3, 600, 0, 1), edge(4, 600, 1, 2), edge(5, 600, 0, 2)];
     let spilled = || edges.iter().map(|f| f.to_spilled(spill())).collect::<Vec<_>>();
     // Spilled in the plan's column order, so `prepare` keeps each input
@@ -239,6 +254,7 @@ fn every_entry_point_types_storage_faults() {
 /// engine's range workers too, not only on the thread that armed it.
 #[test]
 fn chunk_workers_type_storage_faults() {
+    let _gauges = hold_gauges();
     // Columns already in the written order, so every input stays spilled.
     let inputs: Vec<Factor<u64>> = [edge(3, 600, 0, 1), edge(4, 600, 1, 2), edge(5, 600, 0, 2)]
         .iter()
