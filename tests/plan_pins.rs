@@ -271,6 +271,7 @@ fn benchmark_shapes_plan_as_recorded() {
 #[test]
 fn example_5_6_plan_seeks_stay_linear() {
     let mut rng = StdRng::seed_from_u64(23);
+    // The draws of `benchmark_shapes_plan_as_recorded` before its Example 5.6.
     let _ = (grid(&mut rng, 3, 3), grid(&mut rng, 2, 3), tree(&mut rng, 10));
     let q = example_5_6(&mut rng, 1000);
     let prepared = Planner::sequential().prepare(&q).unwrap();
