@@ -9,10 +9,13 @@
 //! in-memory listing is the case of one chunk that is always resident.
 //!
 //! * [`FileChunkedColumns`] — the listing: row-major keys plus fixed-width
-//!   encoded values ([`FixedBytes`]), chunked by row count. Chunk metadata
-//!   (first/last tuple, row count, file offset) stays resident, so range
-//!   queries, chunk-aligned partitioning and delta splices know which chunks
-//!   to fault without reading any of them.
+//!   encoded values ([`FixedBytes`]), chunked by row count. A chunk whose
+//!   encoded values are all byte-equal (every chunk of an indicator factor:
+//!   a join, #CQ, CSP or SAT input) stores its keys only, and its one value
+//!   stays resident, so a value read faults nothing. Chunk metadata
+//!   (first/last tuple, row count, file offset, that resident value) stays
+//!   resident, so range queries, chunk-aligned partitioning and delta
+//!   splices know which chunks to fault without reading any of them.
 //! * [`FileChunkedLevel`] — one trie level (its `values`, and above the
 //!   deepest level its `child` offsets: 12 B an interior entry, 4 B a leaf
 //!   one) in uniform entry chunks, with the head-sample array
@@ -531,12 +534,14 @@ impl<T> Drop for Pinned<T> {
 }
 
 /// Where one chunk's encoded bytes live: the file, the byte range and the
-/// checksum recorded when they were written.
+/// checksum recorded when they were written — and the bytes the decoded
+/// chunk holds, which the pin gauge is charged while it is pinned.
 struct ChunkAt<'a> {
     file: &'a SpillFile,
     offset: u64,
     bytes: usize,
     checksum: u64,
+    decoded_bytes: usize,
 }
 
 /// The bounded pinned window of one spilled listing or trie level: at most
@@ -573,8 +578,8 @@ impl<T> ChunkWindow<T> {
         let mut buf = vec![0u8; at.bytes];
         read_chunk_verified(at.file, at.offset, &mut buf, k, at.checksum)?;
         let data = decode(&buf);
-        track_pin(at.bytes);
-        let chunk = Arc::new(Pinned { data, bytes: at.bytes });
+        track_pin(at.decoded_bytes);
+        let chunk = Arc::new(Pinned { data, bytes: at.decoded_bytes });
         self.reads.fetch_add(1, Ordering::Relaxed);
         CHUNK_READS.fetch_add(1, Ordering::Relaxed);
         cache.insert(k, Arc::clone(&chunk));
@@ -586,7 +591,7 @@ impl<T> ChunkWindow<T> {
         ok_or_raise(self.try_pin(k, at, decode))
     }
 
-    /// Encoded bytes of the chunks currently pinned.
+    /// Decoded bytes of the chunks currently pinned.
     fn resident_bytes(&self) -> usize {
         let cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
         cache.map.values().map(|(_, c)| c.bytes).sum()
@@ -630,6 +635,19 @@ pub(crate) struct ChunkMeta {
     /// [`chunk_checksum`] of the chunk's encoded bytes, verified on every
     /// fault-in.
     checksum: u64,
+    /// The one encoded value of a chunk whose values are all byte-equal:
+    /// such a chunk stores its keys only, and a value read decodes this
+    /// instead of faulting the chunk. `None`: keys then values on disk.
+    uniform: Option<Box<[u8]>>,
+}
+
+impl ChunkMeta {
+    /// Bytes of this chunk on disk: its keys, plus its values unless they
+    /// are resident.
+    fn disk_bytes(&self, arity: usize, width: usize) -> usize {
+        let vals = if self.uniform.is_some() { 0 } else { self.rows * width };
+        self.rows * arity * 4 + vals
+    }
 }
 
 /// One decoded listing chunk: row-major keys and one value per row.
@@ -649,9 +667,11 @@ pub struct SpillStats {
     /// Chunks faulted in from disk over this listing's lifetime (shared by
     /// clones).
     pub reads: u64,
-    /// Bytes of this listing's chunks currently pinned.
+    /// Decoded bytes of this listing's chunks currently pinned.
     pub resident_bytes: usize,
-    /// Total encoded bytes on disk.
+    /// Bytes this listing's chunks hold on disk, chunks adopted from the
+    /// listing a delta was spliced into included: keys, plus values except
+    /// in a chunk whose values are all equal and kept resident.
     pub file_bytes: usize,
 }
 
@@ -728,7 +748,7 @@ impl<E> FileChunkedColumns<E> {
             chunks: i.chunks.len(),
             reads: i.window.reads.load(Ordering::Relaxed),
             resident_bytes: i.window.resident_bytes(),
-            file_bytes: i.len * (i.arity * 4 + i.width),
+            file_bytes: i.chunks.iter().map(|c| c.disk_bytes(i.arity, i.width)).sum(),
         }
     }
 
@@ -738,7 +758,9 @@ impl<E> FileChunkedColumns<E> {
     }
 
     /// Listing chunk `k` through the pinned window: keys first, then the
-    /// fixed-width values.
+    /// fixed-width values — or, in a uniform chunk, the keys only, with
+    /// every row's value decoded from the resident one. Either way the gauge
+    /// is charged for the decoded chunk.
     fn pin(&self, k: usize) -> Arc<Pinned<DataChunk<E>>> {
         let inner = &self.inner;
         let meta = &inner.chunks[k];
@@ -746,12 +768,18 @@ impl<E> FileChunkedColumns<E> {
         let at = ChunkAt {
             file: &meta.file,
             offset: meta.offset,
-            bytes: row_bytes + meta.rows * inner.width,
+            bytes: meta.disk_bytes(inner.arity, inner.width),
             checksum: meta.checksum,
+            decoded_bytes: row_bytes + meta.rows * inner.width,
         };
         inner.window.pin(k, at, |buf| DataChunk {
             rows: le_u32s(&buf[..row_bytes]),
-            vals: buf[row_bytes..].chunks_exact(inner.width.max(1)).map(inner.decode).collect(),
+            vals: match &meta.uniform {
+                Some(v) => (0..meta.rows).map(|_| (inner.decode)(v)).collect(),
+                None => {
+                    buf[row_bytes..].chunks_exact(inner.width.max(1)).map(inner.decode).collect()
+                }
+            },
         })
     }
 
@@ -791,9 +819,14 @@ impl<E: Clone> FileChunkedColumns<E> {
 }
 
 impl<E> FileChunkedColumns<E> {
-    /// Run `f` over row `i`'s value without cloning it out of the chunk.
+    /// Run `f` over row `i`'s value without cloning it out of the chunk. A
+    /// uniform chunk's value is resident: it is decoded, and nothing is
+    /// pinned, read or drawn from the fault plan.
     fn with_value<R>(&self, i: usize, f: impl FnOnce(&E) -> R) -> R {
         let k = self.chunk_of(i);
+        if let Some(v) = &self.inner.chunks[k].uniform {
+            return f(&(self.inner.decode)(v));
+        }
         let chunk = self.pin(k);
         f(&chunk.vals[i - self.inner.row_starts[k]])
     }
@@ -940,6 +973,10 @@ impl<E> SpillWriter<E> {
         }
     }
 
+    /// Write the buffered rows as one chunk. When every encoded value is
+    /// byte-equal to the first (bytes, not `E`s: `0.0` and `-0.0` differ; a
+    /// width-0 codec is always uniform), only the keys are written and the
+    /// one value is kept in the chunk's metadata.
     fn flush(&mut self) -> Result<(), StorageError> {
         let n = self.buf_vals.len();
         if n == 0 {
@@ -949,8 +986,15 @@ impl<E> SpillWriter<E> {
         for &k in &self.buf_rows {
             bytes.extend_from_slice(&k.to_le_bytes());
         }
+        let row_bytes = bytes.len();
         for v in &self.buf_vals {
             (self.encode)(v, &mut bytes);
+        }
+        let (first, rest) = bytes[row_bytes..].split_at(self.width);
+        let uniform: Option<Box<[u8]>> =
+            rest.chunks_exact(self.width.max(1)).all(|v| v == first).then(|| first.into());
+        if uniform.is_some() {
+            bytes.truncate(row_bytes);
         }
         let offset = self.offset;
         let checksum = append_chunk(&self.file, &mut self.offset, &bytes)?;
@@ -961,6 +1005,7 @@ impl<E> SpillWriter<E> {
             first_row: self.buf_rows[..self.arity].to_vec(),
             last_row: self.buf_rows[(n - 1) * self.arity..].to_vec(),
             checksum,
+            uniform,
         });
         self.row_starts.push(self.len);
         self.buf_rows.clear();
@@ -1073,6 +1118,7 @@ impl FileChunkedLevel {
             offset: (start * inner.entry_bytes()) as u64,
             bytes: n * inner.entry_bytes(),
             checksum: inner.checksums[k],
+            decoded_bytes: n * inner.entry_bytes(),
         };
         inner.window.pin(k, at, |buf| {
             let (vb, cb) = buf.split_at(n * 4);
@@ -1475,14 +1521,16 @@ mod tests {
         let cols = w.finish_cols();
         let corrupt_before = fault::corrupt_chunks();
         let _g = arm(FaultPlan::seeded(5).corrupt(1.0), &cols);
-        let r = fault::guarded(None, None, || cols.value_owned(0));
+        // A key read: the chunk's one value is resident and faults nothing.
+        let r = fault::guarded(None, None, || cols.col(0, 0));
         match r {
             Err(QueryAbort::Storage(StorageError::Corrupt { chunk: 0, .. })) => {}
             other => panic!("expected a corrupt-chunk abort, got {other:?}"),
         }
         assert!(fault::corrupt_chunks() > corrupt_before);
         drop(_g);
-        assert_eq!(cols.value_owned(0), 7, "the data at rest was never harmed");
+        assert_eq!(cols.col(0, 0), 0, "the data at rest was never harmed");
+        assert_eq!(cols.value_owned(0), 7);
     }
 
     #[test]
@@ -1494,11 +1542,105 @@ mod tests {
         }
         let cols = w.finish_cols();
         let _g = arm(FaultPlan::seeded(5).fail_hard(1.0), &cols);
+        match fault::guarded(None, None, || cols.col(0, 0)) {
+            Err(QueryAbort::Storage(StorageError::Io { op: "read chunk", attempts, .. })) => {
+                assert_eq!(attempts, MAX_IO_ATTEMPTS);
+            }
+            other => panic!("expected a hard I/O abort, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn uniform_chunk_value_reads_fault_nothing() {
+        let cfg = SpillConfig { chunk_rows: 4, window_chunks: 1, ..SpillConfig::default() };
+        let mut w: SpillWriter<u64> = SpillWriter::new(1, cfg);
+        for i in 0..8u32 {
+            w.push(&[i], 7);
+        }
+        let cols = w.finish_cols();
+        let _g = arm(FaultPlan::seeded(5).fail_hard(1.0), &cols);
+        for i in 0..8 {
+            assert_eq!(fault::guarded(None, None, || cols.value_owned(i)), Ok(7), "row {i}");
+        }
+        // This listing's own read count: `chunk_reads` is process-wide, and
+        // the other tests of this binary fault chunks concurrently.
+        assert_eq!(cols.stats().reads, 0, "a uniform chunk's value is resident");
+        assert_eq!(cols.stats().resident_bytes, 0, "nothing was pinned");
+    }
+
+    #[test]
+    fn non_uniform_chunk_value_reads_still_fault() {
+        let cfg = SpillConfig { chunk_rows: 4, window_chunks: 1, ..SpillConfig::default() };
+        let mut w: SpillWriter<u64> = SpillWriter::new(1, cfg);
+        for i in 0..4u32 {
+            w.push(&[i], if i == 2 { 8 } else { 7 });
+        }
+        let cols = w.finish_cols();
+        let _g = arm(FaultPlan::seeded(5).fail_hard(1.0), &cols);
         match fault::guarded(None, None, || cols.value_owned(0)) {
             Err(QueryAbort::Storage(StorageError::Io { op: "read chunk", attempts, .. })) => {
                 assert_eq!(attempts, MAX_IO_ATTEMPTS);
             }
             other => panic!("expected a hard I/O abort, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn mixed_uniform_and_plain_chunks_round_trip() {
+        // Four rows a chunk: all equal; all equal but one middle value; 0.0
+        // beside -0.0 (equal as `f64`, not as bytes); a 1-row tail.
+        let vals = [2.5, 2.5, 2.5, 2.5, 1.0, 1.0, 3.0, 1.0, 0.0, -0.0, 0.0, 0.0, 4.0];
+        let cfg = SpillConfig { chunk_rows: 4, window_chunks: 1, ..SpillConfig::default() };
+        let mut w: SpillWriter<f64> = SpillWriter::new(2, cfg.clone());
+        for (i, &v) in vals.iter().enumerate() {
+            w.push(&[i as u32, 9], v);
+        }
+        let cols = w.finish_cols();
+        let uniform: Vec<bool> = cols.inner.chunks.iter().map(|c| c.uniform.is_some()).collect();
+        assert_eq!(uniform, [true, false, false, true]);
+        let same = |a: f64, b: f64| a.to_bits() == b.to_bits();
+        for (i, &v) in vals.iter().enumerate() {
+            assert!(same(cols.value_owned(i), v), "row {i}");
+            assert_eq!(cols.col(i, 0), i as u32);
+        }
+        for k in 0..cols.num_chunks() {
+            cols.with_chunk(k, |start, rows, got| {
+                assert_eq!(got.len(), rows.len() / 2, "chunk {k}");
+                for (j, &g) in got.iter().enumerate() {
+                    assert!(same(g, vals[start + j]), "chunk {k} row {j}");
+                    assert_eq!(rows[2 * j..2 * j + 2], [(start + j) as u32, 9]);
+                }
+            });
+        }
+        // 8 B of keys a row, plus 8 B of value a row in the two plain chunks.
+        assert_eq!(cols.stats().file_bytes, 13 * 8 + 8 * 8);
+        let file_bytes = |c: &FileChunkedColumns<f64>| {
+            c.inner.chunks.iter().map(|m| m.disk_bytes(2, 8)).sum::<usize>()
+        };
+        assert_eq!(cols.stats().file_bytes, file_bytes(&cols));
+
+        // A delta splice adopts chunks 0 and 2 by reference and writes the
+        // rest, whose values decide their uniformity afresh: chunk 1 becomes
+        // uniform, the new tail (5.0, 6.0) is not.
+        let schema = vec![faq_hypergraph::Var(0), faq_hypergraph::Var(1)];
+        let f = crate::Factor::from_spill(schema.clone(), cols);
+        let puts = [(6, 1.0), (12, 5.0), (13, 6.0)];
+        let entries = puts.iter().map(|&(i, v)| (vec![i, 9], crate::DeltaOp::Put(v))).collect();
+        let delta = crate::DeltaFactor::new(schema, entries).unwrap();
+        let (spliced, _) = delta.apply_to(&f, |a, b| a + b, |&x| x == 0.0);
+        let heap = f.map_values(f64::clone, |_| false);
+        assert_eq!(spliced, delta.apply_to(&heap, |a, b| a + b, |&x| x == 0.0).0);
+        let out = spliced.spill_cols().expect("splicing a spilled listing stays spilled");
+        let uniform: Vec<bool> = out.inner.chunks.iter().map(|c| c.uniform.is_some()).collect();
+        assert_eq!(uniform, [true, true, false, false]);
+        assert_eq!(out.stats().file_bytes, file_bytes(out));
+        assert_eq!(out.stats().file_bytes, 14 * 8 + 6 * 8);
+        let mut want = vals.to_vec();
+        want[6] = 1.0;
+        want[12] = 5.0;
+        want.push(6.0);
+        for (i, &v) in want.iter().enumerate() {
+            assert!(same(out.value_owned(i), v), "spliced row {i}");
         }
     }
 
@@ -1512,7 +1654,7 @@ mod tests {
         let cols = w.finish_cols();
         let expired = Some(fault::Deadline::after(std::time::Duration::ZERO));
         assert_eq!(
-            fault::guarded(expired, None, || cols.value_owned(0)),
+            fault::guarded(expired, None, || cols.col(0, 0)),
             Err(QueryAbort::DeadlineExceeded),
             "an expired deadline aborts at the fault-in checkpoint"
         );

@@ -27,16 +27,19 @@ static ALLOC: CountingAllocator = CountingAllocator;
 const ROWS: usize = 200_000;
 const NODES: u32 = 2048;
 const PLANTED: usize = 64;
-/// The resident cap: 70 % over the 8-chunk window's peak (192 536 B at 4
-/// threads), and under the 520 216 B that a 24-chunk window pins.
-const CAP_BYTES: usize = 320 << 10;
+/// The resident cap: 55 % over the 8-chunk window's peak (168 984 B at 4
+/// threads), and under the 496 640 B that a 24-chunk window pins.
+const CAP_BYTES: usize = 256 << 10;
 /// The 1-thread run's seeks and chunk fault-ins (listing and level chunks)
 /// along the written order `(a, b, c)`.
 const SEEKS_1T: u64 = 9823;
-const CHUNK_READS_1T: u64 = 407;
+/// Its 64 planted matches read `R`'s value from resident metadata (every
+/// chunk of `R` is uniform), so they fault no listing chunk.
+const CHUNK_READS_1T: u64 = 343;
 /// The same along the order `Engine::evaluate` plans, `(a, c, b)`.
 const PLANNED_SEEKS_1T: u64 = 1722;
-const PLANNED_CHUNK_READS_1T: u64 = 332;
+/// As above: its 64 planted matches fault no listing chunk.
+const PLANNED_CHUNK_READS_1T: u64 = 268;
 
 /// `Σ_a Σ_b Σ_c R(a,b)·S(b,c)·T(a,c)`, with `R` streamed into `r` as
 /// ascending random keys (by gaps, so the generator's state is O(1)) and
