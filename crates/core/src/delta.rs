@@ -205,7 +205,7 @@ pub(crate) fn narrowed_dirty<E: SemiringElem>(old: Option<&Factor<E>>, new: &Fac
 /// Whether `new` differs from `old` (same schema) only in rows whose
 /// first-column value lies inside `ranges` — the contract of
 /// [`crate::plan::PreparedQuery::install_merged`]. Vacuously true where the
-/// row diff has nothing to say: scalars, and spilled listings (it walks rows
+/// row diff has nothing to say: scalars, and spilled factors (it walks rows
 /// in memory).
 pub(crate) fn differs_only_within<E: SemiringElem>(
     old: &Factor<E>,

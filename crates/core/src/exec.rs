@@ -459,13 +459,9 @@ impl<E: SemiringElem> MatchBuffer<E> {
 ///
 /// Otherwise the basis — the largest input holding the first join variable —
 /// is cut into up to [`ExecPolicy::threads`] ranges of roughly equal row
-/// counts, never splitting a value: on its chunk boundaries when the largest
-/// such input is spilled (each worker's range then pins a disjoint run of
-/// chunks, so the resident window stays bounded per worker instead of
-/// thrashing one shared window across threads), else straight off the root
-/// level of the basis's cached trie index
-/// ([`faq_factor::FactorTrie::partition_root`]) — the same index every
-/// worker then walks.
+/// counts, never splitting a value, straight off the root level of the
+/// basis's trie index ([`faq_factor::FactorTrie::partition_root`], on
+/// either backing) — the same index every worker then walks.
 fn first_var_ranges<E: SemiringElem>(
     policy: &ExecPolicy,
     order: &[Var],
@@ -492,14 +488,13 @@ fn first_var_ranges<E: SemiringElem>(
         return Ok(full);
     }
     // Aligned factors containing `first` hold it in column 0.
-    let leading = || inputs.iter().map(|i| i.factor).filter(|f| f.schema().first() == Some(&first));
-    let basis =
-        leading().max_by_key(|f| f.len()).ok_or_else(|| FaqError::Uncoverable(vec![first]))?;
-    let ranges = leading()
-        .filter(|f| f.is_spilled())
+    let basis = inputs
+        .iter()
+        .map(|i| i.factor)
+        .filter(|f| f.schema().first() == Some(&first))
         .max_by_key(|f| f.len())
-        .and_then(|f| f.chunk_aligned_partition(max_chunks))
-        .unwrap_or_else(|| basis.trie().partition_root(max_chunks));
+        .ok_or_else(|| FaqError::Uncoverable(vec![first]))?;
+    let ranges = basis.trie().partition_root(max_chunks);
     Ok(if ranges.len() > 1 { ranges } else { full })
 }
 

@@ -1,21 +1,14 @@
-//! File-chunked out-of-core column storage — the disk backing behind
-//! spilled factors and spilled trie levels.
+//! File-chunked out-of-core storage — the disk backing of spilled factors.
 //!
 //! A [`crate::Factor`] normally keeps its listing (`rows` + `vals`) and its
-//! trie index in memory. This module adds a second place for the same bytes,
-//! built on `std::fs` only: fixed-size chunks inside unlinked-on-drop spill
-//! files, of which at most a small *pinned window* is resident at a time.
-//! Nothing above this module has a spilled variant of its algorithm — an
-//! in-memory listing is the case of one chunk that is always resident.
+//! trie index in memory. A spilled factor keeps one copy of its keys, on
+//! disk: its trie levels, plus a values column indexed by leaf entry (entry
+//! `j` of the deepest level is row `j`). It is built on `std::fs` only:
+//! fixed-size chunks inside unlinked-on-drop spill files, of which at most
+//! a small *pinned window* is resident at a time. There is no key listing:
+//! the trie gives the conditional lookups and the ordered access a factor
+//! needs (paper Assumption 1), and a row walk in leaf order gives the rest.
 //!
-//! * [`FileChunkedColumns`] — the listing: row-major keys plus fixed-width
-//!   encoded values ([`FixedBytes`]), chunked by row count. A chunk whose
-//!   encoded values are all byte-equal (every chunk of an indicator factor:
-//!   a join, #CQ, CSP or SAT input) stores its keys only, and its one value
-//!   stays resident, so a value read faults nothing. Chunk metadata
-//!   (first/last tuple, row count, file offset, that resident value) stays
-//!   resident, so range queries, chunk-aligned partitioning and delta
-//!   splices know which chunks to fault without reading any of them.
 //! * [`FileChunkedLevel`] — one trie level (its `values`, and above the
 //!   deepest level its `child` offsets: 12 B an interior entry, 4 B a leaf
 //!   one) in uniform entry chunks, with the head-sample array
@@ -26,13 +19,19 @@
 //! * [`FactorLevel`] — the type every [`crate::trie::FactorTrie`] level is
 //!   stored in: heap ([`crate::storage::VecStorage`]) or disk, chosen per
 //!   factor, with every consumer compiling against the same type.
+//! * `FileChunkedValues` — the values column: fixed-width encoded values
+//!   ([`FixedBytes`]), chunked by [`SpillConfig::chunk_rows`]. A chunk whose
+//!   encoded values are all byte-equal (every chunk of an indicator factor:
+//!   a join, #CQ, CSP or SAT input) writes no bytes; its one value stays in
+//!   resident metadata, so a value read faults nothing.
 //!
-//! Writes are strictly sequential, one chunk of buffering each:
-//! [`SpillWriter`] (driven by [`crate::FactorBuilder`] in spill mode) appends
-//! encoded listing chunks, and the trie builder's disk sink (`LevelSpill`)
-//! appends level chunks as the index of a spilled listing streams through
-//! it; neither seeks backwards, and both record a checksum per chunk through
-//! the one `append_chunk`. Reads — of either kind of chunk — go through one
+//! Writes are strictly sequential, one chunk of buffering each: the
+//! `SpillWriter` (driven by [`crate::FactorBuilder`] in spill mode) streams
+//! each row into the trie builder's disk sinks (`LevelSpill`, one per
+//! column), which append level chunks as they fill, and appends encoded
+//! values chunks; none seeks backwards, and all record a checksum per chunk
+//! through the one `append_chunk`. A spilled factor is therefore indexed
+//! when it is written. Reads — of either kind of chunk — go through one
 //! `ChunkWindow`: a deadline checkpoint, then the LRU
 //! ([`SpillConfig::window_chunks`]), then one verified, retried, injectable
 //! read and a decode.
@@ -54,7 +53,7 @@
 
 use crate::fault::{self, FaultSlot, Injected, QueryAbort, StorageError};
 use crate::storage::{head_narrow, LevelStorage, VecStorage, HEAD_STRIDE};
-use crate::trie::partition_runs;
+use crate::trie::{FactorTrie, TrieBuilder};
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -238,7 +237,7 @@ pub struct SpillConfig {
     /// Directory to create the spill directory under; the OS temp dir when
     /// `None`.
     pub dir: Option<PathBuf>,
-    /// Rows per listing chunk of a spilled listing.
+    /// Values per chunk of a spilled factor's values column.
     pub chunk_rows: usize,
     /// Entries per trie-level chunk ([`FileChunkedLevel`]); rounded up to a
     /// multiple of the head-sample stride (64), so a seek's narrowed window
@@ -246,7 +245,8 @@ pub struct SpillConfig {
     /// edge may be the next chunk's first entry, which is a resident head
     /// sample: a seek pins at most one chunk.
     pub level_chunk_entries: usize,
-    /// Maximum chunks pinned per column / per level (the LRU window).
+    /// Maximum chunks pinned per trie level and for the values column (the
+    /// LRU window of each).
     pub window_chunks: usize,
 }
 
@@ -511,7 +511,7 @@ impl<T> Lru<T> {
     }
 }
 
-/// One faulted chunk — decoded listing rows or trie-level entries —
+/// One faulted chunk — decoded values or trie-level entries —
 /// gauge-accounted for as long as anything holds it.
 #[derive(Debug)]
 struct Pinned<T> {
@@ -544,7 +544,7 @@ struct ChunkAt<'a> {
     decoded_bytes: usize,
 }
 
-/// The bounded pinned window of one spilled listing or trie level: at most
+/// The bounded pinned window of one values column or trie level: at most
 /// [`SpillConfig::window_chunks`] decoded chunks stay resident, least
 /// recently used evicted first. The only place a chunk is faulted in.
 #[derive(Debug)]
@@ -618,290 +618,229 @@ fn le_offsets(bytes: &[u8]) -> Vec<usize> {
 }
 
 // ---------------------------------------------------------------------------
-// FileChunkedColumns: the spilled listing
+// FileChunkedValues: the values column of a spilled factor
 // ---------------------------------------------------------------------------
 
-/// Resident metadata of one listing chunk. The first/last tuples let range
-/// and splice logic decide which chunks a key touches without faulting any;
-/// each chunk carries its own file handle so a delta splice can mix original
-/// chunks with freshly written ones.
-#[derive(Debug, Clone)]
-pub(crate) struct ChunkMeta {
-    file: Arc<SpillFile>,
+/// Resident metadata of one values chunk: where its encoded bytes are and
+/// their checksum — or, for a chunk whose values are all byte-equal, that
+/// one encoded value, in which case the chunk writes no bytes and a value
+/// read decodes it without faulting anything.
+#[derive(Debug)]
+struct ValuesChunk {
     offset: u64,
-    rows: usize,
-    first_row: Vec<u32>,
-    last_row: Vec<u32>,
     /// [`chunk_checksum`] of the chunk's encoded bytes, verified on every
     /// fault-in.
     checksum: u64,
-    /// The one encoded value of a chunk whose values are all byte-equal:
-    /// such a chunk stores its keys only, and a value read decodes this
-    /// instead of faulting the chunk. `None`: keys then values on disk.
     uniform: Option<Box<[u8]>>,
 }
 
-impl ChunkMeta {
-    /// Bytes of this chunk on disk: its keys, plus its values unless they
-    /// are resident.
-    fn disk_bytes(&self, arity: usize, width: usize) -> usize {
-        let vals = if self.uniform.is_some() { 0 } else { self.rows * width };
-        self.rows * arity * 4 + vals
-    }
-}
-
-/// One decoded listing chunk: row-major keys and one value per row.
-#[derive(Debug)]
-struct DataChunk<E> {
-    rows: Vec<u32>,
-    vals: Vec<E>,
-}
-
-/// Read-side statistics of one spilled listing (see
-/// [`crate::Factor::spill_stats`]).
+/// Read-side statistics of one spilled factor (see
+/// [`crate::Factor::spill_stats`]): its values file and its trie level
+/// files together.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct SpillStats {
-    /// Number of listing chunks on disk.
+    /// Chunks on disk: each level's chunks plus the values chunks that hold
+    /// bytes (a uniform values chunk keeps its one value resident and is
+    /// never read).
     pub chunks: usize,
-    /// Chunks faulted in from disk over this listing's lifetime (shared by
+    /// Chunks faulted in from disk over this factor's lifetime (shared by
     /// clones).
     pub reads: u64,
-    /// Decoded bytes of this listing's chunks currently pinned.
+    /// Decoded bytes of this factor's chunks currently pinned.
     pub resident_bytes: usize,
-    /// Bytes this listing's chunks hold on disk, chunks adopted from the
-    /// listing a delta was spliced into included: keys, plus values except
-    /// in a chunk whose values are all equal and kept resident.
+    /// Bytes this factor's chunks hold on disk: the level entries, plus the
+    /// values of every chunk that is not uniform.
     pub file_bytes: usize,
 }
 
-struct ColsInner<E> {
-    arity: usize,
+struct ValuesInner<E> {
     len: usize,
+    /// Values per chunk ([`SpillConfig::chunk_rows`]); the last may be
+    /// shorter. Value `i` is leaf entry `i`, so its chunk is arithmetic.
+    chunk_rows: usize,
     width: usize,
     decode: fn(&[u8]) -> E,
-    /// Captured at construction (where `E: FixedBytes` is known), so splices
-    /// can write new chunks without re-stating the bound.
+    /// Captured at construction (where `E: FixedBytes` is known), so a delta
+    /// splice can write a sibling factor without re-stating the bound.
     encode: fn(&E, &mut Vec<u8>),
-    chunks: Vec<ChunkMeta>,
-    /// `row_starts[k]` = first listing row of chunk `k`; one end sentinel.
-    row_starts: Vec<usize>,
-    /// Per-column maximum key value (resident, so domain validation never
-    /// faults a chunk). An upper bound after delta splices with deletions.
+    chunks: Vec<ValuesChunk>,
+    file: Arc<SpillFile>,
+    /// Per-column maximum key value, tracked at write time (resident, so
+    /// domain validation never faults a chunk).
     col_maxes: Vec<u32>,
     config: SpillConfig,
-    dir: Arc<SpillDir>,
-    window: ChunkWindow<DataChunk<E>>,
+    window: ChunkWindow<Vec<E>>,
 }
 
-impl<E> std::fmt::Debug for ColsInner<E> {
+/// The values column of a spilled factor, one value per leaf entry of its
+/// trie, in value chunks with a bounded pinned window. Cloning is an `Arc`
+/// bump: clones (and epoch snapshots holding them) share the chunks, the
+/// cache and the spill directory.
+pub(crate) struct FileChunkedValues<E> {
+    inner: Arc<ValuesInner<E>>,
+}
+
+impl<E> Clone for FileChunkedValues<E> {
+    fn clone(&self) -> Self {
+        FileChunkedValues { inner: Arc::clone(&self.inner) }
+    }
+}
+
+impl<E> std::fmt::Debug for FileChunkedValues<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FileChunkedColumns")
-            .field("arity", &self.arity)
-            .field("len", &self.len)
-            .field("chunks", &self.chunks.len())
+        f.debug_struct("FileChunkedValues")
+            .field("len", &self.inner.len)
+            .field("chunks", &self.inner.chunks.len())
             .finish()
     }
 }
 
-/// A factor listing spilled to disk in row chunks, with a bounded pinned
-/// window. Cloning is an `Arc` bump: clones (and epoch snapshots holding
-/// them) share the chunks, the cache and the spill directory.
-pub(crate) struct FileChunkedColumns<E> {
-    inner: Arc<ColsInner<E>>,
-}
-
-impl<E> Clone for FileChunkedColumns<E> {
-    fn clone(&self) -> Self {
-        FileChunkedColumns { inner: Arc::clone(&self.inner) }
-    }
-}
-
-impl<E> std::fmt::Debug for FileChunkedColumns<E> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.inner.fmt(f)
-    }
-}
-
-impl<E> FileChunkedColumns<E> {
-    pub(crate) fn len(&self) -> usize {
-        self.inner.len
-    }
-
+impl<E> FileChunkedValues<E> {
     pub(crate) fn col_max(&self, d: usize) -> Option<u32> {
         (self.inner.len > 0).then(|| self.inner.col_maxes[d])
     }
 
     #[cfg(test)]
     pub(crate) fn spill_dir(&self) -> &Arc<SpillDir> {
-        &self.inner.dir
+        &self.inner.file.dir
     }
 
-    /// The fault plan slot of this listing's spill directory.
+    /// The fault plan slot of this factor's spill directory, which its
+    /// level files share.
     pub(crate) fn faults(&self) -> &Arc<FaultSlot> {
-        &self.inner.dir.faults
+        &self.inner.file.dir.faults
     }
 
-    pub(crate) fn stats(&self) -> SpillStats {
+    /// Values in chunk `k`.
+    fn rows_in(&self, k: usize) -> usize {
+        self.inner.chunk_rows.min(self.inner.len - k * self.inner.chunk_rows)
+    }
+
+    /// The statistics of the spilled factor made of these values and `trie`.
+    pub(crate) fn stats(&self, trie: &FactorTrie) -> SpillStats {
         let i = &self.inner;
-        SpillStats {
-            chunks: i.chunks.len(),
+        let plain: Vec<usize> =
+            (0..i.chunks.len()).filter(|&k| i.chunks[k].uniform.is_none()).collect();
+        let mut stats = SpillStats {
+            chunks: plain.len(),
             reads: i.window.reads.load(Ordering::Relaxed),
             resident_bytes: i.window.resident_bytes(),
-            file_bytes: i.chunks.iter().map(|c| c.disk_bytes(i.arity, i.width)).sum(),
+            file_bytes: plain.iter().map(|&k| self.rows_in(k) * i.width).sum(),
+        };
+        for d in 0..trie.arity() {
+            if let FactorLevel::Disk(level) = trie.level(d).storage() {
+                let l = &level.inner;
+                stats.chunks += l.checksums.len();
+                stats.reads += l.window.reads.load(Ordering::Relaxed);
+                stats.resident_bytes += l.window.resident_bytes();
+                stats.file_bytes += l.len * l.entry_bytes();
+            }
         }
+        stats
     }
 
-    fn chunk_of(&self, i: usize) -> usize {
-        debug_assert!(i < self.inner.len);
-        self.inner.row_starts.partition_point(|&s| s <= i) - 1
+    /// Decoded bytes of the values chunks currently pinned.
+    pub(crate) fn resident_bytes(&self) -> usize {
+        self.inner.window.resident_bytes()
     }
 
-    /// Listing chunk `k` through the pinned window: keys first, then the
-    /// fixed-width values — or, in a uniform chunk, the keys only, with
-    /// every row's value decoded from the resident one. Either way the gauge
-    /// is charged for the decoded chunk.
-    fn pin(&self, k: usize) -> Arc<Pinned<DataChunk<E>>> {
+    /// Plain values chunk `k` through the pinned window.
+    fn pin(&self, k: usize) -> Arc<Pinned<Vec<E>>> {
         let inner = &self.inner;
         let meta = &inner.chunks[k];
-        let row_bytes = meta.rows * inner.arity * 4;
+        let bytes = self.rows_in(k) * inner.width;
         let at = ChunkAt {
-            file: &meta.file,
+            file: &inner.file,
             offset: meta.offset,
-            bytes: meta.disk_bytes(inner.arity, inner.width),
+            bytes,
             checksum: meta.checksum,
-            decoded_bytes: row_bytes + meta.rows * inner.width,
+            decoded_bytes: bytes,
         };
-        inner.window.pin(k, at, |buf| DataChunk {
-            rows: le_u32s(&buf[..row_bytes]),
-            vals: match &meta.uniform {
-                Some(v) => (0..meta.rows).map(|_| (inner.decode)(v)).collect(),
-                None => {
-                    buf[row_bytes..].chunks_exact(inner.width.max(1)).map(inner.decode).collect()
-                }
-            },
-        })
+        inner
+            .window
+            .pin(k, at, |buf| buf.chunks_exact(inner.width.max(1)).map(inner.decode).collect())
     }
 
-    /// Key value of row `i`, column `d`.
-    pub(crate) fn col(&self, i: usize, d: usize) -> u32 {
-        let k = self.chunk_of(i);
-        let chunk = self.pin(k);
-        let local = i - self.inner.row_starts[k];
-        chunk.rows[local * self.inner.arity + d]
-    }
-
-    /// Run `f` over chunk `k`'s decoded rows and values; `start` is the
-    /// chunk's first listing row.
-    pub(crate) fn with_chunk<R>(&self, k: usize, f: impl FnOnce(usize, &[u32], &[E]) -> R) -> R {
-        let chunk = self.pin(k);
-        f(self.inner.row_starts[k], &chunk.rows, &chunk.vals)
-    }
-
-    pub(crate) fn num_chunks(&self) -> usize {
-        self.inner.chunks.len()
-    }
-
-    pub(crate) fn chunk_first_row(&self, k: usize) -> &[u32] {
-        &self.inner.chunks[k].first_row
-    }
-
-    pub(crate) fn chunk_last_row(&self, k: usize) -> &[u32] {
-        &self.inner.chunks[k].last_row
+    /// A reader of these values in any order, cheapest in ascending order.
+    pub(crate) fn reader(&self) -> ValuesReader<'_, E> {
+        ValuesReader { values: self, held: Held(None) }
     }
 }
 
-impl<E: Clone> FileChunkedColumns<E> {
-    /// Owned copy of row `i`'s value.
+impl<E: Clone> FileChunkedValues<E> {
+    /// Owned copy of value `i`.
     pub(crate) fn value_owned(&self, i: usize) -> E {
-        self.with_value(i, E::clone)
+        self.reader().with(i, E::clone)
     }
 }
 
-impl<E> FileChunkedColumns<E> {
-    /// Run `f` over row `i`'s value without cloning it out of the chunk. A
-    /// uniform chunk's value is resident: it is decoded, and nothing is
-    /// pinned, read or drawn from the fault plan.
-    fn with_value<R>(&self, i: usize, f: impl FnOnce(&E) -> R) -> R {
-        let k = self.chunk_of(i);
-        if let Some(v) = &self.inner.chunks[k].uniform {
-            return f(&(self.inner.decode)(v));
+/// The one chunk a sequential reader holds: it is re-pinned only when the
+/// reader moves to another chunk, so a walk in ascending order pins each
+/// chunk once.
+struct Held<T>(Option<(usize, Arc<Pinned<T>>)>);
+
+impl<T> Held<T> {
+    fn get(&mut self, k: usize, pin: impl FnOnce() -> Arc<Pinned<T>>) -> &T {
+        if self.0.as_ref().is_none_or(|(held, _)| *held != k) {
+            self.0 = Some((k, pin()));
         }
-        let chunk = self.pin(k);
-        f(&chunk.vals[i - self.inner.row_starts[k]])
+        &self.0.as_ref().expect("held above").1
     }
 }
 
-impl<E> FileChunkedColumns<E> {
-    /// Partition the first column into at most `max_chunks` half-open value
-    /// ranges whose cuts fall on *chunk boundaries* — same contract as
-    /// [`crate::Factor::column_partition`] (ascending, covering
-    /// `[0, u32::MAX)`, never splitting a value), chosen so each worker of a
-    /// chunked join pins only its own range's chunks. Computed entirely from
-    /// resident metadata: no chunk is faulted.
-    pub(crate) fn partition_first(&self, max_chunks: usize) -> Vec<(u32, u32)> {
-        let chunks = &self.inner.chunks;
-        // A cut at a chunk's first value is legal only when the value run
-        // does not extend back into the previous chunk.
-        let runs = chunks.iter().enumerate().map(|(k, meta)| {
-            let first = meta.first_row[0];
-            (first, meta.rows, k > 0 && chunks[k - 1].last_row[0] < first)
-        });
-        partition_runs(self.inner.len, max_chunks, runs)
-    }
+/// Reads the values of a [`FileChunkedValues`], holding the last plain
+/// chunk it pinned.
+pub(crate) struct ValuesReader<'a, E> {
+    values: &'a FileChunkedValues<E>,
+    held: Held<Vec<E>>,
+}
 
-    /// One disk sink per column for this listing's trie index: fed the
-    /// listing's chunks in order, each level's arrays stream straight back
-    /// out in level chunks beside the listing — peak residency is the pinned
-    /// window plus one level chunk of buffering per column.
-    pub(crate) fn level_sinks(&self) -> Vec<LevelSpill> {
-        let inner = &self.inner;
-        (0..inner.arity)
-            .map(|d| LevelSpill {
-                file: ok_or_raise(inner.dir.new_file(&format!("trie-l{d}"))),
-                entries: inner.config.level_entries(),
-                window_chunks: inner.config.window_chunks,
-                offset: 0,
-                buf_values: Vec::new(),
-                buf_child: Vec::new(),
-                total: 0,
-                heads: Vec::new(),
-                checksums: Vec::new(),
-            })
-            .collect()
+impl<E> ValuesReader<'_, E> {
+    /// Run `f` over value `i` without cloning it out of its chunk. A uniform
+    /// chunk's value is resident: it is decoded, and nothing is pinned, read
+    /// or drawn from the fault plan.
+    pub(crate) fn with<R>(&mut self, i: usize, f: impl FnOnce(&E) -> R) -> R {
+        let values = self.values;
+        let inner = &values.inner;
+        let k = i / inner.chunk_rows;
+        if let Some(v) = &inner.chunks[k].uniform {
+            return f(&(inner.decode)(v));
+        }
+        f(&self.held.get(k, || values.pin(k))[i - k * inner.chunk_rows])
     }
 }
 
 // ---------------------------------------------------------------------------
-// SpillWriter: strictly-sequential chunk writing
+// SpillWriter: strictly-sequential writing of a spilled factor
 // ---------------------------------------------------------------------------
 
-/// Strictly-sequential writer of a [`FileChunkedColumns`]: rows arrive in
-/// ascending order, buffer one chunk at a time, and flush as encoded bytes
-/// appended to the spill file. A delta splice also passes the untouched
-/// chunks of an existing spilled listing through by reference — no read, no
-/// copy.
+/// Strictly-sequential writer of a spilled factor: rows arrive in ascending
+/// order and stream straight into the trie builder's disk sinks, one
+/// [`LevelSpill`] per column, while their values buffer one chunk at a time
+/// and flush as encoded bytes to the values file. The factor is indexed
+/// when it is written; no key listing is written or read back.
 pub(crate) struct SpillWriter<E> {
+    trie: TrieBuilder<LevelSpill>,
+    /// The row pushed last, which the trie builder compares the next with.
+    last: Vec<u32>,
+    col_maxes: Vec<u32>,
     file: Arc<SpillFile>,
     offset: u64,
-    arity: usize,
     width: usize,
     decode: fn(&[u8]) -> E,
     encode: fn(&E, &mut Vec<u8>),
     config: SpillConfig,
-    buf_rows: Vec<u32>,
-    buf_vals: Vec<E>,
-    chunks: Vec<ChunkMeta>,
-    row_starts: Vec<usize>,
+    buf: Vec<E>,
+    chunks: Vec<ValuesChunk>,
     len: usize,
-    col_maxes: Vec<u32>,
 }
 
 impl<E: FixedBytes> SpillWriter<E> {
     /// A writer over a fresh spill directory.
     ///
     /// Raises a [`QueryAbort::Storage`] (caught at the evaluation boundary)
-    /// if the directory or file cannot be created.
+    /// if the directory or a file cannot be created.
     pub(crate) fn new(arity: usize, config: SpillConfig) -> SpillWriter<E> {
         let dir = ok_or_raise(SpillDir::create(config.dir.as_ref()));
         SpillWriter::in_dir(&dir, arity, E::WIDTH, decode_fn::<E>, encode_fn::<E>, config)
@@ -909,13 +848,14 @@ impl<E: FixedBytes> SpillWriter<E> {
 }
 
 impl<E> SpillWriter<E> {
-    /// A writer producing a sibling listing of `base`: same spill directory,
-    /// codec and configuration, writing to a fresh file. The splice engine of
-    /// delta application — no `FixedBytes` bound, the codec was captured when
-    /// `base` was built.
-    pub(crate) fn new_like(base: &FileChunkedColumns<E>) -> SpillWriter<E> {
+    /// A writer of a sibling of the spilled factor whose values are `base`:
+    /// same spill directory, codec and configuration, fresh files. The
+    /// writer of a delta splice — no `FixedBytes` bound, the codec was
+    /// captured when `base` was written.
+    pub(crate) fn like(base: &FileChunkedValues<E>) -> SpillWriter<E> {
         let b = &base.inner;
-        SpillWriter::in_dir(&b.dir, b.arity, b.width, b.decode, b.encode, b.config.clone())
+        let arity = b.col_maxes.len();
+        SpillWriter::in_dir(&b.file.dir, arity, b.width, b.decode, b.encode, b.config.clone())
     }
 
     fn in_dir(
@@ -926,129 +866,95 @@ impl<E> SpillWriter<E> {
         encode: fn(&E, &mut Vec<u8>),
         config: SpillConfig,
     ) -> SpillWriter<E> {
+        let sinks = (0..arity)
+            .map(|d| LevelSpill {
+                file: ok_or_raise(dir.new_file(&format!("trie-l{d}"))),
+                entries: config.level_entries(),
+                window_chunks: config.window_chunks,
+                offset: 0,
+                buf_values: Vec::new(),
+                buf_child: Vec::new(),
+                total: 0,
+                heads: Vec::new(),
+                checksums: Vec::new(),
+            })
+            .collect();
         SpillWriter {
-            file: ok_or_raise(dir.new_file("cols")),
+            trie: TrieBuilder::over(sinks),
+            last: Vec::with_capacity(arity),
+            col_maxes: vec![0; arity],
+            file: ok_or_raise(dir.new_file("vals")),
             offset: 0,
-            arity,
             width,
             decode,
             encode,
             config,
-            buf_rows: Vec::new(),
-            buf_vals: Vec::new(),
+            buf: Vec::new(),
             chunks: Vec::new(),
-            row_starts: vec![0],
             len: 0,
-            col_maxes: vec![0; arity],
         }
     }
 
-    /// Rows written so far.
-    pub(crate) fn len(&self) -> usize {
-        self.len
-    }
-
-    pub(crate) fn last_row(&self) -> Option<Vec<u32>> {
-        let n = self.buf_vals.len();
-        if n > 0 {
-            Some(self.buf_rows[(n - 1) * self.arity..].to_vec())
-        } else {
-            self.chunks.last().map(|c| c.last_row.clone())
-        }
-    }
-
-    /// Append the next row (strictly ascending; debug-asserted by the
-    /// builder driving this writer). A failed chunk write (after retries)
-    /// raises a [`QueryAbort::Storage`] caught at the evaluation boundary.
+    /// Append the next row (strictly ascending; debug-asserted by the trie
+    /// builder). A failed chunk write (after retries) raises a
+    /// [`QueryAbort::Storage`] caught at the evaluation boundary.
     pub(crate) fn push(&mut self, row: &[u32], val: E) {
-        debug_assert_eq!(row.len(), self.arity);
+        self.trie.push(row, (self.len > 0).then_some(&self.last[..]));
+        self.last.clear();
+        self.last.extend_from_slice(row);
         for (m, &v) in self.col_maxes.iter_mut().zip(row) {
             *m = (*m).max(v);
         }
-        self.buf_rows.extend_from_slice(row);
-        self.buf_vals.push(val);
+        self.buf.push(val);
         self.len += 1;
-        if self.buf_vals.len() >= self.config.chunk_rows.max(1) {
+        if self.buf.len() >= self.config.chunk_rows.max(1) {
             ok_or_raise(self.flush());
         }
     }
 
-    /// Write the buffered rows as one chunk. When every encoded value is
+    /// Write the buffered values as one chunk. When every encoded value is
     /// byte-equal to the first (bytes, not `E`s: `0.0` and `-0.0` differ; a
-    /// width-0 codec is always uniform), only the keys are written and the
-    /// one value is kept in the chunk's metadata.
+    /// width-0 codec is always uniform), nothing is written and the one
+    /// value is kept in the chunk's metadata.
     fn flush(&mut self) -> Result<(), StorageError> {
-        let n = self.buf_vals.len();
-        if n == 0 {
+        if self.buf.is_empty() {
             return Ok(());
         }
-        let mut bytes = Vec::with_capacity(n * (self.arity * 4 + self.width));
-        for &k in &self.buf_rows {
-            bytes.extend_from_slice(&k.to_le_bytes());
-        }
-        let row_bytes = bytes.len();
-        for v in &self.buf_vals {
+        let mut bytes = Vec::with_capacity(self.buf.len() * self.width);
+        for v in &self.buf {
             (self.encode)(v, &mut bytes);
         }
-        let (first, rest) = bytes[row_bytes..].split_at(self.width);
+        let (first, rest) = bytes.split_at(self.width);
         let uniform: Option<Box<[u8]>> =
             rest.chunks_exact(self.width.max(1)).all(|v| v == first).then(|| first.into());
-        if uniform.is_some() {
-            bytes.truncate(row_bytes);
-        }
         let offset = self.offset;
-        let checksum = append_chunk(&self.file, &mut self.offset, &bytes)?;
-        self.chunks.push(ChunkMeta {
-            file: Arc::clone(&self.file),
-            offset,
-            rows: n,
-            first_row: self.buf_rows[..self.arity].to_vec(),
-            last_row: self.buf_rows[(n - 1) * self.arity..].to_vec(),
-            checksum,
-            uniform,
-        });
-        self.row_starts.push(self.len);
-        self.buf_rows.clear();
-        self.buf_vals.clear();
+        let checksum = match uniform {
+            Some(_) => 0,
+            None => append_chunk(&self.file, &mut self.offset, &bytes)?,
+        };
+        self.chunks.push(ValuesChunk { offset, checksum, uniform });
+        self.buf.clear();
         Ok(())
     }
 
-    /// Adopt untouched chunk `k` of `base` by reference: its rows slot in
-    /// after everything written so far without any I/O. Pending buffered
-    /// rows are flushed first (chunk row counts may vary). An adopted chunk
-    /// only reveals its first/last tuples, so the per-column maxima take
-    /// `base`'s wholesale — an upper bound after deletions (see
-    /// [`crate::Factor::max_in_column`]).
-    pub(crate) fn adopt_chunk(&mut self, base: &FileChunkedColumns<E>, k: usize) {
+    /// Seal the factor: its trie, its levels on disk, and its values.
+    pub(crate) fn finish(mut self) -> (FactorTrie, FileChunkedValues<E>) {
         ok_or_raise(self.flush());
-        for (m, &v) in self.col_maxes.iter_mut().zip(&base.inner.col_maxes) {
-            *m = (*m).max(v);
-        }
-        let meta = &base.inner.chunks[k];
-        self.len += meta.rows;
-        self.row_starts.push(self.len);
-        self.chunks.push(meta.clone());
-    }
-
-    /// Seal the listing.
-    pub(crate) fn finish_cols(mut self) -> FileChunkedColumns<E> {
-        ok_or_raise(self.flush());
-        let window = ChunkWindow::new(self.config.window_chunks);
-        FileChunkedColumns {
-            inner: Arc::new(ColsInner {
-                arity: self.arity,
+        let values = FileChunkedValues {
+            inner: Arc::new(ValuesInner {
                 len: self.len,
+                chunk_rows: self.config.chunk_rows.max(1),
                 width: self.width,
                 decode: self.decode,
                 encode: self.encode,
                 chunks: self.chunks,
-                row_starts: self.row_starts,
+                file: self.file,
                 col_maxes: self.col_maxes,
+                window: ChunkWindow::new(self.config.window_chunks),
                 config: self.config,
-                dir: Arc::clone(&self.file.dir),
-                window,
             }),
-        }
+        };
+        (self.trie.finish(), values)
     }
 }
 
@@ -1107,7 +1013,7 @@ impl LevelInner {
 
 impl FileChunkedLevel {
     /// Level chunk `k` through the pinned window — same
-    /// injection/retry/checksum/deadline discipline as the listing path,
+    /// injection/retry/checksum/deadline discipline as the values column,
     /// through the same [`ChunkWindow`].
     fn pin(&self, k: usize) -> Arc<Pinned<LevelChunk>> {
         let inner = &self.inner;
@@ -1218,11 +1124,59 @@ impl FactorLevel {
         }
     }
 
+    /// A reader of this level's entries, cheapest in ascending order: a
+    /// walk pins each chunk of a spilled level once.
+    pub(crate) fn reader(&self) -> LevelReader<'_> {
+        LevelReader { level: self, held: Held(None) }
+    }
+
     /// Whether the level stores child offsets: every level but the deepest.
     fn is_interior(&self) -> bool {
         match self {
             FactorLevel::Mem(s) => s.is_interior(),
             FactorLevel::Disk(s) => s.inner.child_end.is_some(),
+        }
+    }
+}
+
+/// Reads the entries of a [`FactorLevel`], holding the last chunk of a
+/// spilled level it pinned.
+pub(crate) struct LevelReader<'a> {
+    level: &'a FactorLevel,
+    held: Held<LevelChunk>,
+}
+
+impl LevelReader<'_> {
+    /// Entry `j`'s chunk of a spilled level and `j`'s index in it.
+    fn chunk<'h>(
+        held: &'h mut Held<LevelChunk>,
+        s: &FileChunkedLevel,
+        j: usize,
+    ) -> (&'h LevelChunk, usize) {
+        let k = j / s.inner.entries;
+        (held.get(k, || s.pin(k)), j - k * s.inner.entries)
+    }
+
+    /// The column value of entry `j`.
+    pub(crate) fn value(&mut self, j: usize) -> u32 {
+        match self.level {
+            FactorLevel::Mem(s) => s.value(j),
+            FactorLevel::Disk(s) => {
+                let (c, l) = Self::chunk(&mut self.held, s, j);
+                c.values[l]
+            }
+        }
+    }
+
+    /// The child offset `j` of an interior level (`j ≤ len`).
+    pub(crate) fn child_at(&mut self, j: usize) -> usize {
+        match self.level {
+            FactorLevel::Mem(s) => s.child_at(j),
+            FactorLevel::Disk(s) if j == s.len() => s.child_at(j),
+            FactorLevel::Disk(s) => {
+                let (c, l) = Self::chunk(&mut self.held, s, j);
+                c.child[l]
+            }
         }
     }
 }
@@ -1301,7 +1255,7 @@ impl LevelStorage for FactorLevel {
 /// One spilled trie level under construction — the disk
 /// [`LevelSink`](crate::trie::LevelSink): one chunk of buffered entries
 /// that flushes to the level's file as it fills, plus the growing resident
-/// heads. Made by [`FileChunkedColumns::level_sinks`].
+/// heads. Made by [`SpillWriter`], one per column.
 pub(crate) struct LevelSpill {
     file: Arc<SpillFile>,
     entries: usize,
@@ -1372,11 +1326,22 @@ impl crate::trie::LevelSink for LevelSpill {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{FaultGuard, FaultPlan};
+    use crate::fault::FaultPlan;
+    use crate::Factor;
 
-    /// `plan` armed on the one-column listing `cols`.
-    fn arm(plan: FaultPlan, cols: &FileChunkedColumns<u64>) -> FaultGuard {
-        plan.arm([&crate::Factor::from_spill(vec![faq_hypergraph::Var(0)], cols.clone())])
+    /// `rows` over the first `arity` variables, spilled at `config`.
+    fn spill<E: FixedBytes + faq_semiring::SemiringElem>(
+        arity: u32,
+        rows: Vec<(Vec<u32>, E)>,
+        config: SpillConfig,
+    ) -> Factor<E> {
+        let schema = (0..arity).map(faq_hypergraph::Var).collect();
+        Factor::new(schema, rows).unwrap().to_spilled(config)
+    }
+
+    /// The values column of the spilled factor `f`.
+    fn values<E>(f: &Factor<E>) -> &FileChunkedValues<E> {
+        f.spill_values().expect("a spilled factor")
     }
 
     #[test]
@@ -1435,78 +1400,43 @@ mod tests {
     #[test]
     fn writer_chunks_and_rereads() {
         let cfg = SpillConfig { chunk_rows: 3, window_chunks: 2, ..SpillConfig::default() };
-        let mut w: SpillWriter<u64> = SpillWriter::new(2, cfg);
+        let f = spill(2, (0..10u32).map(|i| (vec![i, i + 1], u64::from(i) * 10)).collect(), cfg);
+        assert_eq!(f.len(), 10);
+        assert_eq!(values(&f).inner.chunks.len(), 4); // 3+3+3+1
         for i in 0..10u32 {
-            w.push(&[i, i + 1], u64::from(i) * 10);
+            assert_eq!(f.col(i as usize, 0), i);
+            assert_eq!(f.col(i as usize, 1), i + 1);
+            assert_eq!(values(&f).value_owned(i as usize), u64::from(i) * 10);
         }
-        let cols = w.finish_cols();
-        assert_eq!(cols.len(), 10);
-        assert_eq!(cols.num_chunks(), 4); // 3+3+3+1
-        for i in 0..10u32 {
-            assert_eq!(cols.col(i as usize, 0), i);
-            assert_eq!(cols.col(i as usize, 1), i + 1);
-            assert_eq!(cols.value_owned(i as usize), u64::from(i) * 10);
-        }
-        assert_eq!(cols.col_max(0), Some(9));
-        assert_eq!(cols.col_max(1), Some(10));
+        assert_eq!(f.max_in_column(0), Some(9));
+        assert_eq!(f.max_in_column(1), Some(10));
         // The LRU window bounds residency to at most 2 chunks.
-        let stats = cols.stats();
-        assert!(stats.reads >= 4, "each chunk faulted at least once");
-        assert!(cols.inner.window.cache.lock().unwrap().map.len() <= 2);
+        let stats = f.spill_stats().unwrap();
+        assert!(stats.reads >= 4, "each plain values chunk and each level faulted at least once");
+        assert!(values(&f).inner.window.cache.lock().unwrap().map.len() <= 2);
     }
 
     #[test]
     fn spill_dir_removed_on_drop() {
         let cfg = SpillConfig { chunk_rows: 2, ..SpillConfig::default() };
-        let mut w: SpillWriter<u64> = SpillWriter::new(1, cfg);
-        w.push(&[1], 1);
-        w.push(&[2], 2);
-        let cols = w.finish_cols();
-        let path = cols.spill_dir().path().to_path_buf();
+        let f = spill(1, vec![(vec![1], 1u64), (vec![2], 2)], cfg);
+        let path = values(&f).spill_dir().path().to_path_buf();
         assert!(path.exists());
-        let clone = cols.clone();
-        drop(cols);
+        let clone = f.clone();
+        drop(f);
         assert!(path.exists(), "clone still holds the directory");
         drop(clone);
         assert!(!path.exists(), "last handle removes the spill directory");
     }
 
     #[test]
-    fn partition_cuts_on_chunk_boundaries() {
-        let cfg = SpillConfig { chunk_rows: 4, ..SpillConfig::default() };
-        let mut w: SpillWriter<u64> = SpillWriter::new(1, cfg);
-        for i in 0..32u32 {
-            w.push(&[i / 2], 1); // two rows per value: 16 distinct values
-        }
-        let cols = w.finish_cols();
-        let ranges = cols.partition_first(4);
-        assert!(!ranges.is_empty());
-        assert_eq!(ranges[0].0, 0);
-        assert_eq!(ranges.last().unwrap().1, u32::MAX);
-        for w2 in ranges.windows(2) {
-            assert_eq!(w2[0].1, w2[1].0);
-        }
-        // Every cut falls on a chunk's first value.
-        for &(_, hi) in &ranges[..ranges.len() - 1] {
-            assert!(
-                (0..cols.num_chunks()).any(|k| cols.chunk_first_row(k)[0] == hi),
-                "cut {hi} not on a chunk boundary"
-            );
-        }
-    }
-
-    #[test]
     fn injected_transient_fault_is_retried_and_absorbed() {
         let cfg = SpillConfig { chunk_rows: 4, window_chunks: 1, ..SpillConfig::default() };
-        let mut w: SpillWriter<u64> = SpillWriter::new(1, cfg);
-        for i in 0..8u32 {
-            w.push(&[i], u64::from(i));
-        }
-        let cols = w.finish_cols();
+        let f = spill(1, (0..8u32).map(|i| (vec![i], u64::from(i))).collect(), cfg);
         let retries_before = fault::io_retries();
-        let _g = arm(FaultPlan::seeded(5).fail_transient(1.0), &cols);
+        let _g = FaultPlan::seeded(5).fail_transient(1.0).arm([&f]);
         for i in 0..8usize {
-            assert_eq!(cols.value_owned(i), i as u64, "retry absorbs the transient failure");
+            assert_eq!(values(&f).value_owned(i), i as u64, "retry absorbs the transient failure");
         }
         assert!(fault::io_retries() > retries_before, "each faulted read counted a retry");
     }
@@ -1514,35 +1444,29 @@ mod tests {
     #[test]
     fn injected_corruption_surfaces_typed_error() {
         let cfg = SpillConfig { chunk_rows: 4, window_chunks: 1, ..SpillConfig::default() };
-        let mut w: SpillWriter<u64> = SpillWriter::new(1, cfg);
-        for i in 0..4u32 {
-            w.push(&[i], 7);
-        }
-        let cols = w.finish_cols();
+        let f = spill(1, (0..4u32).map(|i| (vec![i], 7u64)).collect(), cfg);
         let corrupt_before = fault::corrupt_chunks();
-        let _g = arm(FaultPlan::seeded(5).corrupt(1.0), &cols);
-        // A key read: the chunk's one value is resident and faults nothing.
-        let r = fault::guarded(None, None, || cols.col(0, 0));
+        let _g = FaultPlan::seeded(5).corrupt(1.0).arm([&f]);
+        // A key read pins a level chunk (entry 1 is no resident head
+        // sample); the values chunk's one value is resident and faults
+        // nothing.
+        let r = fault::guarded(None, None, || f.col(1, 0));
         match r {
             Err(QueryAbort::Storage(StorageError::Corrupt { chunk: 0, .. })) => {}
             other => panic!("expected a corrupt-chunk abort, got {other:?}"),
         }
         assert!(fault::corrupt_chunks() > corrupt_before);
         drop(_g);
-        assert_eq!(cols.col(0, 0), 0, "the data at rest was never harmed");
-        assert_eq!(cols.value_owned(0), 7);
+        assert_eq!(f.col(1, 0), 1, "the data at rest was never harmed");
+        assert_eq!(values(&f).value_owned(0), 7);
     }
 
     #[test]
     fn injected_hard_failure_surfaces_typed_io_error() {
         let cfg = SpillConfig { chunk_rows: 4, window_chunks: 1, ..SpillConfig::default() };
-        let mut w: SpillWriter<u64> = SpillWriter::new(1, cfg);
-        for i in 0..4u32 {
-            w.push(&[i], 7);
-        }
-        let cols = w.finish_cols();
-        let _g = arm(FaultPlan::seeded(5).fail_hard(1.0), &cols);
-        match fault::guarded(None, None, || cols.col(0, 0)) {
+        let f = spill(1, (0..4u32).map(|i| (vec![i], 7u64)).collect(), cfg);
+        let _g = FaultPlan::seeded(5).fail_hard(1.0).arm([&f]);
+        match fault::guarded(None, None, || f.col(1, 0)) {
             Err(QueryAbort::Storage(StorageError::Io { op: "read chunk", attempts, .. })) => {
                 assert_eq!(attempts, MAX_IO_ATTEMPTS);
             }
@@ -1553,31 +1477,24 @@ mod tests {
     #[test]
     fn uniform_chunk_value_reads_fault_nothing() {
         let cfg = SpillConfig { chunk_rows: 4, window_chunks: 1, ..SpillConfig::default() };
-        let mut w: SpillWriter<u64> = SpillWriter::new(1, cfg);
-        for i in 0..8u32 {
-            w.push(&[i], 7);
-        }
-        let cols = w.finish_cols();
-        let _g = arm(FaultPlan::seeded(5).fail_hard(1.0), &cols);
+        let f = spill(1, (0..8u32).map(|i| (vec![i], 7u64)).collect(), cfg);
+        let _g = FaultPlan::seeded(5).fail_hard(1.0).arm([&f]);
         for i in 0..8 {
-            assert_eq!(fault::guarded(None, None, || cols.value_owned(i)), Ok(7), "row {i}");
+            assert_eq!(fault::guarded(None, None, || values(&f).value_owned(i)), Ok(7), "row {i}");
         }
-        // This listing's own read count: `chunk_reads` is process-wide, and
+        // This factor's own read count: `chunk_reads` is process-wide, and
         // the other tests of this binary fault chunks concurrently.
-        assert_eq!(cols.stats().reads, 0, "a uniform chunk's value is resident");
-        assert_eq!(cols.stats().resident_bytes, 0, "nothing was pinned");
+        assert_eq!(f.spill_stats().unwrap().reads, 0, "a uniform chunk's value is resident");
+        assert_eq!(f.spill_stats().unwrap().resident_bytes, 0, "nothing was pinned");
     }
 
     #[test]
     fn non_uniform_chunk_value_reads_still_fault() {
         let cfg = SpillConfig { chunk_rows: 4, window_chunks: 1, ..SpillConfig::default() };
-        let mut w: SpillWriter<u64> = SpillWriter::new(1, cfg);
-        for i in 0..4u32 {
-            w.push(&[i], if i == 2 { 8 } else { 7 });
-        }
-        let cols = w.finish_cols();
-        let _g = arm(FaultPlan::seeded(5).fail_hard(1.0), &cols);
-        match fault::guarded(None, None, || cols.value_owned(0)) {
+        let f =
+            spill(1, (0..4u32).map(|i| (vec![i], if i == 2 { 8u64 } else { 7 })).collect(), cfg);
+        let _g = FaultPlan::seeded(5).fail_hard(1.0).arm([&f]);
+        match fault::guarded(None, None, || values(&f).value_owned(0)) {
             Err(QueryAbort::Storage(StorageError::Io { op: "read chunk", attempts, .. })) => {
                 assert_eq!(attempts, MAX_IO_ATTEMPTS);
             }
@@ -1587,74 +1504,61 @@ mod tests {
 
     #[test]
     fn mixed_uniform_and_plain_chunks_round_trip() {
-        // Four rows a chunk: all equal; all equal but one middle value; 0.0
+        // Four values a chunk: all equal; all equal but one middle value; 0.0
         // beside -0.0 (equal as `f64`, not as bytes); a 1-row tail.
         let vals = [2.5, 2.5, 2.5, 2.5, 1.0, 1.0, 3.0, 1.0, 0.0, -0.0, 0.0, 0.0, 4.0];
         let cfg = SpillConfig { chunk_rows: 4, window_chunks: 1, ..SpillConfig::default() };
-        let mut w: SpillWriter<f64> = SpillWriter::new(2, cfg.clone());
-        for (i, &v) in vals.iter().enumerate() {
-            w.push(&[i as u32, 9], v);
-        }
-        let cols = w.finish_cols();
-        let uniform: Vec<bool> = cols.inner.chunks.iter().map(|c| c.uniform.is_some()).collect();
-        assert_eq!(uniform, [true, false, false, true]);
+        let rows = vals.iter().enumerate().map(|(i, &v)| (vec![i as u32, 9], v)).collect();
+        let f = spill(2, rows, cfg);
+        let uniform = |f: &Factor<f64>| {
+            values(f).inner.chunks.iter().map(|c| c.uniform.is_some()).collect::<Vec<_>>()
+        };
+        assert_eq!(uniform(&f), [true, false, false, true]);
         let same = |a: f64, b: f64| a.to_bits() == b.to_bits();
         for (i, &v) in vals.iter().enumerate() {
-            assert!(same(cols.value_owned(i), v), "row {i}");
-            assert_eq!(cols.col(i, 0), i as u32);
+            assert!(same(values(&f).value_owned(i), v), "row {i}");
+            assert_eq!(f.col(i, 0), i as u32);
         }
-        for k in 0..cols.num_chunks() {
-            cols.with_chunk(k, |start, rows, got| {
-                assert_eq!(got.len(), rows.len() / 2, "chunk {k}");
-                for (j, &g) in got.iter().enumerate() {
-                    assert!(same(g, vals[start + j]), "chunk {k} row {j}");
-                    assert_eq!(rows[2 * j..2 * j + 2], [(start + j) as u32, 9]);
-                }
-            });
-        }
-        // 8 B of keys a row, plus 8 B of value a row in the two plain chunks.
-        assert_eq!(cols.stats().file_bytes, 13 * 8 + 8 * 8);
-        let file_bytes = |c: &FileChunkedColumns<f64>| {
-            c.inner.chunks.iter().map(|m| m.disk_bytes(2, 8)).sum::<usize>()
-        };
-        assert_eq!(cols.stats().file_bytes, file_bytes(&cols));
+        let mut i = 0;
+        f.for_each_row_grouped(true, &[], &mut |row, &got| {
+            assert!(same(got, vals[i]), "walked row {i}");
+            assert_eq!(row, [i as u32, 9]);
+            i += 1;
+        });
+        assert_eq!(i, vals.len());
+        // 8 B of value a row in the two plain chunks, then the levels: 12 B
+        // an interior entry (13 distinct first keys), 4 B a leaf one.
+        assert_eq!(f.spill_stats().unwrap().file_bytes, 8 * 8 + 13 * 12 + 13 * 4);
 
-        // A delta splice adopts chunks 0 and 2 by reference and writes the
-        // rest, whose values decide their uniformity afresh: chunk 1 becomes
-        // uniform, the new tail (5.0, 6.0) is not.
-        let schema = vec![faq_hypergraph::Var(0), faq_hypergraph::Var(1)];
-        let f = crate::Factor::from_spill(schema.clone(), cols);
+        // A delta merge writes its output afresh, and each of its chunks
+        // decides its uniformity: chunk 1 becomes uniform, the new tail
+        // (5.0, 6.0) is not.
+        let schema = f.schema().to_vec();
         let puts = [(6, 1.0), (12, 5.0), (13, 6.0)];
         let entries = puts.iter().map(|&(i, v)| (vec![i, 9], crate::DeltaOp::Put(v))).collect();
         let delta = crate::DeltaFactor::new(schema, entries).unwrap();
         let (spliced, _) = delta.apply_to(&f, |a, b| a + b, |&x| x == 0.0);
         let heap = f.map_values(f64::clone, |_| false);
         assert_eq!(spliced, delta.apply_to(&heap, |a, b| a + b, |&x| x == 0.0).0);
-        let out = spliced.spill_cols().expect("splicing a spilled listing stays spilled");
-        let uniform: Vec<bool> = out.inner.chunks.iter().map(|c| c.uniform.is_some()).collect();
-        assert_eq!(uniform, [true, true, false, false]);
-        assert_eq!(out.stats().file_bytes, file_bytes(out));
-        assert_eq!(out.stats().file_bytes, 14 * 8 + 6 * 8);
+        assert!(spliced.is_spilled(), "merging into a spilled factor stays spilled");
+        assert_eq!(uniform(&spliced), [true, true, false, false]);
+        assert_eq!(spliced.spill_stats().unwrap().file_bytes, 6 * 8 + 14 * 12 + 14 * 4);
         let mut want = vals.to_vec();
         want[6] = 1.0;
         want[12] = 5.0;
         want.push(6.0);
         for (i, &v) in want.iter().enumerate() {
-            assert!(same(out.value_owned(i), v), "spliced row {i}");
+            assert!(same(values(&spliced).value_owned(i), v), "spliced row {i}");
         }
     }
 
     #[test]
     fn deadline_checkpoint_fires_at_chunk_fault_in() {
         let cfg = SpillConfig { chunk_rows: 2, window_chunks: 1, ..SpillConfig::default() };
-        let mut w: SpillWriter<u64> = SpillWriter::new(1, cfg);
-        for i in 0..4u32 {
-            w.push(&[i], 1);
-        }
-        let cols = w.finish_cols();
+        let f = spill(1, (0..4u32).map(|i| (vec![i], 1u64)).collect(), cfg);
         let expired = Some(fault::Deadline::after(std::time::Duration::ZERO));
         assert_eq!(
-            fault::guarded(expired, None, || cols.col(0, 0)),
+            fault::guarded(expired, None, || f.col(1, 0)),
             Err(QueryAbort::DeadlineExceeded),
             "an expired deadline aborts at the fault-in checkpoint"
         );

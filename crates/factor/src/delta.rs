@@ -1,5 +1,5 @@
 //! Sorted point-update batches ([`DeltaFactor`]) and their application to
-//! listing factors — the input side of incremental delta evaluation.
+//! factors — the input side of incremental delta evaluation.
 //!
 //! A delta is a sorted, duplicate-free batch of keyed operations against one
 //! factor: overwrite a tuple's value ([`DeltaOp::Put`]), `⊕`-combine into it
@@ -15,6 +15,7 @@
 use crate::factor::{check_schema, Factor, FactorBuilder, FactorError};
 use faq_hypergraph::Var;
 use faq_semiring::SemiringElem;
+use std::cmp::Ordering;
 
 /// Record `key`'s first-column value as changed, coalescing with the last
 /// range. Keys are visited in ascending tuple order, so first-column values
@@ -159,7 +160,8 @@ impl<E: SemiringElem> DeltaFactor<E> {
     /// values that must be dropped from the listing. No-op entries — deleting
     /// an absent tuple, or a `Put`/`Merge` that reproduces the stored value —
     /// contribute no range, so an effect-free delta returns empty ranges and
-    /// a factor equal to `base`.
+    /// a factor equal to `base` — for an empty batch, `base` itself, with no
+    /// row read.
     ///
     /// For a nullary `base` the single change range is `(0, u32::MAX)`:
     /// there is no first column to anchor on, and callers must treat the
@@ -180,81 +182,53 @@ impl<E: SemiringElem> DeltaFactor<E> {
             &self.schema[..],
             "delta schema must match the base factor's column order"
         );
-        use std::cmp::Ordering::{Equal, Greater, Less};
-        let arity = self.schema.len();
-        let mut changed: Vec<(u32, u32)> = Vec::new();
-        // The one merge routine: a run of base rows (`rows` row-major, one
-        // value each) against the delta's keys from `d` on for as long as
-        // `within` holds of them, in one sorted pass into `out`; returns the
-        // first key left. Keys absent from the base insert (`Put`, `Merge`)
-        // or are no-ops (`Delete`, a zero); keys present overwrite,
-        // `⊕`-combine or remove.
-        let mut merge_run = |out: &mut FactorBuilder<E>,
-                             mut d: usize,
-                             rows: &[u32],
-                             vals: &[E],
-                             within: &dyn Fn(&[u32]) -> bool| {
-            let mut i = 0usize;
-            loop {
-                let key = (d < self.len()).then(|| self.key(d)).filter(|k| within(k));
-                let order = match key {
-                    None if i == vals.len() => return d,
-                    None => Less,
-                    Some(_) if i == vals.len() => Greater,
-                    Some(key) => rows[i * arity..(i + 1) * arity].cmp(key),
-                };
-                if order == Less {
-                    out.push(&rows[i * arity..(i + 1) * arity], vals[i].clone());
-                    i += 1;
-                    continue;
-                }
-                let key = key.expect("Greater and Equal compare against a key");
-                // `old` is what the key maps to in the base, `new` what it
-                // maps to afterwards; a range is noted only if they differ.
-                let old = (order == Equal).then(|| &vals[i]);
-                let new = match (self.op(d), old) {
-                    (DeltaOp::Put(v), _) | (DeltaOp::Merge(v), None) => Some(v.clone()),
-                    (DeltaOp::Merge(v), Some(old)) => Some(merge(old, v)),
-                    (DeltaOp::Delete, _) => None,
-                }
-                .filter(|v| !is_zero(v));
-                if new.as_ref() != old {
-                    note_change(key, &mut changed);
-                }
-                if let Some(v) = new {
-                    out.push(key, v);
-                }
-                i += usize::from(order == Equal);
-                d += 1;
-            }
-        };
-        let Some(cols) = base.spill_cols() else {
-            let mut out =
-                FactorBuilder::new(self.schema.clone()).expect("delta schema already validated");
-            out.reserve(base.len() + self.len());
-            merge_run(&mut out, 0, base.mem_rows(), base.mem_vals(), &|_| true);
-            return (out.finish(), changed);
-        };
-        // A file-chunked base: a chunk-local splice. Chunks no delta key
-        // lands in pass through *by handle* — their bytes are never read —
-        // while touched chunks are decoded and merged by the same routine, so
-        // the result and the changed ranges are bit-identical to applying
-        // the delta to an unspilled copy of the base.
-        let mut out = FactorBuilder::new_like(self.schema.clone(), cols);
-        let mut d = 0usize;
-        for k in 0..cols.num_chunks() {
-            let (first, last) = (cols.chunk_first_row(k), cols.chunk_last_row(k));
-            // Keys sorting before the chunk are absent from the base.
-            d = merge_run(&mut out, d, &[], &[], &|key| key < first);
-            if d < self.len() && self.key(d) <= last {
-                cols.with_chunk(k, |_, rows, vals| {
-                    d = merge_run(&mut out, d, rows, vals, &|key| key <= last);
-                });
-            } else {
-                out.adopt_chunk(cols, k);
-            }
+        if self.ops.is_empty() {
+            return (base.clone(), Vec::new());
         }
-        merge_run(&mut out, d, &[], &[], &|_| true);
+        let mut changed: Vec<(u32, u32)> = Vec::new();
+        // The one merge routine, for both backings: the base's rows stream
+        // in order against the delta's keys into a builder like the base — a
+        // spilled base's merge is written beside it, indexed as it goes.
+        // Keys absent from the base insert (`Put`, `Merge`) or are no-ops
+        // (`Delete`, a zero); keys present overwrite, `⊕`-combine or remove.
+        let mut out = FactorBuilder::like(base);
+        out.reserve(base.len() + self.len());
+        let mut apply = |out: &mut FactorBuilder<E>, d: usize, old: Option<&E>| {
+            let key = self.key(d);
+            // `old` is what the key maps to in the base, `new` what it maps
+            // to afterwards; a range is noted only if they differ.
+            let new = match (self.op(d), old) {
+                (DeltaOp::Put(v), _) | (DeltaOp::Merge(v), None) => Some(v.clone()),
+                (DeltaOp::Merge(v), Some(old)) => Some(merge(old, v)),
+                (DeltaOp::Delete, _) => None,
+            }
+            .filter(|v| !is_zero(v));
+            if new.as_ref() != old {
+                note_change(key, &mut changed);
+            }
+            if let Some(v) = new {
+                out.push(key, v);
+            }
+        };
+        let mut keys = (0..self.len()).map(|d| (d, self.key(d))).peekable();
+        base.for_each_row_grouped(true, &[], &mut |row, val| {
+            while let Some(&(d, key)) = keys.peek() {
+                match key.cmp(row) {
+                    Ordering::Less => apply(&mut out, d, None),
+                    Ordering::Equal => {
+                        apply(&mut out, d, Some(val));
+                        keys.next();
+                        return;
+                    }
+                    Ordering::Greater => break,
+                }
+                keys.next();
+            }
+            out.push(row, val.clone());
+        });
+        for (d, _) in keys {
+            apply(&mut out, d, None);
+        }
         (out.finish(), changed)
     }
 }
@@ -377,9 +351,9 @@ mod tests {
     }
 
     #[test]
-    fn spilled_apply_matches_mem_and_skips_cold_chunks() {
+    fn spilled_apply_matches_mem_in_one_pass_and_comes_back_indexed() {
         use crate::colstore::SpillConfig;
-        // 32 rows in 8 chunks of 4; touch only the second and last chunks.
+        // 32 rows in 8 values chunks of 4; touch the second and last chunks.
         let rows: Vec<(Vec<u32>, u64)> =
             (0..32u32).map(|i| (vec![i, i % 3], u64::from(i) + 1)).collect();
         let mem = Factor::new(vec![v(0), v(1)], rows).unwrap();
@@ -396,16 +370,20 @@ mod tests {
         )
         .unwrap();
         let (want, want_ranges) = d.apply_to(&mem, |a, b| a + b, |&x| x == 0);
-        let before = spilled.spill_stats().unwrap().reads;
+        let base = spilled.spill_stats().unwrap();
         let (got, got_ranges) = d.apply_to(&spilled, |a, b| a + b, |&x| x == 0);
+        // One sequential pass over the base: no chunk of it is read twice.
+        let reads = spilled.spill_stats().unwrap().reads - base.reads;
+        assert!(reads <= base.chunks as u64, "{reads} reads of {} chunks", base.chunks);
+        // The merge comes back indexed: indexing it reads nothing.
         assert!(got.is_spilled());
+        assert!(got.trie_if_built().is_some(), "a spilled merge is indexed when written");
+        let before = got.spill_stats().unwrap().reads;
+        let _ = got.trie();
+        assert_eq!(got.spill_stats().unwrap().reads, before, "indexing read a chunk");
         assert_eq!(got, want);
         assert_eq!(got_ranges, want_ranges);
-        // Only the two touched chunks were decoded; the six cold ones were
-        // adopted by handle.
-        let reads = spilled.spill_stats().unwrap().reads - before;
-        assert_eq!(reads, 2, "expected only touched chunks to fault in");
-        // The spliced factor answers point lookups like the mem result.
+        // The merged factor answers point lookups like the mem result.
         assert_eq!(got.get_cloned(&[5, 2]), Some(99));
         assert_eq!(got.get_cloned(&[6, 0]), Some(17));
         assert_eq!(got.get_cloned(&[30, 0]), None);

@@ -2,8 +2,8 @@
 //! [`FactorBuilder`] that assembles factors column-flat from sorted row
 //! streams.
 
-use crate::colstore::{FileChunkedColumns, FixedBytes, SpillConfig, SpillStats, SpillWriter};
-use crate::trie::{FactorTrie, LevelSink, TrieBuilder};
+use crate::colstore::{FileChunkedValues, FixedBytes, SpillConfig, SpillStats, SpillWriter};
+use crate::trie::{partition_point, FactorTrie, TrieBuilder};
 use faq_hypergraph::Var;
 use faq_semiring::SemiringElem;
 use std::fmt;
@@ -52,7 +52,9 @@ impl std::error::Error for FactorError {}
 /// The row-major storage is private; consumers read rows through the accessor
 /// API ([`Factor::row`], [`Factor::value`], [`Factor::iter`]) or through the
 /// columnar trie index ([`Factor::trie`]), which is built lazily on first use
-/// and cached for the body's lifetime.
+/// and cached for the body's lifetime. A spilled factor has no row-major
+/// listing: it is its trie, written to disk with the factor, plus a values
+/// column by leaf entry; [`Factor::col`] and [`Factor::value_at`] read it.
 ///
 /// # Sharing
 ///
@@ -73,35 +75,22 @@ struct Body<E> {
     schema: Vec<Var>,
     cols: Columns<E>,
     len: usize,
-    /// Lazily-built columnar trie index (see [`FactorTrie`]). Not part of
-    /// the factor's identity: equality ignores it.
+    /// Columnar trie index (see [`FactorTrie`]): built lazily over a heap
+    /// listing, filled at birth for a spilled factor, whose keys it holds.
+    /// Equality compares rows, not how they are indexed.
     trie: OnceLock<FactorTrie>,
     /// Per-column maxima of an in-memory listing, filled by one pass the
-    /// first time [`Factor::max_in_column`] asks (a spilled listing keeps its
+    /// first time [`Factor::max_in_column`] asks (a spilled factor keeps its
     /// own, tracked at write time). Like `trie`, not part of the identity.
     col_maxes: OnceLock<Vec<u32>>,
 }
 
-/// The backing of a factor's listing: heap-resident flat arrays (the
-/// default) or a file-chunked spill with a bounded pinned window (see
-/// [`crate::colstore`]).
+/// The backing of a factor: heap-resident flat arrays (the default), or a
+/// spilled factor's values column, one value per leaf entry of its trie,
+/// whose levels are on disk too (see [`crate::colstore`]).
 enum Columns<E> {
     Mem { rows: Vec<u32>, vals: Vec<E> },
-    Spill(FileChunkedColumns<E>),
-}
-
-impl<E> Columns<E> {
-    /// Run `f(row-major keys, values)` over the listing's chunks in order.
-    /// An in-memory listing is the one-resident-chunk case; a spilled one
-    /// pins a chunk at a time.
-    fn for_each_chunk(&self, mut f: impl FnMut(&[u32], &[E])) {
-        match self {
-            Columns::Mem { rows, vals } => f(rows, vals),
-            Columns::Spill(c) => {
-                (0..c.num_chunks()).for_each(|k| c.with_chunk(k, |_, rows, vals| f(rows, vals)))
-            }
-        }
-    }
+    Spill(FileChunkedValues<E>),
 }
 
 /// A value read from a factor that may live on disk: borrowed from the heap
@@ -152,25 +141,26 @@ impl<E: SemiringElem> PartialEq for Factor<E> {
         if self.body.schema != other.body.schema || self.body.len != other.body.len {
             return false;
         }
-        if let (Columns::Mem { rows: ra, vals: va }, Columns::Mem { rows: rb, vals: vb }) =
-            (&self.body.cols, &other.body.cols)
-        {
-            return ra == rb && va == vb;
-        }
-        // Any spilled side: walk `self`'s chunks against `other`'s keys and
-        // values, row by row (the two chunk grids may differ).
-        let arity = self.arity();
-        let (mut start, mut equal) = (0, true);
-        self.body.cols.for_each_chunk(|rows, vals| {
-            equal = equal
-                && vals.iter().enumerate().all(|(j, val)| {
-                    let i = start + j;
-                    (0..arity).all(|d| other.col(i, d) == rows[j * arity + d])
-                        && *other.value_at(i) == *val
+        match (&self.body.cols, &other.body.cols) {
+            (Columns::Mem { rows: ra, vals: va }, Columns::Mem { rows: rb, vals: vb }) => {
+                ra == rb && va == vb
+            }
+            (Columns::Mem { .. }, Columns::Spill(_)) => other == self,
+            // A spilled side against a heap one: walk its rows in order.
+            (Columns::Spill(_), Columns::Mem { .. }) => {
+                let (mut i, mut equal) = (0, true);
+                self.for_each_row_grouped(true, &[], &mut |row, val| {
+                    equal = equal && row == other.row(i) && val == other.value(i);
+                    i += 1;
                 });
-            start += vals.len();
-        });
-        equal
+                equal
+            }
+            // Two spilled factors: the same rows make the same trie.
+            (Columns::Spill(_), Columns::Spill(_)) => {
+                self.trie() == other.trie()
+                    && (0..self.len()).all(|i| *self.value_at(i) == *other.value_at(i))
+            }
+        }
     }
 }
 
@@ -199,8 +189,8 @@ impl<E> Factor<E> {
         matches!(self.body.cols, Columns::Spill(_))
     }
 
-    /// Read access to the spilled listing, when there is one.
-    pub(crate) fn spill_cols(&self) -> Option<&FileChunkedColumns<E>> {
+    /// The values column of a spilled factor, when it is one.
+    pub(crate) fn spill_values(&self) -> Option<&FileChunkedValues<E>> {
         match &self.body.cols {
             Columns::Spill(c) => Some(c),
             Columns::Mem { .. } => None,
@@ -431,20 +421,20 @@ impl<E: SemiringElem> Factor<E> {
     }
 
     /// The key value of row `i`, column `d` — works over both backings; a
-    /// spilled factor pins (at most) one chunk.
+    /// spilled factor walks up its trie from leaf entry `i`.
     pub fn col(&self, i: usize, d: usize) -> u32 {
         match &self.body.cols {
             Columns::Mem { rows, .. } => rows[i * self.arity() + d],
-            Columns::Spill(c) => c.col(i, d),
+            Columns::Spill(_) => self.trie().key(i, d),
         }
     }
 
     /// The `i`-th value over either backing: borrowed from the heap listing,
-    /// or decoded out of a pinned spill chunk.
+    /// or decoded out of a spilled values chunk.
     pub fn value_at(&self, i: usize) -> ValRef<'_, E> {
         match &self.body.cols {
             Columns::Mem { vals, .. } => ValRef::Borrowed(&vals[i]),
-            Columns::Spill(c) => ValRef::Owned(c.value_owned(i)),
+            Columns::Spill(v) => ValRef::Owned(v.value_owned(i)),
         }
     }
 
@@ -452,9 +442,7 @@ impl<E: SemiringElem> Factor<E> {
     /// Resident for spilled factors (tracked at write time); for in-memory
     /// ones one scan of the listing fills every column's maximum, cached on
     /// the body — domain validation, asked once per query build, plan and
-    /// run, must neither rescan rows nor fault chunks in. After a delta
-    /// splice with deletions this is an upper bound for a spilled factor,
-    /// never an underestimate.
+    /// run, must neither rescan rows nor fault chunks in.
     pub fn max_in_column(&self, d: usize) -> Option<u32> {
         match &self.body.cols {
             Columns::Mem { rows, .. } => {
@@ -469,7 +457,7 @@ impl<E: SemiringElem> Factor<E> {
                 });
                 (self.body.len > 0).then(|| maxes[d])
             }
-            Columns::Spill(c) => c.col_max(d),
+            Columns::Spill(v) => v.col_max(d),
         }
     }
 
@@ -479,41 +467,34 @@ impl<E: SemiringElem> Factor<E> {
         (0..self.body.len).map(move |i| (self.row(i), self.value(i)))
     }
 
-    /// Copy this factor's listing into a file-chunked spill (see
-    /// [`SpillConfig`]): the returned factor holds the same rows and
-    /// values, chunked on disk with a bounded pinned window.
+    /// Write this factor to a file-chunked spill (see [`SpillConfig`]): the
+    /// returned factor holds the same rows and values, as trie levels and a
+    /// values column on disk with a bounded pinned window, indexed already.
     pub fn to_spilled(&self, config: SpillConfig) -> Factor<E>
     where
         E: FixedBytes,
     {
-        assert!(self.arity() > 0, "nullary factors cannot spill");
-        let mut w: SpillWriter<E> = SpillWriter::new(self.arity(), config);
-        self.for_each_row_grouped(true, &[], &mut |row, val| w.push(row, val.clone()));
-        Factor::from_spill(self.body.schema.clone(), w.finish_cols())
+        let mut out = FactorBuilder::new_spilled(self.body.schema.clone(), config)
+            .expect("schema already valid");
+        self.for_each_row_grouped(true, &[], &mut |row, val| out.push(row, val.clone()));
+        out.finish()
     }
 
-    /// Wrap an already-written spilled listing (rows strictly ascending) in a
-    /// factor.
-    pub(crate) fn from_spill(schema: Vec<Var>, cols: FileChunkedColumns<E>) -> Factor<E> {
-        let len = cols.len();
-        Factor::from_parts(schema, Columns::Spill(cols), len, None)
-    }
-
-    /// Chunk and read statistics of the spilled listing, or `None` for an
-    /// in-memory factor.
+    /// Chunk and read statistics of a spilled factor — its level files and
+    /// values file together — or `None` for an in-memory factor.
     pub fn spill_stats(&self) -> Option<SpillStats> {
-        self.spill_cols().map(FileChunkedColumns::stats)
+        self.spill_values().map(|v| v.stats(self.trie()))
     }
 
     /// Heap bytes this factor's body currently keeps resident: the listing
-    /// (the full flat arrays of an in-memory factor, only the pinned chunk
-    /// window of a spilled one) plus the trie index once it is built. Every
+    /// (the full flat arrays of an in-memory factor, only the pinned values
+    /// chunks of a spilled one) plus the trie index once it is built. Every
     /// handle of one body reports the same bytes — count a body once (see
     /// [`Factor::shares_body`]).
     pub fn resident_bytes(&self) -> usize {
         let listing = match &self.body.cols {
             Columns::Mem { rows, vals } => rows.len() * 4 + vals.len() * std::mem::size_of::<E>(),
-            Columns::Spill(c) => c.stats().resident_bytes,
+            Columns::Spill(v) => v.resident_bytes(),
         };
         listing + self.trie_if_built().map_or(0, FactorTrie::resident_bytes)
     }
@@ -524,42 +505,20 @@ impl<E: SemiringElem> Factor<E> {
         Arc::ptr_eq(&self.body, &other.body)
     }
 
-    /// First-column partition whose cuts align to this factor's spill-chunk
-    /// boundaries (ascending half-open value ranges covering `[0, u32::MAX)`,
-    /// never splitting a value), computed
-    /// from resident chunk metadata without faulting anything — each worker
-    /// of a chunked join then pins only its own range's chunks. `None` for
-    /// in-memory factors, which have no chunk grid to align to.
-    pub fn chunk_aligned_partition(&self, max_chunks: usize) -> Option<Vec<(u32, u32)>> {
-        self.spill_cols().map(|c| c.partition_first(max_chunks))
-    }
-
     /// The columnar trie index over this factor's rows (see [`FactorTrie`]).
     ///
-    /// Built on first use — `O(arity × len)` — and cached in the shared body,
-    /// so joins and chunk partitioning through any handle of the factor share
-    /// one index. Thread-safe: concurrent first callers race benignly on a
-    /// [`OnceLock`].
+    /// A heap listing builds it on first use — `O(arity × len)` — and caches
+    /// it in the shared body, so joins and chunk partitioning through any
+    /// handle of the factor share one index. Thread-safe: concurrent first
+    /// callers race benignly on a [`OnceLock`]. A spilled factor is indexed
+    /// when it is written.
     pub fn trie(&self) -> &FactorTrie {
-        self.body.trie.get_or_init(|| match &self.body.cols {
-            Columns::Mem { .. } => {
-                let mut heap = TrieBuilder::new(self.arity());
-                heap.reserve_rows(self.len());
-                self.index_into(heap)
-            }
-            // A spilled listing streams its index straight back to disk
-            // beside it: one pass over the chunks, spilled levels out.
-            Columns::Spill(c) => self.index_into(TrieBuilder::over(c.level_sinks())),
+        self.body.trie.get_or_init(|| {
+            let mut heap = TrieBuilder::new(self.arity());
+            heap.reserve_rows(self.len());
+            heap.push_rows(self.mem_rows(), self.len());
+            heap.finish()
         })
-    }
-
-    /// Feed the listing, chunk by chunk, through a trie builder.
-    fn index_into<K: LevelSink>(&self, mut builder: TrieBuilder<K>) -> FactorTrie {
-        let mut carry = Vec::new();
-        self.body
-            .cols
-            .for_each_chunk(|rows, vals| builder.push_chunk(rows, vals.len(), &mut carry));
-        builder.finish()
     }
 
     /// The trie index if it has already been built, without forcing a build.
@@ -576,7 +535,8 @@ impl<E: SemiringElem> Factor<E> {
     }
 
     /// [`Factor::get`] over either backing, returning the value by clone (a
-    /// borrow cannot outlive the pinned chunk of a spilled listing).
+    /// borrow cannot outlive the pinned chunk of a spilled factor, whose
+    /// lookup descends its trie).
     pub fn get_cloned(&self, tuple: &[u32]) -> Option<E> {
         self.find_row(tuple).map(|i| self.value_at(i).into_owned())
     }
@@ -584,6 +544,9 @@ impl<E: SemiringElem> Factor<E> {
     /// The listing row holding `tuple`, if any.
     fn find_row(&self, tuple: &[u32]) -> Option<usize> {
         assert_eq!(tuple.len(), self.arity());
+        if self.is_spilled() {
+            return self.trie().find_row(tuple);
+        }
         let range = tuple.iter().enumerate().fold((0, self.body.len), |range, (depth, &value)| {
             self.prefix_range(range, depth, value)
         });
@@ -633,7 +596,7 @@ impl<E: SemiringElem> Factor<E> {
         }
         // The index sort below needs random row access. Engine paths keep
         // large factors σ-aligned (the identity branch above and
-        // `align_to_cow`'s borrow), so a spilled listing that gets here is
+        // `align_to_cow`'s borrow), so a spilled factor that gets here is
         // small enough to copy to the heap.
         if self.is_spilled() {
             return self.to_heap().reorder(new_schema);
@@ -713,8 +676,8 @@ impl<E: SemiringElem> Factor<E> {
     ///
     /// When `positions` is a prefix of the column order, the input's
     /// sortedness already groups equal keys consecutively — one streaming
-    /// pass, which spilled listings serve chunk by chunk without ever
-    /// materializing. Otherwise row *indices* are ordered under the projected
+    /// pass, which a spilled factor serves by one walk of its trie without
+    /// ever materializing. Otherwise row *indices* are ordered under the projected
     /// key by [`Factor::order_by_columns`] (ties keep row order, so
     /// non-commutative folds see each group's rows in listing order), over a
     /// heap copy when spilled. Neither path allocates per row.
@@ -767,23 +730,30 @@ impl<E: SemiringElem> Factor<E> {
 
     /// Drive `feed` over every `(row, value)` pair: in listing order when
     /// `grouped` (the projection key is already consecutive), otherwise in
-    /// stable projected-key order ([`Factor::order_by_columns`]). Spilled
-    /// listings stream one chunk at a time and therefore support only the
-    /// `grouped` order — which is the order every σ-aligned elimination step
-    /// uses, since such steps always project away a suffix of the schema.
-    fn for_each_row_grouped(
+    /// stable projected-key order ([`Factor::order_by_columns`]). A spilled
+    /// factor streams its rows by one walk of its trie in leaf order, and
+    /// therefore supports only the `grouped` order — which is the order every
+    /// σ-aligned elimination step uses, since such steps always project away
+    /// a suffix of the schema.
+    pub(crate) fn for_each_row_grouped(
         &self,
         grouped: bool,
         positions: &[usize],
         feed: &mut impl FnMut(&[u32], &E),
     ) {
         if grouped {
-            let arity = self.arity();
-            self.body.cols.for_each_chunk(|rows, vals| {
-                for (i, val) in vals.iter().enumerate() {
-                    feed(&rows[i * arity..(i + 1) * arity], val);
+            match &self.body.cols {
+                Columns::Mem { rows, vals } if self.arity() > 0 => {
+                    for (row, val) in rows.chunks_exact(self.arity()).zip(vals) {
+                        feed(row, val);
+                    }
                 }
-            });
+                Columns::Mem { vals, .. } => vals.iter().for_each(|val| feed(&[], val)),
+                Columns::Spill(values) => {
+                    let mut values = values.reader();
+                    self.trie().for_each_row(|j, row| values.with(j, |val| feed(row, val)));
+                }
+            }
         } else {
             assert!(
                 !self.is_spilled(),
@@ -880,7 +850,7 @@ impl<E: SemiringElem> Factor<E> {
         self.project_fold(&positions, E::clone, mul, |p, n| n == u64::from(dom_size) && !is_zero(p))
     }
 
-    /// A heap copy of a spilled listing ([`Factor::map_values`] always
+    /// A heap copy of a spilled factor ([`Factor::map_values`] always
     /// builds on the heap): the fallback of the operations whose heap
     /// algorithm needs random row access.
     fn to_heap(&self) -> Factor<E> {
@@ -923,14 +893,9 @@ impl<E: SemiringElem> Factor<E> {
         if max_chunks <= 1 || self.body.len < 2 {
             return Vec::new();
         }
-        // Spilled listings partition on resident chunk metadata only —
-        // faulting every chunk to scan a column would defeat the point.
-        if let Columns::Spill(c) = &self.body.cols {
-            assert_eq!(col, 0, "spilled factors partition only on the first column");
-            return c.partition_first(max_chunks);
-        }
-        // Column 0 with a built trie index: the root level already lists the
-        // distinct values with their row counts — no scan of the listing.
+        // Column 0 with a built trie index (a spilled factor always has one):
+        // the root level already lists the distinct values with their row
+        // counts — no scan of the listing.
         if col == 0 {
             if let Some(trie) = self.trie_if_built() {
                 return trie.partition_root(max_chunks);
@@ -942,7 +907,7 @@ impl<E: SemiringElem> Factor<E> {
         if col != 0 {
             values.sort_unstable();
         }
-        let runs = values.chunk_by(|a, b| a == b).map(|run| (run[0], run.len(), true));
+        let runs = values.chunk_by(|a, b| a == b).map(|run| (run[0], run.len()));
         crate::trie::partition_runs(self.body.len, max_chunks, runs)
     }
 
@@ -1106,12 +1071,12 @@ impl<E: SemiringElem> FactorBuilder<E> {
     }
 
     /// An empty builder whose rows stream straight to a file-chunked spill
-    /// (see [`SpillConfig`]): pushes buffer one chunk at a time, writes
-    /// are strictly sequential, and [`FactorBuilder::finish`] yields a
-    /// spilled factor whose resident footprint is the chunk metadata plus the
-    /// pinned window. Streaming tries and [`FactorBuilder::append`] are not
-    /// supported in spill mode (the index is built lazily, streaming from
-    /// the chunks).
+    /// (see [`SpillConfig`]): each row goes into the trie levels' disk sinks
+    /// and its value into the values column, each buffering one chunk, with
+    /// strictly sequential writes, and [`FactorBuilder::finish`] yields a
+    /// spilled factor, indexed already, whose resident footprint is the
+    /// chunk metadata, the levels' head samples and the pinned windows.
+    /// [`FactorBuilder::append`] is not supported in spill mode.
     pub fn new_spilled(schema: Vec<Var>, config: SpillConfig) -> Result<Self, FactorError>
     where
         E: FixedBytes,
@@ -1128,35 +1093,28 @@ impl<E: SemiringElem> FactorBuilder<E> {
         })
     }
 
-    /// An empty spilled builder writing a sibling of the spilled listing
-    /// `base` (whose schema is `schema`) — same spill directory, codec and
-    /// configuration — which may [`FactorBuilder::adopt_chunk`] its chunks.
-    pub(crate) fn new_like(schema: Vec<Var>, base: &FileChunkedColumns<E>) -> Self {
+    /// An empty builder over `base`'s schema with `base`'s backing: on the
+    /// heap for a heap factor; for a spilled one, a spilled builder writing
+    /// a sibling of it — same spill directory (and armed fault plan), codec
+    /// and configuration.
+    pub(crate) fn like(base: &Factor<E>) -> Self {
+        let schema = base.body.schema.clone();
         let arity = schema.len();
-        let cols = BuilderCols::Spill(SpillWriter::new_like(base));
+        let cols = match base.spill_values() {
+            None => BuilderCols::Mem { rows: Vec::new(), vals: Vec::new() },
+            Some(values) => BuilderCols::Spill(SpillWriter::like(values)),
+        };
         FactorBuilder { schema, arity, cols, len: 0, trie: None }
     }
 
-    /// Pass chunk `k` of `base`'s spilled listing through by reference — no
-    /// read, no copy; its rows must sort after everything pushed so far.
-    /// Only for builders made by [`FactorBuilder::new_like`] of `base`.
-    pub(crate) fn adopt_chunk(&mut self, base: &FileChunkedColumns<E>, k: usize) {
-        let BuilderCols::Spill(w) = &mut self.cols else {
-            panic!("only a spilled builder adopts chunks");
-        };
-        w.adopt_chunk(base, k);
-        self.len = w.len();
-    }
-
     /// Grow the trie index incrementally as rows are appended (see the type
-    /// docs). Must be enabled before the first push.
+    /// docs). Must be enabled before the first push. A spilled builder
+    /// always streams its index to disk, so there it changes nothing.
     pub fn with_streaming_trie(mut self) -> Self {
         assert_eq!(self.len, 0, "enable the streaming trie before pushing rows");
-        assert!(
-            matches!(self.cols, BuilderCols::Mem { .. }),
-            "spilled builders index lazily; streaming tries are heap-only"
-        );
-        self.trie = Some(TrieBuilder::new(self.arity));
+        if matches!(self.cols, BuilderCols::Mem { .. }) {
+            self.trie = Some(TrieBuilder::new(self.arity));
+        }
         self
     }
 
@@ -1190,13 +1148,7 @@ impl<E: SemiringElem> FactorBuilder<E> {
                 rows.extend_from_slice(row);
                 vals.push(val);
             }
-            BuilderCols::Spill(w) => {
-                debug_assert!(
-                    w.last_row().is_none_or(|p| p.as_slice() < row),
-                    "builder rows must be strictly ascending"
-                );
-                w.push(row, val);
-            }
+            BuilderCols::Spill(w) => w.push(row, val),
         }
         self.len += 1;
     }
@@ -1249,29 +1201,20 @@ impl<E: SemiringElem> FactorBuilder<E> {
 
     /// Finish: hand the flat buffers (and the streamed trie index, when
     /// enabled) to the factor without copying or re-sorting anything. A
-    /// spilled builder flushes its tail chunk and yields a spilled factor.
+    /// spilled builder flushes its tail chunks and yields a spilled factor
+    /// with its index.
     pub fn finish(self) -> Factor<E> {
-        let cols = match self.cols {
-            BuilderCols::Mem { rows, vals } => Columns::Mem { rows, vals },
-            BuilderCols::Spill(w) => Columns::Spill(w.finish_cols()),
+        let (cols, trie) = match self.cols {
+            BuilderCols::Mem { rows, vals } => {
+                (Columns::Mem { rows, vals }, self.trie.map(TrieBuilder::finish))
+            }
+            BuilderCols::Spill(w) => {
+                let (trie, values) = w.finish();
+                (Columns::Spill(values), Some(trie))
+            }
         };
-        Factor::from_parts(self.schema, cols, self.len, self.trie.map(TrieBuilder::finish))
+        Factor::from_parts(self.schema, cols, self.len, trie)
     }
-}
-
-/// `partition_point` over an abstract index range `[0, len)`.
-fn partition_point(len: usize, mut pred: impl FnMut(usize) -> bool) -> usize {
-    let mut lo = 0;
-    let mut hi = len;
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        if pred(mid) {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    lo
 }
 
 #[cfg(test)]

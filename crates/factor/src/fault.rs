@@ -420,7 +420,7 @@ impl FaultPlan {
         let seq = Arc::new(AtomicU64::new(0));
         let slots: Vec<Arc<FaultSlot>> = factors
             .into_iter()
-            .filter_map(|f| f.spill_cols().map(|c| Arc::clone(c.faults())))
+            .filter_map(|f| f.spill_values().map(|v| Arc::clone(v.faults())))
             .collect();
         for slot in &slots {
             *slot.lock() = Some((self, Arc::clone(&seq)));
@@ -603,7 +603,8 @@ mod tests {
         let rows: Vec<(Vec<u32>, u64)> = (0..4u32).map(|i| (vec![i], 1)).collect();
         let mem = Factor::new(vec![faq_hypergraph::Var(0)], rows).unwrap();
         let (a, b) = (mem.to_spilled(config.clone()), mem.to_spilled(config));
-        // Row `i` of a one-row-a-chunk listing faults its own chunk in.
+        // A key read pins the level chunk holding row `i`; a failed read
+        // caches nothing, so every read below faults it in afresh.
         let read = |f: &Factor<u64>, i: usize| guarded(None, None, || f.col(i, 0));
         let guard = FaultPlan::seeded(3).fail_hard(1.0).arm([&a]);
         std::thread::scope(|s| {

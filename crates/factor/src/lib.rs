@@ -10,7 +10,8 @@
 //! binary search. On top of the listing, [`Factor::trie`] exposes a columnar
 //! trie index ([`FactorTrie`]) — built lazily, cached — that the
 //! OutsideIn join walks with [`TrieCursor`]s instead of repeating
-//! whole-row binary searches.
+//! whole-row binary searches. A spilled factor keeps no listing: its trie,
+//! written with it, is its keys.
 //!
 //! The API is the root re-exports below plus the [`fault`] module:
 //! * [`Domains`] — per-variable domain sizes and assignment iteration;
@@ -26,9 +27,11 @@
 //! * [`LevelStorage`] — the seek contract of a trie level, and
 //!   [`VecStorage`], the branch-free galloping kernel that answers it on the
 //!   heap;
-//! * [`SpillConfig`] — the file-chunked out-of-core backing: spilled listings,
-//!   spilled trie levels ([`FileChunkedLevel`]) and the [`FactorLevel`] enum
-//!   every trie level is stored in, plus the process-wide pinned-chunk gauges
+//! * [`SpillConfig`] — the file-chunked out-of-core backing: a spilled
+//!   factor is its trie, levels on disk ([`FileChunkedLevel`], in the
+//!   [`FactorLevel`] enum every trie level is stored in), plus a values
+//!   column by leaf entry — one copy of its keys, written once, indexed when
+//!   it is written — with the process-wide pinned-chunk gauges
 //!   ([`pinned_bytes`], [`peak_pinned_bytes`], [`chunk_reads`]);
 //! * [`fault`] — typed storage errors ([`StorageError`]), the
 //!   [`QueryAbort`] unwinding transport that carries them (and deadlines /

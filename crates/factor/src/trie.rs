@@ -22,9 +22,10 @@
 //! opens one entry at every level at or below that column; where an entry's
 //! bytes go is the only thing that varies — heap `Vec`s, or a level chunk
 //! that flushes to the spill file as it fills. [`crate::FactorBuilder`]
-//! drives it row by row as a join emits its output, and
-//! [`crate::Factor::trie`] drives it over a finished listing chunk by chunk
-//! (an in-memory listing being the one-chunk case).
+//! drives it row by row as a join emits its output or a factor spills — a
+//! spilled factor is indexed when it is written, and its trie is all it
+//! keeps of its keys — and [`crate::Factor::trie`] drives it over a
+//! finished heap listing.
 //!
 //! # Layout
 //!
@@ -149,8 +150,9 @@ impl TrieLevel {
 }
 
 /// A columnar trie index over one factor: one [`TrieLevel`] per schema
-/// column. Built by [`crate::Factor::trie`] (lazily, cached) — the `trie`
-/// module docs give the layout and a worked example.
+/// column. Built by [`crate::Factor::trie`] (lazily, cached) or, for a
+/// spilled factor, when it is written — the `trie` module docs give the
+/// layout and a worked example.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FactorTrie {
     levels: Vec<TrieLevel>,
@@ -210,34 +212,115 @@ impl FactorTrie {
     /// Partition the root level into at most `max_chunks` half-open *value*
     /// ranges of roughly equal row counts, never splitting a value.
     ///
-    /// The trie-native partition of column 0: the root level already lists
-    /// the distinct values with their row counts, so no scan or sort of the
-    /// listing is needed. Ranges cover
+    /// The trie-native partition of column 0, on either backing: the root
+    /// level already lists the distinct values with their row counts, so no
+    /// scan or sort of the rows is needed. Ranges cover
     /// `[0, u32::MAX)` in ascending order, and an empty vector means "run
     /// sequentially" (fewer than 2 rows, or `max_chunks ≤ 1`).
     pub fn partition_root(&self, max_chunks: usize) -> Vec<(u32, u32)> {
-        let Some(level) = self.levels.first() else {
+        let Some(root) = self.levels.first() else {
             return Vec::new();
         };
-        let runs = (0..level.len()).map(|j| {
-            let (lo, hi) = self.rows_below(0, (j, j + 1));
-            (level.value(j), hi - lo, true)
+        // Entry `j`'s rows end where entry `j + 1`'s start: its end child
+        // offset followed down to the deepest level. Every level is read in
+        // ascending order, so a spilled level pins each chunk once.
+        let mut readers: Vec<_> = self.levels.iter().map(|l| l.storage.reader()).collect();
+        let interior = self.arity() - 1;
+        let mut start = 0;
+        let runs = (0..root.len()).map(|j| {
+            let value = readers[0].value(j);
+            let end = readers[..interior].iter_mut().fold(j + 1, |e, level| level.child_at(e));
+            let rows = end - std::mem::replace(&mut start, end);
+            (value, rows)
         });
         partition_runs(self.num_rows, max_chunks, runs)
     }
+
+    /// Every row in leaf order: `f(j, row)` for leaf entry `j`, which is row
+    /// `j`. One reader per level walks its entries in ascending order, so a
+    /// spilled level pins each of its chunks once; a parent entry advances
+    /// when its child offset range is used up.
+    pub(crate) fn for_each_row(&self, mut f: impl FnMut(usize, &[u32])) {
+        let arity = self.arity();
+        if arity == 0 || self.num_rows == 0 {
+            return;
+        }
+        let mut readers: Vec<_> = self.levels.iter().map(|l| l.storage.reader()).collect();
+        let leaf = arity - 1;
+        // The current entry of every level, its value, and above the deepest
+        // level the end of its children.
+        let mut at = vec![0usize; arity];
+        let mut row: Vec<u32> = readers.iter_mut().map(|r| r.value(0)).collect();
+        let mut end: Vec<usize> = readers[..leaf].iter_mut().map(|r| r.child_at(1)).collect();
+        for j in 0..self.num_rows {
+            at[leaf] = j;
+            row[leaf] = readers[leaf].value(j);
+            for d in (0..leaf).rev() {
+                if at[d + 1] < end[d] {
+                    break;
+                }
+                at[d] += 1;
+                row[d] = readers[d].value(at[d]);
+                end[d] = readers[d].child_at(at[d] + 1);
+            }
+            f(j, &row);
+        }
+    }
+
+    /// Column `d` of row `i`: walk up from leaf entry `i`, finding each
+    /// parent by a binary search over its level's child offsets — the last
+    /// entry whose first child is at or before the child in hand. Every
+    /// read goes through a level reader, so on a spilled level it pins the
+    /// entry's chunk (a resident head sample is not a shortcut here).
+    pub(crate) fn key(&self, i: usize, d: usize) -> u32 {
+        let mut j = i;
+        for level in self.levels[d..self.arity() - 1].iter().rev() {
+            let mut offsets = level.storage.reader();
+            j = partition_point(level.len(), |e| offsets.child_at(e) <= j) - 1;
+        }
+        self.levels[d].storage.reader().value(j)
+    }
+
+    /// The row holding `tuple`, if any: one [`TrieLevel::find`] a level.
+    pub(crate) fn find_row(&self, tuple: &[u32]) -> Option<usize> {
+        let mut window = self.root();
+        let mut found = None;
+        for (d, &value) in tuple.iter().enumerate() {
+            let j = self.levels[d].find(window, value)?;
+            if d + 1 < self.arity() {
+                window = self.levels[d].child_range(j);
+            }
+            found = Some(j);
+        }
+        found
+    }
 }
 
-/// Cut a column's ascending value runs — `(value, rows, may a range start
-/// here)` — into at most `max_chunks` half-open value ranges of roughly equal
-/// row counts, never splitting a value: the shared engine of
-/// [`FactorTrie::partition_root`], [`crate::Factor::column_partition`] and
-/// its chunk-aligned form. The ranges ascend and cover `[0, u32::MAX)`; an
-/// empty vector means "run sequentially" (fewer than 2 of the `len` rows,
-/// `max_chunks ≤ 1`, or no legal cut).
+/// `partition_point` over an abstract index range `[0, len)`.
+pub(crate) fn partition_point(len: usize, mut pred: impl FnMut(usize) -> bool) -> usize {
+    let mut lo = 0;
+    let mut hi = len;
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        if pred(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+/// Cut a column's ascending value runs — `(value, rows)` — into at most
+/// `max_chunks` half-open value ranges of roughly equal row counts, never
+/// splitting a value: the shared engine of [`FactorTrie::partition_root`]
+/// and [`crate::Factor::column_partition`]. The ranges ascend and cover
+/// `[0, u32::MAX)`; an empty vector means "run sequentially" (fewer than 2
+/// of the `len` rows, `max_chunks ≤ 1`, or no cut).
 pub(crate) fn partition_runs(
     len: usize,
     max_chunks: usize,
-    runs: impl Iterator<Item = (u32, usize, bool)>,
+    runs: impl Iterator<Item = (u32, usize)>,
 ) -> Vec<(u32, u32)> {
     if max_chunks <= 1 || len < 2 {
         return Vec::new();
@@ -246,8 +329,8 @@ pub(crate) fn partition_runs(
     let mut ranges = Vec::new();
     let mut lo = 0u32;
     let mut taken = 0usize;
-    for (value, rows, cuttable) in runs {
-        if taken >= target && ranges.len() + 1 < max_chunks && cuttable {
+    for (value, rows) in runs {
+        if taken >= target && ranges.len() + 1 < max_chunks {
             ranges.push((lo, value));
             lo = value;
             taken = 0;
@@ -306,9 +389,10 @@ impl LevelSink for HeapLevel {
 /// of every shallower level: amortized `O(arity)` per row, `O(arity × rows)`
 /// for a whole listing. Elimination joins emit their output rows already
 /// sorted, so [`crate::FactorBuilder`] grows an intermediate factor's index
-/// entry by entry as rows are appended; [`crate::Factor::trie`] feeds a
-/// finished listing through the same `push`, into heap levels or — for a
-/// spilled listing — into one [`crate::colstore::LevelSpill`] per column.
+/// entry by entry as rows are appended — into heap levels, or for a spilled
+/// factor into one [`crate::colstore::LevelSpill`] per column — and
+/// [`crate::Factor::trie`] feeds a finished heap listing through the same
+/// `push`.
 #[derive(Debug, Clone)]
 pub(crate) struct TrieBuilder<K = HeapLevel> {
     levels: Vec<K>,
@@ -361,23 +445,14 @@ impl<K: LevelSink> TrieBuilder<K> {
         self.num_rows += 1;
     }
 
-    /// Append the `n` consecutive rows of one listing chunk (`rows` is
-    /// row-major). `carry` holds the last row of the chunk before it and is
-    /// left holding this chunk's last row, so a listing is fed chunk by
-    /// chunk with one row copy per chunk.
-    pub(crate) fn push_chunk(&mut self, rows: &[u32], n: usize, carry: &mut Vec<u32>) {
+    /// Append the `n` rows of a whole listing (`rows` is row-major) to an
+    /// empty builder.
+    pub(crate) fn push_rows(&mut self, rows: &[u32], n: usize) {
+        debug_assert_eq!(self.num_rows, 0, "a listing is pushed into an empty builder");
         let arity = self.levels.len();
         for i in 0..n {
-            let prev = match i {
-                0 if self.num_rows == 0 => None,
-                0 => Some(&carry[..]),
-                _ => Some(&rows[(i - 1) * arity..i * arity]),
-            };
+            let prev = (i > 0).then(|| &rows[(i - 1) * arity..i * arity]);
             self.push(&rows[i * arity..(i + 1) * arity], prev);
-        }
-        if n > 0 {
-            carry.clear();
-            carry.extend_from_slice(&rows[(n - 1) * arity..]);
         }
     }
 

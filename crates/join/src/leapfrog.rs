@@ -1167,7 +1167,7 @@ mod tests {
     #[test]
     fn fused_leaf_walks_heap_and_spilled_levels_alike() {
         // Level chunks round up to 64 entries; ~300-row factors spill over
-        // several, behind a two-chunk window, listing chunks of 3 rows.
+        // several, behind a two-chunk window, values chunks of 3 rows.
         let tiny = SpillConfig {
             chunk_rows: 3,
             level_chunk_entries: 1,

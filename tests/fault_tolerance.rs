@@ -65,9 +65,12 @@ fn deadline_bounded_out_of_core_query_cleans_up() {
     let q = server.register(spec()).unwrap();
     let tenant = server.tenant("t", 4);
 
-    // Warmup: one full unbounded evaluation fills every chunk window to its
-    // (deterministic) end-of-evaluation state, giving the reference values
-    // for the pinned-bytes gauge and its peak.
+    // Warmup: a first full unbounded evaluation fills every chunk window to
+    // its (deterministic) end-of-evaluation state. A second one starts from
+    // that state, as the aborted run below does, and gives the reference
+    // values for the pinned-bytes gauge and its peak: from emptier windows
+    // the same accesses may pin a different mix of full and tail chunks.
+    server.submit_with(&tenant, q, None, CacheMode::Bypass).unwrap().wait().unwrap();
     faq::factor::reset_peak_pinned_bytes();
     let warm_start = Instant::now();
     let warm = server.submit_with(&tenant, q, None, CacheMode::Bypass).unwrap().wait().unwrap();
@@ -143,17 +146,21 @@ fn is_storage<T>(r: Result<T, FaqError>) -> bool {
     matches!(r, Err(FaqError::Storage(_)))
 }
 
-/// A spilled input's first index build fails under an injected hard fault:
+/// Realigning a spilled input fails under an injected hard fault:
 /// `Planner::prepare`, `Engine::prepare` and `FaqServer::register` return
 /// the typed storage error instead of unwinding, and the server still
 /// answers the query it registered before the fault.
 #[test]
 fn prepare_time_storage_faults_are_typed() {
     let _gauges = hold_gauges();
-    // Slot 3 is a spilled R(0, 2) that no query reads before the fault, so
-    // its index is still to be built.
+    // Slot 3 is a spilled R(0, 2) that no query reads before the fault, held
+    // in the column order (2, 0): every plan binds the free x0 first, so
+    // preparing a query over it realigns it, reading its chunks. (A spilled
+    // factor is indexed when it is written; an aligned one costs prepare no
+    // chunk read.)
+    let r02 = edge(6, 600, 0, 2).reorder(&[Var(2), Var(0)]);
     let catalog: Vec<Factor<u64>> =
-        [edge(3, 600, 0, 1), edge(4, 600, 1, 2), edge(5, 600, 0, 2), edge(6, 600, 0, 2)]
+        [edge(3, 600, 0, 1), edge(4, 600, 1, 2), edge(5, 600, 0, 2), r02]
             .iter()
             .map(|f| f.to_spilled(spill()))
             .collect();
@@ -191,7 +198,9 @@ fn failed_update_factor_leaves_the_handle_as_it_was() {
     let mut prepared = Planner::sequential().prepare(&q).unwrap();
     let old = prepared.query().factors[0].clone();
     let output = prepared.evaluate().unwrap().factor;
-    let fresh = edge(9, 600, 0, 1).to_spilled(spill());
+    // Columns (1, 0), against a plan that binds x0 first: the update
+    // realigns it, reading its chunks.
+    let fresh = edge(9, 600, 0, 1).reorder(&[Var(1), Var(0)]).to_spilled(spill());
     {
         let _g = FaultPlan::seeded(7).fail_hard(1.0).arm([&fresh]);
         assert!(is_storage(prepared.update_factor(0, fresh)));
@@ -226,7 +235,8 @@ fn every_entry_point_types_storage_faults() {
         catalog.clone(),
     );
     let fresh = triangle(spilled());
-    let update = spilled().swap_remove(0);
+    // Misaligned, so the update reads its chunks to realign it.
+    let update = edges[0].reorder(&[Var(1), Var(0)]).to_spilled(spill());
     let server_delta =
         DeltaFactor::inserts(vec![Var(0), Var(1)], vec![(vec![1, 2], 5u64)]).unwrap();
     let cap = ExecPolicy::sequential();

@@ -245,8 +245,21 @@ where
         assert!(spilled.is_spilled());
         assert_eq!(&spilled, mem, "chunk_rows {chunk_rows}");
         assert_eq!(spilled.len(), mem.len());
-        let stats = spilled.spill_stats().expect("spilled listing has stats");
-        assert_eq!(stats.chunks, mem.len().div_ceil(chunk_rows));
+        // Chunks on disk: the values chunks that are not uniform (a uniform
+        // one keeps its one value resident), plus each level's chunks of 64
+        // entries (`level_chunk_entries` rounds up to the head stride).
+        let stats = spilled.spill_stats().expect("a spilled factor has stats");
+        let encoded = |i: usize| {
+            let mut bytes = Vec::new();
+            faq::factor::FixedBytes::encode(mem.value(i), &mut bytes);
+            bytes
+        };
+        let plain = (0..mem.len())
+            .step_by(chunk_rows)
+            .filter(|&s| (s..mem.len().min(s + chunk_rows)).any(|i| encoded(i) != encoded(s)))
+            .count();
+        let levels: usize = (0..mem.arity()).map(|d| mem.trie().level(d).len().div_ceil(64)).sum();
+        assert_eq!(stats.chunks, plain + levels);
         for d in 0..mem.arity() {
             assert_eq!(spilled.max_in_column(d), mem.max_in_column(d), "col {d} max");
         }

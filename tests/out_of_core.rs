@@ -3,8 +3,8 @@
 //! peak of simultaneously pinned chunk bytes under the cap
 //! ([`faq::factor::peak_pinned_bytes`]), keeps the peak heap growth of
 //! generation + evaluation (the counting allocator) far below `R`'s on-disk
-//! bytes — the listing streams, it is never materialised — and returns
-//! exactly the planted count.
+//! bytes — `R` streams into its trie levels on disk as it is generated, and
+//! is never materialised — and returns exactly the planted count.
 //!
 //! It runs twice per thread count: along the written order, and along the
 //! order `Engine::evaluate` plans. The 1-thread runs also pin their fault
@@ -27,19 +27,22 @@ static ALLOC: CountingAllocator = CountingAllocator;
 const ROWS: usize = 200_000;
 const NODES: u32 = 2048;
 const PLANTED: usize = 64;
-/// The resident cap: 55 % over the 8-chunk window's peak (168 984 B at 4
-/// threads), and under the 496 640 B that a 24-chunk window pins.
-const CAP_BYTES: usize = 256 << 10;
-/// The 1-thread run's seeks and chunk fault-ins (listing and level chunks)
-/// along the written order `(a, b, c)`.
+/// The resident cap: over half again the 8-chunk window's peak (49 152 B at
+/// 1 thread, 49 176–53 272 B at 4 as the workers interleave), and under the
+/// 114 712 B that a 24-chunk window pins. `R` holds 812 312 B on disk (level
+/// entries only: its values chunks are uniform), over 4× the cap.
+const CAP_BYTES: usize = 80 << 10;
+/// The 1-thread run's seeks and chunk fault-ins along the written order
+/// `(a, b, c)`.
 const SEEKS_1T: u64 = 9823;
-/// Its 64 planted matches read `R`'s value from resident metadata (every
-/// chunk of `R` is uniform), so they fault no listing chunk.
-const CHUNK_READS_1T: u64 = 343;
+/// Level chunks only: `R` is indexed when it is written, so evaluating reads
+/// no values chunk (every one is uniform, its value resident) and no key
+/// listing (it has none; 196 of the 343 reads before were its chunks).
+const CHUNK_READS_1T: u64 = 147;
 /// The same along the order `Engine::evaluate` plans, `(a, c, b)`.
 const PLANNED_SEEKS_1T: u64 = 1722;
-/// As above: its 64 planted matches fault no listing chunk.
-const PLANNED_CHUNK_READS_1T: u64 = 268;
+/// As above: level chunks only (268 before, less `R`'s 196 listing chunks).
+const PLANNED_CHUNK_READS_1T: u64 = 72;
 
 /// `Σ_a Σ_b Σ_c R(a,b)·S(b,c)·T(a,c)`, with `R` streamed into `r` as
 /// ascending random keys (by gaps, so the generator's state is O(1)) and
