@@ -23,9 +23,8 @@
 //!    column-flat into its own builder while walking a range-restricted view
 //!    of the same cached tries, then append the per-range builders in range
 //!    order (ranges are disjoint and ascending, so the k-way merge is an
-//!    append). A fresh intermediate grows its trie index during that merge
-//!    ([`faq_factor::FactorBuilder::with_streaming_trie`]), so the next
-//!    elimination step never re-indexes it.
+//!    append). The output is a plain listing: the next step that joins it
+//!    builds its trie index on first read ([`faq_factor::Factor::trie`]).
 //!
 //! A step whose kernel binds its variables in another order than its fold
 //! (one that binds the eliminated variable first, so that the kernel never
@@ -216,10 +215,8 @@ pub(crate) fn with_abort_guard<R>(
 ///
 /// The output is assembled column-flat through a [`FactorBuilder`] — the fold
 /// meets bindings in lexicographic order with distinct group keys, so no
-/// duplicate scan or per-row allocation ever happens. With `build_trie` the
-/// factor's trie index is grown while rows are emitted (or chunk outputs
-/// appended), so callers that join the result — every elimination step —
-/// receive a pre-indexed intermediate.
+/// duplicate scan or per-row allocation ever happens. The output carries no
+/// index; whatever joins it next builds one on first read.
 ///
 /// Errors (instead of panicking) when the chunking invariant is violated —
 /// no aligned input holds the first kernel variable in its leading column
@@ -235,7 +232,6 @@ pub(crate) fn grouped_join<E: SemiringElem>(
     restriction: Option<&[(u32, u32)]>,
     one: &E,
     group_arity: usize,
-    build_trie: bool,
     mul: &(impl Fn(&E, &E) -> E + Sync),
     fold: &(impl Fn(&E, &E) -> E + Sync),
     is_zero: &(impl Fn(&E) -> bool + Sync),
@@ -264,7 +260,7 @@ pub(crate) fn grouped_join<E: SemiringElem>(
         FactorBuilder::new(order[..group_arity].to_vec())
             .expect("join-order variables are distinct")
     };
-    let mut out = if build_trie { builder().with_streaming_trie() } else { builder() };
+    let mut out = builder();
 
     let stats = if kernel == order {
         // The kernel emits in `order`: fold straight into the builder.
@@ -284,8 +280,7 @@ pub(crate) fn grouped_join<E: SemiringElem>(
             stats
         };
         // Group keys begin with the chunked variable, so chunk outputs are
-        // disjoint and ascending: the k-way merge is a concatenating append,
-        // growing the output trie in stream order when one was requested.
+        // disjoint and ascending: the k-way merge is a concatenating append.
         over_ranges(policy, &ranges, in_order, &mut out, builder, run, FactorBuilder::append)?
     } else {
         // The kernel emits in its own order: buffer each match by its
@@ -569,7 +564,6 @@ mod tests {
                     restriction,
                     &dom.one(),
                     2,
-                    restriction.is_none(),
                     &|a, b| dom.mul(a, b),
                     &|a, b| dom.add(CountDomain::SUM, a, b),
                     &|x| dom.is_zero(x),
@@ -598,6 +592,41 @@ mod tests {
                     assert!(!want.is_empty() && want.len() < full.len(), "{at}");
                     assert_eq!(join(&policy, Some(&ranges)), want, "{at}");
                 }
+            }
+        }
+    }
+
+    /// A step's output is a plain listing — on one range, on chunked
+    /// workers merged by append, or over a restriction — and is indexed only
+    /// when something first reads its trie, for every handle of its body.
+    #[test]
+    fn step_output_is_indexed_on_first_read() {
+        let q = random_query(5, 60);
+        let order = [v(0), v(1), v(2)];
+        let dom = CountDomain;
+        let inputs: Vec<JoinInput<'_, u64>> = q.factors.iter().map(JoinInput::value).collect();
+        for threads in [1usize, 2] {
+            for restriction in [None, Some(&[(1u32, 5u32)][..])] {
+                let policy = ExecPolicy::with_threads(threads).min_chunk_rows(0);
+                let (out, _) = grouped_join(
+                    &policy,
+                    &q.domains,
+                    &order,
+                    &order,
+                    &inputs,
+                    restriction,
+                    &dom.one(),
+                    2,
+                    &|a, b| dom.mul(a, b),
+                    &|a, b| dom.add(CountDomain::SUM, a, b),
+                    &|x| dom.is_zero(x),
+                )
+                .unwrap();
+                let handle = out.clone();
+                assert!(!out.is_empty());
+                assert!(out.trie_if_built().is_none(), "threads {threads} {restriction:?}");
+                let _ = handle.trie();
+                assert!(out.trie_if_built().is_some(), "threads {threads} {restriction:?}");
             }
         }
     }

@@ -746,10 +746,6 @@ fn exec_step<D: AggDomain + Sync>(
         }
     }));
     let kind = js.fold;
-    // Every fresh intermediate is joined again by a later step, so its trie
-    // index is grown while its rows stream out; nothing joins the output, and
-    // a restricted slice is spliced into its cached node.
-    let build_trie = restriction.is_none() && !matches!(kind, FoldKind::Output);
     let (new_out, join_stats) = grouped_join(
         policy,
         &q.domains,
@@ -759,7 +755,6 @@ fn exec_step<D: AggDomain + Sync>(
         restriction.as_deref(),
         &dom.one(),
         js.group_arity,
-        build_trie,
         &|a, b| dom.mul(a, b),
         &|a, b| match kind {
             FoldKind::Semiring(op) => dom.add(op, a, b),

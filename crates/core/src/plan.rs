@@ -199,23 +199,25 @@ impl Planner {
     /// the width optimizers' pick.
     ///
     /// Every one of them — the linear extensions too, sound though they are
-    /// by Theorems 6.8/6.23 — has passed `check_ordering` and the EVO
-    /// membership test. One checker serves the whole pass, so the hundreds
-    /// of candidates that share prefixes share the expression trees built
-    /// along them ([`crate::evo`]): testing all of them costs about what
-    /// testing a handful used to.
+    /// by Theorems 6.8/6.23 — has passed the EVO membership test, which also
+    /// rejects a non-permutation and a prefix other than the free variables.
+    /// One checker serves the whole pass, so the hundreds of candidates that
+    /// share prefixes share the expression trees built along them
+    /// ([`crate::evo`]): testing all of them costs about what testing a
+    /// handful used to. Linear extensions are distinct, so only the query's
+    /// own ordering and a repeat of the optimizer's pick are dropped.
     fn candidates<D: AggDomain>(&self, q: &FaqQuery<D>, shape: &QueryShape) -> Vec<Vec<Var>> {
         let (mut candidates, exhausted) = crate::evo::linear_extensions(shape, self.linex_cap);
         if !exhausted {
             if let Ok(r) = crate::width::faqw_optimize(shape, 1, self.exact_limit) {
-                candidates.push(r.order);
+                if !candidates.contains(&r.order) {
+                    candidates.push(r.order);
+                }
             }
         }
+        let own = q.ordering();
         let mut checker = EvoChecker::new(shape);
-        candidates.retain(|sigma| q.check_ordering(sigma).is_ok() && checker.check(sigma));
-        let mut seen: std::collections::HashSet<Vec<Var>> = std::collections::HashSet::new();
-        seen.insert(q.ordering());
-        candidates.retain(|sigma| seen.insert(sigma.clone()));
+        candidates.retain(|sigma| *sigma != own && checker.check(sigma));
         candidates
     }
 
@@ -433,15 +435,16 @@ pub fn check_delta<D: AggDomain>(
     Ok(())
 }
 
-/// Merge `delta` into `base` through `⊕⁽ᵒᵖ⁾` and index the result when the
-/// merge changed it, under `policy`'s abort controls. Returns the merged
-/// factor (in `base`'s column order) and the first-column ranges it differs
-/// from `base` in — what [`PreparedQuery::install_merged`] takes.
+/// Merge `delta` into `base` through `⊕⁽ᵒᵖ⁾` under `policy`'s abort
+/// controls. Returns the merged factor (in `base`'s column order) and the
+/// first-column ranges it differs from `base` in — what
+/// [`PreparedQuery::install_merged`] takes. A heap result is not indexed
+/// here: the replay's first join of it builds its trie.
 ///
 /// The one merge behind [`PreparedQuery::apply_delta_with`] and a serving
 /// writer's publish. Nothing is installed anywhere, so a storage fault in
-/// the spilled splice or the index build leaves every holder of `base` as it
-/// was. `delta` must pass [`check_delta`] against `base` first.
+/// a spilled merge leaves every holder of `base` as it was. `delta` must
+/// pass [`check_delta`] against `base` first.
 #[allow(clippy::type_complexity)]
 pub fn merge_delta<D: AggDomain>(
     domain: &D,
@@ -451,15 +454,11 @@ pub fn merge_delta<D: AggDomain>(
     op: AggId,
 ) -> Result<(Factor<D::E>, Vec<(u32, u32)>), FaqError> {
     with_abort_guard(policy, || {
-        let (merged, ranges) = delta.align_to(base.schema()).apply_to(
+        Ok(delta.align_to(base.schema()).apply_to(
             base,
             |a, b| domain.add(op, a, b),
             |x| domain.is_zero(x),
-        );
-        if !ranges.is_empty() {
-            merged.trie();
-        }
-        Ok((merged, ranges))
+        ))
     })
 }
 
@@ -478,13 +477,12 @@ fn serving_ready<E: SemiringElem>(factor: &Factor<E>, order: &[Var]) -> Factor<E
 /// order, and trie-index builds exactly once; every [`PreparedQuery::evaluate`]
 /// after that runs straight into the join kernels (an input the plan order
 /// leaves aligned stays a handle on the caller's factor body, index
-/// included). *Intermediate* factors need no index build either: each
-/// elimination step's output streams into its trie as rows are emitted
-/// (see [`faq_factor::FactorBuilder::with_streaming_trie`]), so the serving
-/// path never re-indexes a listing — inputs are indexed here, intermediates
-/// at birth. Factor values can be swapped out between evaluations with
-/// [`PreparedQuery::update_factor`] — the plan is schema-keyed, so results
-/// stay exact for arbitrary new data; only the cost estimates age.
+/// included). *Intermediate* factors are indexed by the step that joins
+/// them, on first read ([`Factor::trie`]) — inputs are indexed here,
+/// intermediates when joined. Factor values can be swapped out between
+/// evaluations with [`PreparedQuery::update_factor`] — the plan is
+/// schema-keyed, so results stay exact for arbitrary new data; only the cost
+/// estimates age.
 ///
 /// For *point updates* the handle goes one step further:
 /// [`PreparedQuery::apply_delta`] merges a sorted batch of inserts, merges,
@@ -641,9 +639,9 @@ impl<D: AggDomain + Clone + Sync> PreparedQuery<D> {
     /// promise, asserted in debug builds for in-memory factors.
     ///
     /// Errors — a slot out of range, a schema or column-order mismatch, a
-    /// failed priming run, a storage abort while indexing — leave the handle
-    /// untouched. A failure *during* replay rolls the factor back and drops
-    /// the replay cache (the next delta re-primes it).
+    /// failed priming run — leave the handle untouched. A failure *during*
+    /// replay rolls the factor back and drops the replay cache (the next
+    /// delta re-primes it).
     pub fn install_merged(
         &mut self,
         slot: usize,
@@ -677,13 +675,6 @@ impl<D: AggDomain + Clone + Sync> PreparedQuery<D> {
                 stats: ElimStats::default(),
             });
         }
-        // Keep the handle serving-ready, like update_factor; a no-op when a
-        // sibling handle of the same body has indexed it already.
-        with_abort_guard(policy, || {
-            merged.trie();
-            Ok(())
-        })?;
-
         // Replay mutates the cached nodes in place, so a mid-replay failure
         // cannot leave the cache consistent: roll the factor back and drop
         // the cache (the next delta re-primes it with a fresh kept run).

@@ -59,7 +59,7 @@ use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Retry budget of one logical chunk operation: the initial attempt plus two
 /// retries, with a short growing backoff between attempts.
@@ -560,10 +560,21 @@ impl<T> ChunkWindow<T> {
         ChunkWindow { cache: Mutex::new(lru), reads: AtomicU64::new(0) }
     }
 
+    /// The window's chunks, locked.
+    fn lru(&self) -> MutexGuard<'_, Lru<Pinned<T>>> {
+        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Chunk `k`, from the window or faulted in from `at` and decoded — or
     /// a typed storage error: one logical read with injection, checksum
     /// verification, bounded retry and a deadline checkpoint (a chunk fault
     /// is the natural cancellation point of an out-of-core scan).
+    ///
+    /// The window is locked to look `k` up and to insert it, not across the
+    /// read and the decode, so workers faulting chunks of one window do not
+    /// wait on each other. Two that fault the same chunk both read it
+    /// (both reads count); the later insert serves the earlier copy and its
+    /// own is dropped, untracking its bytes.
     fn try_pin(
         &self,
         k: usize,
@@ -571,8 +582,7 @@ impl<T> ChunkWindow<T> {
         decode: impl FnOnce(&[u8]) -> T,
     ) -> Result<Arc<Pinned<T>>, StorageError> {
         fault::checkpoint();
-        let mut cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(c) = cache.get(k) {
+        if let Some(c) = self.lru().get(k) {
             return Ok(c);
         }
         let mut buf = vec![0u8; at.bytes];
@@ -582,6 +592,10 @@ impl<T> ChunkWindow<T> {
         let chunk = Arc::new(Pinned { data, bytes: at.decoded_bytes });
         self.reads.fetch_add(1, Ordering::Relaxed);
         CHUNK_READS.fetch_add(1, Ordering::Relaxed);
+        let mut cache = self.lru();
+        if let Some(c) = cache.get(k) {
+            return Ok(c);
+        }
         cache.insert(k, Arc::clone(&chunk));
         Ok(chunk)
     }
@@ -593,8 +607,7 @@ impl<T> ChunkWindow<T> {
 
     /// Decoded bytes of the chunks currently pinned.
     fn resident_bytes(&self) -> usize {
-        let cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
-        cache.map.values().map(|(_, c)| c.bytes).sum()
+        self.lru().map.values().map(|(_, c)| c.bytes).sum()
     }
 }
 
@@ -1581,6 +1594,36 @@ mod tests {
             level.value(1); // not a head sample: pins chunk 0
             assert_eq!(level.inner.window.resident_bytes(), 64 * entry_bytes, "level {d}");
         }
+    }
+
+    /// The window is locked to look a chunk up and to insert it, never
+    /// across a read: while one worker waits on a slow fault-in of a level
+    /// chunk, another's pin of a resident chunk of that level returns at once.
+    #[test]
+    fn a_slow_fault_in_does_not_block_a_resident_pin() {
+        use std::time::{Duration, Instant};
+        let rows = (0..256u32).map(|x| (vec![x], 1u64)).collect();
+        let config =
+            SpillConfig { level_chunk_entries: 64, window_chunks: 4, ..SpillConfig::default() };
+        let f = spill(1, rows, config);
+        let FactorLevel::Disk(level) = f.trie().level(0).storage() else {
+            panic!("a spilled factor's levels are on disk");
+        };
+        assert_eq!(level.value(1), 1, "pins chunk 0");
+        let delay = Duration::from_millis(500);
+        let _g = FaultPlan::seeded(3).delay(1.0, delay.as_micros() as u64).arm([&f]);
+        std::thread::scope(|s| {
+            // Fault chunk 1, delayed. The sleep gives the slow read time to
+            // reach its delay; were it later, the pin below would only pass
+            // the more easily.
+            let slow = s.spawn(|| level.value(65));
+            std::thread::sleep(Duration::from_millis(100));
+            let start = Instant::now();
+            assert_eq!(level.value(1), 1);
+            let waited = start.elapsed();
+            assert!(waited < delay / 4, "a resident pin waited {waited:?} on another read");
+            assert_eq!(slow.join().unwrap(), 65);
+        });
     }
 
     #[test]

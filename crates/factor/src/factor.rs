@@ -1033,20 +1033,17 @@ pub(crate) fn check_schema(schema: &[Var]) -> Result<(), FactorError> {
 /// as soon as a row is `≤` its predecessor (or, for a nullary schema, on a
 /// second row). Release builds trust the stream.
 ///
-/// # Streaming trie construction
+/// # Index
 ///
-/// [`FactorBuilder::with_streaming_trie`] additionally grows the factor's
-/// columnar trie index ([`FactorTrie`]) *while* rows are appended, for
-/// amortized `O(arity)` extra work per row. The finished factor then carries
-/// a built index from birth — structurally identical to the lazily built one
-/// — so a consumer that would force the index anyway (every elimination step
-/// joins its intermediates) never re-indexes the listing.
+/// A heap builder keeps no index: the finished factor builds its columnar
+/// trie ([`FactorTrie`]) when a join first reads it ([`Factor::trie`]). A
+/// spilled builder streams its rows into the trie levels on disk, so a
+/// spilled factor is indexed when it is written.
 pub struct FactorBuilder<E> {
     schema: Vec<Var>,
     arity: usize,
     cols: BuilderCols<E>,
     len: usize,
-    trie: Option<TrieBuilder>,
 }
 
 /// The accumulation target of a [`FactorBuilder`]: heap buffers (the
@@ -1066,7 +1063,6 @@ impl<E: SemiringElem> FactorBuilder<E> {
             arity,
             cols: BuilderCols::Mem { rows: Vec::new(), vals: Vec::new() },
             len: 0,
-            trie: None,
         })
     }
 
@@ -1089,7 +1085,6 @@ impl<E: SemiringElem> FactorBuilder<E> {
             arity,
             cols: BuilderCols::Spill(SpillWriter::new(arity, config)),
             len: 0,
-            trie: None,
         })
     }
 
@@ -1104,18 +1099,7 @@ impl<E: SemiringElem> FactorBuilder<E> {
             None => BuilderCols::Mem { rows: Vec::new(), vals: Vec::new() },
             Some(values) => BuilderCols::Spill(SpillWriter::like(values)),
         };
-        FactorBuilder { schema, arity, cols, len: 0, trie: None }
-    }
-
-    /// Grow the trie index incrementally as rows are appended (see the type
-    /// docs). Must be enabled before the first push. A spilled builder
-    /// always streams its index to disk, so there it changes nothing.
-    pub fn with_streaming_trie(mut self) -> Self {
-        assert_eq!(self.len, 0, "enable the streaming trie before pushing rows");
-        if matches!(self.cols, BuilderCols::Mem { .. }) {
-            self.trie = Some(TrieBuilder::new(self.arity));
-        }
-        self
+        FactorBuilder { schema, arity, cols, len: 0 }
     }
 
     /// Pre-allocate room for `additional` more rows (no-op in spill mode,
@@ -1136,15 +1120,10 @@ impl<E: SemiringElem> FactorBuilder<E> {
         let arity = self.arity;
         match &mut self.cols {
             BuilderCols::Mem { rows, vals } => {
-                if let Some(trie) = &mut self.trie {
-                    let prev = if len == 0 { None } else { Some(&rows[(len - 1) * arity..]) };
-                    trie.push(row, prev);
-                } else {
-                    debug_assert!(
-                        len == 0 || &rows[(len - 1) * arity..] < row,
-                        "builder rows must be strictly ascending"
-                    );
-                }
+                debug_assert!(
+                    len == 0 || &rows[(len - 1) * arity..] < row,
+                    "builder rows must be strictly ascending"
+                );
                 rows.extend_from_slice(row);
                 vals.push(val);
             }
@@ -1158,56 +1137,32 @@ impl<E: SemiringElem> FactorBuilder<E> {
     ///
     /// This is the k-way chunk merge of the parallel engine: per-chunk
     /// outputs cover disjoint ascending value ranges of the first column, so
-    /// the merge is a concatenation. Without a streaming trie the row block
-    /// is copied in bulk; with one, rows are re-pushed individually so the
-    /// index keeps growing in stream order.
+    /// the merge is a concatenation, one bulk copy of the rows and values.
     pub fn append(&mut self, other: FactorBuilder<E>) {
         assert_eq!(self.schema, other.schema, "append requires identical schemas");
-        if other.len == 0 {
-            return;
-        }
-        let BuilderCols::Mem { rows: orows, vals: ovals } = other.cols else {
-            panic!("append of a spilled builder is not supported");
+        let (BuilderCols::Mem { rows, vals }, BuilderCols::Mem { rows: orows, vals: ovals }) =
+            (&mut self.cols, other.cols)
+        else {
+            panic!("append of or into a spilled builder is not supported");
         };
-        assert!(
-            matches!(self.cols, BuilderCols::Mem { .. }),
-            "append into a spilled builder is not supported"
+        debug_assert!(
+            self.len == 0
+                || other.len == 0
+                || self.arity == 0
+                || rows[(self.len - 1) * self.arity..] < orows[..self.arity],
+            "appended chunks must be disjoint and ascending"
         );
-        if self.trie.is_none() {
-            let len = self.len;
-            let arity = self.arity;
-            let BuilderCols::Mem { rows, vals } = &mut self.cols else { unreachable!() };
-            debug_assert!(
-                len == 0 || arity == 0 || rows[(len - 1) * arity..] < orows[..arity],
-                "appended chunks must be disjoint and ascending"
-            );
-            rows.extend_from_slice(&orows);
-            vals.extend(ovals);
-            self.len += other.len;
-        } else {
-            self.reserve(other.len);
-            let mut vals = ovals.into_iter();
-            if self.arity == 0 {
-                for val in vals {
-                    self.push(&[], val);
-                }
-            } else {
-                for row in orows.chunks_exact(self.arity) {
-                    self.push(row, vals.next().expect("one value per row"));
-                }
-            }
-        }
+        rows.extend_from_slice(&orows);
+        vals.extend(ovals);
+        self.len += other.len;
     }
 
-    /// Finish: hand the flat buffers (and the streamed trie index, when
-    /// enabled) to the factor without copying or re-sorting anything. A
-    /// spilled builder flushes its tail chunks and yields a spilled factor
-    /// with its index.
+    /// Finish: hand the flat buffers to the factor without copying or
+    /// re-sorting anything. A spilled builder flushes its tail chunks and
+    /// yields a spilled factor with its index.
     pub fn finish(self) -> Factor<E> {
         let (cols, trie) = match self.cols {
-            BuilderCols::Mem { rows, vals } => {
-                (Columns::Mem { rows, vals }, self.trie.map(TrieBuilder::finish))
-            }
+            BuilderCols::Mem { rows, vals } => (Columns::Mem { rows, vals }, None),
             BuilderCols::Spill(w) => {
                 let (trie, values) = w.finish();
                 (Columns::Spill(values), Some(trie))

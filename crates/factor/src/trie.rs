@@ -21,11 +21,11 @@
 //! rows in ascending order. A row's first difference from its predecessor
 //! opens one entry at every level at or below that column; where an entry's
 //! bytes go is the only thing that varies — heap `Vec`s, or a level chunk
-//! that flushes to the spill file as it fills. [`crate::FactorBuilder`]
-//! drives it row by row as a join emits its output or a factor spills — a
+//! that flushes to the spill file as it fills. A spilled
+//! [`crate::FactorBuilder`] drives it row by row as a factor spills — a
 //! spilled factor is indexed when it is written, and its trie is all it
 //! keeps of its keys — and [`crate::Factor::trie`] drives it over a
-//! finished heap listing.
+//! finished heap listing the first time a join reads that factor.
 //!
 //! # Layout
 //!
@@ -387,12 +387,10 @@ impl LevelSink for HeapLevel {
 /// A row whose first difference from its predecessor is at column `c` opens
 /// exactly one new entry at every level `≥ c` and extends the current entry
 /// of every shallower level: amortized `O(arity)` per row, `O(arity × rows)`
-/// for a whole listing. Elimination joins emit their output rows already
-/// sorted, so [`crate::FactorBuilder`] grows an intermediate factor's index
-/// entry by entry as rows are appended — into heap levels, or for a spilled
-/// factor into one [`crate::colstore::LevelSpill`] per column — and
-/// [`crate::Factor::trie`] feeds a finished heap listing through the same
-/// `push`.
+/// for a whole listing. A spilled [`crate::FactorBuilder`] grows its
+/// factor's index entry by entry as rows are written, into one
+/// [`crate::colstore::LevelSpill`] per column, and [`crate::Factor::trie`]
+/// feeds a finished heap listing through the same `push` into heap levels.
 #[derive(Debug, Clone)]
 pub(crate) struct TrieBuilder<K = HeapLevel> {
     levels: Vec<K>,

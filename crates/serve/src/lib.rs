@@ -32,7 +32,7 @@
 //!  ───────────────────────         ───────────────────────    ────────────────────────
 //!  lock writer state               take latest: Arc (e)       recv job
 //!  merge delta into the slot,      job = (query, Arc (e))     Shared, cell of (e) set:
-//!    index it — once                 ⋱ round-robin              reply it
+//!    once per column order           ⋱ round-robin              reply it
 //!  install + replay per query      Ticket::wait               else evaluate on (e),
 //!  take replicas (handles)                                      set cell of (e), reply
 //!  cells of (e+1): refreshed       after publish returns:     keep nothing
@@ -49,13 +49,14 @@
 //! the same data: registering a query, taking the next epoch's replicas or
 //! a rollback copy duplicates no row. What a `publish_delta` builds is
 //! the new version of the one slot it touches — merged
-//! (`DeltaFactor::apply_to`) and indexed once per column order the slot is
-//! held in (the catalog's, plus the order of any copy a planner reordered),
-//! whatever the number of queries reading it — plus, per query, the
-//! elimination steps the change reaches (`PreparedQuery::install_merged`,
-//! the install half of `apply_delta`: the incremental replay machinery of
-//! the core crate is the *publish primitive* here). The refreshed outputs
-//! fill the new epoch's result cells, the cells of untouched queries carry
+//! (`DeltaFactor::apply_to`) once per column order the slot is held in
+//! (the catalog's, plus the order of any copy a planner reordered), whatever
+//! the number of queries reading it, and indexed by its first replay — plus,
+//! per query, the elimination steps the change reaches
+//! (`PreparedQuery::install_merged`, the install half of `apply_delta`: the
+//! incremental replay machinery of the core crate is the *publish
+//! primitive* here). The refreshed outputs fill the new epoch's result
+//! cells, the cells of untouched queries carry
 //! over what the previous epoch had cached; readers of an older epoch keep
 //! the bodies it was published with — a publish replaces handles, it never
 //! writes through one. One caveat inherited from the replay machinery:

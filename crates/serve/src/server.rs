@@ -594,8 +594,8 @@ where
 
     /// Apply `delta` to catalog slot `slot` and publish the resulting epoch.
     ///
-    /// The delta is merged into the slot — and the result indexed — once per
-    /// column order the slot is held in, not once per query; affected queries
+    /// The delta is merged into the slot once per column order the slot is
+    /// held in, not once per query, and not indexed here; affected queries
     /// are then refreshed **incrementally** through
     /// [`PreparedQuery::install_merged`] (the install-and-replay half of
     /// `apply_delta`) — their new outputs seed the epoch's shared result
@@ -615,16 +615,15 @@ where
         // earlier masters ahead of later ones).
         faq_core::plan::check_delta(&w.domain, &w.domains, slot, base, delta, AggId(0))?;
 
-        // Merge into a staged copy — NOT installed yet — and index it, under
-        // the masters' controls. The spilled splice path and a spilled index
-        // build do chunk I/O on this thread, so a storage fault can abort
-        // either; it surfaces as a typed error with catalog and masters
-        // untouched.
+        // Merge into a staged copy — NOT installed yet — under the masters'
+        // controls. A spilled merge does chunk I/O on this thread, so a
+        // storage fault can abort it; it surfaces as a typed error with
+        // catalog and masters untouched.
         let policy = &self.config.planner.policy;
         let merge = |base| faq_core::plan::merge_delta(&w.domain, policy, base, delta, AggId(0));
-        // One merge and one index per column order the slot is held in: the
-        // catalog's first, then the order of any copy a planner reordered.
-        // Every master below installs a handle on the body of its order.
+        // One merge per column order the slot is held in: the catalog's
+        // first, then the order of any copy a planner reordered. Every master
+        // below installs the body of its order; its first replay indexes it.
         let mut merges = vec![merge(base)?];
         for (spec, master) in w.specs.iter().zip(&w.masters) {
             for (&s, input) in spec.slots.iter().zip(&master.query().factors) {

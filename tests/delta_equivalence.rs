@@ -186,6 +186,30 @@ fn repeated_deltas_to_one_slot_accumulate() {
     }
 }
 
+/// A merged heap factor is indexed by the replay's join of it, not by the
+/// merge: after `apply_delta` every slot it touched holds a built trie, so
+/// the handle stays serving-ready (the next evaluation indexes no input),
+/// and the output still equals `update_factor` followed by `evaluate`.
+#[test]
+fn apply_delta_leaves_the_joined_slot_indexed() {
+    let q = counting_triangle();
+    let planner = Planner::sequential();
+    let mut prepared = planner.prepare(&q).unwrap();
+    let mut oracle = planner.prepare(&q).unwrap();
+    for slot in 0..3 {
+        let delta = DeltaFactor::new(
+            prepared.query().factors[slot].schema().to_vec(),
+            vec![(vec![1, 1], DeltaOp::Put(5)), (vec![2, 0], DeltaOp::Merge(3))],
+        )
+        .unwrap();
+        let before = prepared.query().factors[slot].clone();
+        assert_delta_matches(&mut prepared, &mut oracle, slot, &delta);
+        let merged = &prepared.query().factors[slot];
+        assert!(!merged.shares_body(&before), "slot {slot}: the delta changed the factor");
+        assert!(merged.trie_if_built().is_some(), "slot {slot}: the replay indexed the merge");
+    }
+}
+
 #[test]
 fn interleaved_deltas_across_slots_accumulate() {
     let q = counting_triangle();

@@ -2,10 +2,9 @@
 //!
 //! 1. [`Factor::from_sorted_distinct`] and the [`FactorBuilder`] push path
 //!    are drop-in equivalents of `Factor::new` on adversarial inputs;
-//! 2. the trie a builder grows while rows stream in
-//!    ([`FactorBuilder::with_streaming_trie`]) — by direct pushes and by the
-//!    chunked `append` path of the parallel engine's merge — and the one
-//!    built on first use both index their listing by definition
+//! 2. the trie built on first use over a factor from each path — direct
+//!    pushes and the chunked `append` path of the parallel engine's merge
+//!    included — indexes its listing by definition
 //!    (`common::assert_trie_indexes`: every level's values, the rows below
 //!    each entry and the child ranges above the deepest level, recomputed
 //!    from the rows);
@@ -46,8 +45,8 @@ fn schema3() -> Vec<Var> {
 }
 
 /// Assert the three construction paths agree for one carrier type, and that
-/// every way a trie comes to be — on first use, streamed by plain pushes,
-/// streamed through chunked appends — indexes the listing by definition.
+/// the trie each factor builds on first use indexes the listing by
+/// definition.
 fn check_paths<E: SemiringElem>(rows: &[(Vec<u32>, E)]) {
     // Reference: the sorting constructor, fed the rows in reverse (it may
     // not rely on input order).
@@ -62,22 +61,19 @@ fn check_paths<E: SemiringElem>(rows: &[(Vec<u32>, E)]) {
     assert_eq!(direct, reference);
     assert_trie_indexes(direct.trie(), &reference);
 
-    // Path 2: builder pushes, with the streaming trie on.
-    let mut builder = FactorBuilder::new(schema3()).unwrap().with_streaming_trie();
+    // Path 2: builder pushes.
+    let mut builder = FactorBuilder::new(schema3()).unwrap();
     for (t, v) in rows {
         builder.push(t, v.clone());
     }
-    let streamed = builder.finish();
-    assert_eq!(streamed, reference);
-    assert_trie_indexes(
-        streamed.trie_if_built().expect("streaming build leaves a trie"),
-        &reference,
-    );
+    let pushed = builder.finish();
+    assert_eq!(pushed, reference);
+    assert_trie_indexes(pushed.trie(), &reference);
 
     // Path 3: chunked appends (the parallel k-way merge shape): split the
     // stream at first-column boundaries, build a chunk builder per piece,
-    // append them into a streaming-trie builder.
-    let mut merged = FactorBuilder::new(schema3()).unwrap().with_streaming_trie();
+    // append them into one builder.
+    let mut merged = FactorBuilder::new(schema3()).unwrap();
     let mut i = 0;
     while i < rows.len() {
         let cut = rows[i].0[0];
@@ -90,7 +86,7 @@ fn check_paths<E: SemiringElem>(rows: &[(Vec<u32>, E)]) {
     }
     let merged = merged.finish();
     assert_eq!(merged, reference);
-    assert_trie_indexes(merged.trie_if_built().expect("append keeps streaming"), &reference);
+    assert_trie_indexes(merged.trie(), &reference);
 }
 
 proptest! {
